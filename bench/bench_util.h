@@ -118,13 +118,11 @@ inline std::vector<std::uint64_t> parse_id_list(const std::string& text) {
 // writes BENCH_micro_ops.json with these; fig_suite writes the richer
 // BENCH_figures.json itself but reuses the conventions).
 
-/// One measured series, optionally with the frozen-baseline comparison.
+/// One measured series.
 struct series_entry {
   std::string name;
   std::string unit;
   double current = 0.0;
-  double legacy = 0.0;  ///< 0 = no baseline for this series
-  double speedup = 0.0;
 };
 
 /// Writes the BENCH_*.json document micro_ops-style benches emit.
@@ -145,13 +143,10 @@ inline bool write_series_json(const std::string& path,
   std::fprintf(f, "  \"series\": [\n");
   for (std::size_t i = 0; i < series.size(); ++i) {
     const auto& s = series[i];
-    std::fprintf(f, "    {\"name\": \"%s\", \"unit\": \"%s\", \"value\": %.6g",
-                 s.name.c_str(), s.unit.c_str(), s.current);
-    if (s.legacy > 0.0) {
-      std::fprintf(f, ", \"legacy\": %.6g, \"speedup\": %.4g", s.legacy,
-                   s.speedup);
-    }
-    std::fprintf(f, "}%s\n", i + 1 < series.size() ? "," : "");
+    std::fprintf(f,
+                 "    {\"name\": \"%s\", \"unit\": \"%s\", \"value\": %.6g}%s\n",
+                 s.name.c_str(), s.unit.c_str(), s.current,
+                 i + 1 < series.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

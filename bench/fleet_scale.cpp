@@ -1,30 +1,23 @@
 // fleet_scale — the sharded fleet simulator at population scale.
 //
 // Drives one fleet-sized scenario (default 500k users over 16 shards)
-// through fleet::run_fleet at several pool sizes, gates that the merged
-// fingerprint is bit-identical at every thread count, then replays the
-// run's per-slot fleet demands through both allocation paths — the batched
-// multi-slot allocator (one model, warm tableau, incumbent carry-over) and
-// independent per-slot allocate_ilp calls — to prove the batched path is
-// measurably cheaper while producing identical plans.  Results land in
-// BENCH_fleet.json next to the other BENCH_*.json series.
+// through fleet::run_fleet at several pool sizes and gates that the merged
+// fingerprint is bit-identical at every thread count.  Results land in
+// BENCH_fleet.json next to the other BENCH_*.json series.  Timings here
+// are advisory; mca_bench (mca_bench/README.md) is the benchmark of
+// record for performance claims.
 //
 // Usage:
 //   fleet_scale [--users N] [--shards K] [--slots S] [--jobs a,b,c]
-//               [--ilp-solves S] [--trials T] [--trace PATH]
+//               [--trials T] [--trace PATH]
 //               [--trace-slots A:B] [--health PATH] [--out PATH]
 //               [--faults] [--fault-health PATH] [--smoke]
 //
 // --slots sets how many provisioning slots the 1-hour horizon is cut into
 // (slot_length = duration / slots).  --smoke shrinks everything (CI: small
-// shard count, determinism and plan-equality gates stay hard, wall-clock
-// gates turn advisory).  Every timed leg runs --trials times,
-// interleaved (trial 0 of every leg, then trial 1, ...), and the best
-// wall time per leg is reported — same de-noising the micro_ops bench
-// uses, so the advisory users/sec series stops swinging with host load.
-// One extra leg repeats jobs=first with the observability counters off:
-// the counters-on/counters-off best-of ratio is the <= 1.05 overhead
-// gate proving the obs layer stays out of the hot path.  --trace runs
+// shard count; the determinism gates stay hard).  Every timed leg runs
+// --trials times, interleaved (trial 0 of every leg, then trial 1, ...),
+// and the best wall time per leg is reported.  --trace runs
 // one additional untimed leg with the span tracer attached and writes
 // Chrome trace-event JSON (open in Perfetto / chrome://tracing) covering
 // slot rounds, shard advances, coordinator solves/splits, sampled
@@ -55,29 +48,15 @@
 // excluded from it by construction), the window count must equal
 // slots + 1 (the drain tail), the fleet exemplar set must be non-empty
 // and bounded by top_k per window, and SLO alert evaluation over the
-// merged timeline must reproduce bit-identically.
-//
-// Besides the end-to-end runs, a per-phase micro-breakdown (workload gen
-// / decision / backend / metrics) lands in BENCH_fleet.json so future
-// perf PRs can see where request time goes.  The backend phase is
-// further split into submit / event / digest sub-phases: submit is
-// instance::submit (stamp + heap push), event is the completion-event
-// drain (virtual-time advance + batched pops), and digest is the
-// per-shard aggregate merge (SIMD histogram / Welford path) that folds
-// shard results into the fleet fingerprint.  The merged observability
-// registry (counters, series, per-group SLO percentiles) is emitted too,
-// with its own thread-count-independent fingerprint.
+// merged timeline must reproduce bit-identically.  The merged
+// observability registry (counters, series, per-group SLO percentiles) is
+// emitted too, with its own thread-count-independent fingerprint.
 #include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
-#include "client/device.h"
-#include "client/moderator.h"
-#include "cloud/instance.h"
-#include "core/system.h"
-#include "exp/bench_clock.h"
 #include "exp/scenario.h"
 #include "exp/thread_pool.h"
 #include "fault/fault_program.h"
@@ -90,36 +69,10 @@
 #include "obs/timeline.h"
 #include "obs/tracer.h"
 #include "tasks/task.h"
-#include "workload/generator.h"
 
 namespace {
 
 using namespace mca;
-
-/// True when the build carries -fsanitize instrumentation (the CMake
-/// MCA_SANITIZE option defines this).  Sanitizers slow and skew wall
-/// clocks wildly (ASan ~2x, TSan ~10x, unevenly across phases), so every
-/// wall-clock *ratio* gate downgrades to advisory under instrumentation;
-/// fingerprint, determinism, and plan-equality gates stay hard — those
-/// are exactly what a sanitizer leg is there to re-verify.
-#ifdef MCA_SANITIZE_ENABLED
-constexpr bool kSanitizedBuild = true;
-#else
-constexpr bool kSanitizedBuild = false;
-#endif
-
-/// PR-4's measured full-config throughput (500k users / 16 shards, one
-/// core) — the advisory regression reference.
-constexpr double kBaselineUsersPerSecPr4 = 10'754.0;
-
-/// PR-5's measured full-config throughput (same machine class).  The
-/// virtual-time backend targets >= 3x this on the 500k/16 config.
-constexpr double kBaselineUsersPerSecPr5 = 135'004.0;
-
-/// Target ceiling for the combined backend phase (submit + event) once
-/// completions are O(1) analytic pops instead of heap churn.  Advisory:
-/// absolute ns/op on this host is too noisy to gate (see main()).
-constexpr double kBackendNsPerOpCeiling = 80.0;
 
 /// The fleet-scale scenario: a large population issuing sparse Poisson
 /// traffic against four acceleration groups backed by wide EC2 tiers, no
@@ -157,7 +110,6 @@ exp::scenario_spec fleet_scale_spec(std::size_t users, std::size_t shards,
 
 struct run_record {
   std::size_t jobs = 0;
-  bool counters = true;
   double wall_seconds = 0.0;  ///< best over the interleaved trials
   double coordination_seconds = 0.0;  ///< from the best trial
   std::uint64_t fingerprint = 0;
@@ -246,149 +198,13 @@ struct obs_summary {
   std::size_t trials = 0;
   bool deterministic = true;  ///< obs fingerprint identical across legs
   std::uint64_t fingerprint = 0;
-  double counters_on_seconds = 0.0;   ///< best-of at the overhead jobs
-  double counters_off_seconds = 0.0;
-  double overhead_ratio = 0.0;        ///< on / off
   const obs::registry* registry = nullptr;
 };
-
-/// Nanoseconds per operation of each hot-path phase, measured in
-/// isolation on this machine (synthetic inputs shaped like the fleet
-/// scenario's).  Not simulation semantics — a where-does-request-time-go
-/// ruler for future perf PRs.
-struct phase_breakdown {
-  double workload_gen_ns = 0.0;  ///< task draw + inter-arrival gap draw
-  double decision_ns = 0.0;      ///< moderator lookup/promote + battery
-  double backend_ns = 0.0;       ///< submit + event combined (gated)
-  double backend_submit_ns = 0.0;  ///< finish-V stamp + heap push
-  double backend_event_ns = 0.0;   ///< V-clock advance + batched drain
-  double backend_digest_ns = 0.0;  ///< per-shard aggregate merge (SIMD)
-  double metrics_ns = 0.0;       ///< streaming digest update
-};
-
-phase_breakdown measure_phases(const tasks::task_pool& task_pool) {
-  phase_breakdown out;
-  constexpr std::size_t kOps = 1 << 19;
-  util::rng rng{20260728};
-  volatile double guard = 0.0;
-
-  {  // workload generation: one task draw + one gap draw per request
-    auto source = workload::static_source(task_pool.static_minimax_request());
-    auto gaps = workload::exponential_interarrival(0.0005);
-    double acc = 0.0;
-    const double secs = exp::seconds_of([&] {
-      for (std::size_t i = 0; i < kOps; ++i) {
-        acc += source(rng).work_units();
-        acc += gaps(rng);
-      }
-    });
-    guard = guard + acc;
-    out.workload_gen_ns = secs * 1e9 / kOps;
-  }
-  {  // decision: group lookup, battery accounting, promotion policy
-    client::moderator moderator{
-        std::make_unique<client::static_probability_promotion>(1.0 / 50.0), 1,
-        4, rng.fork()};
-    const client::device_class mix[] = {
-        client::device_class::flagship, client::device_class::midrange,
-        client::device_class::budget, client::device_class::wearable};
-    client::device_slab slab{1024, mix};
-    double acc = 0.0;
-    const double secs = exp::seconds_of([&] {
-      for (std::size_t i = 0; i < kOps; ++i) {
-        const user_id u = static_cast<user_id>(i & 1023);
-        acc += moderator.group_of(u);
-        slab.account_offload(u, 200.0);
-        moderator.record_response(u, 150.0 + static_cast<double>(i & 255),
-                                  slab.battery(u));
-      }
-    });
-    guard = guard + acc;
-    out.decision_ns = secs * 1e9 / kOps;
-  }
-  {  // backend: processor-sharing instance, split into submit (finish-V
-     // stamp + heap push) and event (V-clock advance + batched drain).
-     // The combined number is the gated one; the sub-phases show where
-     // the time goes.
-    sim::simulation sim;
-    cloud::instance server{sim, 1, cloud::type_by_name("t2.large"),
-                           rng.fork()};
-    constexpr std::size_t kBatch = 64;
-    constexpr std::size_t kRounds = 2'000;
-    double submit_secs = 0.0;
-    double event_secs = 0.0;
-    for (std::size_t r = 0; r < kRounds; ++r) {
-      submit_secs += exp::seconds_of([&] {
-        for (std::size_t i = 0; i < kBatch; ++i) {
-          server.submit(40.0, {});
-        }
-      });
-      event_secs += exp::seconds_of([&] { sim.run(); });
-    }
-    out.backend_submit_ns = submit_secs * 1e9 / (kBatch * kRounds);
-    out.backend_event_ns = event_secs * 1e9 / (kBatch * kRounds);
-    out.backend_ns = out.backend_submit_ns + out.backend_event_ns;
-  }
-  {  // backend.digest: the per-shard merge that folds shard aggregates
-     // into the fleet result (histogram bin adds + Welford combines —
-     // the SIMD'd path).  ns per merged shard digest.
-    constexpr std::size_t kShards = 16;
-    constexpr std::size_t kReps = 500;
-    util::rng mrng{777};
-    std::vector<exp::replication_metrics> shards;
-    for (std::size_t s = 0; s < kShards; ++s) {
-      exp::replication_metrics m{4};
-      m.seed = s;
-      m.requests = 4'096;
-      m.successes = 4'000;
-      m.total_cost_usd = 12.5;
-      for (int i = 0; i < 512; ++i) {
-        const double response = 80.0 + 400.0 * mrng.uniform();
-        m.response.add(response);
-        m.latency.add(response);
-        m.group_response[i & 3].add(response);
-        ++m.group_successes[i & 3];
-        m.group_instances[i & 3].add(static_cast<double>(1 + (i & 7)));
-      }
-      shards.push_back(std::move(m));
-    }
-    double acc = 0.0;
-    const double secs = exp::seconds_of([&] {
-      for (std::size_t r = 0; r < kReps; ++r) {
-        acc += static_cast<double>(exp::merge_replications(shards).requests);
-      }
-    });
-    guard = guard + acc;
-    out.backend_digest_ns = secs * 1e9 / (kReps * kShards);
-  }
-  {  // metrics: streaming digest update per successful response
-    core::request_digest digest;
-    digest.group_response.resize(5);
-    digest.group_successes.assign(5, 0);
-    const double secs = exp::seconds_of([&] {
-      for (std::size_t i = 0; i < kOps; ++i) {
-        const double response = 120.0 + static_cast<double>(i & 511);
-        ++digest.issued;
-        ++digest.succeeded;
-        digest.response.add(response);
-        digest.latency.add(response);
-        digest.group_response[i & 3].add(response);
-        ++digest.group_successes[i & 3];
-      }
-    });
-    guard = guard + static_cast<double>(digest.latency.total());
-    out.metrics_ns = secs * 1e9 / kOps;
-  }
-  (void)guard;
-  return out;
-}
 
 bool write_fleet_json(const std::string& path, const exp::scenario_spec& spec,
                       const fleet::fleet_result& reference,
                       const std::vector<run_record>& runs, bool deterministic,
-                      double users_per_sec, const phase_breakdown& phases,
-                      std::size_t ilp_solves_timed, double batched_seconds,
-                      double independent_seconds, const obs_summary& obs,
+                      double users_per_sec, const obs_summary& obs,
                       const obs::alert_report& alerts,
                       const fault_summary& faults, bool checks_passed) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -409,37 +225,17 @@ bool write_fleet_json(const std::string& path, const exp::scenario_spec& spec,
   std::fprintf(f, "  \"deterministic\": %s,\n",
                deterministic ? "true" : "false");
   std::fprintf(f, "  \"users_per_sec\": %.0f,\n", users_per_sec);
-  std::fprintf(f, "  \"users_per_sec_baseline_pr4\": %.0f,\n",
-               kBaselineUsersPerSecPr4);
-  std::fprintf(f, "  \"users_per_sec_ratio_vs_pr4\": %.3f,\n",
-               users_per_sec / kBaselineUsersPerSecPr4);
-  std::fprintf(f, "  \"users_per_sec_baseline_pr5\": %.0f,\n",
-               kBaselineUsersPerSecPr5);
-  std::fprintf(f, "  \"users_per_sec_ratio_vs_pr5\": %.3f,\n",
-               users_per_sec / kBaselineUsersPerSecPr5);
   std::fprintf(f, "  \"coordination_overhead_pct\": %.3f,\n",
                reference.coordination_overhead() * 100.0);
-  std::fprintf(f,
-               "  \"phase_breakdown_ns_per_op\": {\"workload_gen\": %.1f, "
-               "\"decision\": %.1f, \"backend\": %.1f, \"metrics\": %.1f},\n",
-               phases.workload_gen_ns, phases.decision_ns, phases.backend_ns,
-               phases.metrics_ns);
-  std::fprintf(f,
-               "  \"backend_subphase_ns_per_op\": {\"submit\": %.1f, "
-               "\"event\": %.1f, \"digest\": %.1f},\n",
-               phases.backend_submit_ns, phases.backend_event_ns,
-               phases.backend_digest_ns);
   std::fprintf(f, "  \"trials\": %zu,\n", obs.trials);
   std::fprintf(f, "  \"runs\": [\n");
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const auto& run = runs[i];
     std::fprintf(f,
-                 "    {\"jobs\": %zu, \"counters\": %s, "
-                 "\"wall_seconds\": %.3f, "
+                 "    {\"jobs\": %zu, \"wall_seconds\": %.3f, "
                  "\"coordination_seconds\": %.4f, "
                  "\"fingerprint\": \"%016llx\"}%s\n",
-                 run.jobs, run.counters ? "true" : "false", run.wall_seconds,
-                 run.coordination_seconds,
+                 run.jobs, run.wall_seconds, run.coordination_seconds,
                  static_cast<unsigned long long>(run.fingerprint),
                  i + 1 < runs.size() ? "," : "");
   }
@@ -447,14 +243,9 @@ bool write_fleet_json(const std::string& path, const exp::scenario_spec& spec,
   std::fprintf(f,
                "  \"obs\": {\n"
                "    \"deterministic\": %s,\n"
-               "    \"fingerprint\": \"%016llx\",\n"
-               "    \"counters_on_best_seconds\": %.3f,\n"
-               "    \"counters_off_best_seconds\": %.3f,\n"
-               "    \"counters_overhead_ratio\": %.4f",
+               "    \"fingerprint\": \"%016llx\"",
                obs.deterministic ? "true" : "false",
-               static_cast<unsigned long long>(obs.fingerprint),
-               obs.counters_on_seconds, obs.counters_off_seconds,
-               obs.overhead_ratio);
+               static_cast<unsigned long long>(obs.fingerprint));
   if (obs.registry != nullptr) {
     std::fprintf(f, ",\n    \"counters\": {");
     for (std::size_t c = 0; c < obs::kCounterCount; ++c) {
@@ -582,15 +373,8 @@ bool write_fleet_json(const std::string& path, const exp::scenario_spec& spec,
     obs::write_slo_json(f, obs::build_slo_report(*obs.registry), 2);
     std::fprintf(f, ",\n");
   }
-  std::fprintf(
-      f,
-      "  \"ilp\": {\"fleet_solves\": %zu, \"warm_solves\": %zu, "
-      "\"timed_solves\": %zu,\n"
-      "          \"batched_seconds\": %.6f, \"independent_seconds\": %.6f, "
-      "\"batched_speedup\": %.3f}\n",
-      reference.ilp_solves, reference.warm_solves, ilp_solves_timed,
-      batched_seconds, independent_seconds,
-      batched_seconds > 0.0 ? independent_seconds / batched_seconds : 0.0);
+  std::fprintf(f, "  \"ilp\": {\"fleet_solves\": %zu, \"warm_solves\": %zu}\n",
+               reference.ilp_solves, reference.warm_solves);
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("\nwrote %s\n", path.c_str());
@@ -601,24 +385,14 @@ bool write_fleet_json(const std::string& path, const exp::scenario_spec& spec,
 
 int main(int argc, char** argv) {
   const bool smoke = bench::has_flag(argc, argv, "--smoke");
-  // The smoke population must stay big enough that one run takes ~0.1 s:
-  // the counters-on/off overhead gate is hard even in smoke, and on
-  // millisecond-scale runs timer jitter alone swings the ratio by tens
-  // of percent (measured -3%..+18% at 4k users on a busy 1-core host).
   const std::size_t users = bench::flag_count(
       argc, argv, "--users", smoke ? 40'000 : 500'000, "fleet_scale");
   const std::size_t shards =
       bench::flag_count(argc, argv, "--shards", smoke ? 4 : 16, "fleet_scale");
   const std::size_t slots =
       bench::flag_count(argc, argv, "--slots", 4, "fleet_scale");
-  const std::size_t ilp_solves_target = bench::flag_count(
-      argc, argv, "--ilp-solves", smoke ? 30 : 200, "fleet_scale");
-  // Smoke runs are short (~0.2 s), so trials are cheap there — and the
-  // noisier the per-run wall time is relative to its length, the more
-  // minimum-samples the best-of needs before the overhead ratio is
-  // trustworthy.  Full-scale runs are ~25x longer; 3 trials suffice.
   const std::size_t trials =
-      bench::flag_count(argc, argv, "--trials", smoke ? 8 : 3, "fleet_scale");
+      bench::flag_count(argc, argv, "--trials", 3, "fleet_scale");
   const auto trace_path = bench::flag_value(argc, argv, "--trace");
   const auto health_path = bench::flag_value(argc, argv, "--health");
   const bool with_faults = bench::has_flag(argc, argv, "--faults");
@@ -679,44 +453,28 @@ int main(int argc, char** argv) {
 
   bench::check_list checks;
 
-  // Timed legs: one counters-on leg per pool size, plus a counters-off
-  // leg at the first pool size (the overhead reference).  Trials are
-  // interleaved — trial t of every leg runs before trial t+1 of any —
-  // so slow host drift hits all legs alike and best-of stays a fair
-  // comparison.
-  struct leg_spec {
-    std::size_t jobs = 1;
-    bool counters = true;
-  };
-  std::vector<leg_spec> legs;
-  for (const std::uint64_t jobs : jobs_list) {
-    legs.push_back({static_cast<std::size_t>(jobs), true});
-  }
-  legs.push_back({static_cast<std::size_t>(jobs_list[0]), false});
-
-  std::vector<run_record> runs(legs.size());
+  // Timed legs: one per pool size.  Trials are interleaved — trial t of
+  // every leg runs before trial t+1 of any — so slow host drift hits all
+  // legs alike.
+  std::vector<run_record> runs(jobs_list.size());
   fleet::fleet_result reference;
   bool have_reference = false;
   bool trial_fingerprints_agree = true;
 
   for (std::size_t t = 0; t < trials; ++t) {
-    for (std::size_t li = 0; li < legs.size(); ++li) {
-      const leg_spec& leg = legs[li];
+    for (std::size_t li = 0; li < jobs_list.size(); ++li) {
+      const auto jobs = static_cast<std::size_t>(jobs_list[li]);
       bench::section(std::to_string(users) + " users / " +
                      std::to_string(shards) + " shards @ jobs=" +
-                     std::to_string(leg.jobs) +
-                     (leg.counters ? "" : " (counters off)") + " trial " +
+                     std::to_string(jobs) + " trial " +
                      std::to_string(t + 1) + "/" + std::to_string(trials));
-      exp::thread_pool pool{leg.jobs};
-      fleet::fleet_options leg_options = options;
-      leg_options.obs_counters = leg.counters;
+      exp::thread_pool pool{jobs};
       fleet::fleet_result result =
-          fleet::run_fleet(spec, leg_options, task_pool, pool);
+          fleet::run_fleet(spec, options, task_pool, pool);
 
       run_record& record = runs[li];
       if (t == 0) {
-        record.jobs = leg.jobs;
-        record.counters = leg.counters;
+        record.jobs = jobs;
         record.wall_seconds = result.wall_seconds;
         record.coordination_seconds = result.coordination_seconds;
         record.fingerprint = result.fingerprint();
@@ -741,7 +499,7 @@ int main(int argc, char** argv) {
           result.coordination_overhead() * 100.0, result.aggregate.requests,
           result.aggregate.acceptance_rate() * 100.0,
           static_cast<unsigned long long>(result.fingerprint()));
-      if (!have_reference && leg.counters) {
+      if (!have_reference) {
         reference = std::move(result);
         have_reference = true;
       }
@@ -753,8 +511,8 @@ int main(int argc, char** argv) {
     deterministic = deterministic && run.fingerprint == runs[0].fingerprint;
   }
   checks.expect(deterministic,
-                "merge fingerprint bit-identical across thread counts, "
-                "trials, and counter settings",
+                "merge fingerprint bit-identical across thread counts "
+                "and trials",
                 bench::ratio_detail(
                     "distinct fingerprints",
                     static_cast<double>(
@@ -769,7 +527,6 @@ int main(int argc, char** argv) {
   // size either.
   bool obs_deterministic = true;
   for (const auto& run : runs) {
-    if (!run.counters) continue;
     obs_deterministic =
         obs_deterministic && run.obs_fingerprint == runs[0].obs_fingerprint;
   }
@@ -779,37 +536,11 @@ int main(int argc, char** argv) {
                                     static_cast<double>(
                                         runs[0].obs_fingerprint & 0xffff)));
 
-  // ---- observability overhead: counters on vs off, same binary --------
   obs_summary obs;
   obs.trials = trials;
   obs.deterministic = obs_deterministic;
   obs.fingerprint = runs[0].obs_fingerprint;
   obs.registry = &reference.observability;
-  for (const auto& run : runs) {
-    if (!run.counters) obs.counters_off_seconds = run.wall_seconds;
-  }
-  for (const auto& run : runs) {
-    if (run.counters && run.jobs == runs.back().jobs) {
-      obs.counters_on_seconds = run.wall_seconds;
-    }
-  }
-  obs.overhead_ratio = obs.counters_off_seconds > 0.0
-                           ? obs.counters_on_seconds / obs.counters_off_seconds
-                           : 0.0;
-  bench::section("observability overhead (counters on vs off, best-of)");
-  std::printf(
-      "jobs=%zu:   counters on %6.2f s   off %6.2f s   overhead %.2f%%\n",
-      runs.back().jobs, obs.counters_on_seconds, obs.counters_off_seconds,
-      (obs.overhead_ratio - 1.0) * 100.0);
-  if (kSanitizedBuild) {
-    std::printf(
-        "sanitized build: counters-overhead gate advisory (ratio %.3f)\n",
-        obs.overhead_ratio);
-  } else {
-    checks.expect(obs.overhead_ratio <= 1.05,
-                  "counters-on wall time within 5% of counters-off",
-                  bench::ratio_detail("on/off", obs.overhead_ratio));
-  }
   checks.expect(reference.observability.get(obs::counter::sdn_requests) ==
                     reference.aggregate.requests,
                 "sdn_requests counter matches the merged request total",
@@ -828,7 +559,6 @@ int main(int argc, char** argv) {
   bench::section("per-slot timeline, tail exemplars, SLO alerts");
   bool timeline_deterministic = true;
   for (const auto& run : runs) {
-    if (!run.counters) continue;
     timeline_deterministic =
         timeline_deterministic &&
         run.timeline_fingerprint == runs[0].timeline_fingerprint;
@@ -1259,130 +989,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- batched vs independent allocation ---------------------------------
-  // Replay the run's own fleet demands (cycled to a stable sample size)
-  // through both paths.  Identical plans are a hard gate; the wall-clock
-  // advantage is gated only in full mode (CI smoke runs on noisy cores).
-  bench::section("allocation replay: batched vs per-slot");
-  const auto& demands = reference.fleet_demands;
-  double batched_seconds = 0.0;
-  double independent_seconds = 0.0;
-  std::size_t timed = 0;
-  if (demands.empty()) {
-    std::printf("no solved slots to replay\n");
-    checks.expect(false, "fleet produced demands to replay", "none");
-  } else {
-    const std::size_t reps =
-        (ilp_solves_target + demands.size() - 1) / demands.size();
-    timed = reps * demands.size();
-    const core::allocation_request shape = fleet::fleet_allocation_shape(spec);
-
-    double batched_cost = 0.0;
-    double independent_cost = 0.0;
-    std::size_t plan_mismatches = 0;
-    batched_seconds = exp::seconds_of([&] {
-      core::batched_allocator allocator{shape};
-      for (std::size_t r = 0; r < reps; ++r) {
-        for (const auto& demand : demands) {
-          batched_cost += allocator.solve(demand).total_cost_per_hour;
-        }
-      }
-    });
-    independent_seconds = exp::seconds_of([&] {
-      for (std::size_t r = 0; r < reps; ++r) {
-        for (const auto& demand : demands) {
-          core::allocation_request request = shape;
-          request.workload_per_group = demand;
-          independent_cost += core::allocate_ilp(request).total_cost_per_hour;
-        }
-      }
-    });
-    // Optimal objective values must agree exactly (both paths solve the
-    // same ILPs); plans may differ only between cost ties.
-    if (std::abs(batched_cost - independent_cost) > 1e-6 * timed) {
-      ++plan_mismatches;
-    }
-    std::printf(
-        "%zu solves:   batched %8.2f ms (%5.3f ms/solve)   independent "
-        "%8.2f ms (%5.3f ms/solve)   speedup %.2fx\n",
-        timed, batched_seconds * 1e3, batched_seconds * 1e3 / timed,
-        independent_seconds * 1e3, independent_seconds * 1e3 / timed,
-        batched_seconds > 0.0 ? independent_seconds / batched_seconds : 0.0);
-    checks.expect(plan_mismatches == 0,
-                  "batched and per-slot plans cost the same optimum",
-                  bench::ratio_detail("total cost delta",
-                                      batched_cost - independent_cost));
-    if (!smoke && !kSanitizedBuild) {
-      checks.expect(batched_seconds < independent_seconds,
-                    "batched multi-slot path cheaper than per-slot calls",
-                    bench::ratio_detail("speedup",
-                                        batched_seconds > 0.0
-                                            ? independent_seconds /
-                                                  batched_seconds
-                                            : 0.0));
-    }
-  }
-
-  // ---- per-phase micro-breakdown ----------------------------------------
-  bench::section("hot-path phase breakdown (ns/op, synthetic)");
-  const phase_breakdown phases = measure_phases(task_pool);
-  std::printf(
-      "workload_gen %7.1f ns   decision %7.1f ns   backend %7.1f ns   "
-      "metrics %7.1f ns\n",
-      phases.workload_gen_ns, phases.decision_ns, phases.backend_ns,
-      phases.metrics_ns);
-  std::printf(
-      "backend split: submit %7.1f ns   event %7.1f ns   digest %7.1f "
-      "ns/shard-merge\n",
-      phases.backend_submit_ns, phases.backend_event_ns,
-      phases.backend_digest_ns);
-  // Advisory only: absolute ns/op on a shared/virtualized host swings
-  // +-25% run to run (the same binary has measured this loop anywhere
-  // from 165 to 235 ns/op minutes apart), so the ceiling is recorded and
-  // printed but never gated — the machine-independent proof that the
-  // virtual-time event math beats the legacy sweep is micro_ops'
-  // `backend_event` series, which times both implementations in the same
-  // process and gates the ratio.
-  if (phases.backend_ns > kBackendNsPerOpCeiling) {
-    std::printf("advisory: backend %.1f ns/op above the %.0f ns target "
-                "ceiling (absolute ns are not gated; see micro_ops "
-                "backend_event for the gated in-process comparison)\n",
-                phases.backend_ns, kBackendNsPerOpCeiling);
-  }
-
-  // Throughput over the counters-on legs (the production configuration).
   double best_wall = runs[0].wall_seconds;
-  for (const auto& run : runs) {
-    if (run.counters) best_wall = std::min(best_wall, run.wall_seconds);
-  }
+  for (const auto& run : runs) best_wall = std::min(best_wall, run.wall_seconds);
   const double users_per_sec =
       best_wall > 0.0 ? static_cast<double>(users) / best_wall : 0.0;
-  const double ratio_pr4 = users_per_sec / kBaselineUsersPerSecPr4;
-  const double ratio_pr5 = users_per_sec / kBaselineUsersPerSecPr5;
   std::printf("\nthroughput: %.0f simulated users/sec (best run)\n",
               users_per_sec);
-  // Cross-session wall-clock baselines are advisory context, not gates:
-  // the PR-5 figure (135,004) is not reproducible on current host
-  // conditions — the PR-5 *seed code itself*, rebuilt and rerun on the
-  // same box that recorded it, now measures ~93k users/sec — so only the
-  // order-of-magnitude PR-4 floor is gated on the full configuration.
-  std::printf(
-      "advisory: users_per_sec %.0f vs PR-4 baseline %.0f (%.2fx), "
-      "vs PR-5 baseline %.0f (%.2fx)%s\n",
-      users_per_sec, kBaselineUsersPerSecPr4, ratio_pr4,
-      kBaselineUsersPerSecPr5, ratio_pr5,
-      ratio_pr4 < 1.0 ? "  ** REGRESSION? **" : "");
-  if (!smoke && !kSanitizedBuild && users == 500'000 && shards == 16) {
-    checks.expect(ratio_pr4 >= 3.0,
-                  "full-config throughput at least 3x the PR-4 baseline",
-                  bench::ratio_detail("ratio", ratio_pr4));
-  }
 
   const int exit_code = checks.finish("fleet_scale");
   if (!write_fleet_json(out_path, spec, reference, runs, deterministic,
-                        users_per_sec, phases, timed, batched_seconds,
-                        independent_seconds, obs, alerts, fsum,
-                        exit_code == 0)) {
+                        users_per_sec, obs, alerts, fsum, exit_code == 0)) {
     return 1;
   }
   return exit_code;

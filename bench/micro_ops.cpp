@@ -1,14 +1,14 @@
 // Perf harness for the control-path hot spots: event-engine throughput,
-// simplex pivot rate, and end-to-end allocate_ilp latency, each measured
-// against the frozen pre-refactor implementation (legacy_baseline.h) in
-// the same binary.  Emits machine-readable BENCH_micro_ops.json (path
-// overridable via argv[1]) so the perf trajectory is tracked PR over PR.
+// PS backend event math, simplex pivot rate, and end-to-end allocate_ilp
+// latency, each timed best-of-N in isolation.  Emits machine-readable
+// BENCH_micro_ops.json (path overridable via argv[1]) so the perf
+// trajectory is tracked PR over PR; end-to-end claims are measured by
+// mca_bench instead.
 //
 // Usage: micro_ops [output.json]
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <limits>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -17,7 +17,6 @@
 #include "core/allocator.h"
 #include "exp/bench_clock.h"
 #include "ilp/simplex.h"
-#include "legacy_baseline.h"
 #include "sim/simulation.h"
 #include "util/rng.h"
 
@@ -26,7 +25,7 @@ namespace {
 using namespace mca;
 using exp::best_seconds;
 
-/// Deterministic 64-bit mix so both engines see identical event times.
+/// Deterministic 64-bit mix so every trial sees identical event times.
 std::uint64_t splitmix(std::uint64_t& state) {
   return util::splitmix64(state);
 }
@@ -37,13 +36,12 @@ constexpr int kTrials = 5;
 /// Steady-state event loop, the shape the simulators actually produce: a
 /// fixed population of pending events (completions, timers) where every
 /// fired event schedules a successor at a pseudo-random future time.
-template <typename Sim>
 std::size_t event_steady_state_workload() {
-  Sim sim;
+  sim::simulation sim;
   constexpr int kPopulation = 16'384;
   std::uint64_t seed = 42;
   struct rearm {
-    Sim& sim;
+    sim::simulation& sim;
     std::uint64_t& seed;
     std::size_t remaining;
     void operator()() {
@@ -63,9 +61,8 @@ std::size_t event_steady_state_workload() {
 
 /// Worst-case burst: schedule kEventCount no-op events at pseudo-random
 /// times, then drain the full heap.
-template <typename Sim>
 std::size_t event_burst_workload() {
-  Sim sim;
+  sim::simulation sim;
   std::uint64_t seed = 42;
   for (int i = 0; i < kEventCount; ++i) {
     const double at = static_cast<double>(splitmix(seed) % 1'000'000u);
@@ -79,15 +76,14 @@ std::size_t event_burst_workload() {
 /// every request schedules a completion plus a timeout timer, and the
 /// completion cancels the timeout (requests finish before their deadline).
 /// Per fired event: two schedules and one cancellation.
-template <typename Sim, typename Handle>
 std::size_t event_request_workload() {
-  Sim sim;
+  sim::simulation sim;
   constexpr std::uint32_t kInFlight = 8'192;
   struct context {
-    Sim& sim;
+    sim::simulation& sim;
     std::uint64_t seed = 11;
-    std::vector<Handle> timeouts;
-  } ctx{sim, 11, std::vector<Handle>(kInFlight)};
+    std::vector<sim::event_handle> timeouts;
+  } ctx{sim, 11, std::vector<sim::event_handle>(kInFlight)};
   struct complete {
     context* c;
     std::uint32_t lane;
@@ -113,11 +109,10 @@ std::size_t event_request_workload() {
 
 /// Timer-churn pattern: every scheduled event displaces an older one, the
 /// way RTT/keepalive timers are rearmed; half the handles get cancelled.
-template <typename Sim, typename Handle>
 std::size_t event_cancel_workload() {
-  Sim sim;
+  sim::simulation sim;
   std::uint64_t seed = 7;
-  std::vector<Handle> window(64);
+  std::vector<sim::event_handle> window(64);
   for (int i = 0; i < kEventCount; ++i) {
     const double at = static_cast<double>(splitmix(seed) % 1'000'000u);
     const std::size_t slot = static_cast<std::size_t>(i) % window.size();
@@ -126,20 +121,13 @@ std::size_t event_cancel_workload() {
   }
   sim.run();
   // Almost every schedule is later cancelled; the interesting rate is
-  // schedule+cancel ops, not the 64 surviving events.  The executed count
-  // still cross-checks determinism because both engines must agree on it.
+  // schedule+cancel ops, not the 64 surviving events.
   return sim.executed_events() == window.size() ? kEventCount : 0;
 }
 
 /// Backend PS workload: a c5.xlarge-shaped server under a closed loop
-/// (every completion resubmits) holding ~192 requests in flight — deep
-/// enough that the legacy sweep's O(n) advance + min-scan + cancel/
-/// re-insert per event dominates its cost.  (At shallow depths the sweep
-/// vectorizes to near-free and the two legs are within host noise; the
-/// series exists to track the asymptotic O(1)-vs-O(n) difference, so the
-/// depth must make that difference the signal.)  Both legs run on the
-/// current event engine with identical work and jitter streams, so the
-/// series isolates the PS math.
+/// (every completion resubmits) holding ~192 requests in flight, deep
+/// enough that the per-event cost of the PS math is the signal.
 constexpr int kBackendOps = 60'000;
 constexpr int kBackendInFlight = 192;
 
@@ -156,8 +144,9 @@ cloud::instance_type backend_type() {
   return t;
 }
 
-template <typename Server>
-void drive_backend(sim::simulation& sim, Server& server) {
+std::uint64_t backend_workload() {
+  sim::simulation sim;
+  cloud::instance server{sim, 1, backend_type(), util::rng{2024}};
   std::uint64_t seed = 99;
   std::uint64_t budget = kBackendOps;
   std::function<void(double, bool)> on_done = [&](double, bool) {
@@ -171,25 +160,7 @@ void drive_backend(sim::simulation& sim, Server& server) {
     server.submit(work, on_done);
   }
   sim.run();
-}
-
-struct backend_run {
-  std::uint64_t completions = 0;
-  double service_sum = 0.0;
-};
-
-backend_run backend_workload_new() {
-  sim::simulation sim;
-  cloud::instance server{sim, 1, backend_type(), util::rng{2024}};
-  drive_backend(sim, server);
-  return {server.completed(), server.service_stats().sum()};
-}
-
-backend_run backend_workload_legacy() {
-  sim::simulation sim;
-  legacy::ps_instance server{sim, backend_type(), util::rng{2024}};
-  drive_backend(sim, server);
-  return {server.completed(), server.service_sum()};
+  return server.completed();
 }
 
 /// A mid-size allocation-shaped LP: 24 columns, capacity rows per group
@@ -277,97 +248,36 @@ int main(int argc, char** argv) {
   bench::check_list checks;
 
   // ---- event engine ------------------------------------------------------
-  // Four workloads: the gated primary is the closed-loop request pattern
-  // (schedule + timeout + cancel per event), the shape §V's experiments
-  // actually produce; the rest chart the engine from other angles.
+  // Four workloads: the closed-loop request pattern (schedule + timeout +
+  // cancel per event) is the shape §V's experiments actually produce; the
+  // rest chart the engine from other angles.
   const auto event_series = [&](const char* title, const char* name,
-                                std::size_t (*current_fn)(),
-                                std::size_t (*legacy_fn)(), double gate) {
+                                std::size_t (*workload)()) {
     bench::section(title);
-    std::size_t executed_new = 0;
-    std::size_t executed_old = 0;
-    const double t_new =
-        best_seconds(kTrials, [&] { executed_new = current_fn(); });
-    const double t_old =
-        best_seconds(kTrials, [&] { executed_old = legacy_fn(); });
-    checks.expect(executed_new == executed_old,
-                  std::string(name) + ": identical event counts",
-                  bench::ratio_detail("executed",
-                                      static_cast<double>(executed_new)));
-    series_entry s;
-    s.name = name;
-    s.unit = "events/sec";
-    s.current = static_cast<double>(executed_new) / t_new;
-    s.legacy = static_cast<double>(executed_old) / t_old;
-    s.speedup = s.current / s.legacy;
-    std::printf("new:    %12.0f events/sec\nlegacy: %12.0f events/sec\n",
-                s.current, s.legacy);
-    if (gate > 0.0) {
-      checks.expect(s.speedup >= gate,
-                    std::string(name) + " >= " + std::to_string(gate).substr(0, 3) +
-                        "x legacy",
-                    bench::ratio_detail("speedup", s.speedup));
-    }
-    series.push_back(s);
+    std::size_t executed = 0;
+    const double t = best_seconds(kTrials, [&] { executed = workload(); });
+    series.push_back({name, "events/sec", static_cast<double>(executed) / t});
+    std::printf("%12.0f events/sec\n", series.back().current);
   };
 
   event_series("event engine: request/timeout/cancel loop (primary)",
-               "event_throughput",
-               event_request_workload<sim::simulation, sim::event_handle>,
-               event_request_workload<legacy::simulation, legacy::event_handle>,
-               2.0);
+               "event_throughput", event_request_workload);
   event_series("event engine: steady-state rearm, no cancels",
-               "event_steady_state",
-               event_steady_state_workload<sim::simulation>,
-               event_steady_state_workload<legacy::simulation>, 0.0);
+               "event_steady_state", event_steady_state_workload);
   event_series("event engine: burst schedule + full drain", "event_burst",
-               event_burst_workload<sim::simulation>,
-               event_burst_workload<legacy::simulation>, 0.0);
+               event_burst_workload);
   event_series("event engine: cancellation churn (schedule+cancel ops)",
-               "event_cancel_churn",
-               event_cancel_workload<sim::simulation, sim::event_handle>,
-               event_cancel_workload<legacy::simulation, legacy::event_handle>,
-               2.0);
+               "event_cancel_churn", event_cancel_workload);
 
   // ---- processor-sharing backend -----------------------------------------
-  bench::section("backend: PS event math (virtual-time vs legacy sweep)");
+  bench::section("backend: PS event math (virtual-time clock)");
   {
-    backend_run run_new;
-    backend_run run_old;
-    // Interleave the trials (new, legacy, new, legacy, ...) instead of
-    // running each leg as one best-of-N block: a multi-second host-noise
-    // window then degrades both legs' candidate timings equally rather
-    // than cratering whichever block it happens to land on, so the ratio
-    // below stays stable even when absolute ns/op swings.
-    double t_new = std::numeric_limits<double>::infinity();
-    double t_old = std::numeric_limits<double>::infinity();
-    for (int trial = 0; trial < kTrials; ++trial) {
-      t_new = std::min(
-          t_new, exp::seconds_of([&] { run_new = backend_workload_new(); }));
-      t_old = std::min(
-          t_old, exp::seconds_of([&] { run_old = backend_workload_legacy(); }));
-    }
-    checks.expect(run_new.completions == run_old.completions,
-                  "backend_event: identical completion counts",
-                  bench::ratio_detail(
-                      "completions", static_cast<double>(run_new.completions)));
-    const double sum_scale =
-        std::max(std::abs(run_new.service_sum), std::abs(run_old.service_sum));
-    checks.expect(std::abs(run_new.service_sum - run_old.service_sum) <=
-                      1e-6 * sum_scale,
-                  "backend_event: service-time totals agree with legacy sweep",
-                  bench::ratio_detail("sum_ms", run_new.service_sum));
-    series_entry s;
-    s.name = "backend_event";
-    s.unit = "ns/op";
-    s.current = 1e9 * t_new / static_cast<double>(run_new.completions);
-    s.legacy = 1e9 * t_old / static_cast<double>(run_old.completions);
-    s.speedup = s.legacy / s.current;  // ns/op: smaller is better
-    std::printf("new:    %10.1f ns/op\nlegacy: %10.1f ns/op\n", s.current,
-                s.legacy);
-    checks.expect(s.speedup >= 1.5, "backend_event >= 1.5x legacy",
-                  bench::ratio_detail("speedup", s.speedup));
-    series.push_back(s);
+    std::uint64_t completions = 0;
+    const double t =
+        best_seconds(kTrials, [&] { completions = backend_workload(); });
+    series.push_back({"backend_event", "ns/op",
+                      1e9 * t / static_cast<double>(completions)});
+    std::printf("%10.1f ns/op\n", series.back().current);
   }
 
   // ---- simplex -----------------------------------------------------------
@@ -375,77 +285,26 @@ int main(int argc, char** argv) {
   const ilp::problem lp = make_lp();
   constexpr int kLpReps = 400;
   std::size_t pivots = 0;
-  double objective_new = 0.0;
-  double objective_old = 0.0;
-  const double t_lp_new = best_seconds(kTrials, [&] {
+  const double t_lp = best_seconds(kTrials, [&] {
     pivots = 0;
-    for (int i = 0; i < kLpReps; ++i) {
-      const auto sol = ilp::solve_lp(lp);
-      pivots += sol.iterations;
-      objective_new = sol.objective;
-    }
+    for (int i = 0; i < kLpReps; ++i) pivots += ilp::solve_lp(lp).iterations;
   });
-  const double t_lp_old = best_seconds(kTrials, [&] {
-    for (int i = 0; i < kLpReps; ++i) {
-      objective_old = legacy::solve_lp(lp).objective;
-    }
-  });
-  checks.expect(std::abs(objective_new - objective_old) < 1e-6,
-                "simplex objectives agree with legacy",
-                bench::ratio_detail("objective", objective_new));
-  {
-    series_entry s;
-    s.name = "simplex_solves";
-    s.unit = "solves/sec";
-    s.current = kLpReps / t_lp_new;
-    s.legacy = kLpReps / t_lp_old;
-    s.speedup = s.current / s.legacy;
-    std::printf("new:    %12.0f solves/sec  (%.0f pivots/sec)\n", s.current,
-                static_cast<double>(pivots) / t_lp_new);
-    std::printf("legacy: %12.0f solves/sec\n", s.legacy);
-    series.push_back(s);
-
-    series_entry sp;
-    sp.name = "simplex_pivots";
-    sp.unit = "pivots/sec";
-    sp.current = static_cast<double>(pivots) / t_lp_new;
-    series.push_back(sp);
-  }
+  series.push_back({"simplex_solves", "solves/sec", kLpReps / t_lp});
+  series.push_back({"simplex_pivots", "pivots/sec",
+                    static_cast<double>(pivots) / t_lp});
+  std::printf("%12.0f solves/sec  (%.0f pivots/sec)\n", kLpReps / t_lp,
+              static_cast<double>(pivots) / t_lp);
 
   // ---- allocator ---------------------------------------------------------
   bench::section("allocate_ilp: 8 groups x 4 candidates");
   const core::allocation_request request = make_8x4_request();
   constexpr int kIlpReps = 60;
-  double cost_new = 0.0;
-  double cost_old = 0.0;
-  const double t_ilp_new = best_seconds(kTrials, [&] {
-    for (int i = 0; i < kIlpReps; ++i) {
-      cost_new = core::allocate_ilp(request).total_cost_per_hour;
-    }
+  const double t_ilp = best_seconds(kTrials, [&] {
+    for (int i = 0; i < kIlpReps; ++i) (void)core::allocate_ilp(request);
   });
-  const double t_ilp_old = best_seconds(kTrials, [&] {
-    for (int i = 0; i < kIlpReps; ++i) {
-      cost_old = legacy::allocate_ilp(request).total_cost_per_hour;
-    }
-  });
-  checks.expect(std::abs(cost_new - cost_old) < 1e-6,
-                "allocator plans cost the same as legacy",
-                bench::ratio_detail("cost/hour", cost_new));
-  {
-    series_entry s;
-    s.name = "allocate_ilp_8x4";
-    s.unit = "solves/sec";
-    s.current = kIlpReps / t_ilp_new;
-    s.legacy = kIlpReps / t_ilp_old;
-    s.speedup = s.current / s.legacy;
-    std::printf("new:    %10.1f solves/sec (%.2f ms/solve)\n", s.current,
-                1e3 * t_ilp_new / kIlpReps);
-    std::printf("legacy: %10.1f solves/sec (%.2f ms/solve)\n", s.legacy,
-                1e3 * t_ilp_old / kIlpReps);
-    checks.expect(s.speedup >= 1.5, "allocate_ilp >= 1.5x legacy",
-                  bench::ratio_detail("speedup", s.speedup));
-    series.push_back(s);
-  }
+  series.push_back({"allocate_ilp_8x4", "solves/sec", kIlpReps / t_ilp});
+  std::printf("%10.1f solves/sec (%.2f ms/solve)\n", kIlpReps / t_ilp,
+              1e3 * t_ilp / kIlpReps);
 
   // ---- allocator at fleet scale ------------------------------------------
   bench::section("allocate_ilp: 64 groups x 8 candidates (fleet scale)");
@@ -457,8 +316,6 @@ int main(int argc, char** argv) {
       fleet_plan = core::allocate_ilp(fleet);
     }
   });
-  // No legacy leg: the explicit-row tableau needs minutes per solve at
-  // this size, which is the point of the bounded-variable formulation.
   checks.expect(fleet_plan.status == ilp::solve_status::optimal,
                 "allocate_ilp 64x8 solves to optimality in the default "
                 "node budget",
@@ -469,16 +326,10 @@ int main(int argc, char** argv) {
       fleet_plan.total_cost_per_hour <= greedy_cost + 1e-6,
       "allocate_ilp 64x8 plan no costlier than greedy",
       bench::ratio_detail("cost/hour", fleet_plan.total_cost_per_hour));
-  {
-    series_entry s;
-    s.name = "allocate_ilp_64x8";
-    s.unit = "solves/sec";
-    s.current = kFleetReps / t_fleet;
-    std::printf("new:    %10.1f solves/sec (%.2f ms/solve, $%.3f/h plan)\n",
-                s.current, 1e3 * t_fleet / kFleetReps,
-                fleet_plan.total_cost_per_hour);
-    series.push_back(s);
-  }
+  series.push_back({"allocate_ilp_64x8", "solves/sec", kFleetReps / t_fleet});
+  std::printf("%10.1f solves/sec (%.2f ms/solve, $%.3f/h plan)\n",
+              kFleetReps / t_fleet, 1e3 * t_fleet / kFleetReps,
+              fleet_plan.total_cost_per_hour);
 
   const int exit_code = checks.finish("micro_ops");
   if (!bench::write_series_json(out_path, "micro_ops", series,

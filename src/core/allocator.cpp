@@ -610,17 +610,4 @@ allocation_plan batched_allocator::solve(
   return plan_from_values(im.shape, im.layout, solved.values, solved.status);
 }
 
-std::vector<allocation_plan> allocate_ilp_batched(
-    const allocation_request& shape,
-    std::span<const std::vector<double>> demand_per_period,
-    const ilp::ilp_options& opts) {
-  batched_allocator allocator{shape, opts};
-  std::vector<allocation_plan> plans;
-  plans.reserve(demand_per_period.size());
-  for (const auto& demand : demand_per_period) {
-    plans.push_back(allocator.solve(demand));
-  }
-  return plans;
-}
-
 }  // namespace mca::core

@@ -120,7 +120,7 @@ allocation_plan allocate_best_effort(const allocation_request& request);
 /// slot's plan as incumbent whenever it is still feasible — so slots whose
 /// demands barely move cost a few dual pivots instead of a model build, a
 /// two-phase solve, and a cold tree search.  Results are identical to
-/// independent allocate_ilp calls (asserted by tests and the fleet bench).
+/// independent allocate_ilp calls (asserted by tests).
 class batched_allocator {
  public:
   /// `shape` fixes everything except the demands; its workload_per_group
@@ -157,14 +157,5 @@ class batched_allocator {
   struct impl;
   std::unique_ptr<impl> impl_;
 };
-
-/// One batched multi-period call: every period's allocation against a
-/// shared model and warm-started tableau.  Equivalent to — but measurably
-/// cheaper than — one allocate_ilp call per period (bench/fleet_scale
-/// records both series).
-std::vector<allocation_plan> allocate_ilp_batched(
-    const allocation_request& shape,
-    std::span<const std::vector<double>> demand_per_period,
-    const ilp::ilp_options& opts = {});
 
 }  // namespace mca::core

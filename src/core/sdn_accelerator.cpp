@@ -181,7 +181,7 @@ void sdn_accelerator::stage_logged(std::uint32_t slot) {
   inflight& s = pool_[slot];
   // The trace point: observer and (optionally retained) log record fire in
   // the same event, in the same order the legacy chain appended.
-  if (log_ != nullptr && config_.log_traces) {
+  if (log_ != nullptr) {
     if (on_trace_) {
       on_trace_(s.request.created_at, s.request.user, s.group);
     }

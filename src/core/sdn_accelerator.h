@@ -40,9 +40,6 @@ struct sdn_config {
   double routing_overhead_sd_ms = 20.0;
   /// Front-end <-> back-end one-way latency (same private network).
   double backend_one_way_ms = 3.0;
-  /// Trace every processed request (fires the trace observer and, when
-  /// retained, the log record) — the predictor's knowledge base.
-  bool log_traces = true;
   /// Keep the raw trace records in the log store.  Off, the trace point
   /// still fires (prediction works) but nothing accumulates in memory —
   /// the fleet-scale setting.

@@ -140,9 +140,8 @@ offloading_system::offloading_system(system_config config,
 
   obs_.resize_groups(group_count_);
   obs_.set_gauge(obs::gauge::groups, group_count_);
-  obs_ptr_ = config_.obs_counters ? &obs_ : nullptr;
-  backend_->set_observability(obs_ptr_);
-  sdn_->set_observability(obs_ptr_, config_.trace_sink, config_.trace_ring,
+  backend_->set_observability(&obs_);
+  sdn_->set_observability(&obs_, config_.trace_sink, config_.trace_ring,
                           config_.trace_sample_every);
 
   user_seq_.assign(config_.user_count, 0);
@@ -199,7 +198,7 @@ void offloading_system::on_response(const workload::offload_request& request,
     }
     // Per-group SLO histogram (preallocated; the digest only keeps the
     // all-groups latency histogram).
-    if (obs_ptr_ != nullptr) obs_ptr_->observe_response(group, response_ms);
+    obs_.observe_response(group, response_ms);
   }
 
   const std::uint32_t seq = user_seq_[request.user % user_seq_.size()]++;
@@ -279,16 +278,14 @@ void offloading_system::apply_preemption(std::size_t index) {
   const fault::preemption_event& ev = config_.preemption_schedule[index];
   const auto result = backend_->preempt_in(ev.group, ev.ordinal);
   if (!result.applied) return;  // struck an already-empty group
-  if (obs_ptr_ != nullptr) {
-    obs_ptr_->add(obs::counter::fault_preemptions);
-    obs_ptr_->add(obs::counter::fault_inflight_killed, result.killed);
-  }
+  obs_.add(obs::counter::fault_preemptions);
+  obs_.add(obs::counter::fault_inflight_killed, result.killed);
 }
 
 void offloading_system::begin_outage(std::size_t index) {
   const fault::outage_window& w = config_.faults.outages[index];
   backend_->begin_outage(w.group);
-  if (obs_ptr_ != nullptr) obs_ptr_->add(obs::counter::fault_outages);
+  obs_.add(obs::counter::fault_outages);
 }
 
 void offloading_system::end_outage(std::size_t index) {
@@ -298,7 +295,7 @@ void offloading_system::end_outage(std::size_t index) {
 }
 
 void offloading_system::restore_group(group_id group) {
-  if (obs_ptr_ != nullptr) obs_ptr_->add(obs::counter::fault_recoveries);
+  obs_.add(obs::counter::fault_recoveries);
   for (std::size_t i = 0; i < config_.groups.size(); ++i) {
     const auto& spec = config_.groups[i];
     if (spec.group != group) continue;
@@ -317,17 +314,13 @@ void offloading_system::restore_group(group_id group) {
 }
 
 void offloading_system::on_slot_boundary(std::size_t slot_index) {
-  if (obs_ptr_ != nullptr) {
-    obs_ptr_->add(obs::counter::slot_boundaries);
-    // Close the telemetry window that ends at this boundary before any
-    // boundary work lands in the next one.  The snapshot counter is
-    // bumped first so the closing window accounts for its own close.
-    if (timeline_.enabled()) {
-      obs_ptr_->add(obs::counter::timeline_snapshots);
-      timeline_.snapshot(*obs_ptr_, slot_index, sim_.now());
-    }
-    exemplars_.roll_window(static_cast<std::uint32_t>(slot_index));
-  }
+  obs_.add(obs::counter::slot_boundaries);
+  // Close the telemetry window that ends at this boundary before any
+  // boundary work lands in the next one.  The snapshot counter is bumped
+  // first so the closing window accounts for its own close.
+  obs_.add(obs::counter::timeline_snapshots);
+  timeline_.snapshot(obs_, slot_index, sim_.now());
+  exemplars_.roll_window(static_cast<std::uint32_t>(slot_index));
   // The slot that just ended becomes evidence.
   trace::time_slot finished = take_current_slot();
   const auto actual_counts = finished.group_counts();
@@ -358,11 +351,9 @@ void offloading_system::on_slot_boundary(std::size_t slot_index) {
         // apply_external_plan() answers.
         pending_demand_ = std::move(request);
       } else {
-        if (obs_ptr_ != nullptr) obs_ptr_->add(obs::counter::ilp_solves);
+        obs_.add(obs::counter::ilp_solves);
         allocation_plan plan = allocate_ilp(request);
-        if (obs_ptr_ != nullptr && plan.best_effort) {
-          obs_ptr_->add(obs::counter::ilp_best_effort);
-        }
+        if (plan.best_effort) obs_.add(obs::counter::ilp_best_effort);
         apply_plan(plan);
         report.plan = std::move(plan);
       }
@@ -436,14 +427,10 @@ void offloading_system::begin(util::time_ms duration) {
 
   // Time-resolved telemetry buffers, sized now that the slot count is
   // known: one window per boundary plus the drain tail.
-  if (obs_ptr_ != nullptr) {
-    if (config_.obs_timeline) {
-      timeline_.reset(total_slots + 1, group_count_);
-    }
-    if (config_.exemplar_top_k > 0) {
-      exemplars_.reset(config_.exemplar_top_k, total_slots + 1);
-      sdn_->set_exemplar_sink(&exemplars_);
-    }
+  timeline_.reset(total_slots + 1, group_count_);
+  if (config_.exemplar_top_k > 0) {
+    exemplars_.reset(config_.exemplar_top_k, total_slots + 1);
+    sdn_->set_exemplar_sink(&exemplars_);
   }
 }
 
@@ -461,13 +448,9 @@ void offloading_system::finish() {
 
   // Close the drain-tail telemetry window (responses that completed after
   // the last boundary); its slot index is one past the last boundary's.
-  if (obs_ptr_ != nullptr) {
-    if (timeline_.enabled()) {
-      obs_ptr_->add(obs::counter::timeline_snapshots);
-      timeline_.snapshot(*obs_ptr_, metrics_.slots.size(), sim_.now());
-    }
-    exemplars_.roll_window(static_cast<std::uint32_t>(metrics_.slots.size()));
-  }
+  obs_.add(obs::counter::timeline_snapshots);
+  timeline_.snapshot(obs_, metrics_.slots.size(), sim_.now());
+  exemplars_.roll_window(static_cast<std::uint32_t>(metrics_.slots.size()));
 
   metrics_.promotions = moderator_->promotions();
   metrics_.demotions = moderator_->demotions();

@@ -100,21 +100,12 @@ struct system_config {
   util::time_ms background_burst_period = util::seconds(2);
 
   // --- observability ---
-  /// Master switch for the preregistered obs counters (SDN request
-  /// pipeline, PS backend, slot boundaries).  The registry itself is
-  /// always owned and preallocated by the system; off means components
-  /// get a nullptr and the recording sites reduce to one predictable
-  /// branch.  On by default — the counters are cheap enough to keep in
-  /// the allocation-free hot path (gated by bench/fleet_scale).
-  bool obs_counters = true;
-  /// Per-slot telemetry windows (obs::timeline): counter deltas, gauge
-  /// samples, and windowed per-group SLO histograms snapshotted at every
-  /// slot boundary plus one drain-tail window at finish().  Preallocated
-  /// in begin() once the slot count is known; requires obs_counters.
-  bool obs_timeline = true;
+  // The preregistered obs counters (SDN request pipeline, PS backend, slot
+  // boundaries) and the per-slot timeline windows are always on: the
+  // registry is owned and preallocated by the system, and the timeline is
+  // sized in begin() once the slot count is known.
   /// Tail-exemplar reservoir size: the K slowest request lifecycles per
-  /// slot window, captured at the response sink (0 disables).  Requires
-  /// obs_counters.
+  /// slot window, captured at the response sink (0 disables).
   std::size_t exemplar_top_k = 4;
   /// Optional span tracer (not owned; must outlive the system).  When
   /// set, 1 in `trace_sample_every` requests records a lifecycle span
@@ -243,14 +234,11 @@ class offloading_system : private response_sink {
   client::moderator& moderator() noexcept { return *moderator_; }
   sim::simulation& simulation() noexcept { return sim_; }
   std::size_t group_count() const noexcept { return group_count_; }
-  /// The run's observability registry (zeroed but valid when
-  /// obs_counters is off).
+  /// The run's observability registry.
   const obs::registry& observability() const noexcept { return obs_; }
-  /// Per-slot telemetry windows (empty when obs_timeline or obs_counters
-  /// is off, or before begin()).
+  /// Per-slot telemetry windows (empty before begin()).
   const obs::timeline& timeline() const noexcept { return timeline_; }
-  /// Tail exemplars flushed so far (disabled when exemplar_top_k == 0 or
-  /// obs_counters is off).
+  /// Tail exemplars flushed so far (disabled when exemplar_top_k == 0).
   const obs::exemplar_reservoir& exemplars() const noexcept {
     return exemplars_;
   }
@@ -309,11 +297,8 @@ class offloading_system : private response_sink {
   util::rng background_rng_;
   system_metrics metrics_;
 
-  /// Owned registry; obs_ptr_ is &obs_ under obs_counters and nullptr
-  /// otherwise — fixed at construction, THE branch-on-a-constant every
-  /// recording site tests.
+  /// Owned registry, wired into the backend pool and SDN at construction.
   obs::registry obs_;
-  obs::registry* obs_ptr_ = nullptr;
   obs::timeline timeline_;
   obs::exemplar_reservoir exemplars_;
 

@@ -88,12 +88,14 @@ bool thread_pool::try_acquire(std::size_t self, task& out) {
   if (claim(*queues_[self], false, out)) {
     std::lock_guard state{state_mutex_};
     --queued_;
+    ++executed_;
     return true;
   }
   for (std::size_t offset = 1; offset < queues_.size(); ++offset) {
     if (claim(*queues_[(self + offset) % queues_.size()], true, out)) {
       std::lock_guard state{state_mutex_};
       --queued_;
+      ++executed_;
       ++steals_;
       return true;
     }
@@ -107,7 +109,6 @@ void thread_pool::worker_loop(std::size_t self) {
     if (try_acquire(self, fn)) {
       fn();
       std::lock_guard lock{state_mutex_};
-      ++executed_;
       if (--pending_ == 0) all_idle_.notify_all();
       continue;
     }

@@ -35,7 +35,10 @@ namespace mca::exp {
 /// exact; `steals`/`idle_waits` depend on scheduling and are reported
 /// through the observability registry as scheduling-dependent counters.
 struct pool_counters {
-  std::uint64_t executed = 0;    ///< tasks run to completion
+  /// Tasks run.  Counted when a worker claims the task, before it runs:
+  /// parallel_for returns as soon as its last task body finishes, so a
+  /// count taken after the body would race the caller's next read.
+  std::uint64_t executed = 0;
   std::uint64_t steals = 0;      ///< tasks taken from another worker's deque
   std::uint64_t idle_waits = 0;  ///< times a worker blocked for work
 };

@@ -70,11 +70,6 @@ class coordinator {
   const std::vector<coordination_record>& records() const noexcept {
     return records_;
   }
-  /// The batched ILP inputs, one per solved slot (fleet_scale replays
-  /// these to time batched vs independent solving).
-  const std::vector<std::vector<double>>& solved_demands() const noexcept {
-    return solved_demands_;
-  }
   std::size_t ilp_solves() const noexcept { return allocator_.solves(); }
   std::size_t warm_solves() const noexcept { return allocator_.warm_solves(); }
   /// Wall time spent inside the batched ILP (gather/split excluded).

@@ -53,8 +53,6 @@ fleet_result run_fleet(const exp::scenario_spec& spec,
   std::vector<std::unique_ptr<shard>> members =
       exp::parallel_map(pool, shards, [&](std::size_t k) {
         shard_obs obs;
-        obs.counters = options.obs_counters;
-        obs.timeline = options.obs_timeline;
         obs.exemplar_top_k = options.exemplar_top_k;
         obs.tracer = tracer;
         obs.ring = k;
@@ -66,17 +64,15 @@ fleet_result run_fleet(const exp::scenario_spec& spec,
 
   coordinator coord{fleet_allocation_shape(spec), options.ilp};
   coord.set_resilient_split(spec.faults.active());
-  coord.set_observability(options.obs_counters, tracer, shards);
-  if (options.obs_counters && options.obs_timeline) {
-    // One coordinator window per slot round; count the boundaries with
-    // the same accumulated arithmetic as the round loop below.
-    std::size_t expected_slots = 0;
-    for (util::time_ms boundary = spec.slot_length; boundary <= spec.duration;
-         boundary += spec.slot_length) {
-      ++expected_slots;
-    }
-    coord.enable_timeline(expected_slots, spec.slot_length);
+  coord.set_observability(true, tracer, shards);
+  // One coordinator window per slot round; count the boundaries with the
+  // same accumulated arithmetic as the round loop below.
+  std::size_t expected_slots = 0;
+  for (util::time_ms boundary = spec.slot_length; boundary <= spec.duration;
+       boundary += spec.slot_length) {
+    ++expected_slots;
   }
+  coord.enable_timeline(expected_slots, spec.slot_length);
 
   // Worker idle-gap rings ride after the coordinator's when the tracer
   // was sized for them; the pool snapshot brackets the run so only this
@@ -181,18 +177,16 @@ fleet_result run_fleet(const exp::scenario_spec& spec,
     result.observability.merge(member->observability());
   }
   result.observability.merge(coord.observability());
-  if (options.obs_counters) {
-    const exp::pool_counters pool_after = pool.counters();
-    result.observability.add(obs::counter::pool_tasks_executed,
-                             pool_after.executed - pool_before.executed);
-    result.observability.add(obs::counter::pool_steals,
-                             pool_after.steals - pool_before.steals);
-    result.observability.add(obs::counter::pool_idle_waits,
-                             pool_after.idle_waits - pool_before.idle_waits);
-    result.observability.set_gauge(obs::gauge::pool_workers,
-                                   pool.worker_count());
-    result.observability.set_gauge(obs::gauge::fleet_shards, shards);
-  }
+  const exp::pool_counters pool_after = pool.counters();
+  result.observability.add(obs::counter::pool_tasks_executed,
+                           pool_after.executed - pool_before.executed);
+  result.observability.add(obs::counter::pool_steals,
+                           pool_after.steals - pool_before.steals);
+  result.observability.add(obs::counter::pool_idle_waits,
+                           pool_after.idle_waits - pool_before.idle_waits);
+  result.observability.set_gauge(obs::gauge::pool_workers,
+                                 pool.worker_count());
+  result.observability.set_gauge(obs::gauge::fleet_shards, shards);
   if (tracer != nullptr) {
     result.observability.set_gauge(obs::gauge::trace_spans_dropped,
                                    tracer->total_dropped());
@@ -202,15 +196,13 @@ fleet_result run_fleet(const exp::scenario_spec& spec,
   // timelines in shard-index order (aligned on slot), the coordinator's
   // last; then the fleet-wide per-window tail exemplars, concatenated in
   // shard order and re-cut to the top-K slowest per window.
-  if (options.obs_counters && options.obs_timeline) {
-    for (const auto& member : members) {
-      result.timeline.merge(member->timeline());
-    }
-    result.timeline.merge(coord.timeline());
-    result.observability.set_gauge(obs::gauge::timeline_windows,
-                                   result.timeline.size());
+  for (const auto& member : members) {
+    result.timeline.merge(member->timeline());
   }
-  if (options.obs_counters && options.exemplar_top_k > 0) {
+  result.timeline.merge(coord.timeline());
+  result.observability.set_gauge(obs::gauge::timeline_windows,
+                                 result.timeline.size());
+  if (options.exemplar_top_k > 0) {
     std::vector<obs::exemplar_record> all;
     for (const auto& member : members) {
       const auto& records = member->exemplars().records();
@@ -221,7 +213,6 @@ fleet_result run_fleet(const exp::scenario_spec& spec,
   }
 
   result.slots = coord.records();
-  result.fleet_demands = coord.solved_demands();
   result.ilp_solves = coord.ilp_solves();
   result.warm_solves = coord.warm_solves();
   result.ilp_seconds = coord.ilp_seconds();

@@ -32,16 +32,8 @@ struct fleet_options {
   std::size_t shards = 0;
   /// Fleet ILP knobs (node budget, tolerances).
   ilp::ilp_options ilp;
-  /// Preregistered counters in every shard and the coordinator, merged in
-  /// shard order into fleet_result::observability.  Off reduces every
-  /// recording site to one branch on a constant.
-  bool obs_counters = true;
-  /// Per-slot telemetry windows in every shard and the coordinator,
-  /// merged in the same order into fleet_result::timeline.  Requires
-  /// obs_counters.
-  bool obs_timeline = true;
   /// Tail-exemplar reservoir size per shard (0 = off); the per-window
-  /// fleet top-K lands in fleet_result::exemplars.  Requires obs_counters.
+  /// fleet top-K lands in fleet_result::exemplars.
   std::size_t exemplar_top_k = 4;
   /// Optional span tracer (not owned).  Ring layout: ring k is shard k's,
   /// ring `shards` the coordinator's, rings `shards + 1 + w` the pool
@@ -60,8 +52,6 @@ struct fleet_result {
   exp::aggregate_metrics aggregate;
   std::vector<exp::replication_metrics> per_shard;
   std::vector<coordination_record> slots;
-  /// The batched ILP inputs, one per solved slot (for allocation replay).
-  std::vector<std::vector<double>> fleet_demands;
   /// Fleet-wide counter registry: shard registries merged in shard-index
   /// order, then the coordinator's, then the pool's scheduling-dependent
   /// deltas — fingerprint() is bit-identical across pool sizes.
@@ -98,8 +88,7 @@ struct fleet_result {
 /// The fleet-wide allocation shape of a scenario: candidates per group
 /// from the group backends, the fleet account cap
 /// (fleet_max_total_instances, falling back to max_total_instances), the
-/// spec's cumulative reading.  Shared by run_fleet and the fleet_scale
-/// allocation-replay bench.
+/// spec's cumulative reading.
 core::allocation_request fleet_allocation_shape(const exp::scenario_spec& spec);
 
 /// Runs `spec`'s population sharded `options.shards` ways on `pool`.

@@ -45,8 +45,6 @@ shard::shard(const exp::scenario_spec& spec, const tasks::task_pool& pool,
   // predictor's slot windows).
   config.record_request_series = false;
   config.sdn.retain_trace_records = false;
-  config.obs_counters = obs.counters;
-  config.obs_timeline = obs.timeline;
   config.exemplar_top_k = obs.exemplar_top_k;
   config.trace_sink = obs.tracer;
   config.trace_ring = obs.ring;

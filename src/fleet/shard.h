@@ -28,13 +28,12 @@ namespace mca::fleet {
 std::size_t shard_user_count(std::size_t user_count, std::size_t index,
                              std::size_t shard_count);
 
-/// Observability wiring handed to one shard at construction.  Counter
-/// totals are deterministic per shard; spans go to `tracer->ring(ring)`
+/// Observability wiring handed to one shard at construction.  The counter
+/// registry and per-slot timeline are always on and deterministic per
+/// shard; spans go to `tracer->ring(ring)`
 /// (written only by whichever pool thread advances this shard — the
 /// bulk-synchronous rounds order the writes).
 struct shard_obs {
-  bool counters = true;            ///< preregistered counters + SLO digest
-  bool timeline = true;            ///< per-slot telemetry windows
   std::size_t exemplar_top_k = 4;  ///< tail reservoir size (0 = off)
   obs::tracer* tracer = nullptr;   ///< not owned; nullptr = no spans
   std::size_t ring = 0;            ///< this shard's span ring
@@ -74,8 +73,8 @@ class shard {
   std::size_t index() const noexcept { return index_; }
   std::size_t user_count() const noexcept { return spec_.user_count; }
   std::size_t group_count() const noexcept { return group_count_; }
-  /// The shard system's counter registry (zeroed when counters are off);
-  /// fleet_runner merges these in shard order.
+  /// The shard system's counter registry; fleet_runner merges these in
+  /// shard order.
   const obs::registry& observability() const noexcept {
     return system_->observability();
   }

@@ -497,25 +497,26 @@ TEST(BatchedAllocator, InfeasibleSlotFallsBackLikeAllocateIlp) {
   EXPECT_FALSE(next.best_effort);
 }
 
-TEST(AllocateIlpBatched, MultiPeriodEntryPointMatchesPerSlotCalls) {
+TEST(BatchedAllocator, MultiPeriodSolvesMatchPerSlotCalls) {
   const allocation_request shape = batched_shape();
   const std::vector<std::vector<double>> periods = {
       {30.0, 50.0, 120.0}, {32.0, 48.0, 118.0}, {28.0, 55.0, 121.0},
       {0.0, 0.0, 0.0},     {200.0, 10.0, 40.0},
   };
-  const auto plans = allocate_ilp_batched(shape, periods);
-  ASSERT_EQ(plans.size(), periods.size());
+  batched_allocator allocator{shape};
   for (std::size_t t = 0; t < periods.size(); ++t) {
+    const allocation_plan warm = allocator.solve(periods[t]);
     allocation_request request = shape;
     request.workload_per_group = periods[t];
     const auto cold = allocate_ilp(request);
-    EXPECT_NEAR(plans[t].total_cost_per_hour, cold.total_cost_per_hour, 1e-6)
+    EXPECT_NEAR(warm.total_cost_per_hour, cold.total_cost_per_hour, 1e-6)
         << "period " << t;
-    EXPECT_EQ(plans[t].feasible, cold.feasible) << "period " << t;
+    EXPECT_EQ(warm.feasible, cold.feasible) << "period " << t;
   }
+  EXPECT_EQ(allocator.solves(), periods.size());
 }
 
-TEST(AllocateIlpBatched, NoCandidatesForDemandedGroupGoesBestEffort) {
+TEST(BatchedAllocator, NoCandidatesForDemandedGroupGoesBestEffort) {
   allocation_request shape;
   shape.workload_per_group = {0.0, 0.0};
   shape.candidates_per_group = {{{"small", 10.0, 1.0}}, {}};

@@ -373,6 +373,8 @@ TEST(ObsFleet, CounterFingerprintIdenticalAcrossPoolSizes) {
       // The counters saw real traffic.
       EXPECT_GT(result.observability.get(counter::sdn_requests), 0u);
       EXPECT_EQ(result.observability.get(counter::sdn_requests),
+                result.aggregate.requests);
+      EXPECT_EQ(result.observability.get(counter::sdn_requests),
                 result.observability.get(counter::sdn_successes) +
                     result.observability.get(counter::sdn_failures));
       EXPECT_EQ(result.observability.get(counter::fleet_slot_rounds),
@@ -396,25 +398,6 @@ TEST(ObsFleet, CounterFingerprintIdenticalAcrossPoolSizes) {
     EXPECT_EQ(result.observability.get_gauge(gauge::fleet_shards),
               result.shard_count);
   }
-}
-
-TEST(ObsFleet, CountersOffLeavesRegistryZeroAndResultIdentical) {
-  const exp::scenario_spec spec = obs_fleet_scenario();
-  const tasks::task_pool task_pool;
-  exp::thread_pool pool{2};
-
-  fleet::fleet_options on;
-  const fleet::fleet_result with_counters =
-      fleet::run_fleet(spec, on, task_pool, pool);
-  fleet::fleet_options off;
-  off.obs_counters = false;
-  const fleet::fleet_result without =
-      fleet::run_fleet(spec, off, task_pool, pool);
-
-  EXPECT_EQ(with_counters.fingerprint(), without.fingerprint());
-  EXPECT_EQ(without.observability.get(counter::sdn_requests), 0u);
-  EXPECT_EQ(without.observability.get(counter::ilp_solves), 0u);
-  EXPECT_GT(with_counters.observability.get(counter::sdn_requests), 0u);
 }
 
 TEST(ObsFleet, SlotRoundSpanStructureUnderFixedSeed) {

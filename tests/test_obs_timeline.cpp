@@ -420,29 +420,28 @@ TEST(ObsTimelineFleet, FingerprintIdenticalBetweenTracedAndUntracedLegs) {
   EXPECT_EQ(traced.timeline.fingerprint(), untraced.timeline.fingerprint());
 }
 
-TEST(ObsTimelineFleet, TimelineOffLeavesResultIdentical) {
+TEST(ObsTimelineFleet, ExemplarsOffLeavesResultIdentical) {
   const exp::scenario_spec spec = timeline_fleet_scenario();
   const tasks::task_pool task_pool;
   exp::thread_pool pool{2};
 
   fleet::fleet_options on;
-  const fleet::fleet_result with_timeline =
+  const fleet::fleet_result with_exemplars =
       fleet::run_fleet(spec, on, task_pool, pool);
   fleet::fleet_options off;
-  off.obs_timeline = false;
   off.exemplar_top_k = 0;
   const fleet::fleet_result without =
       fleet::run_fleet(spec, off, task_pool, pool);
 
-  EXPECT_EQ(with_timeline.fingerprint(), without.fingerprint());
-  // The timeline layer's own meta-counters stop moving when it is off;
-  // everything the simulation itself counts is unchanged.
-  EXPECT_GT(with_timeline.observability.get(counter::timeline_snapshots), 0u);
-  EXPECT_EQ(without.observability.get(counter::timeline_snapshots), 0u);
+  EXPECT_EQ(with_exemplars.fingerprint(), without.fingerprint());
+  // The reservoir's own counter stops moving when it is off; everything
+  // the simulation itself counts is unchanged, and the timeline stays on.
+  EXPECT_GT(with_exemplars.observability.get(counter::exemplar_admitted), 0u);
   EXPECT_EQ(without.observability.get(counter::exemplar_admitted), 0u);
-  EXPECT_EQ(with_timeline.observability.get(counter::sdn_requests),
+  EXPECT_EQ(with_exemplars.observability.get(counter::sdn_requests),
             without.observability.get(counter::sdn_requests));
-  EXPECT_FALSE(without.timeline.enabled());
+  EXPECT_EQ(with_exemplars.timeline.size(), without.timeline.size());
+  EXPECT_FALSE(with_exemplars.exemplars.empty());
   EXPECT_TRUE(without.exemplars.empty());
 }
 

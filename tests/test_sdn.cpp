@@ -111,16 +111,6 @@ TEST_F(SdnTest, LogsTraceRecordPerSuccess) {
   EXPECT_GT(record.rtt_ms, 400.0);  // T1 + T2 + Tcloud
 }
 
-TEST_F(SdnTest, NoLoggingWhenDisabled) {
-  backend_.launch(1, exact_type());
-  config_.log_traces = false;
-  sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), &log_, config_,
-                      util::rng{5}};
-  sdn.submit(make_request(1), 1, 1.0, {});
-  sim_.run();
-  EXPECT_EQ(log_.size(), 0u);
-}
-
 TEST_F(SdnTest, NullLogPointerIsSafe) {
   backend_.launch(1, exact_type());
   sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), nullptr, config_,
