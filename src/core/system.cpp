@@ -158,6 +158,11 @@ offloading_system::offloading_system(system_config config,
 
   predictor_ = workload_predictor{config_.predictor_mode};
   predictor_.set_history(config_.seed_history);
+
+  if (config_.enable_adaptation && !config_.external_allocation) {
+    allocator_.emplace(make_slot_allocation_request(config_, group_count_, {}));
+    allocator_->set_observability(&obs_);
+  }
 }
 
 // Request ingress and response egress run once per simulated request —
@@ -342,21 +347,17 @@ void offloading_system::on_slot_boundary(std::size_t slot_index) {
   const auto predicted = predictor_.predict_counts(finished);
   if (predicted) {
     report.predicted_counts = predicted;
-    if (config_.enable_adaptation) {
-      allocation_request request =
+    if (config_.enable_adaptation && config_.external_allocation) {
+      // The fleet coordinator owns the solve: park the demand for
+      // take_pending_demand() and leave the fleet untouched until
+      // apply_external_plan() answers.
+      pending_demand_ =
           make_slot_allocation_request(config_, group_count_, *predicted);
-      if (config_.external_allocation) {
-        // The fleet coordinator owns the solve: park the demand for
-        // take_pending_demand() and leave the fleet untouched until
-        // apply_external_plan() answers.
-        pending_demand_ = std::move(request);
-      } else {
-        obs_.add(obs::counter::ilp_solves);
-        allocation_plan plan = allocate_ilp(request);
-        if (plan.best_effort) obs_.add(obs::counter::ilp_best_effort);
-        apply_plan(plan);
-        report.plan = std::move(plan);
-      }
+    } else if (allocator_) {
+      allocation_plan plan = allocator_->solve(
+          demand_from_prediction(*predicted, group_count_));
+      apply_plan(plan);
+      report.plan = std::move(plan);
     }
   }
   metrics_.slots.push_back(std::move(report));

@@ -305,6 +305,10 @@ class offloading_system : private response_sink {
   util::time_ms duration_ = 0.0;
   bool started_ = false;
   std::optional<allocation_request> pending_demand_;
+  /// The slot-boundary solver under internal adaptation (the fleet's
+  /// coordinator owns the solve under external_allocation): one warm
+  /// model re-aimed at each slot's predicted demand.
+  std::optional<batched_allocator> allocator_;
   /// The most recently applied plan (internal or external) — what
   /// restore_group() re-applies when an outage lifts mid-slot.
   std::optional<allocation_plan> last_plan_;

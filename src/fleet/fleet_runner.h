@@ -13,7 +13,7 @@
 // merged aggregate — folded shard-by-shard through the same
 // exp::merge_replications path the replication sweeps use — is
 // bit-identical whatever the pool size or shard→thread mapping; the
-// fingerprint gates that in tests, fleet_scale, and CI.
+// fingerprint gates that in test_fleet and in mca_bench's parallel run.
 #pragma once
 
 #include <cstddef>

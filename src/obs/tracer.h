@@ -98,8 +98,8 @@ struct trace_lane {
 /// [sim_begin_ms, sim_end_ms); wall-only spans that carry a slot index
 /// (coordinator_solve, quota_split: arg_a) are kept when it falls in
 /// [slot_begin, slot_end]; un-slotted wall-only spans (pool_idle) are
-/// dropped — an outage window stays inspectable without the
-/// multi-hundred-MB full trace.
+/// dropped — an outage window stays inspectable without the rest of the
+/// run's spans.
 struct trace_filter {
   std::uint64_t slot_begin = 0;
   std::uint64_t slot_end = 0;

@@ -1,7 +1,8 @@
 // Fault-injection subsystem tests: schedule determinism and sharding
 // invariance, program validation, the SDN retry/backoff/fallback path,
-// preemption failure notices, and fleet-level zero-loss accounting with
-// faults enabled across thread counts.
+// preemption failure notices, fleet-level zero-loss accounting with
+// faults enabled across thread counts, and the outage window's SLO breach
+// and recovery.
 #include "fault/fault_program.h"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cloud/backend_pool.h"
@@ -16,6 +18,8 @@
 #include "exp/scenario.h"
 #include "fleet/fleet_runner.h"
 #include "net/operators.h"
+#include "obs/alerts.h"
+#include "obs/timeline.h"
 #include "sim/simulation.h"
 #include "tasks/task.h"
 #include "util/sim_time.h"
@@ -89,6 +93,16 @@ TEST(FaultSchedule, DisabledOrZeroHazardDrawsNothing) {
                   .empty());
   EXPECT_TRUE(fault::make_preemption_schedule(hazard_program({50.0}), 0.0, 1)
                   .empty());
+  // Strike counts follow the hazard: at a fixed seed, doubling every
+  // group's rate draws more strikes, and a zero rate draws none.
+  const auto strikes = [](double multiplier) {
+    return fault::make_preemption_schedule(
+               hazard_program({6.0 * multiplier, 6.0 * multiplier}),
+               util::hours(8.0), 500'000)
+        .size();
+  };
+  EXPECT_GT(strikes(2.0), strikes(1.0));
+  EXPECT_GT(strikes(1.0), strikes(0.0));
 }
 
 TEST(FaultSchedule, ShardSlicesPartitionTheMonolithSchedule) {
@@ -507,11 +521,54 @@ TEST(FaultFleet, ZeroLossAccountingAndRecovery) {
   // Cold starts were paid on the initial launches at least.
   EXPECT_GT(r.get(obs::counter::fault_cold_starts), 0u);
   // Preemption strikes only apply when the group has a live member, so
-  // applied <= scheduled; killed jobs were all failure-notified (covered
-  // by the zero-loss equation above).
+  // 0 < applied <= scheduled; killed jobs were all failure-notified
+  // (covered by the zero-loss equation above).
   const auto schedule = fault::make_preemption_schedule(
       spec.faults, spec.duration, spec.base_seed);
+  EXPECT_GT(r.get(obs::counter::fault_preemptions), 0u);
   EXPECT_LE(r.get(obs::counter::fault_preemptions), schedule.size());
+}
+
+TEST(FaultFleet, OutageWindowBreachesThenRecovers) {
+  // The outage on group 1 lies strictly inside slot 1 (10..20 min), so
+  // window 1's group-1 p99 carries the retries and ~56 s local fallbacks
+  // and blows through the ceiling, while window 2, after the off-cycle
+  // re-aim, is back under it.  Group 1 has no spot hazard, so no
+  // post-recovery strike pushes a fallback into the recovered window.
+  constexpr double kP99CeilingMs = 5'000.0;
+  tasks::task_pool tasks;
+  exp::thread_pool pool{2};
+  auto spec = faulted_fleet_scenario();
+  spec.faults.preempt_hazard_per_hour = {0.0, 0.0, 12.0};
+  fleet::fleet_options options;
+  options.shards = 2;
+  const fleet::fleet_result result =
+      fleet::run_fleet(spec, options, tasks, pool);
+
+  const obs::timeline& tl = result.timeline;
+  ASSERT_GE(tl.size(), 3u);
+  ASSERT_GT(tl.group_count(), 1u);
+  const util::histogram& breached = tl.window(1).slo[1];
+  const util::histogram& recovered = tl.window(2).slo[1];
+  ASSERT_GT(breached.total(), 0u);
+  ASSERT_GT(recovered.total(), 0u);
+  EXPECT_GT(breached.quantile_interpolated(0.99), kP99CeilingMs);
+  EXPECT_LT(recovered.quantile_interpolated(0.99), kP99CeilingMs);
+
+  // The group-1 p99 alert fires on the outage window and clears on the
+  // next one.
+  const obs::alert_report alerts = obs::evaluate_alerts(
+      tl, obs::default_fleet_objectives(tl.group_count(), kP99CeilingMs,
+                                        0.10));
+  std::vector<std::pair<std::uint64_t, bool>> group1_edges;
+  for (const obs::alert_event& event : alerts.events) {
+    if (alerts.objectives[event.objective].name == "group1_p99_latency") {
+      group1_edges.emplace_back(event.slot, event.fired);
+    }
+  }
+  const std::vector<std::pair<std::uint64_t, bool>> expected{{1, true},
+                                                             {2, false}};
+  EXPECT_EQ(group1_edges, expected);
 }
 
 TEST(FaultFleet, DisabledProgramIsByteInert) {

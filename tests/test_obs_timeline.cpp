@@ -418,6 +418,7 @@ TEST(ObsTimelineFleet, FingerprintIdenticalBetweenTracedAndUntracedLegs) {
   EXPECT_GT(traced.observability.get(counter::sdn_sampled_spans), 0u);
   EXPECT_EQ(untraced.observability.get(counter::sdn_sampled_spans), 0u);
   EXPECT_EQ(traced.timeline.fingerprint(), untraced.timeline.fingerprint());
+  EXPECT_EQ(traced.fingerprint(), untraced.fingerprint());
 }
 
 TEST(ObsTimelineFleet, ExemplarsOffLeavesResultIdentical) {
