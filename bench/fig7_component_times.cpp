@@ -29,6 +29,27 @@ namespace {
 const std::map<mca::group_id, std::string> kLevels = {
     {1, "t2.nano"}, {2, "t2.large"}, {3, "m4.10xlarge"}, {4, "c4.8xlarge"}};
 
+struct component_stats {
+  mca::util::running_stats total, t1, t2, cloud;
+};
+
+/// Folds every successful response into its level's component means.
+class component_sink final : public mca::core::response_sink {
+ public:
+  void on_response(const mca::workload::offload_request&,
+                   const mca::core::request_timing& t,
+                   mca::group_id group) override {
+    if (!t.success) return;
+    auto& c = components[group];
+    c.total.add(t.total());
+    c.t1.add(t.t1());
+    c.t2.add(t.t2());
+    c.cloud.add(t.cloud);
+  }
+
+  std::map<mca::group_id, component_stats> components;
+};
+
 }  // namespace
 
 int main() {
@@ -37,10 +58,8 @@ int main() {
   tasks::task_pool pool;
 
   // --- Fig. 7b: component means at 30 concurrent users per level ---
-  struct component_stats {
-    util::running_stats total, t1, t2, cloud;
-  };
-  std::map<group_id, component_stats> components;
+  component_sink sink;
+  const auto& components = sink.components;
 
   {
     sim::simulation sim;
@@ -53,6 +72,7 @@ int main() {
     core::sdn_config config;
     core::sdn_accelerator sdn{sim,  backend, net::default_lte_model(),
                               &log, config,  rng.fork()};
+    sdn.set_response_sink(&sink);
 
     // 30 concurrent users fire the static minimax at each level, several
     // rounds with cool-downs.
@@ -69,16 +89,7 @@ int main() {
             request.user = static_cast<user_id>(u);
             request.work = minimax;
             request.created_at = sim.now();
-            sdn.submit(request, group, 1.0,
-                       [&components, group](const workload::offload_request&,
-                                            const core::request_timing& t) {
-                         if (!t.success) return;
-                         auto& c = components[group];
-                         c.total.add(t.total());
-                         c.t1.add(t.t1());
-                         c.t2.add(t.t2());
-                         c.cloud.add(t.cloud);
-                       });
+            sdn.submit(request, group, 1.0);
           });
         }
       }

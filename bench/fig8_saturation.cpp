@@ -63,7 +63,7 @@ std::map<group_id, std::vector<double>> run_routing_part(
                           request.user = 1;
                           request.work = pool.random_request(rng);
                           request.created_at = sim.now();
-                          sdn.submit(request, group, 1.0, {});
+                          sdn.submit(request, group, 1.0);
                         });
       }
     }

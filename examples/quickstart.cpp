@@ -14,6 +14,21 @@
 #include "trace/log_store.h"
 #include "workload/request.h"
 
+namespace {
+
+/// Prints each response's timing decomposition as it reaches the device.
+class print_sink final : public mca::core::response_sink {
+ public:
+  void on_response(const mca::workload::offload_request&,
+                   const mca::core::request_timing& t,
+                   mca::group_id group) override {
+    std::printf("%-8u %9.0f ms %5.0f ms %5.0f ms %7.0f ms\n", group,
+                t.total(), t.t1(), t.t2(), t.cloud);
+  }
+};
+
+}  // namespace
+
 int main() {
   using namespace mca;
 
@@ -36,6 +51,8 @@ int main() {
   core::sdn_config config;
   core::sdn_accelerator sdn{sim,  backend, net::default_lte_model(),
                             &log, config,  rng.fork()};
+  print_sink sink;
+  sdn.set_response_sink(&sink);
 
   // Offload the paper's static minimax task once per group.
   std::printf("\n%-8s %12s %8s %8s %10s\n", "group", "Tresponse", "T1", "T2",
@@ -48,12 +65,7 @@ int main() {
     request.user = 7;
     request.work = minimax;
     request.created_at = sim.now();
-    sdn.submit(request, group, /*battery=*/0.8,
-               [group](const workload::offload_request&,
-                       const core::request_timing& t) {
-                 std::printf("%-8u %9.0f ms %5.0f ms %5.0f ms %7.0f ms\n",
-                             group, t.total(), t.t1(), t.t2(), t.cloud);
-               });
+    sdn.submit(request, group, /*battery=*/0.8);
     sim.run();
   }
 

@@ -36,7 +36,7 @@ int main() {
     // so the recorded trace carries real queueing delay.
     workload::interarrival_generator gen{
         sim, workload::random_pool_source(pool),
-        [&](const workload::offload_request& r) { sdn.submit(r, 1, 0.9, {}); },
+        [&](const workload::offload_request& r) { sdn.submit(r, 1, 0.9); },
         workload::exponential_interarrival(2.0), load, rng.fork()};
     sim.run();
   }
@@ -63,7 +63,7 @@ int main() {
                             &replay_log, {},      rng.fork()};
   workload::replay_generator replay{
       sim, workload::random_pool_source(pool),
-      [&](const workload::offload_request& r) { sdn.submit(r, 1, 0.9, {}); },
+      [&](const workload::offload_request& r) { sdn.submit(r, 1, 0.9); },
       std::move(events), rng.fork()};
   sim.run();
 

@@ -73,25 +73,12 @@ void sdn_accelerator::release_slot(std::uint32_t slot) noexcept {
     sim_.cancel(s.timeout);
     s.timeout = {};
   }
-  s.on_response = nullptr;
   s.next_free = free_head_;
   free_head_ = slot;
 }
 
 void sdn_accelerator::submit(const workload::offload_request& request,
-                             group_id group, double battery,
-                             response_fn on_response) {
-  start(request, group, battery, std::move(on_response));
-}
-
-void sdn_accelerator::submit(const workload::offload_request& request,
                              group_id group, double battery) {
-  start(request, group, battery, nullptr);
-}
-
-void sdn_accelerator::start(const workload::offload_request& request,
-                            group_id group, double battery,
-                            response_fn on_response) {
   ++received_;
   if (obs_ != nullptr) obs_->add(obs::counter::sdn_requests);
   // The channel stays open for the whole operation, so both external legs
@@ -107,7 +94,6 @@ void sdn_accelerator::start(const workload::offload_request& request,
   s.timing = {};
   s.timing.mobile_to_front = external_one_way;
   s.timing.front_to_mobile = external_one_way;
-  s.on_response = std::move(on_response);
   s.attempt = 0;
   s.seq = received_;
   ++s.epoch;  // orphan any stale backend completion from a prior occupant
@@ -138,13 +124,11 @@ void sdn_accelerator::stage_routing(std::uint32_t slot) {
     }
     routing_samples_[s.group].push_back(overhead);
   }
-  sim_.schedule_after(overhead, [this, slot] { stage_to_backend(slot); });
-}
-
-void sdn_accelerator::stage_to_backend(std::uint32_t slot) {
-  pool_[slot].timing.front_to_back = config_.backend_one_way_ms;
-  sim_.schedule_after(config_.backend_one_way_ms,
-                      [this, slot] { stage_dispatch(slot); });
+  // The hop to the back-end decides nothing, so it is folded into the
+  // dispatch time, summed in the order the two legs elapse.
+  s.timing.front_to_back = config_.backend_one_way_ms;
+  sim_.schedule_at((sim_.now() + overhead) + config_.backend_one_way_ms,
+                   [this, slot] { stage_dispatch(slot); });
 }
 
 void sdn_accelerator::stage_dispatch(std::uint32_t slot) {
@@ -173,30 +157,23 @@ void sdn_accelerator::stage_return(std::uint32_t slot,
   inflight& s = pool_[slot];
   s.timing.cloud = service_time;
   s.timing.back_to_front = config_.backend_one_way_ms;
-  sim_.schedule_after(config_.backend_one_way_ms,
-                      [this, slot] { stage_logged(slot); });
-}
-
-void sdn_accelerator::stage_logged(std::uint32_t slot) {
-  inflight& s = pool_[slot];
-  // The trace point: observer and (optionally retained) log record fire in
-  // the same event, in the same order the legacy chain appended.
+  s.timing.success = true;
+  // The trace point: the request is logged when its result reaches the
+  // front-end, one internal hop from now.  That time is known here, so
+  // the observer and the (optionally retained) log record fire now and
+  // carry it; the owner decides slot membership by logged_at.
+  const util::time_ms logged_at = sim_.now() + config_.backend_one_way_ms;
   if (log_ != nullptr) {
     if (on_trace_) {
-      on_trace_(s.request.created_at, s.request.user, s.group);
+      on_trace_(logged_at, s.request.created_at, s.request.user, s.group);
     }
     if (config_.retain_trace_records) {
       log_->append({s.request.created_at, s.request.user, s.group, s.battery,
                     s.timing.total()});
     }
   }
-  finish(slot, true);
-}
-
-void sdn_accelerator::finish(std::uint32_t slot, bool success) {
-  pool_[slot].timing.success = success;
-  sim_.schedule_after(pool_[slot].timing.front_to_mobile,
-                      [this, slot] { deliver(slot); });
+  sim_.schedule_at(logged_at + s.timing.front_to_mobile,
+                   [this, slot] { deliver(slot); });
 }
 
 void sdn_accelerator::deliver(std::uint32_t slot) {
@@ -237,16 +214,6 @@ void sdn_accelerator::deliver(std::uint32_t slot) {
     span.arg_a = s.request.user;
     span.arg_b = s.timing.success ? 1 : 0;
     tracer_->ring(trace_ring_).push(span);
-  }
-  if (s.on_response) {
-    // Legacy per-request callback: move state out so the callback may
-    // reenter submit() (which can recycle or grow the pool).
-    response_fn fn = std::move(s.on_response);
-    const workload::offload_request request = s.request;
-    const request_timing timing = s.timing;
-    release_slot(slot);
-    fn(request, timing);
-    return;
   }
   if (sink_ != nullptr) {
     const workload::offload_request request = s.request;
@@ -328,15 +295,18 @@ void sdn_accelerator::attempt_failed(std::uint32_t slot) {
         s.request.work.work_units() / config_.local_exec_wu_per_ms;
     s.timing.cloud = local_ms;
     s.timing.local = true;
-    sim_.schedule_after(local_ms, [this, slot] { finish(slot, true); });
+    s.timing.success = true;
+    sim_.schedule_at((sim_.now() + local_ms) + s.timing.front_to_mobile,
+                     [this, slot] { deliver(slot); });
     return;
   }
   // Retry budget exhausted, no fallback: the failure notice still pays
   // the return hops (identical to the pre-retry rejection path).
   s.timing.cloud = 0.0;
   s.timing.back_to_front = config_.backend_one_way_ms;
-  sim_.schedule_after(config_.backend_one_way_ms,
-                      [this, slot] { finish(slot, false); });
+  sim_.schedule_at(
+      (sim_.now() + config_.backend_one_way_ms) + s.timing.front_to_mobile,
+      [this, slot] { deliver(slot); });
 }
 // mca:hot-path-end
 

@@ -10,11 +10,15 @@
 // is logged as a trace record — the knowledge base of the predictor.
 //
 // Hot-path layout: each accepted request occupies one slot in a pooled
-// slab of in-flight states (free-listed, reused), and every stage of the
-// event chain is a member function scheduled with a [this, slot] lambda —
-// small enough for std::function's inline storage.  The steady-state
-// request path performs no heap allocation; the legacy per-request
-// `response_fn` overload survives for tests and characterization benches.
+// slab of in-flight states (free-listed, reused).  A request gets a sim
+// event only where something is decided: routing (the overhead draw),
+// dispatch (admission at the back-end), the back-end completion, and
+// delivery.  The pure-delay hops between them are folded into the next
+// event's time, summed in the order the legs elapse.  Each stage is a
+// member function scheduled with a [this, slot] lambda, small enough for
+// std::function's inline storage, and every response goes to one
+// response_sink, so the steady-state request path performs no heap
+// allocation.
 #pragma once
 
 #include <functional>
@@ -98,13 +102,10 @@ struct request_timing {
   util::time_ms total() const noexcept { return t1() + t2() + cloud; }
 };
 
-/// Invoked at the mobile when the result (or the failure notice) arrives.
-using response_fn = std::function<void(const workload::offload_request&,
-                                       const request_timing&)>;
-
-/// Zero-allocation response delivery: the closed-loop system implements
-/// this once instead of allocating a response closure per request.
-/// `group` is the acceleration group the request was routed to.
+/// Response delivery, invoked at the mobile when the result (or the
+/// failure notice) arrives; `group` is the acceleration group the request
+/// was routed to.  Implemented once by the owner, so no per-request
+/// callback state is allocated.
 class response_sink {
  public:
   virtual ~response_sink() = default;
@@ -113,8 +114,13 @@ class response_sink {
 };
 
 /// Observer of the trace point (where processed requests enter the log);
-/// lets the owner stream per-slot state without re-scanning the log.
-using trace_fn = std::function<void(util::time_ms created_at, user_id user,
+/// lets the owner stream per-slot state without re-scanning the log.  It
+/// fires at the back-end completion with `logged_at`, the time the result
+/// reaches the front-end one internal hop later; an owner that cuts time
+/// into windows assigns the record by `logged_at`, not by the time the
+/// callback runs.
+using trace_fn = std::function<void(util::time_ms logged_at,
+                                    util::time_ms created_at, user_id user,
                                     group_id group)>;
 
 /// The front-end component.
@@ -126,16 +132,12 @@ class sdn_accelerator {
                   sdn_config config, util::rng rng);
 
   /// Accepts one offloading request destined for acceleration `group`.
-  /// `battery` is the device's charge level, logged with the trace.
-  void submit(const workload::offload_request& request, group_id group,
-              double battery, response_fn on_response);
-
-  /// Pooled fast path: responses go to the installed sink (see
-  /// set_response_sink); no per-request callback state is allocated.
+  /// `battery` is the device's charge level, logged with the trace.  The
+  /// response goes to the installed sink (see set_response_sink).
   void submit(const workload::offload_request& request, group_id group,
               double battery);
 
-  /// Installs the response sink the payload-free submit() reports to.
+  /// Installs the response sink (nullptr = responses are dropped).
   void set_response_sink(response_sink* sink) noexcept { sink_ = sink; }
 
   /// Attaches the observability layer: `registry` (nullptr = counters
@@ -151,8 +153,9 @@ class sdn_accelerator {
     trace_ring_ = ring;
     trace_sample_every_ = sample_every == 0 ? 1 : sample_every;
   }
-  /// Installs the trace observer, invoked exactly where successful
-  /// requests are logged (same event, same order).
+  /// Installs the trace observer, invoked where successful requests are
+  /// logged: at the back-end completion, with the log time `logged_at`
+  /// (see trace_fn), in completion order.
   void set_trace_observer(trace_fn fn) { on_trace_ = std::move(fn); }
 
   /// Attaches a tail-exemplar reservoir (nullptr = off): every delivered
@@ -179,7 +182,6 @@ class sdn_accelerator {
     request_timing timing;
     group_id group = 0;
     double battery = 1.0;
-    response_fn on_response;  ///< empty on the sink fast path
     std::uint32_t next_free = 0;
     // Retry bookkeeping: `attempt` counts dispatch tries, `epoch` guards
     // against stale backend completions (a timed-out attempt's completion
@@ -192,7 +194,7 @@ class sdn_accelerator {
     /// across runs), the arrival order within one simulation is not.
     std::uint64_t seq = 0;
     sim::event_handle timeout{};
-    // Sampled-span state (set at start, consumed at deliver).
+    // Sampled-span state (set at submit, consumed at deliver).
     bool sampled = false;
     double span_wall_us = 0.0;
     util::time_ms span_sim_start = 0.0;
@@ -201,15 +203,11 @@ class sdn_accelerator {
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot) noexcept;
-  void start(const workload::offload_request& request, group_id group,
-             double battery, response_fn on_response);
-  // Stages of the Fig. 7a chain, each fired by a [this, slot] event.
+  // Stages of the Fig. 7a chain, each fired by a [this, slot] event
+  // (stage_return runs inside the back-end completion).
   void stage_routing(std::uint32_t slot);
-  void stage_to_backend(std::uint32_t slot);
   void stage_dispatch(std::uint32_t slot);
   void stage_return(std::uint32_t slot, util::time_ms service_time);
-  void stage_logged(std::uint32_t slot);
-  void finish(std::uint32_t slot, bool success);
   void deliver(std::uint32_t slot);
   // Resilience path (see the sdn-retry-path hot region): backend
   // completions funnel through the epoch guard; failed attempts retry

@@ -126,10 +126,11 @@ offloading_system::offloading_system(system_config config,
       config_.mobile_link ? *config_.mobile_link : net::default_lte_model(),
       &log_, config_.sdn, rng_.fork());
   sdn_->set_response_sink(this);
-  sdn_->set_trace_observer(
-      [this](util::time_ms created_at, user_id user, group_id group) {
-        on_trace(created_at, user, group);
-      });
+  sdn_->set_trace_observer([this](util::time_ms logged_at,
+                                  util::time_ms created_at, user_id user,
+                                  group_id group) {
+    on_trace(logged_at, created_at, user, group);
+  });
 
   auto policy = config_.policy_factory
                     ? config_.policy_factory()
@@ -225,12 +226,14 @@ void offloading_system::on_response(const workload::offload_request& request,
 }
 // mca:hot-path-end
 
-void offloading_system::on_trace(util::time_ms created_at, user_id user,
+void offloading_system::on_trace(util::time_ms logged_at,
+                                 util::time_ms created_at, user_id user,
                                  group_id group) {
   // Mirrors the retired slot_from_log scan: a request counts toward the
-  // slot its creation time falls in, and only if it completed before that
-  // slot's boundary fired (later completions used to miss the scan).
-  if (created_at >= slot_window_start_ && created_at < slot_window_end_ &&
+  // slot its creation time falls in, and only if it was logged before
+  // that slot's boundary.  A boundary at exactly logged_at excludes it,
+  // as event order would: the boundary is scheduled a slot ahead.
+  if (created_at >= slot_window_start_ && logged_at < slot_window_end_ &&
       group < group_count_) {
     slot_users_[group].push_back(user);
   }

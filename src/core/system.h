@@ -245,13 +245,14 @@ class offloading_system : private response_sink {
 
  private:
   void handle_request(const workload::offload_request& request);
-  /// response_sink: the single response handler behind the pooled SDN
-  /// fast path (replaces a per-request response closure).
+  /// response_sink: the single handler of every SDN response.
   void on_response(const workload::offload_request& request,
                    const request_timing& timing, group_id group) override;
   /// Trace point: streams (group, user) into the current slot window —
   /// the predictor's evidence — without re-scanning the request log.
-  void on_trace(util::time_ms created_at, user_id user, group_id group);
+  /// Fires at the back-end completion; `logged_at` decides the window.
+  void on_trace(util::time_ms logged_at, util::time_ms created_at,
+                user_id user, group_id group);
   void on_slot_boundary(std::size_t slot_index);
   void inject_background();
   void apply_plan(const allocation_plan& plan);

@@ -20,6 +20,7 @@
 #include "net/operators.h"
 #include "obs/alerts.h"
 #include "obs/timeline.h"
+#include "recording_sink.h"
 #include "sim/simulation.h"
 #include "tasks/task.h"
 #include "util/sim_time.h"
@@ -321,6 +322,7 @@ class SdnResilienceTest : public ::testing::Test {
   cloud::backend_pool backend_{sim_, util::rng{1}};
   trace::log_store log_;
   core::sdn_config config_;
+  test_support::recording_sink sink_;
   request_id next_id_ = 0;
 };
 
@@ -336,11 +338,11 @@ TEST_F(SdnResilienceTest, TimeoutRetriesThenFallsBackLocally) {
   config_.local_exec_wu_per_ms = 1.0;
   core::sdn_accelerator sdn{sim_,    backend_, fixed_link(40.0),
                             &log_,   config_,  util::rng{2}};
-  core::request_timing observed;
-  sdn.submit(make_request(1), 1, 0.9,
-             [&](const workload::offload_request&,
-                 const core::request_timing& t) { observed = t; });
+  sdn.set_response_sink(&sink_);
+  sdn.submit(make_request(1), 1, 0.9);
   sim_.run();
+  ASSERT_EQ(sink_.responses.size(), 1u);
+  const core::request_timing& observed = sink_.responses[0].timing;
   EXPECT_TRUE(observed.success);
   EXPECT_TRUE(observed.local);
   // Local execution of the 280 wu task at 1 wu/ms.
@@ -362,11 +364,11 @@ TEST_F(SdnResilienceTest, RetryBudgetExhaustionDeliversFailureNotice) {
   config_.retry_backoff_cap_ms = 20.0;
   core::sdn_accelerator sdn{sim_,    backend_, fixed_link(40.0),
                             &log_,   config_,  util::rng{2}};
-  core::request_timing observed;
-  sdn.submit(make_request(1), 1, 0.9,
-             [&](const workload::offload_request&,
-                 const core::request_timing& t) { observed = t; });
+  sdn.set_response_sink(&sink_);
+  sdn.submit(make_request(1), 1, 0.9);
   sim_.run();
+  ASSERT_EQ(sink_.responses.size(), 1u);
+  const core::request_timing& observed = sink_.responses[0].timing;
   EXPECT_FALSE(observed.success);
   EXPECT_FALSE(observed.local);
   EXPECT_DOUBLE_EQ(observed.cloud, 0.0);
@@ -381,10 +383,8 @@ TEST_F(SdnResilienceTest, PreemptedInFlightRetriesOnSurvivingInstance) {
   config_.retry_backoff_cap_ms = 20.0;
   core::sdn_accelerator sdn{sim_,    backend_, fixed_link(40.0),
                             &log_,   config_,  util::rng{2}};
-  core::request_timing observed;
-  sdn.submit(make_request(1), 1, 0.9,
-             [&](const workload::offload_request&,
-                 const core::request_timing& t) { observed = t; });
+  sdn.set_response_sink(&sink_);
+  sdn.submit(make_request(1), 1, 0.9);
   // Dispatch lands at ~173 ms (20 uplink + 150 routing + 3 internal); at
   // 250 ms the job is mid-service.  A second instance comes up, then the
   // loaded one is spot-killed: the failure must re-dispatch to the
@@ -396,6 +396,8 @@ TEST_F(SdnResilienceTest, PreemptedInFlightRetriesOnSurvivingInstance) {
     EXPECT_EQ(strike.killed, 1u);
   });
   sim_.run();
+  ASSERT_EQ(sink_.responses.size(), 1u);
+  const core::request_timing& observed = sink_.responses[0].timing;
   EXPECT_TRUE(observed.success);
   EXPECT_FALSE(observed.local);
   EXPECT_NEAR(observed.cloud, 288.0, 1e-6);  // full re-execution
@@ -413,16 +415,16 @@ TEST_F(SdnResilienceTest, BackoffJitterIsDeterministicPerRequest) {
     cloud::backend_pool backend{sim, util::rng{1}};  // empty group: retries
     core::sdn_accelerator sdn{sim,    backend, fixed_link(40.0),
                               &log_,  config_, util::rng{2}};
+    test_support::recording_sink sink;
+    sdn.set_response_sink(&sink);
     workload::offload_request r;
     r.id = 77;
     r.user = 1;
     r.work = pool_.static_minimax_request();
-    sdn.submit(r, 1, 0.9,
-               [&, run](const workload::offload_request&,
-                        const core::request_timing& t) {
-                 routing[run] = t.routing;
-               });
+    sdn.submit(r, 1, 0.9);
     sim.run();
+    ASSERT_EQ(sink.responses.size(), 1u);
+    routing[run] = sink.responses[0].timing.routing;
   }
   EXPECT_GT(routing[0], 150.0);  // backoff waits actually accrued
   EXPECT_EQ(routing[0], routing[1]);  // bit-identical across runs

@@ -12,10 +12,17 @@
 //  2. Properties — the streaming request digest must equal the digest
 //     recomputed from the raw per-request series, and a run must not
 //     depend on whether the raw series is recorded at all.
+//  3. Pinned fingerprints — the 64-bit FNV-1a hashes of the monolith's
+//     merged digest and of the sharded fleet's aggregate, counter registry
+//     and timeline, bit for bit.  Every count and double bit pattern feeds
+//     them, so these catch drift the tolerances above let through.  A
+//     deliberate re-golden updates the values here and lists the old and
+//     new ones in CHANGES.md.
 #include "exp/scenario.h"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 
 #include "exp/thread_pool.h"
@@ -76,6 +83,10 @@ TEST(GoldenEquivalence, MonolithicRunMatchesPreRefactorGoldens) {
   EXPECT_EQ(digest.latency.total(), 36182u);
   EXPECT_NEAR(digest.latency.quantile(0.50), 125.0, 1e-9);
   EXPECT_NEAR(digest.latency.quantile(0.95), 375.0, 1e-9);
+
+  const std::array<exp::replication_metrics, 1> replications{digest};
+  EXPECT_EQ(exp::merge_replications(replications).fingerprint(),
+            0x72123d7281de36cdULL);
 }
 
 TEST(GoldenEquivalence, ShardedFleetMatchesPreRefactorGoldens) {
@@ -95,6 +106,10 @@ TEST(GoldenEquivalence, ShardedFleetMatchesPreRefactorGoldens) {
   EXPECT_NEAR(result.aggregate.response.mean(), 222.0504903205, 1e-6);
   EXPECT_EQ(result.ilp_solves, 4u);
   EXPECT_EQ(result.slot_count, 5u);
+
+  EXPECT_EQ(result.fingerprint(), 0xa6eef0e5d1d3dbffULL);
+  EXPECT_EQ(result.observability.fingerprint(), 0xda1a12f08de3b460ULL);
+  EXPECT_EQ(result.timeline.fingerprint(), 0x92b9b10b5d0f742bULL);
 }
 
 TEST(GoldenEquivalence, StreamingDigestEqualsRawSeriesScan) {

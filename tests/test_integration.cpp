@@ -8,6 +8,7 @@
 #include "core/classifier.h"
 #include "core/system.h"
 #include "net/operators.h"
+#include "recording_sink.h"
 #include "workload/generator.h"
 
 namespace mca::core {
@@ -64,9 +65,10 @@ TEST_F(IntegrationTest, AccelerationRatiosSurviveTheFullStack) {
   config.routing_overhead_sd_ms = 0.0;
   sdn_accelerator sdn{sim, backend, net::default_lte_model(), &log, config,
                       util::rng{6}};
+  test_support::recording_sink sink;
+  sdn.set_response_sink(&sink);
   const auto minimax = pool_.static_minimax_request();
 
-  std::map<group_id, util::running_stats> cloud_time;
   request_id next = 0;
   for (group_id g = 1; g <= 3; ++g) {
     for (int i = 0; i < 40; ++i) {
@@ -76,16 +78,16 @@ TEST_F(IntegrationTest, AccelerationRatiosSurviveTheFullStack) {
         r.user = 1;
         r.work = minimax;
         r.created_at = sim.now();
-        sdn.submit(r, g, 1.0,
-                   [&cloud_time, g](const workload::offload_request&,
-                                    const request_timing& t) {
-                     cloud_time[g].add(t.cloud);
-                   });
+        sdn.submit(r, g, 1.0);
       });
       ++next;
     }
   }
   sim.run();
+  std::map<group_id, util::running_stats> cloud_time;
+  for (const auto& response : sink.responses) {
+    cloud_time[response.group].add(response.timing.cloud);
+  }
   const double level1 = cloud_time[1].mean();
   const double level2 = cloud_time[2].mean();
   const double level3 = cloud_time[3].mean();

@@ -2,9 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include "net/operators.h"
+#include "recording_sink.h"
 #include "tasks/task.h"
 
 namespace mca::core {
@@ -52,6 +51,7 @@ class SdnTest : public ::testing::Test {
   cloud::backend_pool backend_{sim_, util::rng{1}};
   trace::log_store log_;
   sdn_config config_;
+  test_support::recording_sink sink_;
   request_id next_id_ = 0;
 };
 
@@ -59,12 +59,12 @@ TEST_F(SdnTest, TimingDecompositionIsExact) {
   backend_.launch(1, exact_type());
   sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), &log_, config_,
                       util::rng{2}};
-  request_timing observed;
-  sdn.submit(make_request(1), 1, 0.9,
-             [&](const workload::offload_request&, const request_timing& t) {
-               observed = t;
-             });
+  sdn.set_response_sink(&sink_);
+  sdn.submit(make_request(1), 1, 0.9);
   sim_.run();
+  ASSERT_EQ(sink_.responses.size(), 1u);
+  EXPECT_EQ(sink_.responses[0].group, 1u);
+  const request_timing& observed = sink_.responses[0].timing;
   ASSERT_TRUE(observed.success);
   EXPECT_NEAR(observed.mobile_to_front, 20.0, 0.2);   // RTT/2
   EXPECT_NEAR(observed.front_to_mobile, 20.0, 0.2);
@@ -86,7 +86,7 @@ TEST_F(SdnTest, RoutingOverheadIsAboutOneFiftyMs) {
                       util::rng{3}};
   for (int i = 0; i < 200; ++i) {
     sim_.schedule_at(i * 2'000.0, [&, i] {
-      sdn.submit(make_request(static_cast<user_id>(i)), 1, 1.0, {});
+      sdn.submit(make_request(static_cast<user_id>(i)), 1, 1.0);
     });
   }
   sim_.run();
@@ -101,7 +101,7 @@ TEST_F(SdnTest, LogsTraceRecordPerSuccess) {
   backend_.launch(2, exact_type());
   sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), &log_, config_,
                       util::rng{4}};
-  sdn.submit(make_request(7), 2, 0.65, {});
+  sdn.submit(make_request(7), 2, 0.65);
   sim_.run();
   ASSERT_EQ(log_.size(), 1u);
   const auto& record = log_.records()[0];
@@ -115,7 +115,7 @@ TEST_F(SdnTest, NullLogPointerIsSafe) {
   backend_.launch(1, exact_type());
   sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), nullptr, config_,
                       util::rng{6}};
-  sdn.submit(make_request(1), 1, 1.0, {});
+  sdn.submit(make_request(1), 1, 1.0);
   sim_.run();
   EXPECT_EQ(sdn.succeeded(), 1u);
 }
@@ -123,15 +123,11 @@ TEST_F(SdnTest, NullLogPointerIsSafe) {
 TEST_F(SdnTest, MissingGroupFailsTheRequest) {
   sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), &log_, config_,
                       util::rng{7}};
-  request_timing observed;
-  bool called = false;
-  sdn.submit(make_request(1), 9, 1.0,
-             [&](const workload::offload_request&, const request_timing& t) {
-               observed = t;
-               called = true;
-             });
+  sdn.set_response_sink(&sink_);
+  sdn.submit(make_request(1), 9, 1.0);
   sim_.run();
-  ASSERT_TRUE(called);
+  ASSERT_EQ(sink_.responses.size(), 1u);
+  const request_timing& observed = sink_.responses[0].timing;
   EXPECT_FALSE(observed.success);
   EXPECT_EQ(observed.cloud, 0.0);
   EXPECT_EQ(sdn.failed(), 1u);
@@ -146,15 +142,15 @@ TEST_F(SdnTest, SaturatedBackendDropsAreReported) {
   backend_.launch(1, tiny);
   sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), &log_, config_,
                       util::rng{8}};
-  int failures = 0;
+  sdn.set_response_sink(&sink_);
   for (std::size_t i = 0; i < burst; ++i) {
-    sdn.submit(make_request(static_cast<user_id>(i)), 1, 1.0,
-               [&](const workload::offload_request&,
-                   const request_timing& t) {
-                 if (!t.success) ++failures;
-               });
+    sdn.submit(make_request(static_cast<user_id>(i)), 1, 1.0);
   }
   sim_.run();
+  int failures = 0;
+  for (const auto& response : sink_.responses) {
+    if (!response.timing.success) ++failures;
+  }
   EXPECT_EQ(sdn.received(), burst);
   EXPECT_GT(failures, 0);
   EXPECT_EQ(sdn.succeeded() + sdn.failed(), burst);
@@ -165,9 +161,9 @@ TEST_F(SdnTest, CountsMultipleGroupsSeparately) {
   backend_.launch(2, exact_type());
   sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), &log_, config_,
                       util::rng{9}};
-  sdn.submit(make_request(1), 1, 1.0, {});
-  sdn.submit(make_request(2), 2, 1.0, {});
-  sdn.submit(make_request(3), 2, 1.0, {});
+  sdn.submit(make_request(1), 1, 1.0);
+  sdn.submit(make_request(2), 2, 1.0);
+  sdn.submit(make_request(3), 2, 1.0);
   sim_.run();
   EXPECT_EQ(sdn.routing_stats(1).count(), 1u);
   EXPECT_EQ(sdn.routing_stats(2).count(), 2u);
@@ -180,17 +176,17 @@ TEST_F(SdnTest, ThreeGLinkInflatesT1Only) {
                       util::rng{10}};
   sdn_accelerator threeg{sim_, backend_, fixed_link(130.0), nullptr, config_,
                          util::rng{10}};
-  request_timing timing_lte;
-  request_timing timing_threeg;
-  lte.submit(make_request(1), 1, 1.0,
-             [&](const workload::offload_request&, const request_timing& t) {
-               timing_lte = t;
-             });
+  test_support::recording_sink threeg_sink;
+  lte.set_response_sink(&sink_);
+  threeg.set_response_sink(&threeg_sink);
+  lte.submit(make_request(1), 1, 1.0);
   sim_.run();
-  threeg.submit(make_request(2), 1, 1.0,
-                [&](const workload::offload_request&,
-                    const request_timing& t) { timing_threeg = t; });
+  threeg.submit(make_request(2), 1, 1.0);
   sim_.run();
+  ASSERT_EQ(sink_.responses.size(), 1u);
+  ASSERT_EQ(threeg_sink.responses.size(), 1u);
+  const request_timing& timing_lte = sink_.responses[0].timing;
+  const request_timing& timing_threeg = threeg_sink.responses[0].timing;
   EXPECT_NEAR(timing_threeg.t1() - timing_lte.t1(), 90.0, 2.0);
   // The internal path is identical: same routing model, same backend hops.
   EXPECT_NEAR(timing_threeg.front_to_back, timing_lte.front_to_back, 1e-9);
@@ -200,21 +196,54 @@ TEST_F(SdnTest, ConcurrentSubmissionsShareTheBackend) {
   backend_.launch(1, exact_type());
   sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), &log_, config_,
                       util::rng{11}};
-  std::vector<double> cloud_times;
+  sdn.set_response_sink(&sink_);
   for (int i = 0; i < 4; ++i) {
-    sdn.submit(make_request(static_cast<user_id>(i)), 1, 1.0,
-               [&](const workload::offload_request&,
-                   const request_timing& t) {
-                 cloud_times.push_back(t.cloud);
-               });
+    sdn.submit(make_request(static_cast<user_id>(i)), 1, 1.0);
   }
   sim_.run();
-  ASSERT_EQ(cloud_times.size(), 4u);
+  ASSERT_EQ(sink_.responses.size(), 4u);
   // All four arrive (nearly) together and share one core: each sees ~4x
   // the solo 288 ms service time.
-  for (const double t : cloud_times) {
-    EXPECT_GT(t, 288.0 * 3.0);
+  for (const auto& response : sink_.responses) {
+    EXPECT_GT(response.timing.cloud, 288.0 * 3.0);
   }
+}
+
+// A request costs one sim event per decision: routing (the overhead
+// draw), dispatch (admission at the back-end), the back-end completion,
+// and delivery.  The hops to and from the back-end are folded into the
+// next event's time, so each terminal path has an exact event count.
+TEST_F(SdnTest, SuccessCostsFourEvents) {
+  backend_.launch(1, exact_type());
+  sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), &log_, config_,
+                      util::rng{12}};
+  sdn.submit(make_request(1), 1, 1.0);
+  sim_.run();
+  EXPECT_EQ(sdn.succeeded(), 1u);
+  EXPECT_EQ(sim_.executed_events(), 4u);
+}
+
+TEST_F(SdnTest, RejectionWithNoInstanceCostsThreeEvents) {
+  sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), &log_, config_,
+                      util::rng{13}};
+  sdn.submit(make_request(1), 1, 1.0);
+  sim_.run();
+  EXPECT_EQ(sdn.failed(), 1u);
+  EXPECT_EQ(sim_.executed_events(), 3u);
+}
+
+TEST_F(SdnTest, LocalFallbackWithNoInstanceCostsThreeEvents) {
+  config_.local_fallback = true;
+  config_.local_exec_wu_per_ms = 1.0;
+  sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), &log_, config_,
+                      util::rng{14}};
+  sdn.set_response_sink(&sink_);
+  sdn.submit(make_request(1), 1, 1.0);
+  sim_.run();
+  ASSERT_EQ(sink_.responses.size(), 1u);
+  EXPECT_TRUE(sink_.responses[0].timing.local);
+  EXPECT_EQ(sdn.succeeded(), 1u);
+  EXPECT_EQ(sim_.executed_events(), 3u);
 }
 
 TEST_F(SdnTest, ConfigValidation) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 
 #include "net/operators.h"
@@ -111,6 +112,58 @@ TEST_F(SystemTest, SlotReportsCoverRun) {
     std::size_t total = 0;
     for (const auto count : slot.actual_counts) total += count;
     EXPECT_EQ(total, 20u);
+  }
+}
+
+TEST_F(SystemTest, SlotCountsARequestOnlyIfLoggedBeforeTheBoundary) {
+  // Two users send one request each, far apart, over a constant 40 ms
+  // link.  A request is logged one internal hop after its back-end
+  // completion, at created + response - downlink.  The first boundary
+  // goes just before, then just after, the later request's log time.
+  // Before it, that request has completed but is not yet logged, so it
+  // must not count; the earlier request counts either way.
+  auto config = base_config();
+  config.user_count = 2;
+  config.gaps = workload::fixed_interarrival(util::minutes(20));
+  config.enable_adaptation = false;
+  net::rtt_model_params link;
+  link.log_mu = std::log(40.0);
+  link.log_sigma = 1e-9;  // effectively constant
+  config.mobile_link = net::rtt_model{link, 0.0};
+  const double downlink_ms = 20.0;
+  auto run = [&](util::time_ms slot_length, util::time_ms duration) {
+    auto c = config;
+    c.slot_length = slot_length;
+    offloading_system system{c, pool_};
+    system.run(duration);
+    return system.metrics();
+  };
+
+  // Probe: one slot longer than the run, to read both requests' timing.
+  const system_metrics probe = run(util::hours(1), util::minutes(20));
+  ASSERT_EQ(probe.requests.size(), 2u);
+  const bool first_is_early =
+      probe.requests[0].issued_at < probe.requests[1].issued_at;
+  const request_metric& early = probe.requests[first_is_early ? 0 : 1];
+  const request_metric& late = probe.requests[first_is_early ? 1 : 0];
+  // The two lifecycles do not overlap, so neither slows the other.
+  ASSERT_GT(late.issued_at, early.issued_at + early.response_ms);
+  const double late_logged_at =
+      late.issued_at + late.response_ms - downlink_ms;
+
+  for (const double offset : {-1.5, 1.5}) {
+    const double boundary = late_logged_at + offset;
+    const system_metrics metrics = run(boundary, boundary);
+    // The boundary moved nothing but the slot: same requests, same times.
+    ASSERT_EQ(metrics.requests.size(), 2u);
+    for (std::size_t i = 0; i < 2; ++i) {
+      EXPECT_EQ(metrics.requests[i].issued_at, probe.requests[i].issued_at);
+      EXPECT_EQ(metrics.requests[i].response_ms,
+                probe.requests[i].response_ms);
+    }
+    ASSERT_EQ(metrics.slots.size(), 1u);
+    EXPECT_EQ(metrics.slots[0].actual_counts[1], offset < 0.0 ? 1u : 2u)
+        << "boundary " << offset << " ms from the later log time";
   }
 }
 
