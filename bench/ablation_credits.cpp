@@ -1,4 +1,4 @@
-// Ablation (design-choice check, DESIGN.md §6) — the t2 CPU-credit model.
+// Ablation (design-choice check) — the t2 CPU-credit model.
 //
 // The paper benchmarks t2 burstable instances with one-minute cool-downs
 // and never observes credit exhaustion, so the simulator ships with the

@@ -1,4 +1,5 @@
-// Ablation (DESIGN.md §5) — the two readings of §IV-B.2.
+// Ablation (design-choice check) — the two readings of §IV-B.2 that
+// core::workload_predictor implements.
 //
 // The paper's sentence "t'h is approximated to the timeslot tk that has
 // the minimum Δ" admits two implementations: predict tk itself (`match`,

@@ -5,7 +5,8 @@
 // nano serves requests faster and more predictably.  The paper plots mean
 // and standard deviation for both types and demotes the micro to group 0.
 // Our simulator reproduces the observable anomaly with a CPU-steal +
-// jitter model on the micro (cause unknown in the paper; see DESIGN.md).
+// jitter model on the micro; the paper leaves the cause unknown, so the
+// model targets only the observable effect that the checks below assert.
 #include <cstdio>
 #include <iostream>
 #include <vector>

@@ -88,8 +88,8 @@ std::map<int, phase_stats> run_saturation_part(const tasks::task_pool& pool) {
     schedule.final_hz = 1024.0;
     schedule.phase_length = util::minutes(5);
     // Heavy pool mix: the paper does not state its Fig. 8 task mix; the
-    // max-size mix puts the t2.large knee near the reported 32 Hz
-    // (DESIGN.md §5).
+    // max-size mix puts the t2.large knee near the reported 32 Hz, which
+    // the saturation checks below assert.
     workload::rate_doubling_generator gen{
         sim, workload::heavy_pool_source(pool),
         [&](const workload::offload_request& r) {

@@ -46,8 +46,8 @@ struct allocation_request {
   /// enough.
   double capacity_margin = 1.0;
   /// Cumulative reading of constraint (2): instances of faster groups may
-  /// absorb slower groups' workload (see DESIGN.md §5).  Default strict
-  /// per-group.
+  /// absorb slower groups' workload.  Default strict per-group, because the
+  /// paper writes constraint (2) once per group.
   bool cumulative_capacity = false;
 };
 

@@ -22,54 +22,32 @@ void workload_predictor::observe(trace::time_slot slot) {
   history_.push_back(std::move(slot));
 }
 
-std::optional<std::size_t> workload_predictor::nearest_index(
+const trace::time_slot* workload_predictor::forecast(
     const trace::time_slot& current) const {
-  if (history_.empty()) return std::nullopt;
-  std::size_t best = 0;
+  if (history_.empty()) return nullptr;
+  const std::size_t newest = history_.size() - 1;
+  if (mode_ == prediction_mode::successor && newest == 0) return nullptr;
+  // One scan: the best match among the slots that have a successor, then
+  // the newest slot.  Ties resolve to the most recent slot: recent
+  // behaviour is the better template for what follows.
+  std::size_t best = newest;
   std::size_t best_distance = std::numeric_limits<std::size_t>::max();
-  for (std::size_t i = 0; i < history_.size(); ++i) {
-    const std::size_t d = trace::slot_distance(current, history_[i]);
-    // Ties resolve to the most recent slot: recent behaviour is the better
-    // template for what follows.
-    if (d <= best_distance) {
-      best_distance = d;
-      best = i;
-    }
-  }
-  return best;
-}
-
-std::optional<trace::time_slot> workload_predictor::predict_next(
-    const trace::time_slot& current) const {
-  const auto nearest = nearest_index(current);
-  if (!nearest) return std::nullopt;
-  if (mode_ == prediction_mode::match) return history_[*nearest];
-  if (history_.size() < 2) return std::nullopt;
-  // successor mode: the slot that followed the best match — restricted to
-  // matches that *have* a successor, so the freshest slot (whose future is
-  // unknown) does not shadow an equally good earlier match.
-  std::size_t best = history_.size();
-  std::size_t best_distance = std::numeric_limits<std::size_t>::max();
-  for (std::size_t i = 0; i + 1 < history_.size(); ++i) {
+  for (std::size_t i = 0; i < newest; ++i) {
     const std::size_t d = trace::slot_distance(current, history_[i]);
     if (d <= best_distance) {
       best_distance = d;
       best = i;
     }
   }
-  if (best + 1 < history_.size() &&
-      best_distance <= trace::slot_distance(current, history_.back())) {
-    return history_[best + 1];
+  const std::size_t newest_distance =
+      trace::slot_distance(current, history_[newest]);
+  if (mode_ == prediction_mode::match) {
+    return &history_[newest_distance <= best_distance ? newest : best];
   }
-  // The newest slot is the strictly better match: persistence forecast.
-  return history_.back();
-}
-
-std::optional<std::vector<std::size_t>> workload_predictor::predict_counts(
-    const trace::time_slot& current) const {
-  const auto slot = predict_next(current);
-  if (!slot) return std::nullopt;
-  return slot->group_counts();
+  // successor mode: the slot that followed the best match, so the newest
+  // slot (whose future is unknown) does not shadow an equally good earlier
+  // match.  When the newest slot is the strictly better match, persistence.
+  return &history_[best_distance <= newest_distance ? best + 1 : newest];
 }
 
 double prediction_accuracy(std::span<const std::size_t> predicted,
@@ -90,6 +68,29 @@ double prediction_accuracy(std::span<const std::size_t> predicted,
   return total / static_cast<double>(predicted.size());
 }
 
+namespace {
+
+/// Mean accuracy of the forecasts for the transitions history[i] ->
+/// history[i + 1], i in [lo, hi - 1); nullopt when none could be scored.
+std::optional<double> score_transitions(
+    const workload_predictor& predictor,
+    std::span<const trace::time_slot> history, std::size_t lo,
+    std::size_t hi) {
+  double total = 0.0;
+  std::size_t scored = 0;
+  for (std::size_t i = lo; i + 1 < hi; ++i) {
+    const trace::time_slot* forecast = predictor.forecast(history[i]);
+    if (forecast == nullptr) continue;
+    total += prediction_accuracy(forecast->group_counts(),
+                                 history[i + 1].group_counts());
+    ++scored;
+  }
+  if (scored == 0) return std::nullopt;
+  return total / static_cast<double>(scored);
+}
+
+}  // namespace
+
 std::optional<double> walk_forward_accuracy(
     std::span<const trace::time_slot> history, std::size_t knowledge_size,
     prediction_mode mode) {
@@ -100,16 +101,8 @@ std::optional<double> walk_forward_accuracy(
   predictor.set_history({history.begin(),
                          history.begin() + static_cast<std::ptrdiff_t>(
                                                knowledge_size)});
-  double total = 0.0;
-  std::size_t scored = 0;
-  for (std::size_t i = knowledge_size - 1; i + 1 < history.size(); ++i) {
-    const auto counts = predictor.predict_counts(history[i]);
-    if (!counts) continue;
-    total += prediction_accuracy(*counts, history[i + 1].group_counts());
-    ++scored;
-  }
-  if (scored == 0) return std::nullopt;
-  return total / static_cast<double>(scored);
+  return score_transitions(predictor, history, knowledge_size - 1,
+                           history.size());
 }
 
 cross_validation_result cross_validate(
@@ -133,17 +126,8 @@ cross_validation_result cross_validate(
     }
     workload_predictor predictor{mode};
     predictor.set_history(std::move(knowledge));
-
-    double total = 0.0;
-    std::size_t scored = 0;
-    for (std::size_t i = lo; i + 1 < hi; ++i) {
-      const auto counts = predictor.predict_counts(history[i]);
-      if (!counts) continue;
-      total += prediction_accuracy(*counts, history[i + 1].group_counts());
-      ++scored;
-    }
-    if (scored > 0) {
-      result.fold_accuracy.push_back(total / static_cast<double>(scored));
+    if (const auto accuracy = score_transitions(predictor, history, lo, hi)) {
+      result.fold_accuracy.push_back(*accuracy);
     }
   }
   if (result.fold_accuracy.empty()) {

@@ -2,14 +2,22 @@
 // knowledge base of time slots.
 //
 // Given the current slot t_h, the predictor computes P = { Δ(t_h, t_i) }
-// over the stored history and approximates the next slot from the best
-// match.  Two readings of the paper's §IV-B.2 are implemented (see
-// DESIGN.md §5):
+// over the stored history in one scan, each distance once, and forecasts
+// the next slot from the best match (ties -> the most recent slot).  The
+// paper's "the slot with the minimum Δ" admits two readings of §IV-B.2,
+// and both are implemented; bench/ablation_predictor_modes scores them
+// against a persistence baseline:
 //   * successor — predict the slot *after* the best match (default);
 //   * match     — predict the best-matching slot itself (the literal text).
 // Because the forecast is always a slot drawn from history, "dramatically
 // growing loads are only ever matched to the largest load seen in the near
 // history", making allocation conservative — exactly the paper's remark.
+//
+// Note: the running system (core::offloading_system) observes the slot it
+// just closed and then forecasts from that same slot, so the slot is in its
+// own candidate set at distance 0 and the forecast is, in practice, the
+// closed slot (ROADMAP, predictor item, step ii).  The offline evaluators
+// below forecast slots that are not in the knowledge base.
 #pragma once
 
 #include <cstddef>
@@ -37,22 +45,19 @@ class workload_predictor {
   /// Appends one observed slot to the knowledge base.
   void observe(trace::time_slot slot);
 
-  std::size_t history_size() const noexcept { return history_.size(); }
+  /// The knowledge base, oldest slot first.
+  const std::vector<trace::time_slot>& history() const noexcept {
+    return history_;
+  }
   prediction_mode mode() const noexcept { return mode_; }
 
-  /// Forecast for the slot following `current`; nullopt when the knowledge
-  /// base is too small (empty, or single-slot in successor mode).
-  std::optional<trace::time_slot> predict_next(
-      const trace::time_slot& current) const;
-
-  /// Same forecast reduced to per-group user counts (the allocator input).
-  std::optional<std::vector<std::size_t>> predict_counts(
-      const trace::time_slot& current) const;
-
-  /// Index of the history slot nearest to `current` (ties -> most recent);
-  /// nullopt on an empty knowledge base.
-  std::optional<std::size_t> nearest_index(
-      const trace::time_slot& current) const;
+  /// The knowledge-base slot forecast to follow `current`: the best match
+  /// itself (match mode), or the slot after the best match that has a
+  /// successor unless the newest slot is a strictly better match (successor
+  /// mode).  nullptr when the knowledge base is too small: empty, or a
+  /// single slot in successor mode.  The pointer is valid until the next
+  /// observe() or set_history().
+  const trace::time_slot* forecast(const trace::time_slot& current) const;
 
  private:
   prediction_mode mode_;

@@ -13,12 +13,6 @@ namespace {
 constexpr client::device_class kFallbackMix[] = {client::device_class::midrange};
 }  // namespace
 
-util::histogram default_latency_histogram() {
-  // 250 ms bins to one minute: fine enough to separate the acceleration
-  // levels, coarse enough that merged digests stay small.
-  return util::histogram{0.0, 60'000.0, 240};
-}
-
 std::optional<double> system_metrics::mean_prediction_accuracy() const {
   double total = 0.0;
   std::size_t n = 0;
@@ -346,19 +340,20 @@ void offloading_system::on_slot_boundary(std::size_t slot_index) {
   report.slot_index = slot_index;
   report.actual_counts = actual_counts;
 
-  predictor_.observe(finished);
-  const auto predicted = predictor_.predict_counts(finished);
-  if (predicted) {
-    report.predicted_counts = predicted;
+  predictor_.observe(std::move(finished));
+  if (const trace::time_slot* forecast =
+          predictor_.forecast(predictor_.history().back())) {
+    const auto& predicted = report.predicted_counts.emplace(
+        forecast->group_counts());
     if (config_.enable_adaptation && config_.external_allocation) {
       // The fleet coordinator owns the solve: park the demand for
       // take_pending_demand() and leave the fleet untouched until
       // apply_external_plan() answers.
       pending_demand_ =
-          make_slot_allocation_request(config_, group_count_, *predicted);
+          make_slot_allocation_request(config_, group_count_, predicted);
     } else if (allocator_) {
       allocation_plan plan = allocator_->solve(
-          demand_from_prediction(*predicted, group_count_));
+          demand_from_prediction(predicted, group_count_));
       apply_plan(plan);
       report.plan = std::move(plan);
     }

@@ -36,11 +36,6 @@
 
 namespace mca::core {
 
-/// The latency-histogram layout every streaming digest uses (250 ms bins
-/// to one minute); exp::make_latency_histogram mirrors it so merged
-/// replication digests line up.
-util::histogram default_latency_histogram();
-
 /// One acceleration group's backing in the deployment (Fig. 9a style:
 /// group 1 = t2.nano, group 2 = t2.large, group 3 = m4.4xlarge).
 struct group_backend_spec {
@@ -164,7 +159,7 @@ struct request_digest {
   std::size_t issued = 0;     ///< responses delivered (success or failure)
   std::size_t succeeded = 0;
   util::running_stats response;          ///< successful responses
-  util::histogram latency = default_latency_histogram();
+  util::histogram latency = util::latency_histogram();
   std::vector<util::running_stats> group_response;  ///< by routed group
   std::vector<std::uint64_t> group_successes;
 };

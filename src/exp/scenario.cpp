@@ -197,20 +197,14 @@ core::system_metrics run_replication(const scenario_spec& spec,
   return run_one_replication(spec, pool, context, /*record_raw=*/true);
 }
 
-util::histogram make_latency_histogram() {
-  // The core streaming digest's layout (250 ms bins to one minute), so
-  // per-replication digests and system digests merge bin-for-bin.
-  return core::default_latency_histogram();
-}
-
 replication_metrics::replication_metrics(std::size_t group_count)
-    : latency{make_latency_histogram()},
+    : latency{util::latency_histogram()},
       group_response(group_count),
       group_successes(group_count, 0),
       group_instances(group_count) {}
 
 aggregate_metrics::aggregate_metrics(std::size_t group_count)
-    : latency{make_latency_histogram()},
+    : latency{util::latency_histogram()},
       group_response(group_count),
       group_successes(group_count, 0),
       group_instances(group_count) {}
@@ -224,36 +218,18 @@ replication_metrics digest_metrics(const core::system_metrics& metrics,
   digest.demotions = metrics.demotions;
   digest.background_submitted = metrics.background_submitted;
   digest.total_cost_usd = metrics.total_cost_usd;
-  if (metrics.digest.issued == 0 && !metrics.requests.empty()) {
-    // Metrics assembled by hand (tests, imported series): derive the
-    // aggregates from the raw request series, as digest_metrics always
-    // did before the streaming digest existed.
-    digest.requests = metrics.requests.size();
-    for (const auto& request : metrics.requests) {
-      if (!request.success) continue;
-      ++digest.successes;
-      digest.response.add(request.response_ms);
-      digest.latency.add(request.response_ms);
-      if (request.group < group_count) {
-        digest.group_response[request.group].add(request.response_ms);
-        ++digest.group_successes[request.group];
-      }
-    }
-  } else {
-    // The system streamed these aggregates on its response path, in the
-    // same completion order the scan above would visit — the raw series
-    // is not needed (and fleet-scale runs never record it).
-    const auto& streamed = metrics.digest;
-    digest.requests = streamed.issued;
-    digest.successes = streamed.succeeded;
-    digest.response = streamed.response;
-    digest.latency = streamed.latency;
-    const std::size_t groups =
-        std::min(group_count, streamed.group_response.size());
-    for (std::size_t g = 0; g < groups; ++g) {
-      digest.group_response[g] = streamed.group_response[g];
-      digest.group_successes[g] = streamed.group_successes[g];
-    }
+  // The system streamed these aggregates on its response path, so the
+  // raw request series is not needed (and fleet-scale runs never record it).
+  const auto& streamed = metrics.digest;
+  digest.requests = streamed.issued;
+  digest.successes = streamed.succeeded;
+  digest.response = streamed.response;
+  digest.latency = streamed.latency;
+  const std::size_t groups =
+      std::min(group_count, streamed.group_response.size());
+  for (std::size_t g = 0; g < groups; ++g) {
+    digest.group_response[g] = streamed.group_response[g];
+    digest.group_successes[g] = streamed.group_successes[g];
   }
   for (const auto& slot : metrics.slots) {
     if (slot.accuracy) {

@@ -153,11 +153,10 @@ struct replication_metrics {
   explicit replication_metrics(std::size_t group_count = 0);
 };
 
-/// Latency histogram layout shared by every digest (so merges line up).
-util::histogram make_latency_histogram();
-
-/// Digests one replication's raw metrics.  `group_count` must cover every
-/// group id in the spec (core::offloading_system::group_count()).
+/// Digests one replication's metrics from the aggregates the system
+/// streamed (`metrics.digest`); the raw request series is not read.
+/// `group_count` must cover every group id in the spec
+/// (core::offloading_system::group_count()).
 replication_metrics digest_metrics(const core::system_metrics& metrics,
                                    std::size_t group_count,
                                    std::uint64_t seed);

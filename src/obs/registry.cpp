@@ -85,16 +85,12 @@ const char* series_name(series s) noexcept {
   return kSeriesNames[static_cast<std::size_t>(s)];
 }
 
-util::histogram slo_histogram_layout() {
-  return util::histogram{0.0, 60'000.0, 240};
-}
-
 void registry::resize_groups(std::size_t group_count) {
-  while (slo_.size() < group_count) slo_.push_back(slo_histogram_layout());
+  while (slo_.size() < group_count) slo_.push_back(util::latency_histogram());
 }
 
 util::histogram registry::fleet_slo() const {
-  util::histogram fleet = slo_histogram_layout();
+  util::histogram fleet = util::latency_histogram();
   for (const auto& group : slo_) fleet.merge(group);
   return fleet;
 }

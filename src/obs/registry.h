@@ -136,11 +136,6 @@ struct series_stats {
   }
 };
 
-/// The SLO latency-histogram layout: 250 ms bins to one minute, matching
-/// core::default_latency_histogram so SLO rows and digest latencies are
-/// directly comparable (obs cannot include core).
-util::histogram slo_histogram_layout();
-
 class registry {
  public:
   registry() = default;
@@ -208,7 +203,7 @@ class registry {
   std::array<std::uint64_t, kCounterCount> counters_{};
   std::array<std::uint64_t, kGaugeCount> gauges_{};
   std::array<series_stats, kSeriesCount> series_{};
-  std::vector<util::histogram> slo_;  ///< per group, slo_histogram_layout
+  std::vector<util::histogram> slo_;  ///< per group, util::latency_histogram
 };
 
 }  // namespace mca::obs

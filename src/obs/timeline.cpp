@@ -7,7 +7,7 @@
 namespace mca::obs {
 
 util::histogram timeline_window::merged_slo() const {
-  util::histogram merged = slo_histogram_layout();
+  util::histogram merged = util::latency_histogram();
   for (const util::histogram& h : slo) merged.merge(h);
   return merged;
 }
@@ -20,14 +20,14 @@ void timeline::reset(std::size_t window_capacity, std::size_t group_count) {
     timeline_window w;
     w.slo.reserve(group_count);
     for (std::size_t g = 0; g < group_count; ++g) {
-      w.slo.push_back(slo_histogram_layout());
+      w.slo.push_back(util::latency_histogram());
     }
     windows_.push_back(std::move(w));
   }
   prev_slo_.clear();
   prev_slo_.reserve(group_count);
   for (std::size_t g = 0; g < group_count; ++g) {
-    prev_slo_.push_back(slo_histogram_layout());
+    prev_slo_.push_back(util::latency_histogram());
   }
   prev_counters_ = {};
   pushed_ = 0;
@@ -109,7 +109,7 @@ void timeline::merge(const timeline& other) {
       if (theirs.gauges[g] > mine.gauges[g]) mine.gauges[g] = theirs.gauges[g];
     }
     while (mine.slo.size() < theirs.slo.size()) {
-      mine.slo.push_back(slo_histogram_layout());
+      mine.slo.push_back(util::latency_histogram());
     }
     for (std::size_t g = 0; g < theirs.slo.size(); ++g) {
       mine.slo[g].merge(theirs.slo[g]);

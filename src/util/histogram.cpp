@@ -9,6 +9,8 @@
 
 namespace mca::util {
 
+histogram latency_histogram() { return histogram{0.0, 60'000.0, 240}; }
+
 histogram::histogram(double lo, double hi, std::size_t bins)
     : lo_{lo}, width_{(hi - lo) / static_cast<double>(bins)}, counts_(bins, 0) {
   if (bins == 0) throw std::invalid_argument{"histogram: bins == 0"};

@@ -50,6 +50,12 @@ class histogram {
   std::size_t total_ = 0;
 };
 
+/// The latency layout every digest, SLO row and timeline window uses:
+/// 250 ms bins to one minute, fine enough to separate the acceleration
+/// levels and coarse enough that merged digests stay small.  One layout,
+/// so every latency histogram merges bin for bin with every other.
+histogram latency_histogram();
+
 /// Power-of-two bucketed histogram (HdrHistogram-lite) for long-tailed
 /// latency data; bucket i covers [2^i, 2^{i+1}) with a shared [0,1) bucket.
 class log_histogram {

@@ -28,7 +28,7 @@ using task_source = std::function<tasks::task_request(util::rng&)>;
 task_source random_pool_source(const tasks::task_pool& pool);
 /// Random task at its maximum size — the heavy mix that saturates a
 /// t2.large near the paper's 32 Hz knee (Fig. 8 methodology; the paper
-/// does not state its mix, see DESIGN.md §5).
+/// does not state its mix, and bench/fig8_saturation checks the knee).
 task_source heavy_pool_source(const tasks::task_pool& pool);
 /// Weighted task mix: task i drawn with probability weights[i]/sum via an
 /// O(1) alias table (util::alias_sampler), uniformly random size — lets a

@@ -72,9 +72,9 @@ TEST_F(ClassifierTest, ValidationErrors) {
 }
 
 TEST_F(ClassifierTest, CreditThrottlingWouldCorruptCharacterization) {
-  // Why the credit model is off by default (DESIGN.md): with credits
-  // enabled and a near-empty bank, a burstable type characterizes far
-  // below its paper-mode capacity.
+  // Why the credit model is off by default (bench/ablation_credits checks
+  // the choice): with credits enabled and a near-empty bank, a burstable
+  // type characterizes far below its paper-mode capacity.
   auto config = fast_config();
   config.rounds_per_level = 4;
   classifier_config throttled = config;

@@ -229,13 +229,20 @@ TEST(ScenarioMetrics, DigestAndMergeCountConsistently) {
   core::system_metrics metrics;
   metrics.promotions = 2;
   metrics.total_cost_usd = 1.5;
+  // Fill the streaming digest the way the response path does.
+  auto& streamed = metrics.digest;
+  streamed.group_response.resize(3);
+  streamed.group_successes.assign(3, 0);
   for (int i = 0; i < 10; ++i) {
-    core::request_metric request;
-    request.user = static_cast<user_id>(i);
-    request.group = i % 2 == 0 ? 1 : 2;
-    request.response_ms = 100.0 * (i + 1);
-    request.success = i != 9;  // one failure
-    metrics.requests.push_back(request);
+    ++streamed.issued;
+    if (i == 9) continue;  // one failure
+    const double response_ms = 100.0 * (i + 1);
+    const group_id group = i % 2 == 0 ? 1 : 2;
+    ++streamed.succeeded;
+    streamed.response.add(response_ms);
+    streamed.latency.add(response_ms);
+    streamed.group_response[group].add(response_ms);
+    ++streamed.group_successes[group];
   }
   const auto digest = digest_metrics(metrics, 3, 77);
   EXPECT_EQ(digest.requests, 10u);

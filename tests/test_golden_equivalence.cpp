@@ -129,7 +129,7 @@ TEST(GoldenEquivalence, StreamingDigestEqualsRawSeriesScan) {
   // Recompute every aggregate from the raw series, in push order — the
   // streaming path must be bit-identical (same add order, same floats).
   util::running_stats response;
-  util::histogram latency = core::default_latency_histogram();
+  util::histogram latency = util::latency_histogram();
   std::vector<util::running_stats> group_response(
       streamed.group_response.size());
   std::vector<std::uint64_t> group_successes(streamed.group_successes.size(),

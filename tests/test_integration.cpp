@@ -7,6 +7,7 @@
 #include "client/usage_trace.h"
 #include "core/classifier.h"
 #include "core/system.h"
+#include "exp/scenario.h"
 #include "net/operators.h"
 #include "recording_sink.h"
 #include "workload/generator.h"
@@ -161,6 +162,39 @@ TEST_F(IntegrationTest, AdaptiveBeatsStaticPeakOnCost) {
     static_cost += allocate_static_peak(base, 45.0).total_cost_per_hour;
   }
   EXPECT_LT(adaptive_cost, static_cost * 0.75);
+}
+
+TEST_F(IntegrationTest, RunningSystemForecastsTheSlotItJustClosed) {
+  // Records the self-match (ROADMAP, predictor item, step ii): at every
+  // boundary the system adds the closed slot to the knowledge base and then
+  // forecasts from that same slot, which is its own nearest neighbour at
+  // distance 0.  Every forecast therefore equals the closed slot's own
+  // counts, in both modes: the running system forecasts by persistence.
+  // Step (ii) removes the self-match and must update this test
+  // deliberately.
+  for (const exp::scenario_spec& builtin : exp::builtin_scenarios()) {
+    if (builtin.name != "smoke" && builtin.name != "fig10_adaptive") continue;
+    for (const prediction_mode mode :
+         {prediction_mode::successor, prediction_mode::match}) {
+      SCOPED_TRACE(builtin.name + " " + to_string(mode));
+      exp::scenario_spec spec = builtin;
+      spec.predictor_mode = mode;
+      exp::replication_context context;
+      context.seed = spec.base_seed;
+      const system_metrics metrics =
+          exp::run_replication(spec, pool_, context);
+      ASSERT_EQ(metrics.slots.size(), 4u);
+      std::size_t forecasts = 0;
+      for (const slot_report& slot : metrics.slots) {
+        if (!slot.predicted_counts) continue;
+        ++forecasts;
+        EXPECT_EQ(*slot.predicted_counts, slot.actual_counts)
+            << "slot " << slot.slot_index;
+      }
+      // Successor mode needs two slots of history, match mode one.
+      EXPECT_EQ(forecasts, mode == prediction_mode::successor ? 3u : 4u);
+    }
+  }
 }
 
 }  // namespace

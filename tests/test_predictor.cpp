@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <optional>
 #include <vector>
 
 #include "util/rng.h"
@@ -31,64 +33,128 @@ std::vector<trace::time_slot> periodic_history(
   return history;
 }
 
+/// Slot of 3 groups, each holding a random subset of users 0..3 and empty
+/// one time in three: a small alphabet, so random knowledge bases are full
+/// of duplicate slots, empty groups and distance ties.
+trace::time_slot random_slot(util::rng& rng) {
+  trace::time_slot slot{3};
+  for (group_id g = 0; g < 3; ++g) {
+    if (rng.bernoulli(1.0 / 3.0)) continue;
+    for (user_id u = 0; u < 4; ++u) {
+      if (rng.bernoulli(0.5)) slot.add_user(g, u);
+    }
+  }
+  return slot;
+}
+
+/// The two-scan formulation the one-scan forecast replaced, kept as the
+/// reference: a full nearest-neighbour scan (used only to test for an empty
+/// knowledge base in successor mode), then a second scan over the slots
+/// that have a successor and a third distance to the newest slot.  Returns
+/// the index of the forecast slot, or nullopt.
+std::optional<std::size_t> two_scan_forecast(
+    const std::vector<trace::time_slot>& history, prediction_mode mode,
+    const trace::time_slot& current) {
+  if (history.empty()) return std::nullopt;
+  std::size_t nearest = 0;
+  std::size_t nearest_distance = std::numeric_limits<std::size_t>::max();
+  for (std::size_t i = 0; i < history.size(); ++i) {
+    const std::size_t d = trace::slot_distance(current, history[i]);
+    if (d <= nearest_distance) {
+      nearest_distance = d;
+      nearest = i;
+    }
+  }
+  if (mode == prediction_mode::match) return nearest;
+  if (history.size() < 2) return std::nullopt;
+  std::size_t best = history.size();
+  std::size_t best_distance = std::numeric_limits<std::size_t>::max();
+  for (std::size_t i = 0; i + 1 < history.size(); ++i) {
+    const std::size_t d = trace::slot_distance(current, history[i]);
+    if (d <= best_distance) {
+      best_distance = d;
+      best = i;
+    }
+  }
+  if (best + 1 < history.size() &&
+      best_distance <= trace::slot_distance(current, history.back())) {
+    return best + 1;
+  }
+  return history.size() - 1;
+}
+
+/// Asserts that forecast() returns the very history slot (by address) the
+/// two-scan reference picks, or nullptr exactly when it picks none.
+void expect_same_forecast(const workload_predictor& p,
+                          const trace::time_slot& current) {
+  const auto want = two_scan_forecast(p.history(), p.mode(), current);
+  const trace::time_slot* got = p.forecast(current);
+  if (!want) {
+    EXPECT_EQ(got, nullptr);
+  } else {
+    EXPECT_EQ(got, &p.history()[*want]) << "reference index " << *want;
+  }
+}
+
 TEST(Predictor, EmptyHistoryPredictsNothing) {
   workload_predictor p;
-  EXPECT_FALSE(p.predict_next(slot_with(2, 1, 3)).has_value());
-  EXPECT_FALSE(p.nearest_index(slot_with(2, 1, 3)).has_value());
+  EXPECT_EQ(p.forecast(slot_with(2, 1, 3)), nullptr);
+  workload_predictor match{prediction_mode::match};
+  EXPECT_EQ(match.forecast(slot_with(2, 1, 3)), nullptr);
 }
 
 TEST(Predictor, ObserveGrowsHistory) {
   workload_predictor p;
   p.observe(slot_with(2, 1, 1));
   p.observe(slot_with(2, 1, 2));
-  EXPECT_EQ(p.history_size(), 2u);
+  EXPECT_EQ(p.history().size(), 2u);
 }
 
-TEST(Predictor, NearestIndexFindsExactMatch) {
-  workload_predictor p;
+TEST(Predictor, MatchForecastFindsExactMatch) {
+  workload_predictor p{prediction_mode::match};
   p.set_history({slot_with(2, 1, 2), slot_with(2, 1, 5), slot_with(2, 1, 9)});
-  const auto idx = p.nearest_index(slot_with(2, 1, 5));
-  ASSERT_TRUE(idx.has_value());
-  EXPECT_EQ(*idx, 1u);
+  const trace::time_slot* slot = p.forecast(slot_with(2, 1, 5));
+  ASSERT_NE(slot, nullptr);
+  EXPECT_EQ(slot, &p.history()[1]);
 }
 
 TEST(Predictor, TiesResolveToMostRecent) {
-  workload_predictor p;
+  workload_predictor p{prediction_mode::match};
   // Two identical slots: index 2 (most recent) must win over index 0.
   p.set_history({slot_with(2, 1, 4), slot_with(2, 1, 9), slot_with(2, 1, 4)});
-  const auto idx = p.nearest_index(slot_with(2, 1, 4));
-  ASSERT_TRUE(idx.has_value());
-  EXPECT_EQ(*idx, 2u);
+  const trace::time_slot* slot = p.forecast(slot_with(2, 1, 4));
+  ASSERT_NE(slot, nullptr);
+  EXPECT_EQ(slot, &p.history()[2]);
 }
 
 TEST(Predictor, SuccessorModePredictsFollowingSlot) {
   workload_predictor p{prediction_mode::successor};
   p.set_history({slot_with(2, 1, 2), slot_with(2, 1, 7), slot_with(2, 1, 3)});
-  const auto predicted = p.predict_next(slot_with(2, 1, 2));
-  ASSERT_TRUE(predicted.has_value());
+  const trace::time_slot* predicted = p.forecast(slot_with(2, 1, 2));
+  ASSERT_NE(predicted, nullptr);
   EXPECT_EQ(predicted->user_count(1), 7u);  // slot after the match
 }
 
 TEST(Predictor, MatchModePredictsTheMatchItself) {
   workload_predictor p{prediction_mode::match};
   p.set_history({slot_with(2, 1, 2), slot_with(2, 1, 7), slot_with(2, 1, 3)});
-  const auto predicted = p.predict_next(slot_with(2, 1, 2));
-  ASSERT_TRUE(predicted.has_value());
+  const trace::time_slot* predicted = p.forecast(slot_with(2, 1, 2));
+  ASSERT_NE(predicted, nullptr);
   EXPECT_EQ(predicted->user_count(1), 2u);
 }
 
 TEST(Predictor, SuccessorFallsBackWhenMatchIsLast) {
   workload_predictor p{prediction_mode::successor};
   p.set_history({slot_with(2, 1, 2), slot_with(2, 1, 9)});
-  const auto predicted = p.predict_next(slot_with(2, 1, 9));
-  ASSERT_TRUE(predicted.has_value());
+  const trace::time_slot* predicted = p.forecast(slot_with(2, 1, 9));
+  ASSERT_NE(predicted, nullptr);
   EXPECT_EQ(predicted->user_count(1), 9u);  // persistence fallback
 }
 
 TEST(Predictor, SingleSlotHistorySuccessorModeReturnsNothing) {
   workload_predictor p{prediction_mode::successor};
   p.set_history({slot_with(2, 1, 2)});
-  EXPECT_FALSE(p.predict_next(slot_with(2, 1, 2)).has_value());
+  EXPECT_EQ(p.forecast(slot_with(2, 1, 2)), nullptr);
 }
 
 TEST(Predictor, GrowingLoadMatchedToLargestSeen) {
@@ -96,21 +162,78 @@ TEST(Predictor, GrowingLoadMatchedToLargestSeen) {
   // matched to the largest historical load.
   workload_predictor p{prediction_mode::match};
   p.set_history({slot_with(2, 1, 2), slot_with(2, 1, 10)});
-  const auto predicted = p.predict_next(slot_with(2, 1, 60));
-  ASSERT_TRUE(predicted.has_value());
+  const trace::time_slot* predicted = p.forecast(slot_with(2, 1, 60));
+  ASSERT_NE(predicted, nullptr);
   EXPECT_EQ(predicted->user_count(1), 10u);
 }
 
-TEST(Predictor, PredictCountsMatchesSlotCounts) {
+TEST(Predictor, ForecastCountsMatchSlotCounts) {
   workload_predictor p{prediction_mode::match};
   trace::time_slot mixed{3};
   mixed.add_user(0, 1);
   mixed.add_user(2, 5);
   mixed.add_user(2, 6);
   p.set_history({mixed});
-  const auto counts = p.predict_counts(mixed);
-  ASSERT_TRUE(counts.has_value());
-  EXPECT_EQ(*counts, (std::vector<std::size_t>{1, 0, 2}));
+  const trace::time_slot* slot = p.forecast(mixed);
+  ASSERT_NE(slot, nullptr);
+  EXPECT_EQ(slot->group_counts(), (std::vector<std::size_t>{1, 0, 2}));
+}
+
+TEST(PredictorDifferential, OneScanPicksTheTwoScanSlot) {
+  // Seeded random knowledge bases of 0..12 slots over 3 groups, each
+  // queried with a fresh random slot, the newest slot, and every earlier
+  // slot: the cases where ties between equal distances decide the winner.
+  util::rng rng{2024};
+  std::size_t compared = 0;
+  for (const prediction_mode mode :
+       {prediction_mode::successor, prediction_mode::match}) {
+    for (std::size_t trial = 0; trial < 200; ++trial) {
+      const auto size = static_cast<std::size_t>(rng.uniform_int(0, 12));
+      std::vector<trace::time_slot> history;
+      for (std::size_t i = 0; i < size; ++i) {
+        history.push_back(random_slot(rng));
+      }
+      workload_predictor p{mode};
+      p.set_history(std::move(history));
+      SCOPED_TRACE(::testing::Message()
+                   << to_string(mode) << " trial " << trial << " size "
+                   << size);
+      expect_same_forecast(p, random_slot(rng));
+      expect_same_forecast(p, trace::time_slot{3});  // every group empty
+      for (const trace::time_slot& slot : p.history()) {
+        expect_same_forecast(p, slot);  // the newest and every earlier slot
+      }
+      compared += 2 + size;
+    }
+  }
+  EXPECT_GT(compared, 2000u);
+}
+
+TEST(PredictorDifferential, DuplicateSlotsTieTheSameWay) {
+  // A run of identical slots with one odd slot between them, queried with
+  // the duplicate and the odd slot: each mode must pick the same
+  // duplicate (or its successor) as the two-scan reference.
+  const trace::time_slot dup = slot_with(3, 2, 3);
+  const trace::time_slot odd = slot_with(3, 0, 2, 7);
+  for (const prediction_mode mode :
+       {prediction_mode::successor, prediction_mode::match}) {
+    for (const auto& history : std::vector<std::vector<trace::time_slot>>{
+             {dup, dup},
+             {dup, dup, dup},
+             {dup, odd, dup},
+             {odd, dup, dup},
+             {dup, dup, odd},
+             {dup, odd, dup, odd},
+             {trace::time_slot{3}, trace::time_slot{3}, dup}}) {
+      workload_predictor p{mode};
+      p.set_history(history);
+      SCOPED_TRACE(::testing::Message()
+                   << to_string(mode) << " size " << history.size());
+      expect_same_forecast(p, dup);
+      expect_same_forecast(p, odd);
+      expect_same_forecast(p, trace::time_slot{3});
+    }
+  }
 }
 
 TEST(PredictionAccuracy, PerfectForecastIsOne) {
