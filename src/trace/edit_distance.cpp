@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
+#include <cstddef>
 #include <limits>
 
 namespace mca::trace {
 
 namespace {
 
-/// Classic two-row DP; kept as the general-input path (and the reference
-/// the bit-parallel fast path is tested against).
+/// Classic two-row DP: the general-input path.
 std::size_t edit_distance_dp(std::span<const user_id> a,
                              std::span<const user_id> b) {
   const std::size_t n = a.size();
@@ -37,80 +36,67 @@ bool strictly_increasing(std::span<const user_id> s) noexcept {
   return true;
 }
 
-/// Myers' bit-parallel Levenshtein (multiword, Hyyrö's block formulation),
-/// specialized for two strictly increasing sequences — the shape every
-/// time-slot user list has.  Because both sides are sorted and duplicate
-/// free, each text symbol matches at most one pattern position, found by a
-/// single linear merge instead of per-symbol match masks; the column
-/// update then runs over ceil(m/64) machine words, a 64x cell-rate win
-/// over the DP that used to dominate fleet-scale slot boundaries.
-std::size_t edit_distance_sorted_bitparallel(std::span<const user_id> text,
-                                             std::span<const user_id> pattern) {
-  const std::size_t n = text.size();
-  const std::size_t m = pattern.size();
-  const std::size_t words = (m + 63) / 64;
-
-  // match_pos[i]: position of text[i] in the pattern, or npos.  One merge
-  // pass — both sequences are strictly increasing.
-  constexpr std::uint32_t kNoMatch = 0xffffffffu;
-  static thread_local std::vector<std::uint32_t> match_pos;
-  match_pos.assign(n, kNoMatch);
-  for (std::size_t i = 0, j = 0; i < n && j < m;) {
-    if (text[i] == pattern[j]) {
-      match_pos[i] = static_cast<std::uint32_t>(j);
+/// edit_distance() on two strictly increasing sequences: a sparse DP over
+/// their common elements (Eppstein, Galil, Giancarlo and Italiano, JACM
+/// 1992).  f(q), the cheapest edit up to match q, is the minimum over
+/// earlier points p of f(p) + max(di, dj) - 1.  With s = i + j and
+/// e = i - j, 2 max(di, dj) = ds + |de|, so g = 2f - s of q is 2 less than
+/// the minimum of g_p + |e_q - e_p|: two Fenwick prefix minima over the
+/// diagonal e, one of g - e for e_p <= e_q, one of g + e for e_p >= e_q.
+/// Coordinates are 1-based with virtual points at (0, 0) and (n + 1, m + 1).
+std::size_t edit_distance_sorted(std::span<const user_id> a,
+                                 std::span<const user_id> b) {
+  const auto n = static_cast<std::ptrdiff_t>(a.size());
+  const auto m = static_cast<std::ptrdiff_t>(b.size());
+  const std::ptrdiff_t size = n + m + 1;
+  constexpr auto kInf = std::numeric_limits<std::ptrdiff_t>::max() / 2;
+  // below[e + m]: g - e of points on diagonal e; above[n - e]: g + e.
+  static thread_local std::vector<std::ptrdiff_t> below;
+  static thread_local std::vector<std::ptrdiff_t> above;
+  below.assign(static_cast<std::size_t>(size), kInf);
+  above.assign(static_cast<std::size_t>(size), kInf);
+  const auto insert = [size](std::vector<std::ptrdiff_t>& tree,
+                             std::ptrdiff_t pos, std::ptrdiff_t value) {
+    for (std::ptrdiff_t k = pos + 1; k <= size; k += k & -k) {
+      auto& cell = tree[static_cast<std::size_t>(k - 1)];
+      cell = std::min(cell, value);
+    }
+  };
+  const auto prefix_min = [](const std::vector<std::ptrdiff_t>& tree,
+                             std::ptrdiff_t pos) {
+    std::ptrdiff_t best = kInf;
+    for (std::ptrdiff_t k = pos + 1; k > 0; k -= k & -k) {
+      best = std::min(best, tree[static_cast<std::size_t>(k - 1)]);
+    }
+    return best;
+  };
+  // min over inserted points p of g_p + |e - e_p|.
+  const auto nearest = [&](std::ptrdiff_t e) {
+    return std::min(prefix_min(below, e + m) + e,
+                    prefix_min(above, n - e) - e);
+  };
+  const auto add = [&](std::ptrdiff_t e, std::ptrdiff_t g) {
+    insert(below, e + m, g - e);
+    insert(above, n - e, g + e);
+  };
+  add(0, 0);
+  // Merge order is chain order: each match follows every earlier one in
+  // both sequences.
+  for (std::size_t i = 0, j = 0; i < a.size() && j < b.size();) {
+    if (a[i] < b[j]) {
       ++i;
+    } else if (b[j] < a[i]) {
       ++j;
-    } else if (text[i] < pattern[j]) {
-      ++i;
     } else {
+      const auto e =
+          static_cast<std::ptrdiff_t>(i) - static_cast<std::ptrdiff_t>(j);
+      add(e, nearest(e) - 2);
+      ++i;
       ++j;
     }
   }
-
-  static thread_local std::vector<std::uint64_t> pv_store;
-  static thread_local std::vector<std::uint64_t> mv_store;
-  pv_store.assign(words, ~std::uint64_t{0});
-  mv_store.assign(words, 0);
-  std::uint64_t* const pv = pv_store.data();
-  std::uint64_t* const mv = mv_store.data();
-
-  std::size_t score = m;
-  const std::size_t top = words - 1;
-  const std::uint64_t top_bit = std::uint64_t{1} << ((m - 1) % 64);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t pos = match_pos[i];
-    const std::size_t eq_word =
-        pos == kNoMatch ? words : static_cast<std::size_t>(pos) / 64;
-    const std::uint64_t eq_bit =
-        pos == kNoMatch ? 0 : std::uint64_t{1} << (pos % 64);
-    // Global alignment: the row-0 boundary contributes +1 per column.
-    std::uint64_t ph_in = 1;
-    std::uint64_t mh_in = 0;
-    for (std::size_t w = 0; w < words; ++w) {
-      const std::uint64_t eq = w == eq_word ? eq_bit : 0;
-      const std::uint64_t pvw = pv[w];
-      const std::uint64_t mvw = mv[w];
-      const std::uint64_t xv = eq | mvw;
-      const std::uint64_t eq2 = eq | mh_in;
-      const std::uint64_t xh = (((eq2 & pvw) + pvw) ^ pvw) | eq2;
-      std::uint64_t ph = mvw | ~(xh | pvw);
-      std::uint64_t mh = pvw & xh;
-      if (w == top) {
-        score += (ph & top_bit) != 0;
-        score -= (mh & top_bit) != 0;
-      }
-      const std::uint64_t ph_out = ph >> 63;
-      const std::uint64_t mh_out = mh >> 63;
-      ph = (ph << 1) | ph_in;
-      mh = (mh << 1) | mh_in;
-      pv[w] = mh | ~(xv | ph);
-      mv[w] = ph & xv;
-      ph_in = ph_out;
-      mh_in = mh_out;
-    }
-  }
-  return score;
+  // 2f at (n + 1, m + 1) is s - 2 + nearest = n + m + nearest.
+  return static_cast<std::size_t>((n + m + nearest(n - m)) / 2);
 }
 
 }  // namespace
@@ -122,10 +108,7 @@ std::size_t edit_distance(std::span<const user_id> a,
   if (n == 0) return m;
   if (m == 0) return n;
   if (strictly_increasing(a) && strictly_increasing(b)) {
-    // Fewer pattern words when the shorter side is the pattern (the
-    // distance is symmetric).
-    return m <= n ? edit_distance_sorted_bitparallel(a, b)
-                  : edit_distance_sorted_bitparallel(b, a);
+    return edit_distance_sorted(a, b);
   }
   return edit_distance_dp(a, b);
 }

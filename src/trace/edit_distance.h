@@ -16,7 +16,12 @@
 
 namespace mca::trace {
 
-/// Unit-cost Levenshtein distance between two sequences.
+/// Unit-cost Levenshtein distance between two sequences.  When both are
+/// strictly increasing (every slot user list is) it runs a sparse DP over
+/// their K common elements in O(n + m + K log(n + m)): between two matches
+/// an alignment keeps, with gaps x and y, the cheapest edit is max(x, y),
+/// so the distance is the cheapest chain of matches.  Any other input runs
+/// the O(n·m) two-row DP.
 std::size_t edit_distance(std::span<const user_id> a,
                           std::span<const user_id> b);
 

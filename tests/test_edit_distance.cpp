@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "util/rng.h"
@@ -162,8 +164,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EditDistanceVsReference,
 
 namespace {
 
-/// Textbook two-row Levenshtein, the oracle for the bit-parallel fast
-/// path that kicks in on strictly increasing (sorted-unique) sequences.
+/// Textbook two-row Levenshtein, the oracle for the sparse path that
+/// kicks in on strictly increasing (sorted-unique) sequences.
 std::size_t dp_edit_distance(std::span<const user_id> a,
                              std::span<const user_id> b) {
   std::vector<std::size_t> prev(b.size() + 1);
@@ -196,11 +198,10 @@ users random_sorted_unique(util::rng& rng, std::size_t max_len,
 
 }  // namespace
 
-TEST(EditDistanceBitParallel, MatchesDpOnSortedUniqueSequences) {
+TEST(EditDistanceSorted, MatchesDpOnSortedUniqueSequences) {
   util::rng rng{777};
   for (int round = 0; round < 300; ++round) {
-    // Lengths straddle the 64-bit word boundary so the multiword carry
-    // chain (blocks 1..3) is exercised, not just the single-word case.
+    // Lengths straddle 64-element multiples, kept as a regression sweep.
     const users a = random_sorted_unique(rng, 150, 4'000);
     const users b = random_sorted_unique(rng, 150, 4'000);
     EXPECT_EQ(edit_distance(a, b), dp_edit_distance(a, b))
@@ -208,8 +209,8 @@ TEST(EditDistanceBitParallel, MatchesDpOnSortedUniqueSequences) {
   }
 }
 
-TEST(EditDistanceBitParallel, ExactWordBoundaryLengths) {
-  // Pattern lengths 63, 64, 65, 128: the top-bit bookkeeping edge cases.
+TEST(EditDistanceSorted, ExactWordBoundaryLengths) {
+  // Lengths at 64-element multiples, kept as regression cases.
   util::rng rng{778};
   for (const std::size_t len : {63u, 64u, 65u, 127u, 128u, 129u}) {
     users a;
@@ -221,6 +222,78 @@ TEST(EditDistanceBitParallel, ExactWordBoundaryLengths) {
     EXPECT_EQ(edit_distance(a, b), dp_edit_distance(a, b)) << "len " << len;
     EXPECT_EQ(edit_distance(a, a), 0u);
   }
+}
+
+TEST(EditDistanceSorted, OptimumMaySkipACommonUser) {
+  // Aligning the shared 5 costs 2 + 2; three substitutions cost 3.
+  EXPECT_EQ(edit_distance(users{1, 2, 5}, users{5, 7, 8}), 3u);
+  EXPECT_EQ(edit_distance(users{5, 7, 8}, users{1, 2, 5}), 3u);
+  // Aligning the shared 10 costs 3 + 3; four substitutions cost 4.
+  EXPECT_EQ(edit_distance(users{1, 2, 3, 10}, users{10, 20, 30, 40}), 4u);
+  // Keep 1 and 9 but skip the off-diagonal 4: 3 beats 2 + 3.
+  EXPECT_EQ(edit_distance(users{1, 2, 3, 4, 9}, users{1, 4, 5, 6, 9}), 3u);
+  EXPECT_EQ(edit_distance(users{1, 4, 5, 6, 9}, users{1, 2, 3, 4, 9}), 3u);
+}
+
+TEST(EditDistanceSorted, PrefixAndSuffixContainment) {
+  EXPECT_EQ(edit_distance(users{1, 2, 3}, users{1, 2, 3, 4, 5}), 2u);
+  EXPECT_EQ(edit_distance(users{1, 2, 3, 4, 5}, users{1, 2, 3}), 2u);
+  EXPECT_EQ(edit_distance(users{4, 5}, users{1, 2, 3, 4, 5}), 3u);
+  EXPECT_EQ(edit_distance(users{1, 2, 3, 4, 5}, users{4, 5}), 3u);
+  EXPECT_EQ(edit_distance(users{2, 3}, users{1, 2, 3, 4}), 2u);
+  EXPECT_EQ(edit_distance(users{1, 2, 3, 4}, users{2, 3}), 2u);
+}
+
+TEST(EditDistanceSorted, DisjointInterleavedCostsMaxLength) {
+  EXPECT_EQ(edit_distance(users{1, 3, 5, 7}, users{2, 4, 6, 8}), 4u);
+  EXPECT_EQ(edit_distance(users{1, 3, 5}, users{2, 4, 6, 8, 10}), 5u);
+  EXPECT_EQ(edit_distance(users{2, 4, 6, 8, 10}, users{1, 3, 5}), 5u);
+}
+
+TEST(EditDistanceSorted, SymmetricWithoutSwappingArguments) {
+  util::rng rng{779};
+  for (int round = 0; round < 300; ++round) {
+    const users a = random_sorted_unique(rng, 40, 120);
+    const users b = random_sorted_unique(rng, 80, 120);
+    const auto expected = dp_edit_distance(a, b);
+    EXPECT_EQ(edit_distance(a, b), expected) << "round " << round;
+    EXPECT_EQ(edit_distance(b, a), expected) << "round " << round;
+  }
+}
+
+namespace {
+
+/// Fleet-sized pair: `a` holds 1k-3k even ids; `b` keeps each of them with
+/// probability `overlap` and interleaves fresh odd ids.
+std::pair<users, users> overlapping_lists(util::rng& rng, double overlap) {
+  users a;
+  users b;
+  const auto n = rng.uniform_int(1'000, 3'000);
+  user_id id = 0;
+  for (std::int64_t k = 0; k < n; ++k) {
+    id += static_cast<user_id>(2 * rng.uniform_int(1, 3));
+    a.push_back(id);
+    if (rng.bernoulli(overlap)) b.push_back(id);
+    if (rng.bernoulli(0.4)) b.push_back(id + 1);
+  }
+  return {a, b};
+}
+
+}  // namespace
+
+TEST(EditDistanceSorted, MatchesDpOnFleetSizedLists) {
+  util::rng rng{780};
+  for (const double overlap : {0.0, 0.3, 0.7, 1.0}) {
+    for (int round = 0; round < 3; ++round) {
+      const auto [a, b] = overlapping_lists(rng, overlap);
+      EXPECT_EQ(edit_distance(a, b), dp_edit_distance(a, b))
+          << "overlap " << overlap << " round " << round;
+    }
+  }
+  const auto [a, b] = overlapping_lists(rng, 0.5);
+  EXPECT_EQ(edit_distance(a, a), 0u);
+  EXPECT_EQ(edit_distance(a, users{}), a.size());
+  EXPECT_EQ(edit_distance(users{}, b), b.size());
 }
 
 }  // namespace

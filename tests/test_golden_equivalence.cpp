@@ -1,9 +1,10 @@
 // Golden semantic-equivalence gate for the PR-5 hot-path overhaul.
 //
 // The per-request pipeline was rewritten around pooled state, SoA user
-// slabs, and streaming digests; the bit-parallel edit distance replaced
-// the DP; the slot scan became a streaming accumulator.  None of that may
-// change simulation semantics.  Two layers of protection:
+// slabs, and streaming digests; sorted slot user lists take an exact
+// sparse edit distance over their shared users instead of the full DP;
+// the slot scan became a streaming accumulator.  None of that may change
+// simulation semantics.  Three layers of protection:
 //
 //  1. Pinned goldens — request counts, acceptance, billing totals, and
 //     latency-digest numbers recorded from the pre-refactor tree (PR-4
