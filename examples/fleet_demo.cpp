@@ -59,7 +59,8 @@ int main() {
   std::printf("  requests   %zu (%.1f%% accepted)\n", merged.requests,
               merged.acceptance_rate() * 100.0);
   std::printf("  response   mean %.0f ms, p95 %.0f ms\n",
-              merged.response.mean(), merged.latency.quantile(0.95));
+              merged.response.mean(),
+              merged.latency.quantile_interpolated(0.95));
   std::printf("  cost       $%.3f total\n", merged.cost_usd.sum());
   std::printf("  fingerprint %016llx (bit-identical at any thread count)\n",
               static_cast<unsigned long long>(result.fingerprint()));

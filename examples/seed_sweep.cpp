@@ -31,7 +31,7 @@ int main() {
     const auto& rep = result.per_replication[r];
     std::printf("%-5zu %-10zu %-10zu %-12.0f %-10.0f %.3f\n", r, rep.requests,
                 rep.successes, rep.response.mean(),
-                rep.latency.quantile(0.95), rep.total_cost_usd);
+                rep.latency.quantile_interpolated(0.95), rep.total_cost_usd);
   }
   for (const auto& error : result.errors) {
     std::printf("%-5zu FAILED: %s\n", error.index, error.message.c_str());
@@ -43,7 +43,8 @@ int main() {
   std::printf("  requests   %zu (%.1f%% accepted)\n", merged.requests,
               merged.acceptance_rate() * 100.0);
   std::printf("  response   mean %.0f ms, p95 %.0f ms\n",
-              merged.response.mean(), merged.latency.quantile(0.95));
+              merged.response.mean(),
+              merged.latency.quantile_interpolated(0.95));
   std::printf("  cost       $%.3f +/- %.3f per replication\n",
               merged.cost_usd.mean(), merged.cost_usd.stddev());
   std::printf("  fingerprint %016llx (bit-identical at any thread count)\n",

@@ -11,6 +11,12 @@ namespace {
 
 constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
 
+/// Strict-inequality margin of constraint (2): bought capacity must be at
+/// least W + margin.  Workloads are integer user counts, so a margin of 1
+/// is exactly the paper's strict ">": a group with W=0 still gets one
+/// instance and capacity exactly equal to W is not enough.
+constexpr double kCapacityMargin = 1.0;
+
 /// Flattened variable: one ILP column per (group, candidate).
 struct column {
   group_id group = 0;
@@ -187,7 +193,7 @@ allocation_model build_model(const allocation_request& request,
         best_value_capacity = term.coeff;
       }
     }
-    const double rhs = row_demand(request, demand, g) + request.capacity_margin;
+    const double rhs = row_demand(request, demand, g) + kCapacityMargin;
     out.demand_row[g] = out.model.constraint_count();
     out.model.add_constraint(std::move(terms), ilp::relation::greater_equal,
                              rhs, "workload_g" + std::to_string(g));
@@ -349,8 +355,7 @@ allocation_plan allocate_greedy(const allocation_request& request) {
 
   const std::size_t group_count = request.workload_per_group.size();
   for (group_id g = 0; g < group_count; ++g) {
-    const double demand =
-        request.workload_per_group[g] + request.capacity_margin;
+    const double demand = request.workload_per_group[g] + kCapacityMargin;
     double covered = 0.0;
     // Candidate order: best capacity-per-dollar first.
     std::vector<std::size_t> group_columns = layout.by_group[g];
@@ -420,7 +425,7 @@ allocation_plan allocate_best_effort(const allocation_request& request) {
     double worst_gap = 0.0;
     for (group_id g = 0; g < group_count; ++g) {
       const double gap =
-          request.workload_per_group[g] + request.capacity_margin - covered[g];
+          request.workload_per_group[g] + kCapacityMargin - covered[g];
       if (gap > worst_gap && best_column[g] < layout.columns.size()) {
         worst_gap = gap;
         worst = g;
@@ -437,7 +442,7 @@ allocation_plan allocate_best_effort(const allocation_request& request) {
   plan.feasible = true;
   for (group_id g = 0; g < group_count; ++g) {
     if (group_capacity(request, layout, counts, g) <
-        request.workload_per_group[g] + request.capacity_margin) {
+        request.workload_per_group[g] + kCapacityMargin) {
       plan.feasible = false;
     }
   }
@@ -545,8 +550,8 @@ allocation_plan batched_allocator::solve(
   for (group_id g = 0; g < im.m.demand_row.size(); ++g) {
     const std::size_t row = im.m.demand_row[g];
     if (row == kNoRow) continue;
-    const double rhs = row_demand(im.shape, demand_per_group, g) +
-                       im.shape.capacity_margin;
+    const double rhs =
+        row_demand(im.shape, demand_per_group, g) + kCapacityMargin;
     im.m.model.set_constraint_rhs(row, rhs);
     if (im.root) {
       im.root->sync_constraint_rhs(row);

@@ -39,12 +39,6 @@ struct allocation_request {
   std::vector<std::vector<allocation_candidate>> candidates_per_group;
   /// CC: the cloud account's instance cap (Amazon's default is 20).
   std::size_t max_total_instances = 20;
-  /// Strict-inequality margin of constraint (2): bought capacity must be
-  /// at least W + margin.  Workloads are integer user counts, so the
-  /// default of 1 is exactly the paper's strict ">": a group with W=0
-  /// still gets one instance and capacity exactly equal to W is not
-  /// enough.
-  double capacity_margin = 1.0;
   /// Cumulative reading of constraint (2): instances of faster groups may
   /// absorb slower groups' workload.  Default strict per-group, because the
   /// paper writes constraint (2) once per group.
@@ -111,7 +105,7 @@ allocation_plan allocate_best_effort(const allocation_request& request);
 /// Reusable batched allocator — the multi-slot `allocate_ilp` entry point.
 ///
 /// Builds the ILP model ONCE from a fixed deployment shape (candidates per
-/// group, account cap, margin, cumulative reading) and re-solves it for a
+/// group, account cap, cumulative reading) and re-solves it for a
 /// stream of per-slot demand vectors, touching only the workload rows'
 /// right-hand sides between solves.  Consecutive solves keep one warm
 /// tableau: the rhs move is applied in place (dense_tableau::

@@ -159,7 +159,7 @@ struct request_digest {
   std::size_t issued = 0;     ///< responses delivered (success or failure)
   std::size_t succeeded = 0;
   util::running_stats response;          ///< successful responses
-  util::histogram latency = util::latency_histogram();
+  util::histogram latency;               ///< successful responses, log-linear
   std::vector<util::running_stats> group_response;  ///< by routed group
   std::vector<std::uint64_t> group_successes;
 };

@@ -51,7 +51,6 @@ const char* to_string(gap_model model) noexcept {
   switch (model) {
     case gap_model::study_sessions: return "study_sessions";
     case gap_model::exponential: return "exponential";
-    case gap_model::fixed: return "fixed";
   }
   return "?";
 }
@@ -148,9 +147,6 @@ core::system_config make_system_config(const scenario_spec& spec,
     case gap_model::exponential:
       config.gaps = workload::exponential_interarrival(spec.arrival_rate_hz);
       break;
-    case gap_model::fixed:
-      config.gaps = workload::fixed_interarrival(spec.fixed_gap);
-      break;
   }
 
   const double promote = spec.promotion_probability;
@@ -198,14 +194,12 @@ core::system_metrics run_replication(const scenario_spec& spec,
 }
 
 replication_metrics::replication_metrics(std::size_t group_count)
-    : latency{util::latency_histogram()},
-      group_response(group_count),
+    : group_response(group_count),
       group_successes(group_count, 0),
       group_instances(group_count) {}
 
 aggregate_metrics::aggregate_metrics(std::size_t group_count)
-    : latency{util::latency_histogram()},
-      group_response(group_count),
+    : group_response(group_count),
       group_successes(group_count, 0),
       group_instances(group_count) {}
 

@@ -29,7 +29,7 @@ namespace mca::exp {
 /// Task mix of the workload (maps onto workload::*_source factories).
 enum class task_mix { static_minimax, random_pool, heavy_pool, weighted_pool };
 /// Inter-arrival model per device.
-enum class gap_model { study_sessions, exponential, fixed };
+enum class gap_model { study_sessions, exponential };
 
 const char* to_string(task_mix mix) noexcept;
 const char* to_string(gap_model model) noexcept;
@@ -64,8 +64,6 @@ struct scenario_spec {
   double idle_gap_sigma = 0.6;
   /// exponential: per-device arrival rate.
   double arrival_rate_hz = 0.01;
-  /// fixed: constant per-device gap.
-  util::time_ms fixed_gap = util::seconds(30.0);
 
   // --- promotion ---
   double promotion_probability = 1.0 / 50.0;
@@ -145,7 +143,7 @@ struct replication_metrics {
   double mean_prediction_accuracy = 0.0;  ///< 0 when no slot was scored
   std::size_t scored_slots = 0;
   util::running_stats response;      ///< successful foreground responses
-  util::histogram latency;           ///< same responses, binned
+  util::histogram latency;           ///< same responses, log-linear bins
   std::vector<util::running_stats> group_response;   ///< by group id
   std::vector<std::uint64_t> group_successes;        ///< by group id
   std::vector<util::running_stats> group_instances;  ///< planned, per slot
@@ -172,7 +170,7 @@ struct aggregate_metrics {
   util::running_stats cost_usd;       ///< per-replication totals
   util::running_stats accuracy;       ///< per-replication means
   util::running_stats response;       ///< pooled successful responses
-  util::histogram latency;            ///< pooled, same layout as digests
+  util::histogram latency;            ///< pooled bin for bin
   std::vector<util::running_stats> group_response;
   std::vector<std::uint64_t> group_successes;
   std::vector<util::running_stats> group_instances;

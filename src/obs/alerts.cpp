@@ -30,7 +30,7 @@ double windowed_value(const timeline& tl, const slo_objective& obj,
                ? 0.0
                : static_cast<double>(failures) / static_cast<double>(requests);
   }
-  util::histogram merged = util::latency_histogram();
+  util::histogram merged;
   for (std::size_t i = first; i <= last; ++i) {
     const timeline_window& w = tl.window(i);
     if (obj.group == kAllGroups) {

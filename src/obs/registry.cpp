@@ -86,11 +86,11 @@ const char* series_name(series s) noexcept {
 }
 
 void registry::resize_groups(std::size_t group_count) {
-  while (slo_.size() < group_count) slo_.push_back(util::latency_histogram());
+  if (slo_.size() < group_count) slo_.resize(group_count);
 }
 
 util::histogram registry::fleet_slo() const {
-  util::histogram fleet = util::latency_histogram();
+  util::histogram fleet;
   for (const auto& group : slo_) fleet.merge(group);
   return fleet;
 }
@@ -126,8 +126,8 @@ std::uint64_t registry::fingerprint() const noexcept {
     fnv.word(st.samples);
     fnv.real(st.sum);
     fnv.real(st.max);
-    for (std::size_t b = 0; b < st.histo.bucket_count(); ++b) {
-      fnv.word(st.histo.count_in_bucket(b));
+    for (std::size_t b = 0; b < st.histo.bin_count(); ++b) {
+      fnv.word(st.histo.count_in_bin(b));
     }
   }
   fnv.word(slo_.size());

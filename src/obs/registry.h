@@ -111,8 +111,8 @@ inline constexpr std::size_t kGaugeCount =
 const char* gauge_name(gauge g) noexcept;
 
 /// Distribution-valued observations (queue depths, batch sizes): each
-/// series keeps count/sum/max plus a log2-bucketed histogram, all
-/// preallocated.
+/// series keeps count/sum/max plus a util::histogram (each integer from 1
+/// to 63 gets a bin of its own), all preallocated.
 enum class series : std::uint32_t {
   ps_queue_depth,      ///< instance queue depth at submit
   ps_event_batch,      ///< completions drained per event
@@ -129,7 +129,7 @@ struct series_stats {
   std::uint64_t samples = 0;
   double sum = 0.0;
   double max = 0.0;
-  util::log_histogram histo{32};
+  util::histogram histo;
 
   double mean() const noexcept {
     return samples == 0 ? 0.0 : sum / static_cast<double>(samples);
@@ -203,7 +203,7 @@ class registry {
   std::array<std::uint64_t, kCounterCount> counters_{};
   std::array<std::uint64_t, kGaugeCount> gauges_{};
   std::array<series_stats, kSeriesCount> series_{};
-  std::vector<util::histogram> slo_;  ///< per group, util::latency_histogram
+  std::vector<util::histogram> slo_;  ///< per group
 };
 
 }  // namespace mca::obs

@@ -1,6 +1,7 @@
 // SLO percentile reporting: p50/p95/p99/p99.9 response time per group and
 // fleet-wide, extracted from util::histogram with within-bin linear
-// interpolation (histogram::quantile_interpolated).
+// interpolation (histogram::quantile_interpolated), each within a relative
+// 2^-5 of the exact percentile of the recorded responses.
 #pragma once
 
 #include <cstdio>

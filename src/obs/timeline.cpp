@@ -7,7 +7,7 @@
 namespace mca::obs {
 
 util::histogram timeline_window::merged_slo() const {
-  util::histogram merged = util::latency_histogram();
+  util::histogram merged;
   for (const util::histogram& h : slo) merged.merge(h);
   return merged;
 }
@@ -18,17 +18,10 @@ void timeline::reset(std::size_t window_capacity, std::size_t group_count) {
   windows_.reserve(window_capacity);
   for (std::size_t i = 0; i < window_capacity; ++i) {
     timeline_window w;
-    w.slo.reserve(group_count);
-    for (std::size_t g = 0; g < group_count; ++g) {
-      w.slo.push_back(util::latency_histogram());
-    }
+    w.slo.resize(group_count);
     windows_.push_back(std::move(w));
   }
-  prev_slo_.clear();
-  prev_slo_.reserve(group_count);
-  for (std::size_t g = 0; g < group_count; ++g) {
-    prev_slo_.push_back(util::latency_histogram());
-  }
+  prev_slo_.assign(group_count, util::histogram{});
   prev_counters_ = {};
   pushed_ = 0;
 }
@@ -108,9 +101,7 @@ void timeline::merge(const timeline& other) {
     for (std::size_t g = 0; g < kGaugeCount; ++g) {
       if (theirs.gauges[g] > mine.gauges[g]) mine.gauges[g] = theirs.gauges[g];
     }
-    while (mine.slo.size() < theirs.slo.size()) {
-      mine.slo.push_back(util::latency_histogram());
-    }
+    if (mine.slo.size() < theirs.slo.size()) mine.slo.resize(theirs.slo.size());
     for (std::size_t g = 0; g < theirs.slo.size(); ++g) {
       mine.slo[g].merge(theirs.slo[g]);
     }

@@ -1,6 +1,6 @@
 // Portable SIMD kernels for the digest-merge path.
 //
-// Per-shard metric digests (240-bin latency histograms, Welford group
+// Per-shard metric digests (769-bin latency histograms, Welford group
 // stats) are merged once per replication and once per shard flush; after
 // the backend-event overhaul those merges are a visible slice of the
 // metrics phase.  The helpers here use GCC/Clang generic vector extensions

@@ -6,13 +6,16 @@
 // the slot scan became a streaming accumulator.  None of that may change
 // simulation semantics.  Three layers of protection:
 //
-//  1. Pinned goldens — request counts, acceptance, billing totals, and
-//     latency-digest numbers recorded from the pre-refactor tree (PR-4
-//     code) for a fixed scenario/seed, asserted here.  Integer counts are
+//  1. Pinned goldens — request counts, acceptance, billing totals and the
+//     mean response recorded from the pre-refactor tree (PR-4 code) for a
+//     fixed scenario/seed, plus the digest's p50/p95 read off the
+//     log-linear latency histogram, asserted here.  Integer counts are
 //     exact; monetary/latency aggregates allow float-noise tolerance.
 //  2. Properties — the streaming request digest must equal the digest
-//     recomputed from the raw per-request series, and a run must not
-//     depend on whether the raw series is recorded at all.
+//     recomputed from the raw per-request series, its percentiles must lie
+//     within the histogram's 2^-5 relative bound of the raw series' exact
+//     ones, and a run must not depend on whether the raw series is
+//     recorded at all.
 //  3. Pinned fingerprints — the 64-bit FNV-1a hashes of the monolith's
 //     merged digest and of the sharded fleet's aggregate, counter registry
 //     and timeline, bit for bit.  Every count and double bit pattern feeds
@@ -23,8 +26,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <vector>
 
 #include "exp/thread_pool.h"
 #include "fleet/fleet_runner.h"
@@ -82,12 +87,15 @@ TEST(GoldenEquivalence, MonolithicRunMatchesPreRefactorGoldens) {
   EXPECT_EQ(digest.response.count(), 36182u);
   EXPECT_NEAR(digest.response.mean(), 221.4674971996, 1e-6);
   EXPECT_EQ(digest.latency.total(), 36182u);
-  EXPECT_NEAR(digest.latency.quantile(0.50), 125.0, 1e-9);
-  EXPECT_NEAR(digest.latency.quantile(0.95), 375.0, 1e-9);
+  // Read off the log-linear histogram (raw series: 211.3607 / 297.3080).
+  EXPECT_NEAR(digest.latency.quantile_interpolated(0.50), 211.3624615385,
+              1e-6);
+  EXPECT_NEAR(digest.latency.quantile_interpolated(0.95), 297.5243589744,
+              1e-6);
 
   const std::array<exp::replication_metrics, 1> replications{digest};
   EXPECT_EQ(exp::merge_replications(replications).fingerprint(),
-            0x72123d7281de36cdULL);
+            0x74b285f447335f8cULL);
 }
 
 TEST(GoldenEquivalence, ShardedFleetMatchesPreRefactorGoldens) {
@@ -108,9 +116,9 @@ TEST(GoldenEquivalence, ShardedFleetMatchesPreRefactorGoldens) {
   EXPECT_EQ(result.ilp_solves, 4u);
   EXPECT_EQ(result.slot_count, 5u);
 
-  EXPECT_EQ(result.fingerprint(), 0xa6eef0e5d1d3dbffULL);
-  EXPECT_EQ(result.observability.fingerprint(), 0xda1a12f08de3b460ULL);
-  EXPECT_EQ(result.timeline.fingerprint(), 0x92b9b10b5d0f742bULL);
+  EXPECT_EQ(result.fingerprint(), 0x867f1950b685f91aULL);
+  EXPECT_EQ(result.observability.fingerprint(), 0x18158e2368e20693ULL);
+  EXPECT_EQ(result.timeline.fingerprint(), 0x8756a9ecae587a2cULL);
 }
 
 TEST(GoldenEquivalence, StreamingDigestEqualsRawSeriesScan) {
@@ -130,15 +138,17 @@ TEST(GoldenEquivalence, StreamingDigestEqualsRawSeriesScan) {
   // Recompute every aggregate from the raw series, in push order — the
   // streaming path must be bit-identical (same add order, same floats).
   util::running_stats response;
-  util::histogram latency = util::latency_histogram();
+  util::histogram latency;
   std::vector<util::running_stats> group_response(
       streamed.group_response.size());
   std::vector<std::uint64_t> group_successes(streamed.group_successes.size(),
                                              0);
+  std::vector<double> raw;
   std::size_t successes = 0;
   for (const auto& r : metrics.requests) {
     if (!r.success) continue;
     ++successes;
+    raw.push_back(r.response_ms);
     response.add(r.response_ms);
     latency.add(r.response_ms);
     if (r.group < group_response.size()) {
@@ -155,6 +165,21 @@ TEST(GoldenEquivalence, StreamingDigestEqualsRawSeriesScan) {
   ASSERT_EQ(streamed.latency.bin_count(), latency.bin_count());
   for (std::size_t b = 0; b < latency.bin_count(); ++b) {
     EXPECT_EQ(streamed.latency.count_in_bin(b), latency.count_in_bin(b));
+  }
+
+  // The digest's percentiles against the raw series' exact interpolated
+  // order statistics (numpy "linear"): within the histogram's documented
+  // relative bound of 2^-5.
+  std::sort(raw.begin(), raw.end());
+  for (double q : {0.50, 0.95, 0.99}) {
+    const double rank = q * static_cast<double>(raw.size() - 1);
+    const auto lo = static_cast<std::size_t>(rank);
+    const std::size_t hi = std::min(lo + 1, raw.size() - 1);
+    const double exact =
+        raw[lo] + (rank - static_cast<double>(lo)) * (raw[hi] - raw[lo]);
+    EXPECT_LE(std::abs(streamed.latency.quantile_interpolated(q) - exact),
+              exact / 32.0)
+        << "q=" << q << " exact=" << exact;
   }
   for (std::size_t g = 0; g < group_response.size(); ++g) {
     EXPECT_EQ(streamed.group_response[g].count(), group_response[g].count());

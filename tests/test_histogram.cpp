@@ -1,198 +1,243 @@
+// Property tests for util::histogram, the one log-linear histogram: its
+// fixed layout, its error bound against exact sample quantiles, and the
+// merge/difference algebra the digests and timeline windows rely on.
 #include "util/histogram.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <functional>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "util/rng.h"
+
 namespace mca::util {
 namespace {
 
-TEST(Histogram, BinsSamplesCorrectly) {
-  histogram h{0.0, 10.0, 10};
-  h.add(0.5);
-  h.add(1.5);
-  h.add(1.6);
-  h.add(9.9);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.count_in_bin(0), 1u);
-  EXPECT_EQ(h.count_in_bin(1), 2u);
-  EXPECT_EQ(h.count_in_bin(9), 1u);
+constexpr double kRelativeBound = 1.0 / 32.0;  // 2^-5
+constexpr double kTop = 16777216.0;            // 2^24
+
+/// numpy's "linear" percentile over the raw samples — the value the
+/// histogram's interpolated quantile approximates.
+double exact_quantile(const std::vector<double>& sorted, double q) {
+  const double rank = q * static_cast<double>(sorted.size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  return sorted[lo] +
+         (rank - static_cast<double>(lo)) * (sorted[hi] - sorted[lo]);
 }
 
-TEST(Histogram, OutOfRangeSaturatesEdges) {
-  histogram h{0.0, 10.0, 5};
-  h.add(-3.0);
-  h.add(42.0);
-  EXPECT_EQ(h.total(), 2u);
-  EXPECT_EQ(h.count_in_bin(0), 1u);
-  EXPECT_EQ(h.count_in_bin(4), 1u);
+/// Feeds `n` draws of `draw` into a histogram and checks every quantile on
+/// a 0.01 grid (plus p99.9) against the exact sample quantile.  All draws
+/// are >= 1, where the bound is relative.
+void expect_within_bound(const std::function<double(rng&)>& draw,
+                         std::uint64_t seed, std::size_t n,
+                         const std::string& label) {
+  rng gen{seed};
+  histogram h;
+  std::vector<double> samples;
+  samples.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double x = draw(gen);
+    ASSERT_GE(x, 1.0);
+    ASSERT_LT(x, kTop);
+    samples.push_back(x);
+    h.add(x);
+  }
+  std::sort(samples.begin(), samples.end());
+  std::vector<double> grid;
+  for (int step = 0; step <= 100; ++step) grid.push_back(step / 100.0);
+  grid.push_back(0.999);
+  for (double q : grid) {
+    const double exact = exact_quantile(samples, q);
+    EXPECT_LE(std::abs(h.quantile_interpolated(q) - exact),
+              kRelativeBound * exact)
+        << label << " q=" << q << " exact=" << exact;
+  }
 }
 
-TEST(Histogram, BinLowerEdges) {
-  histogram h{10.0, 20.0, 5};
-  EXPECT_DOUBLE_EQ(h.bin_lower(0), 10.0);
-  EXPECT_DOUBLE_EQ(h.bin_lower(4), 18.0);
-  EXPECT_DOUBLE_EQ(h.bin_width(), 2.0);
-  EXPECT_THROW(h.bin_lower(5), std::out_of_range);
+TEST(Histogram, LayoutIsFixedAndShared) {
+  const histogram h;
+  EXPECT_EQ(h.bin_count(), 769u);
+  EXPECT_EQ(h.bin_count(), 1 + histogram::kOctaves * histogram::kSubBins);
+  EXPECT_EQ(h.bin_lower(0), 0.0);
+  EXPECT_EQ(h.bin_upper(0), 1.0);
+  EXPECT_EQ(h.bin_lower(1), 1.0);
+  EXPECT_EQ(h.bin_upper(1), 1.0 + 1.0 / 32.0);
+  EXPECT_EQ(h.bin_lower(33), 2.0);  // second octave starts 32 bins later
+  EXPECT_EQ(h.bin_upper(h.bin_count() - 1), kTop);
+  EXPECT_THROW(h.bin_lower(h.bin_count()), std::out_of_range);
+  EXPECT_THROW(h.bin_upper(h.bin_count()), std::out_of_range);
+  EXPECT_THROW(h.count_in_bin(h.bin_count()), std::out_of_range);
 }
 
-TEST(Histogram, MergeCombinesCounts) {
-  histogram a{0.0, 10.0, 10};
-  histogram b{0.0, 10.0, 10};
-  a.add(0.5);
-  a.add(4.5);
-  b.add(4.7);
-  b.add(9.5);
+TEST(Histogram, EdgesAreContiguousIncreasingAndWithinTheBound) {
+  const histogram h;
+  for (std::size_t b = 0; b < h.bin_count(); ++b) {
+    const double lower = h.bin_lower(b);
+    const double upper = h.bin_upper(b);
+    EXPECT_LT(lower, upper) << "bin " << b;
+    if (b + 1 < h.bin_count()) {
+      EXPECT_EQ(upper, h.bin_lower(b + 1)) << "bin " << b;
+    }
+    if (b > 0) {
+      EXPECT_LE(upper - lower, lower * kRelativeBound) << "bin " << b;
+    }
+  }
+}
+
+TEST(Histogram, EverySampleLandsInsideItsBinsEdges) {
+  // Both edges of every bin: the lower edge itself and the largest double
+  // below the upper edge must land in that bin and nowhere else.
+  for (std::size_t b = 1; b < histogram::kBins; ++b) {
+    histogram h;
+    h.add(h.bin_lower(b));
+    h.add(std::nextafter(h.bin_upper(b), 0.0));
+    EXPECT_EQ(h.count_in_bin(b), 2u) << "bin " << b;
+  }
+  // And a seeded spread of interior values across the whole range.
+  rng gen{17};
+  std::size_t checked = 0;
+  for (int i = 0; i < 20'000; ++i) {
+    const double x = std::exp2(gen.uniform(0.0, 24.0));
+    if (x >= kTop) continue;
+    histogram one;
+    one.add(x);
+    for (std::size_t b = 0; b < one.bin_count(); ++b) {
+      if (one.count_in_bin(b) == 0) continue;
+      EXPECT_LE(one.bin_lower(b), x);
+      EXPECT_LT(x, one.bin_upper(b));
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 19'000u);
+}
+
+TEST(Histogram, SmallIntegersGetBinsOfTheirOwn) {
+  // Queue depths and batch sizes: every integer from 1 to 63 lands in its
+  // own bin, whose lower edge is the integer.
+  histogram h;
+  for (int k = 1; k < 64; ++k) h.add(k);
+  std::size_t occupied = 0;
+  for (std::size_t b = 0; b < h.bin_count(); ++b) {
+    if (h.count_in_bin(b) == 0) continue;
+    ++occupied;
+    EXPECT_EQ(h.count_in_bin(b), 1u);
+    EXPECT_EQ(h.bin_lower(b), std::floor(h.bin_lower(b)));
+  }
+  EXPECT_EQ(occupied, 63u);
+}
+
+TEST(Histogram, LognormalLatenciesWithinTwoToTheMinusFive) {
+  expect_within_bound(
+      [](rng& g) { return 1.0 + g.lognormal(std::log(200.0), 0.9); }, 11,
+      40'000, "lognormal");
+}
+
+TEST(Histogram, ExponentialWithinTwoToTheMinusFive) {
+  expect_within_bound([](rng& g) { return 1.0 + g.exponential(1.0 / 300.0); },
+                      12, 40'000, "exponential");
+}
+
+TEST(Histogram, SmallIntegersWithinTwoToTheMinusFive) {
+  expect_within_bound(
+      [](rng& g) { return static_cast<double>(g.uniform_int(1, 40)); }, 13,
+      20'000, "small-integer");
+}
+
+TEST(Histogram, WideRangeWithinTwoToTheMinusFive) {
+  // Log-uniform over 24 octaves, 1 ms to hours: the bound is relative
+  // everywhere in [1, 2^24).
+  expect_within_bound([](rng& g) { return std::exp2(g.uniform(0.0, 23.99)); },
+                      14, 20'000, "log-uniform");
+}
+
+TEST(Histogram, NaNNegativeAndSubOneSamplesLandInBinZero) {
+  histogram h;
+  h.add(std::nan(""));
+  h.add(-1.0);
+  h.add(-0.0);
+  h.add(0.0);
+  h.add(0.999);
+  h.add(std::nextafter(1.0, 0.0));
+  EXPECT_EQ(h.total(), 6u);
+  EXPECT_EQ(h.count_in_bin(0), 6u);
+  h.add(1.0);
+  EXPECT_EQ(h.count_in_bin(1), 1u);
+}
+
+TEST(Histogram, HugeSamplesLandInTheTopBin) {
+  histogram h;
+  h.add(kTop);
+  h.add(1e307);
+  h.add(std::numeric_limits<double>::infinity());
+  const std::size_t top = h.bin_count() - 1;
+  EXPECT_EQ(h.count_in_bin(top), 3u);
+  h.add(std::nextafter(kTop, 0.0));  // the top bin's own range
+  EXPECT_EQ(h.count_in_bin(top), 4u);
+  EXPECT_EQ(h.count_in_bin(top - 1), 0u);
+}
+
+TEST(Histogram, MergeEqualsAddingEverySample) {
+  rng gen{21};
+  histogram a;
+  histogram b;
+  histogram all;
+  for (int i = 0; i < 5'000; ++i) {
+    const double x = gen.lognormal(std::log(150.0), 1.5);
+    (gen.bernoulli(0.4) ? a : b).add(x);
+    all.add(x);
+  }
+  const histogram b_before = b;
   a.merge(b);
-  EXPECT_EQ(a.total(), 4u);
-  EXPECT_EQ(a.count_in_bin(0), 1u);
-  EXPECT_EQ(a.count_in_bin(4), 2u);
-  EXPECT_EQ(a.count_in_bin(9), 1u);
-  // b is untouched.
-  EXPECT_EQ(b.total(), 2u);
+  EXPECT_EQ(a.total(), all.total());
+  for (std::size_t bin = 0; bin < all.bin_count(); ++bin) {
+    EXPECT_EQ(a.count_in_bin(bin), all.count_in_bin(bin)) << "bin " << bin;
+    EXPECT_EQ(b.count_in_bin(bin), b_before.count_in_bin(bin));
+  }
 }
 
-TEST(Histogram, MergeRejectsMismatchedLayouts) {
-  histogram a{0.0, 10.0, 10};
-  histogram bins{0.0, 10.0, 5};
-  histogram range{0.0, 20.0, 10};
-  EXPECT_THROW(a.merge(bins), std::invalid_argument);
-  EXPECT_THROW(a.merge(range), std::invalid_argument);
+TEST(Histogram, AssignDifferenceUndoesMerge) {
+  rng gen{22};
+  histogram earlier;
+  histogram later;
+  for (int i = 0; i < 2'000; ++i) earlier.add(gen.exponential(0.01));
+  for (int i = 0; i < 3'000; ++i) later.add(gen.exponential(0.002));
+  histogram cumulative = earlier;
+  cumulative.merge(later);
+  histogram delta;
+  delta.add(5.0);  // overwritten, not accumulated
+  delta.assign_difference(cumulative, earlier);
+  EXPECT_EQ(delta.total(), later.total());
+  for (std::size_t b = 0; b < later.bin_count(); ++b) {
+    EXPECT_EQ(delta.count_in_bin(b), later.count_in_bin(b)) << "bin " << b;
+  }
+  EXPECT_THROW(delta.assign_difference(earlier, cumulative),
+               std::invalid_argument);
 }
 
-TEST(Histogram, QuantileApproximation) {
-  histogram h{0.0, 100.0, 100};
-  for (int i = 0; i < 100; ++i) h.add(i + 0.5);
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.95), 95.0, 1.5);
-}
-
-TEST(Histogram, QuantileErrors) {
-  histogram h{0.0, 1.0, 2};
-  EXPECT_THROW(h.quantile(0.5), std::logic_error);
-  h.add(0.5);
-  EXPECT_THROW(h.quantile(-0.1), std::invalid_argument);
-  EXPECT_THROW(h.quantile(1.5), std::invalid_argument);
-}
-
-TEST(Histogram, InterpolatedQuantileExactWithOneSamplePerBin) {
-  // One sample per bin at the bin's (j+0.5)/c position == the sample's
-  // actual value: the interpolated quantile must reproduce numpy's
-  // "linear" method on the underlying values exactly.
-  histogram h{0.0, 100.0, 100};
-  for (int i = 0; i < 100; ++i) h.add(i + 0.5);
-  // numpy.percentile([0.5..99.5], 50, method="linear") = 50.0
-  EXPECT_NEAR(h.quantile_interpolated(0.5), 50.0, 1e-9);
-  // rank 0.95*(100-1) = 94.05 -> between samples 94 (94.5) and 95 (95.5).
-  EXPECT_NEAR(h.quantile_interpolated(0.95), 94.55, 1e-9);
-  // rank 0.999*99 = 98.901 -> 98.5 + 0.901 * (99.5 - 98.5).
-  EXPECT_NEAR(h.quantile_interpolated(0.999), 99.401, 1e-9);
-}
-
-TEST(Histogram, InterpolatedQuantileBounds) {
-  histogram h{0.0, 10.0, 10};
-  for (int i = 0; i < 10; ++i) h.add(i + 0.5);
-  // q=0 is the smallest sample, q=1 the largest (no extrapolation past
-  // the data).
-  EXPECT_NEAR(h.quantile_interpolated(0.0), 0.5, 1e-9);
-  EXPECT_NEAR(h.quantile_interpolated(1.0), 9.5, 1e-9);
-}
-
-TEST(Histogram, InterpolatedQuantileWithinBinSpacing) {
-  // Four samples in one bin sit at 1/8, 3/8, 5/8, 7/8 of the bin width.
-  histogram h{0.0, 8.0, 1};
-  for (int i = 0; i < 4; ++i) h.add(1.0);
-  EXPECT_NEAR(h.quantile_interpolated(0.0), 1.0, 1e-9);
-  EXPECT_NEAR(h.quantile_interpolated(1.0), 7.0, 1e-9);
-  // rank 0.5*3 = 1.5 -> midway between samples 1 (3.0) and 2 (5.0).
-  EXPECT_NEAR(h.quantile_interpolated(0.5), 4.0, 1e-9);
-}
-
-TEST(Histogram, InterpolatedQuantileMonotonic) {
-  histogram h{0.0, 60.0, 240};
-  for (int i = 0; i < 1000; ++i) h.add((i * 37) % 60 + 0.25);
+TEST(Histogram, QuantileIsMonotonicInQ) {
+  rng gen{23};
+  histogram h;
+  for (int i = 0; i < 3'000; ++i) h.add(gen.lognormal(std::log(80.0), 1.2));
   double prev = h.quantile_interpolated(0.0);
-  for (int step = 1; step <= 20; ++step) {
-    const double q = static_cast<double>(step) / 20.0;
-    const double v = h.quantile_interpolated(q);
-    EXPECT_GE(v, prev - 1e-12) << "q=" << q;
+  for (int step = 1; step <= 200; ++step) {
+    const double v = h.quantile_interpolated(step / 200.0);
+    EXPECT_GE(v, prev) << "step " << step;
     prev = v;
   }
 }
 
-TEST(Histogram, InterpolatedQuantileSingleSample) {
-  histogram h{0.0, 10.0, 10};
-  h.add(3.0);
-  // The lone sample sits at the middle of its bin.
-  EXPECT_NEAR(h.quantile_interpolated(0.0), 3.5, 1e-9);
-  EXPECT_NEAR(h.quantile_interpolated(0.5), 3.5, 1e-9);
-  EXPECT_NEAR(h.quantile_interpolated(1.0), 3.5, 1e-9);
-}
-
-TEST(Histogram, InterpolatedQuantileErrors) {
-  histogram h{0.0, 1.0, 2};
+TEST(Histogram, QuantileErrors) {
+  histogram h;
   EXPECT_THROW(h.quantile_interpolated(0.5), std::logic_error);
-  h.add(0.5);
+  h.add(7.0);
   EXPECT_THROW(h.quantile_interpolated(-0.1), std::invalid_argument);
   EXPECT_THROW(h.quantile_interpolated(1.5), std::invalid_argument);
-}
-
-TEST(Histogram, ConstructorValidation) {
-  EXPECT_THROW(histogram(0.0, 1.0, 0), std::invalid_argument);
-  EXPECT_THROW(histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(histogram(2.0, 1.0, 4), std::invalid_argument);
-}
-
-TEST(LogHistogram, PowerOfTwoBuckets) {
-  log_histogram h;
-  h.add(0.5);   // bucket 0: [0,1)
-  h.add(1.0);   // bucket 1: [1,2)
-  h.add(3.0);   // bucket 2: [2,4)
-  h.add(1000);  // bucket 10: [512,1024)
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.count_in_bucket(0), 1u);
-  EXPECT_EQ(h.count_in_bucket(1), 1u);
-  EXPECT_EQ(h.count_in_bucket(2), 1u);
-  EXPECT_EQ(h.count_in_bucket(10), 1u);
-}
-
-TEST(LogHistogram, BucketLowerBounds) {
-  log_histogram h;
-  EXPECT_DOUBLE_EQ(h.bucket_lower(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bucket_lower(1), 1.0);
-  EXPECT_DOUBLE_EQ(h.bucket_lower(4), 8.0);
-}
-
-TEST(LogHistogram, SaturatesAtLastBucket) {
-  log_histogram h{4};
-  h.add(1e12);
-  EXPECT_EQ(h.count_in_bucket(3), 1u);
-}
-
-TEST(LogHistogram, MergeCombinesBuckets) {
-  log_histogram a;
-  log_histogram b;
-  a.add(0.5);
-  a.add(3.0);
-  b.add(3.5);
-  b.add(1000.0);
-  a.merge(b);
-  EXPECT_EQ(a.total(), 4u);
-  EXPECT_EQ(a.count_in_bucket(0), 1u);
-  EXPECT_EQ(a.count_in_bucket(2), 2u);
-  EXPECT_EQ(a.count_in_bucket(10), 1u);
-  EXPECT_EQ(b.total(), 2u);  // b untouched
-}
-
-TEST(LogHistogram, MergeRejectsMismatchedBucketCounts) {
-  log_histogram a{8};
-  log_histogram b{16};
-  EXPECT_THROW(a.merge(b), std::invalid_argument);
-}
-
-TEST(LogHistogram, ToStringListsNonEmpty) {
-  log_histogram h;
-  h.add(3.0);
-  const auto text = h.to_string();
-  EXPECT_NE(text.find("[2,4): 1"), std::string::npos);
+  EXPECT_THROW(h.quantile_interpolated(std::nan("")), std::invalid_argument);
 }
 
 }  // namespace

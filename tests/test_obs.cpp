@@ -119,8 +119,9 @@ TEST(ObsRegistry, SloReportRowsAndFleetTotal) {
   // Group 0 percentiles rise through the 100..199 ms band.
   EXPECT_GT(report.rows[1].p99_ms, report.rows[1].p50_ms);
   EXPECT_GE(report.rows[1].p999_ms, report.rows[1].p99_ms);
-  // Group 1 is a point mass within one 250 ms bin.
-  EXPECT_NEAR(report.rows[2].p50_ms, report.rows[2].p999_ms, 250.0);
+  // Group 1 is a point mass: every percentile within 2^-5 of 1 s.
+  EXPECT_NEAR(report.rows[2].p50_ms, 1000.0, 1000.0 / 32.0);
+  EXPECT_NEAR(report.rows[2].p999_ms, 1000.0, 1000.0 / 32.0);
 }
 
 // ---------------------------------------------------------------------------
