@@ -84,7 +84,8 @@ class mobile_device {
 /// exactly (same profiles, same clamping).
 class device_slab {
  public:
-  /// `mix` is cycled over users, like system_config::device_mix.
+  /// `mix` is cycled over users (the closed-loop system cycles flagship,
+  /// midrange, budget, wearable).
   device_slab(std::size_t user_count, std::span<const device_class> mix);
 
   // Per-request SoA accessors: one array read/write per decision or

@@ -89,16 +89,6 @@ double group_capacity(const allocation_request& request,
   return capacity;
 }
 
-/// Margin-free rhs of group g's workload row: the group's own demand, or
-/// the tail sum over groups >= g under the cumulative reading.
-double row_demand(const allocation_request& shape,
-                  std::span<const double> demand, group_id g) {
-  if (!shape.cumulative_capacity) return demand[g];
-  double total = 0.0;
-  for (std::size_t h = g; h < demand.size(); ++h) total += demand[h];
-  return total;
-}
-
 /// The shared ILP model of one deployment shape: columns per candidate,
 /// per group a workload row plus a cardinality cut, the account-cap row
 /// last.  `demand_row[g]` / `count_row[g]` locate group g's rows (kNoRow
@@ -164,20 +154,9 @@ allocation_model build_model(const allocation_request& request,
   out.max_capacity.assign(group_count, 0.0);
   for (group_id g = 0; g < group_count; ++g) {
     std::vector<ilp::linear_term> terms;
-    if (request.cumulative_capacity) {
-      // Faster groups may absorb this group's demand: sum capacity over
-      // groups >= g.
-      for (group_id h = g; h < group_count; ++h) {
-        for (const std::size_t i : layout.by_group[h]) {
-          terms.push_back(
-              {i, candidate_of(request, layout, i).capacity_per_instance});
-        }
-      }
-    } else {
-      for (const std::size_t i : layout.by_group[g]) {
-        terms.push_back(
-            {i, candidate_of(request, layout, i).capacity_per_instance});
-      }
+    for (const std::size_t i : layout.by_group[g]) {
+      terms.push_back(
+          {i, candidate_of(request, layout, i).capacity_per_instance});
     }
     if (terms.empty()) continue;
     std::vector<ilp::linear_term> count_terms;
@@ -193,7 +172,7 @@ allocation_model build_model(const allocation_request& request,
         best_value_capacity = term.coeff;
       }
     }
-    const double rhs = row_demand(request, demand, g) + kCapacityMargin;
+    const double rhs = demand[g] + kCapacityMargin;
     out.demand_row[g] = out.model.constraint_count();
     out.model.add_constraint(std::move(terms), ilp::relation::greater_equal,
                              rhs, "workload_g" + std::to_string(g));
@@ -221,11 +200,10 @@ allocation_model build_model(const allocation_request& request,
 
 /// True when some group's demand has no capacity terms to cover it — the
 /// structurally infeasible case that short-circuits to best effort.
-bool uncoverable_demand(const allocation_request& shape,
-                        const allocation_model& m,
+bool uncoverable_demand(const allocation_model& m,
                         std::span<const double> demand) {
   for (group_id g = 0; g < m.demand_row.size(); ++g) {
-    if (m.demand_row[g] == kNoRow && row_demand(shape, demand, g) > 0.0) {
+    if (m.demand_row[g] == kNoRow && demand[g] > 0.0) {
       return true;
     }
   }
@@ -312,7 +290,7 @@ allocation_plan allocate_ilp(const allocation_request& request,
 
   const allocation_model m = build_model(
       request, layout, request.workload_per_group, /*all_cuts=*/false);
-  if (uncoverable_demand(request, m, request.workload_per_group)) {
+  if (uncoverable_demand(m, request.workload_per_group)) {
     // Demand with no candidates is structurally infeasible.
     allocation_plan plan = allocate_best_effort(request);
     plan.status = ilp::solve_status::infeasible;
@@ -536,7 +514,7 @@ allocation_plan batched_allocator::solve(
   ++im.solves;
   if (im.obs) im.obs->add(obs::counter::ilp_solves);
 
-  if (uncoverable_demand(im.shape, im.m, demand_per_group)) {
+  if (uncoverable_demand(im.m, demand_per_group)) {
     if (im.obs) im.obs->add(obs::counter::ilp_best_effort);
     allocation_plan plan =
         allocate_best_effort(im.with_demand(demand_per_group, cap));
@@ -550,8 +528,7 @@ allocation_plan batched_allocator::solve(
   for (group_id g = 0; g < im.m.demand_row.size(); ++g) {
     const std::size_t row = im.m.demand_row[g];
     if (row == kNoRow) continue;
-    const double rhs =
-        row_demand(im.shape, demand_per_group, g) + kCapacityMargin;
+    const double rhs = demand_per_group[g] + kCapacityMargin;
     im.m.model.set_constraint_rhs(row, rhs);
     if (im.root) {
       im.root->sync_constraint_rhs(row);

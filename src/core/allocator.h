@@ -6,10 +6,12 @@
 //          Σ x_s ≤ CC                                               (3)
 //
 // solved exactly with the in-repo branch-and-bound ILP solver (the paper
-// uses R's lpSolveAPI).  Besides the ILP, three baselines are provided for
-// the ablation bench: a cost-greedy heuristic, static peak provisioning,
-// and best-effort filling for the infeasible case (workload beyond what CC
-// instances can carry).
+// uses R's lpSolveAPI).  Constraint (2) is strict and per group, as the
+// paper writes it once per group: a group's demand is covered by that
+// group's own instances only.  Besides the ILP, three baselines are
+// provided for the ablation bench: a cost-greedy heuristic, static peak
+// provisioning, and best-effort filling for the infeasible case (workload
+// beyond what CC instances can carry).
 #pragma once
 
 #include <memory>
@@ -39,10 +41,6 @@ struct allocation_request {
   std::vector<std::vector<allocation_candidate>> candidates_per_group;
   /// CC: the cloud account's instance cap (Amazon's default is 20).
   std::size_t max_total_instances = 20;
-  /// Cumulative reading of constraint (2): instances of faster groups may
-  /// absorb slower groups' workload.  Default strict per-group, because the
-  /// paper writes constraint (2) once per group.
-  bool cumulative_capacity = false;
 };
 
 /// Chosen instance counts.
@@ -105,15 +103,15 @@ allocation_plan allocate_best_effort(const allocation_request& request);
 /// Reusable batched allocator — the multi-slot `allocate_ilp` entry point.
 ///
 /// Builds the ILP model ONCE from a fixed deployment shape (candidates per
-/// group, account cap, cumulative reading) and re-solves it for a
-/// stream of per-slot demand vectors, touching only the workload rows'
-/// right-hand sides between solves.  Consecutive solves keep one warm
-/// tableau: the rhs move is applied in place (dense_tableau::
-/// sync_constraint_rhs), the dual simplex repairs feasibility from the
-/// previous optimal basis, and branch & bound is seeded with the previous
-/// slot's plan as incumbent whenever it is still feasible — so slots whose
-/// demands barely move cost a few dual pivots instead of a model build, a
-/// two-phase solve, and a cold tree search.  Results are identical to
+/// group, account cap) and re-solves it for a stream of per-slot demand
+/// vectors, touching only the workload rows' right-hand sides between
+/// solves.  Consecutive solves keep one warm tableau: the rhs move is
+/// applied in place (dense_tableau::sync_constraint_rhs), the dual simplex
+/// repairs feasibility from the previous optimal basis, and branch & bound
+/// is seeded with the previous slot's plan as incumbent whenever it is
+/// still feasible — so slots whose demands barely move cost a few dual
+/// pivots instead of a model build, a two-phase solve, and a cold tree
+/// search.  Results are identical to
 /// independent allocate_ilp calls (asserted by tests).
 class batched_allocator {
  public:

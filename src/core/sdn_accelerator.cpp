@@ -163,14 +163,12 @@ void sdn_accelerator::stage_return(std::uint32_t slot,
   // the observer and the (optionally retained) log record fire now and
   // carry it; the owner decides slot membership by logged_at.
   const util::time_ms logged_at = sim_.now() + config_.backend_one_way_ms;
-  if (log_ != nullptr) {
-    if (on_trace_) {
-      on_trace_(logged_at, s.request.created_at, s.request.user, s.group);
-    }
-    if (config_.retain_trace_records) {
-      log_->append({s.request.created_at, s.request.user, s.group, s.battery,
-                    s.timing.total()});
-    }
+  if (on_trace_) {
+    on_trace_(logged_at, s.request.created_at, s.request.user, s.group);
+  }
+  if (log_ != nullptr && config_.retain_trace_records) {
+    log_->append({s.request.created_at, s.request.user, s.group, s.battery,
+                  s.timing.total()});
   }
   sim_.schedule_at(logged_at + s.timing.front_to_mobile,
                    [this, slot] { deliver(slot); });

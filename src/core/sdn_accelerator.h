@@ -44,9 +44,9 @@ struct sdn_config {
   double routing_overhead_sd_ms = 20.0;
   /// Front-end <-> back-end one-way latency (same private network).
   double backend_one_way_ms = 3.0;
-  /// Keep the raw trace records in the log store.  Off, the trace point
-  /// still fires (prediction works) but nothing accumulates in memory —
-  /// the fleet-scale setting.
+  /// Keep the raw trace records in the attached log store.  Off (or with
+  /// no log attached, as in core::offloading_system), the trace point
+  /// still fires (prediction works) but nothing accumulates in memory.
   bool retain_trace_records = true;
   /// Keep raw per-group routing-time samples (Fig. 8a series).
   bool keep_routing_samples = false;
@@ -126,7 +126,8 @@ using trace_fn = std::function<void(util::time_ms logged_at,
 /// The front-end component.
 class sdn_accelerator {
  public:
-  /// `log` may be nullptr to disable persistence regardless of config.
+  /// `log` may be nullptr to disable persistence regardless of config;
+  /// the trace observer fires either way.
   sdn_accelerator(sim::simulation& sim, cloud::backend_pool& backend,
                   net::rtt_model mobile_link, trace::log_store* log,
                   sdn_config config, util::rng rng);

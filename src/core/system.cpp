@@ -8,9 +8,12 @@
 namespace mca::core {
 
 namespace {
-/// Placeholder mix for the device slab when the config is malformed; the
-/// constructor body rejects such configs right after member init.
-constexpr client::device_class kFallbackMix[] = {client::device_class::midrange};
+/// "Initially, each user is located in the lowest acceleration group".
+constexpr group_id kInitialGroup = 1;
+/// Device hardware mix, cycled over users.
+constexpr client::device_class kDeviceMix[] = {
+    client::device_class::flagship, client::device_class::midrange,
+    client::device_class::budget, client::device_class::wearable};
 }  // namespace
 
 std::optional<double> system_metrics::mean_prediction_accuracy() const {
@@ -59,10 +62,7 @@ std::vector<group_id> system_metrics::user_group_series(user_id user) const {
 offloading_system::offloading_system(system_config config,
                                      const tasks::task_pool& pool)
     : config_{std::move(config)}, pool_{pool}, rng_{config_.seed},
-      devices_{config_.user_count == 0 ? 1 : config_.user_count,
-               config_.device_mix.empty()
-                   ? std::span<const client::device_class>{kFallbackMix}
-                   : std::span<const client::device_class>{config_.device_mix}},
+      devices_{config_.user_count == 0 ? 1 : config_.user_count, kDeviceMix},
       background_rng_{config_.seed ^ 0xbadc0ffeULL} {
   if (config_.groups.empty()) {
     throw std::invalid_argument{"system: no backend groups"};
@@ -73,9 +73,7 @@ offloading_system::offloading_system(system_config config,
   if (config_.user_count == 0) {
     throw std::invalid_argument{"system: zero users"};
   }
-  if (config_.device_mix.empty()) {
-    throw std::invalid_argument{"system: empty device mix"};
-  }
+  cloud::instance::options instance_options;
   if (config_.faults.active()) {
     // The fault program is the single source of truth for the resilience
     // knobs: map it onto the SDN retry path and the instance cold-start
@@ -86,12 +84,11 @@ offloading_system::offloading_system(system_config config,
     config_.sdn.retry_backoff_cap_ms = config_.faults.retry_backoff_cap_ms;
     config_.sdn.local_fallback = config_.faults.local_fallback;
     config_.sdn.local_exec_wu_per_ms = config_.faults.local_exec_wu_per_ms;
-    config_.instance_options.cold_start_mean_ms =
-        config_.faults.cold_start_mean_ms;
-    config_.instance_options.cold_start_sigma = config_.faults.cold_start_sigma;
+    instance_options.cold_start_mean_ms = config_.faults.cold_start_mean_ms;
+    instance_options.cold_start_sigma = config_.faults.cold_start_sigma;
   }
 
-  group_id max_group = config_.initial_group;
+  group_id max_group = kInitialGroup;
   for (const auto& spec : config_.groups) {
     max_group = std::max(max_group, spec.group);
   }
@@ -107,7 +104,7 @@ offloading_system::offloading_system(system_config config,
   }
 
   backend_ = std::make_unique<cloud::backend_pool>(sim_, rng_.fork(),
-                                                   config_.instance_options);
+                                                   instance_options);
   for (std::size_t i = 0; i < config_.groups.size(); ++i) {
     const auto& spec = config_.groups[i];
     for (std::size_t n = 0; n < spec.initial_count; ++n) {
@@ -118,7 +115,7 @@ offloading_system::offloading_system(system_config config,
   sdn_ = std::make_unique<sdn_accelerator>(
       sim_, *backend_,
       config_.mobile_link ? *config_.mobile_link : net::default_lte_model(),
-      &log_, config_.sdn, rng_.fork());
+      /*log=*/nullptr, config_.sdn, rng_.fork());
   sdn_->set_response_sink(this);
   sdn_->set_trace_observer([this](util::time_ms logged_at,
                                   util::time_ms created_at, user_id user,
@@ -130,7 +127,7 @@ offloading_system::offloading_system(system_config config,
                     ? config_.policy_factory()
                     : std::make_unique<client::static_probability_promotion>();
   moderator_ = std::make_unique<client::moderator>(
-      std::move(policy), config_.initial_group, max_group, rng_.fork(),
+      std::move(policy), kInitialGroup, max_group, rng_.fork(),
       config_.allow_demotion);
 
   obs_.resize_groups(group_count_);
@@ -152,7 +149,6 @@ offloading_system::offloading_system(system_config config,
   }
 
   predictor_ = workload_predictor{config_.predictor_mode};
-  predictor_.set_history(config_.seed_history);
 
   if (config_.enable_adaptation && !config_.external_allocation) {
     allocator_.emplace(make_slot_allocation_request(config_, group_count_, {}));
@@ -374,7 +370,6 @@ allocation_request make_slot_allocation_request(
         {spec.type_name, spec.capacity_per_instance, type.cost_per_hour});
   }
   request.max_total_instances = config.max_total_instances;
-  request.cumulative_capacity = config.cumulative_capacity;
   return request;
 }
 

@@ -4,7 +4,7 @@
 // This is the harness behind the paper's §VI-C experiments (Fig. 9/10):
 // a population of devices issues offloading requests following a
 // trace-driven inter-arrival process; each device's moderator decides its
-// acceleration group (promotions); the SDN front-end routes and logs; and
+// acceleration group (promotions); the SDN front-end routes and traces; and
 // at every provisioning-slot boundary the predictor forecasts the next
 // slot's per-group workload and the ILP allocator reshapes the fleet —
 // all against hourly billing and the account instance cap.
@@ -30,7 +30,6 @@
 #include "obs/tracer.h"
 #include "sim/simulation.h"
 #include "tasks/task.h"
-#include "trace/log_store.h"
 #include "util/histogram.h"
 #include "workload/generator.h"
 
@@ -47,19 +46,16 @@ struct group_backend_spec {
   double capacity_per_instance = 10.0;
 };
 
-/// Full experiment description.
+/// Full experiment description.  Users start in group 1 (kInitialGroup)
+/// and cycle through the device mix flagship, midrange, budget, wearable
+/// (kDeviceMix); both are constants of the deployment in system.cpp.
 struct system_config {
   std::vector<group_backend_spec> groups;
-  group_id initial_group = 1;
 
   // --- workload ---
   std::size_t user_count = 100;
   workload::task_source tasks;        ///< required
   workload::interarrival_fn gaps;     ///< required
-  /// Device hardware mix, cycled over users.
-  std::vector<client::device_class> device_mix = {
-      client::device_class::flagship, client::device_class::midrange,
-      client::device_class::budget, client::device_class::wearable};
 
   // --- promotion ---
   /// Built if `policy_factory` is empty: the paper's static 1/50 policy.
@@ -72,9 +68,6 @@ struct system_config {
   util::time_ms slot_length = util::hours(1);
   std::size_t max_total_instances = 20;  ///< CC
   prediction_mode predictor_mode = prediction_mode::successor;
-  /// Pre-trained knowledge base (e.g. from a warm-up run).
-  std::vector<trace::time_slot> seed_history;
-  bool cumulative_capacity = false;
   /// Externally driven provisioning (the fleet coordinator's mode): slot
   /// boundaries still predict and build the allocation request, but do not
   /// solve or apply it — the owner reads take_pending_demand() after
@@ -113,8 +106,8 @@ struct system_config {
   /// Inert by default (enabled == false): no fault events are scheduled,
   /// no extra rng draws happen anywhere, and pre-fault goldens reproduce
   /// bit-exactly.  When enabled, the program's resilience knobs are mapped
-  /// onto `sdn` and `instance_options` at construction — the program is
-  /// the single source of truth.
+  /// onto `sdn` and the instances' cold-start options at construction —
+  /// the program is the single source of truth.
   fault::fault_program faults;
   /// Precomputed preemption strikes (fault::make_preemption_schedule);
   /// exp::make_system_config fills this from the program, fleet shards
@@ -127,7 +120,6 @@ struct system_config {
   /// (operator beta's calibrated LTE).  Supply a 3G model to study the
   /// §VI-C.4 technology gap end to end.
   std::optional<net::rtt_model> mobile_link;
-  cloud::instance::options instance_options;
   std::uint64_t seed = 7;
 };
 
@@ -223,7 +215,6 @@ class offloading_system : private response_sink {
   const system_config& config() const noexcept { return config_; }
   const system_metrics& metrics() const noexcept { return metrics_; }
   cloud::backend_pool& backend() noexcept { return *backend_; }
-  const trace::log_store& log() const noexcept { return log_; }
   sdn_accelerator& sdn() noexcept { return *sdn_; }
   const workload_predictor& predictor() const noexcept { return predictor_; }
   client::moderator& moderator() noexcept { return *moderator_; }
@@ -244,7 +235,7 @@ class offloading_system : private response_sink {
   void on_response(const workload::offload_request& request,
                    const request_timing& timing, group_id group) override;
   /// Trace point: streams (group, user) into the current slot window —
-  /// the predictor's evidence — without re-scanning the request log.
+  /// the predictor's evidence — without keeping a request log.
   /// Fires at the back-end completion; `logged_at` decides the window.
   void on_trace(util::time_ms logged_at, util::time_ms created_at,
                 user_id user, group_id group);
@@ -266,7 +257,6 @@ class offloading_system : private response_sink {
 
   sim::simulation sim_;
   util::rng rng_;
-  trace::log_store log_;
   std::unique_ptr<cloud::backend_pool> backend_;
   std::unique_ptr<sdn_accelerator> sdn_;
   std::unique_ptr<client::moderator> moderator_;

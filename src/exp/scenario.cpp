@@ -15,6 +15,13 @@ namespace mca::exp {
 
 namespace {
 
+// The study-session gap model (gap_model::study_sessions): the share of
+// gaps drawn from the smartphone study band, and the median and log-space
+// sigma of the lognormal between-session idle period the rest fall into.
+constexpr double kSessionProbability = 0.8;
+constexpr util::time_ms kIdleGapMedian = util::minutes(55.0);
+constexpr double kIdleGapSigma = 0.6;
+
 /// FNV-1a accumulator over the aggregate's scalar fields.
 struct fingerprint_state {
   std::uint64_t hash = 0xcbf29ce484222325ULL;
@@ -41,8 +48,6 @@ const char* to_string(task_mix mix) noexcept {
   switch (mix) {
     case task_mix::static_minimax: return "static_minimax";
     case task_mix::random_pool: return "random_pool";
-    case task_mix::heavy_pool: return "heavy_pool";
-    case task_mix::weighted_pool: return "weighted_pool";
   }
   return "?";
 }
@@ -69,33 +74,22 @@ void validate(const scenario_spec& spec) {
   if (!(spec.duration > 0.0)) reject("duration must be positive");
   if (!(spec.slot_length > 0.0)) reject("slot_length must be positive");
   if (spec.groups.empty()) reject("groups must not be empty");
-  if (!(spec.session_probability >= 0.0 && spec.session_probability <= 1.0)) {
-    reject("session_probability must be in [0, 1]");
+  if (spec.gaps == gap_model::exponential && !(spec.arrival_rate_hz > 0.0)) {
+    reject("arrival_rate_hz must be positive with exponential gaps");
   }
-  if (spec.tasks == task_mix::weighted_pool) {
-    if (spec.task_weights.empty()) reject("weighted_pool requires task_weights");
-    double total = 0.0;
-    for (const double w : spec.task_weights) {
-      if (w < 0.0) reject("task_weights must be non-negative");
-      total += w;
-    }
-    if (!(total > 0.0)) reject("task_weights must have a positive sum");
+  if (!(spec.promotion_probability >= 0.0 &&
+        spec.promotion_probability <= 1.0)) {
+    reject("promotion_probability must be in [0, 1]");
+  }
+  if (spec.background_requests_per_burst > 0 &&
+      !(spec.background_burst_period > 0.0)) {
+    reject("background_burst_period must be positive while bursts are on");
   }
   // Malformed fault programs (negative hazards, outage windows outside
   // the run, a zero retry budget with fallback disabled) fail here, once,
   // with the offending field named — not once per replication.
   fault::validate(spec.faults, spec.duration,
                   ("scenario_spec '" + spec.name + "'").c_str());
-}
-
-void validate(const scenario_spec& spec, const tasks::task_pool& pool) {
-  validate(spec);
-  if (spec.tasks == task_mix::weighted_pool &&
-      spec.task_weights.size() != pool.size()) {
-    throw std::invalid_argument{"scenario_spec '" + spec.name +
-                                "': task_weights needs one entry per pool "
-                                "task"};
-  }
 }
 
 core::system_config make_system_config(const scenario_spec& spec,
@@ -108,10 +102,8 @@ core::system_config make_system_config(const scenario_spec& spec,
   config.slot_length = spec.slot_length;
   config.max_total_instances = spec.max_total_instances;
   config.predictor_mode = spec.predictor_mode;
-  config.cumulative_capacity = spec.cumulative_capacity;
   config.background_requests_per_burst = spec.background_requests_per_burst;
   config.background_burst_period = spec.background_burst_period;
-  config.allow_demotion = spec.allow_demotion;
   config.seed = stream();
 
   switch (spec.tasks) {
@@ -121,12 +113,6 @@ core::system_config make_system_config(const scenario_spec& spec,
     case task_mix::random_pool:
       config.tasks = workload::random_pool_source(pool);
       break;
-    case task_mix::heavy_pool:
-      config.tasks = workload::heavy_pool_source(pool);
-      break;
-    case task_mix::weighted_pool:
-      config.tasks = workload::weighted_pool_source(pool, spec.task_weights);
-      break;
   }
 
   switch (spec.gaps) {
@@ -135,12 +121,10 @@ core::system_config make_system_config(const scenario_spec& spec,
       // empirical gap distribution itself varies across the sweep.
       auto study = std::make_shared<util::empirical_distribution>(
           client::study_interarrival_distribution({}, stream()));
-      const double in_session = spec.session_probability;
-      const double idle_mu = std::log(spec.idle_gap_mean);
-      const double idle_sigma = spec.idle_gap_sigma;
-      config.gaps = [study, in_session, idle_mu, idle_sigma](util::rng& rng) {
-        if (rng.bernoulli(in_session)) return study->sample(rng);
-        return rng.lognormal(idle_mu, idle_sigma);
+      const double idle_mu = std::log(kIdleGapMedian);
+      config.gaps = [study, idle_mu](util::rng& rng) {
+        if (rng.bernoulli(kSessionProbability)) return study->sample(rng);
+        return rng.lognormal(idle_mu, kIdleGapSigma);
       };
       break;
     }
@@ -168,10 +152,9 @@ core::system_config make_system_config(const scenario_spec& spec,
 namespace {
 
 /// The one place a replication is materialized and run.  `record_raw`
-/// keeps the per-request series and trace records (the figure benches'
-/// mode); off, only the streaming digest accumulates (the fleet /
-/// digest-sweep mode).  Identical simulation either way (gated by
-/// test_golden_equivalence).
+/// keeps the per-request series (the figure benches' mode); off, only the
+/// streaming digest accumulates (the fleet / digest-sweep mode).
+/// Identical simulation either way (gated by test_golden_equivalence).
 core::system_metrics run_one_replication(const scenario_spec& spec,
                                          const tasks::task_pool& pool,
                                          const replication_context& context,
@@ -179,7 +162,6 @@ core::system_metrics run_one_replication(const scenario_spec& spec,
   util::rng stream = context.stream();
   core::system_config config = make_system_config(spec, pool, stream);
   config.record_request_series = record_raw;
-  config.sdn.retain_trace_records = record_raw;
   core::offloading_system system{std::move(config), pool};
   system.run(spec.duration);
   return system.metrics();
@@ -308,16 +290,15 @@ scenario_result run_scenario(const scenario_spec& spec,
                              thread_pool& pool) {
   // A malformed spec fails the whole call, not every replication
   // individually: the mistake is in the input, not in any one seed.
-  validate(spec, task_pool);
+  validate(spec);
   const std::size_t groups = group_count_of(spec);
   // mca-lint: allow(det-wallclock) serial-vs-parallel wall timing for the
   // runner's speedup report; digests and fingerprints never read it.
   const auto start = std::chrono::steady_clock::now();
   auto outcome = run_replications(
       pool, plan, [&](const replication_context& context) {
-        // Digest-only replications run lean: no raw request series, no
-        // retained trace records — the streaming digest carries
-        // everything the merge needs.
+        // Digest-only replications run lean: no raw request series — the
+        // streaming digest carries everything the merge needs.
         return digest_metrics(
             run_one_replication(spec, task_pool, context,
                                 /*record_raw=*/false),

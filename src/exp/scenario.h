@@ -27,7 +27,7 @@
 namespace mca::exp {
 
 /// Task mix of the workload (maps onto workload::*_source factories).
-enum class task_mix { static_minimax, random_pool, heavy_pool, weighted_pool };
+enum class task_mix { static_minimax, random_pool };
 /// Inter-arrival model per device.
 enum class gap_model { study_sessions, exponential };
 
@@ -47,27 +47,20 @@ struct scenario_spec {
   std::size_t max_total_instances = 20;  ///< CC account cap
   util::time_ms slot_length = util::hours(1);
   core::prediction_mode predictor_mode = core::prediction_mode::successor;
-  bool cumulative_capacity = false;
 
   // --- workload ---
   std::size_t user_count = 100;
   util::time_ms duration = util::hours(8);
   task_mix tasks = task_mix::static_minimax;
-  /// weighted_pool: one weight per pool task, drawn via an O(1) alias
-  /// table (ignored by the other mixes).
-  std::vector<double> task_weights;
+  /// study_sessions: 80% of gaps come from the smartphone study band, the
+  /// rest are lognormal between-session idle periods (median 55 min,
+  /// sigma 0.6) — fixed constants in scenario.cpp.
   gap_model gaps = gap_model::study_sessions;
-  /// study_sessions: probability the next gap comes from the smartphone
-  /// study band (the rest are lognormal between-session idle periods).
-  double session_probability = 0.8;
-  util::time_ms idle_gap_mean = util::minutes(55.0);
-  double idle_gap_sigma = 0.6;
   /// exponential: per-device arrival rate.
   double arrival_rate_hz = 0.01;
 
   // --- promotion ---
   double promotion_probability = 1.0 / 50.0;
-  bool allow_demotion = false;
 
   // --- induced background load ---
   std::size_t background_requests_per_burst = 50;
@@ -103,15 +96,13 @@ struct scenario_spec {
 
 /// Validates a spec before materialization.  Rejects a zero user_count, a
 /// non-positive duration or slot_length, an empty group list, a
-/// session_probability outside [0, 1], and degenerate weighted_pool
-/// weights with an error naming the field, instead of silently producing
-/// a degenerate run.  Throws std::invalid_argument.
+/// non-positive arrival_rate_hz under exponential gaps, a
+/// promotion_probability outside [0, 1], a non-positive
+/// background_burst_period while bursts are on, and a malformed fault
+/// program, with an error naming the field, instead of silently producing
+/// a degenerate run.  The sweep entry points call it so a bad spec fails
+/// once, upfront, not once per replication.  Throws std::invalid_argument.
 void validate(const scenario_spec& spec);
-
-/// Same, plus the checks that need the task pool (weighted_pool weight
-/// arity) — the sweep entry points use this so a bad spec fails once,
-/// upfront, not once per replication.
-void validate(const scenario_spec& spec, const tasks::task_pool& pool);
 
 /// Max group id + 1 across the spec's backends (and the implicit initial
 /// group) — the indexing every per-group digest vector uses.

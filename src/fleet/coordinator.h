@@ -46,9 +46,9 @@ struct coordination_record {
 
 class coordinator {
  public:
-  /// `shape` fixes the fleet deployment: candidates per group, the
-  /// account-wide instance cap, margin, cumulative reading.  Demands
-  /// arrive per slot via allocate_slot.
+  /// `shape` fixes the fleet deployment: candidates per group and the
+  /// account-wide instance cap.  Demands arrive per slot via
+  /// allocate_slot.
   explicit coordinator(core::allocation_request shape,
                        ilp::ilp_options opts = {});
 

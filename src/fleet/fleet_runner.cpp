@@ -20,7 +20,6 @@ core::allocation_request fleet_allocation_shape(
   deployment.max_total_instances = spec.fleet_max_total_instances != 0
                                        ? spec.fleet_max_total_instances
                                        : spec.max_total_instances;
-  deployment.cumulative_capacity = spec.cumulative_capacity;
   return core::make_slot_allocation_request(deployment,
                                             exp::group_count_of(spec), {});
 }
@@ -29,7 +28,7 @@ fleet_result run_fleet(const exp::scenario_spec& spec,
                        const fleet_options& options,
                        const tasks::task_pool& task_pool,
                        exp::thread_pool& pool) {
-  exp::validate(spec, task_pool);
+  exp::validate(spec);
   const std::size_t shards =
       options.shards != 0 ? options.shards
                           : (spec.fleet_shards != 0 ? spec.fleet_shards : 1);

@@ -86,9 +86,8 @@ struct fleet_result {
 };
 
 /// The fleet-wide allocation shape of a scenario: candidates per group
-/// from the group backends, the fleet account cap
-/// (fleet_max_total_instances, falling back to max_total_instances), the
-/// spec's cumulative reading.
+/// from the group backends and the fleet account cap
+/// (fleet_max_total_instances, falling back to max_total_instances).
 core::allocation_request fleet_allocation_shape(const exp::scenario_spec& spec);
 
 /// Runs `spec`'s population sharded `options.shards` ways on `pool`.

@@ -40,11 +40,8 @@ shard::shard(const exp::scenario_spec& spec, const tasks::task_pool& pool,
   core::system_config config = exp::make_system_config(spec_, pool, stream);
   config.external_allocation = true;
   // Shards are digest-only consumers: the streaming request digest covers
-  // acceptance and latency, so neither the raw per-request series nor the
-  // trace log's record storage is kept (the trace point still feeds the
-  // predictor's slot windows).
+  // acceptance and latency, so the raw per-request series is not kept.
   config.record_request_series = false;
-  config.sdn.retain_trace_records = false;
   config.exemplar_top_k = obs.exemplar_top_k;
   config.trace_sink = obs.tracer;
   config.trace_ring = obs.ring;

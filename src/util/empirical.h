@@ -1,17 +1,11 @@
-// Empirical distribution with inverse-CDF sampling, and the alias-method
-// sampler for weighted discrete draws.
+// Empirical distribution with inverse-CDF sampling.
 //
 // `empirical_distribution` replays measured sample sets (e.g. the
 // smartphone-study inter-arrival times) as a generative distribution:
-// draws interpolate linearly between order statistics.  `alias_sampler`
-// turns an arbitrary weight vector into O(1) draws (Walker/Vose alias
-// tables) — the workload generators use it for weighted task mixes and
-// any gap-model mixture, where a CDF walk would cost O(log n) per
-// request.
+// draws interpolate linearly between order statistics.
 #pragma once
 
 #include <algorithm>
-#include <cstdint>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -20,95 +14,6 @@
 #include "util/stats.h"
 
 namespace mca::util {
-
-/// Walker's alias method: samples index i with probability
-/// weight[i] / sum(weight) using exactly one uniform draw per sample.
-///
-/// Construction is O(n) (Vose's stable two-stack variant); sampling is one
-/// table lookup plus one comparison — no binary search, no allocation.
-class alias_sampler {
- public:
-  /// Throws std::invalid_argument on an empty weight set, a negative
-  /// weight, or an all-zero weight sum.
-  explicit alias_sampler(std::span<const double> weights) {
-    const std::size_t n = weights.size();
-    if (n == 0) throw std::invalid_argument{"alias_sampler: no weights"};
-    double total = 0.0;
-    for (const double w : weights) {
-      if (w < 0.0) {
-        throw std::invalid_argument{"alias_sampler: negative weight"};
-      }
-      total += w;
-    }
-    if (total <= 0.0) {
-      throw std::invalid_argument{"alias_sampler: zero weight sum"};
-    }
-
-    prob_.resize(n);
-    alias_.resize(n);
-    // Scaled weights: mean 1.  Partition into under-/over-full columns and
-    // pair each under-full column with an over-full donor.
-    std::vector<double> scaled(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      scaled[i] = weights[i] * static_cast<double>(n) / total;
-    }
-    std::vector<std::uint32_t> small;
-    std::vector<std::uint32_t> large;
-    small.reserve(n);
-    large.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      (scaled[i] < 1.0 ? small : large).push_back(
-          static_cast<std::uint32_t>(i));
-    }
-    while (!small.empty() && !large.empty()) {
-      const std::uint32_t s = small.back();
-      const std::uint32_t l = large.back();
-      small.pop_back();
-      prob_[s] = scaled[s];
-      alias_[s] = l;
-      scaled[l] = (scaled[l] + scaled[s]) - 1.0;
-      if (scaled[l] < 1.0) {
-        large.pop_back();
-        small.push_back(l);
-      }
-    }
-    // Numerical leftovers are full columns.
-    for (const std::uint32_t i : small) {
-      prob_[i] = 1.0;
-      alias_[i] = i;
-    }
-    for (const std::uint32_t i : large) {
-      prob_[i] = 1.0;
-      alias_[i] = i;
-    }
-  }
-
-  std::size_t size() const noexcept { return prob_.size(); }
-
-  /// Draws one index; exactly one rng draw.
-  std::size_t sample(rng& r) const noexcept {
-    const double u = r.uniform() * static_cast<double>(prob_.size());
-    const auto column = static_cast<std::size_t>(u);
-    const std::size_t i = column < prob_.size() ? column : prob_.size() - 1;
-    const double coin = u - static_cast<double>(i);
-    return coin < prob_[i] ? i : alias_[i];
-  }
-
-  /// Probability mass the table assigns to index i (for tests).
-  double probability_of(std::size_t i) const {
-    double p = prob_.at(i) / static_cast<double>(prob_.size());
-    for (std::size_t j = 0; j < prob_.size(); ++j) {
-      if (j != i && alias_[j] == i) {
-        p += (1.0 - prob_[j]) / static_cast<double>(prob_.size());
-      }
-    }
-    return p;
-  }
-
- private:
-  std::vector<double> prob_;
-  std::vector<std::uint32_t> alias_;
-};
 
 /// Samplable wrapper around a set of observed values.
 class empirical_distribution {

@@ -32,21 +32,6 @@ task_source heavy_pool_source(const tasks::task_pool& pool) {
   };
 }
 
-task_source weighted_pool_source(const tasks::task_pool& pool,
-                                 std::span<const double> weights) {
-  if (weights.size() != pool.size()) {
-    throw std::invalid_argument{
-        "weighted_pool_source: one weight per pool task required"};
-  }
-  // The alias table is built once per source, shared by copies of the
-  // closure; each draw costs one uniform for the task and one for the
-  // size, like the uniform pool source.
-  auto sampler = std::make_shared<const util::alias_sampler>(weights);
-  return [&pool, sampler](util::rng& rng) {
-    return pool.request_for(sampler->sample(rng), rng);
-  };
-}
-
 task_source static_source(tasks::task_request request) {
   if (request.algorithm == nullptr) {
     throw std::invalid_argument{"static_source: null task"};

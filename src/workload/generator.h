@@ -10,7 +10,6 @@
 
 #include <functional>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "sim/simulation.h"
@@ -30,13 +29,6 @@ task_source random_pool_source(const tasks::task_pool& pool);
 /// t2.large near the paper's 32 Hz knee (Fig. 8 methodology; the paper
 /// does not state its mix, and bench/fig8_saturation checks the knee).
 task_source heavy_pool_source(const tasks::task_pool& pool);
-/// Weighted task mix: task i drawn with probability weights[i]/sum via an
-/// O(1) alias table (util::alias_sampler), uniformly random size — lets a
-/// scenario skew its pool toward chatty or heavy algorithms without a
-/// per-request CDF walk.  Throws std::invalid_argument unless
-/// weights.size() == pool.size() (and weights are valid alias input).
-task_source weighted_pool_source(const tasks::task_pool& pool,
-                                 std::span<const double> weights);
 /// Always the same request (the static minimax benchmark of Fig. 5/9).
 task_source static_source(tasks::task_request request);
 

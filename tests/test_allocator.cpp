@@ -139,23 +139,6 @@ TEST(AllocatorIlp, ZeroNodeBudgetStillFallsBackToBestEffort) {
   EXPECT_GT(plan.total_instances(), 0u);
 }
 
-TEST(AllocatorIlp, CumulativeModeLetsFastGroupsAbsorb) {
-  allocation_request request;
-  request.workload_per_group = {30.0, 20.0};
-  request.candidates_per_group = {
-      {{"slow", 10.0, 10.0}},   // expensive slow tier
-      {{"fast", 100.0, 2.0}},   // cheap fast tier
-  };
-  request.cumulative_capacity = true;
-  const auto plan = allocate_ilp(request);
-  ASSERT_TRUE(plan.feasible);
-  // One fast instance (cap 100) covers both demands cumulatively; the slow
-  // tier needs nothing.
-  EXPECT_EQ(plan.count_of(1, "fast"), 1u);
-  EXPECT_EQ(plan.count_of(0, "slow"), 0u);
-  EXPECT_DOUBLE_EQ(plan.total_cost_per_hour, 2.0);
-}
-
 TEST(AllocatorIlp, StrictModeCannotBorrowAcrossGroups) {
   allocation_request request;
   request.workload_per_group = {30.0, 20.0};
@@ -335,50 +318,6 @@ TEST_P(IlpDominatesGreedy, OnRandomRequests) {
 INSTANTIATE_TEST_SUITE_P(RandomRequests, IlpDominatesGreedy,
                          ::testing::Range<std::uint64_t>(1, 31));
 
-/// Property sweep: cumulative mode can only help — it relaxes the strict
-/// per-group constraints, so its optimum never costs more, and its plans
-/// satisfy the suffix-coverage inequality.
-class CumulativeRelaxation : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(CumulativeRelaxation, NeverCostsMoreThanStrict) {
-  util::rng rng{GetParam()};
-  allocation_request request;
-  const std::size_t groups = 3;
-  for (std::size_t g = 0; g < groups; ++g) {
-    request.workload_per_group.push_back(rng.uniform(0.0, 50.0));
-    request.candidates_per_group.push_back(
-        {{"type" + std::to_string(g), rng.uniform(10.0, 80.0),
-          rng.uniform(0.5, 4.0)}});
-  }
-  auto strict_request = request;
-  auto cumulative_request = request;
-  cumulative_request.cumulative_capacity = true;
-  const auto strict = allocate_ilp(strict_request);
-  const auto cumulative = allocate_ilp(cumulative_request);
-  if (strict.feasible && cumulative.feasible) {
-    EXPECT_LE(cumulative.total_cost_per_hour,
-              strict.total_cost_per_hour + 1e-9);
-    // Suffix coverage: for each g, capacity over groups >= g must exceed
-    // workload over groups >= g.
-    for (std::size_t g = 0; g < groups; ++g) {
-      double capacity = 0.0;
-      double demand = 0.0;
-      for (std::size_t h = g; h < groups; ++h) {
-        demand += request.workload_per_group[h];
-        for (const auto& entry : cumulative.entries) {
-          if (entry.group != h) continue;
-          capacity += request.candidates_per_group[h][0].capacity_per_instance *
-                      static_cast<double>(entry.count);
-        }
-      }
-      EXPECT_GT(capacity, demand) << "suffix " << g;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, CumulativeRelaxation,
-                         ::testing::Range<std::uint64_t>(50, 70));
-
 TEST(DemandFromPrediction, WidensAndZeroPads) {
   const std::size_t counts[2] = {7, 3};
   const auto demand = demand_from_prediction(counts, 4);
@@ -424,38 +363,35 @@ TEST_P(BatchedMatchesIndependent, RandomDemandWalks) {
   // every solve's cost and feasibility must match a cold allocate_ilp of
   // the same request.
   util::rng rng{GetParam()};
-  for (int variant = 0; variant < 2; ++variant) {
-    allocation_request shape = batched_shape();
-    shape.cumulative_capacity = variant == 1;
-    batched_allocator allocator{shape};
-    std::vector<double> demand{25.0, 40.0, 80.0};
-    for (int step = 0; step < 12; ++step) {
-      for (auto& d : demand) {
-        // Mostly small drifts, occasionally a jump or a collapse to zero.
-        const double pick = rng.uniform(0.0, 1.0);
-        if (pick < 0.7) {
-          d = std::max(0.0, d + rng.uniform(-6.0, 6.0));
-        } else if (pick < 0.85) {
-          d = rng.uniform(0.0, 400.0);
-        } else {
-          d = 0.0;
-        }
+  const allocation_request shape = batched_shape();
+  batched_allocator allocator{shape};
+  std::vector<double> demand{25.0, 40.0, 80.0};
+  for (int step = 0; step < 12; ++step) {
+    for (auto& d : demand) {
+      // Mostly small drifts, occasionally a jump or a collapse to zero.
+      const double pick = rng.uniform(0.0, 1.0);
+      if (pick < 0.7) {
+        d = std::max(0.0, d + rng.uniform(-6.0, 6.0));
+      } else if (pick < 0.85) {
+        d = rng.uniform(0.0, 400.0);
+      } else {
+        d = 0.0;
       }
-      const allocation_plan warm = allocator.solve(demand);
-      allocation_request request = shape;
-      request.workload_per_group = demand;
-      const allocation_plan cold = allocate_ilp(request);
-      ASSERT_EQ(warm.status, cold.status) << "step " << step;
-      EXPECT_EQ(warm.feasible, cold.feasible) << "step " << step;
-      EXPECT_EQ(warm.best_effort, cold.best_effort) << "step " << step;
-      // Equal optimum cost is the contract; the plans themselves may
-      // differ between cost ties.
-      EXPECT_NEAR(warm.total_cost_per_hour, cold.total_cost_per_hour, 1e-6)
-          << "step " << step;
     }
-    EXPECT_EQ(allocator.solves(), 12u);
-    EXPECT_GT(allocator.warm_solves(), 0u);
+    const allocation_plan warm = allocator.solve(demand);
+    allocation_request request = shape;
+    request.workload_per_group = demand;
+    const allocation_plan cold = allocate_ilp(request);
+    ASSERT_EQ(warm.status, cold.status) << "step " << step;
+    EXPECT_EQ(warm.feasible, cold.feasible) << "step " << step;
+    EXPECT_EQ(warm.best_effort, cold.best_effort) << "step " << step;
+    // Equal optimum cost is the contract; the plans themselves may
+    // differ between cost ties.
+    EXPECT_NEAR(warm.total_cost_per_hour, cold.total_cost_per_hour, 1e-6)
+        << "step " << step;
   }
+  EXPECT_EQ(allocator.solves(), 12u);
+  EXPECT_GT(allocator.warm_solves(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BatchedMatchesIndependent,

@@ -53,54 +53,5 @@ TEST(Empirical, StatsMatchSource) {
   EXPECT_EQ(d.size(), 4u);
 }
 
-TEST(AliasSampler, RejectsDegenerateWeights) {
-  EXPECT_THROW(alias_sampler{std::span<const double>{}},
-               std::invalid_argument);
-  const std::vector<double> negative{1.0, -0.5};
-  EXPECT_THROW(alias_sampler{negative}, std::invalid_argument);
-  const std::vector<double> zeros{0.0, 0.0};
-  EXPECT_THROW(alias_sampler{zeros}, std::invalid_argument);
-}
-
-TEST(AliasSampler, TableMassMatchesWeights) {
-  // probability_of reads the constructed table analytically, so this
-  // checks the alias construction itself, with no sampling noise.
-  const std::vector<double> weights{5.0, 1.0, 3.0, 0.0, 11.0};
-  alias_sampler sampler{weights};
-  const double total = 20.0;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    EXPECT_NEAR(sampler.probability_of(i), weights[i] / total, 1e-12) << i;
-  }
-}
-
-TEST(AliasSampler, EmpiricalFrequenciesMatchWeights) {
-  const std::vector<double> weights{0.5, 2.0, 4.0, 1.5};
-  alias_sampler sampler{weights};
-  rng r{2026};
-  constexpr int kDraws = 200'000;
-  std::vector<int> counts(weights.size(), 0);
-  for (int i = 0; i < kDraws; ++i) ++counts[sampler.sample(r)];
-  const double total = 8.0;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    const double expected = weights[i] / total;
-    const double observed = static_cast<double>(counts[i]) / kDraws;
-    EXPECT_NEAR(observed, expected, 0.01) << "index " << i;
-  }
-}
-
-TEST(AliasSampler, SingleWeightAlwaysDrawsIt) {
-  const std::vector<double> weights{3.5};
-  alias_sampler sampler{weights};
-  rng r{7};
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(sampler.sample(r), 0u);
-}
-
-TEST(AliasSampler, ZeroWeightIndexNeverDrawn) {
-  const std::vector<double> weights{1.0, 0.0, 1.0};
-  alias_sampler sampler{weights};
-  rng r{11};
-  for (int i = 0; i < 50'000; ++i) EXPECT_NE(sampler.sample(r), 1u);
-}
-
 }  // namespace
 }  // namespace mca::util

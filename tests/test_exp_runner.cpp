@@ -7,6 +7,7 @@
 #include <string>
 
 #include "exp/scenario.h"
+#include "fleet/fleet_runner.h"
 #include "tasks/task.h"
 
 namespace mca::exp {
@@ -170,14 +171,39 @@ TEST(ScenarioRunner, BrokenScenarioSurfacesEveryFailure) {
 }
 
 TEST(ScenarioSpecValidation, RejectsDegenerateSpecs) {
-  const auto expect_rejected = [](scenario_spec spec, const char* what) {
+  tasks::task_pool tasks;
+  thread_pool pool{2};
+  // Every entry point rejects the spec upfront, with a message naming the
+  // scenario and the offending field — not once per replication or shard.
+  const auto expect_rejected = [&](const scenario_spec& spec,
+                                   const char* field) {
+    const auto names_field = [&](const std::invalid_argument& e,
+                                 const char* where) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find(spec.name), std::string::npos)
+          << where << ": " << message;
+      EXPECT_NE(message.find(field), std::string::npos)
+          << where << ": " << message;
+    };
     try {
       validate(spec);
-      FAIL() << "accepted a spec with " << what;
+      ADD_FAILURE() << "validate accepted a bad " << field;
     } catch (const std::invalid_argument& e) {
-      // The message names the scenario and the offending field.
-      EXPECT_NE(std::string{e.what()}.find(spec.name), std::string::npos)
-          << what;
+      names_field(e, "validate");
+    }
+    try {
+      run_scenario(spec, spec.plan(3), tasks, pool);
+      ADD_FAILURE() << "run_scenario accepted a bad " << field;
+    } catch (const std::invalid_argument& e) {
+      names_field(e, "run_scenario");
+    }
+    try {
+      fleet::fleet_options options;
+      options.shards = 2;
+      fleet::run_fleet(spec, options, tasks, pool);
+      ADD_FAILURE() << "run_fleet accepted a bad " << field;
+    } catch (const std::invalid_argument& e) {
+      names_field(e, "run_fleet");
     }
   };
 
@@ -186,27 +212,46 @@ TEST(ScenarioSpecValidation, RejectsDegenerateSpecs) {
 
   spec = tiny_scenario();
   spec.user_count = 0;
-  expect_rejected(spec, "zero users");
+  expect_rejected(spec, "user_count");
 
   spec = tiny_scenario();
   spec.duration = 0.0;
-  expect_rejected(spec, "zero duration");
+  expect_rejected(spec, "duration");
 
   spec = tiny_scenario();
   spec.slot_length = -1.0;
-  expect_rejected(spec, "negative slot length");
+  expect_rejected(spec, "slot_length");
 
   spec = tiny_scenario();
   spec.groups.clear();
-  expect_rejected(spec, "no groups");
+  expect_rejected(spec, "groups");
 
   spec = tiny_scenario();
-  spec.session_probability = 1.5;
-  expect_rejected(spec, "session probability above 1");
+  spec.arrival_rate_hz = 0.0;
+  expect_rejected(spec, "arrival_rate_hz");
 
   spec = tiny_scenario();
-  spec.session_probability = -0.1;
-  expect_rejected(spec, "negative session probability");
+  spec.promotion_probability = 1.5;
+  expect_rejected(spec, "promotion_probability");
+
+  spec = tiny_scenario();
+  spec.promotion_probability = -0.1;
+  expect_rejected(spec, "promotion_probability");
+
+  spec = tiny_scenario();
+  spec.background_burst_period = 0.0;
+  expect_rejected(spec, "background_burst_period");
+
+  // The checks bind only where the field is read: study-session gaps never
+  // draw from arrival_rate_hz, and no bursts means no burst period.
+  spec = tiny_scenario();
+  spec.gaps = gap_model::study_sessions;
+  spec.arrival_rate_hz = 0.0;
+  EXPECT_NO_THROW(validate(spec));
+  spec = tiny_scenario();
+  spec.background_requests_per_burst = 0;
+  spec.background_burst_period = 0.0;
+  EXPECT_NO_THROW(validate(spec));
 }
 
 TEST(ScenarioSpecValidation, RunScenarioThrowsInsteadOfFailingEverySeed) {

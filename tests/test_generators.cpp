@@ -269,36 +269,5 @@ TEST_F(GeneratorTest, RequestIdsAreUnique) {
   EXPECT_EQ(ids.size(), received_.size());
 }
 
-TEST_F(GeneratorTest, WeightedPoolSourceFollowsWeights) {
-  // All mass on tasks 0 and 2; nothing else may ever be drawn, and the
-  // 3:1 ratio must show up in the draw frequencies.
-  std::vector<double> weights(pool_.size(), 0.0);
-  weights[0] = 3.0;
-  weights[2] = 1.0;
-  auto source = weighted_pool_source(pool_, weights);
-  util::rng rng{5};
-  int first = 0;
-  int third = 0;
-  for (int i = 0; i < 20'000; ++i) {
-    const auto request = source(rng);
-    ASSERT_NE(request.algorithm, nullptr);
-    if (request.algorithm == &pool_.at(0)) {
-      ++first;
-    } else {
-      ASSERT_EQ(request.algorithm, &pool_.at(2));
-      ++third;
-    }
-    EXPECT_GE(request.size, request.algorithm->min_size());
-    EXPECT_LE(request.size, request.algorithm->max_size());
-  }
-  const double ratio = static_cast<double>(first) / third;
-  EXPECT_NEAR(ratio, 3.0, 0.3);
-}
-
-TEST_F(GeneratorTest, WeightedPoolSourceRejectsWrongArity) {
-  const std::vector<double> too_few{1.0, 2.0};
-  EXPECT_THROW(weighted_pool_source(pool_, too_few), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace mca::workload

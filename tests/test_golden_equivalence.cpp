@@ -17,11 +17,12 @@
 //     ones, and a run must not depend on whether the raw series is
 //     recorded at all.
 //  3. Pinned fingerprints — the 64-bit FNV-1a hashes of the monolith's
-//     merged digest and of the sharded fleet's aggregate, counter registry
-//     and timeline, bit for bit.  Every count and double bit pattern feeds
-//     them, so these catch drift the tolerances above let through.  A
-//     deliberate re-golden updates the values here and lists the old and
-//     new ones in CHANGES.md.
+//     merged digest, of the sharded fleet's aggregate, counter registry
+//     and timeline, and of a trimmed fig9_closed_loop run (the only pin on
+//     the study-session gap model), bit for bit.  Every count and double
+//     bit pattern feeds them, so these catch drift the tolerances above
+//     let through.  A deliberate re-golden updates the values here and
+//     lists the old and new ones in CHANGES.md.
 #include "exp/scenario.h"
 
 #include <gtest/gtest.h>
@@ -121,6 +122,40 @@ TEST(GoldenEquivalence, ShardedFleetMatchesPreRefactorGoldens) {
   EXPECT_EQ(result.timeline.fingerprint(), 0x8756a9ecae587a2cULL);
 }
 
+/// The builtin fig9_closed_loop scenario (study-session gaps, static
+/// minimax, 50-job background bursts), trimmed to 40 minutes of 10-minute
+/// slots so every gap-model constant, the predictor and the slot-boundary
+/// ILP run inside a sub-second test.
+exp::scenario_spec study_session_spec() {
+  for (exp::scenario_spec spec : exp::builtin_scenarios()) {
+    if (spec.name != "fig9_closed_loop") continue;
+    spec.duration = util::minutes(40.0);
+    spec.slot_length = util::minutes(10.0);
+    return spec;
+  }
+  ADD_FAILURE() << "fig9_closed_loop scenario missing";
+  return {};
+}
+
+TEST(GoldenEquivalence, StudySessionGapsMatchPinnedFingerprint) {
+  tasks::task_pool pool;
+  const exp::scenario_spec spec = study_session_spec();
+  ASSERT_EQ(spec.gaps, exp::gap_model::study_sessions);
+  ASSERT_EQ(spec.tasks, exp::task_mix::static_minimax);
+  ASSERT_EQ(spec.background_requests_per_burst, 50u);
+  exp::thread_pool tpool{1};
+  const exp::scenario_result result =
+      exp::run_scenario(spec, spec.plan(1), pool, tpool);
+  ASSERT_TRUE(result.errors.empty());
+  const exp::aggregate_metrics& aggregate = result.aggregate;
+  EXPECT_EQ(aggregate.requests, 664u);
+  EXPECT_EQ(aggregate.successes, 297u);
+  EXPECT_EQ(aggregate.promotions, 2u);
+  EXPECT_EQ(aggregate.background_submitted, 239316u);
+  EXPECT_EQ(aggregate.accuracy.count(), 1u);
+  EXPECT_EQ(aggregate.fingerprint(), 0xcef3482cbb84a58dULL);
+}
+
 TEST(GoldenEquivalence, StreamingDigestEqualsRawSeriesScan) {
   tasks::task_pool pool;
   const exp::scenario_spec spec = golden_spec();
@@ -208,7 +243,6 @@ TEST(GoldenEquivalence, RawSeriesFlagDoesNotChangeSimulation) {
     util::rng stream{spec.base_seed};
     core::system_config config = exp::make_system_config(spec, pool, stream);
     config.record_request_series = record;
-    config.sdn.retain_trace_records = record;
     core::offloading_system system{std::move(config), pool};
     system.run(spec.duration);
     return exp::digest_metrics(system.metrics(), groups, spec.base_seed);

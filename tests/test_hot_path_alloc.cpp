@@ -95,7 +95,6 @@ TEST(HotPathAllocation, SteadyStateRequestPathAllocatesNothing) {
   };
   // Fleet configuration: streaming digests only.
   config.record_request_series = false;
-  config.sdn.retain_trace_records = false;
   config.seed = 99;
 
   core::offloading_system system{std::move(config), pool};
@@ -153,7 +152,6 @@ TEST(HotPathAllocation, FaultSteadyStateRequestPathAllocatesNothing) {
   };
   config.enable_adaptation = false;
   config.record_request_series = false;
-  config.sdn.retain_trace_records = false;
   config.seed = 99;
 
   config.faults.enabled = true;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "net/operators.h"
 #include "recording_sink.h"
 #include "tasks/task.h"
@@ -118,6 +121,39 @@ TEST_F(SdnTest, NullLogPointerIsSafe) {
   sdn.submit(make_request(1), 1, 1.0);
   sim_.run();
   EXPECT_EQ(sdn.succeeded(), 1u);
+}
+
+TEST_F(SdnTest, TraceObserverFiresOncePerSuccessWithOrWithoutALog) {
+  // The trace point feeds the owner's slot windows, so it must fire for
+  // every successful request (and no failed one) whether or not a log
+  // store is attached; the closed-loop system attaches none.
+  backend_.launch(1, exact_type());
+  trace::log_store* const logs[] = {&log_, nullptr};
+  for (trace::log_store* log : logs) {
+    log_.clear();
+    sink_.responses.clear();
+    sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), log, config_,
+                        util::rng{10}};
+    sdn.set_response_sink(&sink_);
+    std::vector<user_id> traced_users;
+    sdn.set_trace_observer([&](util::time_ms logged_at,
+                               util::time_ms created_at, user_id user,
+                               group_id group) {
+      EXPECT_GE(logged_at, created_at);
+      EXPECT_EQ(group, 1u);
+      traced_users.push_back(user);
+    });
+    sdn.submit(make_request(1), 1, 1.0);
+    sdn.submit(make_request(2), 9, 1.0);  // no such group: fails
+    sdn.submit(make_request(3), 1, 1.0);
+    sim_.run();
+    ASSERT_EQ(sink_.responses.size(), 3u);
+    EXPECT_EQ(sdn.succeeded(), 2u);
+    EXPECT_EQ(traced_users.size(), sdn.succeeded());
+    EXPECT_EQ(std::set<user_id>(traced_users.begin(), traced_users.end()),
+              (std::set<user_id>{1, 3}));
+    EXPECT_EQ(log_.size(), log == nullptr ? 0u : 2u);
+  }
 }
 
 TEST_F(SdnTest, MissingGroupFailsTheRequest) {

@@ -49,10 +49,6 @@ TEST_F(SystemTest, ValidatesConfig) {
   auto no_users = base_config();
   no_users.user_count = 0;
   EXPECT_THROW(offloading_system(no_users, pool_), std::invalid_argument);
-
-  auto no_mix = base_config();
-  no_mix.device_mix.clear();
-  EXPECT_THROW(offloading_system(no_mix, pool_), std::invalid_argument);
 }
 
 TEST_F(SystemTest, RunRejectsNonPositiveDuration) {
@@ -200,18 +196,6 @@ TEST_F(SystemTest, AdaptationDisabledKeepsInitialFleet) {
   }
 }
 
-TEST_F(SystemTest, SeedHistoryEnablesImmediatePrediction) {
-  auto config = base_config();
-  // Two seed slots make successor-mode prediction possible from slot 0.
-  trace::time_slot seed{4};
-  for (user_id u = 0; u < 20; ++u) seed.add_user(1, u);
-  config.seed_history = {seed, seed};
-  offloading_system system{config, pool_};
-  system.run(util::minutes(20));
-  ASSERT_FALSE(system.metrics().slots.empty());
-  EXPECT_TRUE(system.metrics().slots.front().predicted_counts.has_value());
-}
-
 TEST_F(SystemTest, CostAccruesWithFleet) {
   offloading_system system{base_config(), pool_};
   system.run(util::hours(2));
@@ -285,24 +269,6 @@ TEST_F(SystemTest, DemotionReturnsIdleUsersToLowerGroups) {
   }
 }
 
-TEST_F(SystemTest, CumulativeCapacityModeRuns) {
-  auto config = base_config();
-  config.cumulative_capacity = true;
-  config.user_count = 30;
-  offloading_system system{config, pool_};
-  system.run(util::hours(1));
-  // Plans exist and respect the cap; cumulative mode may buy fewer
-  // low-tier instances because fast groups can absorb slow demand.
-  bool planned = false;
-  for (const auto& slot : system.metrics().slots) {
-    if (slot.plan) {
-      planned = true;
-      EXPECT_LE(slot.plan->total_instances(), config.max_total_instances);
-    }
-  }
-  EXPECT_TRUE(planned);
-}
-
 TEST_F(SystemTest, MatchModePredictorRuns) {
   auto config = base_config();
   config.predictor_mode = prediction_mode::match;
@@ -311,16 +277,6 @@ TEST_F(SystemTest, MatchModePredictorRuns) {
   // Match mode predicts from the first boundary (single slot suffices).
   EXPECT_TRUE(system.metrics().slots.front().predicted_counts.has_value());
   EXPECT_GT(*system.metrics().mean_prediction_accuracy(), 0.9);
-}
-
-TEST_F(SystemTest, TraceLogMatchesRequestMetrics) {
-  offloading_system system{base_config(), pool_};
-  system.run(util::minutes(30));
-  std::size_t successes = 0;
-  for (const auto& r : system.metrics().requests) {
-    if (r.success) ++successes;
-  }
-  EXPECT_EQ(system.log().size(), successes);
 }
 
 TEST_F(SystemTest, DeterministicForSeed) {
