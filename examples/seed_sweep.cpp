@@ -1,7 +1,7 @@
 // Seed-sweep replication: the experiment runner end to end.
 //
 // Declares the paper's Fig. 9 deployment as a scenario_spec, runs a
-// 8-replication seed sweep on the work-stealing pool, and prints the
+// 8-replication seed sweep on the batch thread pool, and prints the
 // per-replication spread next to the deterministically merged aggregate —
 // the same machinery fig_suite uses, in ~40 lines.
 #include <cstdio>

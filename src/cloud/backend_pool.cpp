@@ -45,14 +45,13 @@ std::size_t backend_pool::retire(group_id group, const instance_type& type,
                                  std::size_t count) {
   if (group >= groups_.size()) return 0;
   auto& members = groups_[group];
-  const instance_type_id wanted = intern_type_name(type.name);
   std::size_t marked = 0;
   // Prefer draining idle instances so capacity leaves the fleet gracefully.
   for (int pass = 0; pass < 2 && marked < count; ++pass) {
     const bool idle_only = (pass == 0);
     for (auto& inst : members) {
       if (marked >= count) break;
-      if (inst->draining() || inst->type_id() != wanted) continue;
+      if (inst->draining() || inst->type().name != type.name) continue;
       if (idle_only && !inst->idle()) continue;
       inst->drain();  // the drain observer bumps draining_count_
       ++marked;
@@ -169,17 +168,10 @@ std::size_t backend_pool::instance_count(group_id group) const noexcept {
 
 std::size_t backend_pool::instance_count(
     group_id group, const std::string& type_name) const noexcept {
-  const instance_type_id type = find_type_id(type_name);
-  if (type == kUnknownTypeId) return 0;  // never seen, so never launched
-  return instance_count(group, type);
-}
-
-std::size_t backend_pool::instance_count(
-    group_id group, instance_type_id type) const noexcept {
   if (group >= groups_.size()) return 0;
   std::size_t n = 0;
   for (const auto& inst : groups_[group]) {
-    if (!inst->draining() && inst->type_id() == type) ++n;
+    if (!inst->draining() && inst->type().name == type_name) ++n;
   }
   return n;
 }

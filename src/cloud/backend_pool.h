@@ -91,8 +91,6 @@ class backend_pool {
   /// Accepting instances of one type in a group.
   std::size_t instance_count(group_id group,
                              const std::string& type_name) const noexcept;
-  std::size_t instance_count(group_id group,
-                             instance_type_id type) const noexcept;
   /// All groups that currently have instances.
   std::vector<group_id> groups() const;
   /// Observing pointers to a group's accepting instances (simulation-owned).

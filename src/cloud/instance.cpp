@@ -25,7 +25,6 @@ instance::instance(sim::simulation& sim, instance_id id,
     : sim_{sim},
       id_{id},
       type_{type},
-      type_id_{intern_type_name(type.name)},
       rng_{rng},
       opts_{opts},
       last_update_{sim.now()},

@@ -150,9 +150,6 @@ class instance {
 
   instance_id id() const noexcept { return id_; }
   const instance_type& type() const noexcept { return type_; }
-  /// Interned id of type().name, resolved once at construction so routing
-  /// and fleet reshaping never compare type names per request.
-  instance_type_id type_id() const noexcept { return type_id_; }
   std::size_t active_jobs() const noexcept { return heap_.size(); }
 
   std::uint64_t completed() const noexcept { return completed_; }
@@ -213,7 +210,6 @@ class instance {
   sim::simulation& sim_;
   instance_id id_;
   instance_type type_;
-  instance_type_id type_id_;
   util::rng rng_;
   options opts_;
 

@@ -1,9 +1,7 @@
 #include "cloud/instance_type.h"
 
 #include <algorithm>
-#include <mutex>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace mca::cloud {
 
@@ -43,59 +41,6 @@ const instance_type& type_by_name(std::string_view name) {
   }
   throw std::out_of_range{"type_by_name: unknown instance type '" +
                           std::string{name} + "'"};
-}
-
-namespace {
-
-/// Name <-> id registry behind intern_type_name.  Seeded with the catalog
-/// so catalog ids equal catalog indices; custom names (white-box tests)
-/// append.  Guarded by a mutex: interning happens on launch/retire paths,
-/// never per request, and fleet shards construct in parallel.
-struct type_registry {
-  std::mutex mutex;
-  std::vector<std::string> names;
-  std::unordered_map<std::string, instance_type_id> ids;
-
-  type_registry() {
-    for (const auto& t : ec2_catalog()) {
-      ids.emplace(t.name, static_cast<instance_type_id>(names.size()));
-      names.push_back(t.name);
-    }
-  }
-};
-
-type_registry& registry() {
-  static type_registry r;
-  return r;
-}
-
-}  // namespace
-
-instance_type_id find_type_id(std::string_view name) {
-  type_registry& r = registry();
-  std::lock_guard lock{r.mutex};
-  const auto it = r.ids.find(std::string{name});
-  return it == r.ids.end() ? kUnknownTypeId : it->second;
-}
-
-instance_type_id intern_type_name(std::string_view name) {
-  type_registry& r = registry();
-  std::lock_guard lock{r.mutex};
-  const auto it = r.ids.find(std::string{name});
-  if (it != r.ids.end()) return it->second;
-  const auto id = static_cast<instance_type_id>(r.names.size());
-  r.names.emplace_back(name);
-  r.ids.emplace(r.names.back(), id);
-  return id;
-}
-
-std::string type_name_of(instance_type_id id) {
-  type_registry& r = registry();
-  std::lock_guard lock{r.mutex};
-  if (id >= r.names.size()) {
-    throw std::out_of_range{"type_name_of: unknown instance type id"};
-  }
-  return r.names[id];
 }
 
 }  // namespace mca::cloud

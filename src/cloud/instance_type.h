@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -56,25 +55,5 @@ const std::vector<instance_type>& ec2_catalog();
 
 /// Looks up a catalog entry; throws std::out_of_range for unknown names.
 const instance_type& type_by_name(std::string_view name);
-
-/// Small integer id for an instance-type name.  Catalog names get stable
-/// ids (their catalog index); unknown names (custom test types) are
-/// interned on first sight.  Ids let the pool and the provisioning paths
-/// compare types without touching a std::string per request.  Thread-safe.
-using instance_type_id = std::uint32_t;
-instance_type_id intern_type_name(std::string_view name);
-
-/// Id reserved for "no such type" — returned by find_type_id for names
-/// never interned; never handed out by intern_type_name.
-inline constexpr instance_type_id kUnknownTypeId = 0xffffffffu;
-
-/// Non-interning lookup: the id of an already-interned name, or
-/// kUnknownTypeId.  Read-only queries (instance counts by name) use this
-/// so a typo'd or speculative name cannot grow the registry.
-instance_type_id find_type_id(std::string_view name);
-
-/// The name an id was interned from (by value — the registry may grow
-/// concurrently); throws std::out_of_range on an id never handed out.
-std::string type_name_of(instance_type_id id);
 
 }  // namespace mca::cloud

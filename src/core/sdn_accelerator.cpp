@@ -268,8 +268,8 @@ void sdn_accelerator::attempt_failed(std::uint32_t slot) {
   if (static_cast<std::size_t>(s.attempt) <= config_.max_retries) {
     if (obs_ != nullptr) obs_->add(obs::counter::sdn_retries);
     // Capped exponential backoff with jitter from the request's own
-    // counter-split stream, keyed on the deterministic arrival sequence
-    // (never request.id, a process-global atomic): deterministic per
+    // counter-split stream, keyed on the arrival sequence (not request.id,
+    // which follows the generator's numbering): deterministic per
     // (seed, arrival, attempt), independent of thread or shard layout.
     const std::uint32_t shift = s.attempt > 16 ? 16u : s.attempt - 1;
     double wait = config_.retry_backoff_base_ms *

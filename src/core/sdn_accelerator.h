@@ -191,8 +191,8 @@ class sdn_accelerator {
     std::uint32_t attempt = 0;
     std::uint32_t epoch = 0;
     /// Arrival sequence (received_ at submit), the backoff-jitter stream
-    /// key: request.id is a process-global atomic (nondeterministic
-    /// across runs), the arrival order within one simulation is not.
+    /// key.  Not request.id: the generator numbers requests in emission
+    /// order, which is not always the order they reach submit.
     std::uint64_t seq = 0;
     sim::event_handle timeout{};
     // Sampled-span state (set at submit, consumed at deliver).

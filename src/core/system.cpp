@@ -94,13 +94,10 @@ offloading_system::offloading_system(system_config config,
   }
   group_count_ = max_group + 1;
 
-  // Resolve every backend's type once: catalog lookup and intern id here,
-  // plain pointer/integer comparisons everywhere after.
+  // Resolve every backend's catalog type once, at construction.
   spec_types_.reserve(config_.groups.size());
-  spec_type_ids_.reserve(config_.groups.size());
   for (const auto& spec : config_.groups) {
     spec_types_.push_back(&cloud::type_by_name(spec.type_name));
-    spec_type_ids_.push_back(cloud::intern_type_name(spec.type_name));
   }
 
   backend_ = std::make_unique<cloud::backend_pool>(sim_, rng_.fork(),
@@ -258,7 +255,7 @@ void offloading_system::apply_plan(const allocation_plan& plan) {
     if (!backend_->group_available(spec.group)) continue;
     const std::size_t want = plan.count_of(spec.group, spec.type_name);
     const std::size_t have =
-        backend_->instance_count(spec.group, spec_type_ids_[i]);
+        backend_->instance_count(spec.group, spec.type_name);
     if (want > have) {
       for (std::size_t n = have; n < want; ++n) {
         backend_->launch(spec.group, *spec_types_[i]);
@@ -304,7 +301,7 @@ void offloading_system::restore_group(group_id group) {
                                                         spec.type_name)
                                  : spec.initial_count;
     const std::size_t have =
-        backend_->instance_count(spec.group, spec_type_ids_[i]);
+        backend_->instance_count(spec.group, spec.type_name);
     for (std::size_t n = have; n < want; ++n) {
       backend_->launch(spec.group, *spec_types_[i]);
     }

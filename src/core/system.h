@@ -267,10 +267,9 @@ class offloading_system : private response_sink {
   std::unique_ptr<sim::periodic_process> slot_ticker_;
   std::unique_ptr<sim::periodic_process> background_ticker_;
 
-  /// Per-group backends resolved once (type_by_name + interned id) so no
-  /// provisioning path resolves strings per slot, let alone per request.
+  /// Per-group backends resolved once (type_by_name) so no provisioning
+  /// path searches the catalog per slot, let alone per request.
   std::vector<const cloud::instance_type*> spec_types_;
-  std::vector<cloud::instance_type_id> spec_type_ids_;
 
   /// Streaming slot accumulator: users seen per group in the current
   /// window [slot_window_start_, slot_window_end_); buffers keep their

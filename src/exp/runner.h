@@ -4,20 +4,20 @@
 // Determinism contract: a replication is a pure function of its
 // (seed, index) pair — it draws randomness only from the rng stream the
 // context hands it (util::rng::split), never from wall clock, thread id,
-// or shared mutable state.  Results land in a slot array indexed by
-// replication, and any merge runs *after* the pool drains, walking that
-// array in index order — so the merged output is bit-identical whatever
-// the thread count or completion order.
+// or shared mutable state.  The pool's next unclaimed index is the only
+// state replications share; everything a simulation numbers (request ids,
+// instance ids) it numbers itself.  Results and failures land in slot
+// arrays indexed by replication, and any merge runs *after* the pool
+// drains, walking those arrays in index order — so the merged output is
+// bit-identical whatever the thread count or completion order.
 //
 // A replication that throws is never silently dropped: its index, seed,
 // and message are recorded in the outcome's `errors`, and the remaining
 // replications still run to completion.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <exception>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <type_traits>
@@ -97,23 +97,24 @@ auto run_replications(thread_pool& pool, const replication_plan& plan,
                 "replication body must return its metrics");
   replication_outcome<T> outcome;
   outcome.results.resize(plan.count());
-  std::mutex error_mutex;
+  // Each replication writes only its own slot; the failures are compacted
+  // in index order after the pool drains.
+  std::vector<std::optional<std::string>> failures(plan.count());
   parallel_for(pool, plan.count(), [&](std::size_t i) {
     const replication_context context{i, plan.seeds[i]};
     try {
       outcome.results[i].emplace(fn(context));
     } catch (const std::exception& e) {
-      std::lock_guard lock{error_mutex};
-      outcome.errors.push_back({i, context.seed, e.what()});
+      failures[i].emplace(e.what());
     } catch (...) {
-      std::lock_guard lock{error_mutex};
-      outcome.errors.push_back({i, context.seed, "unknown exception"});
+      failures[i].emplace("unknown exception");
     }
   });
-  std::sort(outcome.errors.begin(), outcome.errors.end(),
-            [](const replication_error& a, const replication_error& b) {
-              return a.index < b.index;
-            });
+  for (std::size_t i = 0; i < failures.size(); ++i) {
+    if (failures[i]) {
+      outcome.errors.push_back({i, plan.seeds[i], std::move(*failures[i])});
+    }
+  }
   return outcome;
 }
 

@@ -6,9 +6,11 @@
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "client/usage_trace.h"
+#include "cloud/instance_type.h"
 #include "workload/generator.h"
 
 namespace mca::exp {
@@ -67,13 +69,27 @@ std::size_t group_count_of(const scenario_spec& spec) {
 }
 
 void validate(const scenario_spec& spec) {
-  const auto reject = [&](const char* what) {
+  const auto reject = [&](const std::string& what) {
     throw std::invalid_argument{"scenario_spec '" + spec.name + "': " + what};
   };
   if (spec.user_count == 0) reject("user_count must be > 0");
   if (!(spec.duration > 0.0)) reject("duration must be positive");
   if (!(spec.slot_length > 0.0)) reject("slot_length must be positive");
   if (spec.groups.empty()) reject("groups must not be empty");
+  for (std::size_t i = 0; i < spec.groups.size(); ++i) {
+    const core::group_backend_spec& group = spec.groups[i];
+    const std::string field = "groups[" + std::to_string(i) + "].";
+    try {
+      cloud::type_by_name(group.type_name);
+    } catch (const std::out_of_range&) {
+      reject(field + "type_name '" + group.type_name +
+             "' is not a catalog instance type");
+    }
+    if (!(group.capacity_per_instance > 0.0)) {
+      reject(field + "capacity_per_instance must be positive");
+    }
+  }
+  if (spec.max_total_instances == 0) reject("max_total_instances must be > 0");
   if (spec.gaps == gap_model::exponential && !(spec.arrival_rate_hz > 0.0)) {
     reject("arrival_rate_hz must be positive with exponential gaps");
   }

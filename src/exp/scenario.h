@@ -6,7 +6,7 @@
 // duration — as plain data instead of callbacks, so the runner can
 // materialize a fresh `core::system_config` (with a fresh rng stream) for
 // every replication.  `run_scenario` farms the replications out to the
-// work-stealing pool and folds the per-replication digests into an
+// batch pool and folds the per-replication digests into an
 // `aggregate_metrics` whose bytes depend only on (spec, plan), never on
 // thread count or completion order.
 #pragma once
@@ -95,8 +95,10 @@ struct scenario_spec {
 };
 
 /// Validates a spec before materialization.  Rejects a zero user_count, a
-/// non-positive duration or slot_length, an empty group list, a
-/// non-positive arrival_rate_hz under exponential gaps, a
+/// non-positive duration or slot_length, an empty group list, a group
+/// whose type_name is not in the catalog or whose capacity_per_instance is
+/// not positive, a zero max_total_instances, a non-positive
+/// arrival_rate_hz under exponential gaps, a
 /// promotion_probability outside [0, 1], a non-positive
 /// background_burst_period while bursts are on, and a malformed fault
 /// program, with an error naming the field, instead of silently producing

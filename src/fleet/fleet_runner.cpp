@@ -179,8 +179,6 @@ fleet_result run_fleet(const exp::scenario_spec& spec,
   const exp::pool_counters pool_after = pool.counters();
   result.observability.add(obs::counter::pool_tasks_executed,
                            pool_after.executed - pool_before.executed);
-  result.observability.add(obs::counter::pool_steals,
-                           pool_after.steals - pool_before.steals);
   result.observability.add(obs::counter::pool_idle_waits,
                            pool_after.idle_waits - pool_before.idle_waits);
   result.observability.set_gauge(obs::gauge::pool_workers,

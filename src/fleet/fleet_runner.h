@@ -3,7 +3,7 @@
 // run_fleet partitions a scenario's population into K shards, each a
 // self-contained single-threaded closed-loop simulation (shard.h), and
 // advances them in bulk-synchronous rounds on the experiment runner's
-// work-stealing pool: every provisioning slot, all shards advance to the
+// batch pool: every provisioning slot, all shards advance to the
 // boundary in parallel (a barrier — shards never block mid-simulation, so
 // the pool can be smaller than the shard count without deadlock), the
 // coordinator gathers their demand digests in shard order, solves ONE

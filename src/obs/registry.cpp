@@ -38,7 +38,6 @@ constexpr const char* kCounterNames[kCounterCount] = {
     "sdn_retries",
     "sdn_local_fallbacks",
     "pool_tasks_executed",
-    "pool_steals",
     "pool_idle_waits",
 };
 
@@ -65,7 +64,6 @@ const char* counter_name(counter c) noexcept {
 bool counter_is_scheduling_dependent(counter c) noexcept {
   switch (c) {
     case counter::pool_tasks_executed:
-    case counter::pool_steals:
     case counter::pool_idle_waits:
       return true;
     default:

@@ -12,7 +12,7 @@
 // merged totals, and the fingerprint over them, are bit-identical whatever
 // the pool size or shard→thread mapping.
 //
-// Counters fed by the work-stealing pool itself (steals, idle waits) are
+// Counters fed by the thread pool itself (indices run, idle waits) are
 // inherently scheduling-dependent; they merge and report normally but are
 // excluded from fingerprint() so the determinism gate stays meaningful.
 #pragma once
@@ -67,10 +67,9 @@ enum class counter : std::uint32_t {
   sdn_timeouts,           ///< per-request timeout timers that fired
   sdn_retries,            ///< re-dispatch attempts after backoff
   sdn_local_fallbacks,    ///< requests served on-device after exhaustion
-  // --- work-stealing pool (scheduling-dependent: reported, never
+  // --- thread pool (scheduling-dependent: reported, never
   //     fingerprinted) ---
   pool_tasks_executed,
-  pool_steals,
   pool_idle_waits,
   count  ///< sentinel
 };

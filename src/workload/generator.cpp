@@ -1,25 +1,10 @@
 #include "workload/generator.h"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
 #include <utility>
 
 namespace mca::workload {
-namespace {
-
-std::uint64_t next_request_id() {
-  // Request ids only need uniqueness within a process run; with the
-  // experiment runner farming simulations out to worker threads the
-  // counter must be atomic.  Id *values* then depend on thread
-  // interleaving, so replication digests must never incorporate them
-  // (exp::digest_metrics does not).
-  static std::atomic<std::uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
-}  // namespace
-
 task_source random_pool_source(const tasks::task_pool& pool) {
   return [&pool](util::rng& rng) { return pool.random_request(rng); };
 }
@@ -88,11 +73,10 @@ concurrent_generator::concurrent_generator(sim::simulation& sim,
 void concurrent_generator::emit_round() {
   for (std::size_t u = 0; u < config_.users; ++u) {
     offload_request request;
-    request.id = next_request_id();
+    request.id = ++emitted_;
     request.user = config_.first_user + static_cast<user_id>(u);
     request.work = source_(rng_);
     request.created_at = sim_.now();
-    ++emitted_;
     sink_(request);
   }
   ++rounds_done_;
@@ -127,11 +111,10 @@ interarrival_generator::interarrival_generator(sim::simulation& sim,
 void interarrival_generator::schedule_next(user_id user) {
   if (sim_.now() >= deadline_) return;
   offload_request request;
-  request.id = next_request_id();
+  request.id = ++emitted_;
   request.user = user;
   request.work = source_(rng_);
   request.created_at = sim_.now();
-  ++emitted_;
   sink_(request);
   sim_.schedule_after(gaps_(rng_), [this, user] { schedule_next(user); });
 }
@@ -174,11 +157,10 @@ replay_generator::replay_generator(sim::simulation& sim, task_source source,
 void replay_generator::emit_range(std::size_t first, std::size_t last) {
   for (std::size_t e = first; e < last; ++e) {
     offload_request request;
-    request.id = next_request_id();
+    request.id = ++emitted_;
     request.user = events_[e].user;
     request.work = source_(rng_);
     request.created_at = sim_.now();
-    ++emitted_;
     sink_(request);
   }
 }
@@ -216,13 +198,12 @@ void rate_doubling_generator::schedule_arrival() {
       if (rate_hz_ > config_.final_hz) return;  // schedule exhausted
     }
     offload_request request;
-    request.id = next_request_id();
+    request.id = ++emitted_;
     request.user = next_user_;
     next_user_ = (next_user_ + 1) %
                  static_cast<user_id>(config_.user_population);
     request.work = source_(rng_);
     request.created_at = sim_.now();
-    ++emitted_;
     sink_(request);
     schedule_arrival();
   });

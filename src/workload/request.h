@@ -11,6 +11,8 @@ namespace mca::workload {
 
 /// One code-offloading request emitted by a simulated device.
 struct offload_request {
+  /// 1, 2, ... in the emitting generator's own emission order: unique
+  /// within one generator, the same in every run of the same simulation.
   request_id id = 0;
   user_id user = 0;
   tasks::task_request work;

@@ -4,34 +4,14 @@
 
 #include <atomic>
 #include <chrono>
-#include <future>
+#include <condition_variable>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
 
 namespace mca::exp {
 namespace {
-
-TEST(ThreadPool, RunsEveryPostedTask) {
-  thread_pool pool{4};
-  std::atomic<int> executed{0};
-  for (int i = 0; i < 200; ++i) {
-    pool.post([&executed] { executed.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(executed.load(), 200);
-}
-
-TEST(ThreadPool, RejectsEmptyTask) {
-  thread_pool pool{1};
-  EXPECT_THROW(pool.post({}), std::invalid_argument);
-}
-
-TEST(ThreadPool, WaitIdleOnFreshPoolReturnsImmediately) {
-  thread_pool pool{2};
-  pool.wait_idle();  // must not hang
-  SUCCEED();
-}
 
 TEST(ThreadPool, WorkerCountClampsToAtLeastOne) {
   thread_pool pool{0};  // 0 = hardware_workers(), itself floored at 1
@@ -44,39 +24,12 @@ TEST(ThreadPool, TasksRunOnPoolThreadsNotCaller) {
   const auto caller = std::this_thread::get_id();
   std::mutex mutex;
   std::set<std::thread::id> ids;
-  for (int i = 0; i < 32; ++i) {
-    pool.post([&] {
-      std::lock_guard lock{mutex};
-      ids.insert(std::this_thread::get_id());
-    });
-  }
-  pool.wait_idle();
+  parallel_for(pool, 32, [&](std::size_t) {
+    std::lock_guard lock{mutex};
+    ids.insert(std::this_thread::get_id());
+  });
   EXPECT_FALSE(ids.contains(caller));
   EXPECT_GE(ids.size(), 1u);
-}
-
-TEST(ThreadPool, IdleWorkerStealsFromTheOtherQueue) {
-  thread_pool pool{2};
-  std::promise<void> started;
-  std::promise<void> release;
-  std::shared_future<void> released = release.get_future().share();
-  pool.post([&started, released] {
-    started.set_value();
-    released.wait();
-  });
-  // One worker is now parked inside the blocker.  The next two posts
-  // round-robin onto both deques, so whichever worker survives owns only
-  // one of them and must steal the other task.
-  started.get_future().wait();
-  std::atomic<int> quick_done{0};
-  pool.post([&quick_done] { quick_done.fetch_add(1); });
-  pool.post([&quick_done] { quick_done.fetch_add(1); });
-  while (quick_done.load() < 2) {
-    std::this_thread::sleep_for(std::chrono::milliseconds{1});
-  }
-  EXPECT_GE(pool.steal_count(), 1u);
-  release.set_value();
-  pool.wait_idle();
 }
 
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
@@ -103,36 +56,59 @@ TEST(ThreadPool, PoolIsReusableAcrossWaves) {
   EXPECT_EQ(total.load(), 200);
 }
 
+TEST(ThreadPool, OneSlowIndexDoesNotHoldBackTheRest) {
+  // Index 0 blocks until every other index has run.  Workers claim the
+  // next unclaimed index, so the second worker drains 1..n-1 while the
+  // first waits; a static split would park half of them behind index 0
+  // and the bounded wait would time out instead of hanging.
+  constexpr std::size_t n = 16;
+  thread_pool pool{2};
+  std::mutex mutex;
+  std::condition_variable others_done;
+  std::size_t finished = 0;
+  bool released = false;
+  parallel_for(pool, n, [&](std::size_t i) {
+    std::unique_lock lock{mutex};
+    if (i == 0) {
+      released = others_done.wait_for(lock, std::chrono::seconds{10},
+                                      [&] { return finished == n - 1; });
+    } else if (++finished == n - 1) {
+      others_done.notify_all();
+    }
+  });
+  EXPECT_TRUE(released);
+  EXPECT_EQ(finished, n - 1);
+}
+
+TEST(ThreadPool, SingleWorkerRunsIndicesInAscendingOrder) {
+  thread_pool pool{1};
+  std::vector<std::size_t> order;
+  parallel_for(pool, 64, [&order](std::size_t i) { order.push_back(i); });
+  ASSERT_EQ(order.size(), 64u);
+  for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+  EXPECT_EQ(pool.counters().executed, 64u);
+}
+
+TEST(ThreadPool, ConcurrentCallersEachGetTheirWholeBatch) {
+  thread_pool pool{3};
+  std::atomic<int> first{0};
+  std::atomic<int> second{0};
+  std::thread other{[&] {
+    parallel_for(pool, 50, [&second](std::size_t) { second.fetch_add(1); });
+  }};
+  parallel_for(pool, 70, [&first](std::size_t) { first.fetch_add(1); });
+  other.join();
+  EXPECT_EQ(first.load(), 70);
+  EXPECT_EQ(second.load(), 50);
+  EXPECT_EQ(pool.counters().executed, 120u);
+}
+
 TEST(ThreadPool, CountersReportExactExecutedTotal) {
   thread_pool pool{4};
   EXPECT_EQ(pool.counters().executed, 0u);
   parallel_for(pool, 100, [](std::size_t) {});
   parallel_for(pool, 57, [](std::size_t) {});
-  const pool_counters after = pool.counters();
-  EXPECT_EQ(after.executed, 157u);
-  // Steals and idle waits are scheduling-dependent; only sanity-bound
-  // them: a worker cannot steal more tasks than ran in total.
-  EXPECT_LE(after.steals, after.executed);
-  EXPECT_EQ(after.steals, static_cast<std::uint64_t>(pool.steal_count()));
-}
-
-TEST(ThreadPool, SingleWorkerNeverSteals) {
-  thread_pool pool{1};
-  parallel_for(pool, 64, [](std::size_t) {});
-  const pool_counters counters = pool.counters();
-  EXPECT_EQ(counters.executed, 64u);
-  EXPECT_EQ(counters.steals, 0u);
-}
-
-TEST(ThreadPool, DestructorDrainsOutstandingTasks) {
-  std::atomic<int> executed{0};
-  {
-    thread_pool pool{2};
-    for (int i = 0; i < 64; ++i) {
-      pool.post([&executed] { executed.fetch_add(1); });
-    }
-  }
-  EXPECT_EQ(executed.load(), 64);
+  EXPECT_EQ(pool.counters().executed, 157u);
 }
 
 }  // namespace

@@ -155,18 +155,24 @@ TEST(ScenarioRunner, ReplicationsVaryButStayDeterministic) {
   EXPECT_TRUE(any_difference);
 }
 
-TEST(ScenarioRunner, BrokenScenarioSurfacesEveryFailure) {
-  auto spec = tiny_scenario();
-  spec.groups = {{1, "no.such.instance", 1, 4.0}};
-  tasks::task_pool tasks;
+TEST(ReplicationRunner, EveryFailureSurfacesInIndexOrder) {
   thread_pool pool{4};
-  const auto result = run_scenario(spec, spec.plan(3), tasks, pool);
-  EXPECT_EQ(result.per_replication.size(), 0u);
-  EXPECT_EQ(result.aggregate.replications, 0u);
-  ASSERT_EQ(result.errors.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(result.errors[i].index, i);
-    EXPECT_FALSE(result.errors[i].message.empty());
+  const auto plan =
+      replication_plan::explicit_seeds({20, 21, 22, 23, 24, 25, 26, 27});
+  const auto outcome =
+      run_replications(pool, plan, [](const replication_context& context) {
+        if (context.index % 2 == 1) {
+          throw std::runtime_error{"seed " + std::to_string(context.seed)};
+        }
+        return context.index;
+      });
+  EXPECT_EQ(outcome.completed(), 4u);
+  ASSERT_EQ(outcome.errors.size(), 4u);
+  for (std::size_t k = 0; k < 4; ++k) {
+    const std::size_t index = 2 * k + 1;
+    EXPECT_EQ(outcome.errors[k].index, index);
+    EXPECT_EQ(outcome.errors[k].seed, 20 + index);
+    EXPECT_EQ(outcome.errors[k].message, "seed " + std::to_string(20 + index));
   }
 }
 
@@ -241,6 +247,18 @@ TEST(ScenarioSpecValidation, RejectsDegenerateSpecs) {
   spec = tiny_scenario();
   spec.background_burst_period = 0.0;
   expect_rejected(spec, "background_burst_period");
+
+  spec = tiny_scenario();
+  spec.groups[1].type_name = "no.such.instance";
+  expect_rejected(spec, "groups[1].type_name");
+
+  spec = tiny_scenario();
+  spec.groups[0].capacity_per_instance = 0.0;
+  expect_rejected(spec, "groups[0].capacity_per_instance");
+
+  spec = tiny_scenario();
+  spec.max_total_instances = 0;
+  expect_rejected(spec, "max_total_instances");
 
   // The checks bind only where the field is read: study-session gaps never
   // draw from arrival_rate_hz, and no bursts means no burst period.

@@ -68,11 +68,9 @@ TEST(ObsRegistry, FingerprintExcludesSchedulingDependentCounters) {
   a.add(counter::sdn_requests, 100);
   b.add(counter::sdn_requests, 100);
   // Pool telemetry differs between "runs" — the fingerprint must not.
-  a.add(counter::pool_steals, 17);
-  a.add(counter::pool_idle_waits, 3);
+  a.add(counter::pool_idle_waits, 17);
   b.add(counter::pool_tasks_executed, 99);
   EXPECT_EQ(a.fingerprint(), b.fingerprint());
-  EXPECT_TRUE(counter_is_scheduling_dependent(counter::pool_steals));
   EXPECT_TRUE(counter_is_scheduling_dependent(counter::pool_tasks_executed));
   EXPECT_TRUE(counter_is_scheduling_dependent(counter::pool_idle_waits));
   EXPECT_FALSE(counter_is_scheduling_dependent(counter::sdn_requests));

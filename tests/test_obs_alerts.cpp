@@ -265,5 +265,29 @@ TEST(ObsAlertsFleet, TightObjectivesFireAtSlotZeroLooseNeverFire) {
   }
 }
 
+TEST(ObsAlertsFleet, HealthReportIdenticalAcrossPoolSizes) {
+  // The rendered report — exemplar request ids included — depends only on
+  // the spec, not on the pool size or on earlier runs in the process.
+  const exp::scenario_spec spec = alerts_fleet_scenario();
+  const tasks::task_pool task_pool;
+  fleet::fleet_options options;
+  std::vector<std::string> reports;
+  for (const std::size_t jobs : {1u, 4u}) {
+    exp::thread_pool pool{jobs};
+    const fleet::fleet_result result =
+        fleet::run_fleet(spec, options, task_pool, pool);
+    const alert_report alerts = evaluate_alerts(
+        result.timeline, {latency_objective(1'000.0, 1, 1)});
+    const std::string path =
+        "obs_alerts_fleet_health_" + std::to_string(jobs) + ".txt";
+    ASSERT_TRUE(
+        write_health_report(path, result.timeline, alerts, result.exemplars));
+    reports.push_back(slurp(path));
+    std::remove(path.c_str());
+  }
+  EXPECT_NE(reports[0].find("slowest overall: request"), std::string::npos);
+  EXPECT_EQ(reports[0], reports[1]);
+}
+
 }  // namespace
 }  // namespace mca::obs

@@ -123,7 +123,7 @@ TEST(ObsTimeline, FingerprintExcludesGaugesSchedulingAndTraceCounters) {
   // Gauges, pool telemetry, and trace-dependent counters differ between
   // legs; the timeline fingerprint must not.
   a.set_gauge(gauge::pool_workers, 16);
-  a.add(counter::pool_steals, 11);
+  a.add(counter::pool_idle_waits, 11);
   a.add(counter::sdn_sampled_spans, 9);
   ASSERT_TRUE(counter_is_trace_dependent(counter::sdn_sampled_spans));
   ASSERT_FALSE(counter_is_trace_dependent(counter::sdn_requests));
@@ -462,17 +462,16 @@ TEST(ObsTimelineFleet, ExemplarsDeterministicAcrossPoolSizes) {
     if (jobs == 1) {
       first = result.exemplars;
     } else {
-      // Request *ids* come from a process-global counter (values depend
-      // on thread interleaving, see workload::next_request_id), so the
-      // determinism statement is over the requests' deterministic
-      // identity: which user, in which window, at what latency.
       ASSERT_EQ(result.exemplars.size(), first.size());
       for (std::size_t i = 0; i < first.size(); ++i) {
+        EXPECT_EQ(result.exemplars[i].request, first[i].request) << i;
         EXPECT_EQ(result.exemplars[i].user, first[i].user) << i;
         EXPECT_EQ(result.exemplars[i].group, first[i].group) << i;
         EXPECT_EQ(result.exemplars[i].slot, first[i].slot) << i;
-        EXPECT_DOUBLE_EQ(result.exemplars[i].response_ms,
-                         first[i].response_ms)
+        EXPECT_EQ(result.exemplars[i].success, first[i].success) << i;
+        EXPECT_EQ(result.exemplars[i].response_ms, first[i].response_ms)
+            << i;
+        EXPECT_EQ(result.exemplars[i].issued_at_ms, first[i].issued_at_ms)
             << i;
       }
     }

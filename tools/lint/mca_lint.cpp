@@ -23,6 +23,9 @@
 //    anywhere in the library: everything under src/ can feed a digest or
 //    fingerprint.  The few legitimate wall-clock sites (bench timing,
 //    tracer wall lanes) carry explicit allow() suppressions with reasons.
+//    Outside src/exp/ (the thread pool and the replication runner),
+//    atomics and mutexes [det-shared-state] are banned too: a simulation
+//    shares nothing with its siblings but the pool's batch index.
 //
 //  header hygiene — every header needs #pragma once or an include guard
 //    [hdr-guard] and must not contain using-namespace [hdr-using-namespace].
@@ -101,7 +104,7 @@ const std::set<std::string>& known_rules() {
       "hot-alloc",        "hot-function",      "hot-vector-growth",
       "hot-lock",         "hot-throw",         "hot-io",
       "hot-string-build", "hot-region",        "det-random",
-      "det-wallclock",
+      "det-wallclock",    "det-shared-state",
       "det-unordered-iter", "hdr-guard",       "hdr-using-namespace",
       "obs-dead-counter", "obs-unknown-counter", "obs-unnamed-counter",
       "obs-dead-span",    "obs-unknown-span",    "obs-unnamed-span",
@@ -391,6 +394,21 @@ void check_determinism(const source_file& f, std::vector<violation>& out) {
       // previous token an identifier) don't match.
       out.push_back({f.display, t.line, "det-wallclock",
                      "time(): wall-clock read"});
+    }
+  }
+}
+
+/// Atomics and mutexes outside src/exp/: state shared across simulations
+/// makes a run depend on thread interleaving.
+void check_shared_state(const source_file& f, std::vector<violation>& out) {
+  if (f.display.rfind("src/exp/", 0) == 0) return;
+  for (const token& t : f.lex.tokens) {
+    if (t.kind != token_kind::identifier) continue;
+    if (t.text == "atomic" || t.text == "mutex" ||
+        t.text == "shared_mutex" || t.text == "recursive_mutex") {
+      out.push_back({f.display, t.line, "det-shared-state",
+                     t.text + ": simulations share no state but the "
+                     "pool's batch index (keep it in src/exp/)"});
     }
   }
 }
@@ -689,6 +707,7 @@ std::vector<violation> run_lint(std::vector<source_file>& files) {
     check_hot_regions(f, raw);
     if (f.in_src) {
       check_determinism(f, raw);
+      check_shared_state(f, raw);
       check_unordered_iteration(f, unordered_names, raw);
     }
     if (f.is_header) check_header(f, raw);
@@ -849,6 +868,11 @@ int self_test() {
       "inline double t() {\n"
       "  return std::chrono::steady_clock::now().time_since_epoch().count();\n"
       "}\n";
+  const std::string shared_bad =
+      "#include <mutex>\n"
+      "std::atomic<unsigned> next_id{0};\n"
+      "std::shared_mutex table_lock;\n"
+      "int f() { static std::recursive_mutex m; return 0; }\n";
   const std::string hdr_bad =
       "#include <vector>\n"
       "using namespace std;\n"
@@ -929,6 +953,12 @@ int self_test() {
       {"determinism bans stay out of tests/",
        {{"tests/demo_det.cpp", det_bad}},
        {{"det-wallclock", 0}, {"det-random", 0}}},
+      {"shared state fires in src/ outside src/exp/",
+       {{"src/demo/shared.cpp", shared_bad}},
+       {{"det-shared-state", 4}}},
+      {"shared state passes in src/exp/ and tests/",
+       {{"src/exp/pool.cpp", shared_bad}, {"tests/demo_pool.cpp", shared_bad}},
+       {{"det-shared-state", 0}}},
       {"allow-file suppresses with a reason",
        {{"src/demo/clock.h", det_allowed}},
        {{"det-wallclock", 0}, {"bad-suppression", 0}}},
