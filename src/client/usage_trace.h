@@ -32,18 +32,23 @@ struct usage_study_config {
   util::time_ms max_interarrival = 5000.0;
 };
 
-/// App-event timestamps (ms since study start) for one participant.
-/// Nights (00:00–07:00) have essentially no activity.
+/// App-event timestamps (ms since study start) for one participant, in
+/// ascending order (util::sort_doubles: the same bytes std::sort gives, at
+/// a fraction of its cost).  Nights (00:00–07:00) have essentially no
+/// activity.
 std::vector<util::time_ms> synthesize_participant_events(
     const usage_study_config& config, util::rng& rng);
 
 /// Pooled within-session inter-arrival samples across all participants,
 /// clipped to [min_interarrival, max_interarrival] (long idle gaps between
-/// sessions removed, as the paper removes inactive periods).
+/// sessions removed, as the paper removes inactive periods).  All finite,
+/// in participant then time order, and allocated once: the capacity stays
+/// within 1.1x of the size (~2.2M gaps, 17 MB, for the default study).
 std::vector<double> study_interarrivals(const usage_study_config& config,
                                         util::rng& rng);
 
-/// The study distilled into a samplable distribution.
+/// The study distilled into a samplable distribution: the gaps are moved
+/// into it, not copied, and sorted in place.
 util::empirical_distribution study_interarrival_distribution(
     const usage_study_config& config, std::uint64_t seed);
 

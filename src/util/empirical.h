@@ -5,11 +5,14 @@
 // draws interpolate linearly between order statistics.
 #pragma once
 
-#include <algorithm>
+#include <cmath>
 #include <span>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "util/float_sort.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -18,13 +21,25 @@ namespace mca::util {
 /// Samplable wrapper around a set of observed values.
 class empirical_distribution {
  public:
-  /// Throws std::invalid_argument on an empty sample set.
-  explicit empirical_distribution(std::span<const double> samples)
-      : sorted_{samples.begin(), samples.end()} {
+  /// Takes the samples by value and sorts them in place (`sort_doubles`),
+  /// so a caller that moves its array in pays no copy: the study's ~2.2M
+  /// gaps become the distribution's storage.  Throws std::invalid_argument
+  /// on an empty sample set, and on a NaN or ±inf sample, naming the first
+  /// one's index: the sort needs a strict weak ordering, and an infinite
+  /// order statistic would make draws infinite or NaN.
+  explicit empirical_distribution(std::vector<double> samples)
+      : sorted_{std::move(samples)} {
     if (sorted_.empty()) {
       throw std::invalid_argument{"empirical_distribution: no samples"};
     }
-    std::sort(sorted_.begin(), sorted_.end());
+    for (std::size_t i = 0; i < sorted_.size(); ++i) {
+      if (!std::isfinite(sorted_[i])) {
+        throw std::invalid_argument{
+            "empirical_distribution: non-finite sample at index " +
+            std::to_string(i)};
+      }
+    }
+    sort_doubles(sorted_);
   }
 
   /// Draws by inverse transform with linear interpolation.
@@ -35,7 +50,9 @@ class empirical_distribution {
   double min() const noexcept { return sorted_.front(); }
   double max() const noexcept { return sorted_.back(); }
   std::size_t size() const noexcept { return sorted_.size(); }
-  summary stats() const { return summary_of(sorted_); }
+  /// The samples in ascending order.
+  std::span<const double> sorted() const noexcept { return sorted_; }
+  summary stats() const { return summary_of_sorted(sorted_); }
 
  private:
   std::vector<double> sorted_;

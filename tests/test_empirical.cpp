@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace mca::util {
@@ -10,6 +13,32 @@ namespace {
 TEST(Empirical, ThrowsOnEmpty) {
   const std::vector<double> empty;
   EXPECT_THROW(empirical_distribution{empty}, std::invalid_argument);
+}
+
+TEST(Empirical, RejectsNonFiniteSamplesNamingTheFirst) {
+  const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()};
+  for (const double x : bad) {
+    try {
+      empirical_distribution{std::vector<double>{1.0, 2.0, x, 3.0, x}};
+      ADD_FAILURE() << "accepted " << x;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find("index 2"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Empirical, TakesAMovedSampleArrayWithoutCopying) {
+  std::vector<double> xs{5.0, 1.0, 9.0, 3.0};
+  const double* storage = xs.data();
+  const empirical_distribution d{std::move(xs)};
+  EXPECT_DOUBLE_EQ(d.min(), 1.0);
+  EXPECT_DOUBLE_EQ(d.max(), 9.0);
+  // Sorted in the caller's former buffer: a copy would leave it unsorted.
+  EXPECT_EQ(storage[0], 1.0);
+  EXPECT_EQ(storage[3], 9.0);
 }
 
 TEST(Empirical, SamplesWithinObservedRange) {
@@ -45,12 +74,19 @@ TEST(Empirical, SingleSampleAlwaysReturned) {
 }
 
 TEST(Empirical, StatsMatchSource) {
-  const std::vector<double> xs{1.0, 2.0, 3.0, 4.0};
+  const std::vector<double> xs{4.0, 1.0, 3.0, 2.0, 2.5};
   empirical_distribution d{xs};
   const auto s = d.stats();
-  EXPECT_EQ(s.count, 4u);
+  EXPECT_EQ(s.count, 5u);
   EXPECT_DOUBLE_EQ(s.mean, 2.5);
-  EXPECT_EQ(d.size(), 4u);
+  EXPECT_EQ(d.size(), 5u);
+  // Read off the sorted storage, bit for bit what summary_of computes.
+  const summary want = summary_of(xs);
+  for (const auto field : {&summary::mean, &summary::stddev, &summary::min,
+                           &summary::max, &summary::median, &summary::p5,
+                           &summary::p25, &summary::p75, &summary::p95}) {
+    EXPECT_EQ(s.*field, want.*field);
+  }
 }
 
 }  // namespace

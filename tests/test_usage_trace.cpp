@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
 
 namespace mca::client {
 namespace {
@@ -12,6 +16,17 @@ usage_study_config small_study() {
   config.participants = 2;
   config.days = 7.0;
   return config;
+}
+
+/// Index of the first element whose bits differ, or the shorter length.
+std::size_t first_difference(std::span<const double> a,
+                             std::span<const double> b) {
+  std::size_t i = 0;
+  while (i < std::min(a.size(), b.size()) &&
+         std::bit_cast<std::uint64_t>(a[i]) == std::bit_cast<std::uint64_t>(b[i])) {
+    ++i;
+  }
+  return i;
 }
 
 TEST(DiurnalActivity, QuietAtNightActiveInEvening) {
@@ -34,9 +49,9 @@ TEST(UsageTrace, EventsAreSortedAndInStudyWindow) {
   const auto config = small_study();
   const auto events = synthesize_participant_events(config, rng);
   ASSERT_GT(events.size(), 50u);
-  for (std::size_t i = 1; i < events.size(); ++i) {
-    EXPECT_GE(events[i], events[i - 1]);
-  }
+  auto reference = events;
+  std::sort(reference.begin(), reference.end());
+  EXPECT_EQ(first_difference(events, reference), events.size());
   EXPECT_GE(events.front(), 0.0);
   EXPECT_LE(events.back(), util::hours(24.0 * config.days) + util::hours(1));
 }
@@ -77,11 +92,26 @@ TEST(UsageTrace, DistributionMeanIsSubSecondScale) {
 }
 
 TEST(UsageTrace, DeterministicForSeed) {
-  const auto a = study_interarrival_distribution(small_study(), 9);
-  const auto b = study_interarrival_distribution(small_study(), 9);
-  EXPECT_EQ(a.size(), b.size());
-  EXPECT_DOUBLE_EQ(a.min(), b.min());
-  EXPECT_DOUBLE_EQ(a.max(), b.max());
+  // The default 6-participant, 90-day study, bit for bit: the distribution
+  // holds exactly the pooled gaps std::sort orders, and a second synthesis
+  // from the same seed reproduces it.
+  const usage_study_config config;
+  for (const std::uint64_t seed : {9u, 10u}) {
+    util::rng rng{seed};
+    auto reference = study_interarrivals(config, rng);
+    EXPECT_LE(static_cast<double>(reference.capacity()),
+              1.1 * static_cast<double>(reference.size()))
+        << "seed " << seed;
+    std::sort(reference.begin(), reference.end());
+    const auto a = study_interarrival_distribution(config, seed);
+    const auto b = study_interarrival_distribution(config, seed);
+    ASSERT_EQ(a.size(), reference.size()) << "seed " << seed;
+    ASSERT_EQ(b.size(), reference.size()) << "seed " << seed;
+    EXPECT_EQ(first_difference(a.sorted(), reference), reference.size())
+        << "seed " << seed;
+    EXPECT_EQ(first_difference(b.sorted(), reference), reference.size())
+        << "seed " << seed;
+  }
 }
 
 TEST(UsageTrace, MoreParticipantsMoreData) {
