@@ -1,5 +1,5 @@
 // Sharded fleet in ~50 lines: the builtin fleet scenario split over four
-// shards, provisioned by one batched coordinator ILP per slot, merged
+// shards, provisioned by one coordinator ILP per slot, merged
 // deterministically.
 //
 // Each shard runs its own closed-loop simulation over a quarter of the
@@ -38,8 +38,8 @@ int main() {
                 shard.successes, shard.response.mean(), shard.total_cost_usd);
   }
 
-  std::printf("\ncoordination (%zu slots, %zu fleet ILP solves, %zu warm):\n",
-              result.slot_count, result.ilp_solves, result.warm_solves);
+  std::printf("\ncoordination (%zu slots, %zu fleet ILP solves):\n",
+              result.slot_count, result.ilp_solves);
   for (const auto& slot : result.slots) {
     if (!slot.solved) {
       std::printf("  slot %zu: no shard predicted yet\n", slot.slot);

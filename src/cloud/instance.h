@@ -131,7 +131,6 @@ class instance {
   /// True while the cold-start delay is still running: the instance is
   /// provisioned (and billed) but not yet accepting work.
   bool warming() const noexcept { return sim_.now() < ready_at_; }
-  util::time_ms ready_at() const noexcept { return ready_at_; }
 
   /// Spot-style preemption: every in-flight job is killed *now* — each
   /// callback fires with ok=false so the client hears a failure notice

@@ -39,9 +39,6 @@ struct instance_type {
   /// Maximum simultaneous dalvikvm processes (memory-bound); requests
   /// beyond this are dropped, which is what saturates Fig. 8c.
   std::size_t max_concurrent() const noexcept;
-
-  /// Aggregate full-speed throughput in work units per millisecond.
-  double capacity_wu_per_ms() const noexcept { return vcpus * speed_factor; }
 };
 
 /// Work units charged per request for dalvikvm process spawn (the paper's

@@ -5,17 +5,18 @@
 //     s.t. Σ_{s ∈ group n} x_s · K_s  >  W_{a_n}      ∀ groups n    (2)
 //          Σ x_s ≤ CC                                               (3)
 //
-// solved exactly with the in-repo branch-and-bound ILP solver (the paper
-// uses R's lpSolveAPI).  Constraint (2) is strict and per group, as the
-// paper writes it once per group: a group's demand is covered by that
-// group's own instances only.  Besides the ILP, three baselines are
+// solved exactly with the in-repo branch-and-bound ILP solver, one
+// independent solve per provisioning slot (the paper solves each hour
+// with R's lpSolveAPI).  allocate_ilp is the only solve entry point: the
+// monolith's slot boundary and the fleet coordinator both build a fresh
+// request per slot and call it.  Constraint (2) is strict and per group,
+// as the paper writes it once per group: a group's demand is covered by
+// that group's own instances only.  Besides the ILP, three baselines are
 // provided for the ablation bench: a cost-greedy heuristic, static peak
 // provisioning, and best-effort filling for the infeasible case (workload
 // beyond what CC instances can carry).
 #pragma once
 
-#include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -78,12 +79,12 @@ std::vector<double> demand_from_prediction(
 /// back to the best-effort fill (flagged in the plan).  If the solver's
 /// node budget runs out with a feasible incumbent in hand, that incumbent
 /// is used (status `iteration_limit` flags the unproven optimality); the
-/// greedy fallback is reserved for truly empty results.
-allocation_plan allocate_ilp(const allocation_request& request);
-
-/// Same, with explicit solver knobs (node budget, tolerances).
+/// greedy fallback is reserved for truly empty results.  A non-null
+/// `registry` (not owned) records the solve: ilp_solves, ilp_bb_nodes,
+/// ilp_root_pivots, ilp_best_effort and the ilp_nodes_per_solve series.
 allocation_plan allocate_ilp(const allocation_request& request,
-                             const ilp::ilp_options& opts);
+                             const ilp::ilp_options& opts = {},
+                             obs::registry* registry = nullptr);
 
 /// Greedy baseline: per group, pick the candidate with the best
 /// capacity-per-dollar and buy enough of it; spill to the next-best type
@@ -99,55 +100,5 @@ allocation_plan allocate_static_peak(const allocation_request& request,
 /// Best-effort fill: maximize covered workload under the account cap,
 /// then minimize cost among maximal covers (greedy approximation).
 allocation_plan allocate_best_effort(const allocation_request& request);
-
-/// Reusable batched allocator — the multi-slot `allocate_ilp` entry point.
-///
-/// Builds the ILP model ONCE from a fixed deployment shape (candidates per
-/// group, account cap) and re-solves it for a stream of per-slot demand
-/// vectors, touching only the workload rows' right-hand sides between
-/// solves.  Consecutive solves keep one warm tableau: the rhs move is
-/// applied in place (dense_tableau::sync_constraint_rhs), the dual simplex
-/// repairs feasibility from the previous optimal basis, and branch & bound
-/// is seeded with the previous slot's plan as incumbent whenever it is
-/// still feasible — so slots whose demands barely move cost a few dual
-/// pivots instead of a model build, a two-phase solve, and a cold tree
-/// search.  Results are identical to
-/// independent allocate_ilp calls (asserted by tests).
-class batched_allocator {
- public:
-  /// `shape` fixes everything except the demands; its workload_per_group
-  /// only sizes the group dimension (values are ignored).
-  /// Throws std::invalid_argument on a malformed shape.
-  explicit batched_allocator(allocation_request shape,
-                             ilp::ilp_options opts = {});
-  batched_allocator(batched_allocator&&) noexcept;
-  batched_allocator& operator=(batched_allocator&&) noexcept;
-  ~batched_allocator();
-
-  /// Solves one slot against `demand_per_group` (one entry per group).
-  /// `max_total_instances` tightens the account-cap row for this solve
-  /// only (0 keeps the shape's cap; values above it are clamped down) —
-  /// the fleet coordinator uses it to reserve instances already deployed
-  /// on shards outside this allocation.  Infeasible slots fall back to
-  /// the best-effort fill, exactly like allocate_ilp.  Throws
-  /// std::invalid_argument on a size mismatch or a negative demand.
-  allocation_plan solve(std::span<const double> demand_per_group,
-                        std::size_t max_total_instances = 0);
-
-  std::size_t group_count() const noexcept;
-  std::size_t solves() const noexcept;
-  /// Solves that reused the previous slot's tableau + incumbent (every
-  /// solve after the first that stayed on the ILP path).
-  std::size_t warm_solves() const noexcept;
-
-  /// Attaches ILP solve-internals counters (solves, warm reuses, rhs
-  /// re-aims, root builds/pivots, branch & bound nodes, incumbent seeds,
-  /// best-effort fallbacks).  nullptr detaches; the pointer is not owned.
-  void set_observability(obs::registry* registry) noexcept;
-
- private:
-  struct impl;
-  std::unique_ptr<impl> impl_;
-};
 
 }  // namespace mca::core

@@ -146,11 +146,6 @@ offloading_system::offloading_system(system_config config,
   }
 
   predictor_ = workload_predictor{config_.predictor_mode};
-
-  if (config_.enable_adaptation && !config_.external_allocation) {
-    allocator_.emplace(make_slot_allocation_request(config_, group_count_, {}));
-    allocator_->set_observability(&obs_);
-  }
 }
 
 // Request ingress and response egress run once per simulated request —
@@ -344,9 +339,10 @@ void offloading_system::on_slot_boundary(std::size_t slot_index) {
       // apply_external_plan() answers.
       pending_demand_ =
           make_slot_allocation_request(config_, group_count_, predicted);
-    } else if (allocator_) {
-      allocation_plan plan = allocator_->solve(
-          demand_from_prediction(predicted, group_count_));
+    } else if (config_.enable_adaptation) {
+      allocation_plan plan = allocate_ilp(
+          make_slot_allocation_request(config_, group_count_, predicted), {},
+          &obs_);
       apply_plan(plan);
       report.plan = std::move(plan);
     }

@@ -290,10 +290,6 @@ class offloading_system : private response_sink {
   util::time_ms duration_ = 0.0;
   bool started_ = false;
   std::optional<allocation_request> pending_demand_;
-  /// The slot-boundary solver under internal adaptation (the fleet's
-  /// coordinator owns the solve under external_allocation): one warm
-  /// model re-aimed at each slot's predicted demand.
-  std::optional<batched_allocator> allocator_;
   /// The most recently applied plan (internal or external) — what
   /// restore_group() re-applies when an outage lifts mid-slot.
   std::optional<allocation_plan> last_plan_;
@@ -301,8 +297,9 @@ class offloading_system : private response_sink {
 
 /// The slot-boundary allocation request implied by a deployment's group
 /// backends and a predicted per-group load — one code path shared by
-/// offloading_system's internal adaptation and the fleet's demand digests
-/// (demand derivation itself lives in core::demand_from_prediction).
+/// offloading_system's internal adaptation, which hands it to allocate_ilp
+/// at every boundary, and the fleet's demand digests (demand derivation
+/// itself lives in core::demand_from_prediction).
 allocation_request make_slot_allocation_request(
     const system_config& config, std::size_t group_count,
     std::span<const std::size_t> predicted_counts);

@@ -71,7 +71,7 @@ struct scenario_spec {
   /// caller does not override it (<= 1 means the scenario is meant to run
   /// monolithically).
   std::size_t fleet_shards = 0;
-  /// Account-wide instance cap of the fleet's batched ILP; 0 falls back to
+  /// Account-wide instance cap of the fleet's ILP; 0 falls back to
   /// max_total_instances.  Distinct knob because one shard's cap and the
   /// whole account's cap differ by orders of magnitude at fleet scale.
   std::size_t fleet_max_total_instances = 0;

@@ -120,17 +120,16 @@ std::vector<std::optional<core::allocation_plan>> split_fleet_plan(
 }
 
 coordinator::coordinator(core::allocation_request shape, ilp::ilp_options opts)
-    : shape_{std::move(shape)}, allocator_{shape_, opts} {
+    : shape_{std::move(shape)}, opts_{opts} {
   shape_.workload_per_group.assign(shape_.candidates_per_group.size(), 0.0);
-  obs_.resize_groups(allocator_.group_count());
+  core::validate(shape_);
+  obs_.resize_groups(group_count());
   obs_ptr_ = &obs_;
-  allocator_.set_observability(obs_ptr_);
 }
 
 void coordinator::set_observability(bool counters, obs::tracer* tracer,
                                     std::size_t ring) noexcept {
   obs_ptr_ = counters ? &obs_ : nullptr;
-  allocator_.set_observability(obs_ptr_);
   tracer_ = tracer;
   trace_ring_ = ring;
 }
@@ -159,15 +158,15 @@ std::vector<std::optional<core::allocation_plan>> coordinator::allocate_slot(
   if (fleet.any_prediction() && cap_left) {
     record.solved = true;
     record.fleet_demand = fleet.total();
-    core::allocation_plan plan;
+    core::allocation_request request = shape_;
+    request.workload_per_group = fleet.demand_per_group;
+    request.max_total_instances -= record.reserved_instances;
     const double solve_t0 = tracer_ ? tracer_->now_us() : 0.0;
     ilp_seconds_ += exp::seconds_of([&] {
-      plan = allocator_.solve(
-          fleet.demand_per_group,
-          shape_.max_total_instances - record.reserved_instances);
+      last_plan_ = core::allocate_ilp(request, opts_, obs_ptr_);
     });
-    record.fleet_instances = plan.total_instances();
-    record.cost_per_hour = plan.total_cost_per_hour;
+    record.fleet_instances = last_plan_.total_instances();
+    record.cost_per_hour = last_plan_.total_cost_per_hour;
     if (tracer_) {
       obs::span_record span;
       span.wall_start_us = solve_t0;
@@ -177,11 +176,9 @@ std::vector<std::optional<core::allocation_plan>> coordinator::allocate_slot(
       span.kind = obs::span_kind::coordinator_solve;
       tracer_->ring(trace_ring_).push(span);
     }
-    solved_demands_.push_back(fleet.demand_per_group);
     last_digests_.assign(digests.begin(), digests.end());
-    last_cap_ = shape_.max_total_instances - record.reserved_instances;
     const double split_t0 = tracer_ ? tracer_->now_us() : 0.0;
-    quotas = split_fleet_plan(plan, digests, shape_, resilient_split_);
+    quotas = split_fleet_plan(last_plan_, digests, shape_, resilient_split_);
     if (obs_ptr_) obs_ptr_->add(obs::counter::fleet_quota_splits);
     if (tracer_) {
       obs::span_record span;
@@ -205,13 +202,15 @@ std::vector<std::optional<core::allocation_plan>> coordinator::allocate_slot(
   return quotas;
 }
 
+std::size_t coordinator::ilp_solves() const noexcept {
+  return static_cast<std::size_t>(
+      std::count_if(records_.begin(), records_.end(),
+                    [](const coordination_record& r) { return r.solved; }));
+}
+
 std::vector<std::optional<core::allocation_plan>> coordinator::reallocate() {
   if (last_digests_.empty()) return {};
-  core::allocation_plan plan;
-  ilp_seconds_ += exp::seconds_of([&] {
-    plan = allocator_.solve(solved_demands_.back(), last_cap_);
-  });
-  return split_fleet_plan(plan, last_digests_, shape_, resilient_split_);
+  return split_fleet_plan(last_plan_, last_digests_, shape_, resilient_split_);
 }
 
 void coordinator::enable_timeline(std::size_t window_capacity,

@@ -1,14 +1,12 @@
-// The fleet's provisioning plane: one batched allocation per slot, split
-// into per-shard quotas.
+// The fleet's provisioning plane: one fleet-wide allocation per slot,
+// split into per-shard quotas.
 //
 // The shard/coordinator contract:
 //   * Shards never provision themselves.  At each provisioning-slot
 //     boundary every shard emits a demand_digest; the coordinator folds
 //     them (shard order, so the result is thread-mapping independent),
-//     solves ONE fleet-wide allocation — through core::batched_allocator,
-//     which keeps a warm ILP tableau across consecutive slots and seeds
-//     branch & bound with the previous slot's plan — and splits the fleet
-//     plan back into per-shard quotas.
+//     solves ONE fleet-wide allocation from scratch with core::allocate_ilp
+//     and splits the fleet plan back into per-shard quotas.
 //   * The split is largest-remainder apportionment per (group, type)
 //     against the shards' own predicted demand in that group, ties broken
 //     toward the lower shard index: counts sum exactly to the fleet plan
@@ -48,31 +46,33 @@ class coordinator {
  public:
   /// `shape` fixes the fleet deployment: candidates per group and the
   /// account-wide instance cap.  Demands arrive per slot via
-  /// allocate_slot.
+  /// allocate_slot.  Throws std::invalid_argument on a malformed shape.
   explicit coordinator(core::allocation_request shape,
                        ilp::ilp_options opts = {});
 
-  /// One provisioning slot: fold the digests, solve the batched fleet
-  /// ILP, split into per-shard quotas (digest order).  `plans[k]` is
+  /// One provisioning slot: fold the digests, solve the fleet ILP with
+  /// the account cap reduced by the non-predicting shards' instances,
+  /// split into per-shard quotas (digest order).  `plans[k]` is
   /// nullopt when digest k's shard should keep its fleet untouched.
   std::vector<std::optional<core::allocation_plan>> allocate_slot(
       std::span<const demand_digest> digests);
 
   /// Off-cycle re-aim after a fault collapsed a group's capacity (outage
-  /// lifting, mass preemption): re-solves the batched fleet ILP against
-  /// the most recent solved slot's demands — the warm tableau plus the
-  /// previous plan as incumbent make this ~free — and re-splits with the
-  /// remembered digests.  Returns an empty vector before the first
-  /// solved slot (nothing to re-aim yet).
+  /// lifting, mass preemption): re-splits the most recent solved slot's
+  /// plan over its remembered digests.  A solve of the same demand and cap
+  /// would return that same plan, so none runs.  Returns an empty vector
+  /// before the first solved slot (nothing to re-aim yet).
   std::vector<std::optional<core::allocation_plan>> reallocate();
 
-  std::size_t group_count() const noexcept { return allocator_.group_count(); }
+  std::size_t group_count() const noexcept {
+    return shape_.candidates_per_group.size();
+  }
   const std::vector<coordination_record>& records() const noexcept {
     return records_;
   }
-  std::size_t ilp_solves() const noexcept { return allocator_.solves(); }
-  std::size_t warm_solves() const noexcept { return allocator_.warm_solves(); }
-  /// Wall time spent inside the batched ILP (gather/split excluded).
+  /// Fleet ILP solves so far: one per solved slot record.
+  std::size_t ilp_solves() const noexcept;
+  /// Wall time spent inside the fleet ILP (gather/split excluded).
   double ilp_seconds() const noexcept { return ilp_seconds_; }
 
   /// Observability: `counters` toggles the coordinator-owned registry
@@ -85,8 +85,8 @@ class coordinator {
   /// fleet_runner turns this on exactly when the scenario's fault program
   /// is active, so a disabled-fault replay splits like the baseline.
   void set_resilient_split(bool on) noexcept { resilient_split_ = on; }
-  /// The coordinator's registry: ilp_* counters from the batched
-  /// allocator plus fleet_slot_rounds / fleet_quota_splits.
+  /// The coordinator's registry: ilp_* counters from allocate_ilp plus
+  /// fleet_slot_rounds / fleet_quota_splits.
   const obs::registry& observability() const noexcept { return obs_; }
 
   /// Preallocates a per-slot timeline over the coordinator's registry
@@ -100,13 +100,12 @@ class coordinator {
 
  private:
   core::allocation_request shape_;
-  core::batched_allocator allocator_;
-  /// The digests and remaining cap of the last solved slot — what
-  /// reallocate() re-aims against between boundaries.
+  ilp::ilp_options opts_;
+  /// The plan and digests of the last solved slot — what reallocate()
+  /// re-splits between boundaries.
+  core::allocation_plan last_plan_;
   std::vector<demand_digest> last_digests_;
-  std::size_t last_cap_ = 0;
   std::vector<coordination_record> records_;
-  std::vector<std::vector<double>> solved_demands_;
   std::size_t next_slot_ = 0;
   double ilp_seconds_ = 0.0;
   bool resilient_split_ = false;

@@ -5,7 +5,7 @@
 // from its sub-population's history (via the shared
 // core::demand_from_prediction path), the current queue depth on its
 // instances, and its acceptance counters.  The coordinator folds the
-// digests of one slot into the fleet-wide demand the batched ILP covers.
+// digests of one slot into the fleet-wide demand the fleet ILP covers.
 // Digests carry no pointers into the shard, so gathering them across the
 // thread pool is race-free by construction.
 #pragma once

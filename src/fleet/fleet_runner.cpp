@@ -61,7 +61,7 @@ fleet_result run_fleet(const exp::scenario_spec& spec,
         return s;
       });
 
-  coordinator coord{fleet_allocation_shape(spec), options.ilp};
+  coordinator coord{fleet_allocation_shape(spec)};
   coord.set_resilient_split(spec.faults.active());
   coord.set_observability(true, tracer, shards);
   // One coordinator window per slot round; count the boundaries with the
@@ -112,9 +112,9 @@ fleet_result run_fleet(const exp::scenario_spec& spec,
        boundary += spec.slot_length) {
     const std::size_t slot = result.slot_count;
     // Park every shard at each fault edge inside this round, then let the
-    // coordinator re-aim with its warm tableau.  The edge times come from
-    // the spec, the shard advance is bulk-synchronous, and the split uses
-    // the remembered digests — deterministic like the boundary rounds.
+    // coordinator re-split its last plan.  The edge times come from the
+    // spec, the shard advance is bulk-synchronous, and the split uses the
+    // remembered digests — deterministic like the boundary rounds.
     while (next_edge < recovery_edges.size() &&
            recovery_edges[next_edge] < boundary) {
       const util::time_ms edge = recovery_edges[next_edge++];
@@ -211,7 +211,6 @@ fleet_result run_fleet(const exp::scenario_spec& spec,
 
   result.slots = coord.records();
   result.ilp_solves = coord.ilp_solves();
-  result.warm_solves = coord.warm_solves();
   result.ilp_seconds = coord.ilp_seconds();
   // mca-lint: allow(det-wallclock) see above: advisory wall time only.
   result.wall_seconds =

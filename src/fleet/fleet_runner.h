@@ -7,7 +7,7 @@
 // boundary in parallel (a barrier — shards never block mid-simulation, so
 // the pool can be smaller than the shard count without deadlock), the
 // coordinator gathers their demand digests in shard order, solves ONE
-// batched fleet allocation, and scatters per-shard quotas before the next
+// fleet allocation, and scatters per-shard quotas before the next
 // round.  Because each shard is a pure function of (spec, index, quota
 // sequence) and the coordinator consumes digests in shard order, the
 // merged aggregate — folded shard-by-shard through the same
@@ -30,8 +30,6 @@ struct fleet_options {
   /// Shard count; 0 falls back to the spec's fleet_shards (and 1 if that
   /// is unset) — a monolithic run in fleet clothing.
   std::size_t shards = 0;
-  /// Fleet ILP knobs (node budget, tolerances).
-  ilp::ilp_options ilp;
   /// Tail-exemplar reservoir size per shard (0 = off); the per-window
   /// fleet top-K lands in fleet_result::exemplars.
   std::size_t exemplar_top_k = 4;
@@ -68,7 +66,6 @@ struct fleet_result {
   std::size_t shard_count = 0;
   std::size_t slot_count = 0;
   std::size_t ilp_solves = 0;
-  std::size_t warm_solves = 0;
 
   double wall_seconds = 0.0;
   /// Serial coordination time (gather + fleet ILP + quota scatter): the

@@ -105,38 +105,16 @@ void trim_candidate(const problem& p, std::vector<double>& x) {
 
 solution solve_ilp(const problem& p, const ilp_options& opts) {
   if (!p.has_integer_variables()) return solve_lp(p, opts.lp);
-  if (opts.max_nodes == 0) {
-    solution out;
-    out.status = solve_status::iteration_limit;
-    out.objective = std::numeric_limits<double>::infinity();
-    return out;
-  }
-  dense_tableau root{p, opts.lp.tolerance};
-  const solve_status status = root.solve(opts.lp);
-  return solve_ilp_warm(p, std::move(root), status, opts);
-}
-
-solution solve_ilp_warm(const problem& p, dense_tableau root,
-                        solve_status root_status, const ilp_options& opts,
-                        const std::vector<double>* incumbent_hint) {
-  if (opts.max_nodes == 0) {
-    // Mirror solve_ilp's guard (including ignoring the hint): a zero node
-    // budget yields no incumbent on either path, so the batched
-    // allocator's results stay identical to independent cold solves.
-    solution out;
-    out.status = solve_status::iteration_limit;
-    out.objective = std::numeric_limits<double>::infinity();
-    return out;
-  }
   solution incumbent;
   incumbent.status = solve_status::infeasible;
   incumbent.objective = std::numeric_limits<double>::infinity();
-  if (incumbent_hint && incumbent_hint->size() == p.variable_count() &&
-      p.is_feasible(*incumbent_hint)) {
-    incumbent.values = *incumbent_hint;
-    incumbent.objective = p.objective_value(*incumbent_hint);
-    incumbent.status = solve_status::optimal;
+  if (opts.max_nodes == 0) {
+    incumbent.status = solve_status::iteration_limit;
+    return incumbent;
   }
+  dense_tableau root{p, opts.lp.tolerance};
+  const solve_status root_status = root.solve(opts.lp);
+  const std::size_t root_pivots = root.pivots();
 
   std::vector<search_node> stack;
   std::size_t explored = 0;
@@ -245,8 +223,6 @@ solution solve_ilp_warm(const problem& p, dense_tableau root,
     }
   };
 
-  // Root relaxation, solved by the caller (cold path: solve_ilp; warm
-  // path: the batched allocator's persistent tableau after an rhs sync).
   ++explored;
   consider(std::move(root), root_status, /*at_root=*/true);
 
@@ -273,6 +249,7 @@ solution solve_ilp_warm(const problem& p, dense_tableau root,
   }
 
   incumbent.iterations = explored;
+  incumbent.root_pivots = root_pivots;
   if (budget_exhausted) {
     // Return the incumbent (if any) but flag that optimality was not proven.
     incumbent.status = solve_status::iteration_limit;

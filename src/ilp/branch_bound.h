@@ -6,8 +6,6 @@
 // is 20 instances over a handful of types).
 #pragma once
 
-#include <vector>
-
 #include "ilp/problem.h"
 #include "ilp/simplex.h"
 #include "ilp/tableau.h"
@@ -29,20 +27,8 @@ struct ilp_options {
 /// Returns `optimal` with the best integral assignment, `infeasible` when
 /// no integral point exists, `unbounded` if the relaxation is unbounded,
 /// or `iteration_limit` when the node budget ran out (best incumbent
-/// returned when one was found).
+/// returned when one was found).  `solution::iterations` counts the nodes
+/// explored and `solution::root_pivots` the root relaxation's pivots.
 solution solve_ilp(const problem& p, const ilp_options& opts = {});
-
-/// Branch & bound from an already-solved root relaxation — the warm path
-/// the batched allocator drives: the caller keeps one persistent tableau
-/// across solves (problem::set_constraint_rhs + dense_tableau::
-/// sync_constraint_rhs + resolve) and hands a copy of it in here with the
-/// status that last (re)solve returned.  `incumbent_hint`, when non-null,
-/// integral, and still feasible for `p`, seeds the incumbent so consecutive
-/// solves whose demands barely move open with a near-optimal cutoff and
-/// usually prune the whole tree at the root.  `p` must be the problem the
-/// tableau was built on (with its current rhs values).
-solution solve_ilp_warm(const problem& p, dense_tableau root,
-                        solve_status root_status, const ilp_options& opts,
-                        const std::vector<double>* incumbent_hint = nullptr);
 
 }  // namespace mca::ilp

@@ -37,10 +37,6 @@ void problem::set_bounds(std::size_t var, double lower, double upper) {
   v.upper = upper;
 }
 
-void problem::set_constraint_rhs(std::size_t i, double rhs) {
-  constraints_.at(i).rhs = rhs;
-}
-
 bool problem::has_integer_variables() const noexcept {
   for (const auto& v : variables_) {
     if (v.is_integer) return true;

@@ -80,12 +80,6 @@ class problem {
   /// Throws std::invalid_argument if the result is an empty box.
   void set_bounds(std::size_t var, double lower, double upper);
 
-  /// Replaces a constraint's right-hand side (the batched allocator's
-  /// per-period demand update; the matrix stays fixed).  A dense_tableau
-  /// built on this problem picks the move up via sync_constraint_rhs.
-  /// Throws std::out_of_range on an unknown constraint.
-  void set_constraint_rhs(std::size_t i, double rhs);
-
   /// True if any variable is marked integral.
   bool has_integer_variables() const noexcept;
 
@@ -119,6 +113,8 @@ struct solution {
   /// Solver effort: simplex pivots for solve_lp, branch-and-bound nodes
   /// explored for solve_ilp.
   std::size_t iterations = 0;
+  /// solve_ilp only: simplex pivots the root relaxation took.
+  std::size_t root_pivots = 0;
 };
 
 }  // namespace mca::ilp

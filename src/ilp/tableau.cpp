@@ -87,9 +87,6 @@ void dense_tableau::build() {
   rhs_.assign(num_rows_, 0.0);
   basis_.assign(num_rows_, 0);
   flipped_.assign(num_cols_, 0);  // every variable starts at its lower bound
-  built_rhs_.resize(num_rows_);
-  row_negated_.assign(flipped_row.begin(), flipped_row.end());
-  row_anchor_.assign(num_rows_, npos);
 
   std::size_t next_slack = n;
   std::size_t next_artificial = first_artificial_;
@@ -99,7 +96,6 @@ void dense_tableau::build() {
     const double sign = flipped_row[i] ? -1.0 : 1.0;
     for (const auto& t : c.terms) row[t.var] += sign * t.coeff;
     rhs_[i] = adj_rhs[i];
-    built_rhs_[i] = c.rhs;
     switch (adj_rel[i]) {
       case relation::less_equal:
         row[next_slack] = 1.0;
@@ -115,10 +111,6 @@ void dense_tableau::build() {
         basis_[i] = next_artificial++;
         break;
     }
-    // The initial basic column always carries a +1 in this row and nothing
-    // elsewhere, so its column stays B⁻¹e_row through every later pivot
-    // (slack/artificial columns have infinite span and are never flipped).
-    row_anchor_[i] = basis_[i];
   }
 
   candidates_.clear();
@@ -399,24 +391,6 @@ void dense_tableau::tighten_upper(std::size_t var, double hi) {
   if (!flipped_[var]) return;
   for (std::size_t i = 0; i < num_rows_; ++i) {
     rhs_[i] -= delta * at(i, var);
-  }
-}
-
-void dense_tableau::sync_constraint_rhs(std::size_t row) {
-  if (!built_ || needs_rebuild_) return;  // build() reads the problem fresh
-  const double now = problem_->constraint(row).rhs;
-  const double delta = now - built_rhs_[row];
-  if (delta == 0.0) return;
-  built_rhs_[row] = now;
-  // The build-space rhs of this row moved by ±delta (the build may have
-  // sign-normalized the row); in the current basis that shifts the basic
-  // values by B⁻¹e_row times the move, and B⁻¹e_row is exactly the current
-  // tableau column of the row's original basic variable.
-  const double d = row_negated_[row] ? -delta : delta;
-  const std::size_t col = row_anchor_[row];
-  for (std::size_t i = 0; i < num_rows_; ++i) {
-    const double a = at(i, col);
-    if (a != 0.0) rhs_[i] += d * a;
   }
 }
 

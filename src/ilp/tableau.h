@@ -67,16 +67,6 @@ class dense_tableau {
   /// Lowers the upper bound of `var` (no-op if `hi` is not tighter).
   void tighten_upper(std::size_t var, double hi);
 
-  /// Picks up a changed right-hand side of constraint `row` from the
-  /// problem (after problem::set_constraint_rhs) without rebuilding: the
-  /// basic values shift by B⁻¹Δb — read off the current tableau column of
-  /// the row's original basic variable, which started as the unit vector of
-  /// that row — while the basis and the (still dual-feasible) cost row stay
-  /// put, so a following resolve() repairs primal feasibility with a few
-  /// dual pivots.  This is what lets consecutive allocation solves whose
-  /// demands barely move reuse one warm tableau across solves.
-  void sync_constraint_rhs(std::size_t row);
-
   /// Reduced-cost bound tightening against an incumbent: after an optimal
   /// (re)solve whose objective sits `slack` below the cutoff, a nonbasic
   /// variable with reduced cost d can move at most slack / d from the
@@ -149,14 +139,6 @@ class dense_tableau {
   std::vector<double> cost_;  // reduced-cost row of the active objective
   std::vector<std::size_t> basis_;
   std::vector<char> flipped_;  // column stored as distance-from-upper?
-
-  // Per-row bookkeeping for sync_constraint_rhs: the problem rhs the build
-  // used, whether the row was sign-normalized, and the slack/artificial
-  // column that carried the row's build-time unit vector (so its current
-  // column is B⁻¹e_row at any basis).
-  std::vector<double> built_rhs_;
-  std::vector<char> row_negated_;
-  std::vector<std::size_t> row_anchor_;
 
   // Pricing state.
   std::vector<std::size_t> candidates_;

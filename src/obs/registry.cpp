@@ -17,12 +17,8 @@ constexpr const char* kCounterNames[kCounterCount] = {
     "ps_spurious_wakes",
     "ps_vclock_resets",
     "ilp_solves",
-    "ilp_warm_solves",
-    "ilp_root_builds",
-    "ilp_rhs_reaims",
     "ilp_bb_nodes",
     "ilp_root_pivots",
-    "ilp_incumbent_seeds",
     "ilp_best_effort",
     "fleet_slot_rounds",
     "fleet_quota_splits",

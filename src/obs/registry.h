@@ -42,14 +42,10 @@ enum class counter : std::uint32_t {
   ps_completion_events,  ///< completion events fired (batches)
   ps_spurious_wakes,     ///< events that found nothing due and re-armed
   ps_vclock_resets,      ///< virtual-clock resets at idle (busy periods)
-  // --- ILP allocation (batched_allocator + monolith slot path) ---
-  ilp_solves,            ///< batched/monolith ILP solves started
-  ilp_warm_solves,       ///< solves that reused the warm tableau
-  ilp_root_builds,       ///< cold root tableau builds
-  ilp_rhs_reaims,        ///< constraint rows re-aimed in place
+  // --- ILP allocation (core::allocate_ilp) ---
+  ilp_solves,            ///< allocate_ilp calls (fleet or monolith slot)
   ilp_bb_nodes,          ///< branch & bound nodes explored
-  ilp_root_pivots,       ///< simplex pivots in the persistent root tableau
-  ilp_incumbent_seeds,   ///< solves seeded with the previous slot's plan
+  ilp_root_pivots,       ///< simplex pivots of the root relaxations
   ilp_best_effort,       ///< solves that fell back to the best-effort fill
   // --- fleet coordination ---
   fleet_slot_rounds,    ///< bulk-synchronous slot rounds coordinated
@@ -62,7 +58,7 @@ enum class counter : std::uint32_t {
   fault_preemptions,      ///< spot preemption events applied
   fault_inflight_killed,  ///< in-flight jobs killed by preemption/drain
   fault_outages,          ///< outage windows opened (group drained)
-  fault_recoveries,       ///< outage ends + off-cycle re-allocation solves
+  fault_recoveries,       ///< outage ends that restored a group's plan
   fault_cold_starts,      ///< launches that paid a cold-start delay
   sdn_timeouts,           ///< per-request timeout timers that fired
   sdn_retries,            ///< re-dispatch attempts after backoff

@@ -27,18 +27,4 @@ slo_report build_slo_report(const registry& reg) {
   return report;
 }
 
-void write_slo_json(std::FILE* out, const slo_report& report, int indent) {
-  std::fprintf(out, "[\n");
-  for (std::size_t i = 0; i < report.rows.size(); ++i) {
-    const slo_row& row = report.rows[i];
-    std::fprintf(out,
-                 "%*s{\"label\": \"%s\", \"samples\": %zu, \"p50_ms\": %.3f, "
-                 "\"p95_ms\": %.3f, \"p99_ms\": %.3f, \"p999_ms\": %.3f}%s\n",
-                 indent, "", row.label.c_str(), row.samples, row.p50_ms,
-                 row.p95_ms, row.p99_ms, row.p999_ms,
-                 i + 1 < report.rows.size() ? "," : "");
-  }
-  std::fprintf(out, "%*s]", indent > 2 ? indent - 2 : 0, "");
-}
-
 }  // namespace mca::obs

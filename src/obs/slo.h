@@ -4,7 +4,6 @@
 // 2^-5 of the exact percentile of the recorded responses.
 #pragma once
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -32,9 +31,5 @@ slo_row slo_from_histogram(const util::histogram& h, std::string label);
 
 /// The full report off a registry's SLO histograms.
 slo_report build_slo_report(const registry& reg);
-
-/// Writes the report as a JSON array of row objects onto `out` (no
-/// trailing newline); `indent` spaces prefix each row line.
-void write_slo_json(std::FILE* out, const slo_report& report, int indent);
 
 }  // namespace mca::obs

@@ -132,7 +132,6 @@ class tracer {
     return std::chrono::duration<double, std::micro>(now - epoch_).count();
   }
 
-  std::uint64_t total_spans() const noexcept;
   std::uint64_t total_dropped() const noexcept;
 
   /// Writes the whole trace as Chrome trace-event JSON.  `ring_names`

@@ -16,8 +16,6 @@ constexpr time_ms seconds(double n) noexcept { return n * 1000.0; }
 constexpr time_ms minutes(double n) noexcept { return n * 60'000.0; }
 constexpr time_ms hours(double n) noexcept { return n * 3'600'000.0; }
 
-constexpr double to_seconds(time_ms t) noexcept { return t / 1000.0; }
-constexpr double to_minutes(time_ms t) noexcept { return t / 60'000.0; }
 constexpr double to_hours(time_ms t) noexcept { return t / 3'600'000.0; }
 
 }  // namespace mca::util

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "util/rng.h"
 
@@ -331,138 +334,131 @@ TEST(DemandFromPrediction, WidensAndZeroPads) {
   EXPECT_EQ(demand_from_prediction(wide, 2).size(), 2u);
 }
 
-/// Multi-group, multi-tier shape for the batched allocator cross-checks.
-allocation_request batched_shape() {
-  allocation_request shape;
-  shape.workload_per_group = {0.0, 0.0, 0.0};
-  shape.candidates_per_group = {
+TEST(AllocatorIlp, NoCandidatesForDemandedGroupGoesBestEffort) {
+  allocation_request request;
+  request.workload_per_group = {5.0, 3.0};  // group 1 demand, no candidates
+  request.candidates_per_group = {{{"small", 10.0, 1.0}}, {}};
+  const allocation_plan plan = allocate_ilp(request);
+  EXPECT_TRUE(plan.best_effort);
+  EXPECT_EQ(plan.status, ilp::solve_status::infeasible);
+  request.workload_per_group = {5.0, 0.0};
+  EXPECT_TRUE(allocate_ilp(request).feasible);
+}
+
+TEST(AllocatorIlp, RecordsSolveInternalsIntoRegistry) {
+  obs::registry registry;
+  allocation_request request;
+  request.workload_per_group = {25.0, 40.0, 80.0};
+  request.candidates_per_group = {
       {{"small", 10.0, 1.0}, {"large", 40.0, 3.0}},
       {{"small", 12.0, 1.0}, {"wide", 90.0, 6.5}},
       {{"large", 35.0, 3.0}, {"wide", 100.0, 7.0}},
   };
-  shape.max_total_instances = 64;
-  return shape;
+  const allocation_plan solved = allocate_ilp(request, {}, &registry);
+  ASSERT_TRUE(solved.feasible);
+  EXPECT_EQ(registry.get(obs::counter::ilp_solves), 1u);
+  EXPECT_GE(registry.get(obs::counter::ilp_bb_nodes), 1u);
+  EXPECT_GT(registry.get(obs::counter::ilp_root_pivots), 0u);
+  EXPECT_EQ(registry.get(obs::counter::ilp_best_effort), 0u);
+  EXPECT_EQ(registry.stats(obs::series::ilp_nodes_per_solve).samples, 1u);
+
+  request.max_total_instances = 2;  // three groups cannot fit in two
+  EXPECT_TRUE(allocate_ilp(request, {}, &registry).best_effort);
+  EXPECT_EQ(registry.get(obs::counter::ilp_solves), 2u);
+  EXPECT_EQ(registry.get(obs::counter::ilp_best_effort), 1u);
 }
 
-TEST(BatchedAllocator, ValidatesShapeAndDemands) {
-  EXPECT_THROW(batched_allocator{allocation_request{}}, std::invalid_argument);
-  batched_allocator allocator{batched_shape()};
-  EXPECT_EQ(allocator.group_count(), 3u);
-  const double two_groups[2] = {1.0, 2.0};
-  EXPECT_THROW(allocator.solve(two_groups), std::invalid_argument);
-  const double negative[3] = {1.0, -2.0, 0.0};
-  EXPECT_THROW(allocator.solve(negative), std::invalid_argument);
-}
-
-class BatchedMatchesIndependent
-    : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(BatchedMatchesIndependent, RandomDemandWalks) {
-  // The batched path must be a pure optimization: over a random walk of
-  // demand vectors (the consecutive-slots-barely-move regime plus jumps),
-  // every solve's cost and feasibility must match a cold allocate_ilp of
-  // the same request.
-  util::rng rng{GetParam()};
-  const allocation_request shape = batched_shape();
-  batched_allocator allocator{shape};
-  std::vector<double> demand{25.0, 40.0, 80.0};
-  for (int step = 0; step < 12; ++step) {
-    for (auto& d : demand) {
-      // Mostly small drifts, occasionally a jump or a collapse to zero.
-      const double pick = rng.uniform(0.0, 1.0);
-      if (pick < 0.7) {
-        d = std::max(0.0, d + rng.uniform(-6.0, 6.0));
-      } else if (pick < 0.85) {
-        d = rng.uniform(0.0, 400.0);
-      } else {
-        d = 0.0;
-      }
+/// Minimum cost over every count vector of `request` within its cap whose
+/// capacity strictly exceeds each group's demand (constraint (2) as the
+/// paper writes it), or nullopt when no vector covers every group.
+std::optional<double> enumerated_min_cost(const allocation_request& request) {
+  std::vector<const allocation_candidate*> columns;
+  std::vector<std::size_t> group_of;
+  for (std::size_t g = 0; g < request.candidates_per_group.size(); ++g) {
+    for (const auto& cand : request.candidates_per_group[g]) {
+      columns.push_back(&cand);
+      group_of.push_back(g);
     }
-    const allocation_plan warm = allocator.solve(demand);
-    allocation_request request = shape;
-    request.workload_per_group = demand;
-    const allocation_plan cold = allocate_ilp(request);
-    ASSERT_EQ(warm.status, cold.status) << "step " << step;
-    EXPECT_EQ(warm.feasible, cold.feasible) << "step " << step;
-    EXPECT_EQ(warm.best_effort, cold.best_effort) << "step " << step;
-    // Equal optimum cost is the contract; the plans themselves may
-    // differ between cost ties.
-    EXPECT_NEAR(warm.total_cost_per_hour, cold.total_cost_per_hour, 1e-6)
-        << "step " << step;
   }
-  EXPECT_EQ(allocator.solves(), 12u);
-  EXPECT_GT(allocator.warm_solves(), 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, BatchedMatchesIndependent,
-                         ::testing::Range<std::uint64_t>(7000, 7012));
-
-TEST(BatchedAllocator, ZeroNodeBudgetMatchesColdFallback) {
-  // max_nodes == 0 yields no incumbent on the cold path; the warm path
-  // must not sneak one in via the root heuristics or the hint.
-  ilp::ilp_options opts;
-  opts.max_nodes = 0;
-  batched_allocator allocator{batched_shape(), opts};
-  const double demand[3] = {25.0, 40.0, 80.0};
-  for (int slot = 0; slot < 2; ++slot) {
-    const allocation_plan warm = allocator.solve(demand);
-    allocation_request request = batched_shape();
-    request.workload_per_group.assign(demand, demand + 3);
-    const allocation_plan cold = allocate_ilp(request, opts);
-    EXPECT_EQ(warm.status, ilp::solve_status::iteration_limit);
-    EXPECT_EQ(warm.best_effort, cold.best_effort) << "slot " << slot;
-    EXPECT_NEAR(warm.total_cost_per_hour, cold.total_cost_per_hour, 1e-9)
-        << "slot " << slot;
-  }
-}
-
-TEST(BatchedAllocator, InfeasibleSlotFallsBackLikeAllocateIlp) {
-  allocation_request shape = batched_shape();
-  // One instance per group fits (margin instances), the big demand cannot.
-  shape.max_total_instances = 4;
-  batched_allocator allocator{shape};
-  const double demand[3] = {500.0, 500.0, 500.0};
-  const allocation_plan plan = allocator.solve(demand);
-  EXPECT_TRUE(plan.best_effort);
-  EXPECT_FALSE(plan.feasible);
-  EXPECT_LE(plan.total_instances(), 4u);
-  // The allocator recovers on the next (feasible) slot.
-  const double light[3] = {5.0, 5.0, 5.0};
-  const allocation_plan next = allocator.solve(light);
-  EXPECT_TRUE(next.feasible);
-  EXPECT_FALSE(next.best_effort);
-}
-
-TEST(BatchedAllocator, MultiPeriodSolvesMatchPerSlotCalls) {
-  const allocation_request shape = batched_shape();
-  const std::vector<std::vector<double>> periods = {
-      {30.0, 50.0, 120.0}, {32.0, 48.0, 118.0}, {28.0, 55.0, 121.0},
-      {0.0, 0.0, 0.0},     {200.0, 10.0, 40.0},
+  std::optional<double> best;
+  std::vector<std::size_t> counts(columns.size(), 0);
+  const auto visit = [&](const auto& self, std::size_t col,
+                         std::size_t budget) -> void {
+    if (col == columns.size()) {
+      std::vector<double> capacity(request.workload_per_group.size(), 0.0);
+      double cost = 0.0;
+      for (std::size_t i = 0; i < columns.size(); ++i) {
+        const auto n = static_cast<double>(counts[i]);
+        capacity[group_of[i]] += n * columns[i]->capacity_per_instance;
+        cost += n * columns[i]->cost_per_hour;
+      }
+      for (std::size_t g = 0; g < capacity.size(); ++g) {
+        if (!(capacity[g] > request.workload_per_group[g])) return;
+      }
+      if (!best || cost < *best) best = cost;
+      return;
+    }
+    for (std::size_t n = 0; n <= budget; ++n) {
+      counts[col] = n;
+      self(self, col + 1, budget - n);
+    }
+    counts[col] = 0;
   };
-  batched_allocator allocator{shape};
-  for (std::size_t t = 0; t < periods.size(); ++t) {
-    const allocation_plan warm = allocator.solve(periods[t]);
-    allocation_request request = shape;
-    request.workload_per_group = periods[t];
-    const auto cold = allocate_ilp(request);
-    EXPECT_NEAR(warm.total_cost_per_hour, cold.total_cost_per_hour, 1e-6)
-        << "period " << t;
-    EXPECT_EQ(warm.feasible, cold.feasible) << "period " << t;
-  }
-  EXPECT_EQ(allocator.solves(), periods.size());
+  visit(visit, 0, request.max_total_instances);
+  return best;
 }
 
-TEST(BatchedAllocator, NoCandidatesForDemandedGroupGoesBestEffort) {
-  allocation_request shape;
-  shape.workload_per_group = {0.0, 0.0};
-  shape.candidates_per_group = {{{"small", 10.0, 1.0}}, {}};
-  batched_allocator allocator{shape};
-  const double uncovered[2] = {5.0, 3.0};  // group 1 demand, no candidates
-  const allocation_plan plan = allocator.solve(uncovered);
-  EXPECT_TRUE(plan.best_effort);
-  EXPECT_EQ(plan.status, ilp::solve_status::infeasible);
-  const double covered[2] = {5.0, 0.0};
-  EXPECT_TRUE(allocator.solve(covered).feasible);
+TEST(AllocatorIlp, MatchesExhaustiveEnumeration) {
+  // Every small request's ILP cost must equal the enumerated minimum, and
+  // best effort must be flagged exactly when no count vector within the
+  // cap covers every group.  Integer capacities, costs and demands keep
+  // the enumeration exact.
+  util::rng rng{20261017};
+  int zero_demand = 0;
+  int cap_binding = 0;
+  int infeasible = 0;
+  for (int instance = 0; instance < 2400; ++instance) {
+    allocation_request request;
+    const auto groups = static_cast<std::size_t>(rng.uniform_int(1, 3));
+    for (std::size_t g = 0; g < groups; ++g) {
+      const bool idle = rng.bernoulli(0.2);
+      request.workload_per_group.push_back(
+          idle ? 0.0 : static_cast<double>(rng.uniform_int(0, 16)));
+      if (idle) ++zero_demand;
+      std::vector<allocation_candidate> candidates;
+      const auto types = static_cast<std::size_t>(rng.uniform_int(1, 3));
+      for (std::size_t t = 0; t < types; ++t) {
+        candidates.push_back(
+            {std::string(1, static_cast<char>('a' + t)),
+             static_cast<double>(rng.uniform_int(1, 9)),
+             static_cast<double>(rng.uniform_int(0, 6))});
+      }
+      request.candidates_per_group.push_back(std::move(candidates));
+    }
+    request.max_total_instances =
+        static_cast<std::size_t>(rng.uniform_int(1, 6));
+
+    const std::optional<double> expected = enumerated_min_cost(request);
+    const allocation_plan plan = allocate_ilp(request);
+    EXPECT_LE(plan.total_instances(), request.max_total_instances)
+        << "instance " << instance;
+    ASSERT_EQ(plan.best_effort, !expected.has_value())
+        << "instance " << instance;
+    if (!expected) {
+      ++infeasible;
+      continue;
+    }
+    EXPECT_TRUE(plan.feasible) << "instance " << instance;
+    EXPECT_EQ(plan.status, ilp::solve_status::optimal)
+        << "instance " << instance;
+    EXPECT_DOUBLE_EQ(plan.total_cost_per_hour, *expected)
+        << "instance " << instance;
+    if (plan.total_instances() == request.max_total_instances) ++cap_binding;
+  }
+  // The generator must keep reaching every regime the check is for.
+  EXPECT_GE(zero_demand, 200);
+  EXPECT_GE(cap_binding, 200);
+  EXPECT_GE(infeasible, 200);
 }
 
 }  // namespace

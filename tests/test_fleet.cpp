@@ -219,6 +219,61 @@ TEST(Coordinator, ReservesNonPredictingShardsInstancesFromCap) {
   EXPECT_FALSE(coord.records()[1].solved);
 }
 
+TEST(Coordinator, ReallocateResplitsLastPlanWithoutSolving) {
+  coordinator coord{fleet_allocation_shape(tiny_fleet_scenario())};
+  EXPECT_TRUE(coord.reallocate().empty());  // nothing solved yet
+  const demand_digest digests[2] = {
+      make_digest(0, {0.0, 6.0, 50.0}),
+      make_digest(1, {0.0, 2.0, 70.0}),
+  };
+  const auto quotas = coord.allocate_slot(digests);
+  const std::uint64_t solves =
+      coord.observability().get(obs::counter::ilp_solves);
+  EXPECT_EQ(solves, 1u);
+
+  const auto again = coord.reallocate();
+  ASSERT_EQ(again.size(), quotas.size());
+  for (std::size_t k = 0; k < quotas.size(); ++k) {
+    ASSERT_TRUE(quotas[k] && again[k]) << "shard " << k;
+    ASSERT_EQ(again[k]->entries.size(), quotas[k]->entries.size());
+    for (const auto& entry : quotas[k]->entries) {
+      EXPECT_EQ(again[k]->count_of(entry.group, entry.type_name), entry.count)
+          << "shard " << k << " " << entry.type_name;
+    }
+    EXPECT_DOUBLE_EQ(again[k]->total_cost_per_hour,
+                     quotas[k]->total_cost_per_hour);
+  }
+  EXPECT_EQ(coord.observability().get(obs::counter::ilp_solves), solves);
+  EXPECT_EQ(coord.ilp_solves(), 1u);
+}
+
+TEST(Coordinator, ReservedSlotEqualsAllocateIlpUnderReducedCap) {
+  // A slot whose non-predicting shard holds 30 of the 40-instance cap
+  // solves exactly the request allocate_ilp sees with cap 40 - 30.
+  const auto shape = fleet_allocation_shape(tiny_fleet_scenario());
+  coordinator coord{shape};
+  demand_digest idle = make_digest(1, {}, /*predicted=*/false);
+  idle.instances = 30;
+  const demand_digest digests[2] = {make_digest(0, {0.0, 9.0, 45.0}), idle};
+  const auto quotas = coord.allocate_slot(digests);
+  ASSERT_TRUE(quotas[0].has_value());
+
+  core::allocation_request request = shape;
+  request.workload_per_group = {0.0, 9.0, 45.0};
+  request.max_total_instances = shape.max_total_instances - 30;
+  const core::allocation_plan expected = core::allocate_ilp(request);
+  // One predicting shard: its quota is the whole fleet plan.
+  EXPECT_EQ(quotas[0]->total_instances(), expected.total_instances());
+  EXPECT_DOUBLE_EQ(quotas[0]->total_cost_per_hour,
+                   expected.total_cost_per_hour);
+  for (const auto& entry : expected.entries) {
+    EXPECT_EQ(quotas[0]->count_of(entry.group, entry.type_name), entry.count)
+        << entry.type_name;
+  }
+  EXPECT_EQ(quotas[0]->best_effort, expected.best_effort);
+  EXPECT_EQ(coord.records()[0].fleet_instances, expected.total_instances());
+}
+
 TEST(ShardExternalMode, BoundaryParksDemandUntilQuotaApplied) {
   tasks::task_pool tasks;
   const auto spec = tiny_fleet_scenario();
@@ -265,10 +320,9 @@ TEST(RunFleet, MergesAllUsersAndRecordsSlots) {
   EXPECT_EQ(result.slots.size(), 4u);
   EXPECT_GT(result.aggregate.requests, 0u);
   EXPECT_EQ(result.aggregate.replications, 3u);
-  // Slot 0 has no predictions; later slots solve with a warm tableau.
+  // Slot 0 has no predictions; every later slot solves once.
   EXPECT_FALSE(result.slots[0].solved);
   EXPECT_GT(result.ilp_solves, 0u);
-  EXPECT_EQ(result.warm_solves + 1, result.ilp_solves);
 }
 
 TEST(RunFleet, FingerprintIdenticalAcrossThreadCounts) {

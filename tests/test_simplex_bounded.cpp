@@ -205,77 +205,6 @@ TEST(BoundedSimplex, OptimumRestsOnUpperBounds) {
   EXPECT_NEAR(s.objective, -20.0, 1e-9);
 }
 
-// Cross-check net for warm rhs updates (the batched allocator's path):
-// one persistent tableau follows a random walk of right-hand sides via
-// problem::set_constraint_rhs + sync_constraint_rhs + resolve, and after
-// every step its optimum must match a cold solve of the mutated problem.
-class WarmRhsWalk : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(WarmRhsWalk, LpResolveMatchesColdSolve) {
-  util::rng rng{GetParam()};
-  for (int instance = 0; instance < 10; ++instance) {
-    problem p = random_boxed(rng, /*integer=*/false);
-    dense_tableau warm{p, 1e-9};
-    simplex_options opts;
-    solve_status status = warm.solve(opts);
-    for (int step = 0; step < 8; ++step) {
-      const std::size_t row =
-          static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(p.constraint_count()) - 1));
-      p.set_constraint_rhs(row,
-                           p.constraint(row).rhs + rng.uniform(-6.0, 6.0));
-      warm.sync_constraint_rhs(row);
-      status = status == solve_status::optimal ? warm.resolve(opts)
-                                               : warm.solve(opts);
-      const solution cold = solve_lp(p, opts);
-      ASSERT_EQ(status, cold.status)
-          << "instance " << instance << " step " << step;
-      if (status != solve_status::optimal) continue;
-      solution got;
-      warm.extract(got);
-      EXPECT_NEAR(got.objective, cold.objective, 1e-6)
-          << "instance " << instance << " step " << step;
-      EXPECT_TRUE(p.is_feasible(got.values, 1e-6))
-          << "instance " << instance << " step " << step;
-    }
-  }
-}
-
-TEST_P(WarmRhsWalk, IlpWarmRootMatchesColdSolve) {
-  util::rng rng{GetParam() + 4000};
-  for (int instance = 0; instance < 6; ++instance) {
-    problem p = random_boxed(rng, /*integer=*/true);
-    dense_tableau root{p, 1e-9};
-    const ilp_options opts;
-    solve_status status = root.solve(opts.lp);
-    std::vector<double> hint;
-    for (int step = 0; step < 6; ++step) {
-      const std::size_t row =
-          static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(p.constraint_count()) - 1));
-      p.set_constraint_rhs(row,
-                           p.constraint(row).rhs + rng.uniform(-4.0, 4.0));
-      root.sync_constraint_rhs(row);
-      status = status == solve_status::optimal ? root.resolve(opts.lp)
-                                               : root.solve(opts.lp);
-      // The persistent root stays pristine: branch & bound gets a copy,
-      // plus the previous step's integral solution as incumbent hint.
-      const solution warm = solve_ilp_warm(p, root, status, opts,
-                                           hint.empty() ? nullptr : &hint);
-      const solution cold = solve_ilp(p, opts);
-      ASSERT_EQ(warm.status, cold.status)
-          << "instance " << instance << " step " << step;
-      if (warm.status != solve_status::optimal) continue;
-      EXPECT_NEAR(warm.objective, cold.objective, 1e-6)
-          << "instance " << instance << " step " << step;
-      EXPECT_TRUE(p.is_feasible(warm.values, 1e-6))
-          << "instance " << instance << " step " << step;
-      hint = warm.values;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, WarmRhsWalk,
-                         ::testing::Range<std::uint64_t>(2100, 2112));
-
 TEST(BoundedSimplex, TightBoxesDominateRows) {
   // The binding structure mixes all three: one variable pinned by the
   // shared row, one by its box, one fixed (lower == upper).

@@ -1,11 +1,11 @@
 // Overflow-adjacent bound arithmetic for the dense simplex tableau: rhs
 // values and variable boxes near the top of the double range flow through
-// build, solve, warm-started rhs re-aims, and branch-style bound
-// tightening without producing infinities, NaNs, or undefined float
-// behavior.  These magnitudes never occur in the allocator's own models
-// (work units are bounded), so this is pure edge coverage for the
-// ASan+UBSan CI leg; expectations are deliberately loose — finite values,
-// sane statuses — rather than exact optima.
+// build, solve and branch-style bound tightening without producing
+// infinities, NaNs, or undefined float behavior.  These magnitudes never
+// occur in the allocator's own models (work units are bounded), so this
+// is pure edge coverage for the ASan+UBSan CI leg; expectations are
+// deliberately loose — finite values, sane statuses — rather than exact
+// optima.
 #include "ilp/tableau.h"
 
 #include <cmath>
@@ -53,60 +53,6 @@ TEST(TableauBounds, HugeUpperBoundBoxStaysFinite) {
   ASSERT_EQ(s.status, solve_status::optimal);
   EXPECT_TRUE(std::isfinite(s.objective));
   EXPECT_NEAR(s.values.at(x0), kHuge, 1.0e-9 * kHuge);
-}
-
-TEST(TableauBounds, RhsReaimTracksModerateSwings) {
-  // Warm tableau tracks the exact optimum across wide (but representable-
-  // delta) rhs swings — the batched allocator's sync_constraint_rhs path.
-  problem p;
-  const auto x0 = p.add_variable(2.0);
-  const auto x1 = p.add_variable(3.0);
-  p.add_constraint({{x0, 1.0}, {x1, 1.0}}, relation::greater_equal, 1.0);
-  dense_tableau t{p, 1.0e-9};
-  ASSERT_EQ(t.solve({}), solve_status::optimal);
-
-  for (double rhs : {1.0e-300, 1.0, 1.0e9, 5.0, 1.0e12, 0.0}) {
-    p.set_constraint_rhs(0, rhs);
-    t.sync_constraint_rhs(0);
-    ASSERT_EQ(t.resolve({}), solve_status::optimal) << "rhs=" << rhs;
-    solution s;
-    t.extract(s);
-    EXPECT_TRUE(all_finite(s.values)) << "rhs=" << rhs;
-    EXPECT_NEAR(s.objective, 2.0 * rhs, 1.0e-6 * std::max(1.0, rhs));
-  }
-}
-
-TEST(TableauBounds, RhsReaimSurvivesOverflowAdjacentSwings) {
-  // Swinging the rhs through 1e300 and back intentionally destroys the
-  // small components of the incremental B^-1*delta update (absolute FP
-  // error ~1e284 swamps any later moderate rhs) — the allocator only ever
-  // re-aims between nearby demands, so exactness is out of contract here.
-  // What IS in contract, and what the UBSan leg watches, is that the
-  // arithmetic stays defined: every resolve must terminate with a sane
-  // status and hand back finite numbers.
-  problem p;
-  const auto x0 = p.add_variable(2.0);
-  const auto x1 = p.add_variable(3.0);
-  p.add_constraint({{x0, 1.0}, {x1, 1.0}}, relation::greater_equal, 1.0);
-  dense_tableau t{p, 1.0e-9};
-  ASSERT_EQ(t.solve({}), solve_status::optimal);
-
-  for (double rhs : {kHuge, 5.0, 1.0e280, 0.0, kHuge}) {
-    p.set_constraint_rhs(0, rhs);
-    t.sync_constraint_rhs(0);
-    ASSERT_EQ(t.resolve({}), solve_status::optimal) << "rhs=" << rhs;
-    solution s;
-    t.extract(s);
-    EXPECT_TRUE(all_finite(s.values)) << "rhs=" << rhs;
-    EXPECT_TRUE(std::isfinite(s.objective)) << "rhs=" << rhs;
-  }
-  // A fresh full solve (not the incremental path) restores exactness.
-  p.set_constraint_rhs(0, 7.0);
-  dense_tableau fresh{p, 1.0e-9};
-  ASSERT_EQ(fresh.solve({}), solve_status::optimal);
-  solution s;
-  fresh.extract(s);
-  EXPECT_NEAR(s.objective, 14.0, 1.0e-9);
 }
 
 TEST(TableauBounds, TightenToHugeBoundsThenResolve) {
