@@ -100,8 +100,6 @@ void backend_pool::sweep() {
         members.begin(), members.end(), [this](std::unique_ptr<instance>& p) {
           if (p->draining() && p->idle()) {
             billing_.on_terminate(p->id(), sim_.now());
-            retired_completed_ += p->completed();
-            retired_dropped_ += p->dropped();
             if (draining_count_ > 0) --draining_count_;
             return true;
           }
@@ -184,16 +182,6 @@ std::vector<group_id> backend_pool::groups() const {
   return ids;
 }
 
-std::vector<const instance*> backend_pool::instances_in(
-    group_id group) const {
-  std::vector<const instance*> out;
-  if (group >= groups_.size()) return out;
-  for (const auto& inst : groups_[group]) {
-    if (!inst->draining()) out.push_back(inst.get());
-  }
-  return out;
-}
-
 std::vector<instance*> backend_pool::mutable_instances_in(group_id group) {
   std::vector<instance*> out;
   if (group >= groups_.size()) return out;
@@ -201,22 +189,6 @@ std::vector<instance*> backend_pool::mutable_instances_in(group_id group) {
     if (!inst->draining()) out.push_back(inst.get());
   }
   return out;
-}
-
-std::uint64_t backend_pool::total_completed() const noexcept {
-  std::uint64_t n = retired_completed_;
-  for (const auto& members : groups_) {
-    for (const auto& inst : members) n += inst->completed();
-  }
-  return n;
-}
-
-std::uint64_t backend_pool::total_dropped() const noexcept {
-  std::uint64_t n = retired_dropped_;
-  for (const auto& members : groups_) {
-    for (const auto& inst : members) n += inst->dropped();
-  }
-  return n;
 }
 
 }  // namespace mca::cloud

@@ -78,7 +78,9 @@ class backend_pool {
   }
 
   /// Attaches the PS observability counters to every current and future
-  /// instance (nullptr detaches).  Setup-time only.
+  /// instance (nullptr detaches).  Setup-time only.  The registry is the
+  /// pool's only count of completions and drops; it outlives the
+  /// instances it counts, so reaping loses nothing.
   void set_observability(obs::registry* registry) noexcept {
     obs_ = registry;
     for (auto& members : groups_) {
@@ -93,10 +95,8 @@ class backend_pool {
                              const std::string& type_name) const noexcept;
   /// All groups that currently have instances.
   std::vector<group_id> groups() const;
-  /// Observing pointers to a group's accepting instances (simulation-owned).
-  std::vector<const instance*> instances_in(group_id group) const;
-  /// Mutable access to a group's accepting instances, for induced
-  /// background load (§VI-C.1) and white-box tests.
+  /// Mutable access to a group's non-draining instances, for white-box
+  /// tests.
   std::vector<instance*> mutable_instances_in(group_id group);
   /// Visits a group's accepting instances without materializing a vector —
   /// the allocation-free counterpart of mutable_instances_in.  Warming
@@ -109,9 +109,6 @@ class backend_pool {
       if (!inst->draining() && !inst->warming()) fn(*inst);
     }
   }
-
-  std::uint64_t total_completed() const noexcept;
-  std::uint64_t total_dropped() const noexcept;
 
   const billing_meter& billing() const noexcept { return billing_; }
 
@@ -132,8 +129,6 @@ class backend_pool {
   std::vector<std::uint8_t> unavailable_;
   obs::registry* obs_ = nullptr;
   billing_meter billing_;
-  std::uint64_t retired_completed_ = 0;
-  std::uint64_t retired_dropped_ = 0;
 };
 
 }  // namespace mca::cloud

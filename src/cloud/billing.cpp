@@ -12,25 +12,16 @@ double billing_meter::billed_hours(util::time_ms start, util::time_ms end) {
 
 void billing_meter::on_launch(instance_id id, const instance_type& type,
                               util::time_ms at) {
-  const auto [it, inserted] =
-      open_.emplace(id, record{type.name, type.cost_per_hour, at});
-  (void)it;
-  if (!inserted) throw std::logic_error{"billing: instance already active"};
-  // Seed the per-type close aggregate here, at (slot-rate) launch time, so
-  // the termination path below never inserts — a spot preemption may close
-  // a record from the allocation-free fault path.
-  closed_cost_by_type_.try_emplace(type.name, 0.0);
+  if (!open_.emplace(id, record{type.cost_per_hour, at}).second) {
+    throw std::logic_error{"billing: instance already active"};
+  }
 }
 
 void billing_meter::on_terminate(instance_id id, util::time_ms at) {
   const auto it = open_.find(id);
   if (it == open_.end()) throw std::logic_error{"billing: unknown instance"};
   const record& rec = it->second;
-  const double hours = billed_hours(rec.start, at);
-  closed_cost_ += rec.cost_per_hour * hours;
-  closed_hours_ += hours;
-  closed_cost_by_type_.find(rec.type_name)->second +=
-      rec.cost_per_hour * hours;
+  closed_cost_ += rec.cost_per_hour * billed_hours(rec.start, at);
   open_.erase(it);
 }
 
@@ -46,31 +37,6 @@ double billing_meter::total_cost(util::time_ms now) const {
     cost += rec.cost_per_hour * billed_hours(rec.start, now);
   }
   return cost;
-}
-
-double billing_meter::cost_for_type(const std::string& type_name,
-                                    util::time_ms now) const {
-  double cost = 0.0;
-  if (const auto it = closed_cost_by_type_.find(type_name);
-      it != closed_cost_by_type_.end()) {
-    cost = it->second;
-  }
-  // mca-lint: allow(det-unordered-iter) same pinned-order argument as
-  // total_cost above: per-binary-reproducible sweep over the open set.
-  for (const auto& [id, rec] : open_) {
-    if (rec.type_name == type_name) {
-      cost += rec.cost_per_hour * billed_hours(rec.start, now);
-    }
-  }
-  return cost;
-}
-
-double billing_meter::total_instance_hours(util::time_ms now) const {
-  double hours = closed_hours_;
-  // mca-lint: allow(det-unordered-iter) same pinned-order argument as
-  // total_cost above: per-binary-reproducible sweep over the open set.
-  for (const auto& [id, rec] : open_) hours += billed_hours(rec.start, now);
-  return hours;
 }
 
 }  // namespace mca::cloud

@@ -5,7 +5,6 @@
 // started hours (ceil, minimum one) at the type's on-demand price.
 #pragma once
 
-#include <string>
 #include <unordered_map>
 
 #include "cloud/instance_type.h"
@@ -14,7 +13,7 @@
 
 namespace mca::cloud {
 
-/// Tracks the dollar cost of a fleet over simulated time.
+/// Tracks the total dollar cost of a fleet over simulated time.
 class billing_meter {
  public:
   /// Opens a record for a launched instance.
@@ -29,18 +28,11 @@ class billing_meter {
   /// of instances still running at `now`.
   double total_cost(util::time_ms now) const;
 
-  /// Same, restricted to one type name.
-  double cost_for_type(const std::string& type_name, util::time_ms now) const;
-
   /// Number of currently open records.
   std::size_t active_instances() const noexcept { return open_.size(); }
 
-  /// Total billed instance-hours (closed + accrued).
-  double total_instance_hours(util::time_ms now) const;
-
  private:
   struct record {
-    std::string type_name;
     double cost_per_hour = 0.0;
     util::time_ms start = 0.0;
   };
@@ -48,14 +40,12 @@ class billing_meter {
   static double billed_hours(util::time_ms start, util::time_ms end);
 
   std::unordered_map<instance_id, record> open_;
-  /// Closed records fold into running aggregates at termination time (in
+  /// Closed records fold into one running sum at termination time (in
   /// close order, so the FP accumulation order the golden fingerprints
   /// pin is unchanged) instead of accumulating one stored record each: a
   /// preemption-heavy fleet run closes records at fault rate, and the
   /// close path must neither allocate nor grow without bound.
   double closed_cost_ = 0.0;
-  double closed_hours_ = 0.0;
-  std::unordered_map<std::string, double> closed_cost_by_type_;
 };
 
 }  // namespace mca::cloud

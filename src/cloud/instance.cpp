@@ -28,7 +28,6 @@ instance::instance(sim::simulation& sim, instance_id id,
       rng_{rng},
       opts_{opts},
       last_update_{sim.now()},
-      launched_at_{sim.now()},
       credits_{opts.initial_credits_core_ms} {
   if (opts_.cold_start_mean_ms > 0.0) {
     ready_at_ = sim.now() + opts_.cold_start_mean_ms *
@@ -82,10 +81,9 @@ void instance::advance() {
   const std::size_t n = heap_.size();
   if (n > 0) {
     vclock_ += elapsed * rate_per_job(n);
-    const double busy_cores =
-        std::min(static_cast<double>(n), effective_cores());
-    busy_core_ms_ += elapsed * busy_cores;
     if (opts_.enable_cpu_credits) {
+      const double busy_cores =
+          std::min(static_cast<double>(n), effective_cores());
       const double accrual = type_.baseline_fraction * type_.vcpus;
       credits_ += elapsed * (accrual - busy_cores);
       credits_ = std::clamp(
@@ -175,8 +173,6 @@ void instance::on_completion_event() {
     j.on_complete = nullptr;
     j.next_free = free_head_;
     free_head_ = idx;
-    ++completed_;
-    stats_.add(service_time);
     if (fn) fn(service_time, true);
   }
   // A stale-early fire (submissions slowed the shared rate after arming)
@@ -190,7 +186,6 @@ bool instance::submit(double work_units, completion_fn on_complete) {
   // programming error, never on the steady-state request path.
   if (work_units < 0.0) throw std::invalid_argument{"submit: negative work"};
   if (draining_ || warming() || heap_.size() >= type_.max_concurrent()) {
-    ++dropped_;
     if (obs_ != nullptr) obs_->add(obs::counter::ps_drops);
     return false;
   }
@@ -269,22 +264,6 @@ std::size_t instance::preempt() {
   return killed;
 }
 // mca:hot-path-end
-
-double instance::mean_utilization() const noexcept {
-  // Include the interval since the last event so callers can sample at any
-  // simulated moment without forcing an advance().  The tail uses the same
-  // busy-core formula as advance() — in particular effective_cores(), not
-  // raw vcpus, so a credit-throttled instance is not overstated.
-  double busy = busy_core_ms_;
-  const double tail = sim_.now() - last_update_;
-  if (tail > 0.0 && !heap_.empty()) {
-    busy += tail * std::min(static_cast<double>(heap_.size()),
-                            effective_cores());
-  }
-  const double lifetime = sim_.now() - launched_at_;
-  if (lifetime <= 0.0) return 0.0;
-  return busy / (lifetime * type_.vcpus);
-}
 
 bool instance::throttled() const noexcept {
   return opts_.enable_cpu_credits && credits_ <= 0.0;

@@ -22,7 +22,7 @@
 // units finishes exactly when V reaches V + w; under egalitarian sharing
 // every active job progresses at the same rate, so ordering jobs in a
 // min-heap keyed by that finish-V *is* completion order.  advance() is a
-// constant-time clock/credit/utilization update instead of an O(n) sweep
+// constant-time clock/credit update instead of an O(n) sweep
 // decrementing per-job remaining work, the next completion is the heap top
 // instead of an O(n) min scan, and all jobs whose finish-V falls within
 // kWorkEpsilon of the clock drain in one event.  The one pending
@@ -65,7 +65,6 @@
 #include "util/ids.h"
 #include "util/rng.h"
 #include "util/sim_time.h"
-#include "util/stats.h"
 
 namespace mca::cloud {
 
@@ -142,7 +141,10 @@ class instance {
   /// Attaches the PS counters (submits/drops/completions, queue-depth and
   /// event-batch series, virtual-clock resets).  nullptr (the default)
   /// disables them; the pointer is fixed after setup, so the off path is
-  /// one predictable branch per event.
+  /// one predictable branch per event.  The instance keeps no tallies of
+  /// its own: completions and drops are counted only here, and each
+  /// job's service time reaches its caller through the completion
+  /// callback.
   void set_observability(obs::registry* registry) noexcept {
     obs_ = registry;
   }
@@ -151,12 +153,6 @@ class instance {
   const instance_type& type() const noexcept { return type_; }
   std::size_t active_jobs() const noexcept { return heap_.size(); }
 
-  std::uint64_t completed() const noexcept { return completed_; }
-  std::uint64_t dropped() const noexcept { return dropped_; }
-  /// In-server response-time statistics over all completed requests.
-  const util::running_stats& service_stats() const noexcept { return stats_; }
-  /// Mean number of busy cores since launch (time-averaged).
-  double mean_utilization() const noexcept;
   /// Remaining CPU-credit balance in core-ms (meaningful when the credit
   /// model is enabled).
   double credit_balance() const noexcept { return credits_; }
@@ -194,7 +190,7 @@ class instance {
   double effective_cores() const noexcept;
   /// Steal fraction under `n`-way contention.
   double steal(std::size_t n) const noexcept;
-  /// Advances the virtual-work clock and accrues credits/utilization from
+  /// Advances the virtual-work clock and accrues credits from
   /// `last_update_` to now.  O(1): no per-job state is touched.
   void advance();
   /// Wall delay until the next state change (heap-top completion, or
@@ -228,15 +224,9 @@ class instance {
   void* drain_observer_ctx_ = nullptr;
   obs::registry* obs_ = nullptr;
   util::time_ms last_update_ = 0.0;
-  util::time_ms launched_at_ = 0.0;
   util::time_ms ready_at_ = 0.0;  ///< first-accept time (cold start)
-  double busy_core_ms_ = 0.0;
   double credits_ = 0.0;
   bool draining_ = false;
-
-  std::uint64_t completed_ = 0;
-  std::uint64_t dropped_ = 0;
-  util::running_stats stats_;
 };
 
 }  // namespace mca::cloud

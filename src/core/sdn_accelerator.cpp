@@ -116,8 +116,6 @@ void sdn_accelerator::stage_routing(std::uint32_t slot) {
   const double overhead = sample_routing_overhead();
   inflight& s = pool_[slot];
   s.timing.routing = overhead;
-  if (s.group >= routing_stats_.size()) routing_stats_.resize(s.group + 1);
-  routing_stats_[s.group].add(overhead);
   if (config_.keep_routing_samples) {
     if (s.group >= routing_samples_.size()) {
       routing_samples_.resize(s.group + 1);
@@ -176,11 +174,6 @@ void sdn_accelerator::stage_return(std::uint32_t slot,
 
 void sdn_accelerator::deliver(std::uint32_t slot) {
   inflight& s = pool_[slot];
-  if (s.timing.success) {
-    ++succeeded_;
-  } else {
-    ++failed_;
-  }
   if (obs_ != nullptr) {
     obs_->add(s.timing.success ? obs::counter::sdn_successes
                                : obs::counter::sdn_failures);
@@ -309,14 +302,8 @@ void sdn_accelerator::attempt_failed(std::uint32_t slot) {
 // mca:hot-path-end
 
 namespace {
-const util::running_stats kEmptyStats{};
 const std::vector<double> kEmptySamples{};
 }  // namespace
-
-const util::running_stats& sdn_accelerator::routing_stats(
-    group_id group) const {
-  return group < routing_stats_.size() ? routing_stats_[group] : kEmptyStats;
-}
 
 const std::vector<double>& sdn_accelerator::routing_samples(
     group_id group) const {

@@ -32,7 +32,6 @@
 #include "sim/simulation.h"
 #include "trace/log_store.h"
 #include "util/rng.h"
-#include "util/stats.h"
 #include "workload/request.h"
 
 namespace mca::core {
@@ -142,7 +141,9 @@ class sdn_accelerator {
   void set_response_sink(response_sink* sink) noexcept { sink_ = sink; }
 
   /// Attaches the observability layer: `registry` (nullptr = counters
-  /// off) takes the request counters; `tracer` (nullptr = no tracing)
+  /// off) takes the request counters — sdn_requests, sdn_successes and
+  /// sdn_failures are the front-end's only count of its traffic;
+  /// `tracer` (nullptr = no tracing)
   /// receives a request_lifecycle span for 1 request in `sample_every`
   /// into `tracer->ring(ring)`.  Both pointers are fixed after setup, so
   /// the disabled path is one predictable branch; span state lives in the
@@ -167,13 +168,8 @@ class sdn_accelerator {
     exemplars_ = exemplars;
   }
 
-  std::uint64_t received() const noexcept { return received_; }
-  std::uint64_t succeeded() const noexcept { return succeeded_; }
-  std::uint64_t failed() const noexcept { return failed_; }
-
-  /// Routing-time statistics per group (Fig. 8a).
-  const util::running_stats& routing_stats(group_id group) const;
-  /// Raw samples when `keep_routing_samples` is on.
+  /// Raw per-group routing-time samples (Fig. 8a) when
+  /// `keep_routing_samples` is on.
   const std::vector<double>& routing_samples(group_id group) const;
 
  private:
@@ -242,10 +238,8 @@ class sdn_accelerator {
   std::vector<inflight> pool_;
   std::uint32_t free_head_ = kNoFreeSlot;
 
+  /// Requests submitted so far: each request's arrival sequence.
   std::uint64_t received_ = 0;
-  std::uint64_t succeeded_ = 0;
-  std::uint64_t failed_ = 0;
-  std::vector<util::running_stats> routing_stats_;
   std::vector<std::vector<double>> routing_samples_;
 };
 

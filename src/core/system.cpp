@@ -31,30 +31,18 @@ std::optional<double> system_metrics::mean_prediction_accuracy() const {
 
 std::vector<double> system_metrics::user_response_series(user_id user) const {
   std::vector<double> series;
-  if (user < requests_by_user.size()) {
-    for (const std::uint32_t i : requests_by_user[user]) {
-      if (requests[i].success) series.push_back(requests[i].response_ms);
-    }
-    return series;
-  }
-  // Metrics assembled by hand (tests) may carry a raw series without the
-  // index; fall back to the linear scan.
-  for (const auto& r : requests) {
-    if (r.user == user && r.success) series.push_back(r.response_ms);
+  if (user >= requests_by_user.size()) return series;
+  for (const std::uint32_t i : requests_by_user[user]) {
+    if (requests[i].success) series.push_back(requests[i].response_ms);
   }
   return series;
 }
 
 std::vector<group_id> system_metrics::user_group_series(user_id user) const {
   std::vector<group_id> series;
-  if (user < requests_by_user.size()) {
-    for (const std::uint32_t i : requests_by_user[user]) {
-      if (requests[i].success) series.push_back(requests[i].group);
-    }
-    return series;
-  }
-  for (const auto& r : requests) {
-    if (r.user == user && r.success) series.push_back(r.group);
+  if (user >= requests_by_user.size()) return series;
+  for (const std::uint32_t i : requests_by_user[user]) {
+    if (requests[i].success) series.push_back(requests[i].group);
   }
   return series;
 }
@@ -127,11 +115,11 @@ offloading_system::offloading_system(system_config config,
       std::move(policy), kInitialGroup, max_group, rng_.fork(),
       config_.allow_demotion);
 
-  obs_.resize_groups(group_count_);
-  obs_.set_gauge(obs::gauge::groups, group_count_);
-  backend_->set_observability(&obs_);
-  sdn_->set_observability(&obs_, config_.trace_sink, config_.trace_ring,
-                          config_.trace_sample_every);
+  metrics_.observability.resize_groups(group_count_);
+  metrics_.observability.set_gauge(obs::gauge::groups, group_count_);
+  backend_->set_observability(&metrics_.observability);
+  sdn_->set_observability(&metrics_.observability, config_.trace_sink,
+                          config_.trace_ring, config_.trace_sample_every);
 
   user_seq_.assign(config_.user_count, 0);
 
@@ -140,7 +128,6 @@ offloading_system::offloading_system(system_config config,
   slot_window_end_ = config_.slot_length;
 
   metrics_.digest.group_response.resize(group_count_);
-  metrics_.digest.group_successes.assign(group_count_, 0);
   if (config_.record_request_series) {
     metrics_.requests_by_user.resize(config_.user_count);
   }
@@ -173,20 +160,14 @@ void offloading_system::on_response(const workload::offload_request& request,
 
   // Streaming digest, fed in completion order — the same order (and hence
   // the same floating-point accumulation) as the raw-series scan it
-  // replaces.
-  auto& digest = metrics_.digest;
-  ++digest.issued;
+  // replaces.  The per-group SLO histogram (preallocated) is the latency
+  // distribution and the success count.
   if (timing.success) {
-    ++digest.succeeded;
-    digest.response.add(response_ms);
-    digest.latency.add(response_ms);
+    metrics_.digest.response.add(response_ms);
     if (group < group_count_) {
-      digest.group_response[group].add(response_ms);
-      ++digest.group_successes[group];
+      metrics_.digest.group_response[group].add(response_ms);
     }
-    // Per-group SLO histogram (preallocated; the digest only keeps the
-    // all-groups latency histogram).
-    obs_.observe_response(group, response_ms);
+    metrics_.observability.observe_response(group, response_ms);
   }
 
   const std::uint32_t seq = user_seq_[request.user % user_seq_.size()]++;
@@ -268,14 +249,15 @@ void offloading_system::apply_preemption(std::size_t index) {
   const fault::preemption_event& ev = config_.preemption_schedule[index];
   const auto result = backend_->preempt_in(ev.group, ev.ordinal);
   if (!result.applied) return;  // struck an already-empty group
-  obs_.add(obs::counter::fault_preemptions);
-  obs_.add(obs::counter::fault_inflight_killed, result.killed);
+  metrics_.observability.add(obs::counter::fault_preemptions);
+  metrics_.observability.add(obs::counter::fault_inflight_killed,
+                             result.killed);
 }
 
 void offloading_system::begin_outage(std::size_t index) {
   const fault::outage_window& w = config_.faults.outages[index];
   backend_->begin_outage(w.group);
-  obs_.add(obs::counter::fault_outages);
+  metrics_.observability.add(obs::counter::fault_outages);
 }
 
 void offloading_system::end_outage(std::size_t index) {
@@ -285,7 +267,7 @@ void offloading_system::end_outage(std::size_t index) {
 }
 
 void offloading_system::restore_group(group_id group) {
-  obs_.add(obs::counter::fault_recoveries);
+  metrics_.observability.add(obs::counter::fault_recoveries);
   for (std::size_t i = 0; i < config_.groups.size(); ++i) {
     const auto& spec = config_.groups[i];
     if (spec.group != group) continue;
@@ -304,12 +286,12 @@ void offloading_system::restore_group(group_id group) {
 }
 
 void offloading_system::on_slot_boundary(std::size_t slot_index) {
-  obs_.add(obs::counter::slot_boundaries);
+  metrics_.observability.add(obs::counter::slot_boundaries);
   // Close the telemetry window that ends at this boundary before any
   // boundary work lands in the next one.  The snapshot counter is bumped
   // first so the closing window accounts for its own close.
-  obs_.add(obs::counter::timeline_snapshots);
-  timeline_.snapshot(obs_, slot_index, sim_.now());
+  metrics_.observability.add(obs::counter::timeline_snapshots);
+  timeline_.snapshot(metrics_.observability, slot_index, sim_.now());
   exemplars_.roll_window(static_cast<std::uint32_t>(slot_index));
   // The slot that just ended becomes evidence.
   trace::time_slot finished = take_current_slot();
@@ -342,7 +324,7 @@ void offloading_system::on_slot_boundary(std::size_t slot_index) {
     } else if (config_.enable_adaptation) {
       allocation_plan plan = allocate_ilp(
           make_slot_allocation_request(config_, group_count_, predicted), {},
-          &obs_);
+          &metrics_.observability);
       apply_plan(plan);
       report.plan = std::move(plan);
     }
@@ -435,8 +417,9 @@ void offloading_system::finish() {
 
   // Close the drain-tail telemetry window (responses that completed after
   // the last boundary); its slot index is one past the last boundary's.
-  obs_.add(obs::counter::timeline_snapshots);
-  timeline_.snapshot(obs_, metrics_.slots.size(), sim_.now());
+  metrics_.observability.add(obs::counter::timeline_snapshots);
+  timeline_.snapshot(metrics_.observability, metrics_.slots.size(),
+                     sim_.now());
   exemplars_.roll_window(static_cast<std::uint32_t>(metrics_.slots.size()));
 
   metrics_.promotions = moderator_->promotions();

@@ -30,7 +30,7 @@
 #include "obs/tracer.h"
 #include "sim/simulation.h"
 #include "tasks/task.h"
-#include "util/histogram.h"
+#include "util/stats.h"
 #include "workload/generator.h"
 
 namespace mca::core {
@@ -143,17 +143,15 @@ struct slot_report {
   std::optional<allocation_plan> plan;
 };
 
-/// Streaming per-request aggregates, maintained on the response path in
-/// completion order — exactly the statistics the replication digests used
-/// to recompute by scanning the raw series.  Unconditional (and cheap), so
-/// fleet-scale runs need no per-request storage at all.
+/// Streaming response-time moments, maintained on the response path in
+/// completion order — exactly the floating-point accumulation a scan of
+/// the raw series would make.  Unconditional (and cheap), so fleet-scale
+/// runs need no per-request storage at all.  The counts and the latency
+/// histogram behind them live in system_metrics::observability
+/// (sdn_successes / sdn_failures and the per-group SLO histograms).
 struct request_digest {
-  std::size_t issued = 0;     ///< responses delivered (success or failure)
-  std::size_t succeeded = 0;
-  util::running_stats response;          ///< successful responses
-  util::histogram latency;               ///< successful responses, log-linear
+  util::running_stats response;                     ///< successful responses
   std::vector<util::running_stats> group_response;  ///< by routed group
-  std::vector<std::uint64_t> group_successes;
 };
 
 /// Aggregated run results.
@@ -164,6 +162,11 @@ struct system_metrics {
   /// are O(own requests), not O(all requests).
   std::vector<std::vector<std::uint32_t>> requests_by_user;
   request_digest digest;
+  /// The run's observability registry: the preregistered counters (SDN
+  /// request pipeline, PS backend, ILP, slot boundaries, faults), value
+  /// series and per-group SLO latency histograms.  Wired into the backend
+  /// pool and the SDN at construction.
+  obs::registry observability;
   std::vector<slot_report> slots;
   std::uint64_t promotions = 0;
   std::uint64_t demotions = 0;
@@ -176,6 +179,7 @@ struct system_metrics {
   /// Requires the raw series (empty otherwise).
   std::vector<double> user_response_series(user_id user) const;
   /// The group each successful request of a user ran in, in order.
+  /// Requires the raw series (empty otherwise).
   std::vector<group_id> user_group_series(user_id user) const;
 };
 
@@ -220,8 +224,10 @@ class offloading_system : private response_sink {
   client::moderator& moderator() noexcept { return *moderator_; }
   sim::simulation& simulation() noexcept { return sim_; }
   std::size_t group_count() const noexcept { return group_count_; }
-  /// The run's observability registry.
-  const obs::registry& observability() const noexcept { return obs_; }
+  /// The run's observability registry (system_metrics::observability).
+  const obs::registry& observability() const noexcept {
+    return metrics_.observability;
+  }
   /// Per-slot telemetry windows (empty before begin()).
   const obs::timeline& timeline() const noexcept { return timeline_; }
   /// Tail exemplars flushed so far (disabled when exemplar_top_k == 0).
@@ -282,8 +288,6 @@ class offloading_system : private response_sink {
   util::rng background_rng_;
   system_metrics metrics_;
 
-  /// Owned registry, wired into the backend pool and SDN at construction.
-  obs::registry obs_;
   obs::timeline timeline_;
   obs::exemplar_reservoir exemplars_;
 

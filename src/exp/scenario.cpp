@@ -210,18 +210,19 @@ replication_metrics digest_metrics(const core::system_metrics& metrics,
   digest.demotions = metrics.demotions;
   digest.background_submitted = metrics.background_submitted;
   digest.total_cost_usd = metrics.total_cost_usd;
-  // The system streamed these aggregates on its response path, so the
-  // raw request series is not needed (and fleet-scale runs never record it).
-  const auto& streamed = metrics.digest;
-  digest.requests = streamed.issued;
-  digest.successes = streamed.succeeded;
-  digest.response = streamed.response;
-  digest.latency = streamed.latency;
+  // The system streamed these aggregates on its response path and its
+  // registry counted the responses, so the raw request series is not
+  // needed (and fleet-scale runs never record it).
+  const obs::registry& counts = metrics.observability;
+  digest.successes = counts.get(obs::counter::sdn_successes);
+  digest.requests = digest.successes + counts.get(obs::counter::sdn_failures);
+  digest.response = metrics.digest.response;
+  digest.latency = counts.fleet_slo();
   const std::size_t groups =
-      std::min(group_count, streamed.group_response.size());
+      std::min(group_count, metrics.digest.group_response.size());
   for (std::size_t g = 0; g < groups; ++g) {
-    digest.group_response[g] = streamed.group_response[g];
-    digest.group_successes[g] = streamed.group_successes[g];
+    digest.group_response[g] = metrics.digest.group_response[g];
+    digest.group_successes[g] = counts.group_slo(g).total();
   }
   for (const auto& slot : metrics.slots) {
     if (slot.accuracy) {

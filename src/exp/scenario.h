@@ -145,7 +145,9 @@ struct replication_metrics {
 };
 
 /// Digests one replication's metrics from the aggregates the system
-/// streamed (`metrics.digest`); the raw request series is not read.
+/// streamed (`metrics.digest`) and the counts and latency histograms its
+/// registry recorded (`metrics.observability`); the raw request series is
+/// not read.
 /// `group_count` must cover every group id in the spec
 /// (core::offloading_system::group_count()).
 replication_metrics digest_metrics(const core::system_metrics& metrics,

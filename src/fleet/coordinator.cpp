@@ -4,8 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "exp/bench_clock.h"
-
 namespace mca::fleet {
 namespace {
 
@@ -140,9 +138,7 @@ std::vector<std::optional<core::allocation_plan>> coordinator::allocate_slot(
   record.slot = next_slot_++;
   if (obs_ptr_) obs_ptr_->add(obs::counter::fleet_slot_rounds);
   for (const auto& digest : digests) {
-    for (const std::size_t depth : digest.queue_depth_per_group) {
-      record.queue_depth += static_cast<double>(depth);
-    }
+    record.queue_depth += static_cast<double>(digest.queue_depth);
   }
 
   std::vector<std::optional<core::allocation_plan>> quotas(digests.size());
@@ -162,9 +158,7 @@ std::vector<std::optional<core::allocation_plan>> coordinator::allocate_slot(
     request.workload_per_group = fleet.demand_per_group;
     request.max_total_instances -= record.reserved_instances;
     const double solve_t0 = tracer_ ? tracer_->now_us() : 0.0;
-    ilp_seconds_ += exp::seconds_of([&] {
-      last_plan_ = core::allocate_ilp(request, opts_, obs_ptr_);
-    });
+    last_plan_ = core::allocate_ilp(request, opts_, obs_ptr_);
     record.fleet_instances = last_plan_.total_instances();
     record.cost_per_hour = last_plan_.total_cost_per_hour;
     if (tracer_) {

@@ -29,7 +29,7 @@
 
 namespace mca::fleet {
 
-/// Per-slot telemetry of the coordinator.
+/// Per-slot telemetry of the coordinator (examples/fleet_demo prints it).
 struct coordination_record {
   std::size_t slot = 0;
   bool solved = false;  ///< a fleet ILP ran (some shard predicted)
@@ -70,10 +70,9 @@ class coordinator {
   const std::vector<coordination_record>& records() const noexcept {
     return records_;
   }
-  /// Fleet ILP solves so far: one per solved slot record.
+  /// Fleet ILP solves so far: one per solved slot record.  The solve's
+  /// wall time is the tracer's coordinator_solve span.
   std::size_t ilp_solves() const noexcept;
-  /// Wall time spent inside the fleet ILP (gather/split excluded).
-  double ilp_seconds() const noexcept { return ilp_seconds_; }
 
   /// Observability: `counters` toggles the coordinator-owned registry
   /// (ILP solve internals + slot-round counters; on by default), `tracer`
@@ -107,7 +106,6 @@ class coordinator {
   std::vector<demand_digest> last_digests_;
   std::vector<coordination_record> records_;
   std::size_t next_slot_ = 0;
-  double ilp_seconds_ = 0.0;
   bool resilient_split_ = false;
   obs::registry obs_;
   obs::registry* obs_ptr_ = nullptr;

@@ -4,11 +4,6 @@
 
 namespace mca::fleet {
 
-double demand_digest::acceptance() const noexcept {
-  if (requests == 0) return 0.0;
-  return static_cast<double>(successes) / static_cast<double>(requests);
-}
-
 double fleet_demand::total() const noexcept {
   double sum = 0.0;
   for (const double d : demand_per_group) sum += d;
@@ -19,7 +14,6 @@ fleet_demand combine(std::span<const demand_digest> digests,
                      std::size_t group_count) {
   fleet_demand fleet;
   fleet.demand_per_group.assign(group_count, 0.0);
-  fleet.total_shards = digests.size();
   for (const auto& digest : digests) {
     if (!digest.has_prediction) continue;
     if (digest.demand_per_group.size() > group_count) {

@@ -3,9 +3,9 @@
 // At every provisioning-slot boundary each shard reduces its state to this
 // small value type: the predicted per-group load its own predictor derived
 // from its sub-population's history (via the shared
-// core::demand_from_prediction path), the current queue depth on its
-// instances, and its acceptance counters.  The coordinator folds the
-// digests of one slot into the fleet-wide demand the fleet ILP covers.
+// core::demand_from_prediction path), its deployed instance count and the
+// requests executing on them.  The coordinator folds the digests of one
+// slot into the fleet-wide demand the fleet ILP covers.
 // Digests carry no pointers into the shard, so gathering them across the
 // thread pool is race-free by construction.
 #pragma once
@@ -26,18 +26,13 @@ struct demand_digest {
   /// Predicted load per group (the allocator's W), empty-group-padded to
   /// the scenario's group count.  All zeros when has_prediction is false.
   std::vector<double> demand_per_group;
-  /// Requests currently executing on the shard's instances, per group.
-  std::vector<std::size_t> queue_depth_per_group;
-  /// Accepting instances currently deployed on the shard (all groups).
-  /// The coordinator reserves the non-predicting shards' instances out of
-  /// the account cap so the fleet total never exceeds it.
+  /// Non-draining instances currently deployed on the shard (all groups,
+  /// warming ones included): Σ_g backend_pool::instance_count(g).  The
+  /// coordinator reserves the non-predicting shards' instances out of the
+  /// account cap so the fleet total never exceeds it.
   std::size_t instances = 0;
-  /// Foreground requests issued / succeeded since the shard started.
-  std::size_t requests = 0;
-  std::size_t successes = 0;
-
-  /// Successful / issued foreground requests so far, in [0, 1].
-  double acceptance() const noexcept;
+  /// Requests currently executing on those instances (all groups).
+  std::size_t queue_depth = 0;
 };
 
 /// The coordinator's fold of one slot's digests: summed demand over the
@@ -45,7 +40,6 @@ struct demand_digest {
 struct fleet_demand {
   std::vector<double> demand_per_group;
   std::size_t predicting_shards = 0;
-  std::size_t total_shards = 0;
 
   bool any_prediction() const noexcept { return predicting_shards > 0; }
   double total() const noexcept;

@@ -83,7 +83,6 @@ fleet_result run_fleet(const exp::scenario_spec& spec,
   if (worker_rings) pool.set_observability(tracer, shards + 1);
 
   fleet_result result;
-  result.total_users = spec.user_count;
   result.shard_count = shards;
 
   // Outage-end edges strictly inside a slot trigger an off-cycle re-aim:
@@ -211,7 +210,6 @@ fleet_result run_fleet(const exp::scenario_spec& spec,
 
   result.slots = coord.records();
   result.ilp_solves = coord.ilp_solves();
-  result.ilp_seconds = coord.ilp_seconds();
   // mca-lint: allow(det-wallclock) see above: advisory wall time only.
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

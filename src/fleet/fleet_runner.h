@@ -62,17 +62,15 @@ struct fleet_result {
   /// in shard order and cut back to the top-K slowest per window.
   std::vector<obs::exemplar_record> exemplars;
 
-  std::size_t total_users = 0;
   std::size_t shard_count = 0;
   std::size_t slot_count = 0;
   std::size_t ilp_solves = 0;
 
   double wall_seconds = 0.0;
   /// Serial coordination time (gather + fleet ILP + quota scatter): the
-  /// synchronization overhead the shards pay per slot.
+  /// synchronization overhead the shards pay per slot.  A tracer times
+  /// the ILP and the split as coordinator_solve / quota_split spans.
   double coordination_seconds = 0.0;
-  /// The ILP share of coordination_seconds.
-  double ilp_seconds = 0.0;
 
   std::uint64_t fingerprint() const noexcept {
     return aggregate.fingerprint();

@@ -87,18 +87,15 @@ demand_digest shard::advance_to_slot(std::size_t slot_index) {
     digest.demand_per_group.assign(group_count_, 0.0);
   }
 
-  digest.queue_depth_per_group.assign(group_count_, 0);
+  // Warming instances count as deployed but hold no jobs (they admit
+  // none), so the accepting ones carry the whole queue.
+  cloud::backend_pool& backend = system_->backend();
   for (group_id g = 0; g < group_count_; ++g) {
-    const auto servers = system_->backend().instances_in(g);
-    digest.instances += servers.size();
-    for (const cloud::instance* server : servers) {
-      digest.queue_depth_per_group[g] += server->active_jobs();
-    }
+    digest.instances += backend.instance_count(g);
+    backend.for_each_accepting(g, [&](const cloud::instance& server) {
+      digest.queue_depth += server.active_jobs();
+    });
   }
-
-  // Acceptance so far, straight off the streaming request digest.
-  digest.requests = system_->metrics().digest.issued;
-  digest.successes = system_->metrics().digest.succeeded;
   return digest;
 }
 // mca:hot-path-end

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "obs/registry.h"
 #include "sim/simulation.h"
 
 namespace mca::cloud {
@@ -22,6 +23,14 @@ instance_type plain_type(const char* name = "test.plain", double vcpus = 1.0) {
 
 class BackendPoolTest : public ::testing::Test {
  protected:
+  BackendPoolTest() { pool_.set_observability(&obs_); }
+
+  std::uint64_t ps_completed() const {
+    return obs_.get(obs::counter::ps_completions);
+  }
+  std::uint64_t ps_dropped() const { return obs_.get(obs::counter::ps_drops); }
+
+  obs::registry obs_;
   sim::simulation sim_;
   backend_pool pool_{sim_, util::rng{42}};
 };
@@ -44,7 +53,7 @@ TEST_F(BackendPoolTest, RoutePrefersLeastLoadedInstance) {
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(pool_.route(1, 100.0, {}), route_status::ok);
   }
-  const auto members = pool_.instances_in(1);
+  const auto members = pool_.mutable_instances_in(1);
   ASSERT_EQ(members.size(), 2u);
   EXPECT_EQ(members[0]->active_jobs(), 2u);
   EXPECT_EQ(members[1]->active_jobs(), 2u);
@@ -54,8 +63,8 @@ TEST_F(BackendPoolTest, GroupsAreIsolated) {
   pool_.launch(1, plain_type());
   pool_.launch(2, plain_type());
   ASSERT_EQ(pool_.route(2, 5.0, {}), route_status::ok);
-  EXPECT_EQ(pool_.instances_in(1)[0]->active_jobs(), 0u);
-  EXPECT_EQ(pool_.instances_in(2)[0]->active_jobs(), 1u);
+  EXPECT_EQ(pool_.mutable_instances_in(1)[0]->active_jobs(), 0u);
+  EXPECT_EQ(pool_.mutable_instances_in(2)[0]->active_jobs(), 1u);
 }
 
 TEST_F(BackendPoolTest, RetireDrainsIdleImmediately) {
@@ -114,7 +123,7 @@ TEST_F(BackendPoolTest, DroppedWhenInstancesFull) {
   }
   EXPECT_EQ(ok, cap);
   EXPECT_EQ(dropped, 2u);
-  EXPECT_EQ(pool_.total_dropped(), 2u);
+  EXPECT_EQ(ps_dropped(), 2u);
 }
 
 TEST_F(BackendPoolTest, GroupsListsNonEmptyGroups) {
@@ -131,7 +140,7 @@ TEST_F(BackendPoolTest, CompletionCountsAggregate) {
   pool_.route(1, 1.0, [&](double, bool) { ++completions; });
   sim_.run();
   EXPECT_EQ(completions, 2);
-  EXPECT_EQ(pool_.total_completed(), 2u);
+  EXPECT_EQ(ps_completed(), 2u);
 }
 
 TEST_F(BackendPoolTest, RetiredInstanceStatsSurvive) {
@@ -140,7 +149,7 @@ TEST_F(BackendPoolTest, RetiredInstanceStatsSurvive) {
   sim_.run();
   pool_.retire(1, plain_type(), 1);
   pool_.sweep();
-  EXPECT_EQ(pool_.total_completed(), 1u);
+  EXPECT_EQ(ps_completed(), 1u);
 }
 
 TEST_F(BackendPoolTest, BillingAccruesWhileRunning) {
@@ -235,11 +244,11 @@ TEST_F(BackendPoolTest, RetireWhileRoutingChurn) {
   ASSERT_NO_THROW(pool_.sweep());
   ASSERT_NO_THROW(pool_.sweep());
   EXPECT_EQ(completions, routed);
-  EXPECT_EQ(pool_.total_completed(), routed);
+  EXPECT_EQ(ps_completed(), routed);
   EXPECT_EQ(pool_.billing().active_instances(), 2u);
   // The only refusals are this test's own direct probes of the draining
   // instances; the router itself never hit a drop.
-  EXPECT_EQ(pool_.total_dropped(), drained_total);
+  EXPECT_EQ(ps_dropped(), drained_total);
   // Billing keeps charging the live instances only: cost equals two
   // still-open records plus the two closed ones, each >= one started
   // hour — and stays put when sweep() runs again on an already-reaped
@@ -277,7 +286,7 @@ TEST_F(BackendPoolTest, RetireWhileRoutingChurn) {
   ASSERT_NO_THROW(pool_.sweep());
   EXPECT_EQ(strike.killed + second.killed, failures);
   EXPECT_EQ(completions + failures, routed + preempt_routed);
-  EXPECT_EQ(pool_.total_completed(), completions);
+  EXPECT_EQ(ps_completed(), completions);
   // Both victims' billing records closed on the kill.
   EXPECT_EQ(pool_.billing().active_instances(), 0u);
 }

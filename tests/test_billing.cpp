@@ -43,24 +43,13 @@ TEST(Billing, RunningInstancesAccrue) {
   EXPECT_EQ(meter.active_instances(), 1u);
 }
 
-TEST(Billing, MixedTypesSummedAndQueryable) {
+TEST(Billing, MixedTypesSummed) {
   billing_meter meter;
   meter.on_launch(1, dollar_type("cheap", 0.5), 0.0);
   meter.on_launch(2, dollar_type("pricey", 2.0), 0.0);
   meter.on_terminate(1, util::hours(1.0));
   meter.on_terminate(2, util::hours(2.0));
   EXPECT_DOUBLE_EQ(meter.total_cost(util::hours(3)), 0.5 + 4.0);
-  EXPECT_DOUBLE_EQ(meter.cost_for_type("cheap", util::hours(3)), 0.5);
-  EXPECT_DOUBLE_EQ(meter.cost_for_type("pricey", util::hours(3)), 4.0);
-  EXPECT_DOUBLE_EQ(meter.cost_for_type("unknown", util::hours(3)), 0.0);
-}
-
-TEST(Billing, InstanceHoursTracked) {
-  billing_meter meter;
-  meter.on_launch(1, dollar_type(), 0.0);
-  meter.on_terminate(1, util::hours(1.5));
-  meter.on_launch(2, dollar_type(), 0.0);
-  EXPECT_DOUBLE_EQ(meter.total_instance_hours(util::hours(0.5)), 3.0);
 }
 
 TEST(Billing, DoubleLaunchThrows) {

@@ -292,20 +292,23 @@ TEST(ScenarioMetrics, DigestAndMergeCountConsistently) {
   core::system_metrics metrics;
   metrics.promotions = 2;
   metrics.total_cost_usd = 1.5;
-  // Fill the streaming digest the way the response path does.
+  // Fill the streaming digest and the registry the way the SDN and the
+  // response path do.
   auto& streamed = metrics.digest;
+  auto& counts = metrics.observability;
   streamed.group_response.resize(3);
-  streamed.group_successes.assign(3, 0);
+  counts.resize_groups(3);
   for (int i = 0; i < 10; ++i) {
-    ++streamed.issued;
-    if (i == 9) continue;  // one failure
+    if (i == 9) {  // one failure
+      counts.add(obs::counter::sdn_failures);
+      continue;
+    }
     const double response_ms = 100.0 * (i + 1);
     const group_id group = i % 2 == 0 ? 1 : 2;
-    ++streamed.succeeded;
+    counts.add(obs::counter::sdn_successes);
     streamed.response.add(response_ms);
-    streamed.latency.add(response_ms);
     streamed.group_response[group].add(response_ms);
-    ++streamed.group_successes[group];
+    counts.observe_response(group, response_ms);
   }
   const auto digest = digest_metrics(metrics, 3, 77);
   EXPECT_EQ(digest.requests, 10u);

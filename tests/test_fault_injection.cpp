@@ -19,6 +19,7 @@
 #include "fleet/fleet_runner.h"
 #include "net/operators.h"
 #include "obs/alerts.h"
+#include "obs/registry.h"
 #include "obs/timeline.h"
 #include "recording_sink.h"
 #include "sim/simulation.h"
@@ -308,6 +309,15 @@ class SdnResilienceTest : public ::testing::Test {
     config_.backend_one_way_ms = 3.0;
   }
 
+  /// Points `sdn`'s request counters at the fixture's registry.
+  void count(core::sdn_accelerator& sdn) {
+    sdn.set_observability(&obs_, nullptr, 0, 1);
+  }
+  std::uint64_t succeeded() const {
+    return obs_.get(obs::counter::sdn_successes);
+  }
+  std::uint64_t failed() const { return obs_.get(obs::counter::sdn_failures); }
+
   workload::offload_request make_request(user_id user) {
     workload::offload_request r;
     r.id = ++next_id_;
@@ -323,6 +333,7 @@ class SdnResilienceTest : public ::testing::Test {
   trace::log_store log_;
   core::sdn_config config_;
   test_support::recording_sink sink_;
+  obs::registry obs_;
   request_id next_id_ = 0;
 };
 
@@ -338,6 +349,7 @@ TEST_F(SdnResilienceTest, TimeoutRetriesThenFallsBackLocally) {
   config_.local_exec_wu_per_ms = 1.0;
   core::sdn_accelerator sdn{sim_,    backend_, fixed_link(40.0),
                             &log_,   config_,  util::rng{2}};
+  count(sdn);
   sdn.set_response_sink(&sink_);
   sdn.submit(make_request(1), 1, 0.9);
   sim_.run();
@@ -352,8 +364,8 @@ TEST_F(SdnResilienceTest, TimeoutRetriesThenFallsBackLocally) {
   EXPECT_GE(observed.routing, 355.0);
   EXPECT_LT(observed.routing, 365.0);
   // The stale backend completions (epoch-orphaned) must not double count.
-  EXPECT_EQ(sdn.succeeded(), 1u);
-  EXPECT_EQ(sdn.failed(), 0u);
+  EXPECT_EQ(succeeded(), 1u);
+  EXPECT_EQ(failed(), 0u);
 }
 
 TEST_F(SdnResilienceTest, RetryBudgetExhaustionDeliversFailureNotice) {
@@ -364,6 +376,7 @@ TEST_F(SdnResilienceTest, RetryBudgetExhaustionDeliversFailureNotice) {
   config_.retry_backoff_cap_ms = 20.0;
   core::sdn_accelerator sdn{sim_,    backend_, fixed_link(40.0),
                             &log_,   config_,  util::rng{2}};
+  count(sdn);
   sdn.set_response_sink(&sink_);
   sdn.submit(make_request(1), 1, 0.9);
   sim_.run();
@@ -372,8 +385,8 @@ TEST_F(SdnResilienceTest, RetryBudgetExhaustionDeliversFailureNotice) {
   EXPECT_FALSE(observed.success);
   EXPECT_FALSE(observed.local);
   EXPECT_DOUBLE_EQ(observed.cloud, 0.0);
-  EXPECT_EQ(sdn.failed(), 1u);
-  EXPECT_EQ(sdn.succeeded(), 0u);
+  EXPECT_EQ(failed(), 1u);
+  EXPECT_EQ(succeeded(), 0u);
 }
 
 TEST_F(SdnResilienceTest, PreemptedInFlightRetriesOnSurvivingInstance) {
@@ -383,6 +396,7 @@ TEST_F(SdnResilienceTest, PreemptedInFlightRetriesOnSurvivingInstance) {
   config_.retry_backoff_cap_ms = 20.0;
   core::sdn_accelerator sdn{sim_,    backend_, fixed_link(40.0),
                             &log_,   config_,  util::rng{2}};
+  count(sdn);
   sdn.set_response_sink(&sink_);
   sdn.submit(make_request(1), 1, 0.9);
   // Dispatch lands at ~173 ms (20 uplink + 150 routing + 3 internal); at
@@ -401,8 +415,8 @@ TEST_F(SdnResilienceTest, PreemptedInFlightRetriesOnSurvivingInstance) {
   EXPECT_TRUE(observed.success);
   EXPECT_FALSE(observed.local);
   EXPECT_NEAR(observed.cloud, 288.0, 1e-6);  // full re-execution
-  EXPECT_EQ(sdn.succeeded(), 1u);
-  EXPECT_EQ(sdn.failed(), 0u);
+  EXPECT_EQ(succeeded(), 1u);
+  EXPECT_EQ(failed(), 0u);
 }
 
 TEST_F(SdnResilienceTest, BackoffJitterIsDeterministicPerRequest) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <stdexcept>
+#include <vector>
 
 #include "fleet/coordinator.h"
 #include "fleet/demand_digest.h"
@@ -57,7 +59,6 @@ TEST(DemandDigest, CombineSumsPredictingShardsOnly) {
       make_digest(2, {2.0, 5.0}),
   };
   const fleet_demand fleet = combine(digests, 3);
-  EXPECT_EQ(fleet.total_shards, 3u);
   EXPECT_EQ(fleet.predicting_shards, 2u);
   ASSERT_EQ(fleet.demand_per_group.size(), 3u);
   EXPECT_DOUBLE_EQ(fleet.demand_per_group[0], 6.0);
@@ -284,7 +285,7 @@ TEST(ShardExternalMode, BoundaryParksDemandUntilQuotaApplied) {
   demand_digest first = member.advance_to_slot(0);
   EXPECT_EQ(first.shard, 0u);
   EXPECT_FALSE(first.has_prediction);
-  EXPECT_GT(first.requests, 0u);
+  EXPECT_GT(member.observability().get(obs::counter::sdn_requests), 0u);
 
   // By the second boundary the successor predictor can forecast.
   demand_digest second = member.advance_to_slot(1);
@@ -305,6 +306,72 @@ TEST(ShardExternalMode, BoundaryParksDemandUntilQuotaApplied) {
   EXPECT_GT(digest.requests, 0u);
 }
 
+TEST(ShardDigest, InstancesAreTheNonDrainingDeployment) {
+  // The digest's instance count is the coordinator's reservation input.
+  // Drive a faulted fleet by hand (spot strikes, an outage, cold starts)
+  // and, 1 ms before every boundary, hand one accepting instance per shard
+  // a long job and drain it: still busy (and billed) at the boundary, it
+  // must not be counted.
+  tasks::task_pool tasks;
+  exp::scenario_spec spec = tiny_fleet_scenario();
+  spec.faults.enabled = true;
+  spec.faults.preempt_hazard_per_hour = {0.0, 12.0, 12.0};
+  spec.faults.outages = {{1, util::minutes(12.0), util::minutes(18.0)}};
+  spec.faults.cold_start_mean_ms = 1'000.0;
+  spec.faults.local_fallback = true;
+  constexpr std::size_t kShards = 2;
+  coordinator coord{fleet_allocation_shape(spec)};
+  coord.set_resilient_split(true);
+  std::vector<std::unique_ptr<shard>> members;
+  for (std::size_t k = 0; k < kShards; ++k) {
+    members.push_back(std::make_unique<shard>(spec, tasks, k, kShards));
+    members.back()->begin();
+  }
+
+  std::size_t drained_at_boundary = 0;  // (shard, boundary) pairs
+  std::size_t slot = 0;
+  for (util::time_ms boundary = spec.slot_length; boundary <= spec.duration;
+       boundary += spec.slot_length, ++slot) {
+    std::vector<demand_digest> digests;
+    for (auto& member : members) {
+      member->advance_to(boundary - 1.0);
+      cloud::backend_pool& backend = member->system().backend();
+      cloud::instance* victim = nullptr;
+      for (group_id g = 0; g < member->group_count(); ++g) {
+        backend.for_each_accepting(g, [&](cloud::instance& server) {
+          if (victim == nullptr) victim = &server;
+        });
+      }
+      const bool drained = victim != nullptr && victim->submit(10'000.0, {});
+      if (drained) victim->drain();
+
+      digests.push_back(member->advance_to_slot(slot));
+      std::size_t deployed = 0;
+      for (group_id g = 0; g < member->group_count(); ++g) {
+        deployed += backend.instance_count(g);
+      }
+      EXPECT_EQ(digests.back().instances, deployed)
+          << "shard " << member->index() << " slot " << slot;
+      // Every member, draining or not, holds an open billing record.
+      const std::size_t members_alive = backend.billing().active_instances();
+      EXPECT_LE(digests.back().instances, members_alive);
+      if (drained) {
+        EXPECT_LT(digests.back().instances, members_alive)
+            << "shard " << member->index() << " slot " << slot;
+        ++drained_at_boundary;
+      }
+    }
+    const auto quotas = coord.allocate_slot(digests);
+    for (std::size_t k = 0; k < kShards; ++k) {
+      if (quotas[k]) members[k]->apply_quota(*quotas[k]);
+    }
+  }
+  EXPECT_EQ(slot, 4u);
+  // The exclusion was exercised.
+  EXPECT_GT(drained_at_boundary, 0u);
+  for (auto& member : members) member->finish();
+}
+
 TEST(RunFleet, MergesAllUsersAndRecordsSlots) {
   tasks::task_pool tasks;
   exp::thread_pool pool{2};
@@ -314,7 +381,6 @@ TEST(RunFleet, MergesAllUsersAndRecordsSlots) {
   const fleet_result result = run_fleet(spec, options, tasks, pool);
 
   EXPECT_EQ(result.shard_count, 3u);
-  EXPECT_EQ(result.total_users, spec.user_count);
   EXPECT_EQ(result.per_shard.size(), 3u);
   EXPECT_EQ(result.slot_count, 4u);
   EXPECT_EQ(result.slots.size(), 4u);

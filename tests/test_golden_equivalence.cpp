@@ -162,16 +162,18 @@ TEST(GoldenEquivalence, StreamingDigestEqualsRawSeriesScan) {
   exp::replication_context ctx;
   ctx.index = 0;
   ctx.seed = spec.base_seed;
-  // run_replication records the raw series, so the metrics carry both the
-  // streaming digest and the per-request vector.
+  // run_replication records the raw series, so the metrics carry the
+  // streaming digest, the registry's counts and the per-request vector.
   const core::system_metrics metrics = exp::run_replication(spec, pool, ctx);
   ASSERT_FALSE(metrics.requests.empty());
 
-  const auto& streamed = metrics.digest;
-  EXPECT_EQ(streamed.issued, metrics.requests.size());
+  const exp::replication_metrics streamed =
+      exp::digest_metrics(metrics, exp::group_count_of(spec), ctx.seed);
+  EXPECT_EQ(streamed.requests, metrics.requests.size());
 
   // Recompute every aggregate from the raw series, in push order — the
-  // streaming path must be bit-identical (same add order, same floats).
+  // streamed moments and the registry's counts and histograms must be
+  // bit-identical (same add order, same floats).
   util::running_stats response;
   util::histogram latency;
   std::vector<util::running_stats> group_response(
@@ -191,7 +193,7 @@ TEST(GoldenEquivalence, StreamingDigestEqualsRawSeriesScan) {
       ++group_successes[r.group];
     }
   }
-  EXPECT_EQ(streamed.succeeded, successes);
+  EXPECT_EQ(streamed.successes, successes);
   EXPECT_EQ(streamed.response.count(), response.count());
   EXPECT_EQ(streamed.response.mean(), response.mean());
   EXPECT_EQ(streamed.response.variance(), response.variance());

@@ -4,7 +4,9 @@
 
 #include <vector>
 
+#include "obs/registry.h"
 #include "sim/simulation.h"
+#include "util/stats.h"
 
 namespace mca::cloud {
 namespace {
@@ -26,12 +28,14 @@ instance_type exact_type(double vcpus = 1.0, double speed = 1.0) {
 TEST(Instance, SingleJobServiceTimeIsWorkPlusSpawn) {
   sim::simulation sim;
   instance server{sim, 1, exact_type(), util::rng{1}};
+  obs::registry counts;
+  server.set_observability(&counts);
   double service = -1.0;
   ASSERT_TRUE(server.submit(10.0, [&](double t, bool) { service = t; }));
   sim.run();
   // 10 wu compute + 8 wu dalvikvm spawn at 1 wu/ms.
   EXPECT_NEAR(service, 18.0, 1e-9);
-  EXPECT_EQ(server.completed(), 1u);
+  EXPECT_EQ(counts.get(obs::counter::ps_completions), 1u);
 }
 
 TEST(Instance, SpeedFactorDividesServiceTime) {
@@ -94,13 +98,15 @@ TEST(Instance, AdmissionCapDropsExcess) {
   auto type = exact_type();
   type.memory_gb = 0.1;  // floor cap applies
   instance server{sim, 1, type, util::rng{1}};
+  obs::registry counts;
+  server.set_observability(&counts);
   const auto cap = type.max_concurrent();
   int accepted = 0;
   for (std::size_t i = 0; i < cap + 2; ++i) {
     if (server.submit(5.0, {})) ++accepted;
   }
   EXPECT_EQ(static_cast<std::size_t>(accepted), cap);
-  EXPECT_EQ(server.dropped(), 2u);
+  EXPECT_EQ(counts.get(obs::counter::ps_drops), 2u);
   EXPECT_EQ(server.active_jobs(), cap);
 }
 
@@ -126,21 +132,14 @@ TEST(Instance, NegativeWorkThrows) {
 TEST(Instance, ServiceStatsTrackCompletions) {
   sim::simulation sim;
   instance server{sim, 1, exact_type(), util::rng{1}};
-  server.submit(2.0, {});
+  util::running_stats stats;
+  const auto record = [&](double t, bool) { stats.add(t); };
+  server.submit(2.0, record);
   sim.run();
-  server.submit(12.0, {});
+  server.submit(12.0, record);
   sim.run();
-  EXPECT_EQ(server.service_stats().count(), 2u);
-  EXPECT_NEAR(server.service_stats().mean(), 15.0, 1e-9);  // (10+20)/2
-}
-
-TEST(Instance, UtilizationReflectsBusyFraction) {
-  sim::simulation sim;
-  instance server{sim, 1, exact_type(), util::rng{1}};
-  server.submit(42.0, {});  // busy for 50 ms
-  sim.run();
-  sim.run_until(100.0);  // idle for another 50 ms
-  EXPECT_NEAR(server.mean_utilization(), 0.5, 1e-6);
+  EXPECT_EQ(stats.count(), 2u);
+  EXPECT_NEAR(stats.mean(), 15.0, 1e-9);  // (10+20)/2
 }
 
 TEST(Instance, StealSlowsServiceUnderContention) {
@@ -200,27 +199,6 @@ TEST(Instance, CreditExhaustionThrottlesToBaseline) {
   EXPECT_TRUE(server.throttled());
 }
 
-TEST(Instance, ThrottledUtilizationUsesEffectiveCores) {
-  // Regression: the since-last-event tail of mean_utilization() used raw
-  // vcpus, overstating busy cores while credit-throttled.  Sampled mid
-  // throttled interval (no event since exhaustion), the tail must accrue
-  // at the baseline share like advance() does.
-  sim::simulation sim;
-  auto type = exact_type();
-  type.baseline_fraction = 0.1;
-  instance::options opts;
-  opts.enable_cpu_credits = true;
-  opts.initial_credits_core_ms = 50.0;
-  instance server{sim, 1, type, util::rng{1}, opts};
-  server.submit(992.0, {});  // 1000 wu: throttles at ~55.6 ms, runs long
-  sim.run_until(500.0);
-  ASSERT_TRUE(server.throttled());
-  ASSERT_EQ(server.completed(), 0u);
-  // Busy core-ms by t=500: 55.56 at one full core, then 444.4 ms at 0.1
-  // cores = 100 total -> 0.2 mean utilization.  The bug reported ~1.0.
-  EXPECT_NEAR(server.mean_utilization(), 0.2, 1e-3);
-}
-
 TEST(Instance, CreditsRecoverWhenIdle) {
   sim::simulation sim;
   auto type = exact_type();
@@ -244,11 +222,12 @@ TEST(Instance, CreditsDisabledMeansNeverThrottled) {
   auto type = exact_type();
   type.baseline_fraction = 0.05;
   instance server{sim, 1, type, util::rng{1}};
-  server.submit(10'000.0, {});
+  double service = -1.0;
+  server.submit(10'000.0, [&](double t, bool) { service = t; });
   sim.run();
   EXPECT_FALSE(server.throttled());
   // Full speed throughout: 10,008 wu in 10,008 ms.
-  EXPECT_NEAR(server.service_stats().mean(), 10'008.0, 1e-6);
+  EXPECT_NEAR(service, 10'008.0, 1e-6);
 }
 
 // Property sweep: processor sharing conserves work — however arrivals
@@ -259,6 +238,8 @@ class WorkConservation : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(WorkConservation, BusyTimeEqualsTotalWork) {
   sim::simulation sim;
   instance server{sim, 1, exact_type(), util::rng{1}};
+  obs::registry counts;
+  server.set_observability(&counts);
   util::rng rng{GetParam()};
   double total_work = 0.0;
   double last_arrival = 0.0;
@@ -283,7 +264,8 @@ TEST_P(WorkConservation, BusyTimeEqualsTotalWork) {
   for (const double t : completion_times) latest = std::max(latest, t);
   EXPECT_LE(latest, total_work + last_arrival + 1e-6);
   EXPECT_GE(latest, total_work - 1e-6);
-  EXPECT_EQ(server.completed(), static_cast<std::uint64_t>(jobs));
+  EXPECT_EQ(counts.get(obs::counter::ps_completions),
+            static_cast<std::uint64_t>(jobs));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WorkConservation,

@@ -23,8 +23,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <type_traits>
 #include <vector>
 
+#include "obs/registry.h"
 #include "sim/simulation.h"
 #include "util/rng.h"
 
@@ -217,6 +219,11 @@ trace_result run_trace(const instance_type& type, instance::options opts,
   sim::simulation sim;
   Server server{sim, std::forward<Extra>(extra)..., type, util::rng{seed},
                 opts};
+  // The instance counts completions and drops in its registry; the
+  // oracle keeps its own tallies.
+  constexpr bool kInstance = std::is_same_v<Server, instance>;
+  obs::registry counts;
+  if constexpr (kInstance) server.set_observability(&counts);
   trace_result r;
   r.accepted.assign(ops.size(), 0);
   r.completion_at.assign(ops.size(), -1.0);
@@ -236,8 +243,13 @@ trace_result run_trace(const instance_type& type, instance::options opts,
     sim.schedule_at(drain_at, [&server] { server.drain(); });
   }
   sim.run();
-  r.completed = server.completed();
-  r.dropped = server.dropped();
+  if constexpr (kInstance) {
+    r.completed = counts.get(obs::counter::ps_completions);
+    r.dropped = counts.get(obs::counter::ps_drops);
+  } else {
+    r.completed = server.completed();
+    r.dropped = server.dropped();
+  }
   r.credits = server.credit_balance();
   r.throttled = server.throttled();
   return r;

@@ -6,8 +6,10 @@
 #include <vector>
 
 #include "net/operators.h"
+#include "obs/registry.h"
 #include "recording_sink.h"
 #include "tasks/task.h"
+#include "util/stats.h"
 
 namespace mca::core {
 namespace {
@@ -40,6 +42,15 @@ class SdnTest : public ::testing::Test {
     config_.keep_routing_samples = true;
   }
 
+  /// Points `sdn`'s request counters at the fixture's registry.
+  void count(sdn_accelerator& sdn) {
+    sdn.set_observability(&obs_, nullptr, 0, 1);
+  }
+  std::uint64_t succeeded() const {
+    return obs_.get(obs::counter::sdn_successes);
+  }
+  std::uint64_t failed() const { return obs_.get(obs::counter::sdn_failures); }
+
   workload::offload_request make_request(user_id user) {
     workload::offload_request r;
     r.id = ++next_id_;
@@ -55,6 +66,7 @@ class SdnTest : public ::testing::Test {
   trace::log_store log_;
   sdn_config config_;
   test_support::recording_sink sink_;
+  obs::registry obs_;
   request_id next_id_ = 0;
 };
 
@@ -93,11 +105,11 @@ TEST_F(SdnTest, RoutingOverheadIsAboutOneFiftyMs) {
     });
   }
   sim_.run();
-  const auto& stats = sdn.routing_stats(1);
+  util::running_stats stats;
+  for (const double sample : sdn.routing_samples(1)) stats.add(sample);
   EXPECT_EQ(stats.count(), 200u);
   EXPECT_NEAR(stats.mean(), 150.0, 5.0);
   EXPECT_GT(stats.stddev(), 5.0);
-  EXPECT_EQ(sdn.routing_samples(1).size(), 200u);
 }
 
 TEST_F(SdnTest, LogsTraceRecordPerSuccess) {
@@ -118,9 +130,10 @@ TEST_F(SdnTest, NullLogPointerIsSafe) {
   backend_.launch(1, exact_type());
   sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), nullptr, config_,
                       util::rng{6}};
+  count(sdn);
   sdn.submit(make_request(1), 1, 1.0);
   sim_.run();
-  EXPECT_EQ(sdn.succeeded(), 1u);
+  EXPECT_EQ(succeeded(), 1u);
 }
 
 TEST_F(SdnTest, TraceObserverFiresOncePerSuccessWithOrWithoutALog) {
@@ -135,6 +148,8 @@ TEST_F(SdnTest, TraceObserverFiresOncePerSuccessWithOrWithoutALog) {
     sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), log, config_,
                         util::rng{10}};
     sdn.set_response_sink(&sink_);
+    obs::registry counts;
+    sdn.set_observability(&counts, nullptr, 0, 1);
     std::vector<user_id> traced_users;
     sdn.set_trace_observer([&](util::time_ms logged_at,
                                util::time_ms created_at, user_id user,
@@ -148,8 +163,9 @@ TEST_F(SdnTest, TraceObserverFiresOncePerSuccessWithOrWithoutALog) {
     sdn.submit(make_request(3), 1, 1.0);
     sim_.run();
     ASSERT_EQ(sink_.responses.size(), 3u);
-    EXPECT_EQ(sdn.succeeded(), 2u);
-    EXPECT_EQ(traced_users.size(), sdn.succeeded());
+    const std::uint64_t successes = counts.get(obs::counter::sdn_successes);
+    EXPECT_EQ(successes, 2u);
+    EXPECT_EQ(traced_users.size(), successes);
     EXPECT_EQ(std::set<user_id>(traced_users.begin(), traced_users.end()),
               (std::set<user_id>{1, 3}));
     EXPECT_EQ(log_.size(), log == nullptr ? 0u : 2u);
@@ -159,6 +175,7 @@ TEST_F(SdnTest, TraceObserverFiresOncePerSuccessWithOrWithoutALog) {
 TEST_F(SdnTest, MissingGroupFailsTheRequest) {
   sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), &log_, config_,
                       util::rng{7}};
+  count(sdn);
   sdn.set_response_sink(&sink_);
   sdn.submit(make_request(1), 9, 1.0);
   sim_.run();
@@ -166,8 +183,8 @@ TEST_F(SdnTest, MissingGroupFailsTheRequest) {
   const request_timing& observed = sink_.responses[0].timing;
   EXPECT_FALSE(observed.success);
   EXPECT_EQ(observed.cloud, 0.0);
-  EXPECT_EQ(sdn.failed(), 1u);
-  EXPECT_EQ(sdn.succeeded(), 0u);
+  EXPECT_EQ(failed(), 1u);
+  EXPECT_EQ(succeeded(), 0u);
   EXPECT_EQ(log_.size(), 0u);  // failures are not logged as processed
 }
 
@@ -178,6 +195,7 @@ TEST_F(SdnTest, SaturatedBackendDropsAreReported) {
   backend_.launch(1, tiny);
   sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), &log_, config_,
                       util::rng{8}};
+  count(sdn);
   sdn.set_response_sink(&sink_);
   for (std::size_t i = 0; i < burst; ++i) {
     sdn.submit(make_request(static_cast<user_id>(i)), 1, 1.0);
@@ -187,9 +205,9 @@ TEST_F(SdnTest, SaturatedBackendDropsAreReported) {
   for (const auto& response : sink_.responses) {
     if (!response.timing.success) ++failures;
   }
-  EXPECT_EQ(sdn.received(), burst);
+  EXPECT_EQ(obs_.get(obs::counter::sdn_requests), burst);
   EXPECT_GT(failures, 0);
-  EXPECT_EQ(sdn.succeeded() + sdn.failed(), burst);
+  EXPECT_EQ(succeeded() + failed(), burst);
 }
 
 TEST_F(SdnTest, CountsMultipleGroupsSeparately) {
@@ -201,9 +219,9 @@ TEST_F(SdnTest, CountsMultipleGroupsSeparately) {
   sdn.submit(make_request(2), 2, 1.0);
   sdn.submit(make_request(3), 2, 1.0);
   sim_.run();
-  EXPECT_EQ(sdn.routing_stats(1).count(), 1u);
-  EXPECT_EQ(sdn.routing_stats(2).count(), 2u);
-  EXPECT_EQ(sdn.routing_stats(3).count(), 0u);
+  EXPECT_EQ(sdn.routing_samples(1).size(), 1u);
+  EXPECT_EQ(sdn.routing_samples(2).size(), 2u);
+  EXPECT_EQ(sdn.routing_samples(3).size(), 0u);
 }
 
 TEST_F(SdnTest, ThreeGLinkInflatesT1Only) {
@@ -253,18 +271,20 @@ TEST_F(SdnTest, SuccessCostsFourEvents) {
   backend_.launch(1, exact_type());
   sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), &log_, config_,
                       util::rng{12}};
+  count(sdn);
   sdn.submit(make_request(1), 1, 1.0);
   sim_.run();
-  EXPECT_EQ(sdn.succeeded(), 1u);
+  EXPECT_EQ(succeeded(), 1u);
   EXPECT_EQ(sim_.executed_events(), 4u);
 }
 
 TEST_F(SdnTest, RejectionWithNoInstanceCostsThreeEvents) {
   sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), &log_, config_,
                       util::rng{13}};
+  count(sdn);
   sdn.submit(make_request(1), 1, 1.0);
   sim_.run();
-  EXPECT_EQ(sdn.failed(), 1u);
+  EXPECT_EQ(failed(), 1u);
   EXPECT_EQ(sim_.executed_events(), 3u);
 }
 
@@ -273,12 +293,13 @@ TEST_F(SdnTest, LocalFallbackWithNoInstanceCostsThreeEvents) {
   config_.local_exec_wu_per_ms = 1.0;
   sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), &log_, config_,
                       util::rng{14}};
+  count(sdn);
   sdn.set_response_sink(&sink_);
   sdn.submit(make_request(1), 1, 1.0);
   sim_.run();
   ASSERT_EQ(sink_.responses.size(), 1u);
   EXPECT_TRUE(sink_.responses[0].timing.local);
-  EXPECT_EQ(sdn.succeeded(), 1u);
+  EXPECT_EQ(succeeded(), 1u);
   EXPECT_EQ(sim_.executed_events(), 3u);
 }
 
