@@ -25,8 +25,8 @@ instance_id backend_pool::launch(group_id group, const instance_type& type) {
   auto inst = std::make_unique<instance>(sim_, id, type, rng_.fork(),
                                          instance_opts_);
   // Keep the sweep fast path's accounting exact no matter who calls
-  // drain() — retire() here or a white-box caller via
-  // mutable_instances_in.
+  // drain() — retire() here or a caller holding the instance through
+  // for_each_accepting.
   inst->set_drain_observer(
       [](void* self) noexcept {
         ++static_cast<backend_pool*>(self)->draining_count_;
@@ -180,15 +180,6 @@ std::vector<group_id> backend_pool::groups() const {
     if (!groups_[g].empty()) ids.push_back(g);
   }
   return ids;
-}
-
-std::vector<instance*> backend_pool::mutable_instances_in(group_id group) {
-  std::vector<instance*> out;
-  if (group >= groups_.size()) return out;
-  for (auto& inst : groups_[group]) {
-    if (!inst->draining()) out.push_back(inst.get());
-  }
-  return out;
 }
 
 }  // namespace mca::cloud

@@ -95,13 +95,9 @@ class backend_pool {
                              const std::string& type_name) const noexcept;
   /// All groups that currently have instances.
   std::vector<group_id> groups() const;
-  /// Mutable access to a group's non-draining instances, for white-box
-  /// tests.
-  std::vector<instance*> mutable_instances_in(group_id group);
-  /// Visits a group's accepting instances without materializing a vector —
-  /// the allocation-free counterpart of mutable_instances_in.  Warming
-  /// (cold-starting) instances are skipped: they exist plan-wise but do
-  /// not accept work yet.
+  /// Visits a group's accepting instances without materializing a vector.
+  /// Warming (cold-starting) instances are skipped: they exist plan-wise
+  /// but do not accept work yet.
   template <typename F>
   void for_each_accepting(group_id group, F&& fn) {
     if (group >= groups_.size()) return;

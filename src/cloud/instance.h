@@ -111,7 +111,7 @@ class instance {
   /// Stops accepting new work; running requests finish normally.  Fires
   /// the drain observer on the first call, so an owning pool's sweep
   /// accounting stays exact even when drain() is invoked directly (e.g.
-  /// through mutable_instances_in).
+  /// on an instance visited through for_each_accepting).
   void drain() noexcept {
     if (!draining_) {
       draining_ = true;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "obs/registry.h"
 #include "sim/simulation.h"
@@ -19,6 +20,16 @@ instance_type plain_type(const char* name = "test.plain", double vcpus = 1.0) {
   t.speed_factor = 1.0;
   t.jitter_sigma = 0.0;
   return t;
+}
+
+/// A group's accepting instances, collected through for_each_accepting.
+/// The fixture pool has no cold starts, so these are exactly the
+/// non-draining members.
+std::vector<instance*> accepting_in(backend_pool& pool, group_id group) {
+  std::vector<instance*> out;
+  pool.for_each_accepting(group,
+                          [&](instance& server) { out.push_back(&server); });
+  return out;
 }
 
 class BackendPoolTest : public ::testing::Test {
@@ -53,7 +64,7 @@ TEST_F(BackendPoolTest, RoutePrefersLeastLoadedInstance) {
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(pool_.route(1, 100.0, {}), route_status::ok);
   }
-  const auto members = pool_.mutable_instances_in(1);
+  const auto members = accepting_in(pool_, 1);
   ASSERT_EQ(members.size(), 2u);
   EXPECT_EQ(members[0]->active_jobs(), 2u);
   EXPECT_EQ(members[1]->active_jobs(), 2u);
@@ -63,8 +74,8 @@ TEST_F(BackendPoolTest, GroupsAreIsolated) {
   pool_.launch(1, plain_type());
   pool_.launch(2, plain_type());
   ASSERT_EQ(pool_.route(2, 5.0, {}), route_status::ok);
-  EXPECT_EQ(pool_.mutable_instances_in(1)[0]->active_jobs(), 0u);
-  EXPECT_EQ(pool_.mutable_instances_in(2)[0]->active_jobs(), 1u);
+  EXPECT_EQ(accepting_in(pool_, 1)[0]->active_jobs(), 0u);
+  EXPECT_EQ(accepting_in(pool_, 2)[0]->active_jobs(), 1u);
 }
 
 TEST_F(BackendPoolTest, RetireDrainsIdleImmediately) {
@@ -164,7 +175,7 @@ TEST_F(BackendPoolTest, MutableAccessSkipsDraining) {
   pool_.route(1, 100.0, {});
   pool_.route(1, 100.0, {});
   pool_.retire(1, plain_type(), 1);
-  EXPECT_EQ(pool_.mutable_instances_in(1).size(), 1u);
+  EXPECT_EQ(accepting_in(pool_, 1).size(), 1u);
 }
 
 TEST_F(BackendPoolTest, RetireWhileRoutingChurn) {
@@ -196,7 +207,7 @@ TEST_F(BackendPoolTest, RetireWhileRoutingChurn) {
     // Pointers stay inside the round: the reaper frees drained instances.
     std::vector<instance*> drained;
     if (round < 2) {
-      auto accepting = pool_.mutable_instances_in(1);
+      auto accepting = accepting_in(pool_, 1);
       ASSERT_EQ(pool_.retire(1, type, 1), 1u);
       for (instance* server : accepting) {
         if (server->draining()) drained.push_back(server);
@@ -220,7 +231,7 @@ TEST_F(BackendPoolTest, RetireWhileRoutingChurn) {
           << "drained instance accepted work in round " << round;
     }
     // The router's accepting view must exclude every drained instance.
-    for (instance* server : pool_.mutable_instances_in(1)) {
+    for (instance* server : accepting_in(pool_, 1)) {
       EXPECT_EQ(std::find(drained.begin(), drained.end(), server),
                 drained.end())
           << "drained instance still visible to routing in round " << round;

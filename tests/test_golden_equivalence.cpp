@@ -14,7 +14,9 @@
 //  2. Properties — the streaming request digest must equal the digest
 //     recomputed from the raw per-request series, its percentiles must lie
 //     within the histogram's 2^-5 relative bound of the raw series' exact
-//     ones, and a run must not depend on whether the raw series is
+//     ones, the registry's request and success counts must equal what the
+//     response sink received in every builtin scenario, with and without
+//     faults, and a run must not depend on whether the raw series is
 //     recorded at all.
 //  3. Pinned fingerprints — the 64-bit FNV-1a hashes of the monolith's
 //     merged digest, of the sharded fleet's aggregate, counter registry
@@ -33,7 +35,9 @@
 #include <vector>
 
 #include "exp/thread_pool.h"
+#include "fault/fault_program.h"
 #include "fleet/fleet_runner.h"
+#include "obs/registry.h"
 #include "tasks/task.h"
 
 namespace mca {
@@ -232,6 +236,80 @@ TEST(GoldenEquivalence, StreamingDigestEqualsRawSeriesScan) {
     }
     EXPECT_EQ(metrics.user_response_series(u), scanned);
   }
+}
+
+/// A fault program under which requests fail outright: spot preemptions
+/// in every group, an outage of group 1, a per-attempt timeout, one retry
+/// and no local fallback.
+fault::fault_program failing_faults(std::size_t group_count) {
+  fault::fault_program program;
+  program.enabled = true;
+  program.preempt_hazard_per_hour.assign(group_count, 12.0);
+  program.preempt_hazard_per_hour[0] = 0.0;
+  program.outages = {{1, util::minutes(12.0), util::minutes(18.0)}};
+  program.max_retries = 1;
+  program.request_timeout_ms = 5'000.0;
+  program.retry_backoff_base_ms = 100.0;
+  program.retry_backoff_cap_ms = 400.0;
+  program.local_fallback = false;
+  return program;
+}
+
+TEST(GoldenEquivalence, RegistryCountsEqualSinkSeriesWithAndWithoutFaults) {
+  // exp::digest_metrics takes requests and successes from the SDN's
+  // registry counts; the raw series is what the system's response sink
+  // received.  The two tally one event stream independently, so they must
+  // agree in every builtin scenario, faulted or not: a response the SDN
+  // counts but the sink never sees, or the reverse, breaks this.
+  tasks::task_pool pool;
+  std::uint64_t failures = 0;
+  std::uint64_t retries = 0;
+  std::uint64_t timeouts = 0;
+  std::uint64_t killed = 0;
+  for (exp::scenario_spec spec : exp::builtin_scenarios()) {
+    spec.duration = util::minutes(40.0);  // keep every run sub-second
+    spec.slot_length = util::minutes(10.0);
+    const std::size_t groups = exp::group_count_of(spec);
+    for (const bool faulted : {false, true}) {
+      SCOPED_TRACE(spec.name + (faulted ? " with faults" : ""));
+      exp::scenario_spec run = spec;
+      if (faulted) run.faults = failing_faults(groups);
+      exp::replication_context ctx;
+      ctx.seed = run.base_seed;
+      const core::system_metrics metrics =
+          exp::run_replication(run, pool, ctx);
+      const exp::replication_metrics digest =
+          exp::digest_metrics(metrics, groups, ctx.seed);
+
+      std::uint64_t successes = 0;
+      std::vector<std::uint64_t> group_successes(groups, 0);
+      for (const auto& r : metrics.requests) {
+        if (!r.success) continue;
+        ++successes;
+        if (r.group < groups) ++group_successes[r.group];
+      }
+      const obs::registry& counts = metrics.observability;
+      ASSERT_GT(metrics.requests.size(), 0u);
+      EXPECT_EQ(counts.get(obs::counter::sdn_requests),
+                metrics.requests.size());
+      EXPECT_EQ(digest.requests, metrics.requests.size());
+      EXPECT_EQ(digest.successes, successes);
+      EXPECT_EQ(digest.response.count(), successes);
+      EXPECT_EQ(digest.latency.total(), successes);
+      EXPECT_EQ(digest.group_successes, group_successes);
+      if (faulted) {
+        failures += counts.get(obs::counter::sdn_failures);
+        retries += counts.get(obs::counter::sdn_retries);
+        timeouts += counts.get(obs::counter::sdn_timeouts);
+        killed += counts.get(obs::counter::fault_inflight_killed);
+      }
+    }
+  }
+  // The faulted runs took the paths a fault-free run never does.
+  EXPECT_GT(failures, 0u);
+  EXPECT_GT(retries, 0u);
+  EXPECT_GT(timeouts, 0u);
+  EXPECT_GT(killed, 0u);
 }
 
 TEST(GoldenEquivalence, RawSeriesFlagDoesNotChangeSimulation) {
