@@ -151,7 +151,14 @@ void offloading_system::on_response(const workload::offload_request& request,
                                     const request_timing& timing,
                                     group_id group) {
   const user_id device = request.user % devices_.size();
-  devices_.account_offload(device, timing.total());
+  if (timing.local) {
+    // The fallback ran on the device: `cloud` is local compute, paid from
+    // the CPU, and the radio was active only for the network legs.
+    devices_.account_local_run(device, request.work.work_units());
+    devices_.account_offload(device, timing.total() - timing.cloud);
+  } else {
+    devices_.account_offload(device, timing.total());
+  }
   if (timing.success) {
     moderator_->record_response(request.user, timing.total(),
                                 devices_.battery(device));
@@ -315,13 +322,7 @@ void offloading_system::on_slot_boundary(std::size_t slot_index) {
           predictor_.forecast(predictor_.history().back())) {
     const auto& predicted = report.predicted_counts.emplace(
         forecast->group_counts());
-    if (config_.enable_adaptation && config_.external_allocation) {
-      // The fleet coordinator owns the solve: park the demand for
-      // take_pending_demand() and leave the fleet untouched until
-      // apply_external_plan() answers.
-      pending_demand_ =
-          make_slot_allocation_request(config_, group_count_, predicted);
-    } else if (config_.enable_adaptation) {
+    if (config_.enable_adaptation) {
       allocation_plan plan = allocate_ilp(
           make_slot_allocation_request(config_, group_count_, predicted), {},
           &metrics_.observability);
@@ -431,12 +432,6 @@ void offloading_system::run(util::time_ms duration) {
   begin(duration);
   advance_to(duration);
   finish();
-}
-
-std::optional<allocation_request> offloading_system::take_pending_demand() {
-  std::optional<allocation_request> demand = std::move(pending_demand_);
-  pending_demand_.reset();
-  return demand;
 }
 
 void offloading_system::apply_external_plan(const allocation_plan& plan) {

@@ -64,15 +64,14 @@ struct system_config {
   bool allow_demotion = false;
 
   // --- adaptive model ---
+  /// Solve and apply the slot-boundary allocation.  Off, boundaries still
+  /// forecast into slot_report::predicted_counts; an owner that provisions
+  /// from outside (fleet::shard) reads that forecast after advancing to
+  /// the boundary and answers with apply_external_plan().
   bool enable_adaptation = true;
   util::time_ms slot_length = util::hours(1);
   std::size_t max_total_instances = 20;  ///< CC
   prediction_mode predictor_mode = prediction_mode::successor;
-  /// Externally driven provisioning (the fleet coordinator's mode): slot
-  /// boundaries still predict and build the allocation request, but do not
-  /// solve or apply it — the owner reads take_pending_demand() after
-  /// advancing to the boundary and answers with apply_external_plan().
-  bool external_allocation = false;
 
   /// Keep the raw per-request metric series (system_metrics::requests and
   /// the per-user index behind user_response_series).  The streaming
@@ -205,12 +204,6 @@ class offloading_system : private response_sink {
   void advance_to(util::time_ms t);
   void finish();
 
-  /// Under external_allocation: the allocation request built at the most
-  /// recent slot boundary (nullopt when the predictor had no forecast or
-  /// the demand was already taken).  A boundary overwrites an untaken
-  /// demand from the previous slot.
-  std::optional<allocation_request> take_pending_demand();
-
   /// Applies an externally solved plan (the shard's fleet quota) and
   /// records it in the current slot report.
   /// Throws std::logic_error before the first slot boundary.
@@ -293,7 +286,6 @@ class offloading_system : private response_sink {
 
   util::time_ms duration_ = 0.0;
   bool started_ = false;
-  std::optional<allocation_request> pending_demand_;
   /// The most recently applied plan (internal or external) — what
   /// restore_group() re-applies when an outage lifts mid-slot.
   std::optional<allocation_plan> last_plan_;
@@ -302,8 +294,9 @@ class offloading_system : private response_sink {
 /// The slot-boundary allocation request implied by a deployment's group
 /// backends and a predicted per-group load — one code path shared by
 /// offloading_system's internal adaptation, which hands it to allocate_ilp
-/// at every boundary, and the fleet's demand digests (demand derivation
-/// itself lives in core::demand_from_prediction).
+/// at every boundary, and the fleet coordinator's model shape (demand
+/// derivation itself lives in core::demand_from_prediction, which the
+/// fleet's demand digests call directly).
 allocation_request make_slot_allocation_request(
     const system_config& config, std::size_t group_count,
     std::span<const std::size_t> predicted_counts);

@@ -38,7 +38,9 @@ shard::shard(const exp::scenario_spec& spec, const tasks::task_pool& pool,
 
   util::rng stream = util::rng::split(spec.base_seed ^ kShardStreamTag, index);
   core::system_config config = exp::make_system_config(spec_, pool, stream);
-  config.external_allocation = true;
+  // The coordinator solves for the whole fleet: the shard's boundaries
+  // only forecast, and its quota arrives through apply_quota.
+  config.enable_adaptation = false;
   // Shards are digest-only consumers: the streaming request digest covers
   // acceptance and latency, so the raw per-request series is not kept.
   config.record_request_series = false;
@@ -80,9 +82,12 @@ demand_digest shard::advance_to_slot(std::size_t slot_index) {
   demand_digest digest;
   digest.shard = index_;
   digest.slot = slot_index;
-  if (auto request = system_->take_pending_demand()) {
+  const std::vector<core::slot_report>& slots = system_->metrics().slots;
+  if (!slots.empty() && slots.back().slot_index == slot_index &&
+      slots.back().predicted_counts) {
     digest.has_prediction = true;
-    digest.demand_per_group = std::move(request->workload_per_group);
+    digest.demand_per_group = core::demand_from_prediction(
+        *slots.back().predicted_counts, group_count_);
   } else {
     digest.demand_per_group.assign(group_count_, 0.0);
   }

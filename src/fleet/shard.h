@@ -1,12 +1,14 @@
 // One fleet shard: a self-contained closed-loop simulation over a slice of
 // the population, provisioned from outside.
 //
-// A shard wraps one core::offloading_system in external_allocation mode:
-// the arena event engine underneath stays single-threaded and untouched,
-// the shard's devices / moderator / SDN front-end / backend pool are all
-// private to it, and the only things that cross its boundary are the
-// demand digest it emits at each provisioning-slot boundary and the
-// instance quota the coordinator hands back.  A shard is a pure function
+// A shard wraps one core::offloading_system with its adaptation off: its
+// slot boundaries forecast but never solve, so the coordinator's quota is
+// its only provisioning.  The arena event engine underneath stays
+// single-threaded and untouched, the shard's devices / moderator / SDN
+// front-end / backend pool are all private to it, and the only things
+// that cross its boundary are the demand digest it emits at each
+// provisioning-slot boundary and the instance quota the coordinator hands
+// back.  A shard is a pure function
 // of (scenario spec, shard index, shard count, quota sequence): it draws
 // all randomness from rng::split(spec.base_seed, index), so fleet results
 // cannot depend on which pool thread happens to advance which shard.

@@ -196,6 +196,57 @@ TEST_F(SystemTest, AdaptationDisabledKeepsInitialFleet) {
   }
 }
 
+/// Records what the moderator shows the policy; never moves anyone.
+class recording_policy final : public client::promotion_policy {
+ public:
+  explicit recording_policy(std::vector<client::response_context>* seen)
+      : seen_{seen} {}
+  group_id next_group(const client::response_context& ctx,
+                      util::rng&) override {
+    seen_->push_back(ctx);
+    return ctx.current_group;
+  }
+  const char* name() const noexcept override { return "recording"; }
+
+ private:
+  std::vector<client::response_context>* seen_;
+};
+
+TEST_F(SystemTest, LocalFallbackDrainsCpuForComputeAndRadioForTheNetwork) {
+  // No instances anywhere, no retries: every request is rejected at
+  // dispatch and runs on the device.  The device pays CPU energy for the
+  // local compute and radio energy only for the network legs it used.
+  auto config = base_config();
+  for (auto& group : config.groups) group.initial_count = 0;
+  config.enable_adaptation = false;
+  config.user_count = 1;  // user 0: a flagship (the mix's first class)
+  config.faults.enabled = true;
+  config.faults.max_retries = 0;
+  config.faults.local_fallback = true;
+  std::vector<client::response_context> seen;
+  config.policy_factory = [&seen] {
+    return std::make_unique<recording_policy>(&seen);
+  };
+  offloading_system system{config, pool_};
+  system.run(util::minutes(10));
+
+  ASSERT_GE(seen.size(), 10u);
+  EXPECT_EQ(system.observability().get(obs::counter::sdn_local_fallbacks),
+            seen.size());
+  const client::device_profile flagship =
+      client::profile_for(client::device_class::flagship);
+  const double work_units = pool_.static_minimax_request().work_units();
+  const double local_ms = work_units / config.faults.local_exec_wu_per_ms;
+  double battery = 1.0;
+  for (const client::response_context& ctx : seen) {
+    ASSERT_GT(ctx.response_ms, local_ms);
+    battery -= work_units * flagship.cpu_drain_per_wu;
+    battery -= (ctx.response_ms - local_ms) * flagship.radio_drain_per_ms;
+    EXPECT_DOUBLE_EQ(ctx.battery, battery);
+  }
+  EXPECT_GT(battery, 0.0);  // no clamping in play
+}
+
 TEST_F(SystemTest, CostAccruesWithFleet) {
   offloading_system system{base_config(), pool_};
   system.run(util::hours(2));
