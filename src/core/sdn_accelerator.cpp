@@ -85,6 +85,15 @@ void sdn_accelerator::submit(const workload::offload_request& request,
   // see the same half-RTT (§VI-B.2).
   const double external_one_way =
       mobile_link_.sample(rng_, hour_of_day()) / 2.0;
+  // Front-end: Request Handler picks a worker thread, Code Offloader
+  // resolves the target acceleration group.  The overhead decides nothing,
+  // so it needs no event of its own: it is drawn at admission, in arrival
+  // order.
+  const double overhead = sample_routing_overhead();
+  if (config_.keep_routing_samples) {
+    if (group >= routing_samples_.size()) routing_samples_.resize(group + 1);
+    routing_samples_[group].push_back(overhead);
+  }
 
   const std::uint32_t slot = acquire_slot();
   inflight& s = pool_[slot];
@@ -93,6 +102,8 @@ void sdn_accelerator::submit(const workload::offload_request& request,
   s.battery = battery;
   s.timing = {};
   s.timing.mobile_to_front = external_one_way;
+  s.timing.routing = overhead;
+  s.timing.front_to_back = config_.backend_one_way_ms;
   s.timing.front_to_mobile = external_one_way;
   s.attempt = 0;
   s.seq = received_;
@@ -106,27 +117,11 @@ void sdn_accelerator::submit(const workload::offload_request& request,
     if (obs_ != nullptr) obs_->add(obs::counter::sdn_sampled_spans);
   }
 
-  sim_.schedule_after(external_one_way,
-                      [this, slot] { stage_routing(slot); });
-}
-
-void sdn_accelerator::stage_routing(std::uint32_t slot) {
-  // Front-end: Request Handler picks a worker thread, Code Offloader
-  // resolves the target acceleration group.
-  const double overhead = sample_routing_overhead();
-  inflight& s = pool_[slot];
-  s.timing.routing = overhead;
-  if (config_.keep_routing_samples) {
-    if (s.group >= routing_samples_.size()) {
-      routing_samples_.resize(s.group + 1);
-    }
-    routing_samples_[s.group].push_back(overhead);
-  }
-  // The hop to the back-end decides nothing, so it is folded into the
-  // dispatch time, summed in the order the two legs elapse.
-  s.timing.front_to_back = config_.backend_one_way_ms;
-  sim_.schedule_at((sim_.now() + overhead) + config_.backend_one_way_ms,
-                   [this, slot] { stage_dispatch(slot); });
+  // The uplink, the front-end work and the hop to the back-end are pure
+  // delay, folded into the dispatch time, summed in the order they elapse.
+  sim_.schedule_at(
+      ((sim_.now() + external_one_way) + overhead) + config_.backend_one_way_ms,
+      [this, slot] { stage_dispatch(slot); });
 }
 
 void sdn_accelerator::stage_dispatch(std::uint32_t slot) {

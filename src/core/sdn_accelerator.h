@@ -11,14 +11,15 @@
 //
 // Hot-path layout: each accepted request occupies one slot in a pooled
 // slab of in-flight states (free-listed, reused).  A request gets a sim
-// event only where something is decided: routing (the overhead draw),
-// dispatch (admission at the back-end), the back-end completion, and
-// delivery.  The pure-delay hops between them are folded into the next
-// event's time, summed in the order the legs elapse.  Each stage is a
-// member function scheduled with a [this, slot] lambda, small enough for
-// std::function's inline storage, and every response goes to one
-// response_sink, so the steady-state request path performs no heap
-// allocation.
+// event only where something is decided: dispatch (admission at the
+// back-end), the back-end completion, and delivery.  The front-end's
+// per-request draws (the half-RTT and the routing overhead) happen at
+// admission, in arrival order; the pure-delay legs between decisions are
+// folded into the next event's time, summed in the order the legs elapse.
+// Each stage is a member function scheduled with a [this, slot] lambda,
+// small enough for std::function's inline storage, and every response
+// goes to one response_sink, so the steady-state request path performs no
+// heap allocation.
 #pragma once
 
 #include <functional>
@@ -202,7 +203,6 @@ class sdn_accelerator {
   void release_slot(std::uint32_t slot) noexcept;
   // Stages of the Fig. 7a chain, each fired by a [this, slot] event
   // (stage_return runs inside the back-end completion).
-  void stage_routing(std::uint32_t slot);
   void stage_dispatch(std::uint32_t slot);
   void stage_return(std::uint32_t slot, util::time_ms service_time);
   void deliver(std::uint32_t slot);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <vector>
 
@@ -95,21 +96,55 @@ TEST_F(SdnTest, TimingDecompositionIsExact) {
 }
 
 TEST_F(SdnTest, RoutingOverheadIsAboutOneFiftyMs) {
+  // The overhead is drawn at admission, right after the half-RTT sample,
+  // over the paper's LTE link.  Requests are 2 s apart, so none overlap.
+  constexpr std::size_t n = 20'000;
   backend_.launch(1, exact_type());
   config_.routing_overhead_sd_ms = 20.0;
-  sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), &log_, config_,
-                      util::rng{3}};
-  for (int i = 0; i < 200; ++i) {
-    sim_.schedule_at(i * 2'000.0, [&, i] {
+  sdn_accelerator sdn{sim_, backend_, net::default_lte_model(), &log_,
+                      config_, util::rng{3}};
+  sdn.set_response_sink(&sink_);
+  for (std::size_t i = 0; i < n; ++i) {
+    sim_.schedule_at(static_cast<double>(i) * 2'000.0, [&, i] {
       sdn.submit(make_request(static_cast<user_id>(i)), 1, 1.0);
     });
   }
   sim_.run();
-  util::running_stats stats;
-  for (const double sample : sdn.routing_samples(1)) stats.add(sample);
-  EXPECT_EQ(stats.count(), 200u);
-  EXPECT_NEAR(stats.mean(), 150.0, 5.0);
-  EXPECT_GT(stats.stddev(), 5.0);
+  ASSERT_EQ(sink_.responses.size(), n);
+  const std::vector<double>& samples = sdn.routing_samples(1);
+  ASSERT_EQ(samples.size(), n);
+
+  util::running_stats routing;
+  util::running_stats uplink;
+  for (const auto& response : sink_.responses) {
+    const request_timing& t = response.timing;
+    ASSERT_TRUE(t.success);
+    // Ids follow arrival, the order the Fig. 8a samples are kept in.
+    EXPECT_EQ(samples[response.request.id - 1], t.routing);
+    EXPECT_EQ(t.front_to_back, config_.backend_one_way_ms);
+    EXPECT_EQ(t.back_to_front, config_.backend_one_way_ms);
+    routing.add(t.routing);
+    uplink.add(t.mobile_to_front);
+  }
+  // Against N(150, 20) (the 5 ms floor sits 7 sd below the mean): the
+  // sample mean's standard error is 20/sqrt(n) ~ 0.14 ms and the sample
+  // sd's is about 20/sqrt(2n) ~ 0.10 ms; allow five of each.
+  const double root_n = std::sqrt(static_cast<double>(n));
+  EXPECT_NEAR(routing.mean(), 150.0, 5.0 * 20.0 / root_n);
+  EXPECT_NEAR(routing.stddev(), 20.0, 5.0 * 20.0 / (std::sqrt(2.0) * root_n));
+
+  // The two admission draws are back to back on one stream.  Independent
+  // draws give a sample correlation with standard error ~1/sqrt(n); a
+  // reused or overlapping draw would show up far beyond four of those.
+  double covariance = 0.0;
+  for (const auto& response : sink_.responses) {
+    covariance += (response.timing.routing - routing.mean()) *
+                  (response.timing.mobile_to_front - uplink.mean());
+  }
+  covariance /= static_cast<double>(n - 1);
+  const double correlation =
+      covariance / (routing.stddev() * uplink.stddev());
+  EXPECT_LE(std::abs(correlation), 4.0 / root_n);
 }
 
 TEST_F(SdnTest, LogsTraceRecordPerSuccess) {
@@ -263,11 +298,11 @@ TEST_F(SdnTest, ConcurrentSubmissionsShareTheBackend) {
   }
 }
 
-// A request costs one sim event per decision: routing (the overhead
-// draw), dispatch (admission at the back-end), the back-end completion,
-// and delivery.  The hops to and from the back-end are folded into the
-// next event's time, so each terminal path has an exact event count.
-TEST_F(SdnTest, SuccessCostsFourEvents) {
+// A request costs one sim event per decision: dispatch (admission at the
+// back-end), the back-end completion, and delivery.  The routing overhead
+// is drawn at submit and the pure-delay legs are folded into the next
+// event's time, so each terminal path has an exact event count.
+TEST_F(SdnTest, SuccessCostsThreeEvents) {
   backend_.launch(1, exact_type());
   sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), &log_, config_,
                       util::rng{12}};
@@ -275,20 +310,20 @@ TEST_F(SdnTest, SuccessCostsFourEvents) {
   sdn.submit(make_request(1), 1, 1.0);
   sim_.run();
   EXPECT_EQ(succeeded(), 1u);
-  EXPECT_EQ(sim_.executed_events(), 4u);
+  EXPECT_EQ(sim_.executed_events(), 3u);
 }
 
-TEST_F(SdnTest, RejectionWithNoInstanceCostsThreeEvents) {
+TEST_F(SdnTest, RejectionWithNoInstanceCostsTwoEvents) {
   sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), &log_, config_,
                       util::rng{13}};
   count(sdn);
   sdn.submit(make_request(1), 1, 1.0);
   sim_.run();
   EXPECT_EQ(failed(), 1u);
-  EXPECT_EQ(sim_.executed_events(), 3u);
+  EXPECT_EQ(sim_.executed_events(), 2u);
 }
 
-TEST_F(SdnTest, LocalFallbackWithNoInstanceCostsThreeEvents) {
+TEST_F(SdnTest, LocalFallbackWithNoInstanceCostsTwoEvents) {
   config_.local_fallback = true;
   config_.local_exec_wu_per_ms = 1.0;
   sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), &log_, config_,
@@ -300,7 +335,7 @@ TEST_F(SdnTest, LocalFallbackWithNoInstanceCostsThreeEvents) {
   ASSERT_EQ(sink_.responses.size(), 1u);
   EXPECT_TRUE(sink_.responses[0].timing.local);
   EXPECT_EQ(succeeded(), 1u);
-  EXPECT_EQ(sim_.executed_events(), 3u);
+  EXPECT_EQ(sim_.executed_events(), 2u);
 }
 
 TEST_F(SdnTest, ConfigValidation) {
