@@ -40,7 +40,7 @@ int main() {
     std::size_t offloaded = 0;
     for (std::size_t i = 0; i < pool.size(); ++i) {
       const auto& task = pool.at(i);
-      const double work = task.work_units(task.default_size());
+      const double work = task.work_units(task.default_size);
       const double local_ms = device.local_execution_ms(work);
       const double cloud_ms = rtt.mean() + routing_ms +
                               (work + cloud::k_spawn_overhead_wu) /
@@ -49,7 +49,7 @@ int main() {
       const bool offload = device.should_offload(work, cloud_ms);
       if (offload) ++offloaded;
       std::printf("%-12s %12.0f %12.0f %10s %10s\n",
-                  std::string{task.name()}.c_str(), local_ms, cloud_ms,
+                  std::string{task.name}.c_str(), local_ms, cloud_ms,
                   faster ? "yes" : "no", offload ? "yes" : "no");
     }
     std::printf("-> offloads %zu/%zu of the pool\n", offloaded, pool.size());

@@ -1,8 +1,8 @@
-// Quickstart: offload real computations through the SDN-accelerator.
+// Quickstart: offload the task pool's work through the SDN-accelerator.
 //
-// Builds a three-group back-end (the paper's Fig. 9a deployment), runs one
-// of the pool's algorithms locally to show these are real kernels, then
-// offloads the static minimax benchmark at each acceleration level and
+// Prints the pool's cost table (each task's work units at its default
+// size), builds a three-group back-end (the paper's Fig. 9a deployment),
+// then offloads the static minimax benchmark at each acceleration level and
 // prints the paper's timing decomposition (T1, T2, T_cloud).
 #include <cstdio>
 
@@ -32,13 +32,17 @@ class print_sink final : public mca::core::response_sink {
 int main() {
   using namespace mca;
 
-  // The tasks are real: run n-queens on the spot.
+  // The simulator sees a task only as its cost in work units (1 wu = 1 ms
+  // on the reference core).
   tasks::task_pool pool;
+  std::printf("%-12s %12s %8s\n", "task", "default size", "wu");
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    const auto& task = pool.at(i);
+    std::printf("%-12.*s %12u %8.1f\n", static_cast<int>(task.name.size()),
+                task.name.data(), task.default_size,
+                task.work_units(task.default_size));
+  }
   util::rng rng{2024};
-  const auto* nqueens = pool.find("nqueens");
-  std::printf("local execution: %s(8) -> %llu solutions\n",
-              std::string{nqueens->name()}.c_str(),
-              static_cast<unsigned long long>(nqueens->execute(8, rng)));
 
   // A simulated deployment: one instance per acceleration group.
   sim::simulation sim;

@@ -1,56 +1,41 @@
-// Offloadable computational tasks.
+// The offloadable task pool as a cost table.
 //
 // The paper's simulator offloads "common algorithms found in apps, e.g.,
 // quicksort, bubblesort" plus the minimax routine used as the static
-// benchmark load.  Each task here exists twice over:
-//
-//  * `execute` — the real C++ implementation, runnable on the spot (used by
-//    examples, correctness tests, and work-unit calibration);
-//  * `work_units` — an analytic cost in *work units* consumed by the cloud
-//    simulator.  By convention 1 work unit costs 1 ms on the reference
-//    core (speed factor 1.0, the t2 baseline core).
+// benchmark load, and consumes each only as "the processing required for
+// each task" (§V).  A task here is therefore one row: a name, the sizes the
+// workload may request, and an analytic cost in *work units*.  By
+// convention 1 work unit costs 1 ms on the reference core (speed factor
+// 1.0, the t2 baseline core); each row's formula is tuned to the paper's
+// figures, not measured from a kernel.
 //
 // A task's `size` parameter is task-specific (search depth, element count,
-// matrix dimension, ...) and constrained to [min_size, max_size];
+// matrix dimension, ...); random draws stay in [min_size, max_size], and
 // `default_size` reproduces the paper's "static input" runs.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <span>
 #include <string_view>
-#include <vector>
 
 #include "util/rng.h"
 
 namespace mca::tasks {
 
-/// One offloadable algorithm (stateless; safe to share across threads).
-class task {
- public:
-  virtual ~task() = default;
-
+/// One offloadable algorithm: a row of the pool's cost table.
+struct task {
   /// Stable identifier, e.g. "minimax".
-  virtual std::string_view name() const noexcept = 0;
-
-  /// Runs the real computation and returns a checksum of the result (so
-  /// optimizers cannot elide the work and tests can assert correctness).
-  /// Throws std::invalid_argument if `size` lies outside the valid range.
-  virtual std::uint64_t execute(std::uint32_t size, util::rng& rng) const = 0;
-
-  /// Analytic cost of `execute(size)` in work units (1 wu = 1 ms on the
-  /// reference core).
-  virtual double work_units(std::uint32_t size) const noexcept = 0;
-
+  std::string_view name;
   /// The paper's static-input size for this task.
-  virtual std::uint32_t default_size() const noexcept = 0;
-
+  std::uint32_t default_size;
   /// Smallest / largest size the random workload generator may draw.
-  virtual std::uint32_t min_size() const noexcept = 0;
-  virtual std::uint32_t max_size() const noexcept = 0;
-
- protected:
-  void check_size(std::uint32_t size) const;
+  std::uint32_t min_size;
+  std::uint32_t max_size;
+  /// Random draws round down to a power of two (FFT inputs).
+  bool power_of_two_sizes;
+  /// Analytic cost at `size` in work units (1 wu = 1 ms on the reference
+  /// core).
+  double (*work_units)(std::uint32_t size) noexcept;
 };
 
 /// A concrete unit of offloadable work: which algorithm and what input size.
@@ -63,52 +48,27 @@ struct task_request {
   }
 };
 
-// Factories for the ten pool members (definitions spread over the
-// per-family translation units).
-std::unique_ptr<task> make_minimax();
-std::unique_ptr<task> make_nqueens();
-std::unique_ptr<task> make_quicksort();
-std::unique_ptr<task> make_bubblesort();
-std::unique_ptr<task> make_mergesort();
-std::unique_ptr<task> make_fibonacci();
-std::unique_ptr<task> make_sieve();
-std::unique_ptr<task> make_knapsack();
-std::unique_ptr<task> make_matrix_multiply();
-std::unique_ptr<task> make_fft();
-
-/// The paper's pool of 10 independent tasks.
+/// The paper's pool of 10 independent tasks: a view over one constant table.
 class task_pool {
  public:
-  /// Builds the standard 10-task pool.
-  task_pool();
+  std::size_t size() const noexcept;
+  /// Throws std::out_of_range on a bad index.
+  const task& at(std::size_t i) const;
 
-  std::size_t size() const noexcept { return tasks_.size(); }
-  const task& at(std::size_t i) const { return *tasks_.at(i); }
-
-  /// Finds a task by name; nullptr when absent.
-  const task* find(std::string_view name) const noexcept;
-
-  /// Draws a random task with a uniformly random size in its valid range
+  /// Draws a uniformly random task and a size by `request_for`'s law
   /// ("each request ... is taken randomly from the pool; the processing
   /// required for each task is also determined randomly").
   task_request random_request(util::rng& rng) const;
 
-  /// A request for pool task `index` with a uniformly random valid size
-  /// (the size rule shared by every mix, including per-task constraints
-  /// like FFT's power-of-two inputs).  Throws std::out_of_range on a bad
-  /// index.
+  /// A request for pool task `index`, its size drawn uniformly from
+  /// [min_size, max_size] (the size rule shared by every mix).  A
+  /// `power_of_two_sizes` task then rounds down to a power of two, so FFT's
+  /// 2^14, 2^15 and 2^16 come up with probability 1/7, 2/7 and 4/7, and
+  /// 2^17 with ≈ 8.7e-6.  Throws std::out_of_range on a bad index.
   task_request request_for(std::size_t index, util::rng& rng) const;
 
   /// The paper's static benchmark request: minimax at its default size.
   task_request static_minimax_request() const;
-
-  /// Mean work units of a random draw (Monte-Carlo estimate, deterministic
-  /// for a given seed); used for load calibration in benches.
-  double mean_random_work_units(std::size_t samples = 10'000,
-                                std::uint64_t seed = 42) const;
-
- private:
-  std::vector<std::unique_ptr<task>> tasks_;
 };
 
 }  // namespace mca::tasks

@@ -12,7 +12,7 @@ task_source random_pool_source(const tasks::task_pool& pool) {
 task_source heavy_pool_source(const tasks::task_pool& pool) {
   return [&pool](util::rng& rng) {
     auto request = pool.random_request(rng);
-    request.size = request.algorithm->max_size();
+    request.size = request.algorithm->max_size;
     return request;
   };
 }

@@ -189,7 +189,7 @@ TEST_F(GeneratorTest, HeavyPoolSourceUsesMaximumSizes) {
   util::rng rng{6};
   for (int i = 0; i < 50; ++i) {
     const auto request = source(rng);
-    EXPECT_EQ(request.size, request.algorithm->max_size());
+    EXPECT_EQ(request.size, request.algorithm->max_size);
   }
 }
 
@@ -198,7 +198,7 @@ TEST_F(GeneratorTest, StaticSourceAlwaysSameTask) {
   util::rng rng{6};
   for (int i = 0; i < 10; ++i) {
     const auto request = source(rng);
-    EXPECT_EQ(request.algorithm->name(), "minimax");
+    EXPECT_EQ(request.algorithm->name, "minimax");
     EXPECT_EQ(request.size, 9u);
   }
 }

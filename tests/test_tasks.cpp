@@ -23,18 +23,9 @@ TEST_F(TaskPoolTest, HasExactlyTenTasks) { EXPECT_EQ(pool_.size(), 10u); }
 TEST_F(TaskPoolTest, AllNamesDistinct) {
   std::set<std::string> names;
   for (std::size_t i = 0; i < pool_.size(); ++i) {
-    names.insert(std::string{pool_.at(i).name()});
+    names.insert(std::string{pool_.at(i).name});
   }
   EXPECT_EQ(names.size(), 10u);
-}
-
-TEST_F(TaskPoolTest, FindLocatesEveryTask) {
-  for (const char* name :
-       {"minimax", "nqueens", "quicksort", "bubblesort", "mergesort",
-        "fibonacci", "sieve", "knapsack", "matmul", "fft"}) {
-    EXPECT_NE(pool_.find(name), nullptr) << name;
-  }
-  EXPECT_EQ(pool_.find("does-not-exist"), nullptr);
 }
 
 TEST_F(TaskPoolTest, RandomRequestsStayInRange) {
@@ -42,8 +33,8 @@ TEST_F(TaskPoolTest, RandomRequestsStayInRange) {
   for (int i = 0; i < 500; ++i) {
     const auto request = pool_.random_request(rng);
     ASSERT_NE(request.algorithm, nullptr);
-    EXPECT_GE(request.size, request.algorithm->min_size());
-    EXPECT_LE(request.size, request.algorithm->max_size());
+    EXPECT_GE(request.size, request.algorithm->min_size);
+    EXPECT_LE(request.size, request.algorithm->max_size);
     EXPECT_GT(request.work_units(), 0.0);
   }
 }
@@ -52,22 +43,27 @@ TEST_F(TaskPoolTest, RandomRequestsCoverAllTasks) {
   util::rng rng{7};
   std::set<std::string> seen;
   for (int i = 0; i < 300; ++i) {
-    seen.insert(std::string{pool_.random_request(rng).algorithm->name()});
+    seen.insert(std::string{pool_.random_request(rng).algorithm->name});
   }
   EXPECT_EQ(seen.size(), 10u);
 }
 
 TEST_F(TaskPoolTest, StaticMinimaxUsesDefaultSize) {
   const auto request = pool_.static_minimax_request();
-  EXPECT_EQ(request.algorithm->name(), "minimax");
-  EXPECT_EQ(request.size, request.algorithm->default_size());
+  EXPECT_EQ(request.algorithm->name, "minimax");
+  EXPECT_EQ(request.size, request.algorithm->default_size);
   // The paper's static benchmark task should be the heavyweight of the
   // pool: ~280 work units (≈280 ms on the reference core).
   EXPECT_NEAR(request.work_units(), 280.0, 5.0);
 }
 
 TEST_F(TaskPoolTest, MeanRandomWorkIsModerate) {
-  const double mean = pool_.mean_random_work_units();
+  util::rng rng{42};
+  double total = 0.0;
+  for (int i = 0; i < 10'000; ++i) {
+    total += pool_.random_request(rng).work_units();
+  }
+  const double mean = total / 10'000.0;
   // Random pool draws average a few tens of work units — the calibration
   // the Fig. 4 characterization relies on.
   EXPECT_GT(mean, 10.0);
@@ -78,7 +74,7 @@ TEST_F(TaskPoolTest, FftSizesArePowersOfTwo) {
   util::rng rng{11};
   for (int i = 0; i < 2'000; ++i) {
     const auto request = pool_.random_request(rng);
-    if (request.algorithm->name() == "fft") {
+    if (request.algorithm->name == "fft") {
       EXPECT_EQ(request.size & (request.size - 1), 0u);
     }
   }
@@ -122,10 +118,10 @@ TEST_F(TaskPoolTest, CostTablePinnedBitForBit) {
     const task& t = pool_.at(i);
     const row& want = expected[i];
     SCOPED_TRACE(std::string{want.name});
-    EXPECT_EQ(t.name(), want.name) << "position " << i;
-    EXPECT_EQ(t.default_size(), want.default_size);
-    EXPECT_EQ(t.min_size(), want.min_size);
-    EXPECT_EQ(t.max_size(), want.max_size);
+    EXPECT_EQ(t.name, want.name) << "position " << i;
+    EXPECT_EQ(t.default_size, want.default_size);
+    EXPECT_EQ(t.min_size, want.min_size);
+    EXPECT_EQ(t.max_size, want.max_size);
     EXPECT_EQ(bits(t.work_units(want.default_size)), bits(want.default_wu))
         << "size " << want.default_size;
     EXPECT_EQ(bits(t.work_units(want.min_size)), bits(want.min_wu))
@@ -165,139 +161,6 @@ TEST(TaskRequest, NullAlgorithmHasZeroWork) {
   EXPECT_EQ(empty.work_units(), 0.0);
 }
 
-// --- correctness of the actual algorithm implementations ---
-
-TEST(Fibonacci, KnownValues) {
-  const auto fib = make_fibonacci();
-  util::rng rng{1};
-  EXPECT_EQ(fib->execute(10, rng), 55u);
-  EXPECT_EQ(fib->execute(20, rng), 6'765u);
-  EXPECT_EQ(fib->execute(1, rng), 1u);
-  EXPECT_EQ(fib->execute(0, rng), 0u);
-}
-
-TEST(Fibonacci, ThrowsOnOversize) {
-  const auto fib = make_fibonacci();
-  util::rng rng{1};
-  EXPECT_THROW(fib->execute(46, rng), std::invalid_argument);
-}
-
-TEST(Nqueens, KnownSolutionCounts) {
-  const auto nq = make_nqueens();
-  util::rng rng{1};
-  EXPECT_EQ(nq->execute(1, rng), 1u);
-  EXPECT_EQ(nq->execute(4, rng), 2u);
-  EXPECT_EQ(nq->execute(6, rng), 4u);
-  EXPECT_EQ(nq->execute(8, rng), 92u);
-  EXPECT_EQ(nq->execute(9, rng), 352u);
-}
-
-TEST(Nqueens, ThrowsOutsideBoard) {
-  const auto nq = make_nqueens();
-  util::rng rng{1};
-  EXPECT_THROW(nq->execute(0, rng), std::invalid_argument);
-  EXPECT_THROW(nq->execute(17, rng), std::invalid_argument);
-}
-
-TEST(Minimax, DeterministicAndDepthSensitive) {
-  const auto mm = make_minimax();
-  util::rng rng{1};
-  const auto full = mm->execute(9, rng);
-  EXPECT_EQ(full, mm->execute(9, rng));  // deterministic
-  EXPECT_NE(full, mm->execute(5, rng));  // depth matters
-}
-
-TEST(Minimax, FullTreeVisitsKnownNodeCount) {
-  const auto mm = make_minimax();
-  util::rng rng{1};
-  // Low 48 bits of the checksum are the visited-node count; the full
-  // tic-tac-toe game tree with win cut-offs has a fixed size.
-  const auto nodes = mm->execute(9, rng) & ((1ULL << 48) - 1);
-  EXPECT_EQ(nodes, 549'946u);
-}
-
-TEST(Minimax, ThrowsOnBadDepth) {
-  const auto mm = make_minimax();
-  util::rng rng{1};
-  EXPECT_THROW(mm->execute(0, rng), std::invalid_argument);
-  EXPECT_THROW(mm->execute(10, rng), std::invalid_argument);
-}
-
-TEST(Sorting, QuicksortAndMergesortAgree) {
-  // Same rng seed -> same random input array -> identical sorted checksum.
-  const auto quick = make_quicksort();
-  const auto merge = make_mergesort();
-  for (std::uint32_t n : {1u, 2u, 100u, 5'000u, 50'000u}) {
-    util::rng a{99};
-    util::rng b{99};
-    EXPECT_EQ(quick->execute(n, a), merge->execute(n, b)) << "n=" << n;
-  }
-}
-
-TEST(Sorting, BubblesortAgreesWithMergesort) {
-  const auto bubble = make_bubblesort();
-  const auto merge = make_mergesort();
-  for (std::uint32_t n : {1u, 2u, 500u, 2'000u}) {
-    util::rng a{123};
-    util::rng b{123};
-    EXPECT_EQ(bubble->execute(n, a), merge->execute(n, b)) << "n=" << n;
-  }
-}
-
-TEST(Sorting, ThrowOnZeroSize) {
-  util::rng rng{1};
-  EXPECT_THROW(make_quicksort()->execute(0, rng), std::invalid_argument);
-  EXPECT_THROW(make_bubblesort()->execute(0, rng), std::invalid_argument);
-  EXPECT_THROW(make_mergesort()->execute(0, rng), std::invalid_argument);
-}
-
-TEST(Sieve, ChecksumEncodesPrimeCount) {
-  const auto sieve = make_sieve();
-  util::rng rng{1};
-  // pi(100) = 25; count is packed in the high bits.
-  const auto checksum = sieve->execute(100, rng);
-  EXPECT_EQ(checksum >> 40, 25u);
-  // pi(1000) = 168.
-  EXPECT_EQ(sieve->execute(1'000, rng) >> 40, 168u);
-}
-
-TEST(Sieve, ThrowsBelowTwo) {
-  util::rng rng{1};
-  EXPECT_THROW(make_sieve()->execute(1, rng), std::invalid_argument);
-}
-
-TEST(Knapsack, DeterministicForSeedAndBounded) {
-  const auto ks = make_knapsack();
-  util::rng a{5};
-  util::rng b{5};
-  const auto v1 = ks->execute(150, a);
-  const auto v2 = ks->execute(150, b);
-  EXPECT_EQ(v1, v2);
-  // Value bounded by items * max item value.
-  EXPECT_LE(v1, 150u * 100u);
-  EXPECT_GT(v1, 0u);
-}
-
-TEST(Matmul, DeterministicForSeed) {
-  const auto mm = make_matrix_multiply();
-  util::rng a{5};
-  util::rng b{5};
-  EXPECT_EQ(mm->execute(64, a), mm->execute(64, b));
-}
-
-TEST(Fft, EnergyConservationChecksumStable) {
-  const auto fft = make_fft();
-  util::rng a{5};
-  util::rng b{5};
-  EXPECT_EQ(fft->execute(1u << 14, a), fft->execute(1u << 14, b));
-}
-
-TEST(Fft, RejectsNonPowerOfTwo) {
-  util::rng rng{1};
-  EXPECT_THROW(make_fft()->execute(1000, rng), std::invalid_argument);
-  EXPECT_THROW(make_fft()->execute(1, rng), std::invalid_argument);
-}
-
 // Property sweep: work_units must be positive and monotone non-decreasing
 // in size for every pool member.
 class WorkUnitsMonotone : public ::testing::TestWithParam<std::size_t> {};
@@ -306,14 +169,14 @@ TEST_P(WorkUnitsMonotone, PositiveAndNonDecreasing) {
   task_pool pool;
   const task& t = pool.at(GetParam());
   double last = 0.0;
-  const std::uint32_t lo = t.min_size();
-  const std::uint32_t hi = t.max_size();
+  const std::uint32_t lo = t.min_size;
+  const std::uint32_t hi = t.max_size;
   for (int step = 0; step <= 10; ++step) {
     const auto size = static_cast<std::uint32_t>(
         lo + (static_cast<std::uint64_t>(hi - lo) * step) / 10);
     const double wu = t.work_units(size);
-    EXPECT_GT(wu, 0.0) << t.name() << " size=" << size;
-    EXPECT_GE(wu, last - 1e-12) << t.name() << " size=" << size;
+    EXPECT_GT(wu, 0.0) << t.name << " size=" << size;
+    EXPECT_GE(wu, last - 1e-12) << t.name << " size=" << size;
     last = wu;
   }
 }
