@@ -32,9 +32,9 @@ int main() {
       client::device_class::midrange, client::device_class::flagship};
 
   for (const auto cls : classes) {
-    client::mobile_device device{1, cls};
+    const client::device_profile device = client::profile_for(cls);
     std::printf("\n=== %s (local speed %.2f wu/ms) ===\n",
-                to_string(cls), device.profile().local_speed_wu_per_ms);
+                to_string(cls), device.local_speed_wu_per_ms);
     std::printf("%-12s %12s %12s %10s %10s\n", "task", "local[ms]",
                 "cloud[ms]", "faster?", "offload?");
     std::size_t offloaded = 0;

@@ -1,7 +1,5 @@
 #include "client/device.h"
 
-#include <algorithm>
-
 namespace mca::client {
 
 const char* to_string(device_class c) noexcept {
@@ -28,43 +26,6 @@ device_profile profile_for(device_class cls) noexcept {
       return {cls, 0.70, 2.5e-6, 2.2e-7};
   }
   return {};
-}
-
-mobile_device::mobile_device(user_id id, device_class cls,
-                             double initial_battery)
-    : id_{id},
-      profile_{profile_for(cls)},
-      battery_{std::clamp(initial_battery, 0.0, 1.0)} {}
-
-util::time_ms mobile_device::local_execution_ms(
-    double work_units) const noexcept {
-  return work_units / profile_.local_speed_wu_per_ms;
-}
-
-double mobile_device::local_energy(double work_units) const noexcept {
-  return work_units * profile_.cpu_drain_per_wu;
-}
-
-double mobile_device::offload_energy(util::time_ms active_ms) const noexcept {
-  return active_ms * profile_.radio_drain_per_ms;
-}
-
-bool mobile_device::should_offload(
-    double work_units, util::time_ms expected_response_ms) const noexcept {
-  return offload_energy(expected_response_ms) < local_energy(work_units);
-}
-
-bool mobile_device::faster_remotely(
-    double work_units, util::time_ms expected_response_ms) const noexcept {
-  return expected_response_ms < local_execution_ms(work_units);
-}
-
-void mobile_device::account_local_run(double work_units) noexcept {
-  battery_ = std::max(0.0, battery_ - local_energy(work_units));
-}
-
-void mobile_device::account_offload(util::time_ms active_ms) noexcept {
-  battery_ = std::max(0.0, battery_ - offload_energy(active_ms));
 }
 
 device_slab::device_slab(std::size_t user_count,

@@ -4,15 +4,16 @@
 // The paper's motivation is exactly this heterogeneity: "complex routines
 // ... can be computed easily by last generation smartphones but can be
 // expensive to compute on older devices and wearables".  Device classes
-// span that range; each class has a local execution speed (work units per
-// ms) and energy coefficients for CPU and radio, so the §II-A rule — a
-// device delegates a task iff the effort to delegate is less than the
-// effort to run it — is computable.
+// span that range; each class's profile holds a local execution speed
+// (work units per ms) and energy coefficients for CPU and radio, and the
+// §II-A rule — a device delegates a task iff the effort to delegate is
+// less than the effort to run it — is a member of the profile.  The
+// population's batteries live in `device_slab`, which drains them through
+// the same profile energy functions the rule compares.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "util/ids.h"
@@ -25,63 +26,49 @@ enum class device_class { wearable, budget, midrange, flagship };
 
 const char* to_string(device_class c) noexcept;
 
-/// Static per-class characteristics.
+/// Static per-class characteristics and the costs derived from them.
 struct device_profile {
   device_class cls = device_class::midrange;
   double local_speed_wu_per_ms = 0.35;  ///< reference cloud core = 1.0
   double cpu_drain_per_wu = 4.0e-6;     ///< battery fraction per local wu
   double radio_drain_per_ms = 2.5e-7;   ///< battery fraction per radio-ms
-};
-
-/// Lookup of the built-in profile for a class.
-device_profile profile_for(device_class cls) noexcept;
-
-/// One simulated handset/wearable.
-class mobile_device {
- public:
-  mobile_device(user_id id, device_class cls, double initial_battery = 1.0);
-
-  user_id id() const noexcept { return id_; }
-  device_class cls() const noexcept { return profile_.cls; }
-  const device_profile& profile() const noexcept { return profile_; }
-  /// Remaining battery in [0,1].
-  double battery() const noexcept { return battery_; }
 
   /// Time to run `work_units` locally on this hardware.
-  util::time_ms local_execution_ms(double work_units) const noexcept;
-
+  util::time_ms local_execution_ms(double work_units) const noexcept {
+    return work_units / local_speed_wu_per_ms;
+  }
   /// Battery cost of computing locally.
-  double local_energy(double work_units) const noexcept;
+  double local_energy(double work_units) const noexcept {
+    return work_units * cpu_drain_per_wu;
+  }
   /// Battery cost of keeping the radio active for `active_ms` (the
   /// offloading cost: the connection stays open until the result returns).
-  double offload_energy(util::time_ms active_ms) const noexcept;
+  double offload_energy(util::time_ms active_ms) const noexcept {
+    return active_ms * radio_drain_per_ms;
+  }
 
   /// §II-A decision: offload iff the energy effort to delegate (radio
   /// active for the expected end-to-end response) is below the energy
   /// effort of local execution.
   bool should_offload(double work_units,
-                      util::time_ms expected_response_ms) const noexcept;
-
+                      util::time_ms expected_response_ms) const noexcept {
+    return offload_energy(expected_response_ms) < local_energy(work_units);
+  }
   /// Latency-oriented variant: true when the cloud path is expected to be
   /// faster than local execution.
   bool faster_remotely(double work_units,
-                       util::time_ms expected_response_ms) const noexcept;
-
-  /// Drains battery for a local run / an offload round trip (clamped at 0).
-  void account_local_run(double work_units) noexcept;
-  void account_offload(util::time_ms active_ms) noexcept;
-
- private:
-  user_id id_;
-  device_profile profile_;
-  double battery_;
+                       util::time_ms expected_response_ms) const noexcept {
+    return expected_response_ms < local_execution_ms(work_units);
+  }
 };
+
+/// Lookup of the built-in profile for a class.
+device_profile profile_for(device_class cls) noexcept;
 
 /// Struct-of-arrays population state: one battery level and one device
 /// class per user, profiles shared per class.  The closed-loop system's
-/// per-request device accounting touches two flat arrays instead of a
-/// vector of full mobile_device objects; semantics match mobile_device
-/// exactly (same profiles, same clamping).
+/// per-request device accounting touches two flat arrays; every battery
+/// starts full and drains by the profile's energy costs, clamped at 0.
 class device_slab {
  public:
   /// `mix` is cycled over users (the closed-loop system cycles flagship,
@@ -101,16 +88,16 @@ class device_slab {
   }
 
   /// Battery drain of one offload round trip (radio active the whole
-  /// time); mirrors mobile_device::account_offload.
+  /// time).
   void account_offload(user_id u, util::time_ms active_ms) noexcept {
     const double drained =
-        battery_[u] - active_ms * profiles_[class_[u]].radio_drain_per_ms;
+        battery_[u] - profiles_[class_[u]].offload_energy(active_ms);
     battery_[u] = drained > 0.0 ? drained : 0.0;
   }
-  /// Mirrors mobile_device::account_local_run.
+  /// Battery drain of computing `work_units` on the device.
   void account_local_run(user_id u, double work_units) noexcept {
     const double drained =
-        battery_[u] - work_units * profiles_[class_[u]].cpu_drain_per_wu;
+        battery_[u] - profiles_[class_[u]].local_energy(work_units);
     battery_[u] = drained > 0.0 ? drained : 0.0;
   }
   // mca:hot-path-end

@@ -1,147 +1,22 @@
 #include "client/moderator.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace mca::client {
 
-static_probability_promotion::static_probability_promotion(double probability)
-    : probability_{probability} {
-  if (probability < 0.0 || probability > 1.0) {
-    throw std::invalid_argument{
-        "static_probability_promotion: probability outside [0,1]"};
-  }
-}
-
-group_id static_probability_promotion::next_group(const response_context& ctx,
-                                                  util::rng& rng) {
-  if (ctx.current_group < ctx.max_group && rng.bernoulli(probability_)) {
-    return ctx.current_group + 1;
-  }
-  return ctx.current_group;
-}
-
-latency_threshold_promotion::latency_threshold_promotion(
-    util::time_ms threshold_ms, int consecutive)
-    : threshold_ms_{threshold_ms}, consecutive_{consecutive} {
-  if (threshold_ms <= 0.0) {
-    throw std::invalid_argument{"latency_threshold_promotion: threshold <= 0"};
-  }
-  if (consecutive <= 0) {
-    throw std::invalid_argument{"latency_threshold_promotion: consecutive <= 0"};
-  }
-}
-
-group_id latency_threshold_promotion::next_group(const response_context& ctx,
-                                                 util::rng&) {
-  int& strikes = strikes_[ctx.user];
-  if (ctx.response_ms > threshold_ms_) {
-    ++strikes;
-  } else {
-    strikes = 0;
-  }
-  if (strikes >= consecutive_ && ctx.current_group < ctx.max_group) {
-    strikes = 0;
-    return ctx.current_group + 1;
-  }
-  return ctx.current_group;
-}
-
-latency_band_policy::latency_band_policy(util::time_ms lower_ms,
-                                         util::time_ms upper_ms,
-                                         int consecutive)
-    : lower_ms_{lower_ms}, upper_ms_{upper_ms}, consecutive_{consecutive} {
-  if (lower_ms <= 0.0 || upper_ms <= lower_ms) {
-    throw std::invalid_argument{"latency_band_policy: need 0 < lower < upper"};
-  }
-  if (consecutive <= 0) {
-    throw std::invalid_argument{"latency_band_policy: consecutive <= 0"};
-  }
-}
-
-group_id latency_band_policy::next_group(const response_context& ctx,
-                                         util::rng&) {
-  int& slow = slow_strikes_[ctx.user];
-  int& fast = fast_strikes_[ctx.user];
-  if (ctx.response_ms > upper_ms_) {
-    ++slow;
-    fast = 0;
-  } else if (ctx.response_ms < lower_ms_) {
-    ++fast;
-    slow = 0;
-  } else {
-    slow = 0;
-    fast = 0;
-  }
-  if (slow >= consecutive_ && ctx.current_group < ctx.max_group) {
-    slow = 0;
-    return ctx.current_group + 1;
-  }
-  if (fast >= consecutive_ && ctx.current_group > 0) {
-    fast = 0;
-    return ctx.current_group - 1;
-  }
-  return ctx.current_group;
-}
-
-battery_aware_promotion::battery_aware_promotion(double battery_floor)
-    : battery_floor_{battery_floor} {
-  if (battery_floor <= 0.0 || battery_floor >= 1.0) {
-    throw std::invalid_argument{"battery_aware_promotion: floor outside (0,1)"};
-  }
-}
-
-group_id battery_aware_promotion::next_group(const response_context& ctx,
-                                             util::rng&) {
-  std::uint8_t& done = already_promoted_[ctx.user];
-  if (!done && ctx.battery < battery_floor_ &&
-      ctx.current_group < ctx.max_group) {
-    done = 1;
-    return ctx.current_group + 1;
-  }
-  return ctx.current_group;
-}
-
-moderator::moderator(std::unique_ptr<promotion_policy> policy,
-                     group_id initial_group, group_id max_group, util::rng rng,
-                     bool allow_demotion)
-    : policy_{std::move(policy)},
-      initial_group_{initial_group},
+moderator::moderator(double promotion_probability, group_id initial_group,
+                     group_id max_group, std::size_t users, util::rng rng)
+    : promotion_probability_{promotion_probability},
       max_group_{max_group},
       rng_{rng},
-      allow_demotion_{allow_demotion},
-      groups_{initial_group} {
-  if (policy_ == nullptr) {
-    throw std::invalid_argument{"moderator: null policy"};
+      groups_(users, initial_group) {
+  if (!(promotion_probability >= 0.0 && promotion_probability <= 1.0)) {
+    throw std::invalid_argument{
+        "moderator: promotion probability outside [0,1]"};
   }
   if (initial_group > max_group) {
     throw std::invalid_argument{"moderator: initial group above max"};
   }
 }
-
-// Per-request group lookup and per-response promotion decision; the dense
-// user_state_map keeps both at flat-array cost (amortized member-vector
-// growth only, no hashing or node allocation).
-// mca:hot-path-begin(moderator-promotion)
-group_id moderator::group_of(user_id user) { return groups_[user]; }
-
-group_id moderator::record_response(user_id user, util::time_ms response_ms,
-                                    double battery) {
-  response_context ctx;
-  ctx.user = user;
-  ctx.current_group = group_of(user);
-  ctx.max_group = max_group_;
-  ctx.response_ms = response_ms;
-  ctx.battery = battery;
-  const group_id next = policy_->next_group(ctx, rng_);
-  const group_id floor =
-      allow_demotion_ ? initial_group_ : ctx.current_group;
-  const group_id clamped = std::clamp(next, floor, max_group_);
-  if (clamped > ctx.current_group) ++promotions_;
-  if (clamped < ctx.current_group) ++demotions_;
-  groups_[user] = clamped;
-  return clamped;
-}
-// mca:hot-path-end
 
 }  // namespace mca::client

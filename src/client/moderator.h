@@ -5,176 +5,61 @@
 // the moderator "monitors the execution time of the code in the
 // application, and promotes the execution of code to a higher level of
 // acceleration when it detects that the response time of the application
-// starts to degrade".  Promotions are sequential (group n -> n+1).
-//
-// Policies provided:
-//  * never_promote               — control group.
-//  * static_probability_promotion — the paper's evaluation policy (p=1/50
-//    per request).
-//  * latency_threshold_promotion — the mechanism the paper motivates:
-//    promote after k consecutive responses above a threshold.
-//  * battery_aware_promotion     — §VII-3's sketched extension: promote
-//    when battery drops below a floor, shortening radio-active time.
+// starts to degrade".  Its evaluation (§VI-C) runs one rule, and this is
+// that rule: every successful response promotes its user one group
+// (n -> n+1) with a fixed probability, 1/50 in the paper, until the user
+// reaches the top group.  Users never move down.
 #pragma once
 
-#include <memory>
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "util/ids.h"
 #include "util/rng.h"
-#include "util/sim_time.h"
 
 namespace mca::client {
 
-/// Dense per-user state for moderator policies: user ids are dense
-/// (0..population) everywhere in this codebase, so a grow-on-demand flat
-/// vector replaces the former per-user hash maps — no hashing and no node
-/// allocation on the per-response path once the population is touched.
-template <typename T>
-class user_state_map {
- public:
-  explicit user_state_map(T initial = T{}) : initial_{initial} {}
-
-  T& operator[](user_id user) {
-    if (user >= values_.size()) values_.resize(user + 1, initial_);
-    return values_[user];
-  }
-  void reserve(std::size_t users) { values_.reserve(users); }
-
- private:
-  std::vector<T> values_;
-  T initial_{};
-};
-
-/// Everything a policy may look at when deciding on one response.
-struct response_context {
-  user_id user = 0;
-  group_id current_group = 1;
-  group_id max_group = 3;
-  util::time_ms response_ms = 0.0;
-  double battery = 1.0;
-};
-
-/// Strategy interface; implementations may keep per-user state.
-class promotion_policy {
- public:
-  virtual ~promotion_policy() = default;
-  /// Returns the group the user should use from now on (>= current).
-  virtual group_id next_group(const response_context& ctx, util::rng& rng) = 0;
-  virtual const char* name() const noexcept = 0;
-};
-
-/// Keeps every user where it started.
-class never_promote final : public promotion_policy {
- public:
-  group_id next_group(const response_context& ctx, util::rng&) override {
-    return ctx.current_group;
-  }
-  const char* name() const noexcept override { return "never"; }
-};
-
-/// The paper's evaluation policy: each request promotes with a fixed
-/// probability (1/50 in §VI-C).
-class static_probability_promotion final : public promotion_policy {
- public:
-  /// Throws std::invalid_argument unless probability is in [0,1].
-  explicit static_probability_promotion(double probability = 1.0 / 50.0);
-  group_id next_group(const response_context& ctx, util::rng& rng) override;
-  const char* name() const noexcept override { return "static_probability"; }
-
- private:
-  double probability_;
-};
-
-/// Promote after `consecutive` responses slower than `threshold_ms` — the
-/// degradation detector the architecture section describes.
-class latency_threshold_promotion final : public promotion_policy {
- public:
-  /// Throws std::invalid_argument on non-positive threshold/consecutive.
-  latency_threshold_promotion(util::time_ms threshold_ms, int consecutive = 3);
-  group_id next_group(const response_context& ctx, util::rng& rng) override;
-  const char* name() const noexcept override { return "latency_threshold"; }
-
- private:
-  util::time_ms threshold_ms_;
-  int consecutive_;
-  user_state_map<int> strikes_;
-};
-
-/// Two-sided latency band: promote after `consecutive` responses above the
-/// upper bound, demote after `consecutive` responses below the lower bound
-/// — the full "re-assigned to another group based on demand" behaviour the
-/// paper sketches (demotions require a moderator with allow_demotion).
-class latency_band_policy final : public promotion_policy {
- public:
-  /// Throws std::invalid_argument unless 0 < lower < upper and
-  /// consecutive > 0.
-  latency_band_policy(util::time_ms lower_ms, util::time_ms upper_ms,
-                      int consecutive = 3);
-  group_id next_group(const response_context& ctx, util::rng& rng) override;
-  const char* name() const noexcept override { return "latency_band"; }
-
- private:
-  util::time_ms lower_ms_;
-  util::time_ms upper_ms_;
-  int consecutive_;
-  user_state_map<int> slow_strikes_;
-  user_state_map<int> fast_strikes_;
-};
-
-/// Promote (once per crossing) when battery falls below a floor, so the
-/// radio stays open for less time per request (§VII-3).
-class battery_aware_promotion final : public promotion_policy {
- public:
-  /// Throws std::invalid_argument unless floor is in (0,1).
-  explicit battery_aware_promotion(double battery_floor = 0.3);
-  group_id next_group(const response_context& ctx, util::rng& rng) override;
-  const char* name() const noexcept override { return "battery_aware"; }
-
- private:
-  double battery_floor_;
-  user_state_map<std::uint8_t> already_promoted_;  ///< bool sans vector<bool>
-};
-
-/// Tracks each user's current acceleration group and applies a policy to
-/// every observed response.
+/// Tracks each user's current acceleration group and promotes on
+/// responses.
 class moderator {
  public:
-  /// Users start in `initial_group` ("initially, each user is located in
-  /// the group that provides the lowest acceleration"); `max_group` caps
-  /// promotion.  With `allow_demotion` a policy may also move users down
-  /// (never below `initial_group`) — the paper's "re-assigned to another
-  /// group based on demand".  Throws std::invalid_argument if
-  /// initial > max.
-  moderator(std::unique_ptr<promotion_policy> policy, group_id initial_group,
-            group_id max_group, util::rng rng, bool allow_demotion = false);
+  /// Users 0..users-1 start in `initial_group` ("initially, each user is
+  /// located in the group that provides the lowest acceleration");
+  /// `max_group` caps promotion.  Throws std::invalid_argument unless
+  /// `promotion_probability` is in [0, 1] (NaN is rejected) and
+  /// initial_group <= max_group.
+  moderator(double promotion_probability, group_id initial_group,
+            group_id max_group, std::size_t users, util::rng rng);
 
-  /// Current group of a user (registering it on first sight).
-  group_id group_of(user_id user);
+  // Per-request group lookup and per-response promotion: a flat-array
+  // read, and one Bernoulli draw per response below the top group (none
+  // at the top, so a capped user costs no randomness).
+  // mca:hot-path-begin(moderator-promotion)
+  /// Current group of a user.
+  group_id group_of(user_id user) const noexcept { return groups_[user]; }
 
-  /// Feeds one completed response through the policy; returns the group
-  /// the user will use for the *next* request.
-  group_id record_response(user_id user, util::time_ms response_ms,
-                           double battery = 1.0);
+  /// Feeds one completed response; returns the group the user will use
+  /// for the *next* request.
+  group_id record_response(user_id user) noexcept {
+    group_id& group = groups_[user];
+    if (group < max_group_ && rng_.bernoulli(promotion_probability_)) {
+      ++group;
+      ++promotions_;
+    }
+    return group;
+  }
+  // mca:hot-path-end
 
   /// Number of promotions applied so far across all users.
   std::uint64_t promotions() const noexcept { return promotions_; }
-  /// Number of demotions (always 0 unless allow_demotion).
-  std::uint64_t demotions() const noexcept { return demotions_; }
-  const promotion_policy& policy() const noexcept { return *policy_; }
-  group_id initial_group() const noexcept { return initial_group_; }
-  group_id max_group() const noexcept { return max_group_; }
-  bool allows_demotion() const noexcept { return allow_demotion_; }
 
  private:
-  std::unique_ptr<promotion_policy> policy_;
-  group_id initial_group_;
+  double promotion_probability_;
   group_id max_group_;
   util::rng rng_;
-  bool allow_demotion_;
-  user_state_map<group_id> groups_;
+  std::vector<group_id> groups_;
   std::uint64_t promotions_ = 0;
-  std::uint64_t demotions_ = 0;
 };
 
 }  // namespace mca::client

@@ -108,12 +108,9 @@ offloading_system::offloading_system(system_config config,
     on_trace(logged_at, created_at, user, group);
   });
 
-  auto policy = config_.policy_factory
-                    ? config_.policy_factory()
-                    : std::make_unique<client::static_probability_promotion>();
   moderator_ = std::make_unique<client::moderator>(
-      std::move(policy), kInitialGroup, max_group, rng_.fork(),
-      config_.allow_demotion);
+      config_.promotion_probability, kInitialGroup, max_group,
+      config_.user_count, rng_.fork());
 
   metrics_.observability.resize_groups(group_count_);
   metrics_.observability.set_gauge(obs::gauge::groups, group_count_);
@@ -160,8 +157,7 @@ void offloading_system::on_response(const workload::offload_request& request,
     devices_.account_offload(device, timing.total());
   }
   if (timing.success) {
-    moderator_->record_response(request.user, timing.total(),
-                                devices_.battery(device));
+    moderator_->record_response(request.user);
   }
   const double response_ms = timing.total();
 
@@ -424,7 +420,6 @@ void offloading_system::finish() {
   exemplars_.roll_window(static_cast<std::uint32_t>(metrics_.slots.size()));
 
   metrics_.promotions = moderator_->promotions();
-  metrics_.demotions = moderator_->demotions();
   metrics_.total_cost_usd = backend_->billing().total_cost(sim_.now());
 }
 

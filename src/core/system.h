@@ -10,7 +10,6 @@
 // all against hourly billing and the account instance cap.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -58,10 +57,9 @@ struct system_config {
   workload::interarrival_fn gaps;     ///< required
 
   // --- promotion ---
-  /// Built if `policy_factory` is empty: the paper's static 1/50 policy.
-  std::function<std::unique_ptr<client::promotion_policy>()> policy_factory;
-  /// Let the policy also demote users (never below the initial group).
-  bool allow_demotion = false;
+  /// Chance that a successful response promotes its user one group
+  /// (client::moderator); the paper's §VI-C value by default.
+  double promotion_probability = 1.0 / 50.0;
 
   // --- adaptive model ---
   /// Solve and apply the slot-boundary allocation.  Off, boundaries still
@@ -185,7 +183,8 @@ struct system_metrics {
 /// Owns the whole simulated deployment.
 class offloading_system : private response_sink {
  public:
-  /// Validates the config (groups present, callbacks set).
+  /// Validates the config (groups present, callbacks set, promotion
+  /// probability in [0, 1]).
   /// Throws std::invalid_argument on a malformed config.
   offloading_system(system_config config, const tasks::task_pool& pool);
 
@@ -213,8 +212,8 @@ class offloading_system : private response_sink {
   const system_metrics& metrics() const noexcept { return metrics_; }
   cloud::backend_pool& backend() noexcept { return *backend_; }
   sdn_accelerator& sdn() noexcept { return *sdn_; }
+  const client::device_slab& devices() const noexcept { return devices_; }
   const workload_predictor& predictor() const noexcept { return predictor_; }
-  client::moderator& moderator() noexcept { return *moderator_; }
   sim::simulation& simulation() noexcept { return sim_; }
   std::size_t group_count() const noexcept { return group_count_; }
   /// The run's observability registry (system_metrics::observability).

@@ -149,10 +149,7 @@ core::system_config make_system_config(const scenario_spec& spec,
       break;
   }
 
-  const double promote = spec.promotion_probability;
-  config.policy_factory = [promote] {
-    return std::make_unique<client::static_probability_promotion>(promote);
-  };
+  config.promotion_probability = spec.promotion_probability;
 
   if (spec.faults.active()) {
     config.faults = spec.faults;

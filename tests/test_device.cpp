@@ -26,67 +26,95 @@ TEST(DeviceProfile, Names) {
   EXPECT_STREQ(to_string(device_class::flagship), "flagship");
 }
 
-TEST(MobileDevice, LocalExecutionScalesWithSpeed) {
-  mobile_device wearable{1, device_class::wearable};
-  mobile_device flagship{2, device_class::flagship};
+TEST(DeviceProfile, LocalExecutionScalesWithSpeed) {
+  const device_profile wearable = profile_for(device_class::wearable);
+  const device_profile flagship = profile_for(device_class::flagship);
   // 280 wu (the static minimax) on a wearable: 5.6 s; flagship: 0.4 s.
   EXPECT_NEAR(wearable.local_execution_ms(280.0), 5'600.0, 1.0);
   EXPECT_NEAR(flagship.local_execution_ms(280.0), 400.0, 1.0);
 }
 
-TEST(MobileDevice, OffloadDecisionFollowsEnergyInequality) {
-  mobile_device device{1, device_class::midrange};
+TEST(DeviceProfile, OffloadDecisionFollowsEnergyInequality) {
+  const device_profile device = profile_for(device_class::midrange);
   const double work = 100.0;
   const double local_energy = device.local_energy(work);
   // A response fast enough to cost less radio energy than the local run.
-  const double cheap_ms = local_energy / device.profile().radio_drain_per_ms * 0.5;
-  const double pricey_ms = local_energy / device.profile().radio_drain_per_ms * 2.0;
+  const double cheap_ms = local_energy / device.radio_drain_per_ms * 0.5;
+  const double pricey_ms = local_energy / device.radio_drain_per_ms * 2.0;
   EXPECT_TRUE(device.should_offload(work, cheap_ms));
   EXPECT_FALSE(device.should_offload(work, pricey_ms));
 }
 
-TEST(MobileDevice, WeakDevicesOffloadMoreEagerly) {
-  mobile_device wearable{1, device_class::wearable};
-  mobile_device flagship{2, device_class::flagship};
+TEST(DeviceProfile, WeakDevicesOffloadMoreEagerly) {
   const double work = 50.0;
   const double response = 1'500.0;
   // The wearable's local energy is far higher, so offloading at this
   // response time pays off for it but not for the flagship.
-  EXPECT_TRUE(wearable.should_offload(work, response));
-  EXPECT_FALSE(flagship.should_offload(work, response));
+  EXPECT_TRUE(
+      profile_for(device_class::wearable).should_offload(work, response));
+  EXPECT_FALSE(
+      profile_for(device_class::flagship).should_offload(work, response));
 }
 
-TEST(MobileDevice, FasterRemotelyComparesLatency) {
-  mobile_device wearable{1, device_class::wearable};
+TEST(DeviceProfile, FasterRemotelyComparesLatency) {
+  const device_profile wearable = profile_for(device_class::wearable);
   // 280 wu locally = 5.6 s; a 2 s cloud response is faster.
   EXPECT_TRUE(wearable.faster_remotely(280.0, 2'000.0));
   EXPECT_FALSE(wearable.faster_remotely(280.0, 6'000.0));
 }
 
-TEST(MobileDevice, BatteryDrainsAndClampsAtZero) {
-  mobile_device device{1, device_class::budget, 1.0};
-  EXPECT_DOUBLE_EQ(device.battery(), 1.0);
-  device.account_local_run(1'000.0);
-  const double after_local = device.battery();
-  EXPECT_LT(after_local, 1.0);
-  device.account_offload(10'000.0);
-  EXPECT_LT(device.battery(), after_local);
-  // Massive drain clamps at zero instead of going negative.
-  device.account_local_run(1e12);
-  EXPECT_DOUBLE_EQ(device.battery(), 0.0);
+TEST(DeviceProfile, EnergyIsOneProductPerResource) {
+  const device_profile budget = profile_for(device_class::budget);
+  EXPECT_DOUBLE_EQ(budget.local_energy(1'000.0),
+                   1'000.0 * budget.cpu_drain_per_wu);
+  EXPECT_DOUBLE_EQ(budget.offload_energy(10'000.0),
+                   10'000.0 * budget.radio_drain_per_ms);
 }
 
-TEST(MobileDevice, InitialBatteryClamped) {
-  mobile_device over{1, device_class::budget, 1.7};
-  mobile_device under{2, device_class::budget, -0.5};
-  EXPECT_DOUBLE_EQ(over.battery(), 1.0);
-  EXPECT_DOUBLE_EQ(under.battery(), 0.0);
+constexpr device_class kMix[] = {device_class::flagship,
+                                 device_class::midrange,
+                                 device_class::budget, device_class::wearable};
+
+TEST(DeviceSlab, MixCyclesOverUsers) {
+  const device_slab slab{10, kMix};
+  ASSERT_EQ(slab.size(), 10u);
+  for (user_id u = 0; u < 10; ++u) {
+    EXPECT_EQ(slab.cls(u), kMix[u % 4]) << "user " << u;
+    EXPECT_EQ(slab.profile(u).cls, kMix[u % 4]) << "user " << u;
+    EXPECT_DOUBLE_EQ(slab.profile(u).cpu_drain_per_wu,
+                     profile_for(kMix[u % 4]).cpu_drain_per_wu);
+  }
 }
 
-TEST(MobileDevice, IdAndClassAccessors) {
-  mobile_device device{42, device_class::flagship};
-  EXPECT_EQ(device.id(), 42u);
-  EXPECT_EQ(device.cls(), device_class::flagship);
+TEST(DeviceSlab, BatteriesStartFull) {
+  const device_slab slab{6, kMix};
+  for (user_id u = 0; u < 6; ++u) EXPECT_DOUBLE_EQ(slab.battery(u), 1.0);
+}
+
+TEST(DeviceSlab, EachAccountDrainsExactlyTheProfileEnergy) {
+  device_slab slab{4, kMix};
+  const device_profile budget = profile_for(device_class::budget);  // user 2
+  double expected = 1.0;
+  slab.account_local_run(2, 1'000.0);
+  expected -= budget.local_energy(1'000.0);
+  EXPECT_DOUBLE_EQ(slab.battery(2), expected);
+  slab.account_offload(2, 10'000.0);
+  expected -= budget.offload_energy(10'000.0);
+  EXPECT_DOUBLE_EQ(slab.battery(2), expected);
+  // Only the accounted user drains.
+  EXPECT_DOUBLE_EQ(slab.battery(1), 1.0);
+  EXPECT_DOUBLE_EQ(slab.battery(3), 1.0);
+}
+
+TEST(DeviceSlab, DrainClampsAtZero) {
+  device_slab slab{4, kMix};
+  slab.account_local_run(3, 1e12);
+  EXPECT_DOUBLE_EQ(slab.battery(3), 0.0);
+  slab.account_offload(0, 1e12);
+  EXPECT_DOUBLE_EQ(slab.battery(0), 0.0);
+  // An empty battery stays empty.
+  slab.account_offload(0, 1.0);
+  EXPECT_DOUBLE_EQ(slab.battery(0), 0.0);
 }
 
 }  // namespace

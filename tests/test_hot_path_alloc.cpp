@@ -17,10 +17,8 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <memory>
 #include <new>
 
-#include "client/moderator.h"
 #include "core/system.h"
 #include "tasks/task.h"
 #include "workload/generator.h"
@@ -97,9 +95,7 @@ TEST(HotPathAllocation, SteadyStateRequestPathAllocatesNothing) {
   config.background_requests_per_burst = 0;
   // Deterministic steady state: nobody changes group, so per-slot load —
   // and with it the provisioning plan — is constant after the first slot.
-  config.policy_factory = [] {
-    return std::make_unique<client::never_promote>();
-  };
+  config.promotion_probability = 0.0;
   // Fleet configuration: streaming digests only.
   config.record_request_series = false;
   config.seed = 99;
@@ -154,9 +150,7 @@ TEST(HotPathAllocation, FaultSteadyStateRequestPathAllocatesNothing) {
   config.gaps = workload::fixed_interarrival(util::seconds(40.0));
   config.slot_length = util::minutes(10.0);
   config.background_requests_per_burst = 0;
-  config.policy_factory = [] {
-    return std::make_unique<client::never_promote>();
-  };
+  config.promotion_probability = 0.0;
   config.enable_adaptation = false;
   config.record_request_series = false;
   config.seed = 99;

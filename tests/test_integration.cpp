@@ -2,7 +2,6 @@
 // end to end, on scaled-down versions of the §VI experiments.
 #include <gtest/gtest.h>
 
-#include <memory>
 
 #include "client/usage_trace.h"
 #include "core/classifier.h"
@@ -34,9 +33,7 @@ TEST_F(IntegrationTest, PromotedUsersSeeFasterResponses) {
   config.gaps = workload::fixed_interarrival(util::seconds(20));
   config.slot_length = util::minutes(15);
   config.background_requests_per_burst = 40;
-  config.policy_factory = [] {
-    return std::make_unique<client::static_probability_promotion>(1.0 / 25.0);
-  };
+  config.promotion_probability = 1.0 / 25.0;
   config.seed = 3;
   offloading_system system{config, pool_};
   system.run(util::hours(1));

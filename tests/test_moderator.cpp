@@ -2,261 +2,95 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <limits>
+#include <vector>
 
 namespace mca::client {
 namespace {
 
-TEST(NeverPromote, StaysPut) {
-  never_promote policy;
-  util::rng rng{1};
-  response_context ctx;
-  ctx.current_group = 1;
-  ctx.max_group = 3;
-  ctx.response_ms = 99'999.0;
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(policy.next_group(ctx, rng), 1u);
-  }
-}
-
-TEST(StaticProbability, ValidationRejectsBadProbability) {
-  EXPECT_THROW(static_probability_promotion{-0.1}, std::invalid_argument);
-  EXPECT_THROW(static_probability_promotion{1.5}, std::invalid_argument);
-}
-
-TEST(StaticProbability, PromotionRateMatchesProbability) {
-  static_probability_promotion policy{1.0 / 50.0};
-  util::rng rng{7};
-  response_context ctx;
-  ctx.current_group = 1;
-  ctx.max_group = 3;
-  int promotions = 0;
-  const int n = 50'000;
-  for (int i = 0; i < n; ++i) {
-    if (policy.next_group(ctx, rng) == 2u) ++promotions;
-  }
-  EXPECT_NEAR(static_cast<double>(promotions) / n, 0.02, 0.003);
-}
-
-TEST(StaticProbability, NeverExceedsMaxGroup) {
-  static_probability_promotion policy{1.0};
-  util::rng rng{7};
-  response_context ctx;
-  ctx.current_group = 3;
-  ctx.max_group = 3;
-  EXPECT_EQ(policy.next_group(ctx, rng), 3u);
-}
-
-TEST(LatencyThreshold, ValidatesArguments) {
-  EXPECT_THROW(latency_threshold_promotion(0.0, 3), std::invalid_argument);
-  EXPECT_THROW(latency_threshold_promotion(100.0, 0), std::invalid_argument);
-}
-
-TEST(LatencyThreshold, PromotesAfterConsecutiveSlowResponses) {
-  latency_threshold_promotion policy{500.0, 3};
-  util::rng rng{1};
-  response_context ctx;
-  ctx.user = 1;
-  ctx.current_group = 1;
-  ctx.max_group = 3;
-  ctx.response_ms = 600.0;
-  EXPECT_EQ(policy.next_group(ctx, rng), 1u);  // strike 1
-  EXPECT_EQ(policy.next_group(ctx, rng), 1u);  // strike 2
-  EXPECT_EQ(policy.next_group(ctx, rng), 2u);  // strike 3 -> promote
-}
-
-TEST(LatencyThreshold, FastResponseResetsStrikes) {
-  latency_threshold_promotion policy{500.0, 3};
-  util::rng rng{1};
-  response_context ctx;
-  ctx.user = 1;
-  ctx.current_group = 1;
-  ctx.max_group = 3;
-  ctx.response_ms = 600.0;
-  policy.next_group(ctx, rng);
-  policy.next_group(ctx, rng);
-  ctx.response_ms = 100.0;  // fast response wipes the streak
-  EXPECT_EQ(policy.next_group(ctx, rng), 1u);
-  ctx.response_ms = 600.0;
-  EXPECT_EQ(policy.next_group(ctx, rng), 1u);
-  EXPECT_EQ(policy.next_group(ctx, rng), 1u);
-  EXPECT_EQ(policy.next_group(ctx, rng), 2u);
-}
-
-TEST(LatencyThreshold, StrikesTrackedPerUser) {
-  latency_threshold_promotion policy{500.0, 2};
-  util::rng rng{1};
-  response_context a;
-  a.user = 1;
-  a.current_group = 1;
-  a.max_group = 3;
-  a.response_ms = 900.0;
-  response_context b = a;
-  b.user = 2;
-  policy.next_group(a, rng);
-  policy.next_group(b, rng);
-  // Each user has one strike; neither promotes yet.
-  EXPECT_EQ(policy.next_group(a, rng), 2u);  // a reaches 2 strikes
-  EXPECT_EQ(policy.next_group(b, rng), 2u);  // b independently
-}
-
-TEST(BatteryAware, ValidatesFloor) {
-  EXPECT_THROW(battery_aware_promotion{0.0}, std::invalid_argument);
-  EXPECT_THROW(battery_aware_promotion{1.0}, std::invalid_argument);
-}
-
-TEST(BatteryAware, PromotesOnceWhenBatteryLow) {
-  battery_aware_promotion policy{0.3};
-  util::rng rng{1};
-  response_context ctx;
-  ctx.user = 1;
-  ctx.current_group = 1;
-  ctx.max_group = 3;
-  ctx.battery = 0.5;
-  EXPECT_EQ(policy.next_group(ctx, rng), 1u);
-  ctx.battery = 0.2;
-  EXPECT_EQ(policy.next_group(ctx, rng), 2u);
-  ctx.current_group = 2;
-  // Still low, but the one-shot promotion already fired.
-  EXPECT_EQ(policy.next_group(ctx, rng), 2u);
-}
-
 TEST(Moderator, ValidatesConstruction) {
-  EXPECT_THROW(moderator(nullptr, 1, 3, util::rng{1}), std::invalid_argument);
-  EXPECT_THROW(moderator(std::make_unique<never_promote>(), 4, 3, util::rng{1}),
+  EXPECT_THROW(moderator(-0.1, 1, 3, 4, util::rng{1}), std::invalid_argument);
+  EXPECT_THROW(moderator(1.5, 1, 3, 4, util::rng{1}), std::invalid_argument);
+  EXPECT_THROW(moderator(std::numeric_limits<double>::quiet_NaN(), 1, 3, 4,
+                         util::rng{1}),
                std::invalid_argument);
+  EXPECT_THROW(moderator(0.5, 4, 3, 4, util::rng{1}), std::invalid_argument);
+  EXPECT_NO_THROW(moderator(0.0, 1, 3, 4, util::rng{1}));
+  EXPECT_NO_THROW(moderator(1.0, 3, 3, 4, util::rng{1}));
 }
 
 TEST(Moderator, UsersStartInInitialGroup) {
-  moderator mod{std::make_unique<never_promote>(), 1, 3, util::rng{1}};
+  const moderator mod{1.0 / 50.0, 1, 3, 100, util::rng{1}};
   EXPECT_EQ(mod.group_of(17), 1u);
   EXPECT_EQ(mod.group_of(99), 1u);
+  EXPECT_EQ(mod.promotions(), 0u);
 }
 
-TEST(Moderator, RecordResponseAppliesPolicy) {
-  moderator mod{std::make_unique<static_probability_promotion>(1.0), 1, 3,
-                util::rng{1}};
-  EXPECT_EQ(mod.record_response(5, 100.0), 2u);
+TEST(Moderator, PromotionRateMatchesProbability) {
+  // One response from each of n users in group 1: each promotes with
+  // probability 1/50; binomial sd = sqrt(0.02 * 0.98 / n) ~ 0.0006, so
+  // the 0.003 tolerance is five sd.
+  const std::size_t n = 50'000;
+  moderator mod{1.0 / 50.0, 1, 3, n, util::rng{7}};
+  std::size_t promoted = 0;
+  for (user_id u = 0; u < n; ++u) {
+    if (mod.record_response(u) == 2u) ++promoted;
+  }
+  EXPECT_EQ(mod.promotions(), promoted);
+  EXPECT_NEAR(static_cast<double>(promoted) / static_cast<double>(n), 0.02,
+              0.003);
+}
+
+TEST(Moderator, RecordResponsePromotesAndCaps) {
+  moderator mod{1.0, 1, 3, 8, util::rng{1}};
+  EXPECT_EQ(mod.record_response(5), 2u);
   EXPECT_EQ(mod.group_of(5), 2u);
-  EXPECT_EQ(mod.record_response(5, 100.0), 3u);
-  EXPECT_EQ(mod.record_response(5, 100.0), 3u);  // capped at max
+  EXPECT_EQ(mod.record_response(5), 3u);
+  EXPECT_EQ(mod.record_response(5), 3u);  // capped at max
   EXPECT_EQ(mod.promotions(), 2u);
+  EXPECT_EQ(mod.group_of(4), 1u);  // other users untouched
 }
 
 TEST(Moderator, PromotionsAreSequential) {
-  moderator mod{std::make_unique<static_probability_promotion>(1.0), 1, 3,
-                util::rng{1}};
   // Even with probability 1, each response promotes by exactly one level.
-  EXPECT_EQ(mod.record_response(1, 1.0), 2u);
-  EXPECT_EQ(mod.record_response(1, 1.0), 3u);
+  moderator mod{1.0, 1, 4, 2, util::rng{1}};
+  EXPECT_EQ(mod.record_response(1), 2u);
+  EXPECT_EQ(mod.record_response(1), 3u);
+  EXPECT_EQ(mod.record_response(1), 4u);
 }
 
-TEST(Moderator, PolicyAccessors) {
-  moderator mod{std::make_unique<never_promote>(), 1, 4, util::rng{1}};
-  EXPECT_STREQ(mod.policy().name(), "never");
-  EXPECT_EQ(mod.initial_group(), 1u);
-  EXPECT_EQ(mod.max_group(), 4u);
-}
-
-TEST(LatencyBand, ValidatesArguments) {
-  EXPECT_THROW((latency_band_policy{0.0, 100.0}), std::invalid_argument);
-  EXPECT_THROW((latency_band_policy{200.0, 100.0}), std::invalid_argument);
-  EXPECT_THROW((latency_band_policy{100.0, 200.0, 0}), std::invalid_argument);
-}
-
-TEST(LatencyBand, PromotesAboveUpperBound) {
-  latency_band_policy policy{200.0, 1'000.0, 2};
-  util::rng rng{1};
-  response_context ctx;
-  ctx.user = 1;
-  ctx.current_group = 1;
-  ctx.max_group = 3;
-  ctx.response_ms = 1'500.0;
-  EXPECT_EQ(policy.next_group(ctx, rng), 1u);
-  EXPECT_EQ(policy.next_group(ctx, rng), 2u);
-}
-
-TEST(LatencyBand, DemotesBelowLowerBound) {
-  latency_band_policy policy{200.0, 1'000.0, 2};
-  util::rng rng{1};
-  response_context ctx;
-  ctx.user = 1;
-  ctx.current_group = 3;
-  ctx.max_group = 3;
-  ctx.response_ms = 50.0;
-  EXPECT_EQ(policy.next_group(ctx, rng), 3u);
-  EXPECT_EQ(policy.next_group(ctx, rng), 2u);
-}
-
-TEST(LatencyBand, InBandResetsBothCounters) {
-  latency_band_policy policy{200.0, 1'000.0, 2};
-  util::rng rng{1};
-  response_context ctx;
-  ctx.user = 1;
-  ctx.current_group = 2;
-  ctx.max_group = 3;
-  ctx.response_ms = 1'500.0;
-  policy.next_group(ctx, rng);  // slow strike 1
-  ctx.response_ms = 500.0;      // in band: reset
-  policy.next_group(ctx, rng);
-  ctx.response_ms = 1'500.0;
-  EXPECT_EQ(policy.next_group(ctx, rng), 2u);  // strike 1 again
-  EXPECT_EQ(policy.next_group(ctx, rng), 3u);
-}
-
-TEST(LatencyBand, SlowAndFastStrikesCancel) {
-  latency_band_policy policy{200.0, 1'000.0, 2};
-  util::rng rng{1};
-  response_context ctx;
-  ctx.user = 1;
-  ctx.current_group = 2;
-  ctx.max_group = 3;
-  ctx.response_ms = 1'500.0;
-  policy.next_group(ctx, rng);  // slow strike
-  ctx.response_ms = 100.0;      // fast strike wipes the slow streak
-  policy.next_group(ctx, rng);
-  EXPECT_EQ(policy.next_group(ctx, rng), 1u);  // second fast -> demote
-}
-
-TEST(Moderator, DemotionDisabledClampsDownwardMoves) {
-  // Without allow_demotion a demote-happy policy cannot move users down.
-  moderator mod{std::make_unique<latency_band_policy>(200.0, 1'000.0, 1), 1,
-                3, util::rng{1}};
-  mod.record_response(1, 5'000.0);  // promote to 2
-  EXPECT_EQ(mod.group_of(1), 2u);
-  mod.record_response(1, 50.0);  // demotion suppressed
-  EXPECT_EQ(mod.group_of(1), 2u);
-  EXPECT_EQ(mod.demotions(), 0u);
-  EXPECT_FALSE(mod.allows_demotion());
-}
-
-TEST(Moderator, DemotionEnabledMovesUsersDown) {
-  moderator mod{std::make_unique<latency_band_policy>(200.0, 1'000.0, 1), 1,
-                3, util::rng{1}, /*allow_demotion=*/true};
-  mod.record_response(1, 5'000.0);
-  mod.record_response(1, 5'000.0);
-  EXPECT_EQ(mod.group_of(1), 3u);
-  mod.record_response(1, 50.0);
-  EXPECT_EQ(mod.group_of(1), 2u);
-  EXPECT_EQ(mod.demotions(), 1u);
-  EXPECT_EQ(mod.promotions(), 2u);
-}
-
-TEST(Moderator, DemotionNeverGoesBelowInitialGroup) {
-  moderator mod{std::make_unique<latency_band_policy>(200.0, 1'000.0, 1), 1,
-                3, util::rng{1}, /*allow_demotion=*/true};
-  mod.record_response(1, 50.0);
-  mod.record_response(1, 50.0);
-  EXPECT_EQ(mod.group_of(1), 1u);  // clamped at the initial group
-  EXPECT_EQ(mod.demotions(), 0u);
-}
-
-TEST(PolicyNames, AllDistinct) {
-  EXPECT_STREQ(never_promote{}.name(), "never");
-  EXPECT_STREQ(static_probability_promotion{}.name(), "static_probability");
-  EXPECT_STREQ((latency_threshold_promotion{100.0, 1}.name()),
-               "latency_threshold");
-  EXPECT_STREQ(battery_aware_promotion{}.name(), "battery_aware");
+TEST(Moderator, DrawsOnceBelowTheTopGroupAndNeverAtIt) {
+  // Replays the moderator against a reference generator with the same
+  // seed: a response below the top group consumes exactly one
+  // bernoulli(p), a response at the top group consumes none.  Any other
+  // discipline desynchronizes the two streams, and the next promotion
+  // decision below the top group then differs.
+  const double p = 0.3;
+  const group_id max_group = 3;
+  const std::size_t users = 4;
+  moderator mod{p, 1, max_group, users, util::rng{42}};
+  util::rng reference{42};
+  std::vector<group_id> expected(users, 1);
+  std::size_t top_responses = 0;
+  std::size_t draws_after_a_top_response = 0;
+  for (std::size_t step = 0; step < 400; ++step) {
+    // A fixed, uneven visiting order so users reach the top at different
+    // times and top-group responses interleave with draws.
+    const user_id u = static_cast<user_id>((step * step + step / 3) % users);
+    if (expected[u] < max_group) {
+      if (top_responses > 0) ++draws_after_a_top_response;
+      if (reference.bernoulli(p)) ++expected[u];
+    } else {
+      ++top_responses;
+    }
+    ASSERT_EQ(mod.record_response(u), expected[u]) << "step " << step;
+    for (user_id v = 0; v < users; ++v) {
+      ASSERT_EQ(mod.group_of(v), expected[v]) << "step " << step;
+    }
+  }
+  // The replay exercised the discipline it pins.
+  EXPECT_GT(top_responses, 0u);
+  EXPECT_GT(draws_after_a_top_response, 0u);
 }
 
 }  // namespace
