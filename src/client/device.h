@@ -80,9 +80,6 @@ class device_slab {
   // mca:hot-path-begin(client-soa-state)
   std::size_t size() const noexcept { return battery_.size(); }
   double battery(user_id u) const noexcept { return battery_[u]; }
-  device_class cls(user_id u) const noexcept {
-    return static_cast<device_class>(class_[u]);
-  }
   const device_profile& profile(user_id u) const noexcept {
     return profiles_[class_[u]];
   }

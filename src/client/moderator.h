@@ -39,15 +39,14 @@ class moderator {
   /// Current group of a user.
   group_id group_of(user_id user) const noexcept { return groups_[user]; }
 
-  /// Feeds one completed response; returns the group the user will use
-  /// for the *next* request.
-  group_id record_response(user_id user) noexcept {
+  /// Feeds one completed response; may move the user up one group for
+  /// its *next* request.
+  void record_response(user_id user) noexcept {
     group_id& group = groups_[user];
     if (group < max_group_ && rng_.bernoulli(promotion_probability_)) {
       ++group;
       ++promotions_;
     }
-    return group;
   }
   // mca:hot-path-end
 

@@ -166,7 +166,6 @@ struct system_metrics {
   obs::registry observability;
   std::vector<slot_report> slots;
   std::uint64_t promotions = 0;
-  std::uint64_t demotions = 0;
   std::uint64_t background_submitted = 0;
   double total_cost_usd = 0.0;
 

@@ -204,7 +204,6 @@ replication_metrics digest_metrics(const core::system_metrics& metrics,
   replication_metrics digest{group_count};
   digest.seed = seed;
   digest.promotions = metrics.promotions;
-  digest.demotions = metrics.demotions;
   digest.background_submitted = metrics.background_submitted;
   digest.total_cost_usd = metrics.total_cost_usd;
   // The system streamed these aggregates on its response path and its
@@ -252,7 +251,6 @@ aggregate_metrics merge_replications(
     aggregate.requests += r.requests;
     aggregate.successes += r.successes;
     aggregate.promotions += r.promotions;
-    aggregate.demotions += r.demotions;
     aggregate.background_submitted += r.background_submitted;
     aggregate.cost_usd.add(r.total_cost_usd);
     if (r.scored_slots > 0) aggregate.accuracy.add(r.mean_prediction_accuracy);
@@ -281,7 +279,6 @@ std::uint64_t aggregate_metrics::fingerprint() const noexcept {
   fnv.word(requests);
   fnv.word(successes);
   fnv.word(promotions);
-  fnv.word(demotions);
   fnv.word(background_submitted);
   fnv.stats(cost_usd);
   fnv.stats(accuracy);

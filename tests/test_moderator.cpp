@@ -34,7 +34,8 @@ TEST(Moderator, PromotionRateMatchesProbability) {
   moderator mod{1.0 / 50.0, 1, 3, n, util::rng{7}};
   std::size_t promoted = 0;
   for (user_id u = 0; u < n; ++u) {
-    if (mod.record_response(u) == 2u) ++promoted;
+    mod.record_response(u);
+    if (mod.group_of(u) == 2u) ++promoted;
   }
   EXPECT_EQ(mod.promotions(), promoted);
   EXPECT_NEAR(static_cast<double>(promoted) / static_cast<double>(n), 0.02,
@@ -43,10 +44,12 @@ TEST(Moderator, PromotionRateMatchesProbability) {
 
 TEST(Moderator, RecordResponsePromotesAndCaps) {
   moderator mod{1.0, 1, 3, 8, util::rng{1}};
-  EXPECT_EQ(mod.record_response(5), 2u);
+  mod.record_response(5);
   EXPECT_EQ(mod.group_of(5), 2u);
-  EXPECT_EQ(mod.record_response(5), 3u);
-  EXPECT_EQ(mod.record_response(5), 3u);  // capped at max
+  mod.record_response(5);
+  EXPECT_EQ(mod.group_of(5), 3u);
+  mod.record_response(5);
+  EXPECT_EQ(mod.group_of(5), 3u);  // capped at max
   EXPECT_EQ(mod.promotions(), 2u);
   EXPECT_EQ(mod.group_of(4), 1u);  // other users untouched
 }
@@ -54,9 +57,10 @@ TEST(Moderator, RecordResponsePromotesAndCaps) {
 TEST(Moderator, PromotionsAreSequential) {
   // Even with probability 1, each response promotes by exactly one level.
   moderator mod{1.0, 1, 4, 2, util::rng{1}};
-  EXPECT_EQ(mod.record_response(1), 2u);
-  EXPECT_EQ(mod.record_response(1), 3u);
-  EXPECT_EQ(mod.record_response(1), 4u);
+  for (group_id expected = 2; expected <= 4; ++expected) {
+    mod.record_response(1);
+    EXPECT_EQ(mod.group_of(1), expected);
+  }
 }
 
 TEST(Moderator, DrawsOnceBelowTheTopGroupAndNeverAtIt) {
@@ -83,7 +87,7 @@ TEST(Moderator, DrawsOnceBelowTheTopGroupAndNeverAtIt) {
     } else {
       ++top_responses;
     }
-    ASSERT_EQ(mod.record_response(u), expected[u]) << "step " << step;
+    mod.record_response(u);
     for (user_id v = 0; v < users; ++v) {
       ASSERT_EQ(mod.group_of(v), expected[v]) << "step " << step;
     }
