@@ -10,6 +10,7 @@ namespace {
 constexpr std::uint32_t kChildren = 4;  // 4-ary heap: shallow and cache-dense
 constexpr std::uint32_t kSlotBits = 24;
 constexpr std::uint64_t kSlotMask = (1u << kSlotBits) - 1;
+static_assert(simulation::kMaxArrivalPayload == kSlotMask);
 constexpr std::uint64_t kMaxSequence = (1ull << (64 - kSlotBits)) - 1;
 
 constexpr std::uint64_t pack_key(std::uint64_t sequence,
@@ -17,7 +18,22 @@ constexpr std::uint64_t pack_key(std::uint64_t sequence,
   return (sequence << kSlotBits) | slot;
 }
 
+/// Cold path of `schedule_arrival`'s validation, kept out of the lane.
+[[noreturn]] void reject_arrival(bool has_handler) {
+  if (!has_handler) throw std::logic_error{"schedule_arrival: no handler"};
+  throw std::length_error{"schedule_arrival: payload above 2^24 - 1"};
+}
+
 }  // namespace
+
+std::uint64_t simulation::take_sequence() {
+  if (next_sequence_ > kMaxSequence) {
+    // Sequence wrap would corrupt packed keys (handle validation and the
+    // FIFO tie-break); fail loudly like the 2^24 slot limit does.
+    throw std::length_error{"simulation: sequence number space exhausted"};
+  }
+  return next_sequence_++;
+}
 
 std::uint32_t simulation::acquire_slot() {
   if (free_head_ != kNoFreeSlot) {
@@ -44,22 +60,26 @@ void simulation::record_pos(const heap_entry& entry, std::size_t pos) noexcept {
   slots_[entry.key & kSlotMask].heap_pos = static_cast<std::uint32_t>(pos);
 }
 
-void simulation::sift_up(std::size_t hole, heap_entry entry) noexcept {
-  heap_entry* base = heap_base();
+template <bool kTracked>
+void simulation::sift_up(heap_vector& heap, std::size_t hole,
+                         heap_entry entry) noexcept {
+  heap_entry* base = base_of(heap);
   while (hole > 0) {
     const std::size_t parent = (hole - 1) / kChildren;
     if (!earlier(entry, base[parent])) break;
     base[hole] = base[parent];
-    record_pos(base[hole], hole);
+    if constexpr (kTracked) record_pos(base[hole], hole);
     hole = parent;
   }
   base[hole] = entry;
-  record_pos(entry, hole);
+  if constexpr (kTracked) record_pos(entry, hole);
 }
 
-std::size_t simulation::sift_down(std::size_t hole, heap_entry entry) noexcept {
-  heap_entry* base = heap_base();
-  const std::size_t n = heap_size();
+template <bool kTracked>
+std::size_t simulation::sift_down(heap_vector& heap, std::size_t hole,
+                                  heap_entry entry) noexcept {
+  heap_entry* base = base_of(heap);
+  const std::size_t n = size_of(heap);
   for (;;) {
     const std::size_t first_child = hole * kChildren + 1;
     if (first_child >= n) break;
@@ -70,45 +90,43 @@ std::size_t simulation::sift_down(std::size_t hole, heap_entry entry) noexcept {
     }
     if (!earlier(base[best], entry)) break;
     base[hole] = base[best];
-    record_pos(base[hole], hole);
+    if constexpr (kTracked) record_pos(base[hole], hole);
     hole = best;
   }
   base[hole] = entry;
-  record_pos(entry, hole);
+  if constexpr (kTracked) record_pos(entry, hole);
   return hole;
 }
 
-void simulation::heap_push(heap_entry entry) {
-  heap_.push_back(entry);
-  sift_up(heap_size() - 1, entry);
+template <bool kTracked>
+void simulation::heap_push(heap_vector& heap, heap_entry entry) {
+  heap.push_back(entry);
+  sift_up<kTracked>(heap, size_of(heap) - 1, entry);
 }
 
-void simulation::heap_remove(std::size_t pos) noexcept {
-  const heap_entry last = heap_.back();
-  heap_.pop_back();
-  const std::size_t n = heap_size();
-  if (pos == n) return;  // removed the tail entry itself
+template <bool kTracked>
+void simulation::heap_remove(heap_vector& heap, std::size_t pos) noexcept {
+  const heap_entry last = heap.back();
+  heap.pop_back();
+  if (pos == size_of(heap)) return;  // removed the tail entry itself
   // Re-seat the displaced tail entry at the hole: first try downward (the
   // common case for a root pop), then upward (possible for a mid-heap
   // removal whose hole sits below `last`'s true position).
-  if (sift_down(pos, last) == pos) sift_up(pos, last);
+  if (sift_down<kTracked>(heap, pos, last) == pos) {
+    sift_up<kTracked>(heap, pos, last);
+  }
 }
 
 event_handle simulation::schedule_at(util::time_ms at, callback fn) {
   if (!fn) throw std::invalid_argument{"schedule_at: empty callback"};
-  if (next_sequence_ > kMaxSequence) {
-    // Sequence wrap would corrupt packed keys (handle validation and the
-    // FIFO tie-break); fail loudly like the 2^24 slot limit does.
-    throw std::length_error{"simulation: sequence number space exhausted"};
-  }
+  const std::uint64_t sequence = take_sequence();
   const std::uint32_t index = acquire_slot();
-  const std::uint64_t sequence = next_sequence_++;
   event_slot& slot = slots_[index];
   slot.fn = std::move(fn);
   slot.sequence = sequence;
   slot.live = true;
   const std::uint64_t key = pack_key(sequence, index);
-  heap_push({at > now_ ? at : now_, key});
+  heap_push<true>(heap_, {at > now_ ? at : now_, key});
   return event_handle{key};
 }
 
@@ -125,7 +143,7 @@ void simulation::cancel(event_handle handle) noexcept {
   if (!slot.live || slot.sequence != (handle.id >> kSlotBits)) return;  // stale
   const std::uint32_t pos = slot.heap_pos;
   release_slot(index);
-  heap_remove(pos);
+  heap_remove<true>(heap_, pos);
 }
 
 bool simulation::reschedule(event_handle handle, util::time_ms at) noexcept {
@@ -135,30 +153,63 @@ bool simulation::reschedule(event_handle handle, util::time_ms at) noexcept {
   const event_slot& slot = slots_[index];
   if (!slot.live || slot.sequence != (handle.id >> kSlotBits)) return false;
   const std::size_t pos = slot.heap_pos;
-  heap_entry entry = heap_base()[pos];
+  heap_entry entry = base_of(heap_)[pos];
   entry.at = at > now_ ? at : now_;
-  if (sift_down(pos, entry) == pos) sift_up(pos, entry);
+  if (sift_down<true>(heap_, pos, entry) == pos) {
+    sift_up<true>(heap_, pos, entry);
+  }
   return true;
 }
 
+void simulation::set_arrival_handler(arrival_handler fn) {
+  if (on_arrival_) throw std::logic_error{"set_arrival_handler: set twice"};
+  if (!fn) throw std::invalid_argument{"set_arrival_handler: empty handler"};
+  on_arrival_ = std::move(fn);
+}
+
+// mca:hot-path-begin(event-arrival-lane)
+void simulation::schedule_arrival(util::time_ms at, std::uint32_t payload) {
+  if (!on_arrival_ || payload > kSlotMask) [[unlikely]] {
+    reject_arrival(static_cast<bool>(on_arrival_));
+  }
+  const std::uint64_t sequence = take_sequence();
+  heap_push<false>(arrivals_,
+                   {at > now_ ? at : now_, pack_key(sequence, payload)});
+}
+
 bool simulation::step() {
-  if (heap_empty()) return false;
-  const heap_entry top = heap_base()[0];
+  const bool has_event = !empty(heap_);
+  if (!empty(arrivals_) &&
+      (!has_event || earlier(base_of(arrivals_)[0], base_of(heap_)[0]))) {
+    // Lane pop: no slot, no callback to move, no positions to record.
+    const heap_entry top = base_of(arrivals_)[0];
+    heap_remove<false>(arrivals_, 0);
+    now_ = top.at;
+    ++executed_;
+    on_arrival_(static_cast<std::uint32_t>(top.key & kSlotMask));
+    return true;
+  }
+  if (!has_event) return false;
+  const heap_entry top = base_of(heap_)[0];
   const std::uint32_t index = static_cast<std::uint32_t>(top.key & kSlotMask);
   event_slot& slot = slots_[index];
   // Move the callback out and retire the slot before running it, so the
   // event may freely schedule (and reuse the slot) or self-cancel.
   callback fn = std::move(slot.fn);
   release_slot(index);
-  heap_remove(0);
+  heap_remove<true>(heap_, 0);
   now_ = top.at;
   ++executed_;
   fn();
   return true;
 }
+// mca:hot-path-end
 
 void simulation::run_until(util::time_ms deadline) {
-  while (!heap_empty() && heap_base()[0].at <= deadline) step();
+  while ((!empty(heap_) && base_of(heap_)[0].at <= deadline) ||
+         (!empty(arrivals_) && base_of(arrivals_)[0].at <= deadline)) {
+    step();
+  }
   now_ = std::max(now_, deadline);
 }
 
@@ -172,6 +223,7 @@ void simulation::clear() noexcept {
     if (slots_[i].live) release_slot(i);
   }
   heap_.resize(kHeapPad);
+  arrivals_.resize(kHeapPad);
 }
 
 periodic_process::periodic_process(simulation& sim, util::time_ms start,

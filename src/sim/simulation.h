@@ -6,17 +6,23 @@
 // wall time.  Events at the same timestamp run in scheduling (FIFO) order,
 // which makes runs deterministic.
 //
-// Internals: events live in a contiguous slot arena indexed by a flat
-// 4-ary min-heap of 16-byte (time, key) entries, where the key packs the
-// scheduling sequence number (high 40 bits) with the slot index (low 24
-// bits).  The sequence number doubles as the slot's liveness tag, so a
-// handle is just the key; each slot tracks its entry's heap position, so
-// cancellation physically removes the entry (no lazy tombstones, no hash
-// sets, no per-event allocation beyond the callback itself).  Cancelling a
-// far-future timer — the dominant pattern — touches a near-leaf entry and
-// is effectively O(1).  Capacity limits from the packing: 2^24
-// concurrently pending events and 2^40 total schedules per simulation —
-// orders of magnitude beyond the paper's workloads.
+// Internals: two flat 4-ary min-heaps of 16-byte (time, key) entries,
+// where the key packs the scheduling sequence number (high 40 bits) with a
+// 24-bit index (low bits).  Events live in a contiguous slot arena and the
+// index names the slot.  The sequence number doubles as the slot's liveness
+// tag, so a handle is just the key; each slot tracks its entry's heap
+// position, so cancellation physically removes the entry (no lazy
+// tombstones, no hash sets, no per-event allocation beyond the callback
+// itself).  Cancelling a far-future timer — the dominant pattern — touches
+// a near-leaf entry and is effectively O(1).  Arrivals (the inter-arrival
+// generator's one pending request per device) sit in the second heap, a
+// cancellation-free lane whose index is a payload (the device index) for
+// the one arrival handler: no slot, no callback, no position bookkeeping.
+// Both heaps draw from one sequence counter and `step()` runs whichever top
+// is earlier by (time, key), so the merged order is the one a single heap
+// would give.  Capacity limits from the packing: 2^24 concurrently pending
+// events, 2^24 devices (arrival payloads) and 2^40 total schedules per
+// simulation — orders of magnitude beyond the paper's workloads.
 #pragma once
 
 #include <cstdint>
@@ -40,6 +46,10 @@ struct event_handle {
 class simulation {
  public:
   using callback = std::function<void()>;
+  using arrival_handler = std::function<void(std::uint32_t payload)>;
+
+  /// Largest payload `schedule_arrival` accepts (2^24 - 1).
+  static constexpr std::uint32_t kMaxArrivalPayload = (1u << 24) - 1;
 
   /// Current simulated time (ms).  Starts at 0.
   util::time_ms now() const noexcept { return now_; }
@@ -63,21 +73,35 @@ class simulation {
   /// for an already-fired or unknown handle.
   bool reschedule(event_handle handle, util::time_ms at) noexcept;
 
-  /// Runs the next pending event.  Returns false when the queue is empty.
+  /// Installs the handler every arrival runs with its payload.  Once per
+  /// simulation: throws std::logic_error on a second call and
+  /// std::invalid_argument on an empty handler.
+  void set_arrival_handler(arrival_handler fn);
+
+  /// Queues an uncancellable arrival for `payload` at `at` (clamped to now)
+  /// in FIFO order with events.  Throws std::logic_error without a handler
+  /// and std::length_error on a payload above kMaxArrivalPayload.
+  void schedule_arrival(util::time_ms at, std::uint32_t payload);
+
+  /// Runs the earliest pending event or arrival.  Returns false when both
+  /// queues are empty.
   bool step();
 
-  /// Runs events until the queue is empty or the next event is later than
-  /// `deadline`; afterwards the clock reads min(deadline, last event time)
-  /// advanced to `deadline`.
+  /// Runs events and arrivals until none is due at or before `deadline`;
+  /// afterwards the clock reads max(now, deadline).
   void run_until(util::time_ms deadline);
 
-  /// Runs until no events remain.
+  /// Runs until no events or arrivals remain.
   void run();
 
-  /// Drops every pending event (the clock is left where it is).
+  /// Drops every pending event and arrival (the clock is left where it is;
+  /// the arrival handler stays installed).
   void clear() noexcept;
 
-  std::size_t pending_events() const noexcept { return heap_size(); }
+  /// Pending events plus pending arrivals.
+  std::size_t pending_events() const noexcept {
+    return size_of(heap_) + size_of(arrivals_);
+  }
   std::size_t executed_events() const noexcept { return executed_; }
 
  private:
@@ -93,38 +117,51 @@ class simulation {
     bool live = false;
   };
   /// 16-byte heap entry: primary key `at`, tie-break and identity in the
-  /// packed (sequence << 24 | slot) key.  The backing vector is cache-line
-  /// aligned and starts with kHeapPad dummy entries so every 4-child group
-  /// (logical indices 4i+1..4i+4, physical 4i+4..4i+7) occupies exactly
-  /// one cache line.
+  /// packed (sequence << 24 | slot or payload) key.  The backing vector is
+  /// cache-line aligned and starts with kHeapPad dummy entries so every
+  /// 4-child group (logical indices 4i+1..4i+4, physical 4i+4..4i+7)
+  /// occupies exactly one cache line.
   struct heap_entry {
     util::time_ms at = 0;
     std::uint64_t key = 0;
   };
   static constexpr std::size_t kHeapPad = 3;
+  using heap_vector =
+      std::vector<heap_entry, util::aligned_allocator<heap_entry>>;
 
   static bool earlier(const heap_entry& a, const heap_entry& b) noexcept {
     if (a.at != b.at) return a.at < b.at;
     return a.key < b.key;  // sequence occupies the high bits
   }
 
+  std::uint64_t take_sequence();
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t index) noexcept;
   void record_pos(const heap_entry& entry, std::size_t pos) noexcept;
-  void sift_up(std::size_t hole, heap_entry entry) noexcept;
+  // Heap primitives for both queues: `kTracked` keeps the event slots'
+  // `heap_pos` current; the arrival lane never removes from the middle.
+  template <bool kTracked>
+  void sift_up(heap_vector& heap, std::size_t hole, heap_entry entry) noexcept;
   /// Returns the hole's final position.
-  std::size_t sift_down(std::size_t hole, heap_entry entry) noexcept;
-  void heap_push(heap_entry entry);
+  template <bool kTracked>
+  std::size_t sift_down(heap_vector& heap, std::size_t hole,
+                        heap_entry entry) noexcept;
+  template <bool kTracked>
+  void heap_push(heap_vector& heap, heap_entry entry);
   /// Removes the entry at logical position `pos` (root pop is pos 0).
-  void heap_remove(std::size_t pos) noexcept;
+  template <bool kTracked>
+  void heap_remove(heap_vector& heap, std::size_t pos) noexcept;
 
-  bool heap_empty() const noexcept { return heap_.size() == kHeapPad; }
-  std::size_t heap_size() const noexcept { return heap_.size() - kHeapPad; }
-  /// Base pointer for logical indexing (logical i at physical i+kHeapPad).
-  const heap_entry* heap_base() const noexcept {
-    return heap_.data() + kHeapPad;
+  static bool empty(const heap_vector& heap) noexcept {
+    return heap.size() == kHeapPad;
   }
-  heap_entry* heap_base() noexcept { return heap_.data() + kHeapPad; }
+  static std::size_t size_of(const heap_vector& heap) noexcept {
+    return heap.size() - kHeapPad;
+  }
+  /// Base pointer for logical indexing (logical i at physical i+kHeapPad).
+  static heap_entry* base_of(heap_vector& heap) noexcept {
+    return heap.data() + kHeapPad;
+  }
 
   static constexpr std::uint32_t kNoFreeSlot = 0xffffffffu;
 
@@ -133,8 +170,9 @@ class simulation {
   std::size_t executed_ = 0;
   std::uint32_t free_head_ = kNoFreeSlot;
   std::vector<event_slot> slots_;
-  std::vector<heap_entry, util::aligned_allocator<heap_entry>> heap_ =
-      std::vector<heap_entry, util::aligned_allocator<heap_entry>>(kHeapPad);
+  heap_vector heap_ = heap_vector(kHeapPad);
+  heap_vector arrivals_ = heap_vector(kHeapPad);
+  arrival_handler on_arrival_;
 };
 
 /// Repeats a callback at a fixed simulated period until cancelled.

@@ -95,28 +95,34 @@ interarrival_generator::interarrival_generator(sim::simulation& sim,
       config_{config},
       rng_{rng} {
   if (config.devices == 0) throw std::invalid_argument{"interarrival: 0 devices"};
+  if (config.devices - 1 > sim::simulation::kMaxArrivalPayload) {
+    throw std::length_error{"interarrival: more than 2^24 devices"};
+  }
   if (!source_ || !sink_ || !gaps_) {
     throw std::invalid_argument{"interarrival: missing callback"};
   }
+  sim_.set_arrival_handler(
+      [this](std::uint32_t device) { on_arrival(device); });
   const util::time_ms start = sim_.now();
   for (std::size_t d = 0; d < config_.devices; ++d) {
-    const auto user = config_.first_user + static_cast<user_id>(d);
     // Desynchronize devices with an initial fractional gap.
-    sim_.schedule_at(start + gaps_(rng_) * rng_.uniform(),
-                     [this, user] { schedule_next(user); });
+    sim_.schedule_arrival(start + gaps_(rng_) * rng_.uniform(),
+                          static_cast<std::uint32_t>(d));
   }
   deadline_ = start + config_.active_duration;
 }
 
-void interarrival_generator::schedule_next(user_id user) {
+void interarrival_generator::on_arrival(std::uint32_t device) {
   if (sim_.now() >= deadline_) return;
   offload_request request;
   request.id = ++emitted_;
-  request.user = user;
+  request.user = config_.first_user + static_cast<user_id>(device);
   request.work = source_(rng_);
   request.created_at = sim_.now();
   sink_(request);
-  sim_.schedule_after(gaps_(rng_), [this, user] { schedule_next(user); });
+  const util::time_ms gap = gaps_(rng_);
+  if (gap < 0) throw std::invalid_argument{"interarrival: negative gap"};
+  sim_.schedule_arrival(sim_.now() + gap, device);
 }
 
 replay_generator::replay_generator(sim::simulation& sim, task_source source,

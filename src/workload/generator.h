@@ -75,8 +75,9 @@ class concurrent_generator {
 };
 
 /// Inter-arrival mode: `devices` independent devices, each issuing its next
-/// request one sampled gap after the previous completes being issued, for
-/// `active_duration` of simulated time.
+/// request one sampled gap after its previous one, for `active_duration` of
+/// simulated time.  Each device keeps one arrival pending in the simulation's
+/// arrival lane, so a simulation runs one such generator, of <= 2^24 devices.
 struct interarrival_config {
   std::size_t devices = 1;
   util::time_ms active_duration = util::hours(1);
@@ -85,14 +86,16 @@ struct interarrival_config {
 
 class interarrival_generator {
  public:
-  /// Throws std::invalid_argument on zero devices or empty callbacks.
+  /// Throws std::invalid_argument on zero devices or empty callbacks (and
+  /// from the event loop on a negative gap), std::length_error on more than
+  /// 2^24 devices and std::logic_error if `sim` has an arrival handler.
   interarrival_generator(sim::simulation& sim, task_source source,
                          request_sink sink, interarrival_fn gaps,
                          interarrival_config config, util::rng rng);
   std::uint64_t emitted() const noexcept { return emitted_; }
 
  private:
-  void schedule_next(user_id user);
+  void on_arrival(std::uint32_t device);
 
   sim::simulation& sim_;
   task_source source_;

@@ -1,11 +1,14 @@
 // Stress coverage for the arena/heap event engine: 100k interleaved
 // schedule/cancel operations with determinism and pending-count accuracy
 // checks, plus the nasty re-entrant patterns (self-cancel, cancel from a
-// callback, slot reuse through stale handles).
+// callback, slot reuse through stale handles), and a differential run of
+// the arrival lane against plain events.
 #include "sim/simulation.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -63,6 +66,93 @@ TEST(EventEngineStress, InterleavedScheduleCancelIsDeterministic) {
   EXPECT_EQ(a, b);  // identical seeds, identical execution order
   const auto c = run_stress(456);
   EXPECT_NE(a, c);  // different seed actually changes the workload
+}
+
+/// Random schedule/cancel/reschedule/arrival/step operations; arrivals go
+/// through the arrival lane when `lane` is set and are plain `schedule_at`
+/// events otherwise.  Times are whole milliseconds near the clock (some in
+/// the past), so ties within and across the two queues are common.
+/// Returns the execution order of operation ids.
+std::vector<std::uint32_t> run_lane_differential(std::uint64_t seed,
+                                                 bool lane) {
+  constexpr std::size_t kNotCancellable = static_cast<std::size_t>(-1);
+  simulation sim;
+  util::rng rng{seed};
+  std::vector<std::uint32_t> order;
+  std::vector<event_handle> handles;       // by id (arrivals: unused)
+  std::vector<std::size_t> where;          // id -> index in `cancellable`
+  std::vector<std::uint32_t> cancellable;  // ids of pending plain events
+  const auto forget = [&](std::uint32_t id) {
+    const std::size_t i = where[id];
+    where[cancellable.back()] = i;
+    cancellable[i] = cancellable.back();
+    cancellable.pop_back();
+    where[id] = kNotCancellable;
+  };
+  const auto pick = [&] {
+    const auto i = static_cast<std::size_t>(
+        rng.uniform() * static_cast<double>(cancellable.size()));
+    return cancellable[std::min(i, cancellable.size() - 1)];
+  };
+  const auto sample_at = [&] {
+    return sim.now() + std::floor(rng.uniform(-20.0, 2'000.0));
+  };
+  if (lane) {
+    sim.set_arrival_handler([&](std::uint32_t id) { order.push_back(id); });
+  }
+
+  constexpr int kOps = 100'000;
+  std::size_t expected_pending = 0;
+  for (int op = 0; op < kOps; ++op) {
+    const double r = rng.uniform();
+    if (r < 0.1) {
+      if (sim.step()) --expected_pending;
+    } else if (r < 0.25 && !cancellable.empty()) {
+      const std::uint32_t id = pick();
+      sim.cancel(handles[id]);
+      forget(id);
+      --expected_pending;
+    } else if (r < 0.4 && !cancellable.empty()) {
+      EXPECT_TRUE(sim.reschedule(handles[pick()], sample_at()));
+    } else {
+      const auto id = static_cast<std::uint32_t>(handles.size());
+      const util::time_ms at = sample_at();
+      if (r < 0.7) {
+        if (lane) {
+          sim.schedule_arrival(at, id);
+        } else {
+          sim.schedule_at(at, [&order, id] { order.push_back(id); });
+        }
+        handles.push_back({});
+        where.push_back(kNotCancellable);
+      } else {
+        handles.push_back(sim.schedule_at(at, [&order, &forget, id] {
+          order.push_back(id);
+          forget(id);
+        }));
+        where.push_back(cancellable.size());
+        cancellable.push_back(id);
+      }
+      ++expected_pending;
+    }
+    if (sim.pending_events() != expected_pending) {
+      ADD_FAILURE() << "pending count drifted at op " << op;
+      break;
+    }
+  }
+  sim.run();
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.executed_events(), order.size());
+  return order;
+}
+
+TEST(EventEngineStress, ArrivalLaneMatchesPlainEvents) {
+  for (const std::uint64_t seed : {7u, 8u}) {
+    const auto with_lane = run_lane_differential(seed, true);
+    const auto without_lane = run_lane_differential(seed, false);
+    EXPECT_GT(with_lane.size(), 40'000u);
+    EXPECT_EQ(with_lane, without_lane) << "seed " << seed;
+  }
 }
 
 TEST(EventEngineStress, PendingCountSurvivesSlotReuse) {

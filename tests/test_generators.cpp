@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 namespace mca::workload {
@@ -138,6 +141,167 @@ TEST_F(GeneratorTest, InterarrivalValidation) {
                                       collect(), fixed_interarrival(1.0), bad,
                                       util::rng{1}),
                std::invalid_argument);
+}
+
+TEST_F(GeneratorTest, InterarrivalRejectsMoreThan24BitsOfDevices) {
+  // Rejected in the constructor before any gap is drawn or any arrival
+  // is queued: nothing is allocated per device.
+  interarrival_config config;
+  config.devices = (std::size_t{1} << 24) + 1;
+  std::size_t draws = 0;
+  const interarrival_fn counting = [&draws](util::rng&) {
+    ++draws;
+    return 1.0;
+  };
+  EXPECT_THROW(interarrival_generator(sim_, random_pool_source(pool_),
+                                      collect(), counting, config,
+                                      util::rng{1}),
+               std::length_error);
+  EXPECT_EQ(draws, 0u);
+  EXPECT_EQ(sim_.pending_events(), 0u);
+}
+
+TEST_F(GeneratorTest, InterarrivalNegativeGapThrows) {
+  interarrival_config config;
+  config.devices = 2;
+  interarrival_generator gen{sim_,
+                             random_pool_source(pool_),
+                             collect(),
+                             [](util::rng&) { return -1.0; },
+                             config,
+                             util::rng{1}};
+  // The negative initial offsets clamp to now; the first gap drawn after
+  // an emission is rejected.
+  EXPECT_THROW(sim_.run(), std::invalid_argument);
+  EXPECT_EQ(gen.emitted(), 1u);
+}
+
+TEST_F(GeneratorTest, InterarrivalOwnsTheArrivalHandler) {
+  interarrival_config config;
+  interarrival_generator gen{sim_,
+                             random_pool_source(pool_),
+                             collect(),
+                             fixed_interarrival(1.0),
+                             config,
+                             util::rng{1}};
+  EXPECT_THROW(interarrival_generator(sim_, random_pool_source(pool_),
+                                      collect(), fixed_interarrival(1.0),
+                                      config, util::rng{1}),
+               std::logic_error);
+}
+
+/// The inter-arrival generator as it was before the arrival lane: one
+/// pending `schedule_at`/`schedule_after` event per device on the event
+/// heap.  The lane must reproduce its emissions exactly.
+class heap_interarrival_generator {
+ public:
+  heap_interarrival_generator(sim::simulation& sim, task_source source,
+                              request_sink sink, interarrival_fn gaps,
+                              interarrival_config config, util::rng rng)
+      : sim_{sim},
+        source_{std::move(source)},
+        sink_{std::move(sink)},
+        gaps_{std::move(gaps)},
+        config_{config},
+        rng_{rng} {
+    const util::time_ms start = sim_.now();
+    for (std::size_t d = 0; d < config_.devices; ++d) {
+      const auto user = config_.first_user + static_cast<user_id>(d);
+      sim_.schedule_at(start + gaps_(rng_) * rng_.uniform(),
+                       [this, user] { schedule_next(user); });
+    }
+    deadline_ = start + config_.active_duration;
+  }
+
+ private:
+  void schedule_next(user_id user) {
+    if (sim_.now() >= deadline_) return;
+    offload_request request;
+    request.id = ++emitted_;
+    request.user = user;
+    request.work = source_(rng_);
+    request.created_at = sim_.now();
+    sink_(request);
+    sim_.schedule_after(gaps_(rng_), [this, user] { schedule_next(user); });
+  }
+
+  sim::simulation& sim_;
+  task_source source_;
+  request_sink sink_;
+  interarrival_fn gaps_;
+  interarrival_config config_;
+  util::rng rng_;
+  util::time_ms deadline_ = 0.0;
+  std::uint64_t emitted_ = 0;
+};
+
+/// One line of the merged trace: an emitted request (follow_up 0) or a
+/// follow-up event the sink scheduled for it (1: zero delay, 2: 5 ms).
+struct trace_line {
+  int follow_up = 0;
+  request_id id = 0;
+  user_id user = 0;
+  util::time_ms at = 0.0;
+  const tasks::task* algorithm = nullptr;
+  std::uint32_t size = 0;
+  bool operator==(const trace_line&) const = default;
+};
+
+struct equivalence_run {
+  std::vector<trace_line> trace;
+  std::size_t executed = 0;
+};
+
+template <typename Generator>
+equivalence_run run_for_equivalence(const tasks::task_pool& pool,
+                                    const interarrival_fn& gaps) {
+  sim::simulation sim;
+  equivalence_run out;
+  const request_sink sink = [&](const offload_request& r) {
+    out.trace.push_back({0, r.id, r.user, r.created_at, r.work.algorithm,
+                         r.work.size});
+    sim.schedule_after(0.0, [&out, &sim, id = r.id] {
+      out.trace.push_back({1, id, 0, sim.now(), nullptr, 0});
+    });
+    sim.schedule_after(5.0, [&out, &sim, id = r.id] {
+      out.trace.push_back({2, id, 0, sim.now(), nullptr, 0});
+    });
+  };
+  interarrival_config config;
+  config.devices = 1'000;
+  config.active_duration = util::seconds(20);
+  config.first_user = 7;
+  Generator gen{sim, random_pool_source(pool), sink, gaps, config,
+                util::rng{2024}};
+  sim.run();
+  out.executed = sim.executed_events();
+  return out;
+}
+
+TEST_F(GeneratorTest, ArrivalLaneEmitsWhatPerDeviceEventsEmitted) {
+  // Empirical gaps of exactly 0 and 5 ms put arrivals on the same
+  // timestamps as the sink's zero- and 5 ms follow-ups, so lane/heap ties
+  // are exercised; the exponential run covers continuous gaps.
+  std::vector<double> samples(40, 0.0);
+  samples.insert(samples.end(), 40, 5.0);
+  samples.insert(samples.end(), 20, 4'000.0);
+  const std::vector<interarrival_fn> gap_laws = {
+      exponential_interarrival(0.5),
+      empirical_interarrival(
+          std::make_shared<const util::empirical_distribution>(samples))};
+  for (std::size_t law = 0; law < gap_laws.size(); ++law) {
+    const auto lane =
+        run_for_equivalence<interarrival_generator>(pool_, gap_laws[law]);
+    const auto heap = run_for_equivalence<heap_interarrival_generator>(
+        pool_, gap_laws[law]);
+    EXPECT_GT(lane.trace.size(), 30'000u) << "law " << law;
+    EXPECT_EQ(lane.executed, heap.executed) << "law " << law;
+    ASSERT_EQ(lane.trace.size(), heap.trace.size()) << "law " << law;
+    for (std::size_t i = 0; i < lane.trace.size(); ++i) {
+      ASSERT_EQ(lane.trace[i], heap.trace[i])
+          << "law " << law << ", first divergence at line " << i;
+    }
+  }
 }
 
 TEST_F(GeneratorTest, RateDoublingDoublesEveryPhase) {

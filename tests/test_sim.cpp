@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 namespace mca::sim {
@@ -137,6 +139,160 @@ TEST(Simulation, EventsCanScheduleMoreEvents) {
   sim.run();
   EXPECT_EQ(depth, 5);
   EXPECT_EQ(sim.now(), 40.0);
+}
+
+// ---- arrival lane ---------------------------------------------------------
+
+TEST(ArrivalLane, TiesWithEventsFireInSchedulingOrder) {
+  // Arrival first, then an event at the same timestamp ...
+  simulation sim;
+  std::vector<int> order;
+  sim.set_arrival_handler([&](std::uint32_t payload) {
+    order.push_back(static_cast<int>(payload));
+  });
+  sim.schedule_arrival(10.0, 1);
+  sim.schedule_at(10.0, [&] { order.push_back(-1); });
+  sim.schedule_arrival(10.0, 2);
+  // ... and the other way round.
+  sim.schedule_at(20.0, [&] { order.push_back(-2); });
+  sim.schedule_arrival(20.0, 3);
+  sim.schedule_at(20.0, [&] { order.push_back(-3); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, -1, 2, -2, 3, -3}));
+}
+
+TEST(ArrivalLane, EarlierTopRunsFirstAcrossQueues) {
+  simulation sim;
+  std::vector<int> order;
+  sim.set_arrival_handler([&](std::uint32_t payload) {
+    order.push_back(static_cast<int>(payload));
+  });
+  sim.schedule_at(30.0, [&] { order.push_back(-30); });
+  sim.schedule_arrival(20.0, 20);
+  sim.schedule_at(10.0, [&] { order.push_back(-10); });
+  sim.schedule_arrival(40.0, 40);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{-10, 20, -30, 40}));
+  EXPECT_EQ(sim.now(), 40.0);
+}
+
+TEST(ArrivalLane, RunUntilStopsAtDeadlineWithOnlyArrivals) {
+  simulation sim;
+  std::vector<double> fired_at;
+  sim.set_arrival_handler(
+      [&](std::uint32_t) { fired_at.push_back(sim.now()); });
+  sim.schedule_arrival(10.0, 0);
+  sim.schedule_arrival(20.0, 1);
+  sim.schedule_arrival(30.0, 2);
+  sim.run_until(25.0);
+  EXPECT_EQ(fired_at, (std::vector<double>{10.0, 20.0}));
+  EXPECT_EQ(sim.now(), 25.0);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run_until(30.0);  // an arrival exactly at the deadline runs
+  EXPECT_EQ(fired_at.size(), 3u);
+  // Both queues empty: the clock still advances to the deadline.
+  sim.run_until(500.0);
+  EXPECT_EQ(sim.now(), 500.0);
+}
+
+TEST(ArrivalLane, PastArrivalFiresAtCurrentTime) {
+  simulation sim;
+  double fired_at = -1.0;
+  sim.set_arrival_handler([&](std::uint32_t) { fired_at = sim.now(); });
+  sim.run_until(100.0);
+  sim.schedule_arrival(5.0, 0);  // in the past
+  sim.run();
+  EXPECT_EQ(fired_at, 100.0);  // clamped to now
+}
+
+TEST(ArrivalLane, CountsPendingAndExecutedArrivals) {
+  simulation sim;
+  sim.set_arrival_handler([](std::uint32_t) {});
+  sim.schedule_arrival(1.0, 0);
+  sim.schedule_arrival(2.0, 1);
+  sim.schedule_at(3.0, [] {});
+  EXPECT_EQ(sim.pending_events(), 3u);
+  EXPECT_TRUE(sim.step());
+  EXPECT_EQ(sim.pending_events(), 2u);
+  EXPECT_EQ(sim.executed_events(), 1u);
+  sim.run();
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.executed_events(), 3u);
+  EXPECT_FALSE(sim.step());
+}
+
+TEST(ArrivalLane, HandlerReceivesPayloadAndMayRescheduleIt) {
+  simulation sim;
+  std::vector<std::uint32_t> seen;
+  sim.set_arrival_handler([&](std::uint32_t payload) {
+    seen.push_back(payload);
+    if (seen.size() < 4) sim.schedule_arrival(sim.now() + 1.0, payload + 1);
+  });
+  sim.schedule_arrival(0.0, simulation::kMaxArrivalPayload - 3);
+  sim.run();
+  const std::uint32_t top = simulation::kMaxArrivalPayload;
+  EXPECT_EQ(seen, (std::vector<std::uint32_t>{top - 3, top - 2, top - 1, top}));
+  EXPECT_EQ(sim.now(), 3.0);
+}
+
+TEST(ArrivalLane, ClearDropsArrivals) {
+  simulation sim;
+  int fired = 0;
+  sim.set_arrival_handler([&](std::uint32_t) { ++fired; });
+  sim.schedule_arrival(1.0, 0);
+  sim.schedule_at(2.0, [&] { ++fired; });
+  sim.clear();
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.run();
+  EXPECT_EQ(fired, 0);
+  // The handler survives clear().
+  sim.schedule_arrival(3.0, 0);
+  sim.run();
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(ArrivalLane, ClearFromInsideArrivalHandler) {
+  simulation sim;
+  int fired = 0;
+  sim.set_arrival_handler([&](std::uint32_t payload) {
+    ++fired;
+    if (payload == 0) sim.clear();
+  });
+  sim.schedule_arrival(1.0, 0);
+  for (std::uint32_t i = 1; i <= 50; ++i) {
+    sim.schedule_arrival(1.0 + i, i);
+    sim.schedule_at(1.5 + i, [&] { ++fired; });
+  }
+  sim.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.executed_events(), 1u);
+  sim.schedule_arrival(10.0, 7);
+  sim.run();
+  EXPECT_EQ(fired, 2);
+}
+
+TEST(ArrivalLane, ScheduleWithoutHandlerThrows) {
+  simulation sim;
+  EXPECT_THROW(sim.schedule_arrival(1.0, 0), std::logic_error);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(ArrivalLane, HandlerIsSetOnce) {
+  simulation sim;
+  EXPECT_THROW(sim.set_arrival_handler({}), std::invalid_argument);
+  sim.set_arrival_handler([](std::uint32_t) {});
+  EXPECT_THROW(sim.set_arrival_handler([](std::uint32_t) {}), std::logic_error);
+}
+
+TEST(ArrivalLane, PayloadAbove24BitsThrows) {
+  simulation sim;
+  sim.set_arrival_handler([](std::uint32_t) {});
+  EXPECT_THROW(sim.schedule_arrival(1.0, simulation::kMaxArrivalPayload + 1),
+               std::length_error);
+  EXPECT_THROW(sim.schedule_arrival(1.0, 0xffffffffu), std::length_error);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_NO_THROW(sim.schedule_arrival(1.0, simulation::kMaxArrivalPayload));
 }
 
 TEST(PeriodicProcess, TicksAtFixedPeriod) {
