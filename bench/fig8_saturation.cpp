@@ -8,9 +8,11 @@
 //     server's capacity (paper: ~32 Hz), then degrades sharply.
 // (c) The success/fail split per arrival rate: beyond the knee a rising
 //     share of requests is dropped.
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -33,7 +35,21 @@ struct phase_stats {
   std::size_t successes = 0;
 };
 
-/// Part (a): routing time per group at the SDN front-end.
+/// Fig. 8a collector: every submitted request reaches the sink exactly
+/// once, carrying its routing time; kept per group with the request id.
+class routing_sink final : public core::response_sink {
+ public:
+  void on_response(const workload::offload_request& request,
+                   const core::request_timing& timing,
+                   group_id group) override {
+    by_group[group].push_back({request.id, timing.routing});
+  }
+
+  std::map<group_id, std::vector<std::pair<request_id, double>>> by_group;
+};
+
+/// Part (a): routing time per group at the SDN front-end, in arrival
+/// (request id) order.
 std::map<group_id, std::vector<double>> run_routing_part(
     const tasks::task_pool& pool) {
   std::map<group_id, std::vector<double>> routing;
@@ -49,10 +65,10 @@ std::map<group_id, std::vector<double>> run_routing_part(
       backend.launch(group, cloud::type_by_name(type));
     }
     trace::log_store log;
-    core::sdn_config config;
-    config.keep_routing_samples = true;
+    routing_sink sink;
     core::sdn_accelerator sdn{sim,  backend, net::default_lte_model(),
-                              &log, config,  rng.fork()};
+                              &log, core::sdn_config{}, rng.fork()};
+    sdn.set_response_sink(&sink);
     request_id next_id = 0;
     for (const auto& [group, type] : levels) {
       for (int i = 0; i < 250; ++i) {
@@ -69,7 +85,10 @@ std::map<group_id, std::vector<double>> run_routing_part(
     }
     sim.run();
     for (group_id g = 1; g <= 4; ++g) {
-      routing[g] = sdn.routing_samples(g);
+      auto& samples = sink.by_group[g];
+      std::sort(samples.begin(), samples.end());
+      std::vector<double>& series = routing[g];
+      for (const auto& sample : samples) series.push_back(sample.second);
     }
   }
   return routing;

@@ -7,6 +7,16 @@
 
 namespace mca::client {
 
+namespace {
+/// Mean app sessions per active (daytime) hour per participant.
+constexpr double kSessionsPerActiveHour = 3.0;
+/// Mean session length.
+constexpr util::time_ms kMeanSessionLength = util::minutes(2.5);
+/// The paper's observed within-session inter-arrival band.
+constexpr util::time_ms kMinInterarrival = 100.0;
+constexpr util::time_ms kMaxInterarrival = 5000.0;
+}  // namespace
+
 double diurnal_activity(double hour_of_day) noexcept {
   // Asleep at night; usage builds over the morning, dips mid-afternoon,
   // peaks in the evening — the canonical smartphone usage curve.
@@ -28,7 +38,7 @@ std::vector<util::time_ms> synthesize_participant_events(
     for (int hour = 0; hour < 24; ++hour) {
       const double weight = diurnal_activity(hour + 0.5);
       if (weight <= 0.0) continue;
-      const double expected_sessions = config.sessions_per_active_hour * weight;
+      const double expected_sessions = kSessionsPerActiveHour * weight;
       // Poisson number of session starts this hour (inverse-CDF draw).
       std::size_t sessions = 0;
       double p = std::exp(-expected_sessions);
@@ -46,7 +56,7 @@ std::vector<util::time_ms> synthesize_participant_events(
         // Session length: lognormal around the configured mean.
         const double sigma = 0.8;
         const double mu =
-            std::log(config.mean_session_length) - sigma * sigma / 2.0;
+            std::log(kMeanSessionLength) - sigma * sigma / 2.0;
         const util::time_ms length = rng.lognormal(mu, sigma);
         util::time_ms t = session_start;
         const util::time_ms session_end = session_start + length;
@@ -55,8 +65,8 @@ std::vector<util::time_ms> synthesize_participant_events(
           // Within-session gaps: lognormal body landing mostly inside the
           // paper's 100–5000 ms band.
           const double gap = std::clamp(rng.lognormal(std::log(900.0), 0.9),
-                                        config.min_interarrival,
-                                        config.max_interarrival);
+                                        kMinInterarrival,
+                                        kMaxInterarrival);
           t += gap;
         }
       }
@@ -89,7 +99,7 @@ std::vector<double> study_interarrivals(const usage_study_config& config,
       const double gap = events[i] - events[i - 1];
       // Gaps longer than the band are between-session idle time, which the
       // paper removes; shorter ones are clock-resolution artifacts.
-      if (gap >= config.min_interarrival && gap <= config.max_interarrival) {
+      if (gap >= kMinInterarrival && gap <= kMaxInterarrival) {
         gaps.push_back(gap);
       }
     }

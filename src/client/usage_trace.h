@@ -18,18 +18,13 @@
 
 namespace mca::client {
 
-/// Parameters of the synthetic study (defaults reproduce the paper's).
+/// Size of the synthetic study (defaults reproduce the paper's).  Each
+/// participant starts 3 app sessions per active (daytime) hour at peak
+/// activity, a session lasts 2.5 minutes on average, and within-session
+/// event gaps are clipped into the paper's observed 100–5000 ms band.
 struct usage_study_config {
   std::size_t participants = 6;
   double days = 90.0;  ///< 3 months
-  /// Mean app sessions per active (daytime) hour per participant.
-  double sessions_per_active_hour = 3.0;
-  /// Mean session length.
-  util::time_ms mean_session_length = util::minutes(2.5);
-  /// Within-session event gaps are clipped into this band (the paper's
-  /// observed 100–5000 ms range).
-  util::time_ms min_interarrival = 100.0;
-  util::time_ms max_interarrival = 5000.0;
 };
 
 /// App-event timestamps (ms since study start) for one participant, in
@@ -40,8 +35,8 @@ std::vector<util::time_ms> synthesize_participant_events(
     const usage_study_config& config, util::rng& rng);
 
 /// Pooled within-session inter-arrival samples across all participants,
-/// clipped to [min_interarrival, max_interarrival] (long idle gaps between
-/// sessions removed, as the paper removes inactive periods).  All finite,
+/// inside the 100–5000 ms band (long idle gaps between sessions removed,
+/// as the paper removes inactive periods).  All finite,
 /// in participant then time order, and allocated once: the capacity stays
 /// within 1.1x of the size (~2.2M gaps, 17 MB, for the default study).
 std::vector<double> study_interarrivals(const usage_study_config& config,

@@ -18,6 +18,8 @@ constexpr double kCreditCapHours = 24.0;
 /// totals ~10^6 requests across hundreds of instances).
 constexpr std::uint32_t kJobSlotBits = 24;
 constexpr std::uint64_t kJobSlotMask = (1u << kJobSlotBits) - 1;
+/// Shape of the lognormal cold-start delay (its median is the option).
+constexpr double kColdStartSigma = 0.4;
 }  // namespace
 
 instance::instance(sim::simulation& sim, instance_id id,
@@ -31,7 +33,7 @@ instance::instance(sim::simulation& sim, instance_id id,
       credits_{opts.initial_credits_core_ms} {
   if (opts_.cold_start_mean_ms > 0.0) {
     ready_at_ = sim.now() + opts_.cold_start_mean_ms *
-                                rng_.lognormal(0.0, opts_.cold_start_sigma);
+                                rng_.lognormal(0.0, kColdStartSigma);
   }
 }
 

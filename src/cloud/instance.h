@@ -78,12 +78,10 @@ class instance {
     /// full core by default, roughly EC2's launch allotment).
     double initial_credits_core_ms = 30.0 * 60'000.0;
     /// Cold-start delay paid between launch and first-accept: lognormal
-    /// with median `cold_start_mean_ms` and shape `cold_start_sigma`.
-    /// 0 (the default) disables the warm-up and draws nothing from the
-    /// instance's rng stream, so fault-free runs are bit-identical to
-    /// builds that predate the knob.
+    /// with median `cold_start_mean_ms` and shape 0.4.  0 (the default)
+    /// disables the warm-up and draws nothing from the instance's rng
+    /// stream.
     double cold_start_mean_ms = 0.0;
-    double cold_start_sigma = 0.4;
   };
 
   /// Invoked when a request leaves the server: `ok` is true for a normal

@@ -11,6 +11,10 @@
 namespace mca::core {
 namespace {
 
+/// Two types in one capacity bucket split into different groups when their
+/// solo means differ by more than this fraction.
+constexpr double kSoloSplitTolerance = 0.15;
+
 /// Mean response at the highest tested load; used for anomaly detection.
 double high_load_mean(const type_characterization& c) {
   if (c.curve.empty()) return 0.0;
@@ -43,7 +47,6 @@ type_characterization characterize_type(const cloud::instance_type& type,
     workload::concurrent_config load;
     load.users = users;
     load.rounds = config.rounds_per_level;
-    load.gap = config.burst_gap_ms;
     workload::concurrent_generator generator{
         sim, workload::random_pool_source(pool),
         [&server, &responses](const workload::offload_request& request) {
@@ -99,7 +102,7 @@ acceleration_map classify(std::span<const cloud::instance_type> types,
           high_load_mean(profiles[j]) < high_load_mean(profiles[i]) * 0.95;
       const bool same_speed_class =
           std::abs(profiles[j].solo_mean_ms - profiles[i].solo_mean_ms) <=
-          profiles[i].solo_mean_ms * config.solo_split_tolerance;
+          profiles[i].solo_mean_ms * kSoloSplitTolerance;
       if (cheaper && no_worse_capacity && better_latency && same_speed_class) {
         demoted[i] = true;
         break;
@@ -147,7 +150,7 @@ acceleration_map classify(std::span<const cloud::instance_type> types,
           static_cast<double>(profile.capacity_users) != current.capacity_users;
       const bool solo_improves =
           profile.solo_mean_ms <
-          current.solo_mean_ms * (1.0 - config.solo_split_tolerance);
+          current.solo_mean_ms * (1.0 - kSoloSplitTolerance);
       start_new_group = capacity_differs || solo_improves;
     }
     if (start_new_group) {

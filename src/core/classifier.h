@@ -18,7 +18,9 @@
 //    (group 0)").
 #pragma once
 
+#include <iterator>
 #include <span>
+#include <vector>
 
 #include "cloud/instance.h"
 #include "cloud/instance_type.h"
@@ -27,21 +29,23 @@
 
 namespace mca::core {
 
-/// Knobs of the characterization methodology (§VI-A.1 defaults).
+/// The paper's concurrent-user load levels: 1 and 10..100 step 10.
+inline constexpr std::size_t kPaperLoadLevels[] = {1,  10, 20, 30, 40, 50,
+                                                   60, 70, 80, 90, 100};
+
+/// Knobs of the characterization methodology (§VI-A.1 defaults).  Bursts
+/// are one minute apart (workload::concurrent_config's default cool-down),
+/// and two types in one capacity bucket split into different groups when
+/// their solo means differ by more than 15%.
 struct classifier_config {
   /// Administrator's minimum level of acceleration: the response bound.
   double response_bound_ms = 500.0;
-  /// Concurrent-user levels to test (paper: 1 and 10..100 step 10).
-  std::vector<std::size_t> load_levels =
-      {1, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100};
+  /// Concurrent-user levels to test.
+  std::vector<std::size_t> load_levels{std::begin(kPaperLoadLevels),
+                                       std::end(kPaperLoadLevels)};
   /// Bursts per load level (the paper runs 3 h per server; a handful of
   /// bursts per level already gives stable means in simulation).
   std::size_t rounds_per_level = 5;
-  /// Cool-down between bursts.
-  double burst_gap_ms = 60'000.0;
-  /// Two types in one capacity bucket split into different groups when
-  /// their solo means differ by more than this fraction.
-  double solo_split_tolerance = 0.15;
   /// RNG seed for workload draws and service jitter.
   std::uint64_t seed = 1234;
   /// Optional t2 CPU-credit model during characterization.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -11,27 +12,25 @@ sdn_accelerator::sdn_accelerator(sim::simulation& sim,
                                  cloud::backend_pool& backend,
                                  net::rtt_model mobile_link,
                                  trace::log_store* log, sdn_config config,
-                                 util::rng rng)
+                                 util::rng rng,
+                                 const fault::fault_program& faults)
     : sim_{sim},
       backend_{backend},
       mobile_link_{std::move(mobile_link)},
       log_{log},
       config_{config},
+      faults_{faults},
       rng_{rng} {
   if (config.routing_overhead_mean_ms < 0.0 || config.backend_one_way_ms < 0.0) {
     throw std::invalid_argument{"sdn_config: negative latency"};
   }
-  if (config.request_timeout_ms < 0.0 || config.retry_backoff_base_ms < 0.0 ||
-      config.retry_backoff_cap_ms < 0.0) {
-    throw std::invalid_argument{"sdn_config: negative retry timing"};
-  }
-  if (config.local_fallback && config.local_exec_wu_per_ms <= 0.0) {
-    throw std::invalid_argument{
-        "sdn_config: local_fallback needs local_exec_wu_per_ms > 0"};
-  }
-  // Drawn only when the resilience knobs are live: all-off configs leave
-  // the main stream byte-identical to builds that predate retries.
-  if (config_.resilience_enabled()) retry_seed_ = rng_();
+  // The front-end knows no horizon, so outage windows are checked only
+  // for order here; the run checks them against its duration.
+  fault::validate(faults_, std::numeric_limits<util::time_ms>::infinity(),
+                  "sdn_accelerator");
+  // Drawn only under an active program: a fault-free run's main stream
+  // carries no resilience draw.
+  if (faults_.active()) retry_seed_ = rng_();
 }
 
 double sdn_accelerator::sample_routing_overhead() {
@@ -49,10 +48,9 @@ double sdn_accelerator::hour_of_day() const noexcept {
 // request, so the whole stretch is a lint-enforced hot-path region — the
 // static twin of test_hot_path_alloc's counting-allocator gate, covering
 // the stages even on inputs the fixed-seed run never reaches.  Slab
-// growth (pool_.emplace_back) and the config-gated routing-sample
-// retention are member-vector operations, which the region rules
-// deliberately permit: they amortize to zero in steady state and the
-// runtime gate holds them to that.
+// growth (pool_.emplace_back) is a member-vector operation, which the
+// region rules deliberately permit: it amortizes to zero in steady state
+// and the runtime gate holds it to that.
 // mca:hot-path-begin(sdn-request-pipeline)
 std::uint32_t sdn_accelerator::acquire_slot() {
   if (free_head_ != kNoFreeSlot) {
@@ -90,10 +88,6 @@ void sdn_accelerator::submit(const workload::offload_request& request,
   // so it needs no event of its own: it is drawn at admission, in arrival
   // order.
   const double overhead = sample_routing_overhead();
-  if (config_.keep_routing_samples) {
-    if (group >= routing_samples_.size()) routing_samples_.resize(group + 1);
-    routing_samples_[group].push_back(overhead);
-  }
 
   const std::uint32_t slot = acquire_slot();
   inflight& s = pool_[slot];
@@ -134,8 +128,8 @@ void sdn_accelerator::stage_dispatch(std::uint32_t slot) {
         on_backend_done(slot, epoch, service_time, ok);
       });
   if (status == cloud::route_status::ok) {
-    if (config_.request_timeout_ms > 0.0) {
-      s.timeout = sim_.schedule_after(config_.request_timeout_ms,
+    if (faults_.active() && faults_.request_timeout_ms > 0.0) {
+      s.timeout = sim_.schedule_after(faults_.request_timeout_ms,
                                       [this, slot] { on_timeout(slot); });
     }
     return;
@@ -247,23 +241,24 @@ void sdn_accelerator::on_timeout(std::uint32_t slot) {
   ++s.epoch;
   if (obs_ != nullptr) obs_->add(obs::counter::sdn_timeouts);
   // The front-end held the request for the full timeout window.
-  s.timing.routing += config_.request_timeout_ms;
+  s.timing.routing += faults_.request_timeout_ms;
   attempt_failed(slot);
 }
 
 void sdn_accelerator::attempt_failed(std::uint32_t slot) {
   inflight& s = pool_[slot];
-  if (static_cast<std::size_t>(s.attempt) <= config_.max_retries) {
+  if (faults_.active() &&
+      static_cast<std::size_t>(s.attempt) <= faults_.max_retries) {
     if (obs_ != nullptr) obs_->add(obs::counter::sdn_retries);
     // Capped exponential backoff with jitter from the request's own
     // counter-split stream, keyed on the arrival sequence (not request.id,
     // which follows the generator's numbering): deterministic per
     // (seed, arrival, attempt), independent of thread or shard layout.
     const std::uint32_t shift = s.attempt > 16 ? 16u : s.attempt - 1;
-    double wait = config_.retry_backoff_base_ms *
+    double wait = faults_.retry_backoff_base_ms *
                   static_cast<double>(std::uint64_t{1} << shift);
-    if (wait > config_.retry_backoff_cap_ms) {
-      wait = config_.retry_backoff_cap_ms;
+    if (wait > faults_.retry_backoff_cap_ms) {
+      wait = faults_.retry_backoff_cap_ms;
     }
     util::rng jitter =
         util::rng::split(retry_seed_, (s.seq << 8) | s.attempt);
@@ -272,13 +267,13 @@ void sdn_accelerator::attempt_failed(std::uint32_t slot) {
     sim_.schedule_after(wait, [this, slot] { stage_dispatch(slot); });
     return;
   }
-  if (config_.local_fallback) {
+  if (faults_.active() && faults_.local_fallback) {
     if (obs_ != nullptr) obs_->add(obs::counter::sdn_local_fallbacks);
     // Graceful degradation: the device runs the task itself.  The result
     // needs no network legs beyond those already paid; the "cloud" time
     // becomes the (much slower) local execution.
     const double local_ms =
-        s.request.work.work_units() / config_.local_exec_wu_per_ms;
+        s.request.work.work_units() / faults_.local_exec_wu_per_ms;
     s.timing.cloud = local_ms;
     s.timing.local = true;
     s.timing.success = true;
@@ -295,15 +290,5 @@ void sdn_accelerator::attempt_failed(std::uint32_t slot) {
       [this, slot] { deliver(slot); });
 }
 // mca:hot-path-end
-
-namespace {
-const std::vector<double> kEmptySamples{};
-}  // namespace
-
-const std::vector<double>& sdn_accelerator::routing_samples(
-    group_id group) const {
-  return group < routing_samples_.size() ? routing_samples_[group]
-                                         : kEmptySamples;
-}
 
 }  // namespace mca::core

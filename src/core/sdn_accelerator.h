@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "cloud/backend_pool.h"
+#include "fault/fault_program.h"
 #include "net/rtt_model.h"
 #include "obs/exemplar.h"
 #include "obs/registry.h"
@@ -37,7 +38,8 @@
 
 namespace mca::core {
 
-/// Front-end behaviour knobs.
+/// Front-end behaviour knobs (the resilience knobs live on
+/// fault::fault_program).
 struct sdn_config {
   /// Request Handler + Code Offloader processing (the paper's ≈150 ms).
   double routing_overhead_mean_ms = 150.0;
@@ -48,32 +50,6 @@ struct sdn_config {
   /// no log attached, as in core::offloading_system), the trace point
   /// still fires (prediction works) but nothing accumulates in memory.
   bool retain_trace_records = true;
-  /// Keep raw per-group routing-time samples (Fig. 8a series).
-  bool keep_routing_samples = false;
-
-  // ---- resilience (fault-injection PR) ----------------------------------
-  // All-off defaults are bit-inert: with no retries, no timeout, and no
-  // fallback, the pipeline schedules exactly the events it always has and
-  // draws nothing extra from any rng stream, so pre-fault goldens
-  // reproduce exactly.
-  /// Re-dispatch attempts after the first try fails or times out.
-  std::size_t max_retries = 0;
-  /// Per-attempt timeout; <= 0 never arms the timer.
-  double request_timeout_ms = 0.0;
-  /// Capped exponential backoff before retry k:
-  /// min(cap, base * 2^(k-1)) * (0.5 + u), u from the request's own
-  /// deterministic stream.
-  double retry_backoff_base_ms = 200.0;
-  double retry_backoff_cap_ms = 2'000.0;
-  /// After retry exhaustion, run the task on the local device instead of
-  /// failing (acceptance degrades instead of cliffing).
-  bool local_fallback = false;
-  /// Local device throughput for the fallback: work_units per ms.
-  double local_exec_wu_per_ms = 0.005;
-
-  bool resilience_enabled() const noexcept {
-    return max_retries > 0 || request_timeout_ms > 0.0 || local_fallback;
-  }
 };
 
 /// Per-request timing decomposition (Fig. 7a/7b vocabulary).
@@ -127,10 +103,16 @@ using trace_fn = std::function<void(util::time_ms logged_at,
 class sdn_accelerator {
  public:
   /// `log` may be nullptr to disable persistence regardless of config;
-  /// the trace observer fires either way.
+  /// the trace observer fires either way.  The SDN reads its retry,
+  /// timeout, backoff and local-fallback knobs from `faults` only while
+  /// the program is active(), checked by fault::validate's rules (throws
+  /// std::invalid_argument).  An inactive program is bit-inert: no extra
+  /// rng draw, no timer, no retry and no fallback, so a rejected request
+  /// fails at once.
   sdn_accelerator(sim::simulation& sim, cloud::backend_pool& backend,
                   net::rtt_model mobile_link, trace::log_store* log,
-                  sdn_config config, util::rng rng);
+                  sdn_config config, util::rng rng,
+                  const fault::fault_program& faults = {});
 
   /// Accepts one offloading request destined for acceleration `group`.
   /// `battery` is the device's charge level, logged with the trace.  The
@@ -168,10 +150,6 @@ class sdn_accelerator {
   void set_exemplar_sink(obs::exemplar_reservoir* exemplars) noexcept {
     exemplars_ = exemplars;
   }
-
-  /// Raw per-group routing-time samples (Fig. 8a) when
-  /// `keep_routing_samples` is on.
-  const std::vector<double>& routing_samples(group_id group) const;
 
  private:
   /// In-flight request state, pooled and reused across requests.
@@ -222,10 +200,11 @@ class sdn_accelerator {
   net::rtt_model mobile_link_;
   trace::log_store* log_;
   sdn_config config_;
+  fault::fault_program faults_;
   util::rng rng_;
   /// Seed of the per-request backoff-jitter streams; drawn from rng_ at
-  /// construction only when resilience is configured, so all-off configs
-  /// leave the main stream untouched.
+  /// construction only when the fault program is active, so fault-free
+  /// runs leave the main stream untouched.
   std::uint64_t retry_seed_ = 0;
   response_sink* sink_ = nullptr;
   trace_fn on_trace_;
@@ -240,7 +219,6 @@ class sdn_accelerator {
 
   /// Requests submitted so far: each request's arrival sequence.
   std::uint64_t received_ = 0;
-  std::vector<std::vector<double>> routing_samples_;
 };
 
 }  // namespace mca::core

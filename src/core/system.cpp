@@ -61,19 +61,11 @@ offloading_system::offloading_system(system_config config,
   if (config_.user_count == 0) {
     throw std::invalid_argument{"system: zero users"};
   }
+  // The SDN reads its resilience knobs from the fault program itself; the
+  // instances take only the program's cold-start median.
   cloud::instance::options instance_options;
   if (config_.faults.active()) {
-    // The fault program is the single source of truth for the resilience
-    // knobs: map it onto the SDN retry path and the instance cold-start
-    // before either component is constructed.
-    config_.sdn.max_retries = config_.faults.max_retries;
-    config_.sdn.request_timeout_ms = config_.faults.request_timeout_ms;
-    config_.sdn.retry_backoff_base_ms = config_.faults.retry_backoff_base_ms;
-    config_.sdn.retry_backoff_cap_ms = config_.faults.retry_backoff_cap_ms;
-    config_.sdn.local_fallback = config_.faults.local_fallback;
-    config_.sdn.local_exec_wu_per_ms = config_.faults.local_exec_wu_per_ms;
     instance_options.cold_start_mean_ms = config_.faults.cold_start_mean_ms;
-    instance_options.cold_start_sigma = config_.faults.cold_start_sigma;
   }
 
   group_id max_group = kInitialGroup;
@@ -100,7 +92,7 @@ offloading_system::offloading_system(system_config config,
   sdn_ = std::make_unique<sdn_accelerator>(
       sim_, *backend_,
       config_.mobile_link ? *config_.mobile_link : net::default_lte_model(),
-      /*log=*/nullptr, config_.sdn, rng_.fork());
+      /*log=*/nullptr, config_.sdn, rng_.fork(), config_.faults);
   sdn_->set_response_sink(this);
   sdn_->set_trace_observer([this](util::time_ms logged_at,
                                   util::time_ms created_at, user_id user,

@@ -102,9 +102,9 @@ struct system_config {
   // --- fault injection & resilience (src/fault) ---
   /// Inert by default (enabled == false): no fault events are scheduled,
   /// no extra rng draws happen anywhere, and pre-fault goldens reproduce
-  /// bit-exactly.  When enabled, the program's resilience knobs are mapped
-  /// onto `sdn` and the instances' cold-start options at construction —
-  /// the program is the single source of truth.
+  /// bit-exactly.  When enabled, the SDN reads the program's resilience
+  /// knobs directly and the instances take its cold-start median — the
+  /// program is the single source of truth.
   fault::fault_program faults;
   /// Precomputed preemption strikes (fault::make_preemption_schedule);
   /// exp::make_system_config fills this from the program, fleet shards

@@ -1,6 +1,7 @@
 #include "exp/curves.h"
 
 #include "cloud/instance.h"
+#include "core/classifier.h"
 #include "sim/simulation.h"
 #include "util/rng.h"
 #include "workload/generator.h"
@@ -12,10 +13,10 @@ std::vector<load_curve_point> response_vs_users(
     const load_curve_config& config) {
   const auto& type = cloud::type_by_name(type_name);
   std::vector<load_curve_point> curve;
-  curve.reserve(config.levels.size());
-  for (const std::size_t users : config.levels) {
-    // Keyed by the load level, not by loop position, so a reordered or
-    // filtered level list reproduces the exact same points.
+  curve.reserve(std::size(core::kPaperLoadLevels));
+  for (const std::size_t users : core::kPaperLoadLevels) {
+    // Keyed by the load level, not by loop position: each point is its own
+    // experiment.
     util::rng stream = util::rng::split(config.seed, users);
     sim::simulation sim;
     cloud::instance server{sim, 1, type, stream.fork()};

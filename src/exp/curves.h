@@ -24,9 +24,8 @@ struct load_curve_point {
   util::summary response;
 };
 
+/// The curve visits the paper's load levels (core::kPaperLoadLevels).
 struct load_curve_config {
-  std::vector<std::size_t> levels = {1,  10, 20, 30, 40, 50,
-                                     60, 70, 80, 90, 100};
   std::size_t rounds = 6;
   std::uint64_t seed = 5'000;
 };

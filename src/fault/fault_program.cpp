@@ -77,9 +77,6 @@ void validate(const fault_program& program, util::time_ms horizon,
   if (program.cold_start_mean_ms < 0.0) {
     reject("cold_start_mean_ms is negative");
   }
-  if (program.cold_start_sigma < 0.0) {
-    reject("cold_start_sigma is negative");
-  }
   if (program.request_timeout_ms < 0.0) {
     reject("request_timeout_ms is negative (use 0 to disable the timer)");
   }

@@ -7,7 +7,8 @@
 // delays paid between `backend_pool::launch` and first-accept.  It also
 // carries the resilience knobs the offload path uses to survive those
 // hazards: per-request timeout, capped exponential backoff retry budget,
-// and the local-execution fallback used after retry exhaustion.
+// and the local-execution fallback used after retry exhaustion, which
+// `core::sdn_accelerator` reads from the program directly.
 //
 // Everything here is deterministic by construction.  The preemption
 // schedule is expanded ahead of time by `make_preemption_schedule` — a
@@ -58,10 +59,9 @@ struct fault_program {
   /// Scheduled whole-group outages.
   std::vector<outage_window> outages;
   /// Cold-start delay between launch and first-accept, lognormal with
-  /// median `cold_start_mean_ms` and shape `cold_start_sigma`; 0 mean
+  /// median `cold_start_mean_ms` (shape 0.4, see cloud::instance); 0
   /// disables (and draws nothing from the instance stream).
   double cold_start_mean_ms = 0.0;
-  double cold_start_sigma = 0.4;
 
   // ---- resilience --------------------------------------------------------
   /// Retry attempts after the first try fails or times out.

@@ -17,14 +17,4 @@ slo_row slo_from_histogram(const util::histogram& h, std::string label) {
   return row;
 }
 
-slo_report build_slo_report(const registry& reg) {
-  slo_report report;
-  report.rows.push_back(slo_from_histogram(reg.fleet_slo(), "fleet"));
-  for (std::size_t g = 0; g < reg.group_count(); ++g) {
-    report.rows.push_back(slo_from_histogram(
-        reg.group_slo(g), "group " + std::to_string(g)));
-  }
-  return report;
-}
-
 }  // namespace mca::obs

@@ -1,13 +1,11 @@
-// SLO percentile reporting: p50/p95/p99/p99.9 response time per group and
-// fleet-wide, extracted from util::histogram with within-bin linear
-// interpolation (histogram::quantile_interpolated), each within a relative
-// 2^-5 of the exact percentile of the recorded responses.
+// SLO percentile reporting: p50/p95/p99/p99.9 response time of one latency
+// histogram (a group's, the fleet's or a scenario's), extracted with
+// within-bin linear interpolation (histogram::quantile_interpolated), each
+// within a relative 2^-5 of the exact percentile of the recorded responses.
 #pragma once
 
 #include <string>
-#include <vector>
 
-#include "obs/registry.h"
 #include "util/histogram.h"
 
 namespace mca::obs {
@@ -21,15 +19,7 @@ struct slo_row {
   double p999_ms = 0.0;
 };
 
-struct slo_report {
-  /// rows[0] is the fleet-wide row; one row per group follows.
-  std::vector<slo_row> rows;
-};
-
 /// Percentiles of one histogram (zeros when empty).
 slo_row slo_from_histogram(const util::histogram& h, std::string label);
-
-/// The full report off a registry's SLO histograms.
-slo_report build_slo_report(const registry& reg);
 
 }  // namespace mca::obs

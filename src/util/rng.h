@@ -137,16 +137,6 @@ class rng {
         uniform_int(0, static_cast<std::int64_t>(items.size()) - 1))];
   }
 
-  /// Fisher–Yates shuffle.
-  template <typename T>
-  void shuffle(std::span<T> items) {
-    for (std::size_t i = items.size(); i > 1; --i) {
-      const auto j = static_cast<std::size_t>(
-          uniform_int(0, static_cast<std::int64_t>(i) - 1));
-      std::swap(items[i - 1], items[j]);
-    }
-  }
-
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));

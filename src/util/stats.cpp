@@ -105,10 +105,4 @@ double mean_of(std::span<const double> samples) noexcept {
   return acc.mean();
 }
 
-double stddev_of(std::span<const double> samples) noexcept {
-  running_stats acc;
-  for (double x : samples) acc.add(x);
-  return acc.stddev();
-}
-
 }  // namespace mca::util

@@ -78,7 +78,4 @@ summary summary_of_sorted(std::span<const double> sorted);
 /// Mean of a sample set; 0 when empty.
 double mean_of(std::span<const double> samples) noexcept;
 
-/// Sample standard deviation; 0 with fewer than two samples.
-double stddev_of(std::span<const double> samples) noexcept;
-
 }  // namespace mca::util

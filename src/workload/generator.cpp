@@ -5,6 +5,12 @@
 #include <utility>
 
 namespace mca::workload {
+
+namespace {
+/// The rate-doubling schedule's users, who issue its requests round-robin.
+constexpr user_id kRateDoublingUsers = 1000;
+}  // namespace
+
 task_source random_pool_source(const tasks::task_pool& pool) {
   return [&pool](util::rng& rng) { return pool.random_request(rng); };
 }
@@ -74,7 +80,7 @@ void concurrent_generator::emit_round() {
   for (std::size_t u = 0; u < config_.users; ++u) {
     offload_request request;
     request.id = ++emitted_;
-    request.user = config_.first_user + static_cast<user_id>(u);
+    request.user = static_cast<user_id>(u);
     request.work = source_(rng_);
     request.created_at = sim_.now();
     sink_(request);
@@ -105,8 +111,12 @@ interarrival_generator::interarrival_generator(sim::simulation& sim,
       [this](std::uint32_t device) { on_arrival(device); });
   const util::time_ms start = sim_.now();
   for (std::size_t d = 0; d < config_.devices; ++d) {
-    // Desynchronize devices with an initial fractional gap.
-    sim_.schedule_arrival(start + gaps_(rng_) * rng_.uniform(),
+    // Desynchronize devices with an initial fractional gap: the gap is
+    // drawn before the fraction, in two statements, because the order of
+    // two draws inside one expression is unspecified.
+    const util::time_ms gap = gaps_(rng_);
+    const double fraction = rng_.uniform();
+    sim_.schedule_arrival(start + gap * fraction,
                           static_cast<std::uint32_t>(d));
   }
   deadline_ = start + config_.active_duration;
@@ -116,7 +126,7 @@ void interarrival_generator::on_arrival(std::uint32_t device) {
   if (sim_.now() >= deadline_) return;
   offload_request request;
   request.id = ++emitted_;
-  request.user = config_.first_user + static_cast<user_id>(device);
+  request.user = static_cast<user_id>(device);
   request.work = source_(rng_);
   request.created_at = sim_.now();
   sink_(request);
@@ -206,8 +216,7 @@ void rate_doubling_generator::schedule_arrival() {
     offload_request request;
     request.id = ++emitted_;
     request.user = next_user_;
-    next_user_ = (next_user_ + 1) %
-                 static_cast<user_id>(config_.user_population);
+    next_user_ = (next_user_ + 1) % kRateDoublingUsers;
     request.work = source_(rng_);
     request.created_at = sim_.now();
     sink_(request);

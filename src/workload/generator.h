@@ -42,14 +42,13 @@ interarrival_fn exponential_interarrival(double rate_hz);
 interarrival_fn empirical_interarrival(
     std::shared_ptr<const util::empirical_distribution> distribution);
 
-/// Concurrent mode: every `gap` ms, all `users` fire one request at once;
-/// `rounds` rounds in total.  The 1-minute default gap is the paper's
-/// cool-down between bursts.
+/// Concurrent mode: every `gap` ms, all `users` (ids 0..users-1) fire one
+/// request at once; `rounds` rounds in total.  The 1-minute default gap is
+/// the paper's cool-down between bursts.
 struct concurrent_config {
   std::size_t users = 1;
   std::size_t rounds = 1;
   util::time_ms gap = util::minutes(1);
-  user_id first_user = 0;
 };
 
 class concurrent_generator {
@@ -74,14 +73,14 @@ class concurrent_generator {
   std::unique_ptr<sim::periodic_process> process_;
 };
 
-/// Inter-arrival mode: `devices` independent devices, each issuing its next
-/// request one sampled gap after its previous one, for `active_duration` of
-/// simulated time.  Each device keeps one arrival pending in the simulation's
-/// arrival lane, so a simulation runs one such generator, of <= 2^24 devices.
+/// Inter-arrival mode: `devices` independent devices (user ids
+/// 0..devices-1), each issuing its next request one sampled gap after its
+/// previous one, for `active_duration` of simulated time.  Each device keeps
+/// one arrival pending in the simulation's arrival lane, so a simulation
+/// runs one such generator, of <= 2^24 devices.
 struct interarrival_config {
   std::size_t devices = 1;
   util::time_ms active_duration = util::hours(1);
-  user_id first_user = 0;
 };
 
 class interarrival_generator {
@@ -143,12 +142,12 @@ class replay_generator {
 };
 
 /// Rate-doubling schedule (Fig. 8): Poisson arrivals at `initial_hz`,
-/// doubling every `phase_length` until past `final_hz`.
+/// doubling every `phase_length` until past `final_hz`, issued round-robin
+/// by a population of 1000 users.
 struct rate_doubling_config {
   double initial_hz = 1.0;
   double final_hz = 1024.0;
   util::time_ms phase_length = util::minutes(5);
-  std::size_t user_population = 1000;
 };
 
 class rate_doubling_generator {

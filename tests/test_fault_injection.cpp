@@ -246,7 +246,7 @@ TEST(FaultSpans, OneSpanPerOutageOneMarkerPerStrike) {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario wiring: the program maps onto sdn_config / instance options.
+// Scenario wiring: the program rides on the system config.
 // ---------------------------------------------------------------------------
 
 TEST(FaultScenario, ProgramMapsOntoSystemConfig) {
@@ -307,6 +307,11 @@ class SdnResilienceTest : public ::testing::Test {
     config_.routing_overhead_mean_ms = 150.0;
     config_.routing_overhead_sd_ms = 0.0;
     config_.backend_one_way_ms = 3.0;
+    // Active with every resilience knob off; each test turns on its own.
+    faults_.enabled = true;
+    faults_.max_retries = 0;
+    faults_.request_timeout_ms = 0.0;
+    faults_.local_fallback = false;
   }
 
   /// Points `sdn`'s request counters at the fixture's registry.
@@ -332,6 +337,7 @@ class SdnResilienceTest : public ::testing::Test {
   cloud::backend_pool backend_{sim_, util::rng{1}};
   trace::log_store log_;
   core::sdn_config config_;
+  fault::fault_program faults_;
   test_support::recording_sink sink_;
   obs::registry obs_;
   request_id next_id_ = 0;
@@ -341,14 +347,14 @@ TEST_F(SdnResilienceTest, TimeoutRetriesThenFallsBackLocally) {
   // Service takes ~288 ms on a 1 wu/ms core; a 100 ms timeout fires on
   // both attempts, after which the device runs the task itself.
   backend_.launch(1, exact_type());
-  config_.max_retries = 1;
-  config_.request_timeout_ms = 100.0;
-  config_.retry_backoff_base_ms = 10.0;
-  config_.retry_backoff_cap_ms = 20.0;
-  config_.local_fallback = true;
-  config_.local_exec_wu_per_ms = 1.0;
-  core::sdn_accelerator sdn{sim_,    backend_, fixed_link(40.0),
-                            &log_,   config_,  util::rng{2}};
+  faults_.max_retries = 1;
+  faults_.request_timeout_ms = 100.0;
+  faults_.retry_backoff_base_ms = 10.0;
+  faults_.retry_backoff_cap_ms = 20.0;
+  faults_.local_fallback = true;
+  faults_.local_exec_wu_per_ms = 1.0;
+  core::sdn_accelerator sdn{sim_,    backend_,     fixed_link(40.0), &log_,
+                            config_, util::rng{2}, faults_};
   count(sdn);
   sdn.set_response_sink(&sink_);
   sdn.submit(make_request(1), 1, 0.9);
@@ -371,11 +377,11 @@ TEST_F(SdnResilienceTest, TimeoutRetriesThenFallsBackLocally) {
 TEST_F(SdnResilienceTest, RetryBudgetExhaustionDeliversFailureNotice) {
   // No instances, one retry, no fallback: the failure notice still pays
   // the return hops and lands at the device.
-  config_.max_retries = 1;
-  config_.retry_backoff_base_ms = 10.0;
-  config_.retry_backoff_cap_ms = 20.0;
-  core::sdn_accelerator sdn{sim_,    backend_, fixed_link(40.0),
-                            &log_,   config_,  util::rng{2}};
+  faults_.max_retries = 1;
+  faults_.retry_backoff_base_ms = 10.0;
+  faults_.retry_backoff_cap_ms = 20.0;
+  core::sdn_accelerator sdn{sim_,    backend_,     fixed_link(40.0), &log_,
+                            config_, util::rng{2}, faults_};
   count(sdn);
   sdn.set_response_sink(&sink_);
   sdn.submit(make_request(1), 1, 0.9);
@@ -391,11 +397,11 @@ TEST_F(SdnResilienceTest, RetryBudgetExhaustionDeliversFailureNotice) {
 
 TEST_F(SdnResilienceTest, PreemptedInFlightRetriesOnSurvivingInstance) {
   backend_.launch(1, exact_type());
-  config_.max_retries = 2;
-  config_.retry_backoff_base_ms = 10.0;
-  config_.retry_backoff_cap_ms = 20.0;
-  core::sdn_accelerator sdn{sim_,    backend_, fixed_link(40.0),
-                            &log_,   config_,  util::rng{2}};
+  faults_.max_retries = 2;
+  faults_.retry_backoff_base_ms = 10.0;
+  faults_.retry_backoff_cap_ms = 20.0;
+  core::sdn_accelerator sdn{sim_,    backend_,     fixed_link(40.0), &log_,
+                            config_, util::rng{2}, faults_};
   count(sdn);
   sdn.set_response_sink(&sink_);
   sdn.submit(make_request(1), 1, 0.9);
@@ -420,15 +426,15 @@ TEST_F(SdnResilienceTest, PreemptedInFlightRetriesOnSurvivingInstance) {
 }
 
 TEST_F(SdnResilienceTest, BackoffJitterIsDeterministicPerRequest) {
-  config_.max_retries = 2;
-  config_.local_fallback = true;
-  config_.local_exec_wu_per_ms = 1.0;
+  faults_.max_retries = 2;
+  faults_.local_fallback = true;
+  faults_.local_exec_wu_per_ms = 1.0;
   double routing[2] = {0.0, 0.0};
   for (int run = 0; run < 2; ++run) {
     sim::simulation sim;
     cloud::backend_pool backend{sim, util::rng{1}};  // empty group: retries
-    core::sdn_accelerator sdn{sim,    backend, fixed_link(40.0),
-                              &log_,  config_, util::rng{2}};
+    core::sdn_accelerator sdn{sim,     backend,      fixed_link(40.0), &log_,
+                              config_, util::rng{2}, faults_};
     test_support::recording_sink sink;
     sdn.set_response_sink(&sink);
     workload::offload_request r;

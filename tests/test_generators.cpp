@@ -54,15 +54,14 @@ TEST_F(GeneratorTest, ConcurrentUsersAreDistinctPerRound) {
   concurrent_config config;
   config.users = 25;
   config.rounds = 1;
-  config.first_user = 100;
   concurrent_generator gen{sim_, random_pool_source(pool_), collect(), config,
                            util::rng{1}};
   sim_.run();
   std::set<user_id> users;
   for (const auto& r : received_) users.insert(r.user);
   EXPECT_EQ(users.size(), 25u);
-  EXPECT_EQ(*users.begin(), 100u);
-  EXPECT_EQ(*users.rbegin(), 124u);
+  EXPECT_EQ(*users.begin(), 0u);
+  EXPECT_EQ(*users.rbegin(), 24u);
 }
 
 TEST_F(GeneratorTest, ConcurrentValidation) {
@@ -206,8 +205,10 @@ class heap_interarrival_generator {
         rng_{rng} {
     const util::time_ms start = sim_.now();
     for (std::size_t d = 0; d < config_.devices; ++d) {
-      const auto user = config_.first_user + static_cast<user_id>(d);
-      sim_.schedule_at(start + gaps_(rng_) * rng_.uniform(),
+      const auto user = static_cast<user_id>(d);
+      const util::time_ms gap = gaps_(rng_);
+      const double fraction = rng_.uniform();
+      sim_.schedule_at(start + gap * fraction,
                        [this, user] { schedule_next(user); });
     }
     deadline_ = start + config_.active_duration;
@@ -270,7 +271,6 @@ equivalence_run run_for_equivalence(const tasks::task_pool& pool,
   interarrival_config config;
   config.devices = 1'000;
   config.active_duration = util::seconds(20);
-  config.first_user = 7;
   Generator gen{sim, random_pool_source(pool), sink, gaps, config,
                 util::rng{2024}};
   sim.run();

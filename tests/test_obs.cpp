@@ -101,25 +101,27 @@ TEST(ObsRegistry, FingerprintCoversSeriesAndSlo) {
   EXPECT_NE(a.fingerprint(), b.fingerprint());
 }
 
-TEST(ObsRegistry, SloReportRowsAndFleetTotal) {
+TEST(ObsRegistry, SloRowsPerGroupAndFleetTotal) {
   registry reg{2};
   for (int i = 0; i < 100; ++i) {
     reg.observe_response(0, 100.0 + i);  // group 0: 100..199 ms
     reg.observe_response(1, 1000.0);     // group 1: constant 1 s
   }
   reg.observe_response(7, 5.0);  // out of range: dropped, no crash
-  const slo_report report = build_slo_report(reg);
-  ASSERT_EQ(report.rows.size(), 3u);
-  EXPECT_EQ(report.rows[0].label, "fleet");
-  EXPECT_EQ(report.rows[0].samples, 200u);
-  EXPECT_EQ(report.rows[1].samples, 100u);
-  EXPECT_EQ(report.rows[2].samples, 100u);
+  ASSERT_EQ(reg.group_count(), 2u);
+  const slo_row fleet = slo_from_histogram(reg.fleet_slo(), "fleet");
+  const slo_row group0 = slo_from_histogram(reg.group_slo(0), "group 0");
+  const slo_row group1 = slo_from_histogram(reg.group_slo(1), "group 1");
+  EXPECT_EQ(fleet.label, "fleet");
+  EXPECT_EQ(fleet.samples, 200u);
+  EXPECT_EQ(group0.samples, 100u);
+  EXPECT_EQ(group1.samples, 100u);
   // Group 0 percentiles rise through the 100..199 ms band.
-  EXPECT_GT(report.rows[1].p99_ms, report.rows[1].p50_ms);
-  EXPECT_GE(report.rows[1].p999_ms, report.rows[1].p99_ms);
+  EXPECT_GT(group0.p99_ms, group0.p50_ms);
+  EXPECT_GE(group0.p999_ms, group0.p99_ms);
   // Group 1 is a point mass: every percentile within 2^-5 of 1 s.
-  EXPECT_NEAR(report.rows[2].p50_ms, 1000.0, 1000.0 / 32.0);
-  EXPECT_NEAR(report.rows[2].p999_ms, 1000.0, 1000.0 / 32.0);
+  EXPECT_NEAR(group1.p50_ms, 1000.0, 1000.0 / 32.0);
+  EXPECT_NEAR(group1.p999_ms, 1000.0, 1000.0 / 32.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <bit>
 #include <set>
 #include <vector>
@@ -162,27 +161,6 @@ TEST(Rng, PickThrowsOnEmpty) {
   rng r{29};
   const std::vector<int> empty;
   EXPECT_THROW(r.pick(std::span<const int>{empty}), std::invalid_argument);
-}
-
-TEST(Rng, ShuffleIsPermutation) {
-  rng r{31};
-  std::vector<int> items{1, 2, 3, 4, 5, 6, 7, 8};
-  auto sorted = items;
-  r.shuffle(std::span<int>{items});
-  std::sort(items.begin(), items.end());
-  EXPECT_EQ(items, sorted);
-}
-
-TEST(Rng, ShuffleChangesOrderEventually) {
-  rng r{31};
-  std::vector<int> items{1, 2, 3, 4, 5, 6, 7, 8};
-  const auto original = items;
-  bool changed = false;
-  for (int i = 0; i < 10 && !changed; ++i) {
-    r.shuffle(std::span<int>{items});
-    changed = items != original;
-  }
-  EXPECT_TRUE(changed);
 }
 
 TEST(RngSplit, DeterministicPureFunction) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 #include <set>
 #include <vector>
 
@@ -40,7 +42,6 @@ class SdnTest : public ::testing::Test {
     config_.routing_overhead_mean_ms = 150.0;
     config_.routing_overhead_sd_ms = 0.0;
     config_.backend_one_way_ms = 3.0;
-    config_.keep_routing_samples = true;
   }
 
   /// Points `sdn`'s request counters at the fixture's registry.
@@ -111,21 +112,24 @@ TEST_F(SdnTest, RoutingOverheadIsAboutOneFiftyMs) {
   }
   sim_.run();
   ASSERT_EQ(sink_.responses.size(), n);
-  const std::vector<double>& samples = sdn.routing_samples(1);
-  ASSERT_EQ(samples.size(), n);
 
+  // Every request reaches the sink exactly once with its routing time, so
+  // Fig. 8a collects its samples there, ordered by request id.
+  std::vector<int> seen(n, 0);
   util::running_stats routing;
   util::running_stats uplink;
   for (const auto& response : sink_.responses) {
     const request_timing& t = response.timing;
     ASSERT_TRUE(t.success);
-    // Ids follow arrival, the order the Fig. 8a samples are kept in.
-    EXPECT_EQ(samples[response.request.id - 1], t.routing);
+    ASSERT_LE(response.request.id, n);
+    ++seen[response.request.id - 1];
     EXPECT_EQ(t.front_to_back, config_.backend_one_way_ms);
     EXPECT_EQ(t.back_to_front, config_.backend_one_way_ms);
     routing.add(t.routing);
     uplink.add(t.mobile_to_front);
   }
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),
+            static_cast<std::ptrdiff_t>(n));
   // Against N(150, 20) (the 5 ms floor sits 7 sd below the mean): the
   // sample mean's standard error is 20/sqrt(n) ~ 0.14 ms and the sample
   // sd's is about 20/sqrt(2n) ~ 0.10 ms; allow five of each.
@@ -250,13 +254,17 @@ TEST_F(SdnTest, CountsMultipleGroupsSeparately) {
   backend_.launch(2, exact_type());
   sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), &log_, config_,
                       util::rng{9}};
+  sdn.set_response_sink(&sink_);
   sdn.submit(make_request(1), 1, 1.0);
   sdn.submit(make_request(2), 2, 1.0);
   sdn.submit(make_request(3), 2, 1.0);
   sim_.run();
-  EXPECT_EQ(sdn.routing_samples(1).size(), 1u);
-  EXPECT_EQ(sdn.routing_samples(2).size(), 2u);
-  EXPECT_EQ(sdn.routing_samples(3).size(), 0u);
+  std::map<group_id, std::size_t> per_group;
+  for (const auto& response : sink_.responses) {
+    EXPECT_TRUE(response.timing.success);
+    ++per_group[response.group];
+  }
+  EXPECT_EQ(per_group, (std::map<group_id, std::size_t>{{1, 1}, {2, 2}}));
 }
 
 TEST_F(SdnTest, ThreeGLinkInflatesT1Only) {
@@ -324,10 +332,13 @@ TEST_F(SdnTest, RejectionWithNoInstanceCostsTwoEvents) {
 }
 
 TEST_F(SdnTest, LocalFallbackWithNoInstanceCostsTwoEvents) {
-  config_.local_fallback = true;
-  config_.local_exec_wu_per_ms = 1.0;
+  fault::fault_program faults;
+  faults.enabled = true;
+  faults.max_retries = 0;
+  faults.request_timeout_ms = 0.0;
+  faults.local_exec_wu_per_ms = 1.0;
   sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), &log_, config_,
-                      util::rng{14}};
+                      util::rng{14}, faults};
   count(sdn);
   sdn.set_response_sink(&sink_);
   sdn.submit(make_request(1), 1, 1.0);
@@ -344,6 +355,92 @@ TEST_F(SdnTest, ConfigValidation) {
   EXPECT_THROW(sdn_accelerator(sim_, backend_, fixed_link(40.0), &log_, bad,
                                util::rng{1}),
                std::invalid_argument);
+}
+
+// The SDN reads the fault program's resilience knobs only while it is
+// active: an inactive program with live-looking knobs must run exactly
+// like the default one -- no jitter-seed draw, no timer, no retry.
+TEST_F(SdnTest, InactiveFaultProgramIsInert) {
+  fault::fault_program dormant;
+  dormant.max_retries = 5;
+  dormant.request_timeout_ms = 1.0;
+  dormant.retry_backoff_base_ms = 1.0;
+  dormant.local_exec_wu_per_ms = 1.0;
+  ASSERT_FALSE(dormant.active());
+  config_.routing_overhead_sd_ms = 20.0;  // rng draws show in the timing
+
+  struct run_result {
+    std::vector<request_timing> timings;
+    std::uint64_t events = 0;
+  };
+  auto run = [&](const fault::fault_program& faults) {
+    sim::simulation sim;
+    cloud::backend_pool backend{sim, util::rng{1}};
+    backend.launch(1, exact_type());  // group 2 has no instance: rejected
+    sdn_accelerator sdn{sim, backend, fixed_link(40.0), nullptr, config_,
+                        util::rng{15}, faults};
+    test_support::recording_sink sink;
+    sdn.set_response_sink(&sink);
+    for (user_id u = 0; u < 4; ++u) {
+      // 2 s apart, so no two requests share the instance.
+      sim.schedule_at(u * 2'000.0, [&, u, r = make_request(u)] {
+        sdn.submit(r, u % 2 == 0 ? 1 : 2, 1.0);
+      });
+    }
+    sim.run();
+    run_result out;
+    for (const auto& response : sink.responses) {
+      out.timings.push_back(response.timing);
+    }
+    out.events = sim.executed_events();
+    return out;
+  };
+  const run_result plain = run(fault::fault_program{});
+  const run_result dormant_run = run(dormant);
+  // No jitter seed is drawn ahead of the first request: its half-RTT and
+  // routing overhead are the stream's first draws.
+  util::rng stream{15};
+  const double half_rtt = fixed_link(40.0).sample(stream, 0.0) / 2.0;
+  ASSERT_FALSE(plain.timings.empty());
+  EXPECT_EQ(plain.timings[0].mobile_to_front, half_rtt);
+  EXPECT_EQ(plain.timings[0].routing,
+            std::max(stream.normal(150.0, 20.0), 5.0));
+  // Four submit events, then two successes at three events each and two
+  // rejections at two each: a timer or a retry would add events.
+  EXPECT_EQ(plain.events, 14u);
+  EXPECT_EQ(dormant_run.events, plain.events);
+  ASSERT_EQ(plain.timings.size(), 4u);
+  ASSERT_EQ(dormant_run.timings.size(), plain.timings.size());
+  for (std::size_t i = 0; i < plain.timings.size(); ++i) {
+    const request_timing& a = plain.timings[i];
+    const request_timing& b = dormant_run.timings[i];
+    EXPECT_EQ(a.success, b.success) << i;
+    EXPECT_EQ(a.local, b.local) << i;
+    EXPECT_EQ(a.mobile_to_front, b.mobile_to_front) << i;
+    EXPECT_EQ(a.routing, b.routing) << i;
+    EXPECT_EQ(a.cloud, b.cloud) << i;
+    EXPECT_EQ(a.back_to_front, b.back_to_front) << i;
+  }
+}
+
+// An active program is checked by fault::validate's rules at construction.
+TEST_F(SdnTest, ActiveFaultProgramIsValidated) {
+  fault::fault_program negative_timeout;
+  negative_timeout.enabled = true;
+  negative_timeout.request_timeout_ms = -1.0;
+  fault::fault_program cap_below_base;
+  cap_below_base.enabled = true;
+  cap_below_base.retry_backoff_base_ms = 500.0;
+  cap_below_base.retry_backoff_cap_ms = 100.0;
+  fault::fault_program stalled_fallback;
+  stalled_fallback.enabled = true;
+  stalled_fallback.local_exec_wu_per_ms = 0.0;
+  for (const fault::fault_program* bad :
+       {&negative_timeout, &cap_below_base, &stalled_fallback}) {
+    EXPECT_THROW(sdn_accelerator(sim_, backend_, fixed_link(40.0), &log_,
+                                 config_, util::rng{1}, *bad),
+                 std::invalid_argument);
+  }
 }
 
 }  // namespace
