@@ -6,11 +6,14 @@
 // the knee is).  A bench exits nonzero if any check fails.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace mca::bench {
@@ -56,6 +59,43 @@ inline std::string ratio_detail(const char* name, double value) {
 // ---- CLI flags -----------------------------------------------------------
 // The perf harnesses share a tiny "--flag value" convention (fig_suite:
 // --jobs/--seeds/--scenario/..., micro_ops: the output path).
+
+/// One flag a bench accepts, and whether a value follows it.
+struct accepted_flag {
+  std::string_view name;
+  bool takes_value = false;
+};
+
+/// Exits with status 2, before the bench runs or writes anything, when
+/// argv holds an argument that is not one of `accepted` or a value flag
+/// with no value: the helpers below ignore what they do not look for, so
+/// a typo'd flag (or --help) would otherwise run the default suite and
+/// overwrite its output.  The message names the bench, the bad argument
+/// and the accepted flags.
+inline void reject_unknown_flags(
+    int argc, char** argv, const char* bench_name,
+    std::initializer_list<accepted_flag> accepted) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    const auto match = std::find_if(
+        accepted.begin(), accepted.end(),
+        [arg](const accepted_flag& flag) { return flag.name == arg; });
+    const bool known = match != accepted.end();
+    if (known && !match->takes_value) continue;
+    if (known && i + 1 < argc) {
+      ++i;  // the flag's value
+      continue;
+    }
+    std::fprintf(stderr, "%s: %s '%s'; accepted:", bench_name,
+                 known ? "missing value after" : "unknown argument", argv[i]);
+    for (const accepted_flag& flag : accepted) {
+      std::fprintf(stderr, " %.*s%s", static_cast<int>(flag.name.size()),
+                   flag.name.data(), flag.takes_value ? " VALUE" : "");
+    }
+    std::fprintf(stderr, "\n");
+    std::exit(2);
+  }
+}
 
 /// The value following `flag` in argv, if present.
 inline std::optional<std::string> flag_value(int argc, char** argv,

@@ -12,6 +12,9 @@
 //   fig_suite [--scenario NAME] [--replications R] [--seeds a,b,c]
 //             [--jobs N] [--out PATH] [--list]
 //
+// Any other argument (--help included), or a value flag with no value,
+// exits 2 before anything runs or BENCH_figures.json is written.
+//
 // The >2x speedup gate applies only when the machine actually has >= 4
 // hardware threads; on smaller machines (and throttled CI runners) the
 // ratio is reported but advisory.
@@ -101,6 +104,13 @@ bool write_figures_json(const std::string& path, std::size_t jobs,
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::reject_unknown_flags(argc, argv, "fig_suite",
+                              {{"--list"},
+                               {"--scenario", true},
+                               {"--replications", true},
+                               {"--jobs", true},
+                               {"--out", true},
+                               {"--seeds", true}});
   const auto scenarios = exp::builtin_scenarios();
   if (bench::has_flag(argc, argv, "--list")) {
     for (const auto& spec : scenarios) {

@@ -13,6 +13,9 @@
 //   fleet_scale [--smoke] [--faults] [--trace PATH] [--trace-slots A:B]
 //               [--health PATH]
 //
+// Any other argument, or a value flag with no value, exits 2 before the
+// run.
+//
 // --faults runs the scenario under its fault program instead (spot
 // preemption hazards, a region outage on group 2 strictly inside slot 1,
 // cold starts, and the timeout/retry/local-fallback path).  --trace
@@ -124,6 +127,12 @@ exp::scenario_spec faulted_fleet_spec(const exp::scenario_spec& base) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::reject_unknown_flags(argc, argv, "fleet_scale",
+                              {{"--smoke"},
+                               {"--faults"},
+                               {"--trace", true},
+                               {"--trace-slots", true},
+                               {"--health", true}});
   const bool smoke = bench::has_flag(argc, argv, "--smoke");
   const bool with_faults = bench::has_flag(argc, argv, "--faults");
   const auto trace_path = bench::flag_value(argc, argv, "--trace");

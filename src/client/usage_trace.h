@@ -28,22 +28,27 @@ struct usage_study_config {
 };
 
 /// App-event timestamps (ms since study start) for one participant, in
-/// ascending order (util::sort_doubles: the same bytes std::sort gives, at
-/// a fraction of its cost).  Nights (00:00–07:00) have essentially no
-/// activity.
+/// ascending order: the same bytes std::sort gives.  Each session is an
+/// ascending run; the runs are merged an hour at a time, in order of their
+/// starts, so only overlapping sessions interleave and no sort runs.
+/// Nights (00:00–07:00) have essentially no activity.
 std::vector<util::time_ms> synthesize_participant_events(
     const usage_study_config& config, util::rng& rng);
 
 /// Pooled within-session inter-arrival samples across all participants,
 /// inside the 100–5000 ms band (long idle gaps between sessions removed,
-/// as the paper removes inactive periods).  All finite,
-/// in participant then time order, and allocated once: the capacity stays
-/// within 1.1x of the size (~2.2M gaps, 17 MB, for the default study).
+/// as the paper removes inactive periods).  All finite, in participant
+/// then time order.  Participants are synthesized one at a time and
+/// streamed into this one array, which is reserved once at an upper bound
+/// on the expected count (~2.2M gaps, 17 MB, for the default study, with
+/// the capacity within 1.1x of the size); besides it the synthesis holds
+/// only the sessions that run past the current hour.
 std::vector<double> study_interarrivals(const usage_study_config& config,
                                         util::rng& rng);
 
 /// The study distilled into a samplable distribution: the gaps are moved
-/// into it, not copied, and sorted in place.
+/// into it, not copied, and sorted in place (util::sort_doubles), so the
+/// gap array is the only large allocation from synthesis to sampling.
 util::empirical_distribution study_interarrival_distribution(
     const usage_study_config& config, std::uint64_t seed);
 

@@ -149,7 +149,7 @@ void instance::on_completion_event() {
   while (!heap_.empty() && heap_.front().finish_v <= due) {
     finished_scratch_.push_back(
         static_cast<std::uint32_t>(heap_.front().key & kJobSlotMask));
-    std::pop_heap(heap_.begin(), heap_.end(), finishes_later);
+    std::pop_heap(heap_.begin(), heap_.end(), finishes_later{});
     heap_.pop_back();
   }
   if (obs_ != nullptr) {
@@ -226,7 +226,7 @@ bool instance::submit(double work_units, completion_fn on_complete) {
   // here is what keeps bursty submits O(log n) with no event churn.
   bool need_arm = heap_.empty() || new_finish < heap_.front().finish_v;
   heap_.push_back({new_finish, (next_sequence_++ << kJobSlotBits) | idx});
-  std::push_heap(heap_.begin(), heap_.end(), finishes_later);
+  std::push_heap(heap_.begin(), heap_.end(), finishes_later{});
   if (!need_arm && opts_.enable_cpu_credits && credits_ > 0.0) {
     const double busy_cores =
         std::min(static_cast<double>(heap_.size()), type_.vcpus);

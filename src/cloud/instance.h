@@ -176,11 +176,15 @@ class instance {
     double finish_v = 0.0;
     std::uint64_t key = 0;
   };
-  static bool finishes_later(const finish_entry& a,
-                             const finish_entry& b) noexcept {
-    if (a.finish_v != b.finish_v) return a.finish_v > b.finish_v;
-    return a.key > b.key;
-  }
+  /// The heap order, as a function object so std::push_heap/pop_heap
+  /// inline it (a function pointer stays an indirect call).
+  struct finishes_later {
+    bool operator()(const finish_entry& a,
+                    const finish_entry& b) const noexcept {
+      if (a.finish_v != b.finish_v) return a.finish_v > b.finish_v;
+      return a.key > b.key;
+    }
+  };
 
   /// Per-job progress rate (wu/ms) for `n` active jobs under current state.
   double rate_per_job(std::size_t n) const noexcept;

@@ -21,9 +21,11 @@ namespace mca::util {
 /// Samplable wrapper around a set of observed values.
 class empirical_distribution {
  public:
-  /// Takes the samples by value and sorts them in place (`sort_doubles`),
-  /// so a caller that moves its array in pays no copy: the study's ~2.2M
-  /// gaps become the distribution's storage.  Throws std::invalid_argument
+  /// Takes the samples by value and sorts them in place (`sort_doubles`,
+  /// whose scratch is the size of its largest top-level bucket, not of the
+  /// array), so a caller that moves its array in pays no copy and no
+  /// second array: the study's ~2.2M gaps become the distribution's
+  /// storage.  Throws std::invalid_argument
   /// on an empty sample set, and on a NaN or ±inf sample, naming the first
   /// one's index: the sort needs a strict weak ordering, and an infinite
   /// order statistic would make draws infinite or NaN.

@@ -1,9 +1,11 @@
 #include "util/float_sort.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 namespace mca::util {
@@ -13,9 +15,14 @@ namespace {
 /// to std::sort; arrays up to it go to std::sort without bucketing.
 constexpr std::size_t kInsertionMax = 64;
 
-/// At most one bucket per 2^kLoadShift elements: the count array stays a
-/// sixteenth of the values' bytes, and a bucket averages a few shifts.
+/// Within a top-level bucket, at most one sub-bucket per 2^kLoadShift
+/// elements: the count array stays a sixteenth of the bucket's bytes, and
+/// a sub-bucket averages a few shifts.
 constexpr int kLoadShift = 3;
+
+/// The in-place top-level pass partitions by this many high key bits.
+constexpr int kTopBits = 8;
+constexpr std::size_t kTopBuckets = std::size_t{1} << kTopBits;
 
 /// Ascending doubles map to ascending keys: a non-negative value keeps its
 /// bits with the sign bit set; a negative one has every bit flipped.
@@ -31,14 +38,9 @@ std::size_t fallback_sort(std::span<double> values) {
   return values.size() * static_cast<std::size_t>(std::bit_width(values.size()));
 }
 
-}  // namespace
-
-std::size_t sort_doubles(std::span<double> values) {
-  const std::size_t n = values.size();
-  if (n <= kInsertionMax || n > std::numeric_limits<std::uint32_t>::max()) {
-    return fallback_sort(values);
-  }
-
+/// Smallest and largest key in a non-empty span.
+std::pair<std::uint64_t, std::uint64_t> key_range(
+    std::span<const double> values) noexcept {
   std::uint64_t lo = key_of(values[0]);
   std::uint64_t hi = lo;
   for (const double x : values) {
@@ -46,10 +48,34 @@ std::size_t sort_doubles(std::span<double> values) {
     lo = std::min(lo, key);
     hi = std::max(hi, key);
   }
+  return {lo, hi};
+}
+
+/// Sorts one top-level bucket: insertion sort when it is small, otherwise
+/// a scatter into `scratch` by the key's high bits above the bucket's
+/// smallest key and an insertion (or, when overfull, std::sort) pass back.
+/// `scratch` holds at least values.size() doubles and `ends` has capacity
+/// for values.size() / 8 + 1 counters, so neither grows here.
+std::size_t bucket_sort(std::span<double> values, std::vector<double>& scratch,
+                        std::vector<std::uint32_t>& ends) {
+  const std::size_t n = values.size();
+  std::size_t work = 0;
+  if (n <= kInsertionMax) {
+    for (std::size_t i = 1; i < n; ++i) {
+      const double x = values[i];
+      std::size_t j = i;
+      for (; j > 0 && values[j - 1] > x; --j) values[j] = values[j - 1];
+      work += i - j;
+      values[j] = x;
+    }
+    return work;
+  }
+
+  const auto [lo, hi] = key_range(values);
   if (lo == hi) return n;  // every element has the same bits
 
-  // A value's bucket is the top bits of its key's offset from the
-  // smallest key, so buckets are ascending and within one the order is
+  // A value's sub-bucket is the top bits of its key's offset from the
+  // smallest key, so sub-buckets are ascending and within one the order is
   // the order of doubles.
   const int bucket_bits = static_cast<int>(std::bit_width(n)) - 1 - kLoadShift;
   const int shift =
@@ -59,8 +85,7 @@ std::size_t sort_doubles(std::span<double> values) {
   };
 
   // Counts, then start offsets, then (after the scatter) end offsets.
-  std::vector<std::uint32_t> ends(
-      static_cast<std::size_t>((hi - lo) >> shift) + 1, 0);
+  ends.assign(static_cast<std::size_t>((hi - lo) >> shift) + 1, 0);
   for (const double x : values) ++ends[bucket_of(x)];
   std::uint32_t start = 0;
   for (std::uint32_t& slot : ends) {
@@ -68,12 +93,11 @@ std::size_t sort_doubles(std::span<double> values) {
     slot = start;
     start += count;
   }
-  std::vector<double> scratch(n);
   for (const double x : values) scratch[ends[bucket_of(x)]++] = x;
 
-  // Each bucket goes back into `values` by insertion, or, when overfull,
-  // by a copy and std::sort.
-  std::size_t work = n;
+  // Each sub-bucket goes back into `values` by insertion, or, when
+  // overfull, by a copy and std::sort.
+  work = n;
   std::size_t begin = 0;
   for (const std::size_t end : ends) {
     if (end - begin > kInsertionMax) {
@@ -91,6 +115,63 @@ std::size_t sort_doubles(std::span<double> values) {
       }
     }
     begin = end;
+  }
+  return work;
+}
+
+}  // namespace
+
+std::size_t sort_doubles(std::span<double> values) {
+  const std::size_t n = values.size();
+  if (n <= kInsertionMax || n > std::numeric_limits<std::uint32_t>::max()) {
+    return fallback_sort(values);
+  }
+
+  const auto [lo, hi] = key_range(values);
+  if (lo == hi) return n;  // every element has the same bits
+
+  // Top level: an in-place (American-flag) partition by the high bits of
+  // each key's offset from the smallest key, so the buckets are ascending
+  // and each one can be sorted on its own.
+  const int shift =
+      std::max(static_cast<int>(std::bit_width(hi - lo)) - kTopBits, 0);
+  const auto bucket_of = [lo, shift](double x) {
+    return static_cast<std::size_t>((key_of(x) - lo) >> shift);
+  };
+  std::array<std::size_t, kTopBuckets + 1> bounds{};
+  for (const double x : values) ++bounds[bucket_of(x) + 1];
+  for (std::size_t b = 1; b <= kTopBuckets; ++b) bounds[b] += bounds[b - 1];
+
+  // Cycle leader: take the element at bucket b's next unfilled slot, and
+  // swap it into the next unfilled slot of its own bucket until an element
+  // of bucket b comes back.  Every element moves at most once.
+  std::array<std::size_t, kTopBuckets> next{};
+  std::copy(bounds.begin(), bounds.end() - 1, next.begin());
+  for (std::size_t b = 0; b < kTopBuckets; ++b) {
+    while (next[b] < bounds[b + 1]) {
+      double x = values[next[b]];
+      for (std::size_t d = bucket_of(x); d != b; d = bucket_of(x)) {
+        std::swap(x, values[next[d]++]);
+      }
+      values[next[b]++] = x;
+    }
+  }
+
+  // Scratch sized once, for the largest bucket the sub-bucket pass sees.
+  std::size_t largest = 0;
+  for (std::size_t b = 0; b < kTopBuckets; ++b) {
+    largest = std::max(largest, bounds[b + 1] - bounds[b]);
+  }
+  std::vector<double> scratch;
+  std::vector<std::uint32_t> ends;
+  if (largest > kInsertionMax) {
+    scratch.resize(largest);
+    ends.reserve((largest >> kLoadShift) + 1);
+  }
+  std::size_t work = n;
+  for (std::size_t b = 0; b < kTopBuckets; ++b) {
+    work += bucket_sort(values.subspan(bounds[b], bounds[b + 1] - bounds[b]),
+                        scratch, ends);
   }
   return work;
 }

@@ -7,6 +7,9 @@
 #include <cmath>
 #include <cstdint>
 #include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace mca::client {
 namespace {
@@ -27,6 +30,122 @@ std::size_t first_difference(std::span<const double> a,
     ++i;
   }
   return i;
+}
+
+/// One participant as the synthesis drew it before session runs were
+/// merged: every event into one array, then std::sort.  Kept here, draw
+/// for draw, as the reference the streaming synthesis must reproduce.
+struct reference_participant {
+  std::vector<double> events;
+  /// Sessions that start before an earlier-starting session's last event,
+  /// so that their runs interleave.
+  std::size_t overlapping_sessions = 0;
+};
+
+reference_participant reference_synthesis(const usage_study_config& config,
+                                          util::rng& rng) {
+  reference_participant out;
+  std::vector<std::pair<double, double>> sessions;  // first, last event
+  const auto total_days = static_cast<std::size_t>(config.days);
+  for (std::size_t day = 0; day < total_days; ++day) {
+    for (int hour = 0; hour < 24; ++hour) {
+      const double weight = diurnal_activity(hour + 0.5);
+      if (weight <= 0.0) continue;
+      const double expected_sessions = 3.0 * weight;
+      std::size_t count = 0;
+      double p = std::exp(-expected_sessions);
+      double cumulative = p;
+      const double u = rng.uniform();
+      while (u > cumulative && count < 50) {
+        ++count;
+        p *= expected_sessions / static_cast<double>(count);
+        cumulative += p;
+      }
+      for (std::size_t s = 0; s < count; ++s) {
+        const double session_start =
+            util::hours(static_cast<double>(day) * 24.0 + hour) +
+            rng.uniform(0.0, util::hours(1.0));
+        const double sigma = 0.8;
+        const double mu = std::log(util::minutes(2.5)) - sigma * sigma / 2.0;
+        const double length = rng.lognormal(mu, sigma);
+        double t = session_start;
+        const double session_end = session_start + length;
+        const std::size_t first = out.events.size();
+        while (t < session_end) {
+          out.events.push_back(t);
+          t += std::clamp(rng.lognormal(std::log(900.0), 0.9), 100.0, 5'000.0);
+        }
+        if (out.events.size() > first) {
+          sessions.emplace_back(out.events[first], out.events.back());
+        }
+      }
+    }
+  }
+  std::sort(out.events.begin(), out.events.end());
+  std::sort(sessions.begin(), sessions.end());
+  double last = -1.0;
+  for (const auto& [first, final_event] : sessions) {
+    if (first < last) ++out.overlapping_sessions;
+    last = std::max(last, final_event);
+  }
+  return out;
+}
+
+/// A whole study through the reference: each participant's events, and
+/// the in-band gaps pooled in participant then time order.
+struct reference_study {
+  std::vector<std::vector<double>> events;
+  std::vector<double> gaps;
+  std::size_t overlapping_sessions = 0;
+};
+
+reference_study reference_interarrivals(const usage_study_config& config,
+                                        std::uint64_t seed) {
+  reference_study out;
+  util::rng rng{seed};
+  for (std::size_t p = 0; p < config.participants; ++p) {
+    util::rng stream = rng.fork();
+    auto participant = reference_synthesis(config, stream);
+    out.overlapping_sessions += participant.overlapping_sessions;
+    const auto& events = out.events.emplace_back(std::move(participant.events));
+    for (std::size_t i = 1; i < events.size(); ++i) {
+      const double gap = events[i] - events[i - 1];
+      if (gap >= 100.0 && gap <= 5'000.0) out.gaps.push_back(gap);
+    }
+  }
+  return out;
+}
+
+/// Diffs the synthesis against the reference byte for byte: every
+/// participant's events, the pooled gaps in order, and the distribution
+/// against the std::sort of the pooled gaps.  Returns the reference's
+/// count of overlapping sessions.
+std::size_t expect_matches_reference(const usage_study_config& config,
+                                     std::uint64_t seed,
+                                     const std::string& label) {
+  auto reference = reference_interarrivals(config, seed);
+  util::rng rng{seed};
+  for (std::size_t p = 0; p < config.participants; ++p) {
+    util::rng stream = rng.fork();
+    const auto events = synthesize_participant_events(config, stream);
+    const auto& want = reference.events[p];
+    EXPECT_EQ(events.size(), want.size()) << label << " participant " << p;
+    EXPECT_EQ(first_difference(events, want), want.size())
+        << label << " participant " << p;
+  }
+  util::rng pooled{seed};
+  const auto gaps = study_interarrivals(config, pooled);
+  EXPECT_EQ(gaps.size(), reference.gaps.size()) << label;
+  EXPECT_EQ(first_difference(gaps, reference.gaps), reference.gaps.size())
+      << label;
+  if (!reference.gaps.empty()) {
+    std::sort(reference.gaps.begin(), reference.gaps.end());
+    const auto dist = study_interarrival_distribution(config, seed);
+    EXPECT_EQ(first_difference(dist.sorted(), reference.gaps),
+              reference.gaps.size())
+        << label;
+  }
+  return reference.overlapping_sessions;
 }
 
 TEST(DiurnalActivity, QuietAtNightActiveInEvening) {
@@ -111,6 +230,39 @@ TEST(UsageTrace, DeterministicForSeed) {
         << "seed " << seed;
     EXPECT_EQ(first_difference(b.sorted(), reference), reference.size())
         << "seed " << seed;
+  }
+}
+
+TEST(UsageTrace, MergedRunsMatchTheSortedReferenceByteForByte) {
+  // Short studies, where one hour's window and the first and last days
+  // are a large share of the events.  Overlapping sessions must occur, or
+  // the merge never interleaves two runs.
+  for (const std::size_t participants : {1u, 2u}) {
+    for (const double days : {1.0, 7.0}) {
+      usage_study_config config;
+      config.participants = participants;
+      config.days = days;
+      for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        const std::size_t overlaps = expect_matches_reference(
+            config, seed,
+            std::to_string(participants) + " participants, " +
+                std::to_string(static_cast<int>(days)) + " days, seed " +
+                std::to_string(seed));
+        if (days == 7.0) {
+          EXPECT_GT(overlaps, 0u) << participants << " participants, seed "
+                                  << seed;
+        }
+      }
+    }
+  }
+}
+
+TEST(UsageTrace, DefaultStudyMatchesTheSortedReferenceByteForByte) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const std::size_t overlaps = expect_matches_reference(
+        usage_study_config{}, seed,
+        "default study, seed " + std::to_string(seed));
+    EXPECT_GT(overlaps, 1'000u) << "seed " << seed;
   }
 }
 
