@@ -16,6 +16,7 @@
 #include "sim/simulation.h"
 #include "tasks/task.h"
 #include "util/csv.h"
+#include "util/stats.h"
 #include "workload/generator.h"
 
 namespace {

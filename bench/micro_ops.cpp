@@ -6,6 +6,8 @@
 // mca_bench instead.
 //
 // Usage: micro_ops [output.json]
+// Any other argument, and any that starts with '-' (--help), exits 2
+// before the bench runs or writes anything.
 #include <cstdint>
 #include <cstdio>
 #include <functional>
@@ -245,6 +247,11 @@ using bench::series_entry;
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (argc > 2 || (argc == 2 && argv[1][0] == '-')) {
+    std::fprintf(stderr, "micro_ops: unknown argument '%s'; usage: "
+                         "micro_ops [output.json]\n", argv[argc - 1]);
+    return 2;
+  }
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_micro_ops.json";
   std::vector<series_entry> series;
   bench::check_list checks;

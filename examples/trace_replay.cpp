@@ -14,6 +14,7 @@
 #include "sim/simulation.h"
 #include "tasks/task.h"
 #include "trace/trace_io.h"
+#include "util/stats.h"
 #include "workload/generator.h"
 
 int main() {

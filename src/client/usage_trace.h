@@ -6,7 +6,8 @@
 // synthesizes an equivalent study — diurnal session starts, lognormal
 // session lengths, lognormal within-session event gaps — and exposes the
 // pooled inter-arrival sample in exactly the form the paper feeds to its
-// load generator.
+// load generator.  The pool is data, not an order: a draw picks one gap
+// uniformly by index, so the gaps are never sorted.
 #pragma once
 
 #include <cstddef>
@@ -47,8 +48,9 @@ std::vector<double> study_interarrivals(const usage_study_config& config,
                                         util::rng& rng);
 
 /// The study distilled into a samplable distribution: the gaps are moved
-/// into it, not copied, and sorted in place (util::sort_doubles), so the
-/// gap array is the only large allocation from synthesis to sampling.
+/// into it, not copied or sorted, so the gap array is the only large
+/// allocation from synthesis to sampling, and its samples are the
+/// study_interarrivals bytes in synthesis order.
 util::empirical_distribution study_interarrival_distribution(
     const usage_study_config& config, std::uint64_t seed);
 

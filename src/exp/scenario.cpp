@@ -23,6 +23,20 @@ namespace {
 constexpr double kSessionProbability = 0.8;
 constexpr util::time_ms kIdleGapMedian = util::minutes(55.0);
 constexpr double kIdleGapSigma = 0.6;
+/// Folded into base_seed to seed the spec's study, so the study's stream
+/// never coincides with an rng seeded by base_seed itself.
+constexpr std::uint64_t kStudySeedTag = 0x7374756479676170ULL;  // "studygap"
+
+using shared_study = std::shared_ptr<const util::empirical_distribution>;
+
+/// The spec's smartphone study, or null when its gaps draw from no study.
+/// A pure function of (spec.gaps, spec.base_seed).
+shared_study make_study(const scenario_spec& spec) {
+  if (spec.gaps != gap_model::study_sessions) return nullptr;
+  return std::make_shared<const util::empirical_distribution>(
+      client::study_interarrival_distribution({},
+                                              spec.base_seed ^ kStudySeedTag));
+}
 
 /// FNV-1a accumulator over the aggregate's scalar fields.
 struct fingerprint_state {
@@ -108,10 +122,13 @@ void validate(const scenario_spec& spec) {
                   ("scenario_spec '" + spec.name + "'").c_str());
 }
 
-core::system_config make_system_config(const scenario_spec& spec,
-                                       const tasks::task_pool& pool,
-                                       util::rng& stream) {
-  validate(spec);
+namespace {
+
+/// make_system_config with the spec's study already built (`study` is
+/// make_study(spec)).
+core::system_config make_config(const scenario_spec& spec,
+                                const tasks::task_pool& pool,
+                                util::rng& stream, shared_study study) {
   core::system_config config;
   config.groups = spec.groups;
   config.user_count = spec.user_count;
@@ -133,12 +150,10 @@ core::system_config make_system_config(const scenario_spec& spec,
 
   switch (spec.gaps) {
     case gap_model::study_sessions: {
-      // Each replication synthesizes its own smartphone study, so the
-      // empirical gap distribution itself varies across the sweep.
-      auto study = std::make_shared<util::empirical_distribution>(
-          client::study_interarrival_distribution({}, stream()));
+      // One study per spec, as the paper ran one study: replications and
+      // shards differ in their streams, not in the gap pool they draw from.
       const double idle_mu = std::log(kIdleGapMedian);
-      config.gaps = [study, idle_mu](util::rng& rng) {
+      config.gaps = [study = std::move(study), idle_mu](util::rng& rng) {
         if (rng.bernoulli(kSessionProbability)) return study->sample(rng);
         return rng.lognormal(idle_mu, kIdleGapSigma);
       };
@@ -162,6 +177,15 @@ core::system_config make_system_config(const scenario_spec& spec,
   return config;
 }
 
+}  // namespace
+
+core::system_config make_system_config(const scenario_spec& spec,
+                                       const tasks::task_pool& pool,
+                                       util::rng& stream) {
+  validate(spec);
+  return make_config(spec, pool, stream, make_study(spec));
+}
+
 namespace {
 
 /// The one place a replication is materialized and run.  `record_raw`
@@ -171,9 +195,10 @@ namespace {
 core::system_metrics run_one_replication(const scenario_spec& spec,
                                          const tasks::task_pool& pool,
                                          const replication_context& context,
-                                         bool record_raw) {
+                                         bool record_raw, shared_study study) {
   util::rng stream = context.stream();
-  core::system_config config = make_system_config(spec, pool, stream);
+  core::system_config config =
+      make_config(spec, pool, stream, std::move(study));
   config.record_request_series = record_raw;
   core::offloading_system system{std::move(config), pool};
   system.run(spec.duration);
@@ -185,7 +210,9 @@ core::system_metrics run_one_replication(const scenario_spec& spec,
 core::system_metrics run_replication(const scenario_spec& spec,
                                      const tasks::task_pool& pool,
                                      const replication_context& context) {
-  return run_one_replication(spec, pool, context, /*record_raw=*/true);
+  validate(spec);
+  return run_one_replication(spec, pool, context, /*record_raw=*/true,
+                             make_study(spec));
 }
 
 replication_metrics::replication_metrics(std::size_t group_count)
@@ -306,13 +333,19 @@ scenario_result run_scenario(const scenario_spec& spec,
   // mca-lint: allow(det-wallclock) serial-vs-parallel wall timing for the
   // runner's speedup report; digests and fingerprints never read it.
   const auto start = std::chrono::steady_clock::now();
+  // The study is built once, before the batch, and the replications only
+  // read it: it is const behind the shared_ptr, and the pointer's
+  // reference count is the library's own.  So the batch still shares
+  // nothing mutable but its index, and each replication's draws are those
+  // make_system_config gives it on its own.
+  const shared_study study = make_study(spec);
   auto outcome = run_replications(
       pool, plan, [&](const replication_context& context) {
         // Digest-only replications run lean: no raw request series — the
         // streaming digest carries everything the merge needs.
         return digest_metrics(
             run_one_replication(spec, task_pool, context,
-                                /*record_raw=*/false),
+                                /*record_raw=*/false, study),
             groups, context.seed);
       });
   // mca-lint: allow(det-wallclock) see above: advisory wall time only.

@@ -111,8 +111,13 @@ void validate(const scenario_spec& spec);
 std::size_t group_count_of(const scenario_spec& spec);
 
 /// Materializes the callback-based system config for one replication.
-/// `stream` provides all of the replication's randomness; it is advanced.
-/// Validates the spec first (see validate()).
+/// `stream` provides the replication's randomness; it is advanced.  The
+/// one exception is the smartphone study behind study-session gaps: it is
+/// the spec's data, keyed off `spec.base_seed`, so every replication and
+/// every fleet shard of a spec draws its gaps from the same study.  This
+/// call synthesizes that study itself (run_scenario builds it once and
+/// shares it; the configs are the same either way).  Validates the spec
+/// first (see validate()).
 core::system_config make_system_config(const scenario_spec& spec,
                                        const tasks::task_pool& pool,
                                        util::rng& stream);
@@ -193,7 +198,9 @@ struct scenario_result {
 };
 
 /// Runs every replication of `plan` on `pool` and merges.  Failed
-/// replications surface in `errors` and are excluded from the merge.
+/// replications surface in `errors` and are excluded from the merge.  The
+/// spec's study is synthesized once per call, before the batch, and counts
+/// toward `wall_seconds`.
 scenario_result run_scenario(const scenario_spec& spec,
                              const replication_plan& plan,
                              const tasks::task_pool& task_pool,

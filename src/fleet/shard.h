@@ -10,8 +10,10 @@
 // provisioning-slot boundary and the instance quota the coordinator hands
 // back.  A shard is a pure function
 // of (scenario spec, shard index, shard count, quota sequence): it draws
-// all randomness from rng::split(spec.base_seed, index), so fleet results
-// cannot depend on which pool thread happens to advance which shard.
+// all randomness from rng::split(spec.base_seed, index), and study-session
+// gaps from the spec's one study (keyed off base_seed, the same for every
+// shard and for the monolith), so fleet results cannot depend on which
+// pool thread happens to advance which shard.
 #pragma once
 
 #include <cstddef>

@@ -1,63 +1,65 @@
-// Empirical distribution with inverse-CDF sampling.
+// Empirical distribution: uniform draws from a stored sample set.
 //
 // `empirical_distribution` replays measured sample sets (e.g. the
-// smartphone-study inter-arrival times) as a generative distribution:
-// draws interpolate linearly between order statistics.
+// smartphone-study inter-arrival times) as a generative distribution: a
+// draw returns one stored sample, picked uniformly by index, so its law is
+// the samples' ECDF.  Picking by index needs no order, so the samples stay
+// in the order given and nothing sorts them.
 #pragma once
 
 #include <cmath>
+#include <cstddef>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "util/float_sort.h"
 #include "util/rng.h"
-#include "util/stats.h"
 
 namespace mca::util {
+
+/// The index ⌊u·n⌋ of a uniform u in [0, 1) into n > 0 items, clamped to
+/// n − 1: the rounded product u·n may equal n, which would read one past
+/// the end.
+constexpr std::size_t uniform_index(double u, std::size_t n) noexcept {
+  const auto i = static_cast<std::size_t>(u * static_cast<double>(n));
+  return i < n ? i : n - 1;
+}
 
 /// Samplable wrapper around a set of observed values.
 class empirical_distribution {
  public:
-  /// Takes the samples by value and sorts them in place (`sort_doubles`,
-  /// whose scratch is the size of its largest top-level bucket, not of the
-  /// array), so a caller that moves its array in pays no copy and no
-  /// second array: the study's ~2.2M gaps become the distribution's
-  /// storage.  Throws std::invalid_argument
-  /// on an empty sample set, and on a NaN or ±inf sample, naming the first
-  /// one's index: the sort needs a strict weak ordering, and an infinite
-  /// order statistic would make draws infinite or NaN.
+  /// Takes the samples by value, so a caller that moves its array in pays
+  /// no copy: the study's ~2.2M gaps become the distribution's storage, in
+  /// synthesis order.  Throws std::invalid_argument on an empty sample
+  /// set, and on a NaN or ±inf sample, naming the first one's index: a
+  /// draw would return it.
   explicit empirical_distribution(std::vector<double> samples)
-      : sorted_{std::move(samples)} {
-    if (sorted_.empty()) {
+      : samples_{std::move(samples)} {
+    if (samples_.empty()) {
       throw std::invalid_argument{"empirical_distribution: no samples"};
     }
-    for (std::size_t i = 0; i < sorted_.size(); ++i) {
-      if (!std::isfinite(sorted_[i])) {
+    for (std::size_t i = 0; i < samples_.size(); ++i) {
+      if (!std::isfinite(samples_[i])) {
         throw std::invalid_argument{
             "empirical_distribution: non-finite sample at index " +
             std::to_string(i)};
       }
     }
-    sort_doubles(sorted_);
   }
 
-  /// Draws by inverse transform with linear interpolation.
-  double sample(rng& r) const {
-    return percentile_sorted(sorted_, r.uniform());
+  /// One stored sample, uniformly by index: exactly one rng draw.
+  double sample(rng& r) const noexcept {
+    return samples_[uniform_index(r.uniform(), samples_.size())];
   }
 
-  double min() const noexcept { return sorted_.front(); }
-  double max() const noexcept { return sorted_.back(); }
-  std::size_t size() const noexcept { return sorted_.size(); }
-  /// The samples in ascending order.
-  std::span<const double> sorted() const noexcept { return sorted_; }
-  summary stats() const { return summary_of_sorted(sorted_); }
+  std::size_t size() const noexcept { return samples_.size(); }
+  /// The samples in the order given.
+  std::span<const double> samples() const noexcept { return samples_; }
 
  private:
-  std::vector<double> sorted_;
+  std::vector<double> samples_;
 };
 
 }  // namespace mca::util

@@ -76,13 +76,9 @@ double percentile(std::span<const double> samples, double q) {
 }
 
 summary summary_of(std::span<const double> samples) {
+  if (samples.empty()) throw std::invalid_argument{"summary_of: empty sample set"};
   std::vector<double> sorted{samples.begin(), samples.end()};
   std::sort(sorted.begin(), sorted.end());
-  return summary_of_sorted(sorted);
-}
-
-summary summary_of_sorted(std::span<const double> sorted) {
-  if (sorted.empty()) throw std::invalid_argument{"summary_of: empty sample set"};
   running_stats acc;
   for (double x : sorted) acc.add(x);
   summary s;

@@ -71,10 +71,6 @@ double percentile_sorted(std::span<const double> sorted, double q);
 /// Full batch summary; throws std::invalid_argument on an empty set.
 summary summary_of(std::span<const double> samples);
 
-/// summary_of over samples already sorted ascending (no copy, no sort);
-/// the same bits summary_of gives for any ordering of them.
-summary summary_of_sorted(std::span<const double> sorted);
-
 /// Mean of a sample set; 0 when empty.
 double mean_of(std::span<const double> samples) noexcept;
 

@@ -44,16 +44,6 @@ interarrival_fn exponential_interarrival(double rate_hz) {
   };
 }
 
-interarrival_fn empirical_interarrival(
-    std::shared_ptr<const util::empirical_distribution> distribution) {
-  if (distribution == nullptr) {
-    throw std::invalid_argument{"empirical_interarrival: null distribution"};
-  }
-  return [distribution = std::move(distribution)](util::rng& rng) {
-    return distribution->sample(rng);
-  };
-}
-
 concurrent_generator::concurrent_generator(sim::simulation& sim,
                                            task_source source,
                                            request_sink sink,

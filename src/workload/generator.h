@@ -14,7 +14,6 @@
 
 #include "sim/simulation.h"
 #include "tasks/task.h"
-#include "util/empirical.h"
 #include "util/rng.h"
 #include "workload/request.h"
 
@@ -38,9 +37,6 @@ using interarrival_fn = std::function<double(util::rng&)>;
 interarrival_fn fixed_interarrival(util::time_ms gap);
 /// Poisson arrivals at `rate_hz` per device.
 interarrival_fn exponential_interarrival(double rate_hz);
-/// Replays an empirical gap distribution (the smartphone study).
-interarrival_fn empirical_interarrival(
-    std::shared_ptr<const util::empirical_distribution> distribution);
 
 /// Concurrent mode: every `gap` ms, all `users` (ids 0..users-1) fire one
 /// request at once; `rounds` rounds in total.  The 1-minute default gap is

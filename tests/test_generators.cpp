@@ -8,6 +8,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "util/empirical.h"
+
 namespace mca::workload {
 namespace {
 
@@ -133,7 +135,6 @@ TEST_F(GeneratorTest, ExponentialInterarrivalApproximatesRate) {
 TEST_F(GeneratorTest, InterarrivalValidation) {
   EXPECT_THROW(fixed_interarrival(0.0), std::invalid_argument);
   EXPECT_THROW(exponential_interarrival(-1.0), std::invalid_argument);
-  EXPECT_THROW(empirical_interarrival(nullptr), std::invalid_argument);
   interarrival_config bad;
   bad.devices = 0;
   EXPECT_THROW(interarrival_generator(sim_, random_pool_source(pool_),
@@ -285,10 +286,11 @@ TEST_F(GeneratorTest, ArrivalLaneEmitsWhatPerDeviceEventsEmitted) {
   std::vector<double> samples(40, 0.0);
   samples.insert(samples.end(), 40, 5.0);
   samples.insert(samples.end(), 20, 4'000.0);
+  const auto empirical =
+      std::make_shared<const util::empirical_distribution>(samples);
   const std::vector<interarrival_fn> gap_laws = {
       exponential_interarrival(0.5),
-      empirical_interarrival(
-          std::make_shared<const util::empirical_distribution>(samples))};
+      [empirical](util::rng& rng) { return empirical->sample(rng); }};
   for (std::size_t law = 0; law < gap_laws.size(); ++law) {
     const auto lane =
         run_for_equivalence<interarrival_generator>(pool_, gap_laws[law]);

@@ -15,8 +15,9 @@
 //     within the histogram's 2^-5 relative bound of the raw series' exact
 //     ones, the registry's request and success counts must equal what the
 //     response sink received in every builtin scenario, with and without
-//     faults, and a run must not depend on whether the raw series is
-//     recorded at all.
+//     faults, a run must not depend on whether the raw series is
+//     recorded at all, and a replication must run the same whether
+//     run_scenario shares the spec's study with it or it builds its own.
 //  3. Pinned fingerprints — the 64-bit FNV-1a hashes of the monolith's
 //     merged digest, of the sharded fleet's aggregate, counter registry
 //     and timeline, and of a trimmed fig9_closed_loop run (the only pin on
@@ -36,6 +37,7 @@
 #include "exp/thread_pool.h"
 #include "fault/fault_program.h"
 #include "fleet/fleet_runner.h"
+#include "fleet/shard.h"
 #include "obs/registry.h"
 #include "tasks/task.h"
 
@@ -153,11 +155,80 @@ TEST(GoldenEquivalence, StudySessionGapsMatchPinnedFingerprint) {
   ASSERT_TRUE(result.errors.empty());
   const exp::aggregate_metrics& aggregate = result.aggregate;
   EXPECT_EQ(aggregate.requests, 664u);
-  EXPECT_EQ(aggregate.successes, 297u);
+  EXPECT_EQ(aggregate.successes, 296u);
   EXPECT_EQ(aggregate.promotions, 2u);
-  EXPECT_EQ(aggregate.background_submitted, 239316u);
+  EXPECT_EQ(aggregate.background_submitted, 239317u);
   EXPECT_EQ(aggregate.accuracy.count(), 1u);
-  EXPECT_EQ(aggregate.fingerprint(), 0x45c3a0954e1aa839ULL);
+  EXPECT_EQ(aggregate.fingerprint(), 0x0bbf4843c29f6cd0ULL);
+}
+
+TEST(GoldenEquivalence, SharedStudyRunsWhatEachReplicationBuildsAlone) {
+  // run_scenario synthesizes the spec's study once and shares it across
+  // the batch; a replication built on its own through make_system_config
+  // synthesizes the same study, so it must run the same simulation, at
+  // every pool size.
+  tasks::task_pool pool;
+  const exp::scenario_spec spec = study_session_spec();
+  const exp::replication_plan plan = spec.plan(2);
+  const std::size_t groups = exp::group_count_of(spec);
+  std::vector<exp::replication_metrics> alone;
+  for (std::size_t i = 0; i < plan.count(); ++i) {
+    const exp::replication_context context{i, plan.seeds[i]};
+    util::rng stream = context.stream();
+    core::system_config config = exp::make_system_config(spec, pool, stream);
+    config.record_request_series = false;
+    core::offloading_system system{std::move(config), pool};
+    system.run(spec.duration);
+    alone.push_back(
+        exp::digest_metrics(system.metrics(), groups, context.seed));
+  }
+  for (const std::size_t jobs : {1u, 2u}) {
+    exp::thread_pool tpool{jobs};
+    const exp::scenario_result result =
+        exp::run_scenario(spec, plan, pool, tpool);
+    ASSERT_TRUE(result.errors.empty()) << jobs << " jobs";
+    ASSERT_EQ(result.per_replication.size(), alone.size()) << jobs << " jobs";
+    for (std::size_t i = 0; i < alone.size(); ++i) {
+      EXPECT_EQ(
+          exp::merge_replications({&result.per_replication[i], 1})
+              .fingerprint(),
+          exp::merge_replications({&alone[i], 1}).fingerprint())
+          << "replication " << i << ", " << jobs << " jobs";
+    }
+    EXPECT_EQ(result.aggregate.fingerprint(),
+              exp::merge_replications(alone).fingerprint())
+        << jobs << " jobs";
+  }
+}
+
+TEST(GoldenEquivalence, ReplicationsAndShardsDrawFromOneStudy) {
+  // Replications and fleet shards differ in their rng streams, not in the
+  // study their gaps come from: fed identically seeded rngs, their gap
+  // functions draw the same gaps.
+  tasks::task_pool pool;
+  const exp::scenario_spec spec = study_session_spec();
+  const exp::replication_plan plan = spec.plan(2);
+  std::vector<workload::interarrival_fn> gap_fns;
+  for (std::size_t i = 0; i < plan.count(); ++i) {
+    util::rng stream = exp::replication_context{i, plan.seeds[i]}.stream();
+    gap_fns.push_back(exp::make_system_config(spec, pool, stream).gaps);
+  }
+  for (std::size_t k = 0; k < 2; ++k) {
+    const fleet::shard member{spec, pool, k, 2};
+    gap_fns.push_back(member.system().config().gaps);
+  }
+  const auto first_gaps = [](const workload::interarrival_fn& gaps) {
+    util::rng rng{4242};
+    std::vector<double> out(1'000);
+    for (double& g : out) g = gaps(rng);
+    return out;
+  };
+  const std::vector<double> want = first_gaps(gap_fns.front());
+  for (std::size_t f = 1; f < gap_fns.size(); ++f) {
+    EXPECT_EQ(first_gaps(gap_fns[f]), want)
+        << (f < plan.count() ? "replication " : "shard ")
+        << (f < plan.count() ? f : f - plan.count());
+  }
 }
 
 TEST(GoldenEquivalence, StreamingDigestEqualsRawSeriesScan) {

@@ -11,6 +11,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/stats.h"
+
 namespace mca::client {
 namespace {
 
@@ -117,9 +119,9 @@ reference_study reference_interarrivals(const usage_study_config& config,
 }
 
 /// Diffs the synthesis against the reference byte for byte: every
-/// participant's events, the pooled gaps in order, and the distribution
-/// against the std::sort of the pooled gaps.  Returns the reference's
-/// count of overlapping sessions.
+/// participant's events, the pooled gaps in order, and the distribution's
+/// samples against the same pooled gaps, in synthesis order.  Returns the
+/// reference's count of overlapping sessions.
 std::size_t expect_matches_reference(const usage_study_config& config,
                                      std::uint64_t seed,
                                      const std::string& label) {
@@ -139,9 +141,9 @@ std::size_t expect_matches_reference(const usage_study_config& config,
   EXPECT_EQ(first_difference(gaps, reference.gaps), reference.gaps.size())
       << label;
   if (!reference.gaps.empty()) {
-    std::sort(reference.gaps.begin(), reference.gaps.end());
     const auto dist = study_interarrival_distribution(config, seed);
-    EXPECT_EQ(first_difference(dist.sorted(), reference.gaps),
+    EXPECT_EQ(dist.size(), reference.gaps.size()) << label;
+    EXPECT_EQ(first_difference(dist.samples(), reference.gaps),
               reference.gaps.size())
         << label;
   }
@@ -202,7 +204,7 @@ TEST(UsageTrace, InterarrivalsClippedToPaperBand) {
 
 TEST(UsageTrace, DistributionMeanIsSubSecondScale) {
   const auto dist = study_interarrival_distribution(small_study(), 42);
-  const auto stats = dist.stats();
+  const auto stats = util::summary_of(dist.samples());
   // Within-session gaps centre around the lognormal's ~900 ms body.
   EXPECT_GT(stats.mean, 400.0);
   EXPECT_LT(stats.mean, 2'500.0);
@@ -212,24 +214,61 @@ TEST(UsageTrace, DistributionMeanIsSubSecondScale) {
 
 TEST(UsageTrace, DeterministicForSeed) {
   // The default 6-participant, 90-day study, bit for bit: the distribution
-  // holds exactly the pooled gaps std::sort orders, and a second synthesis
-  // from the same seed reproduces it.
+  // holds exactly the pooled gaps, in synthesis order, and a second
+  // synthesis from the same seed reproduces it.
   const usage_study_config config;
   for (const std::uint64_t seed : {9u, 10u}) {
     util::rng rng{seed};
-    auto reference = study_interarrivals(config, rng);
+    const auto reference = study_interarrivals(config, rng);
     EXPECT_LE(static_cast<double>(reference.capacity()),
               1.1 * static_cast<double>(reference.size()))
         << "seed " << seed;
-    std::sort(reference.begin(), reference.end());
     const auto a = study_interarrival_distribution(config, seed);
     const auto b = study_interarrival_distribution(config, seed);
     ASSERT_EQ(a.size(), reference.size()) << "seed " << seed;
     ASSERT_EQ(b.size(), reference.size()) << "seed " << seed;
-    EXPECT_EQ(first_difference(a.sorted(), reference), reference.size())
+    EXPECT_EQ(first_difference(a.samples(), reference), reference.size())
         << "seed " << seed;
-    EXPECT_EQ(first_difference(b.sorted(), reference), reference.size())
+    EXPECT_EQ(first_difference(b.samples(), reference), reference.size())
         << "seed " << seed;
+  }
+}
+
+TEST(UsageTrace, IndexDrawsFollowTheStudyEcdf) {
+  // Draws by index into the unsorted study have the law of its ECDF F.
+  // By the Dvoretzky–Kiefer–Wolfowitz inequality (Massart's constant), N
+  // i.i.d. draws from F have an ECDF F_N with
+  //   P(sup |F_N − F| > ε) ≤ 2·exp(−2Nε²),
+  // for a discrete F too.  N = 200,000 and a 10⁻⁹ bound per seed give
+  // ε = sqrt(ln(2·10⁹) / (2N)) ≈ 0.00732.
+  constexpr std::size_t kDraws = 200'000;
+  const double epsilon =
+      std::sqrt(std::log(2e9) / (2.0 * static_cast<double>(kDraws)));
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const auto dist = study_interarrival_distribution({}, seed);
+    util::rng rng{seed + 100};
+    std::vector<double> draws(kDraws);
+    for (double& x : draws) x = dist.sample(rng);
+    std::vector<double> pool{dist.samples().begin(), dist.samples().end()};
+    std::sort(pool.begin(), pool.end());
+    std::sort(draws.begin(), draws.end());
+    // Both ECDFs step only at pool values, so the supremum is reached at
+    // one of them: walk the distinct values in order.
+    double worst = 0.0;
+    std::size_t in_pool = 0;
+    std::size_t in_draws = 0;
+    while (in_pool < pool.size()) {
+      const double x = pool[in_pool];
+      while (in_pool < pool.size() && pool[in_pool] == x) ++in_pool;
+      while (in_draws < draws.size() && draws[in_draws] <= x) ++in_draws;
+      const double f = static_cast<double>(in_pool) /
+                       static_cast<double>(pool.size());
+      const double f_n = static_cast<double>(in_draws) /
+                         static_cast<double>(draws.size());
+      worst = std::max(worst, std::abs(f_n - f));
+    }
+    EXPECT_EQ(in_draws, draws.size()) << "seed " << seed;
+    EXPECT_LE(worst, epsilon) << "seed " << seed;
   }
 }
 
