@@ -1,5 +1,7 @@
 #include "client/device.h"
 
+#include <stdexcept>
+
 namespace mca::client {
 
 const char* to_string(device_class c) noexcept {
@@ -30,15 +32,10 @@ device_profile profile_for(device_class cls) noexcept {
 
 device_slab::device_slab(std::size_t user_count,
                          std::span<const device_class> mix) {
-  profiles_[0] = profile_for(device_class::wearable);
-  profiles_[1] = profile_for(device_class::budget);
-  profiles_[2] = profile_for(device_class::midrange);
-  profiles_[3] = profile_for(device_class::flagship);
+  if (mix.empty()) throw std::invalid_argument{"device_slab: empty mix"};
   battery_.assign(user_count, 1.0);
-  class_.resize(user_count);
-  for (std::size_t u = 0; u < user_count; ++u) {
-    class_[u] = static_cast<std::uint8_t>(mix[u % mix.size()]);
-  }
+  profiles_.reserve(mix.size());
+  for (const device_class cls : mix) profiles_.push_back(profile_for(cls));
 }
 
 }  // namespace mca::client

@@ -65,14 +65,17 @@ struct device_profile {
 /// Lookup of the built-in profile for a class.
 device_profile profile_for(device_class cls) noexcept;
 
-/// Struct-of-arrays population state: one battery level and one device
-/// class per user, profiles shared per class.  The closed-loop system's
-/// per-request device accounting touches two flat arrays; every battery
-/// starts full and drains by the profile's energy costs, clamped at 0.
+/// Struct-of-arrays population state: one battery level per user, and
+/// one profile per entry of the device mix.  A user's class is its
+/// position in the cycled mix, u % mix.size(), so it costs no byte per
+/// user.  The closed-loop system's per-request device accounting touches
+/// one flat array; every battery starts full and drains by the profile's
+/// energy costs, clamped at 0.
 class device_slab {
  public:
   /// `mix` is cycled over users (the closed-loop system cycles flagship,
-  /// midrange, budget, wearable).
+  /// midrange, budget, wearable).  Throws std::invalid_argument on an
+  /// empty mix.
   device_slab(std::size_t user_count, std::span<const device_class> mix);
 
   // Per-request SoA accessors: one array read/write per decision or
@@ -81,28 +84,25 @@ class device_slab {
   std::size_t size() const noexcept { return battery_.size(); }
   double battery(user_id u) const noexcept { return battery_[u]; }
   const device_profile& profile(user_id u) const noexcept {
-    return profiles_[class_[u]];
+    return profiles_[u % static_cast<user_id>(profiles_.size())];
   }
 
   /// Battery drain of one offload round trip (radio active the whole
   /// time).
   void account_offload(user_id u, util::time_ms active_ms) noexcept {
-    const double drained =
-        battery_[u] - profiles_[class_[u]].offload_energy(active_ms);
+    const double drained = battery_[u] - profile(u).offload_energy(active_ms);
     battery_[u] = drained > 0.0 ? drained : 0.0;
   }
   /// Battery drain of computing `work_units` on the device.
   void account_local_run(user_id u, double work_units) noexcept {
-    const double drained =
-        battery_[u] - profiles_[class_[u]].local_energy(work_units);
+    const double drained = battery_[u] - profile(u).local_energy(work_units);
     battery_[u] = drained > 0.0 ? drained : 0.0;
   }
   // mca:hot-path-end
 
  private:
   std::vector<double> battery_;
-  std::vector<std::uint8_t> class_;
-  device_profile profiles_[4];
+  std::vector<device_profile> profiles_;  ///< profiles_[i] = mix[i]'s
 };
 
 }  // namespace mca::client

@@ -24,11 +24,14 @@ namespace mca::client {
 /// responses.
 class moderator {
  public:
+  /// Highest group a user can hold: groups are stored one byte per user.
+  static constexpr group_id kMaxGroup = 255;
+
   /// Users 0..users-1 start in `initial_group` ("initially, each user is
   /// located in the group that provides the lowest acceleration");
   /// `max_group` caps promotion.  Throws std::invalid_argument unless
-  /// `promotion_probability` is in [0, 1] (NaN is rejected) and
-  /// initial_group <= max_group.
+  /// `promotion_probability` is in [0, 1] (NaN is rejected),
+  /// initial_group <= max_group and max_group <= kMaxGroup.
   moderator(double promotion_probability, group_id initial_group,
             group_id max_group, std::size_t users, util::rng rng);
 
@@ -42,7 +45,7 @@ class moderator {
   /// Feeds one completed response; may move the user up one group for
   /// its *next* request.
   void record_response(user_id user) noexcept {
-    group_id& group = groups_[user];
+    std::uint8_t& group = groups_[user];
     if (group < max_group_ && rng_.bernoulli(promotion_probability_)) {
       ++group;
       ++promotions_;
@@ -57,7 +60,7 @@ class moderator {
   double promotion_probability_;
   group_id max_group_;
   util::rng rng_;
-  std::vector<group_id> groups_;
+  std::vector<std::uint8_t> groups_;  ///< each user's group, <= max_group_
   std::uint64_t promotions_ = 0;
 };
 

@@ -110,11 +110,8 @@ offloading_system::offloading_system(system_config config,
   sdn_->set_observability(&metrics_.observability, config_.trace_sink,
                           config_.trace_ring, config_.trace_sample_every);
 
-  user_seq_.assign(config_.user_count, 0);
-
-  slot_users_.resize(group_count_);
-  slot_window_start_ = 0.0;
-  slot_window_end_ = config_.slot_length;
+  evidence_ = trace::slot_accumulator{group_count_, config_.user_count,
+                                      config_.slot_length};
 
   metrics_.digest.group_response.resize(group_count_);
   if (config_.record_request_series) {
@@ -124,10 +121,11 @@ offloading_system::offloading_system(system_config config,
   predictor_ = workload_predictor{config_.predictor_mode};
 }
 
-// Request ingress and response egress run once per simulated request —
-// the two busiest call sites in a monolithic run.  Member-vector growth
-// (the raw series under record_request_series) is amortized and allowed;
-// locals must not allocate.
+// Request ingress, response egress and the trace point run once per
+// simulated request — the busiest call sites in a monolithic run.
+// Member-vector growth (the raw series under record_request_series) is
+// amortized and allowed; locals must not allocate, and the slot evidence
+// is a bit set in preallocated bitsets.
 // mca:hot-path-begin(response-digest)
 void offloading_system::handle_request(
     const workload::offload_request& request) {
@@ -165,12 +163,10 @@ void offloading_system::on_response(const workload::offload_request& request,
     metrics_.observability.observe_response(group, response_ms);
   }
 
-  const std::uint32_t seq = user_seq_[request.user % user_seq_.size()]++;
   if (config_.record_request_series) {
     request_metric metric;
     metric.id = request.id;
     metric.user = request.user;
-    metric.user_seq = seq;
     metric.group = group;
     metric.response_ms = response_ms;
     metric.issued_at = request.created_at;
@@ -182,7 +178,6 @@ void offloading_system::on_response(const workload::offload_request& request,
     metrics_.requests.push_back(metric);
   }
 }
-// mca:hot-path-end
 
 void offloading_system::on_trace(util::time_ms logged_at,
                                  util::time_ms created_at, user_id user,
@@ -191,19 +186,9 @@ void offloading_system::on_trace(util::time_ms logged_at,
   // slot its creation time falls in, and only if it was logged before
   // that slot's boundary.  A boundary at exactly logged_at excludes it,
   // as event order would: the boundary is scheduled a slot ahead.
-  if (created_at >= slot_window_start_ && logged_at < slot_window_end_ &&
-      group < group_count_) {
-    slot_users_[group].push_back(user);
-  }
+  evidence_.record(logged_at, created_at, user, group);
 }
-
-trace::time_slot offloading_system::take_current_slot() {
-  trace::time_slot slot = trace::time_slot::from_group_users(slot_users_);
-  for (auto& users : slot_users_) users.clear();  // keep capacity
-  slot_window_start_ = slot_window_end_;
-  slot_window_end_ += config_.slot_length;
-  return slot;
-}
+// mca:hot-path-end
 
 void offloading_system::inject_background() {
   for (const auto& spec : config_.groups) {
@@ -289,7 +274,7 @@ void offloading_system::on_slot_boundary(std::size_t slot_index) {
   timeline_.snapshot(metrics_.observability, slot_index, sim_.now());
   exemplars_.roll_window(static_cast<std::uint32_t>(slot_index));
   // The slot that just ended becomes evidence.
-  trace::time_slot finished = take_current_slot();
+  trace::time_slot finished = evidence_.take();
   const auto actual_counts = finished.group_counts();
 
   // Score the forecast made one boundary ago.

@@ -124,7 +124,6 @@ struct system_config {
 struct request_metric {
   request_id id = 0;
   user_id user = 0;
-  std::uint32_t user_seq = 0;  ///< per-user request index, 0-based
   group_id group = 0;
   double response_ms = 0.0;
   util::time_ms issued_at = 0.0;
@@ -156,7 +155,8 @@ struct system_metrics {
   /// Raw per-request series; filled only under record_request_series.
   std::vector<request_metric> requests;
   /// Per-user indices into `requests` (same flag) — user series lookups
-  /// are O(own requests), not O(all requests).
+  /// are O(own requests), not O(all requests).  A request's position in
+  /// its user's list is its per-user sequence number.
   std::vector<std::vector<std::uint32_t>> requests_by_user;
   request_digest digest;
   /// The run's observability registry: the preregistered counters (SDN
@@ -231,9 +231,10 @@ class offloading_system : private response_sink {
   /// response_sink: the single handler of every SDN response.
   void on_response(const workload::offload_request& request,
                    const request_timing& timing, group_id group) override;
-  /// Trace point: streams (group, user) into the current slot window —
-  /// the predictor's evidence — without keeping a request log.
-  /// Fires at the back-end completion; `logged_at` decides the window.
+  /// Trace point: sets (group, user) in the current slot window's
+  /// evidence bitsets — the predictor's input — without keeping a request
+  /// log.  Fires at the back-end completion; `logged_at` decides the
+  /// window.
   void on_trace(util::time_ms logged_at, util::time_ms created_at,
                 user_id user, group_id group);
   void on_slot_boundary(std::size_t slot_index);
@@ -245,8 +246,6 @@ class offloading_system : private response_sink {
   void end_outage(std::size_t index);
   /// Relaunches a recovered group to its last planned (or initial) size.
   void restore_group(group_id group);
-  /// The finished slot accumulated so far; resets the window.
-  trace::time_slot take_current_slot();
 
   system_config config_;
   const tasks::task_pool& pool_;
@@ -268,14 +267,10 @@ class offloading_system : private response_sink {
   /// path searches the catalog per slot, let alone per request.
   std::vector<const cloud::instance_type*> spec_types_;
 
-  /// Streaming slot accumulator: users seen per group in the current
-  /// window [slot_window_start_, slot_window_end_); buffers keep their
-  /// capacity across slots.
-  std::vector<std::vector<user_id>> slot_users_;
-  util::time_ms slot_window_start_ = 0.0;
-  util::time_ms slot_window_end_ = 0.0;
+  /// The current slot window's evidence: one bit per (group, user),
+  /// turned into an exact-size time_slot at each boundary.
+  trace::slot_accumulator evidence_;
 
-  std::vector<std::uint32_t> user_seq_;
   util::rng background_rng_;
   system_metrics metrics_;
 

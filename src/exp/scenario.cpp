@@ -27,17 +27,6 @@ constexpr double kIdleGapSigma = 0.6;
 /// never coincides with an rng seeded by base_seed itself.
 constexpr std::uint64_t kStudySeedTag = 0x7374756479676170ULL;  // "studygap"
 
-using shared_study = std::shared_ptr<const util::empirical_distribution>;
-
-/// The spec's smartphone study, or null when its gaps draw from no study.
-/// A pure function of (spec.gaps, spec.base_seed).
-shared_study make_study(const scenario_spec& spec) {
-  if (spec.gaps != gap_model::study_sessions) return nullptr;
-  return std::make_shared<const util::empirical_distribution>(
-      client::study_interarrival_distribution({},
-                                              spec.base_seed ^ kStudySeedTag));
-}
-
 /// FNV-1a accumulator over the aggregate's scalar fields.
 struct fingerprint_state {
   std::uint64_t hash = 0xcbf29ce484222325ULL;
@@ -179,11 +168,25 @@ core::system_config make_config(const scenario_spec& spec,
 
 }  // namespace
 
+shared_study make_study(const scenario_spec& spec) {
+  if (spec.gaps != gap_model::study_sessions) return nullptr;
+  return std::make_shared<const util::empirical_distribution>(
+      client::study_interarrival_distribution({},
+                                              spec.base_seed ^ kStudySeedTag));
+}
+
 core::system_config make_system_config(const scenario_spec& spec,
                                        const tasks::task_pool& pool,
                                        util::rng& stream) {
   validate(spec);
   return make_config(spec, pool, stream, make_study(spec));
+}
+
+core::system_config make_system_config(const scenario_spec& spec,
+                                       const tasks::task_pool& pool,
+                                       util::rng& stream, shared_study study) {
+  validate(spec);
+  return make_config(spec, pool, stream, std::move(study));
 }
 
 namespace {

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "exp/runner.h"
 #include "fault/fault_program.h"
 #include "exp/thread_pool.h"
+#include "util/empirical.h"
 #include "util/histogram.h"
 #include "util/stats.h"
 
@@ -110,17 +112,30 @@ void validate(const scenario_spec& spec);
 /// group) — the indexing every per-group digest vector uses.
 std::size_t group_count_of(const scenario_spec& spec);
 
+/// The smartphone study behind study-session gaps, read-only once built.
+using shared_study = std::shared_ptr<const util::empirical_distribution>;
+
+/// The spec's study, synthesized from `spec.base_seed` alone, or null when
+/// its gaps draw from no study.  A pure function of (spec.gaps,
+/// spec.base_seed).
+shared_study make_study(const scenario_spec& spec);
+
 /// Materializes the callback-based system config for one replication.
 /// `stream` provides the replication's randomness; it is advanced.  The
 /// one exception is the smartphone study behind study-session gaps: it is
 /// the spec's data, keyed off `spec.base_seed`, so every replication and
 /// every fleet shard of a spec draws its gaps from the same study.  This
-/// call synthesizes that study itself (run_scenario builds it once and
-/// shares it; the configs are the same either way).  Validates the spec
-/// first (see validate()).
+/// call synthesizes that study itself; run_scenario and run_fleet build it
+/// once and hand it to the overload below, and the configs are the same
+/// either way.  Validates the spec first (see validate()).
 core::system_config make_system_config(const scenario_spec& spec,
                                        const tasks::task_pool& pool,
                                        util::rng& stream);
+/// The same with the spec's study already built: `study` must be
+/// make_study(spec).
+core::system_config make_system_config(const scenario_spec& spec,
+                                       const tasks::task_pool& pool,
+                                       util::rng& stream, shared_study study);
 
 /// Runs one replication in full, returning the raw metrics (for benches
 /// that plot per-request series).  Deterministic in (spec, context).

@@ -47,8 +47,11 @@ fleet_result run_fleet(const exp::scenario_spec& spec,
   // perf output; the fingerprint gates never read it.
   const auto start = std::chrono::steady_clock::now();
 
-  // Shard construction (study-trace synthesis, device setup) is itself a
-  // parallel round; each shard is a pure function of (spec, index).
+  // The spec's study is synthesized once, before the shards, which only
+  // read it (as run_scenario's replications do).  Shard construction
+  // (device setup) is itself a parallel round; each shard is a pure
+  // function of (spec, index).
+  const exp::shared_study study = exp::make_study(spec);
   std::vector<std::unique_ptr<shard>> members =
       exp::parallel_map(pool, shards, [&](std::size_t k) {
         shard_obs obs;
@@ -56,7 +59,8 @@ fleet_result run_fleet(const exp::scenario_spec& spec,
         obs.tracer = tracer;
         obs.ring = k;
         obs.sample_every = options.trace_sample_every;
-        auto s = std::make_unique<shard>(spec, task_pool, k, shards, obs);
+        auto s =
+            std::make_unique<shard>(spec, task_pool, k, shards, obs, study);
         s->begin();
         return s;
       });

@@ -20,6 +20,11 @@ std::size_t shard_user_count(std::size_t user_count, std::size_t index,
 
 shard::shard(const exp::scenario_spec& spec, const tasks::task_pool& pool,
              std::size_t index, std::size_t shard_count, shard_obs obs)
+    : shard(spec, pool, index, shard_count, obs, exp::make_study(spec)) {}
+
+shard::shard(const exp::scenario_spec& spec, const tasks::task_pool& pool,
+             std::size_t index, std::size_t shard_count, shard_obs obs,
+             exp::shared_study study)
     : spec_{spec}, index_{index} {
   exp::validate(spec);
   if (shard_count == 0) {
@@ -37,7 +42,8 @@ shard::shard(const exp::scenario_spec& spec, const tasks::task_pool& pool,
   group_count_ = exp::group_count_of(spec_);
 
   util::rng stream = util::rng::split(spec.base_seed ^ kShardStreamTag, index);
-  core::system_config config = exp::make_system_config(spec_, pool, stream);
+  core::system_config config =
+      exp::make_system_config(spec_, pool, stream, std::move(study));
   // The coordinator solves for the whole fleet: the shard's boundaries
   // only forecast, and its quota arrives through apply_quota.
   config.enable_adaptation = false;

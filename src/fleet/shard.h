@@ -12,8 +12,9 @@
 // of (scenario spec, shard index, shard count, quota sequence): it draws
 // all randomness from rng::split(spec.base_seed, index), and study-session
 // gaps from the spec's one study (keyed off base_seed, the same for every
-// shard and for the monolith), so fleet results cannot depend on which
-// pool thread happens to advance which shard.
+// shard and for the monolith, and built once per fleet run), so fleet
+// results cannot depend on which pool thread happens to advance which
+// shard.
 #pragma once
 
 #include <cstddef>
@@ -46,12 +47,19 @@ struct shard_obs {
 
 class shard {
  public:
-  /// Builds shard `index` of `shard_count` over its population slice.
+  /// Builds shard `index` of `shard_count` over its population slice,
+  /// synthesizing the spec's study itself.
   /// Throws std::invalid_argument on a malformed spec, a zero shard count,
   /// an index out of range, or a slice with zero users (more shards than
   /// users).
   shard(const exp::scenario_spec& spec, const tasks::task_pool& pool,
         std::size_t index, std::size_t shard_count, shard_obs obs = {});
+  /// The same over an already built study, which must be
+  /// exp::make_study(spec): run_fleet builds it once and every shard reads
+  /// it.  The shard is the one the constructor above builds.
+  shard(const exp::scenario_spec& spec, const tasks::task_pool& pool,
+        std::size_t index, std::size_t shard_count, shard_obs obs,
+        exp::shared_study study);
 
   /// Installs the workload; must be called once before the first advance.
   void begin();

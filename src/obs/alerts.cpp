@@ -34,9 +34,9 @@ double windowed_value(const timeline& tl, const slo_objective& obj,
   for (std::size_t i = first; i <= last; ++i) {
     const timeline_window& w = tl.window(i);
     if (obj.group == kAllGroups) {
-      for (const util::histogram& h : w.slo) merged.merge(h);
-    } else if (obj.group < w.slo.size()) {
-      merged.merge(w.slo[obj.group]);
+      for (std::size_t g = 0; g < w.slo_groups(); ++g) w.add_slo(g, merged);
+    } else if (obj.group < w.slo_groups()) {
+      w.add_slo(obj.group, merged);
     }
   }
   return merged.total() == 0 ? 0.0 : merged.quantile_interpolated(0.99);

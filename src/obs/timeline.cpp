@@ -1,14 +1,40 @@
 #include "obs/timeline.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "obs/fnv.h"
 
 namespace mca::obs {
+namespace {
+
+constexpr std::size_t kBins = util::histogram::kBins;
+constexpr std::uint64_t kMaxWindowCount = 0xffffffffu;
+
+/// Cold path of the 32-bit window bins' range check.
+[[noreturn]] void reject_window_count() {
+  throw std::overflow_error{"timeline: a window SLO bin reached 2^32 samples"};
+}
+
+}  // namespace
+
+void timeline_window::add_slo(std::size_t group, util::histogram& into) const {
+  if (group >= slo_groups()) throw std::out_of_range{"timeline: SLO group"};
+  const std::uint32_t* bins = slo_bins.data() + group * kBins;
+  for (std::size_t b = 0; b < kBins; ++b) {
+    if (bins[b] != 0) into.add_to_bin(b, bins[b]);
+  }
+}
+
+util::histogram timeline_window::slo(std::size_t group) const {
+  util::histogram h;
+  add_slo(group, h);
+  return h;
+}
 
 util::histogram timeline_window::merged_slo() const {
   util::histogram merged;
-  for (const util::histogram& h : slo) merged.merge(h);
+  for (std::size_t g = 0; g < slo_groups(); ++g) add_slo(g, merged);
   return merged;
 }
 
@@ -18,7 +44,7 @@ void timeline::reset(std::size_t window_capacity, std::size_t group_count) {
   windows_.reserve(window_capacity);
   for (std::size_t i = 0; i < window_capacity; ++i) {
     timeline_window w;
-    w.slo.resize(group_count);
+    w.slo_bins.assign(group_count * kBins, 0);
     windows_.push_back(std::move(w));
   }
   prev_slo_.assign(group_count, util::histogram{});
@@ -47,8 +73,14 @@ void timeline::snapshot(const registry& reg, std::uint64_t slot,
   for (std::size_t g = 0; g < groups; ++g) {
     // delta = cumulative - baseline, then baseline += delta == cumulative:
     // both steps are bin-wise integer math on same-layout histograms.
-    w.slo[g].assign_difference(reg.group_slo(g), prev_slo_[g]);
-    prev_slo_[g].merge(w.slo[g]);
+    slo_delta_.assign_difference(reg.group_slo(g), prev_slo_[g]);
+    prev_slo_[g].merge(slo_delta_);
+    std::uint32_t* bins = w.slo_bins.data() + g * kBins;
+    for (std::size_t b = 0; b < kBins; ++b) {
+      const std::size_t count = slo_delta_.count_in_bin(b);
+      if (count > kMaxWindowCount) [[unlikely]] reject_window_count();
+      bins[b] = static_cast<std::uint32_t>(count);
+    }
   }
   ++pushed_;
 }
@@ -101,9 +133,14 @@ void timeline::merge(const timeline& other) {
     for (std::size_t g = 0; g < kGaugeCount; ++g) {
       if (theirs.gauges[g] > mine.gauges[g]) mine.gauges[g] = theirs.gauges[g];
     }
-    if (mine.slo.size() < theirs.slo.size()) mine.slo.resize(theirs.slo.size());
-    for (std::size_t g = 0; g < theirs.slo.size(); ++g) {
-      mine.slo[g].merge(theirs.slo[g]);
+    if (mine.slo_bins.size() < theirs.slo_bins.size()) {
+      mine.slo_bins.resize(theirs.slo_bins.size(), 0);
+    }
+    for (std::size_t b = 0; b < theirs.slo_bins.size(); ++b) {
+      const std::uint64_t sum =
+          std::uint64_t{mine.slo_bins[b]} + theirs.slo_bins[b];
+      if (sum > kMaxWindowCount) reject_window_count();
+      mine.slo_bins[b] = static_cast<std::uint32_t>(sum);
     }
   }
   windows_ = std::move(merged);
@@ -124,12 +161,15 @@ std::uint64_t timeline::fingerprint() const noexcept {
       if (counter_is_trace_dependent(which)) continue;
       fnv.word(w.counters[c]);
     }
-    fnv.word(static_cast<std::uint64_t>(w.slo.size()));
-    for (const util::histogram& h : w.slo) {
-      fnv.word(h.total());
-      for (std::size_t b = 0; b < h.bin_count(); ++b) {
-        fnv.word(h.count_in_bin(b));
-      }
+    // Per group: the sample total, then every bin, as the words a
+    // util::histogram of the same counts hashes to.
+    fnv.word(static_cast<std::uint64_t>(w.slo_groups()));
+    for (std::size_t g = 0; g < w.slo_groups(); ++g) {
+      const std::uint32_t* bins = w.slo_bins.data() + g * kBins;
+      std::uint64_t total = 0;
+      for (std::size_t b = 0; b < kBins; ++b) total += bins[b];
+      fnv.word(total);
+      for (std::size_t b = 0; b < kBins; ++b) fnv.word(bins[b]);
     }
   }
   return fnv.hash;

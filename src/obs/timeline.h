@@ -5,12 +5,14 @@
 // dimension by snapshotting the registry at every slot boundary and
 // storing the *delta* since the previous snapshot — counter increments,
 // gauge point samples, and per-group SLO latency histogram bins that
-// landed inside the window.  Recording follows the registry's
-// discipline: every buffer is sized once at setup (reset()), snapshot()
-// is allocation-free and runs at slot rate, each single-threaded
-// simulation owns its own timeline, and owners fold them with merge()
-// in shard-index order — so the merged timeline, and the fingerprint
-// over it, is bit-identical whatever the pool size.
+// landed inside the window.  A window keeps its SLO bins in 32 bits, half
+// a util::histogram's bytes; a window bin that would reach 2^32 samples
+// throws std::overflow_error instead of wrapping.  Recording follows the
+// registry's discipline: every buffer is sized once at setup (reset()),
+// snapshot() is allocation-free and runs at slot rate, each
+// single-threaded simulation owns its own timeline, and owners fold them
+// with merge() in shard-index order — so the merged timeline, and the
+// fingerprint over it, is bit-identical whatever the pool size.
 //
 // The fingerprint excludes gauges (pool_workers legitimately differs
 // across --jobs legs), scheduling-dependent counters (pool telemetry),
@@ -38,7 +40,9 @@ struct timeline_window {
   double sim_end_ms = 0.0;
   std::array<std::uint64_t, kCounterCount> counters{};  ///< in-window deltas
   std::array<std::uint64_t, kGaugeCount> gauges{};      ///< samples at close
-  std::vector<util::histogram> slo;  ///< per-group in-window latency bins
+  /// Per-group in-window SLO latency counts in util::histogram's bin
+  /// layout, group-major: group g's bin b is slo_bins[g * kBins + b].
+  std::vector<std::uint32_t> slo_bins;
 
   std::uint64_t delta(counter c) const noexcept {
     return counters[static_cast<std::size_t>(c)];
@@ -46,6 +50,15 @@ struct timeline_window {
   std::uint64_t sample(gauge g) const noexcept {
     return gauges[static_cast<std::size_t>(g)];
   }
+  /// Groups with SLO bins in this window.
+  std::size_t slo_groups() const noexcept {
+    return slo_bins.size() / util::histogram::kBins;
+  }
+  /// Adds group `group`'s in-window SLO samples to `into`.  Throws
+  /// std::out_of_range for a group the window lacks.
+  void add_slo(std::size_t group, util::histogram& into) const;
+  /// Group `group`'s in-window SLO samples as a histogram.
+  util::histogram slo(std::size_t group) const;
   /// All groups' in-window SLO samples merged (the fleet-wide row).
   util::histogram merged_slo() const;
 };
@@ -80,7 +93,8 @@ class timeline {
   const timeline_window& window(std::size_t i) const;
 
   /// Folds `other` in, aligning windows on their slot index: counters
-  /// and SLO bins add, gauges take the max, `sim_end_ms` takes the max
+  /// and SLO bins add (a bin sum of 2^32 or more throws
+  /// std::overflow_error), gauges take the max, `sim_end_ms` takes the max
   /// (shards close slot k at the same boundary; the drain window closes
   /// at the last shard event).  Windows `other` has and this timeline
   /// lacks are inserted in slot order.  Post-run only — a merged
@@ -101,6 +115,7 @@ class timeline {
   /// Registry state at the previous snapshot (the delta baseline).
   std::array<std::uint64_t, kCounterCount> prev_counters_{};
   std::vector<util::histogram> prev_slo_;
+  util::histogram slo_delta_;  ///< snapshot() scratch: one group's delta
 };
 
 }  // namespace mca::obs

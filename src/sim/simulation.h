@@ -18,6 +18,8 @@
 // generator's one pending request per device) sit in the second heap, a
 // cancellation-free lane whose index is a payload (the device index) for
 // the one arrival handler: no slot, no callback, no position bookkeeping.
+// Its generator reserves it once at the device count (one pending arrival
+// per device), so it holds 16 bytes per device and never reallocates.
 // Both heaps draw from one sequence counter and `step()` runs whichever top
 // is earlier by (time, key), so the merged order is the one a single heap
 // would give.  Capacity limits from the packing: 2^24 concurrently pending
@@ -77,6 +79,12 @@ class simulation {
   /// simulation: throws std::logic_error on a second call and
   /// std::invalid_argument on an empty handler.
   void set_arrival_handler(arrival_handler fn);
+
+  /// Sizes the arrival lane for `pending` arrivals at once (one per device
+  /// for the inter-arrival generator), so it never grows by doubling.
+  void reserve_arrivals(std::size_t pending) {
+    arrivals_.reserve(kHeapPad + pending);
+  }
 
   /// Queues an uncancellable arrival for `payload` at `at` (clamped to now)
   /// in FIFO order with events.  Throws std::logic_error without a handler

@@ -61,6 +61,11 @@ void histogram::assign_difference(const histogram& cur, const histogram& prev) {
   total_ = cur.total_ - prev.total_;
 }
 
+void histogram::add_to_bin(std::size_t bin, std::size_t count) {
+  counts_.at(bin) += count;
+  total_ += count;
+}
+
 double histogram::bin_lower(std::size_t bin) const {
   if (bin >= kBins) throw std::out_of_range{"histogram: bin index"};
   return bin == 0 ? 0.0 : edge(bin - 1);

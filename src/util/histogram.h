@@ -36,6 +36,11 @@ class histogram {
   /// throws std::invalid_argument otherwise.  Allocation-free, so per-window
   /// telemetry deltas (obs::timeline) can use it at slot rate.
   void assign_difference(const histogram& cur, const histogram& prev);
+  /// Adds `count` samples to `bin`, as if `count` values in
+  /// [bin_lower(bin), bin_upper(bin)) were added: how counts kept in a
+  /// compact per-bin form re-enter a histogram.  Throws std::out_of_range
+  /// past the last bin.
+  void add_to_bin(std::size_t bin, std::size_t count);
   std::size_t total() const noexcept { return total_; }
   std::size_t bin_count() const noexcept { return kBins; }
   std::size_t count_in_bin(std::size_t bin) const { return counts_.at(bin); }

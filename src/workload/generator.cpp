@@ -99,6 +99,9 @@ interarrival_generator::interarrival_generator(sim::simulation& sim,
   }
   sim_.set_arrival_handler(
       [this](std::uint32_t device) { on_arrival(device); });
+  // Each device keeps exactly one arrival pending: on_arrival reschedules
+  // the device whose arrival was just popped.
+  sim_.reserve_arrivals(config_.devices);
   const util::time_ms start = sim_.now();
   for (std::size_t d = 0; d < config_.devices; ++d) {
     // Desynchronize devices with an initial fractional gap: the gap is

@@ -570,8 +570,8 @@ TEST(FaultFleet, OutageWindowBreachesThenRecovers) {
   const obs::timeline& tl = result.timeline;
   ASSERT_GE(tl.size(), 3u);
   ASSERT_GT(tl.group_count(), 1u);
-  const util::histogram& breached = tl.window(1).slo[1];
-  const util::histogram& recovered = tl.window(2).slo[1];
+  const util::histogram breached = tl.window(1).slo(1);
+  const util::histogram recovered = tl.window(2).slo(1);
   ASSERT_GT(breached.total(), 0u);
   ASSERT_GT(recovered.total(), 0u);
   EXPECT_GT(breached.quantile_interpolated(0.99), kP99CeilingMs);

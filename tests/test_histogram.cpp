@@ -219,6 +219,26 @@ TEST(Histogram, AssignDifferenceUndoesMerge) {
                std::invalid_argument);
 }
 
+TEST(Histogram, AddToBinEqualsAddingThatBinsSamples) {
+  rng gen{23};
+  histogram by_sample;
+  for (int i = 0; i < 3'000; ++i) by_sample.add(gen.lognormal(5.0, 1.2));
+  histogram by_bin;
+  for (std::size_t b = 0; b < by_sample.bin_count(); ++b) {
+    by_bin.add_to_bin(b, by_sample.count_in_bin(b));
+  }
+  EXPECT_EQ(by_bin.total(), by_sample.total());
+  for (std::size_t b = 0; b < by_sample.bin_count(); ++b) {
+    EXPECT_EQ(by_bin.count_in_bin(b), by_sample.count_in_bin(b)) << "bin " << b;
+  }
+  for (const double q : {0.0, 0.5, 0.99, 1.0}) {
+    EXPECT_EQ(by_bin.quantile_interpolated(q),
+              by_sample.quantile_interpolated(q))
+        << "q " << q;
+  }
+  EXPECT_THROW(by_bin.add_to_bin(histogram::kBins, 1), std::out_of_range);
+}
+
 TEST(Histogram, QuantileIsMonotonicInQ) {
   rng gen{23};
   histogram h;

@@ -19,6 +19,15 @@ TEST(Moderator, ValidatesConstruction) {
   EXPECT_NO_THROW(moderator(1.0, 3, 3, 4, util::rng{1}));
 }
 
+TEST(Moderator, GroupsFitOneByte) {
+  EXPECT_THROW(moderator(0.5, 1, 256, 4, util::rng{1}), std::invalid_argument);
+  moderator top{1.0, 254, 255, 2, util::rng{1}};
+  top.record_response(1);
+  top.record_response(1);
+  EXPECT_EQ(top.group_of(1), 255u);  // capped at the largest byte
+  EXPECT_EQ(top.group_of(0), 254u);
+}
+
 TEST(Moderator, UsersStartInInitialGroup) {
   const moderator mod{1.0 / 50.0, 1, 3, 100, util::rng{1}};
   EXPECT_EQ(mod.group_of(17), 1u);

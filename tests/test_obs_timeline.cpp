@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -42,13 +44,37 @@ TEST(ObsTimeline, SnapshotStoresDeltasNotTotals) {
   EXPECT_EQ(tl.window(0).slot, 0u);
   EXPECT_DOUBLE_EQ(tl.window(0).sim_end_ms, 1'000.0);
   EXPECT_EQ(tl.window(0).delta(counter::sdn_requests), 10u);
-  EXPECT_EQ(tl.window(0).slo[0].total(), 1u);
-  EXPECT_EQ(tl.window(0).slo[1].total(), 1u);
+  EXPECT_EQ(tl.window(0).slo(0).total(), 1u);
+  EXPECT_EQ(tl.window(0).slo(1).total(), 1u);
   // Second window holds only what landed after the first snapshot.
   EXPECT_EQ(tl.window(1).delta(counter::sdn_requests), 3u);
-  EXPECT_EQ(tl.window(1).slo[0].total(), 1u);
-  EXPECT_EQ(tl.window(1).slo[1].total(), 0u);
+  EXPECT_EQ(tl.window(1).slo(0).total(), 1u);
+  EXPECT_EQ(tl.window(1).slo(1).total(), 0u);
   EXPECT_EQ(tl.window(1).merged_slo().total(), 1u);
+}
+
+TEST(ObsTimeline, WindowBinsThrowAt2To32InsteadOfWrapping) {
+  // 31 self-merges double one sample into 2^31 in a single bin.
+  registry half{1};
+  half.observe_response(0, 200.0);
+  for (int i = 0; i < 31; ++i) {
+    const registry copy = half;
+    half.merge(copy);
+  }
+  constexpr std::size_t kHalf = std::size_t{1} << 31;
+  ASSERT_EQ(half.group_slo(0).total(), kHalf);
+
+  timeline fits{1, 1};
+  fits.snapshot(half, 0, 1'000.0);
+  EXPECT_EQ(fits.window(0).slo(0).total(), kHalf);
+  // Two windows of 2^31 in one bin merge to 2^32.
+  timeline twice = fits;
+  EXPECT_THROW(twice.merge(fits), std::overflow_error);
+
+  registry full = half;
+  full.merge(half);
+  timeline overflows{1, 1};
+  EXPECT_THROW(overflows.snapshot(full, 0, 1'000.0), std::overflow_error);
 }
 
 TEST(ObsTimeline, GaugesArePointSamples) {
@@ -112,7 +138,7 @@ TEST(ObsTimeline, MergeAlignsOnSlotIndex) {
   EXPECT_EQ(merged.window(1).delta(counter::sdn_requests), 2u);
   EXPECT_EQ(merged.window(2).slot, 2u);
   EXPECT_EQ(merged.window(2).delta(counter::sdn_requests), 7u);
-  EXPECT_EQ(merged.window(2).slo[0].total(), 1u);
+  EXPECT_EQ(merged.window(2).slo(0).total(), 1u);
 }
 
 TEST(ObsTimeline, FingerprintExcludesGaugesSchedulingAndTraceCounters) {

@@ -177,6 +177,20 @@ TEST_F(SystemTest, PredictionsAppearOnceHistoryExists) {
   EXPECT_GT(*system.metrics().mean_prediction_accuracy(), 0.95);
 }
 
+TEST_F(SystemTest, PredictorHistoryHoldsExactSizeSlots) {
+  // The boundary scans the evidence bitsets into exact-size groups: no
+  // slot in the history keeps capacity beyond its users.
+  offloading_system system{base_config(), pool_};
+  system.run(util::hours(1));
+  const auto& history = system.predictor().history();
+  ASSERT_EQ(history.size(), 6u);
+  for (std::size_t i = 0; i < history.size(); ++i) {
+    EXPECT_GT(history[i].total_users(), 0u) << "slot " << i;
+    EXPECT_EQ(history[i].user_capacity(), history[i].total_users())
+        << "slot " << i;
+  }
+}
+
 TEST_F(SystemTest, AdaptationLaunchesInstancesForLoad) {
   auto config = base_config();
   config.user_count = 35;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "util/rng.h"
 
 namespace mca::trace {
@@ -121,6 +124,99 @@ TEST(SlotDistance, SymmetricOverRandomSlots) {
     }
     EXPECT_EQ(slot_distance(a, b), slot_distance(b, a));
   }
+}
+
+/// The retired evidence path, kept as the reference for slot_accumulator:
+/// one push_back per traced request into its group's list, then a copy,
+/// sort and unique per group at the boundary.
+class pushed_evidence {
+ public:
+  pushed_evidence(std::size_t group_count, util::time_ms slot_length)
+      : users_(group_count), slot_length_{slot_length},
+        window_end_{slot_length} {}
+
+  void record(util::time_ms logged_at, util::time_ms created_at, user_id user,
+              group_id group) {
+    if (created_at >= window_start_ && logged_at < window_end_ &&
+        group < users_.size()) {
+      users_[group].push_back(user);
+    }
+  }
+
+  time_slot take() {
+    time_slot slot{users_.size()};
+    for (std::size_t g = 0; g < users_.size(); ++g) {
+      std::vector<user_id> sorted = users_[g];
+      std::sort(sorted.begin(), sorted.end());
+      sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+      for (const user_id u : sorted) {
+        slot.add_user(static_cast<group_id>(g), u);
+      }
+      users_[g].clear();
+    }
+    window_start_ = window_end_;
+    window_end_ += slot_length_;
+    return slot;
+  }
+
+ private:
+  std::vector<std::vector<user_id>> users_;
+  util::time_ms slot_length_;
+  util::time_ms window_start_ = 0.0;
+  util::time_ms window_end_;
+};
+
+TEST(SlotAccumulator, EqualsThePushSortUniquePath) {
+  // Four groups over 200 users (user 199, the last, sits in a partly
+  // used last word), 100 ms windows.  Records land in a few windows
+  // around the current one, so some were created before it or logged at
+  // or after its end; groups run one past the range; users repeat within
+  // and across groups.
+  constexpr std::size_t kGroups = 4;
+  constexpr std::size_t kUsers = 200;
+  constexpr util::time_ms kSlot = 100.0;
+  slot_accumulator bits{kGroups, kUsers, kSlot};
+  pushed_evidence pushed{kGroups, kSlot};
+  util::rng rng{17};
+  std::size_t kept = 0;
+  for (int window = 0; window < 6; ++window) {
+    const util::time_ms start = kSlot * window;
+    for (int i = 0; i < 400; ++i) {
+      const util::time_ms created = start + rng.uniform(-0.5, 1.0) * kSlot;
+      const util::time_ms logged = created + rng.uniform(0.0, 0.6) * kSlot;
+      const auto user = static_cast<user_id>(
+          i % 50 == 0 ? kUsers - 1 : rng.uniform_int(0, 60));
+      const auto group =
+          static_cast<group_id>(rng.uniform_int(0, kGroups));  // incl. 4
+      bits.record(logged, created, user, group);
+      pushed.record(logged, created, user, group);
+    }
+    // Records on the window's edges: created at its start (kept), logged
+    // at its end (dropped).
+    bits.record(start + 1.0, start, kUsers - 1, 0);
+    pushed.record(start + 1.0, start, kUsers - 1, 0);
+    bits.record(start + kSlot, start + 1.0, 3, 1);
+    pushed.record(start + kSlot, start + 1.0, 3, 1);
+
+    const time_slot got = bits.take();
+    const time_slot want = pushed.take();
+    EXPECT_EQ(got, want) << "window " << window;
+    EXPECT_EQ(got.user_capacity(), got.total_users()) << "window " << window;
+    ASSERT_FALSE(got.users_in(0).empty());
+    EXPECT_EQ(got.users_in(0).back(), kUsers - 1) << "window " << window;
+    kept += got.total_users();
+  }
+  EXPECT_GT(kept, 600u);
+}
+
+TEST(SlotAccumulator, IgnoresUsersOutsideThePopulation) {
+  slot_accumulator bits{2, 64, 10.0};
+  bits.record(1.0, 0.0, 64, 1);
+  bits.record(1.0, 0.0, 63, 1);
+  const time_slot slot = bits.take();
+  ASSERT_EQ(slot.user_count(1), 1u);
+  EXPECT_EQ(slot.users_in(1)[0], 63u);
+  EXPECT_TRUE(bits.take().empty());  // take() cleared the bitsets
 }
 
 }  // namespace
