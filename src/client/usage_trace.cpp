@@ -184,11 +184,11 @@ std::vector<util::time_ms> synthesize_participant_events(
   return events;
 }
 
-std::vector<double> study_interarrivals(const usage_study_config& config,
-                                        util::rng& rng) {
+std::vector<std::uint16_t> study_interarrivals(const usage_study_config& config,
+                                               util::rng& rng) {
   // One participant at a time, through reused buffers, straight into the
   // one gap array; growth past the bound stays correct, only slower.
-  std::vector<double> gaps;
+  std::vector<std::uint16_t> gaps;
   gaps.reserve(expected_gap_bound(config));
   synthesis_buffers buffers;
   for (std::size_t participant = 0; participant < config.participants;
@@ -202,10 +202,12 @@ std::vector<double> study_interarrivals(const usage_study_config& config,
                    const double gap = t - previous;
                    // Gaps longer than the band are between-session idle
                    // time, which the paper removes; shorter ones are
-                   // clock-resolution artifacts.
+                   // clock-resolution artifacts.  Kept gaps are stored to
+                   // the nearest ms: adding a half and truncating rounds
+                   // the positive in-band gap without a libm call.
                    if (!first && gap >= kMinInterarrival &&
                        gap <= kMaxInterarrival) {
-                     gaps.push_back(gap);
+                     gaps.push_back(static_cast<std::uint16_t>(gap + 0.5));
                    }
                    first = false;
                    previous = t;

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "util/empirical.h"
@@ -38,14 +39,16 @@ std::vector<util::time_ms> synthesize_participant_events(
 
 /// Pooled within-session inter-arrival samples across all participants,
 /// inside the 100–5000 ms band (long idle gaps between sessions removed,
-/// as the paper removes inactive periods).  All finite, in participant
-/// then time order.  Participants are synthesized one at a time and
-/// streamed into this one array, which is reserved once at an upper bound
-/// on the expected count (~2.2M gaps, 17 MB, for the default study, with
-/// the capacity within 1.1x of the size); besides it the synthesis holds
-/// only the sessions that run past the current hour.
-std::vector<double> study_interarrivals(const usage_study_config& config,
-                                        util::rng& rng);
+/// as the paper removes inactive periods), in participant then time order.
+/// The band test reads the exact gap; the stored value is that gap rounded
+/// to the nearest whole millisecond (a tracker's resolution), 2 bytes a
+/// gap.  Participants are synthesized one at a time and streamed into
+/// this one array, which is reserved once at an upper bound on the
+/// expected count (~2.2M gaps, 4.4 MB, for the default study, with the
+/// capacity within 1.1x of the size); besides it the synthesis holds only
+/// the sessions that run past the current hour.
+std::vector<std::uint16_t> study_interarrivals(const usage_study_config& config,
+                                               util::rng& rng);
 
 /// The study distilled into a samplable distribution: the gaps are moved
 /// into it, not copied or sorted, so the gap array is the only large

@@ -40,6 +40,19 @@ double sdn_accelerator::sample_routing_overhead() {
   return std::max(overhead, 5.0);
 }
 
+request_timing sdn_accelerator::timing(const inflight& s) const noexcept {
+  request_timing t;
+  t.mobile_to_front = s.external_one_way;
+  t.routing = s.routing;
+  t.front_to_back = config_.backend_one_way_ms;
+  t.cloud = s.cloud;
+  t.back_to_front = s.back_to_front ? config_.backend_one_way_ms : 0.0;
+  t.front_to_mobile = s.external_one_way;
+  t.success = s.success;
+  t.local = s.local;
+  return t;
+}
+
 double sdn_accelerator::hour_of_day() const noexcept {
   return std::fmod(util::to_hours(sim_.now()), 24.0);
 }
@@ -91,23 +104,28 @@ void sdn_accelerator::submit(const workload::offload_request& request,
 
   const std::uint32_t slot = acquire_slot();
   inflight& s = pool_[slot];
-  s.request = request;
-  s.group = group;
+  s.id = request.id;
+  s.created_at = request.created_at;
+  s.algorithm = request.work.algorithm;
+  s.user = request.user;
+  s.size = request.work.size;
+  s.external_one_way = external_one_way;
+  s.routing = overhead;
+  s.cloud = 0.0;
   s.battery = battery;
-  s.timing = {};
-  s.timing.mobile_to_front = external_one_way;
-  s.timing.routing = overhead;
-  s.timing.front_to_back = config_.backend_one_way_ms;
-  s.timing.front_to_mobile = external_one_way;
-  s.attempt = 0;
   s.seq = received_;
-  ++s.epoch;  // orphan any stale backend completion from a prior occupant
   s.timeout = {};
+  s.group = group;
+  ++s.epoch;  // orphan any stale backend completion from a prior occupant
+  s.attempt = 0;
+  s.success = false;
+  s.local = false;
+  s.back_to_front = false;
   s.sampled =
       tracer_ != nullptr && (received_ - 1) % trace_sample_every_ == 0;
   if (s.sampled) {
-    s.span_wall_us = tracer_->now_us();
-    s.span_sim_start = sim_.now();
+    if (span_starts_.size() < pool_.size()) span_starts_.resize(pool_.size());
+    span_starts_[slot] = {tracer_->now_us(), sim_.now()};
     if (obs_ != nullptr) obs_->add(obs::counter::sdn_sampled_spans);
   }
 
@@ -123,7 +141,7 @@ void sdn_accelerator::stage_dispatch(std::uint32_t slot) {
   ++s.attempt;
   const std::uint32_t epoch = s.epoch;
   const auto status = backend_.route(
-      s.group, s.request.work.work_units(),
+      s.group, s.work().work_units(),
       [this, slot, epoch](util::time_ms service_time, bool ok) {
         on_backend_done(slot, epoch, service_time, ok);
       });
@@ -142,42 +160,41 @@ void sdn_accelerator::stage_dispatch(std::uint32_t slot) {
 void sdn_accelerator::stage_return(std::uint32_t slot,
                                    util::time_ms service_time) {
   inflight& s = pool_[slot];
-  s.timing.cloud = service_time;
-  s.timing.back_to_front = config_.backend_one_way_ms;
-  s.timing.success = true;
+  s.cloud = service_time;
+  s.back_to_front = true;
+  s.success = true;
   // The trace point: the request is logged when its result reaches the
   // front-end, one internal hop from now.  That time is known here, so
   // the observer and the (optionally retained) log record fire now and
   // carry it; the owner decides slot membership by logged_at.
   const util::time_ms logged_at = sim_.now() + config_.backend_one_way_ms;
-  if (on_trace_) {
-    on_trace_(logged_at, s.request.created_at, s.request.user, s.group);
-  }
+  if (on_trace_) on_trace_(logged_at, s.created_at, s.user, s.group);
   if (log_ != nullptr && config_.retain_trace_records) {
-    log_->append({s.request.created_at, s.request.user, s.group, s.battery,
-                  s.timing.total()});
+    log_->append({s.created_at, s.user, s.group, s.battery,
+                  timing(s).total()});
   }
-  sim_.schedule_at(logged_at + s.timing.front_to_mobile,
+  sim_.schedule_at(logged_at + s.external_one_way,
                    [this, slot] { deliver(slot); });
 }
 
 void sdn_accelerator::deliver(std::uint32_t slot) {
   inflight& s = pool_[slot];
+  const request_timing t = timing(s);
   if (obs_ != nullptr) {
-    obs_->add(s.timing.success ? obs::counter::sdn_successes
-                               : obs::counter::sdn_failures);
+    obs_->add(t.success ? obs::counter::sdn_successes
+                        : obs::counter::sdn_failures);
   }
   if (exemplars_ != nullptr) {
     // Tail sampling at the sink: offer every response with its final
     // latency; the reservoir keeps the window's top-K over preallocated
     // storage (a compare and at most one O(log K) sift).
     obs::exemplar_record exemplar;
-    exemplar.response_ms = s.timing.total();
-    exemplar.issued_at_ms = s.request.created_at;
-    exemplar.request = s.request.id;
-    exemplar.user = s.request.user;
+    exemplar.response_ms = t.total();
+    exemplar.issued_at_ms = s.created_at;
+    exemplar.request = s.id;
+    exemplar.user = s.user;
     exemplar.group = s.group;
-    exemplar.success = s.timing.success;
+    exemplar.success = t.success;
     if (exemplars_->observe(exemplar) && obs_ != nullptr) {
       obs_->add(obs::counter::exemplar_admitted);
     }
@@ -185,22 +202,22 @@ void sdn_accelerator::deliver(std::uint32_t slot) {
   if (s.sampled) {
     // Wall extent: host time this shard spent simulating the request's
     // window; sim extent: the response time itself.
+    const span_start& start = span_starts_[slot];
     obs::span_record span;
     span.kind = obs::span_kind::request_lifecycle;
-    span.wall_start_us = s.span_wall_us;
-    span.wall_dur_us = tracer_->now_us() - s.span_wall_us;
-    span.sim_start_ms = s.span_sim_start;
-    span.sim_dur_ms = sim_.now() - s.span_sim_start;
-    span.arg_a = s.request.user;
-    span.arg_b = s.timing.success ? 1 : 0;
+    span.wall_start_us = start.wall_us;
+    span.wall_dur_us = tracer_->now_us() - start.wall_us;
+    span.sim_start_ms = start.sim_ms;
+    span.sim_dur_ms = sim_.now() - start.sim_ms;
+    span.arg_a = s.user;
+    span.arg_b = t.success ? 1 : 0;
     tracer_->ring(trace_ring_).push(span);
   }
   if (sink_ != nullptr) {
-    const workload::offload_request request = s.request;
-    const request_timing timing = s.timing;
+    const workload::offload_request request = s.request();
     const group_id group = s.group;
     release_slot(slot);
-    sink_->on_response(request, timing, group);
+    sink_->on_response(request, t, group);
     return;
   }
   release_slot(slot);
@@ -241,7 +258,7 @@ void sdn_accelerator::on_timeout(std::uint32_t slot) {
   ++s.epoch;
   if (obs_ != nullptr) obs_->add(obs::counter::sdn_timeouts);
   // The front-end held the request for the full timeout window.
-  s.timing.routing += faults_.request_timeout_ms;
+  s.routing += faults_.request_timeout_ms;
   attempt_failed(slot);
 }
 
@@ -263,7 +280,7 @@ void sdn_accelerator::attempt_failed(std::uint32_t slot) {
     util::rng jitter =
         util::rng::split(retry_seed_, (s.seq << 8) | s.attempt);
     wait *= 0.5 + jitter.uniform();
-    s.timing.routing += wait;
+    s.routing += wait;
     sim_.schedule_after(wait, [this, slot] { stage_dispatch(slot); });
     return;
   }
@@ -273,20 +290,20 @@ void sdn_accelerator::attempt_failed(std::uint32_t slot) {
     // needs no network legs beyond those already paid; the "cloud" time
     // becomes the (much slower) local execution.
     const double local_ms =
-        s.request.work.work_units() / faults_.local_exec_wu_per_ms;
-    s.timing.cloud = local_ms;
-    s.timing.local = true;
-    s.timing.success = true;
-    sim_.schedule_at((sim_.now() + local_ms) + s.timing.front_to_mobile,
+        s.work().work_units() / faults_.local_exec_wu_per_ms;
+    s.cloud = local_ms;
+    s.local = true;
+    s.success = true;
+    sim_.schedule_at((sim_.now() + local_ms) + s.external_one_way,
                      [this, slot] { deliver(slot); });
     return;
   }
   // Retry budget exhausted, no fallback: the failure notice still pays
   // the return hops (identical to the pre-retry rejection path).
-  s.timing.cloud = 0.0;
-  s.timing.back_to_front = config_.backend_one_way_ms;
+  s.cloud = 0.0;
+  s.back_to_front = true;
   sim_.schedule_at(
-      (sim_.now() + config_.backend_one_way_ms) + s.timing.front_to_mobile,
+      (sim_.now() + config_.backend_one_way_ms) + s.external_one_way,
       [this, slot] { deliver(slot); });
 }
 // mca:hot-path-end

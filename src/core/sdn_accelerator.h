@@ -9,9 +9,9 @@
 // both ways, so T_m→f = T_f→m and T_f→b = T_b→f.  Every processed request
 // is logged as a trace record — the knowledge base of the predictor.
 //
-// Hot-path layout: each accepted request occupies one slot in a pooled
-// slab of in-flight states (free-listed, reused).  A request gets a sim
-// event only where something is decided: dispatch (admission at the
+// Hot-path layout: each accepted request occupies one 96-byte slot in a
+// pooled slab of in-flight states (free-listed, reused).  A request gets a
+// sim event only where something is decided: dispatch (admission at the
 // back-end), the back-end completion, and delivery.  The front-end's
 // per-request draws (the half-RTT and the routing overhead) happen at
 // admission, in arrival order; the pure-delay legs between decisions are
@@ -129,8 +129,9 @@ class sdn_accelerator {
   /// `tracer` (nullptr = no tracing)
   /// receives a request_lifecycle span for 1 request in `sample_every`
   /// into `tracer->ring(ring)`.  Both pointers are fixed after setup, so
-  /// the disabled path is one predictable branch; span state lives in the
-  /// pooled in-flight slab, so sampling allocates nothing.
+  /// the disabled path is one predictable branch; span state lives in a
+  /// slot-indexed side array, grown with the slab only once a sampled
+  /// request needs it, so steady-state sampling allocates nothing.
   void set_observability(obs::registry* registry, obs::tracer* tracer,
                          std::size_t ring, std::size_t sample_every) noexcept {
     obs_ = registry;
@@ -152,28 +153,53 @@ class sdn_accelerator {
   }
 
  private:
-  /// In-flight request state, pooled and reused across requests.
+  /// In-flight request state, pooled and reused across requests.  The
+  /// request and its timing are stored unpacked, without the constant legs
+  /// and padding, and rebuilt at each reader (work(), request(), timing()).
   struct inflight {
-    workload::offload_request request;
-    request_timing timing;
-    group_id group = 0;
+    request_id id = 0;
+    util::time_ms created_at = 0.0;
+    const tasks::task* algorithm = nullptr;
+    user_id user = 0;
+    std::uint32_t size = 0;
+    /// Half the sampled round trip: T_m→f and T_f→m alike (§VI-B.2).
+    util::time_ms external_one_way = 0.0;
+    util::time_ms routing = 0.0;
+    util::time_ms cloud = 0.0;
     double battery = 1.0;
-    std::uint32_t next_free = 0;
-    // Retry bookkeeping: `attempt` counts dispatch tries, `epoch` guards
-    // against stale backend completions (a timed-out attempt's completion
-    // callback compares its captured epoch and drops itself), `timeout`
-    // is the armed per-attempt timer.
-    std::uint32_t attempt = 0;
-    std::uint32_t epoch = 0;
     /// Arrival sequence (received_ at submit), the backoff-jitter stream
     /// key.  Not request.id: the generator numbers requests in emission
     /// order, which is not always the order they reach submit.
     std::uint64_t seq = 0;
+    /// The armed per-attempt timer.
     sim::event_handle timeout{};
-    // Sampled-span state (set at submit, consumed at deliver).
+    group_id group = 0;
+    /// Guards against stale backend completions: a timed-out attempt's
+    /// completion callback compares its captured epoch and drops itself.
+    std::uint32_t epoch = 0;
+    union {
+      /// In flight: dispatch tries so far.
+      std::uint32_t attempt = 0;
+      /// Free: the next free slot.
+      std::uint32_t next_free;
+    };
+    bool success = false;
+    bool local = false;
+    /// The result paid the back-end → front-end hop (T_b→f).
+    bool back_to_front = false;
+    /// Traced as a request_lifecycle span (its start is in span_starts_).
     bool sampled = false;
-    double span_wall_us = 0.0;
-    util::time_ms span_sim_start = 0.0;
+
+    tasks::task_request work() const noexcept { return {algorithm, size}; }
+    workload::offload_request request() const noexcept {
+      return {id, user, work(), created_at};
+    }
+  };
+  static_assert(sizeof(inflight) <= 96, "an in-flight slot fits 96 bytes");
+  /// Where a sampled request's span starts, by slot.
+  struct span_start {
+    double wall_us = 0.0;
+    util::time_ms sim_ms = 0.0;
   };
   static constexpr std::uint32_t kNoFreeSlot = 0xffffffffu;
 
@@ -192,6 +218,9 @@ class sdn_accelerator {
   void on_timeout(std::uint32_t slot);
   void attempt_failed(std::uint32_t slot);
 
+  /// The slot's timing, each leg the value the stages set, so t1(), t2()
+  /// and total() sum the same doubles in the same order.
+  request_timing timing(const inflight& s) const noexcept;
   double sample_routing_overhead();
   double hour_of_day() const noexcept;
 
@@ -216,6 +245,8 @@ class sdn_accelerator {
 
   std::vector<inflight> pool_;
   std::uint32_t free_head_ = kNoFreeSlot;
+  /// Span starts by slot; empty unless a tracer samples a request.
+  std::vector<span_start> span_starts_;
 
   /// Requests submitted so far: each request's arrival sequence.
   std::uint64_t received_ = 0;

@@ -283,9 +283,9 @@ TEST_F(GeneratorTest, ArrivalLaneEmitsWhatPerDeviceEventsEmitted) {
   // Empirical gaps of exactly 0 and 5 ms put arrivals on the same
   // timestamps as the sink's zero- and 5 ms follow-ups, so lane/heap ties
   // are exercised; the exponential run covers continuous gaps.
-  std::vector<double> samples(40, 0.0);
-  samples.insert(samples.end(), 40, 5.0);
-  samples.insert(samples.end(), 20, 4'000.0);
+  std::vector<std::uint16_t> samples(40, 0);
+  samples.insert(samples.end(), 40, 5);
+  samples.insert(samples.end(), 20, 4'000);
   const auto empirical =
       std::make_shared<const util::empirical_distribution>(samples);
   const std::vector<interarrival_fn> gap_laws = {

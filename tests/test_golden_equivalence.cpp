@@ -159,7 +159,7 @@ TEST(GoldenEquivalence, StudySessionGapsMatchPinnedFingerprint) {
   EXPECT_EQ(aggregate.promotions, 2u);
   EXPECT_EQ(aggregate.background_submitted, 239317u);
   EXPECT_EQ(aggregate.accuracy.count(), 1u);
-  EXPECT_EQ(aggregate.fingerprint(), 0x0bbf4843c29f6cd0ULL);
+  EXPECT_EQ(aggregate.fingerprint(), 0x6249fb4878e4a5aaULL);
 }
 
 TEST(GoldenEquivalence, SharedStudyRunsWhatEachReplicationBuildsAlone) {

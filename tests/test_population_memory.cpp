@@ -76,8 +76,8 @@ TEST(FleetMemory, PeakLiveBytesPerUserStayUnderTheLayoutBound) {
   //    timeline's baseline and its scratch at 8 B a bin (67.7 kB):
   //    14.5 B;
   //  * state sized by the traffic, not the population: the SDN's
-  //    in-flight slab at 168 B a request, pending events, instances,
-  //    digests and the merge.  It gets the remaining 32.7 B, ~2 in-flight
+  //    in-flight slab at 96 B a request, pending events, instances,
+  //    digests and the merge.  It gets the remaining 32.7 B, ~3 in-flight
   //    slots per 10 users.
   // That is 80 B per user.  The previous layout measured 96.6 B: the
   // arrival lane grown by doubling alone peaks at 39 B per user while it

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 
 #include "client/usage_trace.h"
 #include "counting_allocator.h"
@@ -17,20 +18,23 @@ namespace {
 using counting::allocation_window;
 
 TEST(SynthesisMemory, StudyHoldsOneGapArrayAndASmallWorkingSet) {
-  // The bound is the design's sum:
+  // The bound is the design's sum, in units of the gap array at the 2
+  // bytes a whole-millisecond gap is stored in:
   //  * the gap array, reserved once at the study's expected-count bound,
   //    whose capacity UsageTrace.DeterministicForSeed holds within 1.1x of
   //    the size for the default study;
   //  * the synthesis' working set: one hour's sessions and the events
-  //    that run past it, a few thousand events against ~2.2M gaps.
+  //    that run past it, a few thousand 8-byte events (under 0.03 of the
+  //    ~2.2M-gap array at 2 bytes a gap).
   // The distribution takes the array as it is, with no copy and no sort.
-  // That sums to below 1.1 + 0.01 = 1.11.  The bound, 1.35, sits at 1.1
+  // That sums to below 1.1 + 0.03 = 1.13.  The bound, 1.35, sits at 1.1
   // plus a quarter: it fails any design that keeps a second array of a
-  // quarter of the gaps alive at once, such as one participant's events
-  // (a sixth of them, in a vector grown by doubling), a copy of the gaps,
-  // or the n-double scratch of a sort.  A synthesis that held every
-  // participant's events and sorted with an n-double scratch peaked at
-  // 2.45x here; one that streamed participants peaked at ~1.06x.
+  // quarter of the array's bytes alive at once, such as one participant's
+  // events (a sixth of the gaps at 8 bytes each, 1.3x the array), the
+  // gaps held as doubles before conversion (4x), or a store of 4- or
+  // 8-byte gaps (2x or 4x on its own).  Seed 9 peaks at 1.05x; the same
+  // streaming synthesis into an 8-byte store peaked at 4.14x.
+  constexpr std::size_t kBytesPerGap = sizeof(std::uint16_t);
   std::size_t peak = 0;
   std::size_t size = 0;
   {
@@ -40,7 +44,7 @@ TEST(SynthesisMemory, StudyHoldsOneGapArrayAndASmallWorkingSet) {
     size = dist.size();
   }
   ASSERT_GT(size, 2'000'000u);
-  const double array_bytes = static_cast<double>(size * sizeof(double));
+  const double array_bytes = static_cast<double>(size * kBytesPerGap);
   EXPECT_LE(static_cast<double>(peak), 1.35 * array_bytes)
       << "peak " << peak << " bytes for a " << array_bytes << "-byte array";
 }

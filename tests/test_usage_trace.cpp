@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -32,6 +33,24 @@ std::size_t first_difference(std::span<const double> a,
     ++i;
   }
   return i;
+}
+
+/// Index of the first differing millisecond gap, or the shorter length.
+std::size_t first_difference(std::span<const std::uint16_t> a,
+                             std::span<const std::uint16_t> b) {
+  std::size_t i = 0;
+  while (i < std::min(a.size(), b.size()) && a[i] == b[i]) ++i;
+  return i;
+}
+
+/// Gaps rounded to the nearest whole millisecond, as the study stores them.
+std::vector<std::uint16_t> rounded_ms(std::span<const double> gaps) {
+  std::vector<std::uint16_t> out;
+  out.reserve(gaps.size());
+  for (const double gap : gaps) {
+    out.push_back(static_cast<std::uint16_t>(std::lround(gap)));
+  }
+  return out;
 }
 
 /// One participant as the synthesis drew it before session runs were
@@ -94,7 +113,7 @@ reference_participant reference_synthesis(const usage_study_config& config,
 }
 
 /// A whole study through the reference: each participant's events, and
-/// the in-band gaps pooled in participant then time order.
+/// the exact in-band gaps pooled in participant then time order.
 struct reference_study {
   std::vector<std::vector<double>> events;
   std::vector<double> gaps;
@@ -119,9 +138,10 @@ reference_study reference_interarrivals(const usage_study_config& config,
 }
 
 /// Diffs the synthesis against the reference byte for byte: every
-/// participant's events, the pooled gaps in order, and the distribution's
-/// samples against the same pooled gaps, in synthesis order.  Returns the
-/// reference's count of overlapping sessions.
+/// participant's events, the pooled gaps in order against the reference's
+/// rounded to the nearest ms, and the distribution's samples against the
+/// same rounded gaps, in synthesis order.  Returns the reference's count
+/// of overlapping sessions.
 std::size_t expect_matches_reference(const usage_study_config& config,
                                      std::uint64_t seed,
                                      const std::string& label) {
@@ -135,16 +155,15 @@ std::size_t expect_matches_reference(const usage_study_config& config,
     EXPECT_EQ(first_difference(events, want), want.size())
         << label << " participant " << p;
   }
+  const auto want_gaps = rounded_ms(reference.gaps);
   util::rng pooled{seed};
   const auto gaps = study_interarrivals(config, pooled);
-  EXPECT_EQ(gaps.size(), reference.gaps.size()) << label;
-  EXPECT_EQ(first_difference(gaps, reference.gaps), reference.gaps.size())
-      << label;
-  if (!reference.gaps.empty()) {
+  EXPECT_EQ(gaps.size(), want_gaps.size()) << label;
+  EXPECT_EQ(first_difference(gaps, want_gaps), want_gaps.size()) << label;
+  if (!want_gaps.empty()) {
     const auto dist = study_interarrival_distribution(config, seed);
-    EXPECT_EQ(dist.size(), reference.gaps.size()) << label;
-    EXPECT_EQ(first_difference(dist.samples(), reference.gaps),
-              reference.gaps.size())
+    EXPECT_EQ(dist.size(), want_gaps.size()) << label;
+    EXPECT_EQ(first_difference(dist.samples(), want_gaps), want_gaps.size())
         << label;
   }
   return reference.overlapping_sessions;
@@ -196,15 +215,17 @@ TEST(UsageTrace, InterarrivalsClippedToPaperBand) {
   const auto config = small_study();
   const auto gaps = study_interarrivals(config, rng);
   ASSERT_GT(gaps.size(), 100u);
-  for (const double g : gaps) {
-    EXPECT_GE(g, 100.0);
-    EXPECT_LE(g, 5'000.0);
+  for (const std::uint16_t g : gaps) {
+    EXPECT_GE(g, 100u);
+    EXPECT_LE(g, 5'000u);
   }
 }
 
 TEST(UsageTrace, DistributionMeanIsSubSecondScale) {
   const auto dist = study_interarrival_distribution(small_study(), 42);
-  const auto stats = util::summary_of(dist.samples());
+  const std::vector<double> samples{dist.samples().begin(),
+                                    dist.samples().end()};
+  const auto stats = util::summary_of(samples);
   // Within-session gaps centre around the lognormal's ~900 ms body.
   EXPECT_GT(stats.mean, 400.0);
   EXPECT_LT(stats.mean, 2'500.0);
@@ -302,6 +323,30 @@ TEST(UsageTrace, DefaultStudyMatchesTheSortedReferenceByteForByte) {
         usage_study_config{}, seed,
         "default study, seed " + std::to_string(seed));
     EXPECT_GT(overlaps, 1'000u) << "seed " << seed;
+  }
+}
+
+TEST(UsageTrace, PoolIsTheReferenceGapsRoundedToTheNearestMs) {
+  // The rounding contract: the band test reads the exact gap and only the
+  // stored value is rounded, so the pool keeps exactly the reference's
+  // in-band gaps, each within half a millisecond and never outside the
+  // band.
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const auto reference = reference_interarrivals({}, seed);
+    util::rng rng{seed};
+    const auto pool = study_interarrivals({}, rng);
+    ASSERT_EQ(pool.size(), reference.gaps.size()) << "seed " << seed;
+    std::size_t mismatches = 0;
+    std::size_t out_of_band = 0;
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      if (pool[i] != std::lround(reference.gaps[i]) && mismatches++ == 0) {
+        ADD_FAILURE() << "seed " << seed << ": gap " << i << " stored "
+                      << pool[i] << " ms for " << reference.gaps[i] << " ms";
+      }
+      if (pool[i] < 100 || pool[i] > 5'000) ++out_of_band;
+    }
+    EXPECT_EQ(mismatches, 0u) << "seed " << seed;
+    EXPECT_EQ(out_of_band, 0u) << "seed " << seed;
   }
 }
 
