@@ -58,7 +58,7 @@ inline std::string ratio_detail(const char* name, double value) {
 
 // ---- CLI flags -----------------------------------------------------------
 // The perf harnesses share a tiny "--flag value" convention (fig_suite:
-// --jobs/--seeds/--scenario/..., micro_ops: the output path).
+// --jobs/--seeds/--scenario/..., fleet_scale: --trace/--health/...).
 
 /// One flag a bench accepts, and whether a value follows it.
 struct accepted_flag {
@@ -151,47 +151,6 @@ inline std::vector<std::uint64_t> parse_id_list(const std::string& text) {
     start = comma + 1;
   }
   return ids;
-}
-
-// ---- BENCH_*.json series ------------------------------------------------
-// The machine-readable perf trajectory tracked PR over PR (micro_ops
-// writes BENCH_micro_ops.json with these; fig_suite writes the richer
-// BENCH_figures.json itself but reuses the conventions).
-
-/// One measured series.
-struct series_entry {
-  std::string name;
-  std::string unit;
-  double current = 0.0;
-};
-
-/// Writes the BENCH_*.json document micro_ops-style benches emit.
-inline bool write_series_json(const std::string& path,
-                              const std::string& bench_name,
-                              const std::vector<series_entry>& series,
-                              bool checks_passed) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "%s: cannot write %s\n", bench_name.c_str(),
-                 path.c_str());
-    return false;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"schema\": 1,\n",
-               bench_name.c_str());
-  std::fprintf(f, "  \"checks_passed\": %s,\n",
-               checks_passed ? "true" : "false");
-  std::fprintf(f, "  \"series\": [\n");
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    const auto& s = series[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"unit\": \"%s\", \"value\": %.6g}%s\n",
-                 s.name.c_str(), s.unit.c_str(), s.current,
-                 i + 1 < series.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s\n", path.c_str());
-  return true;
 }
 
 }  // namespace mca::bench

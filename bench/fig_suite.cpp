@@ -5,8 +5,7 @@
 // twice: once on a 1-worker pool and once on a --jobs pool.  The two
 // merged aggregates must be byte-identical (fingerprint check, gated);
 // the wall-time ratio is the parallel speedup, recorded in
-// BENCH_figures.json next to BENCH_micro_ops.json so end-to-end
-// regressions are visible PR over PR, not just hot-path ones.
+// BENCH_figures.json so end-to-end regressions are visible PR over PR.
 //
 // Usage:
 //   fig_suite [--scenario NAME] [--replications R] [--seeds a,b,c]
@@ -23,7 +22,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "exp/bench_clock.h"
 #include "exp/runner.h"
 #include "exp/scenario.h"
 #include "exp/thread_pool.h"

@@ -5,15 +5,6 @@
 
 namespace mca::cloud {
 
-const char* to_string(route_status s) noexcept {
-  switch (s) {
-    case route_status::ok: return "ok";
-    case route_status::dropped: return "dropped";
-    case route_status::no_instances: return "no_instances";
-  }
-  return "unknown";
-}
-
 backend_pool::backend_pool(sim::simulation& sim, util::rng rng,
                            instance::options instance_opts)
     : sim_{sim}, rng_{rng}, instance_opts_{instance_opts} {}
@@ -172,14 +163,6 @@ std::size_t backend_pool::instance_count(
     if (!inst->draining() && inst->type().name == type_name) ++n;
   }
   return n;
-}
-
-std::vector<group_id> backend_pool::groups() const {
-  std::vector<group_id> ids;
-  for (group_id g = 0; g < groups_.size(); ++g) {
-    if (!groups_[g].empty()) ids.push_back(g);
-  }
-  return ids;
 }
 
 }  // namespace mca::cloud

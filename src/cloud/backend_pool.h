@@ -27,8 +27,6 @@ enum class route_status {
   no_instances,  ///< the group currently has no (accepting) instances
 };
 
-const char* to_string(route_status s) noexcept;
-
 /// Owns the fleet; one per simulated deployment.
 class backend_pool {
  public:
@@ -93,8 +91,6 @@ class backend_pool {
   /// Accepting instances of one type in a group.
   std::size_t instance_count(group_id group,
                              const std::string& type_name) const noexcept;
-  /// All groups that currently have instances.
-  std::vector<group_id> groups() const;
   /// Visits a group's accepting instances without materializing a vector.
   /// Warming (cold-starting) instances are skipped: they exist plan-wise
   /// but do not accept work yet.

@@ -14,13 +14,6 @@ acceleration_map::acceleration_map(std::vector<acceleration_group> groups)
   }
 }
 
-const acceleration_group& acceleration_map::group(group_id id) const {
-  if (id >= groups_.size()) {
-    throw std::out_of_range{"acceleration_map: unknown group"};
-  }
-  return groups_[id];
-}
-
 group_id acceleration_map::group_of(const std::string& type_name) const {
   for (const auto& g : groups_) {
     for (const auto& name : g.type_names) {
@@ -29,15 +22,6 @@ group_id acceleration_map::group_of(const std::string& type_name) const {
   }
   throw std::out_of_range{"acceleration_map: type '" + type_name +
                           "' not classified"};
-}
-
-bool acceleration_map::contains(const std::string& type_name) const noexcept {
-  for (const auto& g : groups_) {
-    for (const auto& name : g.type_names) {
-      if (name == type_name) return true;
-    }
-  }
-  return false;
 }
 
 group_id acceleration_map::max_group() const {

@@ -58,14 +58,13 @@ class acceleration_map {
   explicit acceleration_map(std::vector<acceleration_group> groups);
 
   std::size_t group_count() const noexcept { return groups_.size(); }
-  const acceleration_group& group(group_id id) const;
+  /// Groups in id order: groups()[id] is group `id`.
   const std::vector<acceleration_group>& groups() const noexcept {
     return groups_;
   }
 
   /// Group of an instance type; throws std::out_of_range when unknown.
   group_id group_of(const std::string& type_name) const;
-  bool contains(const std::string& type_name) const noexcept;
 
   /// Highest group id (the fastest level).
   group_id max_group() const;

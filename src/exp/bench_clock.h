@@ -1,5 +1,5 @@
-// Wall-clock measurement helpers shared by the perf harnesses
-// (micro_ops, fig_suite) — previously a private copy in each bench.
+// Wall-clock measurement helper shared by the fleet runner (its
+// coordination time) and mca_bench.
 //
 // mca-lint: allow-file(det-wallclock) bench timing harness: wall time IS
 // the measurement here; nothing in this header feeds a digest or
@@ -18,19 +18,6 @@ double seconds_of(Fn&& fn) {
   std::forward<Fn>(fn)();
   const auto stop = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(stop - start).count();
-}
-
-/// Best-of-N wall time of fn() in seconds.  The early trials double as
-/// warm-up (caches, page faults, frequency scaling); taking the minimum
-/// rather than the mean discards scheduler noise, which only ever adds.
-template <typename Fn>
-double best_seconds(int trials, Fn&& fn) {
-  double best = 1e30;
-  for (int t = 0; t < trials; ++t) {
-    const double s = seconds_of(fn);
-    if (s < best) best = s;
-  }
-  return best;
 }
 
 }  // namespace mca::exp

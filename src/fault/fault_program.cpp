@@ -101,16 +101,6 @@ void validate(const fault_program& program, util::time_ms horizon,
   }
 }
 
-const char* fault_kind_name(fault_kind kind) noexcept {
-  switch (kind) {
-    case fault_kind::preemption: return "preemption";
-    case fault_kind::outage_begin: return "outage_begin";
-    case fault_kind::outage_end: return "outage_end";
-    case fault_kind::count: break;
-  }
-  return "unknown";
-}
-
 std::vector<obs::span_record> fault_spans(
     const fault_program& program, std::span<const preemption_event> schedule) {
   std::vector<obs::span_record> spans;

@@ -108,16 +108,11 @@ std::vector<preemption_event> make_preemption_schedule(
 void validate(const fault_program& program, util::time_ms horizon,
               const char* context);
 
-/// Fault event taxonomy for reports and trace lanes.
+/// Fault event taxonomy for trace lanes (a span's arg_b).
 enum class fault_kind : std::uint8_t {
   preemption,    ///< spot instance killed mid-flight
-  outage_begin,  ///< group drained, launches refused
-  outage_end,    ///< group accepting again, capacity re-aimed
-  count
+  outage_begin,  ///< group drained, launches refused (the outage window)
 };
-
-/// Stable display name (table in fault_program.cpp).
-const char* fault_kind_name(fault_kind kind) noexcept;
 
 /// Builds the "fault windows" trace-lane spans from a program and its
 /// expanded schedule: one sim-time span per outage window and one

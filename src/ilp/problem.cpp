@@ -30,13 +30,6 @@ void problem::add_constraint(std::vector<linear_term> terms, relation rel,
   constraints_.push_back({std::move(terms), rel, rhs, std::move(name)});
 }
 
-void problem::set_bounds(std::size_t var, double lower, double upper) {
-  if (lower > upper) throw std::invalid_argument{"set_bounds: empty box"};
-  auto& v = variables_.at(var);
-  v.lower = lower;
-  v.upper = upper;
-}
-
 bool problem::has_integer_variables() const noexcept {
   for (const auto& v : variables_) {
     if (v.is_integer) return true;
@@ -78,16 +71,6 @@ bool problem::is_feasible(const std::vector<double>& x, double tol) const {
     }
   }
   return true;
-}
-
-const char* to_string(solve_status s) noexcept {
-  switch (s) {
-    case solve_status::optimal: return "optimal";
-    case solve_status::infeasible: return "infeasible";
-    case solve_status::unbounded: return "unbounded";
-    case solve_status::iteration_limit: return "iteration_limit";
-  }
-  return "unknown";
 }
 
 }  // namespace mca::ilp

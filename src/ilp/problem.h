@@ -76,10 +76,6 @@ class problem {
     return constraints_;
   }
 
-  /// Tightens a variable's box bounds (used by branch & bound).
-  /// Throws std::invalid_argument if the result is an empty box.
-  void set_bounds(std::size_t var, double lower, double upper);
-
   /// True if any variable is marked integral.
   bool has_integer_variables() const noexcept;
 
@@ -101,9 +97,6 @@ enum class solve_status {
   unbounded,
   iteration_limit,
 };
-
-/// Human-readable status name.
-const char* to_string(solve_status s) noexcept;
 
 /// Result of an LP or ILP solve.
 struct solution {

@@ -3,59 +3,6 @@
 #include "obs/fnv.h"
 
 namespace mca::obs {
-namespace {
-
-constexpr const char* kCounterNames[kCounterCount] = {
-    "sdn_requests",
-    "sdn_successes",
-    "sdn_failures",
-    "sdn_sampled_spans",
-    "ps_submits",
-    "ps_drops",
-    "ps_completions",
-    "ps_completion_events",
-    "ps_spurious_wakes",
-    "ps_vclock_resets",
-    "ilp_solves",
-    "ilp_bb_nodes",
-    "ilp_root_pivots",
-    "ilp_best_effort",
-    "fleet_slot_rounds",
-    "fleet_quota_splits",
-    "slot_boundaries",
-    "timeline_snapshots",
-    "exemplar_admitted",
-    "fault_preemptions",
-    "fault_inflight_killed",
-    "fault_outages",
-    "fault_recoveries",
-    "fault_cold_starts",
-    "sdn_timeouts",
-    "sdn_retries",
-    "sdn_local_fallbacks",
-    "pool_tasks_executed",
-    "pool_idle_waits",
-};
-
-constexpr const char* kGaugeNames[kGaugeCount] = {
-    "pool_workers",
-    "fleet_shards",
-    "groups",
-    "trace_spans_dropped",
-    "timeline_windows",
-};
-
-constexpr const char* kSeriesNames[kSeriesCount] = {
-    "ps_queue_depth",
-    "ps_event_batch",
-    "ilp_nodes_per_solve",
-};
-
-}  // namespace
-
-const char* counter_name(counter c) noexcept {
-  return kCounterNames[static_cast<std::size_t>(c)];
-}
 
 bool counter_is_scheduling_dependent(counter c) noexcept {
   switch (c) {
@@ -69,14 +16,6 @@ bool counter_is_scheduling_dependent(counter c) noexcept {
 
 bool counter_is_trace_dependent(counter c) noexcept {
   return c == counter::sdn_sampled_spans;
-}
-
-const char* gauge_name(gauge g) noexcept {
-  return kGaugeNames[static_cast<std::size_t>(g)];
-}
-
-const char* series_name(series s) noexcept {
-  return kSeriesNames[static_cast<std::size_t>(s)];
 }
 
 void registry::resize_groups(std::size_t group_count) {

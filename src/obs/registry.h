@@ -27,8 +27,8 @@
 
 namespace mca::obs {
 
-/// Every monotonic counter in the system.  Grouped by subsystem; the name
-/// table in registry.cpp mirrors this order.
+/// Every monotonic counter in the system, grouped by subsystem.  Readers
+/// address counters by value (get(counter)); none is printed by name.
 enum class counter : std::uint32_t {
   // --- SDN front-end request pipeline ---
   sdn_requests,       ///< requests entering sdn_accelerator::submit
@@ -73,9 +73,6 @@ enum class counter : std::uint32_t {
 inline constexpr std::size_t kCounterCount =
     static_cast<std::size_t>(counter::count);
 
-/// Stable snake_case name (JSON keys, trace labels).
-const char* counter_name(counter c) noexcept;
-
 /// True for counters whose value depends on the shard→thread mapping
 /// (pool telemetry).  Excluded from fingerprint().
 bool counter_is_scheduling_dependent(counter c) noexcept;
@@ -103,8 +100,6 @@ enum class gauge : std::uint32_t {
 inline constexpr std::size_t kGaugeCount =
     static_cast<std::size_t>(gauge::count);
 
-const char* gauge_name(gauge g) noexcept;
-
 /// Distribution-valued observations (queue depths, batch sizes): each
 /// series keeps count/sum/max plus a util::histogram (each integer from 1
 /// to 63 gets a bin of its own), all preallocated.
@@ -117,8 +112,6 @@ enum class series : std::uint32_t {
 
 inline constexpr std::size_t kSeriesCount =
     static_cast<std::size_t>(series::count);
-
-const char* series_name(series s) noexcept;
 
 struct series_stats {
   std::uint64_t samples = 0;

@@ -26,12 +26,6 @@ void timeline_window::add_slo(std::size_t group, util::histogram& into) const {
   }
 }
 
-util::histogram timeline_window::slo(std::size_t group) const {
-  util::histogram h;
-  add_slo(group, h);
-  return h;
-}
-
 util::histogram timeline_window::merged_slo() const {
   util::histogram merged;
   for (std::size_t g = 0; g < slo_groups(); ++g) add_slo(g, merged);
@@ -91,10 +85,6 @@ std::size_t timeline::size() const noexcept {
              ? 0
              : static_cast<std::size_t>(std::min<std::uint64_t>(
                    pushed_, static_cast<std::uint64_t>(windows_.size())));
-}
-
-std::uint64_t timeline::dropped() const noexcept {
-  return pushed_ - static_cast<std::uint64_t>(size());
 }
 
 const timeline_window& timeline::window(std::size_t i) const {

@@ -57,8 +57,6 @@ struct timeline_window {
   /// Adds group `group`'s in-window SLO samples to `into`.  Throws
   /// std::out_of_range for a group the window lacks.
   void add_slo(std::size_t group, util::histogram& into) const;
-  /// Group `group`'s in-window SLO samples as a histogram.
-  util::histogram slo(std::size_t group) const;
   /// All groups' in-window SLO samples merged (the fleet-wide row).
   util::histogram merged_slo() const;
 };
@@ -85,10 +83,9 @@ class timeline {
   /// Allocation-free after reset(); called at slot boundaries only.
   void snapshot(const registry& reg, std::uint64_t slot, double sim_end_ms);
 
-  /// Windows closed / retained / overwritten.
+  /// Windows closed / retained (pushed() - size() were overwritten).
   std::uint64_t pushed() const noexcept { return pushed_; }
   std::size_t size() const noexcept;
-  std::uint64_t dropped() const noexcept;
   /// i-th retained window, oldest first.
   const timeline_window& window(std::size_t i) const;
 

@@ -119,11 +119,6 @@ void write_span(std::FILE* out, const span_record& s, std::size_t tid,
 
 }  // namespace
 
-void tracer::export_chrome_trace(
-    std::FILE* out, const std::vector<std::string>& ring_names) const {
-  export_chrome_trace(out, ring_names, {}, nullptr);
-}
-
 void tracer::export_chrome_trace(std::FILE* out,
                                  const std::vector<std::string>& ring_names,
                                  const std::vector<trace_lane>& lanes,
@@ -155,11 +150,6 @@ void tracer::export_chrome_trace(std::FILE* out,
     }
   }
   std::fprintf(out, "\n]}\n");
-}
-
-bool tracer::export_chrome_trace(
-    const std::string& path, const std::vector<std::string>& ring_names) const {
-  return export_chrome_trace(path, ring_names, {}, nullptr);
 }
 
 bool tracer::export_chrome_trace(const std::string& path,

@@ -134,25 +134,19 @@ class tracer {
 
   std::uint64_t total_dropped() const noexcept;
 
-  /// Writes the whole trace as Chrome trace-event JSON.  `ring_names`
-  /// labels the trace threads (thread_name metadata); rings beyond the
-  /// list fall back to "ring N".
+  /// Writes the trace as Chrome trace-event JSON: ring spans plus extra
+  /// lanes (exemplars, alerts), with an optional slot-window filter
+  /// (nullptr exports everything).  `ring_names` labels the trace threads
+  /// (thread_name metadata); rings beyond the list fall back to "ring N".
   void export_chrome_trace(std::FILE* out,
-                           const std::vector<std::string>& ring_names) const;
+                           const std::vector<std::string>& ring_names,
+                           const std::vector<trace_lane>& lanes = {},
+                           const trace_filter* filter = nullptr) const;
   /// Same, to a file path.  Returns false when the file cannot be opened.
   bool export_chrome_trace(const std::string& path,
-                           const std::vector<std::string>& ring_names) const;
-
-  /// Full export: ring spans plus extra lanes (exemplars, alerts), with
-  /// an optional slot-window filter (nullptr exports everything).
-  void export_chrome_trace(std::FILE* out,
                            const std::vector<std::string>& ring_names,
-                           const std::vector<trace_lane>& lanes,
-                           const trace_filter* filter) const;
-  bool export_chrome_trace(const std::string& path,
-                           const std::vector<std::string>& ring_names,
-                           const std::vector<trace_lane>& lanes,
-                           const trace_filter* filter) const;
+                           const std::vector<trace_lane>& lanes = {},
+                           const trace_filter* filter = nullptr) const;
 
  private:
   std::vector<span_ring> rings_;

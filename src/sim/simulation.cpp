@@ -218,14 +218,6 @@ void simulation::run() {
   }
 }
 
-void simulation::clear() noexcept {
-  for (std::uint32_t i = 0; i < slots_.size(); ++i) {
-    if (slots_[i].live) release_slot(i);
-  }
-  heap_.resize(kHeapPad);
-  arrivals_.resize(kHeapPad);
-}
-
 periodic_process::periodic_process(simulation& sim, util::time_ms start,
                                    util::time_ms period, tick_fn fn)
     : sim_{sim}, period_{period}, fn_{std::move(fn)} {

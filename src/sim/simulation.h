@@ -102,10 +102,6 @@ class simulation {
   /// Runs until no events or arrivals remain.
   void run();
 
-  /// Drops every pending event and arrival (the clock is left where it is;
-  /// the arrival handler stays installed).
-  void clear() noexcept;
-
   /// Pending events plus pending arrivals.
   std::size_t pending_events() const noexcept {
     return size_of(heap_) + size_of(arrivals_);

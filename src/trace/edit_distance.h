@@ -1,11 +1,8 @@
 // Edit distances over user-assignment sequences.
 //
 // The predictor (§IV-B) measures how alike two time slots are by the edit
-// distance between the user sequences assigned to each acceleration group.
-// Provided here: classic Levenshtein (unit insert/delete/substitute),
-// post-normalized distance, and the exact Marzal–Vidal normalized edit
-// distance (the paper's reference [33]) via Dinkelbach's fractional
-// programming iteration.
+// distance between the user sequences assigned to each acceleration group:
+// classic Levenshtein (unit insert/delete/substitute).
 #pragma once
 
 #include <cstddef>
@@ -24,17 +21,5 @@ namespace mca::trace {
 /// the O(n·m) two-row DP.
 std::size_t edit_distance(std::span<const user_id> a,
                           std::span<const user_id> b);
-
-/// Levenshtein divided by max(|a|, |b|); 0 for two empty sequences.
-/// The cheap normalization commonly substituted for Marzal–Vidal.
-double post_normalized_edit_distance(std::span<const user_id> a,
-                                     std::span<const user_id> b);
-
-/// Exact Marzal–Vidal normalized edit distance: the minimum over edit
-/// paths P of weight(P)/length(P), computed by Dinkelbach iteration over
-/// a parametric DP.  Returns 0 for two empty sequences; value is in [0,1]
-/// for unit costs.
-double normalized_edit_distance(std::span<const user_id> a,
-                                std::span<const user_id> b);
 
 }  // namespace mca::trace

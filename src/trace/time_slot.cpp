@@ -27,10 +27,6 @@ std::span<const user_id> time_slot::users_in(group_id group) const {
   return groups_[group];
 }
 
-std::size_t time_slot::user_count(group_id group) const {
-  return users_in(group).size();
-}
-
 std::size_t time_slot::total_users() const noexcept {
   std::size_t total = 0;
   for (const auto& users : groups_) total += users.size();

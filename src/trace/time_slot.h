@@ -33,7 +33,6 @@ class time_slot {
   std::size_t group_count() const noexcept { return groups_.size(); }
   /// Sorted, de-duplicated users of a group.
   std::span<const user_id> users_in(group_id group) const;
-  std::size_t user_count(group_id group) const;
   /// Users summed over groups (a user may count once per group it used).
   std::size_t total_users() const noexcept;
   /// Per-group cardinalities, index = group id.

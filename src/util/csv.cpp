@@ -25,10 +25,6 @@ csv_writer::csv_writer(std::ostream& out, std::vector<std::string> columns)
   rows_ = 0;  // header does not count as a data row
 }
 
-void csv_writer::row(std::initializer_list<std::string> fields) {
-  row(std::vector<std::string>{fields});
-}
-
 void csv_writer::row(const std::vector<std::string>& fields) {
   if (fields.size() != columns_) {
     throw std::invalid_argument{"csv_writer: field count mismatch"};

@@ -4,7 +4,6 @@
 // plots can be regenerated with gnuplot exactly as the authors did.
 #pragma once
 
-#include <initializer_list>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -20,7 +19,6 @@ class csv_writer {
 
   /// Writes one row; throws std::invalid_argument if the field count does
   /// not match the header.
-  void row(std::initializer_list<std::string> fields);
   void row(const std::vector<std::string>& fields);
 
   /// Convenience: formats arithmetic values with %.6g semantics.

@@ -69,12 +69,6 @@ double percentile_sorted(std::span<const double> sorted, double q) {
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
-double percentile(std::span<const double> samples, double q) {
-  std::vector<double> sorted{samples.begin(), samples.end()};
-  std::sort(sorted.begin(), sorted.end());
-  return percentile_sorted(sorted, q);
-}
-
 summary summary_of(std::span<const double> samples) {
   if (samples.empty()) throw std::invalid_argument{"summary_of: empty sample set"};
   std::vector<double> sorted{samples.begin(), samples.end()};

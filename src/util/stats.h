@@ -61,11 +61,9 @@ struct summary {
   double p95 = 0.0;
 };
 
-/// Linear-interpolation percentile of an *unsorted* sample set, q in [0,1].
-/// Throws std::invalid_argument on an empty set or q outside [0,1].
-double percentile(std::span<const double> samples, double q);
-
-/// Percentile over samples already sorted ascending (no copy).
+/// Linear-interpolation percentile of samples sorted ascending, q in
+/// [0,1].  Throws std::invalid_argument on an empty set or q outside
+/// [0,1].
 double percentile_sorted(std::span<const double> sorted, double q);
 
 /// Full batch summary; throws std::invalid_argument on an empty set.

@@ -30,11 +30,6 @@ task_source static_source(tasks::task_request request) {
   return [request](util::rng&) { return request; };
 }
 
-interarrival_fn fixed_interarrival(util::time_ms gap) {
-  if (gap <= 0.0) throw std::invalid_argument{"fixed_interarrival: gap <= 0"};
-  return [gap](util::rng&) { return gap; };
-}
-
 interarrival_fn exponential_interarrival(double rate_hz) {
   if (rate_hz <= 0.0) {
     throw std::invalid_argument{"exponential_interarrival: rate <= 0"};

@@ -34,7 +34,6 @@ task_source static_source(tasks::task_request request);
 /// Draws the next inter-arrival gap in ms.
 using interarrival_fn = std::function<double(util::rng&)>;
 
-interarrival_fn fixed_interarrival(util::time_ms gap);
 /// Poisson arrivals at `rate_hz` per device.
 interarrival_fn exponential_interarrival(double rate_hz);
 

@@ -23,9 +23,8 @@ acceleration_map three_level_map() {
 TEST(AccelerationMap, GroupLookupById) {
   const auto map = three_level_map();
   EXPECT_EQ(map.group_count(), 3u);
-  EXPECT_EQ(map.group(1).type_names.size(), 2u);
-  EXPECT_EQ(map.group(2).capacity_users, 40.0);
-  EXPECT_THROW(map.group(3), std::out_of_range);
+  EXPECT_EQ(map.groups()[1].type_names.size(), 2u);
+  EXPECT_EQ(map.groups()[2].capacity_users, 40.0);
 }
 
 TEST(AccelerationMap, GroupOfTypeName) {
@@ -35,12 +34,6 @@ TEST(AccelerationMap, GroupOfTypeName) {
   EXPECT_EQ(map.group_of("t2.small"), 1u);
   EXPECT_EQ(map.group_of("t2.large"), 2u);
   EXPECT_THROW(map.group_of("m4.10xlarge"), std::out_of_range);
-}
-
-TEST(AccelerationMap, ContainsChecksMembership) {
-  const auto map = three_level_map();
-  EXPECT_TRUE(map.contains("t2.nano"));
-  EXPECT_FALSE(map.contains("c4.8xlarge"));
 }
 
 TEST(AccelerationMap, MaxGroupIsHighestId) {

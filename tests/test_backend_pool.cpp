@@ -137,13 +137,6 @@ TEST_F(BackendPoolTest, DroppedWhenInstancesFull) {
   EXPECT_EQ(ps_dropped(), 2u);
 }
 
-TEST_F(BackendPoolTest, GroupsListsNonEmptyGroups) {
-  pool_.launch(2, plain_type());
-  pool_.launch(5, plain_type());
-  const auto groups = pool_.groups();
-  EXPECT_EQ(groups, (std::vector<group_id>{2, 5}));
-}
-
 TEST_F(BackendPoolTest, CompletionCountsAggregate) {
   pool_.launch(1, plain_type());
   int completions = 0;
@@ -300,12 +293,6 @@ TEST_F(BackendPoolTest, RetireWhileRoutingChurn) {
   EXPECT_EQ(ps_completed(), completions);
   // Both victims' billing records closed on the kill.
   EXPECT_EQ(pool_.billing().active_instances(), 0u);
-}
-
-TEST(RouteStatus, Names) {
-  EXPECT_STREQ(to_string(route_status::ok), "ok");
-  EXPECT_STREQ(to_string(route_status::dropped), "dropped");
-  EXPECT_STREQ(to_string(route_status::no_instances), "no_instances");
 }
 
 }  // namespace

@@ -139,15 +139,15 @@ TEST_F(FullCatalogClassification, ProducesThreeRegularLevelsPlusAnomalyAndC4) {
 
 TEST_F(FullCatalogClassification, CapacityIncreasesWithLevel) {
   for (group_id g = 2; g <= map_->max_group(); ++g) {
-    EXPECT_GE(map_->group(g).capacity_users,
-              map_->group(g - 1).capacity_users)
+    EXPECT_GE(map_->groups()[g].capacity_users,
+              map_->groups()[g - 1].capacity_users)
         << "group " << g;
   }
 }
 
 TEST_F(FullCatalogClassification, EveryCatalogTypeIsClassified) {
   for (const auto& type : cloud::ec2_catalog()) {
-    EXPECT_TRUE(map_->contains(type.name)) << type.name;
+    EXPECT_NO_THROW(map_->group_of(type.name)) << type.name;
   }
 }
 

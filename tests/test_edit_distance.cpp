@@ -45,47 +45,6 @@ TEST(EditDistance, DisjointSetsCostMaxLength) {
   EXPECT_EQ(edit_distance(users{1, 2}, users{4, 5, 6, 7}), 4u);
 }
 
-TEST(PostNormalized, RangeAndSpecialCases) {
-  EXPECT_EQ(post_normalized_edit_distance(users{}, users{}), 0.0);
-  EXPECT_EQ(post_normalized_edit_distance(users{1}, users{1}), 0.0);
-  EXPECT_EQ(post_normalized_edit_distance(users{1}, users{2}), 1.0);
-  EXPECT_DOUBLE_EQ(post_normalized_edit_distance(users{1, 2}, users{1, 2, 3, 4}),
-                   0.5);
-}
-
-TEST(NormalizedMarzalVidal, EmptyAndIdentical) {
-  EXPECT_EQ(normalized_edit_distance(users{}, users{}), 0.0);
-  EXPECT_EQ(normalized_edit_distance(users{1, 2}, users{1, 2}), 0.0);
-}
-
-TEST(NormalizedMarzalVidal, CompletelyDifferentIsOne) {
-  EXPECT_DOUBLE_EQ(normalized_edit_distance(users{1}, users{2}), 1.0);
-}
-
-TEST(NormalizedMarzalVidal, ClassicPaperExampleBeatsPostNormalization) {
-  // Marzal–Vidal's point: path-length normalization can be strictly
-  // smaller than d/max(|a|,|b|) because longer paths with cheap steps may
-  // win.  At minimum it can never exceed the post-normalized value.
-  util::rng rng{3};
-  for (int round = 0; round < 200; ++round) {
-    users a;
-    users b;
-    const int na = static_cast<int>(rng.uniform_int(0, 8));
-    const int nb = static_cast<int>(rng.uniform_int(0, 8));
-    for (int i = 0; i < na; ++i) {
-      a.push_back(static_cast<user_id>(rng.uniform_int(0, 4)));
-    }
-    for (int i = 0; i < nb; ++i) {
-      b.push_back(static_cast<user_id>(rng.uniform_int(0, 4)));
-    }
-    const double mv = normalized_edit_distance(a, b);
-    const double post = post_normalized_edit_distance(a, b);
-    EXPECT_LE(mv, post + 1e-9);
-    EXPECT_GE(mv, 0.0);
-    EXPECT_LE(mv, 1.0);
-  }
-}
-
 // Property sweeps: Levenshtein must satisfy the metric axioms.
 class EditDistanceMetric : public ::testing::TestWithParam<std::uint64_t> {
  protected:

@@ -226,24 +226,5 @@ TEST(EventEngineStress, MassCancellationLeavesCleanQueue) {
   EXPECT_EQ(sim.pending_events(), 0u);
 }
 
-TEST(EventEngineStress, ClearDuringCallbackDropsEverything) {
-  simulation sim;
-  int fired = 0;
-  sim.schedule_at(1.0, [&] {
-    ++fired;
-    sim.clear();
-  });
-  for (int i = 0; i < 100; ++i) {
-    sim.schedule_at(2.0 + i, [&] { ++fired; });
-  }
-  sim.run();
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(sim.pending_events(), 0u);
-  // The engine must remain usable after clear().
-  sim.schedule_at(500.0, [&] { ++fired; });
-  sim.run();
-  EXPECT_EQ(fired, 2);
-}
-
 }  // namespace
 }  // namespace mca::sim

@@ -210,17 +210,8 @@ TEST(FaultValidate, ScenarioValidationNamesTheScenario) {
 }
 
 // ---------------------------------------------------------------------------
-// Report vocabulary and trace-lane spans.
+// Trace-lane spans.
 // ---------------------------------------------------------------------------
-
-TEST(FaultKind, NamesAreStable) {
-  EXPECT_STREQ(fault::fault_kind_name(fault::fault_kind::preemption),
-               "preemption");
-  EXPECT_STREQ(fault::fault_kind_name(fault::fault_kind::outage_begin),
-               "outage_begin");
-  EXPECT_STREQ(fault::fault_kind_name(fault::fault_kind::outage_end),
-               "outage_end");
-}
 
 TEST(FaultSpans, OneSpanPerOutageOneMarkerPerStrike) {
   fault::fault_program program = hazard_program({0.0, 40.0});
@@ -570,8 +561,10 @@ TEST(FaultFleet, OutageWindowBreachesThenRecovers) {
   const obs::timeline& tl = result.timeline;
   ASSERT_GE(tl.size(), 3u);
   ASSERT_GT(tl.group_count(), 1u);
-  const util::histogram breached = tl.window(1).slo(1);
-  const util::histogram recovered = tl.window(2).slo(1);
+  util::histogram breached;
+  util::histogram recovered;
+  tl.window(1).add_slo(1, breached);
+  tl.window(2).add_slo(1, recovered);
   ASSERT_GT(breached.total(), 0u);
   ASSERT_GT(recovered.total(), 0u);
   EXPECT_GT(breached.quantile_interpolated(0.99), kP99CeilingMs);

@@ -89,7 +89,7 @@ TEST_F(GeneratorTest, InterarrivalStopsAtDeadline) {
   interarrival_generator gen{sim_,
                              random_pool_source(pool_),
                              collect(),
-                             fixed_interarrival(util::seconds(1)),
+                             [](util::rng&) { return util::seconds(1); },
                              config,
                              util::rng{1}};
   sim_.run();
@@ -108,7 +108,7 @@ TEST_F(GeneratorTest, InterarrivalUsesAllDevices) {
   interarrival_generator gen{sim_,
                              random_pool_source(pool_),
                              collect(),
-                             fixed_interarrival(util::seconds(1)),
+                             [](util::rng&) { return util::seconds(1); },
                              config,
                              util::rng{2}};
   sim_.run();
@@ -133,12 +133,12 @@ TEST_F(GeneratorTest, ExponentialInterarrivalApproximatesRate) {
 }
 
 TEST_F(GeneratorTest, InterarrivalValidation) {
-  EXPECT_THROW(fixed_interarrival(0.0), std::invalid_argument);
   EXPECT_THROW(exponential_interarrival(-1.0), std::invalid_argument);
   interarrival_config bad;
   bad.devices = 0;
   EXPECT_THROW(interarrival_generator(sim_, random_pool_source(pool_),
-                                      collect(), fixed_interarrival(1.0), bad,
+                                      collect(),
+                                      [](util::rng&) { return 1.0; }, bad,
                                       util::rng{1}),
                std::invalid_argument);
 }
@@ -178,15 +178,15 @@ TEST_F(GeneratorTest, InterarrivalNegativeGapThrows) {
 
 TEST_F(GeneratorTest, InterarrivalOwnsTheArrivalHandler) {
   interarrival_config config;
+  const interarrival_fn gap = [](util::rng&) { return 1.0; };
   interarrival_generator gen{sim_,
                              random_pool_source(pool_),
                              collect(),
-                             fixed_interarrival(1.0),
+                             gap,
                              config,
                              util::rng{1}};
   EXPECT_THROW(interarrival_generator(sim_, random_pool_source(pool_),
-                                      collect(), fixed_interarrival(1.0),
-                                      config, util::rng{1}),
+                                      collect(), gap, config, util::rng{1}),
                std::logic_error);
 }
 

@@ -90,7 +90,7 @@ TEST(HotPathAllocation, SteadyStateRequestPathAllocatesNothing) {
   };
   config.user_count = 400;
   config.tasks = workload::static_source(pool.static_minimax_request());
-  config.gaps = workload::fixed_interarrival(util::seconds(40.0));
+  config.gaps = [](util::rng&) { return util::seconds(40.0); };
   config.slot_length = util::minutes(10.0);
   config.background_requests_per_burst = 0;
   // Deterministic steady state: nobody changes group, so per-slot load —
@@ -147,7 +147,7 @@ TEST(HotPathAllocation, FaultSteadyStateRequestPathAllocatesNothing) {
   };
   config.user_count = 400;
   config.tasks = workload::static_source(pool.static_minimax_request());
-  config.gaps = workload::fixed_interarrival(util::seconds(40.0));
+  config.gaps = [](util::rng&) { return util::seconds(40.0); };
   config.slot_length = util::minutes(10.0);
   config.background_requests_per_burst = 0;
   config.promotion_probability = 0.0;

@@ -30,7 +30,7 @@ TEST_F(IntegrationTest, PromotedUsersSeeFasterResponses) {
   };
   config.user_count = 30;
   config.tasks = workload::static_source(pool_.static_minimax_request());
-  config.gaps = workload::fixed_interarrival(util::seconds(20));
+  config.gaps = [](util::rng&) { return util::seconds(20); };
   config.slot_length = util::minutes(15);
   config.background_requests_per_burst = 40;
   config.promotion_probability = 1.0 / 25.0;

@@ -63,9 +63,9 @@ TEST(LogStore, BuildSlotsGroupsUsersByWindow) {
   store.append(make_record(1'100.0, 3, 0));
   const auto slots = store.build_slots(1'000.0, 2);
   ASSERT_EQ(slots.size(), 2u);
-  EXPECT_EQ(slots[0].user_count(0), 1u);
-  EXPECT_EQ(slots[0].user_count(1), 1u);
-  EXPECT_EQ(slots[1].user_count(0), 1u);
+  EXPECT_EQ(slots[0].users_in(0).size(), 1u);
+  EXPECT_EQ(slots[0].users_in(1).size(), 1u);
+  EXPECT_EQ(slots[1].users_in(0).size(), 1u);
   EXPECT_EQ(slots[1].users_in(0)[0], 3u);
 }
 
@@ -87,7 +87,7 @@ TEST(LogStore, BuildSlotsDeduplicatesUserPerWindow) {
   store.append(make_record(30.0, 1, 0));
   const auto slots = store.build_slots(1'000.0, 1);
   ASSERT_EQ(slots.size(), 1u);
-  EXPECT_EQ(slots[0].user_count(0), 1u);
+  EXPECT_EQ(slots[0].users_in(0).size(), 1u);
 }
 
 TEST(LogStore, BuildSlotsRespectsOrigin) {

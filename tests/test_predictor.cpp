@@ -132,7 +132,7 @@ TEST(Predictor, SuccessorModePredictsFollowingSlot) {
   p.set_history({slot_with(2, 1, 2), slot_with(2, 1, 7), slot_with(2, 1, 3)});
   const trace::time_slot* predicted = p.forecast(slot_with(2, 1, 2));
   ASSERT_NE(predicted, nullptr);
-  EXPECT_EQ(predicted->user_count(1), 7u);  // slot after the match
+  EXPECT_EQ(predicted->users_in(1).size(), 7u);  // slot after the match
 }
 
 TEST(Predictor, MatchModePredictsTheMatchItself) {
@@ -140,7 +140,7 @@ TEST(Predictor, MatchModePredictsTheMatchItself) {
   p.set_history({slot_with(2, 1, 2), slot_with(2, 1, 7), slot_with(2, 1, 3)});
   const trace::time_slot* predicted = p.forecast(slot_with(2, 1, 2));
   ASSERT_NE(predicted, nullptr);
-  EXPECT_EQ(predicted->user_count(1), 2u);
+  EXPECT_EQ(predicted->users_in(1).size(), 2u);
 }
 
 TEST(Predictor, SuccessorFallsBackWhenMatchIsLast) {
@@ -148,7 +148,7 @@ TEST(Predictor, SuccessorFallsBackWhenMatchIsLast) {
   p.set_history({slot_with(2, 1, 2), slot_with(2, 1, 9)});
   const trace::time_slot* predicted = p.forecast(slot_with(2, 1, 9));
   ASSERT_NE(predicted, nullptr);
-  EXPECT_EQ(predicted->user_count(1), 9u);  // persistence fallback
+  EXPECT_EQ(predicted->users_in(1).size(), 9u);  // persistence fallback
 }
 
 TEST(Predictor, SingleSlotHistorySuccessorModeReturnsNothing) {
@@ -164,7 +164,7 @@ TEST(Predictor, GrowingLoadMatchedToLargestSeen) {
   p.set_history({slot_with(2, 1, 2), slot_with(2, 1, 10)});
   const trace::time_slot* predicted = p.forecast(slot_with(2, 1, 60));
   ASSERT_NE(predicted, nullptr);
-  EXPECT_EQ(predicted->user_count(1), 10u);
+  EXPECT_EQ(predicted->users_in(1).size(), 10u);
 }
 
 TEST(Predictor, ForecastCountsMatchSlotCounts) {

@@ -120,15 +120,6 @@ TEST(Simulation, StepReturnsFalseWhenEmpty) {
   EXPECT_FALSE(sim.step());
 }
 
-TEST(Simulation, ClearDropsPendingEvents) {
-  simulation sim;
-  bool fired = false;
-  sim.schedule_at(1.0, [&] { fired = true; });
-  sim.clear();
-  sim.run();
-  EXPECT_FALSE(fired);
-}
-
 TEST(Simulation, EventsCanScheduleMoreEvents) {
   simulation sim;
   int depth = 0;
@@ -233,43 +224,6 @@ TEST(ArrivalLane, HandlerReceivesPayloadAndMayRescheduleIt) {
   const std::uint32_t top = simulation::kMaxArrivalPayload;
   EXPECT_EQ(seen, (std::vector<std::uint32_t>{top - 3, top - 2, top - 1, top}));
   EXPECT_EQ(sim.now(), 3.0);
-}
-
-TEST(ArrivalLane, ClearDropsArrivals) {
-  simulation sim;
-  int fired = 0;
-  sim.set_arrival_handler([&](std::uint32_t) { ++fired; });
-  sim.schedule_arrival(1.0, 0);
-  sim.schedule_at(2.0, [&] { ++fired; });
-  sim.clear();
-  EXPECT_EQ(sim.pending_events(), 0u);
-  sim.run();
-  EXPECT_EQ(fired, 0);
-  // The handler survives clear().
-  sim.schedule_arrival(3.0, 0);
-  sim.run();
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(ArrivalLane, ClearFromInsideArrivalHandler) {
-  simulation sim;
-  int fired = 0;
-  sim.set_arrival_handler([&](std::uint32_t payload) {
-    ++fired;
-    if (payload == 0) sim.clear();
-  });
-  sim.schedule_arrival(1.0, 0);
-  for (std::uint32_t i = 1; i <= 50; ++i) {
-    sim.schedule_arrival(1.0 + i, i);
-    sim.schedule_at(1.5 + i, [&] { ++fired; });
-  }
-  sim.run();
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(sim.pending_events(), 0u);
-  EXPECT_EQ(sim.executed_events(), 1u);
-  sim.schedule_arrival(10.0, 7);
-  sim.run();
-  EXPECT_EQ(fired, 2);
 }
 
 TEST(ArrivalLane, ScheduleWithoutHandlerThrows) {

@@ -155,7 +155,6 @@ TEST(Problem, ValidationErrors) {
                std::invalid_argument);
   EXPECT_THROW(p.add_constraint({{x + 7, 1.0}}, relation::equal, 0.0),
                std::out_of_range);
-  EXPECT_THROW(p.set_bounds(x, 3.0, 1.0), std::invalid_argument);
 }
 
 TEST(Problem, ObjectiveAndFeasibilityHelpers) {
@@ -207,13 +206,6 @@ TEST_P(SimplexOptimality, BeatsRandomFeasiblePoints) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimplexOptimality,
                          ::testing::Range<std::uint64_t>(100, 120));
-
-TEST(SolveStatus, Names) {
-  EXPECT_STREQ(to_string(solve_status::optimal), "optimal");
-  EXPECT_STREQ(to_string(solve_status::infeasible), "infeasible");
-  EXPECT_STREQ(to_string(solve_status::unbounded), "unbounded");
-  EXPECT_STREQ(to_string(solve_status::iteration_limit), "iteration_limit");
-}
 
 }  // namespace
 }  // namespace mca::ilp

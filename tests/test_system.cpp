@@ -21,7 +21,7 @@ class SystemTest : public ::testing::Test {
     };
     config.user_count = 20;
     config.tasks = workload::static_source(pool_.static_minimax_request());
-    config.gaps = workload::fixed_interarrival(util::seconds(30));
+    config.gaps = [](util::rng&) { return util::seconds(30); };
     config.slot_length = util::minutes(10);
     config.background_requests_per_burst = 0;  // off for unit tests
     config.sdn.routing_overhead_sd_ms = 0.0;
@@ -122,7 +122,7 @@ TEST_F(SystemTest, SlotCountsARequestOnlyIfLoggedBeforeTheBoundary) {
   // must not count; the earlier request counts either way.
   auto config = base_config();
   config.user_count = 2;
-  config.gaps = workload::fixed_interarrival(util::minutes(20));
+  config.gaps = [](util::rng&) { return util::minutes(20); };
   config.enable_adaptation = false;
   net::rtt_model_params link;
   link.log_mu = std::log(40.0);

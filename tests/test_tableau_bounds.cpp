@@ -84,8 +84,8 @@ TEST(TableauBounds, HugeConstraintVsBoundConflictIsInfeasible) {
   // A bound tightened into conflict with a huge-rhs row must come back
   // `infeasible`, not as an overflow artifact.  (Empty *boxes* — lower >
   // upper on one variable — are out of contract: branch & bound guards
-  // against creating them and problem::set_bounds throws on them, so the
-  // conflict the tableau must detect is always row-vs-bound.)
+  // against creating them and problem::add_variable throws on them, so
+  // the conflict the tableau must detect is always row-vs-bound.)
   problem p;
   const auto x0 = p.add_variable(1.0, 0.0, kHuge);
   p.add_constraint({{x0, 1.0}}, relation::greater_equal, kHuge);

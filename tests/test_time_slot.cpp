@@ -35,9 +35,9 @@ TEST(TimeSlot, GroupsAreIndependent) {
   slot.add_user(0, 1);
   slot.add_user(2, 1);
   slot.add_user(2, 2);
-  EXPECT_EQ(slot.user_count(0), 1u);
-  EXPECT_EQ(slot.user_count(1), 0u);
-  EXPECT_EQ(slot.user_count(2), 2u);
+  EXPECT_EQ(slot.users_in(0).size(), 1u);
+  EXPECT_EQ(slot.users_in(1).size(), 0u);
+  EXPECT_EQ(slot.users_in(2).size(), 2u);
   EXPECT_EQ(slot.total_users(), 3u);
   EXPECT_EQ(slot.group_counts(), (std::vector<std::size_t>{1, 0, 2}));
 }
@@ -214,7 +214,7 @@ TEST(SlotAccumulator, IgnoresUsersOutsideThePopulation) {
   bits.record(1.0, 0.0, 64, 1);
   bits.record(1.0, 0.0, 63, 1);
   const time_slot slot = bits.take();
-  ASSERT_EQ(slot.user_count(1), 1u);
+  ASSERT_EQ(slot.users_in(1).size(), 1u);
   EXPECT_EQ(slot.users_in(1)[0], 63u);
   EXPECT_TRUE(bits.take().empty());  // take() cleared the bitsets
 }

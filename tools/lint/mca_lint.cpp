@@ -34,15 +34,17 @@
 //
 //  obs discipline — the observability enums are cross-referenced against
 //    the rest of the tree: every enum value must be recorded or read
-//    somewhere outside its defining files [obs-dead-counter], every use
-//    must name a registered value [obs-unknown-counter], and every value
-//    needs an entry in its name table [obs-unnamed-counter].  The
-//    counter/gauge/series enums in obs/registry.h (names in
-//    registry.cpp) and alert_kind in obs/alerts.h (names in alerts.cpp)
-//    share those rules; span_kind in obs/tracer.h gets the same checks
-//    under its own rule ids [obs-dead-span] / [obs-unknown-span] /
-//    [obs-unnamed-span] — so every span kind provably has at least one
-//    recording site and an exporter name-table entry in tracer.cpp.
+//    somewhere outside its defining files [obs-dead-counter], and every
+//    use must name a registered value [obs-unknown-counter].  The
+//    counter/gauge/series enums in obs/registry.h, fault_kind in
+//    fault/fault_program.h and alert_kind in obs/alerts.h share those
+//    rules; alert_kind, which the health report prints by name, also
+//    needs every value in its name table in alerts.cpp
+//    [obs-unnamed-counter].  span_kind in obs/tracer.h gets the same
+//    three checks under its own rule ids [obs-dead-span] /
+//    [obs-unknown-span] / [obs-unnamed-span] — so every span kind
+//    provably has at least one recording site and an exporter name-table
+//    entry in tracer.cpp.
 //
 // Suppressions:  // mca-lint: allow(<rule>[,<rule>...]) <reason>
 // suppresses matching violations on its own line (or, when the comment
@@ -507,24 +509,29 @@ void check_header(const source_file& f, std::vector<violation>& out) {
 
 // ---- obs discipline ------------------------------------------------------
 
-/// One cross-referenced observability enum: where it is defined, which
-/// file's string literals form its name table, and the rule-id suffix its
-/// violations report under.
+/// One cross-referenced observability enum: where it is defined, its
+/// implementation file (uses there are not recording sites), whether a
+/// program prints its values by name (then that file's string literals
+/// form its name table), and the rule-id suffix its violations report
+/// under.
 struct obs_kind_spec {
   const char* kind;         ///< enum name (counter, span_kind, ...)
   const char* header;       ///< defining header, display path
-  const char* name_source;  ///< name-table file, display path
+  const char* name_source;  ///< implementation file, display path
+  bool named;               ///< every value needs a name-table entry
   const char* rule_suffix;  ///< "counter" or "span"
 };
 
 constexpr obs_kind_spec kObsKinds[] = {
-    {"counter", "src/obs/registry.h", "src/obs/registry.cpp", "counter"},
-    {"gauge", "src/obs/registry.h", "src/obs/registry.cpp", "counter"},
-    {"series", "src/obs/registry.h", "src/obs/registry.cpp", "counter"},
-    {"alert_kind", "src/obs/alerts.h", "src/obs/alerts.cpp", "counter"},
-    {"span_kind", "src/obs/tracer.h", "src/obs/tracer.cpp", "span"},
-    {"fault_kind", "src/fault/fault_program.h", "src/fault/fault_program.cpp",
+    {"counter", "src/obs/registry.h", "src/obs/registry.cpp", false,
      "counter"},
+    {"gauge", "src/obs/registry.h", "src/obs/registry.cpp", false, "counter"},
+    {"series", "src/obs/registry.h", "src/obs/registry.cpp", false,
+     "counter"},
+    {"alert_kind", "src/obs/alerts.h", "src/obs/alerts.cpp", true, "counter"},
+    {"span_kind", "src/obs/tracer.h", "src/obs/tracer.cpp", true, "span"},
+    {"fault_kind", "src/fault/fault_program.h", "src/fault/fault_program.cpp",
+     false, "counter"},
 };
 
 const obs_kind_spec* obs_kind(const std::string& kind) {
@@ -619,7 +626,7 @@ void check_obs(const obs_model& model,
       const bool named =
           table_it != model.name_tables.end() &&
           table_it->second.count(v.name) > 0;
-      if (!named) {
+      if (spec.named && !named) {
         out.push_back({spec.header, v.line, "obs-unnamed-" + suffix,
                        kind + "::" + v.name + " missing from the " +
                            spec.name_source + " name table"});
@@ -695,7 +702,7 @@ std::vector<violation> run_lint(std::vector<source_file>& files) {
     if (f.in_src) collect_unordered_names(f, unordered_names);
     parse_obs_enums(f, model);
     for (const obs_kind_spec& spec : kObsKinds) {
-      if (f.display != spec.name_source) continue;
+      if (!spec.named || f.display != spec.name_source) continue;
       for (const token& t : f.lex.tokens) {
         if (t.kind == token_kind::string_literal) {
           model.name_tables[spec.kind].insert(t.text);
@@ -919,6 +926,22 @@ int self_test() {
       "  add(counter::typo_one);\n"
       "}\n";
 
+  const std::string alerts_h =
+      "#pragma once\n"
+      "enum class alert_kind : int {\n"
+      "  named_alert,\n"
+      "  unnamed_alert,\n"
+      "  count\n"
+      "};\n";
+  const std::string alerts_cpp =
+      "#include \"alerts.h\"\n"
+      "const char* name(alert_kind k) { return \"named_alert\"; }\n";
+  const std::string alerts_user =
+      "void fire() {\n"
+      "  raise(alert_kind::named_alert);\n"
+      "  raise(alert_kind::unnamed_alert);\n"
+      "}\n";
+
   const std::string tracer_h =
       "#pragma once\n"
       "enum class span_kind : int {\n"
@@ -983,7 +1006,14 @@ int self_test() {
         {"src/demo/user.cpp", registry_user}},
        {{"obs-dead-counter", 1},
         {"obs-unknown-counter", 1},
-        {"obs-unnamed-counter", 1}}},
+        {"obs-unnamed-counter", 0}}},
+      {"printed kinds need a name-table entry",
+       {{"src/obs/alerts.h", alerts_h},
+        {"src/obs/alerts.cpp", alerts_cpp},
+        {"src/demo/alert_user.cpp", alerts_user}},
+       {{"obs-unnamed-counter", 1},
+        {"obs-dead-counter", 0},
+        {"obs-unknown-counter", 0}}},
       {"span coverage: every span kind needs a recording site and a name",
        {{"src/obs/tracer.h", tracer_h},
         {"src/obs/tracer.cpp", tracer_cpp},
