@@ -3,10 +3,9 @@
 // stability curves), folded into the experiment runner.
 //
 // One instance of `type_name` faces `rounds` concurrent bursts at each
-// load level; the response summary per level forms the curve.  Levels are
-// independent experiments: each draws from its own rng::split stream, so
-// a curve is deterministic whether its levels run serially or fanned out
-// over the pool.
+// load level; the response summary per level forms the curve.  Levels
+// run serially, and each draws from its own rng::split stream, so a
+// level's summary does not depend on which levels ran before it.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 #include "exp/scenario.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <memory>
@@ -11,6 +10,7 @@
 
 #include "client/usage_trace.h"
 #include "cloud/instance_type.h"
+#include "obs/fnv.h"
 #include "workload/generator.h"
 
 namespace mca::exp {
@@ -27,25 +27,14 @@ constexpr double kIdleGapSigma = 0.6;
 /// never coincides with an rng seeded by base_seed itself.
 constexpr std::uint64_t kStudySeedTag = 0x7374756479676170ULL;  // "studygap"
 
-/// FNV-1a accumulator over the aggregate's scalar fields.
-struct fingerprint_state {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-
-  void word(std::uint64_t w) noexcept {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (w >> (8 * byte)) & 0xffu;
-      hash *= 0x100000001b3ULL;
-    }
-  }
-  void real(double x) noexcept { word(std::bit_cast<std::uint64_t>(x)); }
-  void stats(const util::running_stats& s) noexcept {
-    word(s.count());
-    real(s.mean());
-    real(s.variance());
-    real(s.min());
-    real(s.max());
-  }
-};
+/// Folds a Welford accumulator into an aggregate fingerprint.
+void fold_stats(obs::fnv_state& fnv, const util::running_stats& s) noexcept {
+  fnv.word(s.count());
+  fnv.real(s.mean());
+  fnv.real(s.variance());
+  fnv.real(s.min());
+  fnv.real(s.max());
+}
 
 }  // namespace
 
@@ -286,9 +275,6 @@ aggregate_metrics merge_replications(
     if (r.scored_slots > 0) aggregate.accuracy.add(r.mean_prediction_accuracy);
     aggregate.response.merge(r.response);
     aggregate.latency.merge(r.latency);
-    // Whole-array merges: the histogram fold vectorizes over bins and the
-    // batched Welford fold overlaps independent groups (util/simd.h,
-    // util::merge_each) — per-element math is unchanged.
     util::merge_each(aggregate.group_response, r.group_response);
     util::merge_each(aggregate.group_instances, r.group_instances);
     for (std::size_t g = 0; g < groups; ++g) {
@@ -304,23 +290,23 @@ double aggregate_metrics::acceptance_rate() const noexcept {
 }
 
 std::uint64_t aggregate_metrics::fingerprint() const noexcept {
-  fingerprint_state fnv;
+  obs::fnv_state fnv;
   fnv.word(replications);
   fnv.word(requests);
   fnv.word(successes);
   fnv.word(promotions);
   fnv.word(background_submitted);
-  fnv.stats(cost_usd);
-  fnv.stats(accuracy);
-  fnv.stats(response);
+  fold_stats(fnv, cost_usd);
+  fold_stats(fnv, accuracy);
+  fold_stats(fnv, response);
   fnv.word(latency.total());
   for (std::size_t b = 0; b < latency.bin_count(); ++b) {
     fnv.word(latency.count_in_bin(b));
   }
   for (std::size_t g = 0; g < group_response.size(); ++g) {
-    fnv.stats(group_response[g]);
+    fold_stats(fnv, group_response[g]);
     fnv.word(group_successes[g]);
-    fnv.stats(group_instances[g]);
+    fold_stats(fnv, group_instances[g]);
   }
   return fnv.hash;
 }

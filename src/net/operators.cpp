@@ -39,11 +39,9 @@ rtt_model calibrated_model(const operator_profile& profile, technology tech) {
 
 rtt_model default_lte_model() {
   // The grid-search calibration is a pure function of the published
-  // operator numbers; fleet runs construct one model per shard, so fit
-  // once per process and hand out copies.  fit_rtt_params itself splits
-  // the grid across hardware threads (bit-identical to serial), so the
-  // one-time cost shrinks with core count instead of serializing startup.
-  // (Magic-static init is thread-safe; shards are built in parallel.)
+  // operator numbers; fleet runs construct one system per shard, so fit
+  // once per process and hand out copies.  (Magic-static init is
+  // thread-safe; shards are built in parallel.)
   static const rtt_model model =
       calibrated_model(operator_by_name("beta"), technology::lte);
   return model;

@@ -6,8 +6,6 @@
 #include <limits>
 #include <numbers>
 #include <stdexcept>
-#include <thread>
-#include <vector>
 
 namespace mca::net {
 namespace {
@@ -77,14 +75,17 @@ double fit_error(const rtt_model_params& p, const rtt_target_stats& target) {
 
 namespace {
 
-/// Chooses log_mu so the mixture median equals the target exactly (the
-/// median is strictly increasing in log_mu; 80 bisection steps suffice).
+/// Chooses log_mu so the mixture median equals the target.  The mixture
+/// CDF is continuous and strictly increasing (the lognormal body weighs at
+/// least 0.7: spike_probability is clamped to <= 0.3), so the median lies
+/// below the target exactly when CDF(target) > 1/2, and CDF(target) falls
+/// strictly as log_mu rises; 80 bisection steps on log_mu suffice.
 void solve_mu_for_median(rtt_model_params& p, double target_median) {
   double lo = std::log(target_median) - 4.0;
   double hi = std::log(target_median) + 2.0;
   for (int iter = 0; iter < 80; ++iter) {
     p.log_mu = (lo + hi) / 2.0;
-    if (mixture_median(p) < target_median) {
+    if (mixture_cdf(target_median, p) > 0.5) {
       lo = p.log_mu;
     } else {
       hi = p.log_mu;
@@ -98,94 +99,41 @@ struct fit_candidate {
   double err = std::numeric_limits<double>::infinity();
 };
 
-fit_candidate evaluate_candidate(double sigma, double p_spike, double max_mult,
-                                 const rtt_target_stats& target) {
-  fit_candidate c;
-  c.params.log_sigma = sigma;
-  c.params.spike_probability = p_spike;
-  c.params.spike_min_ms = 3.0 * target.median_ms;
-  c.params.spike_max_ms = max_mult * target.median_ms;
-  solve_mu_for_median(c.params, target.median_ms);
-  c.err = fit_error(c.params, target);
-  return c;
-}
-
-/// Scans `cells` grid cells, range-split across `threads` workers, and
-/// returns the minimum-error candidate.  Every cell is a pure function of
-/// its flat index, slices are contiguous index ranges, and both the
-/// per-slice scan and the slice-order reduction use strict `<` — so the
-/// winner is the *first* occurrence of the minimum in global index order,
-/// bit-identical to a serial left-to-right scan at any thread count.
-template <typename CellFn>
-fit_candidate scan_grid(std::size_t cells, unsigned threads,
-                        const CellFn& cell) {
-  auto scan_range = [&cell](std::size_t first, std::size_t last) {
-    fit_candidate best;
-    for (std::size_t i = first; i < last; ++i) {
-      const fit_candidate c = cell(i);
-      if (c.err < best.err) best = c;
-    }
-    return best;
-  };
-  if (threads <= 1 || cells < 2 * static_cast<std::size_t>(threads)) {
-    return scan_range(0, cells);
-  }
-  const std::size_t slices = std::min<std::size_t>(threads, cells);
-  std::vector<fit_candidate> results(slices);
-  std::vector<std::thread> workers;
-  workers.reserve(slices);
-  for (std::size_t s = 0; s < slices; ++s) {
-    const std::size_t first = cells * s / slices;
-    const std::size_t last = cells * (s + 1) / slices;
-    workers.emplace_back(
-        [&results, &scan_range, s, first, last] {
-          results[s] = scan_range(first, last);
-        });
-  }
-  for (auto& w : workers) w.join();
-  fit_candidate best;
-  for (const auto& r : results) {
-    if (r.err < best.err) best = r;
-  }
-  return best;
-}
-
 }  // namespace
 
-rtt_model_params fit_rtt_params(const rtt_target_stats& target,
-                                unsigned threads) {
+rtt_model_params fit_rtt_params(const rtt_target_stats& target) {
   if (target.mean_ms <= 0.0 || target.median_ms <= 0.0 ||
       target.stddev_ms <= 0.0) {
     throw std::invalid_argument{"fit_rtt_params: targets must be positive"};
-  }
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
   }
 
   // Search over (sigma, spike probability, spike upper edge); for every
   // candidate the location log_mu is solved so the median is exact, which
   // reduces the problem to matching mean and SD.  Coarse grid, then three
-  // refinement passes around the incumbent.  Each pass is embarrassingly
-  // parallel (cells are independent), so scan_grid splits it range-wise;
-  // the sigma values are pre-accumulated with the same `+= 0.1` recurrence
-  // the original serial loop used, keeping every evaluated cell — and
-  // therefore the fitted parameters — bit-identical at any thread count.
-  std::vector<double> sigmas;
-  for (double sigma = 0.2; sigma <= 1.8; sigma += 0.1) sigmas.push_back(sigma);
+  // refinement passes around the incumbent.  The scan keeps the first
+  // cell that strictly lowers the error, so ties go to the earlier cell.
+  fit_candidate best;
+  auto consider = [&](double sigma, double p_spike, double max_mult) {
+    fit_candidate c;
+    c.params.log_sigma = sigma;
+    c.params.spike_probability = p_spike;
+    c.params.spike_min_ms = 3.0 * target.median_ms;
+    c.params.spike_max_ms = max_mult * target.median_ms;
+    solve_mu_for_median(c.params, target.median_ms);
+    c.err = fit_error(c.params, target);
+    if (c.err < best.err) best = c;
+  };
   static constexpr std::array<double, 8> kSpikeProbs = {
       0.0, 0.002, 0.005, 0.01, 0.02, 0.04, 0.07, 0.12};
   static constexpr std::array<double, 6> kMaxMults = {6.0,  12.0,  25.0,
                                                       50.0, 100.0, 180.0};
-
-  fit_candidate best = scan_grid(
-      sigmas.size() * kSpikeProbs.size() * kMaxMults.size(), threads,
-      [&](std::size_t index) {
-        const std::size_t mi = index % kMaxMults.size();
-        const std::size_t pi = (index / kMaxMults.size()) % kSpikeProbs.size();
-        const std::size_t si = index / (kMaxMults.size() * kSpikeProbs.size());
-        return evaluate_candidate(sigmas[si], kSpikeProbs[pi], kMaxMults[mi],
-                                  target);
-      });
+  for (double sigma = 0.2; sigma <= 1.8; sigma += 0.1) {
+    for (double p_spike : kSpikeProbs) {
+      for (double max_mult : kMaxMults) {
+        consider(sigma, p_spike, max_mult);
+      }
+    }
+  }
 
   double sigma_radius = 0.08;
   double p_radius = 0.35;    // relative
@@ -193,20 +141,19 @@ rtt_model_params fit_rtt_params(const rtt_target_stats& target,
   for (int round = 0; round < 3; ++round) {
     const rtt_model_params centre = best.params;
     const double centre_mult = centre.spike_max_ms / target.median_ms;
-    const fit_candidate refined = scan_grid(
-        9 * 9 * 5, threads, [&](std::size_t index) {
-          const int k = static_cast<int>(index % 5) - 2;
-          const int j = static_cast<int>((index / 5) % 9) - 4;
-          const int i = static_cast<int>(index / 45) - 4;
-          const double sigma = std::clamp(
-              centre.log_sigma + sigma_radius * i / 4.0, 0.05, 2.5);
-          const double p_spike = std::clamp(
-              centre.spike_probability * (1.0 + p_radius * j / 4.0), 0.0, 0.3);
+    for (int i = -4; i <= 4; ++i) {
+      const double sigma =
+          std::clamp(centre.log_sigma + sigma_radius * i / 4.0, 0.05, 2.5);
+      for (int j = -4; j <= 4; ++j) {
+        const double p_spike = std::clamp(
+            centre.spike_probability * (1.0 + p_radius * j / 4.0), 0.0, 0.3);
+        for (int k = -2; k <= 2; ++k) {
           const double max_mult = std::clamp(
               centre_mult * (1.0 + mult_radius * k / 2.0), 4.0, 400.0);
-          return evaluate_candidate(sigma, p_spike, max_mult, target);
-        });
-    if (refined.err < best.err) best = refined;
+          consider(sigma, p_spike, max_mult);
+        }
+      }
+    }
     sigma_radius *= 0.35;
     p_radius *= 0.35;
     mult_radius *= 0.35;

@@ -36,14 +36,13 @@ double mixture_stddev(const rtt_model_params& p);
 double mixture_median(const rtt_model_params& p);
 
 /// Calibrates mixture parameters to a target triple by coordinate grid
-/// refinement on (log_mu, log_sigma, spike_probability, spike_max).
-/// The grid is range-split across `threads` workers (0 = one per hardware
-/// thread, 1 = serial); the result is bit-identical at any thread count
-/// because every cell is a pure function of its index and the reduction
-/// reproduces the serial first-minimum scan.
+/// refinement on (log_sigma, spike_probability, spike_max): one serial
+/// scan of a coarse grid, then three finer grids around the incumbent,
+/// keeping the first cell with the lowest fit_error.  Each cell solves
+/// log_mu so the median is exact (bisection on log_mu until the mixture
+/// CDF at the target median is 1/2).  A pure function of `target`.
 /// Throws std::invalid_argument on non-positive targets.
-rtt_model_params fit_rtt_params(const rtt_target_stats& target,
-                                unsigned threads = 0);
+rtt_model_params fit_rtt_params(const rtt_target_stats& target);
 
 /// Relative fitting error of `p` against `target` (max over the 3 stats).
 double fit_error(const rtt_model_params& p, const rtt_target_stats& target);

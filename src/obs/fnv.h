@@ -1,8 +1,9 @@
-// Shared FNV-1a accumulator for the obs fingerprints (registry, timeline,
-// alert report).  Word-at-a-time over little-endian byte order so every
-// fingerprint in the layer composes the same way.
+// The one FNV-1a accumulator behind every fingerprint (the obs registry,
+// timeline and alert report, and exp's aggregate metrics).  Word-at-a-time
+// over little-endian byte order so every fingerprint composes the same way.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 
 namespace mca::obs {
@@ -15,12 +16,7 @@ struct fnv_state {
       hash *= 0x100000001b3ULL;
     }
   }
-  void real(double d) noexcept {
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(d));
-    __builtin_memcpy(&bits, &d, sizeof(bits));
-    word(bits);
-  }
+  void real(double d) noexcept { word(std::bit_cast<std::uint64_t>(d)); }
 };
 
 }  // namespace mca::obs

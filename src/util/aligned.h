@@ -1,8 +1,8 @@
 // Minimal over-aligned allocator for cache-line-conscious containers.
 //
-// std::allocator only guarantees alignof(T); hot flat structures (the
-// event heap's 4-entry child groups, the simplex tableau rows) want their
-// groups to start on cache-line boundaries so one group costs one line.
+// std::allocator only guarantees alignof(T); the event heap wants its
+// 4-entry child groups to start on cache-line boundaries so one group
+// costs one line.
 #pragma once
 
 #include <cstddef>

@@ -5,8 +5,6 @@
 #include <cstdint>
 #include <stdexcept>
 
-#include "util/simd.h"
-
 namespace mca::util {
 namespace {
 
@@ -45,9 +43,7 @@ void histogram::add(double x) noexcept {
 // mca:hot-path-end
 
 void histogram::merge(const histogram& other) noexcept {
-  // Bin-count addition is order-insensitive integer math, so the
-  // vectorized kernel is bit-identical to a scalar loop.
-  simd::add_counts(counts_.data(), other.counts_.data(), kBins);
+  for (std::size_t b = 0; b < kBins; ++b) counts_[b] += other.counts_[b];
   total_ += other.total_;
 }
 

@@ -46,9 +46,7 @@ void merge_each(std::span<running_stats> dst,
   if (dst.size() != src.size()) {
     throw std::invalid_argument{"merge_each: mismatched lengths"};
   }
-  running_stats* __restrict__ d = dst.data();
-  const running_stats* __restrict__ s = src.data();
-  for (std::size_t i = 0; i < dst.size(); ++i) d[i].merge(s[i]);
+  for (std::size_t i = 0; i < dst.size(); ++i) dst[i].merge(src[i]);
 }
 
 double running_stats::variance() const noexcept {

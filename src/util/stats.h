@@ -39,11 +39,7 @@ class running_stats {
 };
 
 /// Element-wise merge of two equal-length accumulator arrays:
-/// dst[i].merge(src[i]) for every i, with per-pair math identical to the
-/// scalar merge (digest fingerprints are unaffected).  The pairs are
-/// independent, so the single batched loop lets the compiler overlap the
-/// divides/FMAs across groups instead of serializing one call per group —
-/// the per-shard digest-merge path passes whole group arrays here.
+/// dst[i].merge(src[i]) for every i.
 /// Throws std::invalid_argument on mismatched lengths.
 void merge_each(std::span<running_stats> dst, std::span<const running_stats> src);
 

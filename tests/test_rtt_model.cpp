@@ -58,19 +58,46 @@ TEST(FitRtt, RejectsNonPositiveTargets) {
   EXPECT_THROW(fit_rtt_params({1.0, 1.0, 0.0}), std::invalid_argument);
 }
 
-TEST(FitRtt, ParallelFitIsBitIdenticalToSerial) {
-  // The range-split grid scan must reproduce the serial first-minimum
-  // incumbent exactly — same cells, same reduction order semantics — at
-  // any thread count, odd slice counts included.
-  const rtt_target_stats target{141.0, 60.0, 376.0};  // beta LTE
-  const auto serial = fit_rtt_params(target, 1);
-  for (unsigned threads : {2u, 3u, 4u, 7u}) {
-    const auto parallel = fit_rtt_params(target, threads);
-    EXPECT_EQ(serial.log_mu, parallel.log_mu) << threads;
-    EXPECT_EQ(serial.log_sigma, parallel.log_sigma) << threads;
-    EXPECT_EQ(serial.spike_probability, parallel.spike_probability) << threads;
-    EXPECT_EQ(serial.spike_min_ms, parallel.spike_min_ms) << threads;
-    EXPECT_EQ(serial.spike_max_ms, parallel.spike_max_ms) << threads;
+TEST(FitRtt, OperatorFitsPinnedBitForBit) {
+  // A fit is a pure function of its published target, so all six operator
+  // fits are pinned exactly: a change to the grid, the median solve or the
+  // error metric names the fit and the field it moved.  beta LTE is
+  // default_lte_model's link, behind every closed-loop run.
+  struct pinned_fit {
+    const char* name;
+    technology tech;
+    rtt_model_params params;  // log_mu, log_sigma, spike p, min, max
+  };
+  const pinned_fit pins[] = {
+      {"alpha", technology::threeg,
+       {0x1.f4e5f61eb5ae2p+1, 0x1.22acd9e83e426p+0,
+        0x1.a5cb9b1a78264p-7, 0x1.32p+7, 0x1.3ecp+12}},
+      {"alpha", technology::lte,
+       {0x1.c2ec3766d72ecp+1, 0x1.ba5e353f7cedap-2,
+        0x1.a81ecd4aa10e1p-8, 0x1.98p+6, 0x1.20dep+10}},
+      {"beta", technology::threeg,
+       {0x1.052f6d7579764p+2, 0x1.2460aa64c2f83p+0,
+        0x1.2e3686a4ca4f3p-7, 0x1.68p+7, 0x1.77p+12}},
+      {"beta", technology::lte,
+       {0x1.9bc6bd2fbf1c4p+1, 0x1.89f559b3d07c7p-1,
+        0x1.fc3b4f6167232p-10, 0x1.2cp+6, 0x1.388p+11}},
+      {"gamma", technology::threeg,
+       {0x1.015f66bdb9d6cp+2, 0x1.44faacd9e83e4p+0,
+        0x1.40d23d4f15e7cp-9, 0x1.5p+7, 0x1.3bp+13}},
+      {"gamma", technology::lte,
+       {0x1.a5ab6aa659374p+1, 0x1.c1d14e3bcd35ap-1,
+        0x1.6edeb92685587p-10, 0x1.44p+6, 0x1.a5ep+11}},
+  };
+  for (const auto& pin : pins) {
+    const auto& op = operator_by_name(pin.name);
+    const auto fit = fit_rtt_params(pin.tech == technology::threeg ? op.threeg
+                                                                   : op.lte);
+    const std::string label = std::string{pin.name} + "-" + to_string(pin.tech);
+    EXPECT_EQ(fit.log_mu, pin.params.log_mu) << label;
+    EXPECT_EQ(fit.log_sigma, pin.params.log_sigma) << label;
+    EXPECT_EQ(fit.spike_probability, pin.params.spike_probability) << label;
+    EXPECT_EQ(fit.spike_min_ms, pin.params.spike_min_ms) << label;
+    EXPECT_EQ(fit.spike_max_ms, pin.params.spike_max_ms) << label;
   }
 }
 

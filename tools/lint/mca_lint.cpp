@@ -24,8 +24,10 @@
 //    fingerprint.  The few legitimate wall-clock sites (bench timing,
 //    tracer wall lanes) carry explicit allow() suppressions with reasons.
 //    Outside src/exp/ (the thread pool and the replication runner),
-//    atomics and mutexes [det-shared-state] are banned too: a simulation
-//    shares nothing with its siblings but the pool's batch index.
+//    atomics, mutexes and thread starts (thread, jthread, async)
+//    [det-shared-state] are banned too: a simulation shares nothing with
+//    its siblings but the pool's batch index, and only the pool starts
+//    threads.
 //
 //  header hygiene — every header needs #pragma once or an include guard
 //    [hdr-guard] and must not contain using-namespace [hdr-using-namespace].
@@ -400,8 +402,9 @@ void check_determinism(const source_file& f, std::vector<violation>& out) {
   }
 }
 
-/// Atomics and mutexes outside src/exp/: state shared across simulations
-/// makes a run depend on thread interleaving.
+/// Atomics, mutexes and thread starts outside src/exp/: state shared
+/// across simulations makes a run depend on thread interleaving, and the
+/// pool is the one place that starts threads.
 void check_shared_state(const source_file& f, std::vector<violation>& out) {
   if (f.display.rfind("src/exp/", 0) == 0) return;
   for (const token& t : f.lex.tokens) {
@@ -411,6 +414,11 @@ void check_shared_state(const source_file& f, std::vector<violation>& out) {
       out.push_back({f.display, t.line, "det-shared-state",
                      t.text + ": simulations share no state but the "
                      "pool's batch index (keep it in src/exp/)"});
+    } else if (t.text == "thread" || t.text == "jthread" ||
+               t.text == "async") {
+      out.push_back({f.display, t.line, "det-shared-state",
+                     t.text + ": only the src/exp/ thread pool starts "
+                     "threads (run parallel work on it)"});
     }
   }
 }
@@ -880,6 +888,15 @@ int self_test() {
       "std::atomic<unsigned> next_id{0};\n"
       "std::shared_mutex table_lock;\n"
       "int f() { static std::recursive_mutex m; return 0; }\n";
+  const std::string threads_bad =
+      "#include <future>\n"
+      "#include <thread>\n"
+      "void f() {\n"
+      "  std::thread t{[] {}};\n"
+      "  std::jthread j{[] {}};\n"
+      "  auto r = std::async(std::launch::async, [] { return 1; });\n"
+      "  t.join();\n"
+      "}\n";
   const std::string hdr_bad =
       "#include <vector>\n"
       "using namespace std;\n"
@@ -981,6 +998,13 @@ int self_test() {
        {{"det-shared-state", 4}}},
       {"shared state passes in src/exp/ and tests/",
        {{"src/exp/pool.cpp", shared_bad}, {"tests/demo_pool.cpp", shared_bad}},
+       {{"det-shared-state", 0}}},
+      // Five: the #include <thread> line counts, as does each async.
+      {"thread starts fire in src/ outside src/exp/",
+       {{"src/demo/threads.cpp", threads_bad}},
+       {{"det-shared-state", 5}}},
+      {"thread starts pass in src/exp/",
+       {{"src/exp/threads.cpp", threads_bad}},
        {{"det-shared-state", 0}}},
       {"allow-file suppresses with a reason",
        {{"src/demo/clock.h", det_allowed}},
