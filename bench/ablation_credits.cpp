@@ -7,8 +7,10 @@
 // without the model for the first stretch, then collapses to its baseline
 // share once the bank empties — credits only matter for workloads the
 // paper does not run.
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
+#include <vector>
 
 #include "bench_util.h"
 #include "cloud/instance.h"
@@ -20,6 +22,21 @@
 #include "workload/generator.h"
 
 namespace {
+
+/// Adds each completion to the window its job arrived in (the tag).
+class window_sink final : public mca::cloud::completion_sink {
+ public:
+  explicit window_sink(std::vector<mca::util::running_stats>& windows)
+      : windows_{windows} {}
+
+  void on_completion(std::uint32_t window, std::uint32_t /*epoch*/,
+                     mca::util::time_ms service, bool /*ok*/) override {
+    if (window < windows_.size()) windows_[window].add(service);
+  }
+
+ private:
+  std::vector<mca::util::running_stats>& windows_;
+};
 
 /// Mean in-server response per 10-minute window over a 3-hour sustained
 /// stream; returns {window -> mean_ms} plus the throttle flag at the end.
@@ -41,6 +58,8 @@ run_result run(bool enable_credits) {
 
   constexpr double kWindow = 600'000.0;  // 10 minutes
   std::vector<util::running_stats> windows(18);
+  window_sink sink{windows};
+  server.set_completion_sink(&sink);
   workload::interarrival_config load;
   load.devices = 1;
   load.active_duration = util::hours(3);
@@ -48,10 +67,8 @@ run_result run(bool enable_credits) {
   workload::interarrival_generator gen{
       sim, workload::random_pool_source(pool),
       [&](const workload::offload_request& r) {
-        const auto window = static_cast<std::size_t>(sim.now() / kWindow);
-        server.submit(r.work.work_units(), [&windows, window](double t, bool) {
-          if (window < windows.size()) windows[window].add(t);
-        });
+        const auto window = static_cast<std::uint32_t>(sim.now() / kWindow);
+        server.submit(r.work.work_units(), window);
       },
       workload::exponential_interarrival(25.0), load, rng.fork()};
   sim.run();

@@ -9,6 +9,7 @@
 // (c) The success/fail split per arrival rate: beyond the knee a rising
 //     share of requests is dropped.
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
 #include <map>
@@ -47,6 +48,23 @@ class routing_sink final : public core::response_sink {
   }
 
   std::map<group_id, std::vector<std::pair<request_id, double>>> by_group;
+};
+
+/// Fig. 8b/8c collector: a job's tag is the arrival rate (Hz) of the
+/// phase it arrived in; its completion counts there as a success.
+class phase_sink final : public cloud::completion_sink {
+ public:
+  explicit phase_sink(std::map<int, phase_stats>& phases) : phases_{phases} {}
+
+  void on_completion(std::uint32_t rate_hz, std::uint32_t /*epoch*/,
+                     util::time_ms service, bool /*ok*/) override {
+    phase_stats& phase = phases_[static_cast<int>(rate_hz)];
+    phase.response.add(service);
+    ++phase.successes;
+  }
+
+ private:
+  std::map<int, phase_stats>& phases_;
 };
 
 /// Part (a): routing time per group at the SDN front-end, in arrival
@@ -103,6 +121,8 @@ std::map<int, phase_stats> run_saturation_part(const tasks::task_pool& pool) {
     util::rng rng{89};
     cloud::instance server{sim, 1, cloud::type_by_name("t2.large"),
                            rng.fork()};
+    phase_sink sink{phases};
+    server.set_completion_sink(&sink);
     workload::rate_doubling_config schedule;
     schedule.initial_hz = 1.0;
     schedule.final_hz = 1024.0;
@@ -117,10 +137,7 @@ std::map<int, phase_stats> run_saturation_part(const tasks::task_pool& pool) {
           auto& phase = phases[rate];
           ++phase.arrivals;
           const bool accepted = server.submit(
-              r.work.work_units(), [&phases, rate](double service, bool) {
-                phases[rate].response.add(service);
-                ++phases[rate].successes;
-              });
+              r.work.work_units(), static_cast<std::uint32_t>(rate));
           (void)accepted;
         },
         schedule, rng.fork()};

@@ -1,7 +1,5 @@
 #include "client/device.h"
 
-#include <stdexcept>
-
 namespace mca::client {
 
 const char* to_string(device_class c) noexcept {
@@ -28,14 +26,6 @@ device_profile profile_for(device_class cls) noexcept {
       return {cls, 0.70, 2.5e-6, 2.2e-7};
   }
   return {};
-}
-
-device_slab::device_slab(std::size_t user_count,
-                         std::span<const device_class> mix) {
-  if (mix.empty()) throw std::invalid_argument{"device_slab: empty mix"};
-  battery_.assign(user_count, 1.0);
-  profiles_.reserve(mix.size());
-  for (const device_class cls : mix) profiles_.push_back(profile_for(cls));
 }
 
 }  // namespace mca::client

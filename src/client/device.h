@@ -1,4 +1,4 @@
-// Mobile device model: heterogeneous local compute, battery, and the
+// Mobile device model: heterogeneous local compute and energy, and the
 // classic offloading decision inequality.
 //
 // The paper's motivation is exactly this heterogeneity: "complex routines
@@ -7,16 +7,10 @@
 // span that range; each class's profile holds a local execution speed
 // (work units per ms) and energy coefficients for CPU and radio, and the
 // §II-A rule — a device delegates a task iff the effort to delegate is
-// less than the effort to run it — is a member of the profile.  The
-// population's batteries live in `device_slab`, which drains them through
-// the same profile energy functions the rule compares.
+// less than the effort to run it — is a member of the profile.  The rule
+// compares per-invocation energy costs; it reads no stored charge level.
 #pragma once
 
-#include <cstdint>
-#include <span>
-#include <vector>
-
-#include "util/ids.h"
 #include "util/sim_time.h"
 
 namespace mca::client {
@@ -64,45 +58,5 @@ struct device_profile {
 
 /// Lookup of the built-in profile for a class.
 device_profile profile_for(device_class cls) noexcept;
-
-/// Struct-of-arrays population state: one battery level per user, and
-/// one profile per entry of the device mix.  A user's class is its
-/// position in the cycled mix, u % mix.size(), so it costs no byte per
-/// user.  The closed-loop system's per-request device accounting touches
-/// one flat array; every battery starts full and drains by the profile's
-/// energy costs, clamped at 0.
-class device_slab {
- public:
-  /// `mix` is cycled over users (the closed-loop system cycles flagship,
-  /// midrange, budget, wearable).  Throws std::invalid_argument on an
-  /// empty mix.
-  device_slab(std::size_t user_count, std::span<const device_class> mix);
-
-  // Per-request SoA accessors: one array read/write per decision or
-  // accounting call, no indirection — lint-enforced as a hot-path region.
-  // mca:hot-path-begin(client-soa-state)
-  std::size_t size() const noexcept { return battery_.size(); }
-  double battery(user_id u) const noexcept { return battery_[u]; }
-  const device_profile& profile(user_id u) const noexcept {
-    return profiles_[u % static_cast<user_id>(profiles_.size())];
-  }
-
-  /// Battery drain of one offload round trip (radio active the whole
-  /// time).
-  void account_offload(user_id u, util::time_ms active_ms) noexcept {
-    const double drained = battery_[u] - profile(u).offload_energy(active_ms);
-    battery_[u] = drained > 0.0 ? drained : 0.0;
-  }
-  /// Battery drain of computing `work_units` on the device.
-  void account_local_run(user_id u, double work_units) noexcept {
-    const double drained = battery_[u] - profile(u).local_energy(work_units);
-    battery_[u] = drained > 0.0 ? drained : 0.0;
-  }
-  // mca:hot-path-end
-
- private:
-  std::vector<double> battery_;
-  std::vector<device_profile> profiles_;  ///< profiles_[i] = mix[i]'s
-};
 
 }  // namespace mca::client

@@ -23,6 +23,7 @@ instance_id backend_pool::launch(group_id group, const instance_type& type) {
         ++static_cast<backend_pool*>(self)->draining_count_;
       },
       this);
+  inst->set_completion_sink(sink_);
   inst->set_observability(obs_);
   if (obs_ != nullptr && inst->warming()) {
     obs_->add(obs::counter::fault_cold_starts);
@@ -57,7 +58,7 @@ std::size_t backend_pool::retire(group_id group, const instance_type& type,
 // instance::submit, so they live in a lint-enforced hot-path region.
 // mca:hot-path-begin(backend-route)
 route_status backend_pool::route(group_id group, double work_units,
-                                 instance::completion_fn on_complete) {
+                                 std::uint32_t tag, std::uint32_t epoch) {
   sweep();
   if (group >= groups_.size() || !group_available(group)) {
     return route_status::no_instances;
@@ -79,7 +80,7 @@ route_status backend_pool::route(group_id group, double work_units,
     }
   }
   if (best == nullptr) return route_status::no_instances;
-  return best->submit(work_units, std::move(on_complete))
+  return best->submit(work_units, tag, epoch)
              ? route_status::ok
              : route_status::dropped;
 }

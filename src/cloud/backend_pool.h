@@ -42,9 +42,21 @@ class backend_pool {
                      std::size_t count);
 
   /// Sends `work_units` to the least-loaded accepting instance of `group`;
-  /// `on_complete(service_time)` fires when the server finishes.
+  /// the completion sink hears `tag` and `epoch` when the server finishes
+  /// (see instance::submit).
   route_status route(group_id group, double work_units,
-                     instance::completion_fn on_complete);
+                     std::uint32_t tag = instance::kUntagged,
+                     std::uint32_t epoch = 0);
+
+  /// Installs the sink that hears every routed job's completion on every
+  /// current and future instance (nullptr = none).  Setup-time only.
+  void set_completion_sink(completion_sink* sink) noexcept {
+    sink_ = sink;
+    for (auto& members : groups_) {
+      for (auto& inst : members) inst->set_completion_sink(sink);
+    }
+  }
+  bool has_completion_sink() const noexcept { return sink_ != nullptr; }
 
   /// Reaps drained+idle instances (also runs inside route/launch/retire).
   /// O(1) while nothing is draining — the steady-state request path pays
@@ -60,8 +72,8 @@ class backend_pool {
   /// Spot-kills one live (non-draining) instance of `group`, chosen as
   /// member `ordinal % live` — the ordinal comes from the deterministic
   /// fault schedule, so the victim never depends on thread or shard
-  /// layout.  Every in-flight job on the victim fires its callback with
-  /// ok=false.  No-op (applied=false) when the group has no live member.
+  /// layout.  The sink hears every tagged in-flight job on the victim
+  /// with ok=false.  No-op (applied=false) when the group has no live member.
   preempt_result preempt_in(group_id group, std::uint64_t ordinal);
 
   /// Opens an outage on `group`: every live instance drains (in-flight
@@ -119,6 +131,7 @@ class backend_pool {
   /// Per-group outage flags (1 = down); indexed like groups_.  Groups
   /// past the end are available.
   std::vector<std::uint8_t> unavailable_;
+  completion_sink* sink_ = nullptr;
   obs::registry* obs_ = nullptr;
   billing_meter billing_;
 };

@@ -139,8 +139,8 @@ void instance::on_completion_event() {
   pending_completion_ = {};
   advance();
   // Pop every job whose finish-V the clock has (numerically) reached — a
-  // whole batch of simultaneous finishers drains in this one event.
-  // Callbacks run after internal state is consistent so they may submit
+  // whole batch of simultaneous finishers drains in this one event.  The
+  // sink hears them after internal state is consistent, so it may submit
   // again immediately.  The scratch list keeps its capacity across events
   // and the completed slab entries return to the free list — no
   // steady-state allocation.
@@ -169,21 +169,28 @@ void instance::on_completion_event() {
     vclock_ = 0.0;
   }
   for (const std::uint32_t idx : finished_scratch_) {
-    job& j = jobs_[idx];
-    const util::time_ms service_time = sim_.now() - j.submitted_at;
-    completion_fn fn = std::move(j.on_complete);
-    j.on_complete = nullptr;
-    j.next_free = free_head_;
-    free_head_ = idx;
-    if (fn) fn(service_time, true);
+    release_job(idx, true);
   }
   // A stale-early fire (submissions slowed the shared rate after arming)
   // lands here with nothing due; either way, re-arm exactly for the new
-  // heap top.  Resubmitting callbacks have already armed via submit().
+  // heap top.  A sink that resubmitted has already armed via submit().
   if (!heap_.empty()) arm_no_later_than(next_wake_delay());
 }
 
-bool instance::submit(double work_units, completion_fn on_complete) {
+void instance::release_job(std::uint32_t idx, bool ok) {
+  job& j = jobs_[idx];
+  const util::time_ms service_time = sim_.now() - j.submitted_at;
+  const std::uint32_t tag = j.tag;
+  const std::uint32_t epoch = j.epoch;
+  j.tag = free_head_;
+  free_head_ = idx;
+  if (tag != kUntagged && sink_ != nullptr) {
+    sink_->on_completion(tag, epoch, service_time, ok);
+  }
+}
+
+bool instance::submit(double work_units, std::uint32_t tag,
+                      std::uint32_t epoch) {
   // mca-lint: allow(hot-throw) cold caller-bug validation: fires once per
   // programming error, never on the steady-state request path.
   if (work_units < 0.0) throw std::invalid_argument{"submit: negative work"};
@@ -205,14 +212,15 @@ bool instance::submit(double work_units, completion_fn on_complete) {
   std::uint32_t idx;
   if (free_head_ != kNoFreeJob) {
     idx = free_head_;
-    free_head_ = jobs_[idx].next_free;
+    free_head_ = jobs_[idx].tag;
   } else {
     idx = static_cast<std::uint32_t>(jobs_.size());
     jobs_.emplace_back();
   }
   job& j = jobs_[idx];
   j.submitted_at = sim_.now();
-  j.on_complete = std::move(on_complete);
+  j.tag = tag;
+  j.epoch = epoch;
   const double new_finish = vclock_ + noisy;
   // The pending event (if any) was armed for a faster rate and therefore
   // fires no later than the true next completion — leave it alone unless
@@ -243,24 +251,17 @@ std::size_t instance::preempt() {
     sim_.cancel(pending_completion_);
     pending_completion_ = {};
   }
-  // Drain before the failure callbacks run: a callback that immediately
+  // Drain before the sink hears the kills: a sink that immediately
   // re-routes must not land back on this instance — which also freezes
-  // heap_ (submit() bails on draining_ before touching it), so the
-  // callbacks fire straight off the heap storage in layout order.  Kill
+  // heap_ (submit() bails on draining_ before touching it), so the kills
+  // are reported straight off the heap storage in layout order.  Kill
   // order is deterministic given the deterministic submission history,
   // and skipping the scratch copy keeps a strike on a freshly relaunched
   // instance (whose scratch buffer would still be cold) allocation-free.
   drain();
   const std::size_t killed = heap_.size();
   for (const finish_entry& e : heap_) {
-    const std::uint32_t idx = static_cast<std::uint32_t>(e.key & kJobSlotMask);
-    job& j = jobs_[idx];
-    const util::time_ms elapsed = sim_.now() - j.submitted_at;
-    completion_fn fn = std::move(j.on_complete);
-    j.on_complete = nullptr;
-    j.next_free = free_head_;
-    free_head_ = idx;
-    if (fn) fn(elapsed, false);
+    release_job(static_cast<std::uint32_t>(e.key & kJobSlotMask), false);
   }
   heap_.clear();
   return killed;

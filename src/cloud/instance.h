@@ -56,7 +56,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "cloud/instance_type.h"
@@ -67,6 +66,34 @@
 #include "util/sim_time.h"
 
 namespace mca::cloud {
+
+/// Hears every tagged job as it leaves a server.  Implemented once by the
+/// owner (the SDN front-end, a characterization run), so a job carries
+/// two integers instead of per-request callback state.
+class completion_sink {
+ public:
+  virtual ~completion_sink() = default;
+  /// `tag` and `epoch` are the values the job was submitted with.  `ok`
+  /// is true for a normal completion (`service_time` is the in-server
+  /// time: spawn + compute under sharing, excluding network) and false
+  /// when the job was killed in flight (preemption; `service_time` is
+  /// then the time the job had spent on the server).
+  virtual void on_completion(std::uint32_t tag, std::uint32_t epoch,
+                             util::time_ms service_time, bool ok) = 0;
+};
+
+/// A completion_sink that keeps every service time it hears, in
+/// completion order: the single-server load sweeps (core::classifier,
+/// exp::curves) read their response samples from it.
+class service_time_recorder final : public completion_sink {
+ public:
+  void on_completion(std::uint32_t /*tag*/, std::uint32_t /*epoch*/,
+                     util::time_ms service_time, bool /*ok*/) override {
+    times.push_back(service_time);
+  }
+
+  std::vector<util::time_ms> times;
+};
 
 /// One provisioned server inside the discrete-event simulation.
 class instance {
@@ -84,13 +111,8 @@ class instance {
     double cold_start_mean_ms = 0.0;
   };
 
-  /// Invoked when a request leaves the server: `ok` is true for a normal
-  /// completion (`service_time` is the in-server time — spawn + compute
-  /// under sharing, excluding network) and false when the job was killed
-  /// in flight (preemption / forced drain; `service_time` is then the
-  /// time the job had spent on the server).
-  using completion_fn =
-      std::function<void(util::time_ms service_time, bool ok)>;
+  /// The tag of a job whose completion nobody hears (background load).
+  static constexpr std::uint32_t kUntagged = 0xffffffffu;
 
   instance(sim::simulation& sim, instance_id id, const instance_type& type,
            util::rng rng, options opts);
@@ -102,9 +124,17 @@ class instance {
   instance& operator=(const instance&) = delete;
   ~instance();
 
-  /// Submits `work_units` of compute.  Returns false when the admission cap
-  /// is hit or the instance is draining (the callback is then never run).
-  bool submit(double work_units, completion_fn on_complete);
+  /// Submits `work_units` of compute.  When the job leaves the server,
+  /// the completion sink hears `tag` and `epoch`, unless the tag is
+  /// kUntagged.  Returns false when the admission cap is hit or the
+  /// instance is draining or warming (the sink then never hears the job).
+  bool submit(double work_units, std::uint32_t tag = kUntagged,
+              std::uint32_t epoch = 0);
+
+  /// Installs the sink that hears tagged completions (nullptr = none).
+  /// Setup-time: backend_pool hands its sink to every instance it
+  /// launches.
+  void set_completion_sink(completion_sink* sink) noexcept { sink_ = sink; }
 
   /// Stops accepting new work; running requests finish normally.  Fires
   /// the drain observer on the first call, so an owning pool's sweep
@@ -129,11 +159,12 @@ class instance {
   /// provisioned (and billed) but not yet accepting work.
   bool warming() const noexcept { return sim_.now() < ready_at_; }
 
-  /// Spot-style preemption: every in-flight job is killed *now* — each
-  /// callback fires with ok=false so the client hears a failure notice
-  /// instead of silence — and the instance drains (an owning pool's sweep
-  /// reaps it immediately, since the heap is empty).  Returns the number
-  /// of jobs killed.  Allocation-free: reuses the completion scratch.
+  /// Spot-style preemption: every in-flight job is killed *now* — the
+  /// sink hears each tagged one with ok=false, so the client gets a
+  /// failure notice instead of silence — and the instance drains (an
+  /// owning pool's sweep reaps it immediately, since the heap is empty).
+  /// Returns the number of jobs killed.  Allocation-free: the kill walks
+  /// the heap storage in place.
   std::size_t preempt();
 
   /// Attaches the PS counters (submits/drops/completions, queue-depth and
@@ -141,8 +172,7 @@ class instance {
   /// disables them; the pointer is fixed after setup, so the off path is
   /// one predictable branch per event.  The instance keeps no tallies of
   /// its own: completions and drops are counted only here, and each
-  /// job's service time reaches its caller through the completion
-  /// callback.
+  /// tagged job's service time reaches the completion sink.
   void set_observability(obs::registry* registry) noexcept {
     obs_ = registry;
   }
@@ -159,14 +189,16 @@ class instance {
 
  private:
   /// Slab entry for one in-flight (or free) job.  Free entries chain
-  /// through `next_free`; steady-state submissions reuse storage instead
-  /// of allocating.  Remaining work is not stored — it is implied by the
+  /// through `tag`; steady-state submissions reuse storage instead of
+  /// allocating.  Remaining work is not stored — it is implied by the
   /// job's finish-V heap entry relative to the clock.
   struct job {
     util::time_ms submitted_at = 0.0;
-    completion_fn on_complete;
-    std::uint32_t next_free = 0;
+    /// In flight: the completion tag.  Free: the next free slot.
+    std::uint32_t tag = 0;
+    std::uint32_t epoch = 0;
   };
+  static_assert(sizeof(job) == 16, "a job slot is 16 bytes");
 
   /// Finish-V min-heap entry: 16 bytes, primary key `finish_v`, FIFO
   /// tie-break and slab identity in the packed (sequence << 24 | slot)
@@ -203,6 +235,9 @@ class instance {
   /// too-early event is harmless, it re-arms exactly).
   void arm_no_later_than(double delay);
   void on_completion_event();
+  /// Returns job `idx` to the free list, then reports it to the sink
+  /// (unless untagged) with its time on the server.
+  void release_job(std::uint32_t idx, bool ok);
 
   sim::simulation& sim_;
   instance_id id_;
@@ -224,6 +259,7 @@ class instance {
   util::time_ms armed_at_ = 0.0;  ///< wall time pending_completion_ fires
   drain_observer_fn drain_observer_ = nullptr;
   void* drain_observer_ctx_ = nullptr;
+  completion_sink* sink_ = nullptr;
   obs::registry* obs_ = nullptr;
   util::time_ms last_update_ = 0.0;
   util::time_ms ready_at_ = 0.0;  ///< first-accept time (cold start)

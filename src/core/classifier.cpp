@@ -43,23 +43,21 @@ type_characterization characterize_type(const cloud::instance_type& type,
     sim::simulation sim;
     cloud::instance server{sim, 1, type, seed_stream.fork(),
                            config.instance_options};
-    std::vector<double> responses;
+    cloud::service_time_recorder responses;
+    server.set_completion_sink(&responses);
     workload::concurrent_config load;
     load.users = users;
     load.rounds = config.rounds_per_level;
     workload::concurrent_generator generator{
         sim, workload::random_pool_source(pool),
-        [&server, &responses](const workload::offload_request& request) {
-          server.submit(request.work.work_units(),
-                        [&responses](util::time_ms service_time, bool) {
-                          responses.push_back(service_time);
-                        });
+        [&server](const workload::offload_request& request) {
+          server.submit(request.work.work_units(), 0);
         },
         load, seed_stream.fork()};
     sim.run();
 
-    if (responses.empty()) continue;
-    const auto s = util::summary_of(responses);
+    if (responses.times.empty()) continue;
+    const auto s = util::summary_of(responses.times);
     result.curve.push_back({users, s.mean, s.stddev, s.p5, s.p95});
   }
 

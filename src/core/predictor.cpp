@@ -27,6 +27,19 @@ const trace::time_slot* workload_predictor::forecast(
   if (history_.empty()) return nullptr;
   const std::size_t newest = history_.size() - 1;
   if (mode_ == prediction_mode::successor && newest == 0) return nullptr;
+  if (&current == &history_[newest] || current == history_[newest]) {
+    // The running system forecasts from the slot it just closed.  Its
+    // distance to the newest slot is 0 and no slot is nearer, so the scan
+    // below would answer without needing one edit distance: match takes
+    // the newest slot; successor takes the slot after the latest earlier
+    // copy of it (distance 0 wins with ties to the most recent), or the
+    // newest when there is none.
+    if (mode_ == prediction_mode::match) return &history_[newest];
+    for (std::size_t i = newest; i-- > 0;) {
+      if (history_[i] == current) return &history_[i + 1];
+    }
+    return &history_[newest];
+  }
   // One scan: the best match among the slots that have a successor, then
   // the newest slot.  Ties resolve to the most recent slot: recent
   // behaviour is the better template for what follows.

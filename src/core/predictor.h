@@ -16,8 +16,10 @@
 // Note: the running system (core::offloading_system) observes the slot it
 // just closed and then forecasts from that same slot, so the slot is in its
 // own candidate set at distance 0 and the forecast is, in practice, the
-// closed slot (ROADMAP, predictor item, step ii).  The offline evaluators
-// below forecast slots that are not in the knowledge base.
+// closed slot (ROADMAP, predictor item, step ii).  forecast() answers that
+// case by slot equality alone, with the scan's tie rule, so the running
+// system computes no edit distance.  The offline evaluators below
+// forecast slots that are not in the knowledge base, through the scan.
 #pragma once
 
 #include <cstddef>
@@ -55,8 +57,10 @@ class workload_predictor {
   /// itself (match mode), or the slot after the best match that has a
   /// successor unless the newest slot is a strictly better match (successor
   /// mode).  nullptr when the knowledge base is too small: empty, or a
-  /// single slot in successor mode.  The pointer is valid until the next
-  /// observe() or set_history().
+  /// single slot in successor mode.  When `current` equals the newest
+  /// slot the answer takes equality tests only (no edit distance, and no
+  /// check of the group counts of the slots it skips).  The pointer is
+  /// valid until the next observe() or set_history().
   const trace::time_slot* forecast(const trace::time_slot& current) const;
 
  private:

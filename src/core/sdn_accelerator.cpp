@@ -24,6 +24,10 @@ sdn_accelerator::sdn_accelerator(sim::simulation& sim,
   if (config.routing_overhead_mean_ms < 0.0 || config.backend_one_way_ms < 0.0) {
     throw std::invalid_argument{"sdn_config: negative latency"};
   }
+  if (backend_.has_completion_sink()) {
+    throw std::invalid_argument{
+        "sdn_accelerator: the backend pool already has a front-end"};
+  }
   // The front-end knows no horizon, so outage windows are checked only
   // for order here; the run checks them against its duration.
   fault::validate(faults_, std::numeric_limits<util::time_ms>::infinity(),
@@ -31,7 +35,10 @@ sdn_accelerator::sdn_accelerator(sim::simulation& sim,
   // Drawn only under an active program: a fault-free run's main stream
   // carries no resilience draw.
   if (faults_.active()) retry_seed_ = rng_();
+  backend_.set_completion_sink(this);
 }
+
+sdn_accelerator::~sdn_accelerator() { backend_.set_completion_sink(nullptr); }
 
 double sdn_accelerator::sample_routing_overhead() {
   const double overhead = rng_.normal(config_.routing_overhead_mean_ms,
@@ -139,12 +146,8 @@ void sdn_accelerator::submit(const workload::offload_request& request,
 void sdn_accelerator::stage_dispatch(std::uint32_t slot) {
   inflight& s = pool_[slot];
   ++s.attempt;
-  const std::uint32_t epoch = s.epoch;
-  const auto status = backend_.route(
-      s.group, s.work().work_units(),
-      [this, slot, epoch](util::time_ms service_time, bool ok) {
-        on_backend_done(slot, epoch, service_time, ok);
-      });
+  const auto status =
+      backend_.route(s.group, s.work().work_units(), slot, s.epoch);
   if (status == cloud::route_status::ok) {
     if (faults_.active() && faults_.request_timeout_ms > 0.0) {
       s.timeout = sim_.schedule_after(faults_.request_timeout_ms,
@@ -230,8 +233,8 @@ void sdn_accelerator::deliver(std::uint32_t slot) {
 // lint-enforced hot-path region — the retry bookkeeping may not allocate
 // (test_hot_path_alloc re-verifies this at runtime with faults enabled).
 // mca:hot-path-begin(sdn-retry-path)
-void sdn_accelerator::on_backend_done(std::uint32_t slot, std::uint32_t epoch,
-                                      util::time_ms service_time, bool ok) {
+void sdn_accelerator::on_completion(std::uint32_t slot, std::uint32_t epoch,
+                                    util::time_ms service_time, bool ok) {
   inflight& s = pool_[slot];
   // A completion whose epoch is stale belongs to an attempt this request
   // already timed out of (or to a previous occupant of a recycled slot) —
@@ -254,7 +257,7 @@ void sdn_accelerator::on_timeout(std::uint32_t slot) {
   inflight& s = pool_[slot];
   s.timeout = {};
   // Orphan the outstanding backend completion: when (if) it lands, its
-  // captured epoch no longer matches.
+  // epoch no longer matches.
   ++s.epoch;
   if (obs_ != nullptr) obs_->add(obs::counter::sdn_timeouts);
   // The front-end held the request for the full timeout window.

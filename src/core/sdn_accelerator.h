@@ -16,10 +16,12 @@
 // per-request draws (the half-RTT and the routing overhead) happen at
 // admission, in arrival order; the pure-delay legs between decisions are
 // folded into the next event's time, summed in the order the legs elapse.
-// Each stage is a member function scheduled with a [this, slot] lambda,
-// small enough for std::function's inline storage, and every response
-// goes to one response_sink, so the steady-state request path performs no
-// heap allocation.
+// Each stage is a member function scheduled with a [this, slot] event;
+// the back-end hands a finished job back as its (slot, epoch) tag through
+// the SDN's completion_sink, and every response goes to one
+// response_sink, so the steady-state request path performs no heap
+// allocation once the event engine's callback arena and the slabs are
+// warm.
 #pragma once
 
 #include <functional>
@@ -99,11 +101,15 @@ using trace_fn = std::function<void(util::time_ms logged_at,
                                     util::time_ms created_at, user_id user,
                                     group_id group)>;
 
-/// The front-end component.
-class sdn_accelerator {
+/// The front-end component.  It is its back-end pool's completion sink:
+/// a routed job is tagged with its in-flight slot and that slot's epoch.
+class sdn_accelerator : private cloud::completion_sink {
  public:
-  /// `log` may be nullptr to disable persistence regardless of config;
-  /// the trace observer fires either way.  The SDN reads its retry,
+  /// Installs itself as `backend`'s completion sink until destroyed;
+  /// throws std::invalid_argument when the pool already reports to
+  /// another (one front-end per pool at a time).  `log` may be nullptr to
+  /// disable persistence regardless of config; the trace observer fires
+  /// either way.  The SDN reads its retry,
   /// timeout, backoff and local-fallback knobs from `faults` only while
   /// the program is active(), checked by fault::validate's rules (throws
   /// std::invalid_argument).  An inactive program is bit-inert: no extra
@@ -113,10 +119,15 @@ class sdn_accelerator {
                   net::rtt_model mobile_link, trace::log_store* log,
                   sdn_config config, util::rng rng,
                   const fault::fault_program& faults = {});
+  ~sdn_accelerator() override;
+
+  sdn_accelerator(const sdn_accelerator&) = delete;
+  sdn_accelerator& operator=(const sdn_accelerator&) = delete;
 
   /// Accepts one offloading request destined for acceleration `group`.
-  /// `battery` is the device's charge level, logged with the trace.  The
-  /// response goes to the installed sink (see set_response_sink).
+  /// `battery` is the device's charge level, logged with the trace record
+  /// when a log is attached.  The response goes to the installed sink
+  /// (see set_response_sink).
   void submit(const workload::offload_request& request, group_id group,
               double battery);
 
@@ -175,7 +186,7 @@ class sdn_accelerator {
     sim::event_handle timeout{};
     group_id group = 0;
     /// Guards against stale backend completions: a timed-out attempt's
-    /// completion callback compares its captured epoch and drops itself.
+    /// completion carries an older epoch and is dropped.
     std::uint32_t epoch = 0;
     union {
       /// In flight: dispatch tries so far.
@@ -211,10 +222,11 @@ class sdn_accelerator {
   void stage_return(std::uint32_t slot, util::time_ms service_time);
   void deliver(std::uint32_t slot);
   // Resilience path (see the sdn-retry-path hot region): backend
-  // completions funnel through the epoch guard; failed attempts retry
-  // with backoff, fall back to local execution, or fail out.
-  void on_backend_done(std::uint32_t slot, std::uint32_t epoch,
-                       util::time_ms service_time, bool ok);
+  // completions (tag = slot) funnel through the epoch guard; failed
+  // attempts retry with backoff, fall back to local execution, or fail
+  // out.
+  void on_completion(std::uint32_t slot, std::uint32_t epoch,
+                     util::time_ms service_time, bool ok) override;
   void on_timeout(std::uint32_t slot);
   void attempt_failed(std::uint32_t slot);
 

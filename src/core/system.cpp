@@ -10,10 +10,6 @@ namespace mca::core {
 namespace {
 /// "Initially, each user is located in the lowest acceleration group".
 constexpr group_id kInitialGroup = 1;
-/// Device hardware mix, cycled over users.
-constexpr client::device_class kDeviceMix[] = {
-    client::device_class::flagship, client::device_class::midrange,
-    client::device_class::budget, client::device_class::wearable};
 }  // namespace
 
 std::optional<double> system_metrics::mean_prediction_accuracy() const {
@@ -50,7 +46,6 @@ std::vector<group_id> system_metrics::user_group_series(user_id user) const {
 offloading_system::offloading_system(system_config config,
                                      const tasks::task_pool& pool)
     : config_{std::move(config)}, pool_{pool}, rng_{config_.seed},
-      devices_{config_.user_count == 0 ? 1 : config_.user_count, kDeviceMix},
       background_rng_{config_.seed ^ 0xbadc0ffeULL} {
   if (config_.groups.empty()) {
     throw std::invalid_argument{"system: no backend groups"};
@@ -129,23 +124,13 @@ offloading_system::offloading_system(system_config config,
 // mca:hot-path-begin(response-digest)
 void offloading_system::handle_request(
     const workload::offload_request& request) {
-  const group_id group = moderator_->group_of(request.user);
-  const double battery = devices_.battery(request.user % devices_.size());
-  sdn_->submit(request, group, battery);
+  // No log is attached, so the battery level goes nowhere: a full one.
+  sdn_->submit(request, moderator_->group_of(request.user), 1.0);
 }
 
 void offloading_system::on_response(const workload::offload_request& request,
                                     const request_timing& timing,
                                     group_id group) {
-  const user_id device = request.user % devices_.size();
-  if (timing.local) {
-    // The fallback ran on the device: `cloud` is local compute, paid from
-    // the CPU, and the radio was active only for the network legs.
-    devices_.account_local_run(device, request.work.work_units());
-    devices_.account_offload(device, timing.total() - timing.cloud);
-  } else {
-    devices_.account_offload(device, timing.total());
-  }
   if (timing.success) {
     moderator_->record_response(request.user);
   }
@@ -195,7 +180,7 @@ void offloading_system::inject_background() {
     backend_->for_each_accepting(spec.group, [&](cloud::instance& server) {
       for (std::size_t i = 0; i < config_.background_requests_per_burst; ++i) {
         const auto work = pool_.random_request(background_rng_).work_units();
-        if (server.submit(work, {})) ++metrics_.background_submitted;
+        if (server.submit(work)) ++metrics_.background_submitted;
       }
     });
   }

@@ -15,7 +15,6 @@
 #include <span>
 #include <vector>
 
-#include "client/device.h"
 #include "client/moderator.h"
 #include "cloud/backend_pool.h"
 #include "core/allocator.h"
@@ -45,9 +44,8 @@ struct group_backend_spec {
   double capacity_per_instance = 10.0;
 };
 
-/// Full experiment description.  Users start in group 1 (kInitialGroup)
-/// and cycle through the device mix flagship, midrange, budget, wearable
-/// (kDeviceMix); both are constants of the deployment in system.cpp.
+/// Full experiment description.  Users start in group 1 (kInitialGroup,
+/// a constant of the deployment in system.cpp).
 struct system_config {
   std::vector<group_backend_spec> groups;
 
@@ -211,7 +209,6 @@ class offloading_system : private response_sink {
   const system_metrics& metrics() const noexcept { return metrics_; }
   cloud::backend_pool& backend() noexcept { return *backend_; }
   sdn_accelerator& sdn() noexcept { return *sdn_; }
-  const client::device_slab& devices() const noexcept { return devices_; }
   const workload_predictor& predictor() const noexcept { return predictor_; }
   sim::simulation& simulation() noexcept { return sim_; }
   std::size_t group_count() const noexcept { return group_count_; }
@@ -256,7 +253,6 @@ class offloading_system : private response_sink {
   std::unique_ptr<cloud::backend_pool> backend_;
   std::unique_ptr<sdn_accelerator> sdn_;
   std::unique_ptr<client::moderator> moderator_;
-  client::device_slab devices_;
   workload_predictor predictor_;
 
   std::unique_ptr<workload::interarrival_generator> generator_;

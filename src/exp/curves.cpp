@@ -20,20 +20,19 @@ std::vector<load_curve_point> response_vs_users(
     util::rng stream = util::rng::split(config.seed, users);
     sim::simulation sim;
     cloud::instance server{sim, 1, type, stream.fork()};
-    std::vector<double> responses;
+    cloud::service_time_recorder responses;
+    server.set_completion_sink(&responses);
     workload::concurrent_config load;
     load.users = users;
     load.rounds = config.rounds;
     workload::concurrent_generator generator{
         sim, workload::static_source(request),
         [&](const workload::offload_request& r) {
-          server.submit(r.work.work_units(), [&responses](double t, bool) {
-            responses.push_back(t);
-          });
+          server.submit(r.work.work_units(), 0);
         },
         load, stream.fork()};
     sim.run();
-    curve.push_back({users, util::summary_of(responses)});
+    curve.push_back({users, util::summary_of(responses.times)});
   }
   return curve;
 }

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "callback_sink.h"
 #include "obs/registry.h"
 #include "sim/simulation.h"
 
@@ -34,7 +35,10 @@ std::vector<instance*> accepting_in(backend_pool& pool, group_id group) {
 
 class BackendPoolTest : public ::testing::Test {
  protected:
-  BackendPoolTest() { pool_.set_observability(&obs_); }
+  BackendPoolTest() {
+    pool_.set_observability(&obs_);
+    pool_.set_completion_sink(&sink_);
+  }
 
   std::uint64_t ps_completed() const {
     return obs_.get(obs::counter::ps_completions);
@@ -42,6 +46,7 @@ class BackendPoolTest : public ::testing::Test {
   std::uint64_t ps_dropped() const { return obs_.get(obs::counter::ps_drops); }
 
   obs::registry obs_;
+  test_support::callback_sink sink_;
   sim::simulation sim_;
   backend_pool pool_{sim_, util::rng{42}};
 };
@@ -54,7 +59,7 @@ TEST_F(BackendPoolTest, LaunchAssignsUniqueIds) {
 }
 
 TEST_F(BackendPoolTest, RouteToEmptyGroupFails) {
-  EXPECT_EQ(pool_.route(3, 1.0, {}), route_status::no_instances);
+  EXPECT_EQ(pool_.route(3, 1.0), route_status::no_instances);
 }
 
 TEST_F(BackendPoolTest, RoutePrefersLeastLoadedInstance) {
@@ -62,7 +67,7 @@ TEST_F(BackendPoolTest, RoutePrefersLeastLoadedInstance) {
   pool_.launch(1, plain_type());
   // Four submissions should spread 2/2 across the two instances.
   for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(pool_.route(1, 100.0, {}), route_status::ok);
+    EXPECT_EQ(pool_.route(1, 100.0), route_status::ok);
   }
   const auto members = accepting_in(pool_, 1);
   ASSERT_EQ(members.size(), 2u);
@@ -73,7 +78,7 @@ TEST_F(BackendPoolTest, RoutePrefersLeastLoadedInstance) {
 TEST_F(BackendPoolTest, GroupsAreIsolated) {
   pool_.launch(1, plain_type());
   pool_.launch(2, plain_type());
-  ASSERT_EQ(pool_.route(2, 5.0, {}), route_status::ok);
+  ASSERT_EQ(pool_.route(2, 5.0), route_status::ok);
   EXPECT_EQ(accepting_in(pool_, 1)[0]->active_jobs(), 0u);
   EXPECT_EQ(accepting_in(pool_, 2)[0]->active_jobs(), 1u);
 }
@@ -89,7 +94,7 @@ TEST_F(BackendPoolTest, RetireDrainsIdleImmediately) {
 
 TEST_F(BackendPoolTest, RetireBusyInstanceWaitsForDrain) {
   pool_.launch(1, plain_type());
-  ASSERT_EQ(pool_.route(1, 100.0, {}), route_status::ok);
+  ASSERT_EQ(pool_.route(1, 100.0), route_status::ok);
   EXPECT_EQ(pool_.retire(1, plain_type(), 1), 1u);
   // Still draining: counted out of accepting capacity but not reaped.
   EXPECT_EQ(pool_.instance_count(1), 0u);
@@ -115,9 +120,9 @@ TEST_F(BackendPoolTest, RetireMatchesTypeName) {
 
 TEST_F(BackendPoolTest, RouteAfterAllDrainingFails) {
   pool_.launch(1, plain_type());
-  ASSERT_EQ(pool_.route(1, 50.0, {}), route_status::ok);
+  ASSERT_EQ(pool_.route(1, 50.0), route_status::ok);
   pool_.retire(1, plain_type(), 1);
-  EXPECT_EQ(pool_.route(1, 1.0, {}), route_status::no_instances);
+  EXPECT_EQ(pool_.route(1, 1.0), route_status::no_instances);
 }
 
 TEST_F(BackendPoolTest, DroppedWhenInstancesFull) {
@@ -128,7 +133,7 @@ TEST_F(BackendPoolTest, DroppedWhenInstancesFull) {
   std::size_t ok = 0;
   std::size_t dropped = 0;
   for (std::size_t i = 0; i < cap + 2; ++i) {
-    const auto status = pool_.route(1, 10.0, {});
+    const auto status = pool_.route(1, 10.0);
     if (status == route_status::ok) ++ok;
     if (status == route_status::dropped) ++dropped;
   }
@@ -140,16 +145,40 @@ TEST_F(BackendPoolTest, DroppedWhenInstancesFull) {
 TEST_F(BackendPoolTest, CompletionCountsAggregate) {
   pool_.launch(1, plain_type());
   int completions = 0;
-  pool_.route(1, 1.0, [&](double, bool) { ++completions; });
-  pool_.route(1, 1.0, [&](double, bool) { ++completions; });
+  const auto count = sink_.tag([&](double, bool) { ++completions; });
+  pool_.route(1, 1.0, count);
+  pool_.route(1, 1.0, count);
   sim_.run();
   EXPECT_EQ(completions, 2);
   EXPECT_EQ(ps_completed(), 2u);
 }
 
+TEST(BackendPool, CompletionSinkReachesInstancesLaunchedBeforeAndAfter) {
+  sim::simulation sim;
+  backend_pool pool{sim, util::rng{42}};
+  pool.launch(1, plain_type());
+  test_support::callback_sink sink;
+  pool.set_completion_sink(&sink);
+  EXPECT_TRUE(pool.has_completion_sink());
+  pool.launch(2, plain_type());
+  std::vector<group_id> heard;
+  const auto from_1 = sink.tag([&](double, bool) { heard.push_back(1); });
+  const auto from_2 = sink.tag([&](double, bool) { heard.push_back(2); });
+  ASSERT_EQ(pool.route(1, 1.0, from_1), route_status::ok);
+  ASSERT_EQ(pool.route(2, 1.0, from_2), route_status::ok);
+  sim.run();
+  EXPECT_EQ(heard, (std::vector<group_id>{1, 2}));
+  // Detached, the pool's jobs complete unheard.
+  pool.set_completion_sink(nullptr);
+  EXPECT_FALSE(pool.has_completion_sink());
+  ASSERT_EQ(pool.route(1, 1.0, from_1), route_status::ok);
+  sim.run();
+  EXPECT_EQ(heard.size(), 2u);
+}
+
 TEST_F(BackendPoolTest, RetiredInstanceStatsSurvive) {
   pool_.launch(1, plain_type());
-  pool_.route(1, 1.0, {});
+  pool_.route(1, 1.0);
   sim_.run();
   pool_.retire(1, plain_type(), 1);
   pool_.sweep();
@@ -165,8 +194,8 @@ TEST_F(BackendPoolTest, BillingAccruesWhileRunning) {
 TEST_F(BackendPoolTest, MutableAccessSkipsDraining) {
   pool_.launch(1, plain_type());
   pool_.launch(1, plain_type());
-  pool_.route(1, 100.0, {});
-  pool_.route(1, 100.0, {});
+  pool_.route(1, 100.0);
+  pool_.route(1, 100.0);
   pool_.retire(1, plain_type(), 1);
   EXPECT_EQ(accepting_in(pool_, 1).size(), 1u);
 }
@@ -183,13 +212,13 @@ TEST_F(BackendPoolTest, RetireWhileRoutingChurn) {
   std::size_t failures = 0;
   std::size_t routed = 0;
   std::size_t drained_total = 0;
-  const auto terminal = [&](double, bool ok) {
+  const auto terminal = sink_.tag([&](double, bool ok) {
     if (ok) {
       ++completions;
     } else {
       ++failures;
     }
-  };
+  });
   for (int round = 0; round < 6; ++round) {
     // Load every accepting instance, then mark one busy member mid-work.
     for (int r = 0; r < 8; ++r) {
@@ -231,7 +260,7 @@ TEST_F(BackendPoolTest, RetireWhileRoutingChurn) {
     }
     // Direct submission to a draining instance must be refused outright.
     for (instance* server : drained) {
-      EXPECT_FALSE(server->submit(1.0, {}));
+      EXPECT_FALSE(server->submit(1.0));
     }
     // Let some work finish, reap repeatedly (idempotent: a double
     // on_terminate would throw logic_error out of sweep()).
@@ -284,7 +313,7 @@ TEST_F(BackendPoolTest, RetireWhileRoutingChurn) {
   EXPECT_GT(second.killed, 0u);
   EXPECT_EQ(pool_.instance_count(1), 0u);
   // A preempted group with no survivors refuses routing and strikes.
-  EXPECT_EQ(pool_.route(1, 1.0, {}), route_status::no_instances);
+  EXPECT_EQ(pool_.route(1, 1.0), route_status::no_instances);
   EXPECT_FALSE(pool_.preempt_in(1, 0).applied);
   sim_.run();
   ASSERT_NO_THROW(pool_.sweep());

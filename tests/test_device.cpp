@@ -2,10 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <span>
-#include <stdexcept>
-
 namespace mca::client {
 namespace {
 
@@ -73,78 +69,6 @@ TEST(DeviceProfile, EnergyIsOneProductPerResource) {
                    1'000.0 * budget.cpu_drain_per_wu);
   EXPECT_DOUBLE_EQ(budget.offload_energy(10'000.0),
                    10'000.0 * budget.radio_drain_per_ms);
-}
-
-constexpr device_class kMix[] = {device_class::flagship,
-                                 device_class::midrange,
-                                 device_class::budget, device_class::wearable};
-
-TEST(DeviceSlab, MixCyclesOverUsers) {
-  // Over two and a half cycles, each user's profile is its mix entry's.
-  const device_slab slab{10, kMix};
-  ASSERT_EQ(slab.size(), 10u);
-  for (user_id u = 0; u < 10; ++u) {
-    const device_profile want = profile_for(kMix[u % 4]);
-    const device_profile& got = slab.profile(u);
-    EXPECT_EQ(got.cls, want.cls) << "user " << u;
-    EXPECT_EQ(got.local_speed_wu_per_ms, want.local_speed_wu_per_ms);
-    EXPECT_EQ(got.cpu_drain_per_wu, want.cpu_drain_per_wu);
-    EXPECT_EQ(got.radio_drain_per_ms, want.radio_drain_per_ms);
-  }
-}
-
-TEST(DeviceSlab, BatteryAccountingFollowsEachUsersMixEntry) {
-  // Every user, over two mix cycles, drains by exactly its own class's
-  // energy costs: one local run and two offloads, clamped at 0.
-  device_slab slab{8, kMix};
-  for (user_id u = 0; u < 8; ++u) {
-    const device_profile profile = profile_for(kMix[u % 4]);
-    const double work = 500.0 * (u + 1);
-    const util::time_ms active = 20'000.0 * (u + 1);
-    slab.account_local_run(u, work);
-    slab.account_offload(u, active);
-    slab.account_offload(u, active);
-    double want = 1.0 - profile.local_energy(work);
-    want = std::max(0.0, want - profile.offload_energy(active));
-    want = std::max(0.0, want - profile.offload_energy(active));
-    EXPECT_EQ(slab.battery(u), want) << "user " << u;
-  }
-}
-
-TEST(DeviceSlab, RejectsAnEmptyMix) {
-  EXPECT_THROW((device_slab{4, std::span<const device_class>{}}),
-               std::invalid_argument);
-}
-
-TEST(DeviceSlab, BatteriesStartFull) {
-  const device_slab slab{6, kMix};
-  for (user_id u = 0; u < 6; ++u) EXPECT_DOUBLE_EQ(slab.battery(u), 1.0);
-}
-
-TEST(DeviceSlab, EachAccountDrainsExactlyTheProfileEnergy) {
-  device_slab slab{4, kMix};
-  const device_profile budget = profile_for(device_class::budget);  // user 2
-  double expected = 1.0;
-  slab.account_local_run(2, 1'000.0);
-  expected -= budget.local_energy(1'000.0);
-  EXPECT_DOUBLE_EQ(slab.battery(2), expected);
-  slab.account_offload(2, 10'000.0);
-  expected -= budget.offload_energy(10'000.0);
-  EXPECT_DOUBLE_EQ(slab.battery(2), expected);
-  // Only the accounted user drains.
-  EXPECT_DOUBLE_EQ(slab.battery(1), 1.0);
-  EXPECT_DOUBLE_EQ(slab.battery(3), 1.0);
-}
-
-TEST(DeviceSlab, DrainClampsAtZero) {
-  device_slab slab{4, kMix};
-  slab.account_local_run(3, 1e12);
-  EXPECT_DOUBLE_EQ(slab.battery(3), 0.0);
-  slab.account_offload(0, 1e12);
-  EXPECT_DOUBLE_EQ(slab.battery(0), 0.0);
-  // An empty battery stays empty.
-  slab.account_offload(0, 1.0);
-  EXPECT_DOUBLE_EQ(slab.battery(0), 0.0);
 }
 
 }  // namespace

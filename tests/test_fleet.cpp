@@ -345,7 +345,7 @@ TEST(ShardDigest, InstancesAreTheNonDrainingDeployment) {
           if (victim == nullptr) victim = &server;
         });
       }
-      const bool drained = victim != nullptr && victim->submit(10'000.0, {});
+      const bool drained = victim != nullptr && victim->submit(10'000.0);
       if (drained) victim->drain();
 
       digests.push_back(member->advance_to_slot(slot));

@@ -13,6 +13,9 @@
 // likely: fixed inter-arrival gaps and a never-promote policy give every
 // user at most one in-flight request and identical load in every slot, so
 // warm-up provably reaches every high-water mark the window will see.
+// Background bursts (fixed-period, fixed-size, untagged PS jobs: the path
+// that carries nearly all of a closed-loop run's PS jobs) repeat the same
+// load every period, so they reach their high-water marks in warm-up too.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -73,6 +76,10 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace mca {
 namespace {
 
+/// Untagged PS jobs each back-end server takes per background burst
+/// (every 2 s by default).
+constexpr std::size_t kBackgroundPerBurst = 4;
+
 /// Responses the SDN has delivered so far, success or failure.
 std::uint64_t delivered(const core::offloading_system& system) {
   const obs::registry& counts = system.observability();
@@ -92,7 +99,7 @@ TEST(HotPathAllocation, SteadyStateRequestPathAllocatesNothing) {
   config.tasks = workload::static_source(pool.static_minimax_request());
   config.gaps = [](util::rng&) { return util::seconds(40.0); };
   config.slot_length = util::minutes(10.0);
-  config.background_requests_per_burst = 0;
+  config.background_requests_per_burst = kBackgroundPerBurst;
   // Deterministic steady state: nobody changes group, so per-slot load —
   // and with it the provisioning plan — is constant after the first slot.
   config.promotion_probability = 0.0;
@@ -118,6 +125,7 @@ TEST(HotPathAllocation, SteadyStateRequestPathAllocatesNothing) {
   EXPECT_EQ(during_window, 0u)
       << "steady-state request path performed " << during_window
       << " heap allocations";
+  EXPECT_GT(system.metrics().background_submitted, 0u);
 
   system.finish();
   EXPECT_EQ(system.observability().get(obs::counter::sdn_failures), 0u);
@@ -125,8 +133,10 @@ TEST(HotPathAllocation, SteadyStateRequestPathAllocatesNothing) {
 
 TEST(HotPathAllocation, FaultSteadyStateRequestPathAllocatesNothing) {
   // The same gate with the fault program live: timeout timers armed on
-  // every dispatch, a spot strike landing inside the measured window, and
-  // the retry/backoff/fallback machinery absorbing everything after it.
+  // every dispatch, spot strikes landing inside the measured window (their
+  // kills reach the SDN's completion sink with ok = false, or die
+  // untagged), and the retry/backoff/fallback machinery absorbing
+  // everything after them.
   //
   // Adaptation is off and three hand-placed strikes progressively empty
   // group 1 (nothing relaunches), so the run walks through every fault
@@ -135,9 +145,11 @@ TEST(HotPathAllocation, FaultSteadyStateRequestPathAllocatesNothing) {
   // the in-flight pool and timeout machinery to their high-water marks),
   // then — after the in-window strike at minute 23 — a drained group
   // where every request runs route-refusal → backoff retries → local
-  // fallback.  The window must absorb the strike itself (billing close,
-  // heap-order kill callbacks) and the regime change without a single
-  // allocation.
+  // fallback.  A fourth strike, at minute 24 just after a background
+  // burst, kills group 2's only instance: nobody is ever promoted, so its
+  // jobs are background bursts alone and every kill is untagged.  The
+  // window must absorb the strikes themselves (billing close, heap-order
+  // kills) and the regime change without a single allocation.
   tasks::task_pool pool;
 
   core::system_config config;
@@ -149,7 +161,7 @@ TEST(HotPathAllocation, FaultSteadyStateRequestPathAllocatesNothing) {
   config.tasks = workload::static_source(pool.static_minimax_request());
   config.gaps = [](util::rng&) { return util::seconds(40.0); };
   config.slot_length = util::minutes(10.0);
-  config.background_requests_per_burst = 0;
+  config.background_requests_per_burst = kBackgroundPerBurst;
   config.promotion_probability = 0.0;
   config.enable_adaptation = false;
   config.record_request_series = false;
@@ -164,11 +176,16 @@ TEST(HotPathAllocation, FaultSteadyStateRequestPathAllocatesNothing) {
   // A fast local device keeps the post-drain fallback cheap (the paper's
   // 0.005 wu/ms would hold ~56 s of pending local events per request).
   config.faults.local_exec_wu_per_ms = 1.0;
-  const double strike_minutes[3] = {5.0, 13.0, 23.0};
-  for (std::uint64_t i = 0; i < 3; ++i) {
+  // Bursts fire every 2 s and group 2 serves one in a few tens of ms, so
+  // a strike 5 ms after the minute-24 burst finds its jobs in flight.
+  const util::time_ms kUntaggedStrike = util::minutes(24.0) + 5.0;
+  const util::time_ms strike_at[4] = {util::minutes(5.0), util::minutes(13.0),
+                                      util::minutes(23.0), kUntaggedStrike};
+  const group_id strike_group[4] = {1, 1, 1, 2};
+  for (std::uint64_t i = 0; i < 4; ++i) {
     fault::preemption_event ev;
-    ev.at = util::minutes(strike_minutes[i]);
-    ev.group = 1;
+    ev.at = strike_at[i];
+    ev.group = strike_group[i];
     ev.ordinal = i;
     ev.seq = i;
     config.preemption_schedule.push_back(ev);
@@ -179,7 +196,14 @@ TEST(HotPathAllocation, FaultSteadyStateRequestPathAllocatesNothing) {
 
   system.advance_to(util::minutes(21.0));
 
+  const obs::registry& r = system.observability();
   const std::uint64_t before = allocation_count();
+  system.advance_to(kUntaggedStrike - 1.0);
+  const std::uint64_t killed_before =
+      r.get(obs::counter::fault_inflight_killed);
+  system.advance_to(kUntaggedStrike);
+  const std::uint64_t untagged_killed =
+      r.get(obs::counter::fault_inflight_killed) - killed_before;
   system.advance_to(util::minutes(29.0));
   const std::uint64_t during_window = allocation_count() - before;
 
@@ -187,9 +211,10 @@ TEST(HotPathAllocation, FaultSteadyStateRequestPathAllocatesNothing) {
   EXPECT_EQ(during_window, 0u)
       << "fault-steady-state request path performed " << during_window
       << " heap allocations";
-  // All three strikes fired; the machinery they exercise actually ran.
-  const obs::registry& r = system.observability();
-  EXPECT_GE(r.get(obs::counter::fault_preemptions), 3u);
+  // All four strikes fired; the machinery they exercise actually ran.
+  EXPECT_GE(r.get(obs::counter::fault_preemptions), 4u);
+  EXPECT_GT(untagged_killed, 0u);
+  EXPECT_GT(system.metrics().background_submitted, 0u);
   EXPECT_GT(r.get(obs::counter::sdn_retries), 0u);
   EXPECT_GT(r.get(obs::counter::sdn_local_fallbacks), 0u);
 

@@ -4,12 +4,15 @@
 
 #include <vector>
 
+#include "callback_sink.h"
 #include "obs/registry.h"
 #include "sim/simulation.h"
 #include "util/stats.h"
 
 namespace mca::cloud {
 namespace {
+
+using test_support::callback_sink;
 
 /// Deterministic single-core reference type (no jitter, no steal).
 instance_type exact_type(double vcpus = 1.0, double speed = 1.0) {
@@ -25,13 +28,50 @@ instance_type exact_type(double vcpus = 1.0, double speed = 1.0) {
   return t;
 }
 
+/// Keeps every (tag, epoch, ok) the server reports, in order.
+struct heard {
+  std::uint32_t tag = 0;
+  std::uint32_t epoch = 0;
+  bool ok = false;
+  friend bool operator==(const heard&, const heard&) = default;
+};
+class tag_recorder final : public completion_sink {
+ public:
+  void on_completion(std::uint32_t tag, std::uint32_t epoch, util::time_ms,
+                     bool ok) override {
+    log.push_back({tag, epoch, ok});
+  }
+  std::vector<heard> log;
+};
+
+TEST(Instance, SinkHearsTaggedJobsWithTheirTagAndEpoch) {
+  // A finished job reaches the sink with ok = true and a killed one with
+  // ok = false, each with the tag and epoch it was submitted with; an
+  // untagged job is never reported.
+  sim::simulation sim;
+  instance server{sim, 1, exact_type(), util::rng{1}};
+  tag_recorder sink;
+  server.set_completion_sink(&sink);
+  ASSERT_TRUE(server.submit(1.0, 7, 3));
+  ASSERT_TRUE(server.submit(1.0));
+  sim.run();
+  EXPECT_EQ(sink.log, (std::vector<heard>{{7, 3, true}}));
+  ASSERT_TRUE(server.submit(1.0));
+  ASSERT_TRUE(server.submit(1.0, 9, 1));
+  EXPECT_EQ(server.preempt(), 2u);
+  EXPECT_EQ(sink.log, (std::vector<heard>{{7, 3, true}, {9, 1, false}}));
+}
+
 TEST(Instance, SingleJobServiceTimeIsWorkPlusSpawn) {
   sim::simulation sim;
   instance server{sim, 1, exact_type(), util::rng{1}};
+  callback_sink sink;
+  server.set_completion_sink(&sink);
   obs::registry counts;
   server.set_observability(&counts);
   double service = -1.0;
-  ASSERT_TRUE(server.submit(10.0, [&](double t, bool) { service = t; }));
+  ASSERT_TRUE(
+      server.submit(10.0, sink.tag([&](double t, bool) { service = t; })));
   sim.run();
   // 10 wu compute + 8 wu dalvikvm spawn at 1 wu/ms.
   EXPECT_NEAR(service, 18.0, 1e-9);
@@ -41,8 +81,10 @@ TEST(Instance, SingleJobServiceTimeIsWorkPlusSpawn) {
 TEST(Instance, SpeedFactorDividesServiceTime) {
   sim::simulation sim;
   instance server{sim, 1, exact_type(1.0, 2.0), util::rng{1}};
+  callback_sink sink;
+  server.set_completion_sink(&sink);
   double service = -1.0;
-  server.submit(10.0, [&](double t, bool) { service = t; });
+  server.submit(10.0, sink.tag([&](double t, bool) { service = t; }));
   sim.run();
   EXPECT_NEAR(service, 9.0, 1e-9);
 }
@@ -50,9 +92,11 @@ TEST(Instance, SpeedFactorDividesServiceTime) {
 TEST(Instance, ProcessorSharingDoublesWithTwoJobs) {
   sim::simulation sim;
   instance server{sim, 1, exact_type(), util::rng{1}};
+  callback_sink sink;
+  server.set_completion_sink(&sink);
   std::vector<double> services;
-  server.submit(10.0, [&](double t, bool) { services.push_back(t); });
-  server.submit(10.0, [&](double t, bool) { services.push_back(t); });
+  server.submit(10.0, sink.tag([&](double t, bool) { services.push_back(t); }));
+  server.submit(10.0, sink.tag([&](double t, bool) { services.push_back(t); }));
   sim.run();
   ASSERT_EQ(services.size(), 2u);
   // Both 18-wu jobs share one core: each sees 36 ms.
@@ -63,9 +107,11 @@ TEST(Instance, ProcessorSharingDoublesWithTwoJobs) {
 TEST(Instance, MultipleCoresAvoidSharingPenalty) {
   sim::simulation sim;
   instance server{sim, 1, exact_type(2.0), util::rng{1}};
+  callback_sink sink;
+  server.set_completion_sink(&sink);
   std::vector<double> services;
-  server.submit(10.0, [&](double t, bool) { services.push_back(t); });
-  server.submit(10.0, [&](double t, bool) { services.push_back(t); });
+  server.submit(10.0, sink.tag([&](double t, bool) { services.push_back(t); }));
+  server.submit(10.0, sink.tag([&](double t, bool) { services.push_back(t); }));
   sim.run();
   ASSERT_EQ(services.size(), 2u);
   EXPECT_NEAR(services[0], 18.0, 1e-6);
@@ -75,10 +121,16 @@ TEST(Instance, MultipleCoresAvoidSharingPenalty) {
 TEST(Instance, LateArrivalSharesRemainingWork) {
   sim::simulation sim;
   instance server{sim, 1, exact_type(), util::rng{1}};
+  callback_sink sink;
+  server.set_completion_sink(&sink);
   std::vector<std::pair<double, double>> completions;  // (finish, service)
-  server.submit(10.0, [&](double t, bool) { completions.push_back({sim.now(), t}); });
+  server.submit(10.0, sink.tag([&](double t, bool) {
+    completions.push_back({sim.now(), t});
+  }));
   sim.schedule_at(9.0, [&] {
-    server.submit(1.0, [&](double t, bool) { completions.push_back({sim.now(), t}); });
+    server.submit(1.0, sink.tag([&](double t, bool) {
+      completions.push_back({sim.now(), t});
+    }));
   });
   sim.run();
   ASSERT_EQ(completions.size(), 2u);
@@ -103,7 +155,7 @@ TEST(Instance, AdmissionCapDropsExcess) {
   const auto cap = type.max_concurrent();
   int accepted = 0;
   for (std::size_t i = 0; i < cap + 2; ++i) {
-    if (server.submit(5.0, {})) ++accepted;
+    if (server.submit(5.0)) ++accepted;
   }
   EXPECT_EQ(static_cast<std::size_t>(accepted), cap);
   EXPECT_EQ(counts.get(obs::counter::ps_drops), 2u);
@@ -113,10 +165,12 @@ TEST(Instance, AdmissionCapDropsExcess) {
 TEST(Instance, DrainRejectsNewWorkButFinishesRunning) {
   sim::simulation sim;
   instance server{sim, 1, exact_type(), util::rng{1}};
+  callback_sink sink;
+  server.set_completion_sink(&sink);
   bool finished = false;
-  server.submit(10.0, [&](double, bool) { finished = true; });
+  server.submit(10.0, sink.tag([&](double, bool) { finished = true; }));
   server.drain();
-  EXPECT_FALSE(server.submit(1.0, {}));
+  EXPECT_FALSE(server.submit(1.0));
   EXPECT_TRUE(server.draining());
   sim.run();
   EXPECT_TRUE(finished);
@@ -126,14 +180,16 @@ TEST(Instance, DrainRejectsNewWorkButFinishesRunning) {
 TEST(Instance, NegativeWorkThrows) {
   sim::simulation sim;
   instance server{sim, 1, exact_type(), util::rng{1}};
-  EXPECT_THROW(server.submit(-1.0, {}), std::invalid_argument);
+  EXPECT_THROW(server.submit(-1.0), std::invalid_argument);
 }
 
 TEST(Instance, ServiceStatsTrackCompletions) {
   sim::simulation sim;
   instance server{sim, 1, exact_type(), util::rng{1}};
+  callback_sink sink;
+  server.set_completion_sink(&sink);
   util::running_stats stats;
-  const auto record = [&](double t, bool) { stats.add(t); };
+  const auto record = sink.tag([&](double t, bool) { stats.add(t); });
   server.submit(2.0, record);
   sim.run();
   server.submit(12.0, record);
@@ -148,11 +204,18 @@ TEST(Instance, StealSlowsServiceUnderContention) {
   micro.steal_max = 0.5;
   instance stealing{sim, 1, micro, util::rng{1}};
   instance clean{sim, 2, exact_type(), util::rng{1}};
+  callback_sink sink;
+  stealing.set_completion_sink(&sink);
+  clean.set_completion_sink(&sink);
   std::vector<double> steal_times;
   std::vector<double> clean_times;
   for (int i = 0; i < 4; ++i) {
-    stealing.submit(10.0, [&](double t, bool) { steal_times.push_back(t); });
-    clean.submit(10.0, [&](double t, bool) { clean_times.push_back(t); });
+    stealing.submit(10.0, sink.tag([&](double t, bool) {
+      steal_times.push_back(t);
+    }));
+    clean.submit(10.0, sink.tag([&](double t, bool) {
+      clean_times.push_back(t);
+    }));
   }
   sim.run();
   ASSERT_EQ(steal_times.size(), 4u);
@@ -165,10 +228,13 @@ TEST(Instance, JitterPerturbsServiceTimes) {
   auto noisy = exact_type();
   noisy.jitter_sigma = 0.3;
   instance server{sim, 1, noisy, util::rng{7}};
+  callback_sink sink;
+  server.set_completion_sink(&sink);
   std::vector<double> services;
   for (int i = 0; i < 50; ++i) {
     sim.schedule_at(i * 1000.0, [&] {
-      server.submit(10.0, [&](double t, bool) { services.push_back(t); });
+      server.submit(10.0,
+                    sink.tag([&](double t, bool) { services.push_back(t); }));
     });
   }
   sim.run();
@@ -190,8 +256,11 @@ TEST(Instance, CreditExhaustionThrottlesToBaseline) {
   opts.enable_cpu_credits = true;
   opts.initial_credits_core_ms = 50.0;
   instance server{sim, 1, type, util::rng{1}, opts};
+  callback_sink sink;
+  server.set_completion_sink(&sink);
   double service = -1.0;
-  server.submit(92.0, [&](double t, bool) { service = t; });  // 100 wu total
+  // 100 wu total.
+  server.submit(92.0, sink.tag([&](double t, bool) { service = t; }));
   sim.run();
   // Full speed while credits last: net drain 0.9/ms -> 55.55 ms doing
   // 55.55 wu.  The remaining 44.44 wu run at 0.1 wu/ms -> 444.4 ms.
@@ -207,12 +276,12 @@ TEST(Instance, CreditsRecoverWhenIdle) {
   opts.enable_cpu_credits = true;
   opts.initial_credits_core_ms = 10.0;
   instance server{sim, 1, type, util::rng{1}, opts};
-  server.submit(42.0, {});
+  server.submit(42.0);
   sim.run();
   const double after_work = server.credit_balance();
-  server.submit(0.0, {});  // forces an advance() much later
+  server.submit(0.0);  // forces an advance() much later
   sim.run_until(10'000.0);
-  server.submit(0.0, {});
+  server.submit(0.0);
   sim.run();
   EXPECT_GT(server.credit_balance(), after_work);
 }
@@ -222,8 +291,10 @@ TEST(Instance, CreditsDisabledMeansNeverThrottled) {
   auto type = exact_type();
   type.baseline_fraction = 0.05;
   instance server{sim, 1, type, util::rng{1}};
+  callback_sink sink;
+  server.set_completion_sink(&sink);
   double service = -1.0;
-  server.submit(10'000.0, [&](double t, bool) { service = t; });
+  server.submit(10'000.0, sink.tag([&](double t, bool) { service = t; }));
   sim.run();
   EXPECT_FALSE(server.throttled());
   // Full speed throughout: 10,008 wu in 10,008 ms.
@@ -238,6 +309,8 @@ class WorkConservation : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(WorkConservation, BusyTimeEqualsTotalWork) {
   sim::simulation sim;
   instance server{sim, 1, exact_type(), util::rng{1}};
+  callback_sink sink;
+  server.set_completion_sink(&sink);
   obs::registry counts;
   server.set_observability(&counts);
   util::rng rng{GetParam()};
@@ -245,16 +318,16 @@ TEST_P(WorkConservation, BusyTimeEqualsTotalWork) {
   double last_arrival = 0.0;
   const int jobs = static_cast<int>(rng.uniform_int(2, 12));
   std::vector<double> completion_times;
+  const auto done = sink.tag([&completion_times, &sim](double, bool) {
+    completion_times.push_back(sim.now());
+  });
   for (int i = 0; i < jobs; ++i) {
     // Arrivals packed densely enough that the server never idles.
     last_arrival += rng.uniform(0.0, 3.0);
     const double work = rng.uniform(1.0, 30.0);
     total_work += work + 8.0;  // + spawn overhead
-    sim.schedule_at(last_arrival, [&server, work, &completion_times, &sim] {
-      server.submit(work, [&completion_times, &sim](double, bool) {
-        completion_times.push_back(sim.now());
-      });
-    });
+    sim.schedule_at(last_arrival,
+                    [&server, work, done] { server.submit(work, done); });
   }
   sim.run();
   ASSERT_EQ(completion_times.size(), static_cast<std::size_t>(jobs));
@@ -274,10 +347,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, WorkConservation,
 TEST(Instance, CompletionCallbackMayResubmit) {
   sim::simulation sim;
   instance server{sim, 1, exact_type(), util::rng{1}};
+  callback_sink sink;
+  server.set_completion_sink(&sink);
   int completions = 0;
-  std::function<void(double, bool)> resubmit = [&](double, bool) {
+  std::uint32_t resubmit = 0;
+  resubmit = sink.tag([&](double, bool) {
     if (++completions < 3) server.submit(2.0, resubmit);
-  };
+  });
   server.submit(2.0, resubmit);
   sim.run();
   EXPECT_EQ(completions, 3);

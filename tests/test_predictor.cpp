@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <optional>
 #include <vector>
@@ -234,6 +235,58 @@ TEST(PredictorDifferential, DuplicateSlotsTieTheSameWay) {
       expect_same_forecast(p, trace::time_slot{3});
     }
   }
+}
+
+TEST(PredictorDifferential, ClosedSlotForecastPicksTheFullScanSlot) {
+  // The running system observes the slot it just closed and forecasts from
+  // it, forecast(history().back()), which forecast() answers by slot
+  // equality alone.  Over 10^4 seeded small histories of 1..8 slots from a
+  // small alphabet (empty groups, empty slots, repeated slots, one-slot
+  // histories), in both modes, it must pick the slot the full
+  // edit-distance scan picks, asked with the newest slot itself and with
+  // an equal copy of it.
+  util::rng rng{36};
+  std::size_t single_slot = 0;
+  std::size_t newest_seen_before = 0;
+  std::size_t compared = 0;
+  for (std::size_t trial = 0; trial < 10'000; ++trial) {
+    const auto size = static_cast<std::size_t>(rng.uniform_int(1, 8));
+    std::vector<trace::time_slot> history;
+    for (std::size_t i = 0; i < size; ++i) {
+      if (rng.bernoulli(0.1)) {
+        history.emplace_back(3);  // every group empty
+      } else if (i > 0 && rng.bernoulli(0.25)) {
+        // A repeat of an earlier slot (copied: push_back may reallocate).
+        const trace::time_slot earlier = history[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))];
+        history.push_back(earlier);
+      } else {
+        history.push_back(random_slot(rng));
+      }
+    }
+    if (size == 1) ++single_slot;
+    if (std::find(history.begin(), history.end() - 1, history.back()) !=
+        history.end() - 1) {
+      ++newest_seen_before;
+    }
+    for (const prediction_mode mode :
+         {prediction_mode::successor, prediction_mode::match}) {
+      workload_predictor p{mode};
+      p.set_history(history);
+      SCOPED_TRACE(::testing::Message()
+                   << to_string(mode) << " trial " << trial << " size "
+                   << size);
+      expect_same_forecast(p, p.history().back());
+      const trace::time_slot copy = p.history().back();
+      expect_same_forecast(p, copy);
+      compared += 2;
+    }
+  }
+  EXPECT_EQ(compared, 40'000u);
+  // Both equality branches ran often: one-slot histories, and a newest
+  // slot that repeats an earlier one (the successor of its latest copy).
+  EXPECT_GT(single_slot, 1'000u);
+  EXPECT_GT(newest_seen_before, 2'000u);
 }
 
 TEST(PredictionAccuracy, PerfectForecastIsOne) {

@@ -22,10 +22,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <type_traits>
 #include <vector>
 
+#include "callback_sink.h"
 #include "obs/registry.h"
 #include "sim/simulation.h"
 #include "util/rng.h"
@@ -34,6 +36,9 @@ namespace mca::cloud {
 namespace {
 
 constexpr double kWorkEpsilon = 1e-6;  // mirrors instance.cpp
+
+/// What a job does when it leaves the server (the legacy interface).
+using completion_fn = std::function<void(util::time_ms service_time, bool ok)>;
 
 // ---------------------------------------------------------------------------
 // Legacy oracle: the event-rescheduling PS instance exactly as shipped
@@ -55,7 +60,7 @@ class legacy_ps_oracle {
     if (pending_.valid()) sim_.cancel(pending_);
   }
 
-  bool submit(double work_units, instance::completion_fn on_complete) {
+  bool submit(double work_units, completion_fn on_complete) {
     if (work_units < 0.0) throw std::invalid_argument{"submit: negative work"};
     if (draining_ || active_.size() >= type_.max_concurrent()) {
       ++dropped_;
@@ -82,7 +87,7 @@ class legacy_ps_oracle {
   struct job {
     double remaining_wu = 0.0;
     util::time_ms submitted_at = 0.0;
-    instance::completion_fn on_complete;
+    completion_fn on_complete;
   };
 
   double steal(std::size_t n) const noexcept {
@@ -171,7 +176,7 @@ class legacy_ps_oracle {
     for (const std::uint32_t idx : finished) {
       job& j = jobs_[idx];
       const util::time_ms service_time = sim_.now() - j.submitted_at;
-      instance::completion_fn fn = std::move(j.on_complete);
+      completion_fn fn = std::move(j.on_complete);
       j.on_complete = nullptr;
       ++completed_;
       if (fn) fn(service_time, true);
@@ -191,6 +196,25 @@ class legacy_ps_oracle {
   bool draining_ = false;
   std::uint64_t completed_ = 0;
   std::uint64_t dropped_ = 0;
+};
+
+// The instance behind the oracle's callback interface: each submission's
+// callback runs from a callback_sink under a tag of its own.
+class callback_instance : public instance {
+ public:
+  callback_instance(sim::simulation& sim, instance_id id,
+                    const instance_type& type, util::rng rng,
+                    instance::options opts)
+      : instance{sim, id, type, rng, opts} {
+    set_completion_sink(&sink_);
+  }
+
+  bool submit(double work_units, completion_fn on_complete) {
+    return instance::submit(work_units, sink_.tag(std::move(on_complete)));
+  }
+
+ private:
+  test_support::callback_sink sink_;
 };
 
 // ---------------------------------------------------------------------------
@@ -221,7 +245,7 @@ trace_result run_trace(const instance_type& type, instance::options opts,
                 opts};
   // The instance counts completions and drops in its registry; the
   // oracle keeps its own tallies.
-  constexpr bool kInstance = std::is_same_v<Server, instance>;
+  constexpr bool kInstance = std::is_same_v<Server, callback_instance>;
   obs::registry counts;
   if constexpr (kInstance) server.set_observability(&counts);
   trace_result r;
@@ -258,8 +282,8 @@ trace_result run_trace(const instance_type& type, instance::options opts,
 trace_result run_new(const instance_type& type, instance::options opts,
                      const std::vector<trace_op>& ops, double drain_at,
                      std::uint64_t seed) {
-  return run_trace<instance>(type, opts, ops, drain_at, seed,
-                             static_cast<instance_id>(1));
+  return run_trace<callback_instance>(type, opts, ops, drain_at, seed,
+                                      static_cast<instance_id>(1));
 }
 
 trace_result run_legacy(const instance_type& type, instance::options opts,
@@ -431,8 +455,8 @@ TEST(PsDifferential, CallbackResubmissionChainsAgree) {
     return times;
   };
   const auto vt_times = run_chain([](sim::simulation& sim) {
-    return std::make_unique<instance>(sim, 1, base_type(), util::rng{9},
-                                      instance::options{});
+    return std::make_unique<callback_instance>(
+        sim, 1, base_type(), util::rng{9}, instance::options{});
   });
   const auto legacy_times = run_chain([](sim::simulation& sim) {
     return std::make_unique<legacy_ps_oracle>(sim, base_type(), util::rng{9},

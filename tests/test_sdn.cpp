@@ -268,11 +268,14 @@ TEST_F(SdnTest, CountsMultipleGroupsSeparately) {
 }
 
 TEST_F(SdnTest, ThreeGLinkInflatesT1Only) {
+  // One front-end per pool: the 3G front-end gets an identical back-end.
   backend_.launch(1, exact_type());
+  cloud::backend_pool threeg_backend{sim_, util::rng{1}};
+  threeg_backend.launch(1, exact_type());
   sdn_accelerator lte{sim_, backend_, fixed_link(40.0), nullptr, config_,
                       util::rng{10}};
-  sdn_accelerator threeg{sim_, backend_, fixed_link(130.0), nullptr, config_,
-                         util::rng{10}};
+  sdn_accelerator threeg{sim_, threeg_backend, fixed_link(130.0), nullptr,
+                         config_, util::rng{10}};
   test_support::recording_sink threeg_sink;
   lte.set_response_sink(&sink_);
   threeg.set_response_sink(&threeg_sink);
@@ -355,6 +358,22 @@ TEST_F(SdnTest, ConfigValidation) {
   EXPECT_THROW(sdn_accelerator(sim_, backend_, fixed_link(40.0), &log_, bad,
                                util::rng{1}),
                std::invalid_argument);
+}
+
+TEST_F(SdnTest, OneFrontEndPerPoolAtATime) {
+  // A pool hands completions to one sink, so a second live front-end on
+  // the same pool is refused; once the first is gone, the pool is free.
+  {
+    sdn_accelerator first{sim_, backend_, fixed_link(40.0), nullptr, config_,
+                          util::rng{1}};
+    EXPECT_TRUE(backend_.has_completion_sink());
+    EXPECT_THROW(sdn_accelerator(sim_, backend_, fixed_link(40.0), nullptr,
+                                 config_, util::rng{2}),
+                 std::invalid_argument);
+  }
+  EXPECT_FALSE(backend_.has_completion_sink());
+  EXPECT_NO_THROW(sdn_accelerator(sim_, backend_, fixed_link(40.0), nullptr,
+                                  config_, util::rng{3}));
 }
 
 // The SDN reads the fault program's resilience knobs only while it is

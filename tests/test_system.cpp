@@ -212,39 +212,30 @@ TEST_F(SystemTest, AdaptationDisabledKeepsInitialFleet) {
   }
 }
 
-TEST_F(SystemTest, LocalFallbackDrainsCpuForComputeAndRadioForTheNetwork) {
+TEST_F(SystemTest, LocalFallbackServesEveryRequestOnTheDevice) {
   // No instances anywhere, no retries: every request is rejected at
-  // dispatch and runs on the device.  The device pays CPU energy for the
-  // local compute and radio energy only for the network legs it used.
+  // dispatch and runs on the device, which takes longer than the local
+  // compute alone (the network legs are paid too).
   auto config = base_config();
   for (auto& group : config.groups) group.initial_count = 0;
   config.enable_adaptation = false;
-  config.user_count = 1;  // user 0: a flagship (the mix's first class)
+  config.user_count = 1;
   config.faults.enabled = true;
   config.faults.max_retries = 0;
   config.faults.local_fallback = true;
   offloading_system system{config, pool_};
   system.run(util::minutes(10));
 
-  // The raw series is in completion order, the order the device paid in.
   const std::vector<request_metric>& requests = system.metrics().requests;
   ASSERT_GE(requests.size(), 10u);
   EXPECT_EQ(system.observability().get(obs::counter::sdn_local_fallbacks),
             requests.size());
-  const client::device_profile flagship =
-      client::profile_for(client::device_class::flagship);
   const double work_units = pool_.static_minimax_request().work_units();
   const double local_ms = work_units / config.faults.local_exec_wu_per_ms;
-  double battery = 1.0;
   for (const request_metric& r : requests) {
     ASSERT_TRUE(r.success);
     ASSERT_GT(r.response_ms, local_ms);
-    battery -= work_units * flagship.cpu_drain_per_wu;
-    battery -= (r.response_ms - local_ms) * flagship.radio_drain_per_ms;
   }
-  EXPECT_DOUBLE_EQ(system.devices().battery(0), battery);
-  EXPECT_LT(battery, 1.0);
-  EXPECT_GT(battery, 0.0);  // no clamping in play
 }
 
 TEST_F(SystemTest, CostAccruesWithFleet) {
