@@ -51,7 +51,6 @@ class workload_predictor {
   const std::vector<trace::time_slot>& history() const noexcept {
     return history_;
   }
-  prediction_mode mode() const noexcept { return mode_; }
 
   /// The knowledge-base slot forecast to follow `current`: the best match
   /// itself (match mode), or the slot after the best match that has a

@@ -168,10 +168,12 @@ void sdn_accelerator::stage_return(std::uint32_t slot,
   s.success = true;
   // The trace point: the request is logged when its result reaches the
   // front-end, one internal hop from now.  That time is known here, so
-  // the observer and the (optionally retained) log record fire now and
-  // carry it; the owner decides slot membership by logged_at.
+  // the sink's trace point and the (optionally retained) log record fire
+  // now and carry it; the owner decides slot membership by logged_at.
   const util::time_ms logged_at = sim_.now() + config_.backend_one_way_ms;
-  if (on_trace_) on_trace_(logged_at, s.created_at, s.user, s.group);
+  if (sink_ != nullptr) {
+    sink_->on_trace(logged_at, s.created_at, s.user, s.group);
+  }
   if (log_ != nullptr && config_.retain_trace_records) {
     log_->append({s.created_at, s.user, s.group, s.battery,
                   timing(s).total()});

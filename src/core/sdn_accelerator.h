@@ -6,8 +6,10 @@
 // (≈150 ms, Fig. 8a), the internal hop to the chosen back-end instance
 // (T_f→b), cloud execution under processor sharing (T_cloud), and the two
 // return hops (T_b→f, T_f→m).  The paper assumes the channel stays open
-// both ways, so T_m→f = T_f→m and T_f→b = T_b→f.  Every processed request
-// is logged as a trace record — the knowledge base of the predictor.
+// both ways, so T_m→f = T_f→m and T_f→b = T_b→f.  Every successful
+// request passes the trace point, which hands it to the owner's sink; the
+// running system feeds it to trace::slot_accumulator, the predictor's
+// evidence, and keeps no log.
 //
 // Hot-path layout: each accepted request occupies one 96-byte slot in a
 // pooled slab of in-flight states (free-listed, reused).  A request gets a
@@ -24,7 +26,6 @@
 // warm.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "cloud/backend_pool.h"
@@ -80,26 +81,26 @@ struct request_timing {
   util::time_ms total() const noexcept { return t1() + t2() + cloud; }
 };
 
-/// Response delivery, invoked at the mobile when the result (or the
-/// failure notice) arrives; `group` is the acceleration group the request
-/// was routed to.  Implemented once by the owner, so no per-request
-/// callback state is allocated.
+/// The SDN's owner.  Implemented once, so no per-request callback state
+/// is allocated.
 class response_sink {
  public:
   virtual ~response_sink() = default;
+  /// Response delivery, invoked at the mobile when the result (or the
+  /// failure notice) arrives; `group` is the acceleration group the
+  /// request was routed to.
   virtual void on_response(const workload::offload_request& request,
                            const request_timing& timing, group_id group) = 0;
+  /// The trace point, where a successful request enters the log: lets
+  /// the owner stream per-slot state without re-scanning a log.  It fires
+  /// at the back-end completion, in completion order, with `logged_at`,
+  /// the time the result reaches the front-end one internal hop later; an
+  /// owner that cuts time into windows assigns the request by
+  /// `logged_at`, not by the time the call runs.  Ignored by default.
+  virtual void on_trace(util::time_ms /*logged_at*/,
+                        util::time_ms /*created_at*/, user_id /*user*/,
+                        group_id /*group*/) {}
 };
-
-/// Observer of the trace point (where processed requests enter the log);
-/// lets the owner stream per-slot state without re-scanning the log.  It
-/// fires at the back-end completion with `logged_at`, the time the result
-/// reaches the front-end one internal hop later; an owner that cuts time
-/// into windows assigns the record by `logged_at`, not by the time the
-/// callback runs.
-using trace_fn = std::function<void(util::time_ms logged_at,
-                                    util::time_ms created_at, user_id user,
-                                    group_id group)>;
 
 /// The front-end component.  It is its back-end pool's completion sink:
 /// a routed job is tagged with its in-flight slot and that slot's epoch.
@@ -108,8 +109,8 @@ class sdn_accelerator : private cloud::completion_sink {
   /// Installs itself as `backend`'s completion sink until destroyed;
   /// throws std::invalid_argument when the pool already reports to
   /// another (one front-end per pool at a time).  `log` may be nullptr to
-  /// disable persistence regardless of config; the trace observer fires
-  /// either way.  The SDN reads its retry,
+  /// disable persistence regardless of config; the sink's trace point
+  /// fires either way.  The SDN reads its retry,
   /// timeout, backoff and local-fallback knobs from `faults` only while
   /// the program is active(), checked by fault::validate's rules (throws
   /// std::invalid_argument).  An inactive program is bit-inert: no extra
@@ -150,11 +151,6 @@ class sdn_accelerator : private cloud::completion_sink {
     trace_ring_ = ring;
     trace_sample_every_ = sample_every == 0 ? 1 : sample_every;
   }
-  /// Installs the trace observer, invoked where successful requests are
-  /// logged: at the back-end completion, with the log time `logged_at`
-  /// (see trace_fn), in completion order.
-  void set_trace_observer(trace_fn fn) { on_trace_ = std::move(fn); }
-
   /// Attaches a tail-exemplar reservoir (nullptr = off): every delivered
   /// response is offered at the sink, where its latency is known — the
   /// sampling decision 1-in-N head sampling cannot make.  Fixed after
@@ -248,7 +244,6 @@ class sdn_accelerator : private cloud::completion_sink {
   /// runs leave the main stream untouched.
   std::uint64_t retry_seed_ = 0;
   response_sink* sink_ = nullptr;
-  trace_fn on_trace_;
   obs::registry* obs_ = nullptr;
   obs::exemplar_reservoir* exemplars_ = nullptr;
   obs::tracer* tracer_ = nullptr;

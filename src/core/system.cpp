@@ -89,11 +89,6 @@ offloading_system::offloading_system(system_config config,
       config_.mobile_link ? *config_.mobile_link : net::default_lte_model(),
       /*log=*/nullptr, config_.sdn, rng_.fork(), config_.faults);
   sdn_->set_response_sink(this);
-  sdn_->set_trace_observer([this](util::time_ms logged_at,
-                                  util::time_ms created_at, user_id user,
-                                  group_id group) {
-    on_trace(logged_at, created_at, user, group);
-  });
 
   moderator_ = std::make_unique<client::moderator>(
       config_.promotion_probability, kInitialGroup, max_group,

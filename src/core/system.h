@@ -208,7 +208,6 @@ class offloading_system : private response_sink {
   const system_config& config() const noexcept { return config_; }
   const system_metrics& metrics() const noexcept { return metrics_; }
   cloud::backend_pool& backend() noexcept { return *backend_; }
-  sdn_accelerator& sdn() noexcept { return *sdn_; }
   const workload_predictor& predictor() const noexcept { return predictor_; }
   sim::simulation& simulation() noexcept { return sim_; }
   std::size_t group_count() const noexcept { return group_count_; }
@@ -228,12 +227,12 @@ class offloading_system : private response_sink {
   /// response_sink: the single handler of every SDN response.
   void on_response(const workload::offload_request& request,
                    const request_timing& timing, group_id group) override;
-  /// Trace point: sets (group, user) in the current slot window's
-  /// evidence bitsets — the predictor's input — without keeping a request
-  /// log.  Fires at the back-end completion; `logged_at` decides the
-  /// window.
+  /// response_sink's trace point: sets (group, user) in the current slot
+  /// window's evidence bitsets — the predictor's input — without keeping
+  /// a request log.  Fires at the back-end completion; `logged_at`
+  /// decides the window.
   void on_trace(util::time_ms logged_at, util::time_ms created_at,
-                user_id user, group_id group);
+                user_id user, group_id group) override;
   void on_slot_boundary(std::size_t slot_index);
   void inject_background();
   void apply_plan(const allocation_plan& plan);

@@ -82,9 +82,6 @@ class shard {
   /// full run for the deterministic fleet merge.
   exp::replication_metrics finish();
 
-  std::size_t index() const noexcept { return index_; }
-  std::size_t user_count() const noexcept { return spec_.user_count; }
-  std::size_t group_count() const noexcept { return group_count_; }
   /// The shard system's counter registry; fleet_runner merges these in
   /// shard order.
   const obs::registry& observability() const noexcept {
@@ -100,7 +97,6 @@ class shard {
     return system_->exemplars();
   }
   core::offloading_system& system() noexcept { return *system_; }
-  const core::offloading_system& system() const noexcept { return *system_; }
 
  private:
   exp::scenario_spec spec_;  ///< population slice applied

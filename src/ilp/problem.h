@@ -69,12 +69,6 @@ class problem {
   const constraint_def& constraint(std::size_t i) const {
     return constraints_.at(i);
   }
-  const std::vector<variable_def>& variables() const noexcept {
-    return variables_;
-  }
-  const std::vector<constraint_def>& constraints() const noexcept {
-    return constraints_;
-  }
 
   /// True if any variable is marked integral.
   bool has_integer_variables() const noexcept;

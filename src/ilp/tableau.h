@@ -95,9 +95,6 @@ class dense_tableau {
   double& at(std::size_t row, std::size_t col) {
     return tab_[row * stride_ + col];
   }
-  double at(std::size_t row, std::size_t col) const {
-    return tab_[row * stride_ + col];
-  }
   double* row_ptr(std::size_t row) { return tab_.data() + row * stride_; }
 
   /// Width of column `col`'s box in tableau space: upper - lower for a

@@ -62,8 +62,6 @@ class rtt_model {
   /// Deterministic congestion factor at an hour of day (mean ≈ 1 over 24h).
   double diurnal_factor(double hour_of_day) const noexcept;
 
-  const rtt_model_params& params() const noexcept { return params_; }
-
  private:
   rtt_model_params params_;
   double diurnal_amplitude_;

@@ -12,13 +12,10 @@ void exemplar_reservoir::reset(std::size_t top_k,
   heap_.assign(top_k, exemplar_record{});
   records_.clear();
   records_.reserve(top_k * window_capacity);
-  observed_ = 0;
-  admitted_ = 0;
 }
 
 // mca:hot-path-begin(obs-exemplar)
 bool exemplar_reservoir::observe(const exemplar_record& r) noexcept {
-  ++observed_;
   if (top_k_ == 0) return false;
   if (heap_size_ < top_k_) {
     // Sift up: the heap keeps its least-slow kept record at the root, so
@@ -32,7 +29,6 @@ bool exemplar_reservoir::observe(const exemplar_record& r) noexcept {
       i = parent;
     }
     ++heap_size_;
-    ++admitted_;
     return true;
   }
   if (!exemplar_before(r, heap_[0])) return false;
@@ -53,7 +49,6 @@ bool exemplar_reservoir::observe(const exemplar_record& r) noexcept {
     std::swap(heap_[i], heap_[least]);
     i = least;
   }
-  ++admitted_;
   return true;
 }
 // mca:hot-path-end

@@ -44,18 +44,10 @@ inline bool exemplar_before(const exemplar_record& a,
 
 class exemplar_reservoir {
  public:
-  exemplar_reservoir() = default;
-  exemplar_reservoir(std::size_t top_k, std::size_t window_capacity) {
-    reset(top_k, window_capacity);
-  }
-
   /// (Re)allocates the K-slot heap and reserves the flush store for
   /// `window_capacity` windows.  Setup-time only; top_k == 0 disables
   /// the reservoir (observe() rejects everything).
   void reset(std::size_t top_k, std::size_t window_capacity);
-
-  bool enabled() const noexcept { return top_k_ != 0; }
-  std::size_t top_k() const noexcept { return top_k_; }
 
   // Called per delivered response from inside the SDN request pipeline's
   // hot-path region: a compare against the heap root and at most one
@@ -70,8 +62,6 @@ class exemplar_reservoir {
   /// `slot`, and appends to the flushed store.  Slot-rate.
   void roll_window(std::uint32_t slot);
 
-  std::uint64_t observed() const noexcept { return observed_; }
-  std::uint64_t admitted() const noexcept { return admitted_; }
   /// Flushed exemplars in window order, slowest-first within a window.
   const std::vector<exemplar_record>& records() const noexcept {
     return records_;
@@ -82,8 +72,6 @@ class exemplar_reservoir {
   std::size_t heap_size_ = 0;
   std::vector<exemplar_record> heap_;  ///< min-heap: root = least slow kept
   std::vector<exemplar_record> records_;
-  std::uint64_t observed_ = 0;
-  std::uint64_t admitted_ = 0;
 };
 
 /// Fleet merge: concatenated per-shard records (in shard-index order) cut

@@ -126,9 +126,6 @@ struct series_stats {
 
 class registry {
  public:
-  registry() = default;
-  explicit registry(std::size_t group_count) { resize_groups(group_count); }
-
   /// (Re)allocates the per-group SLO histograms; setup-time only.  Growing
   /// keeps existing samples, shrinking is ignored.
   void resize_groups(std::size_t group_count);

@@ -47,9 +47,6 @@ struct timeline_window {
   std::uint64_t delta(counter c) const noexcept {
     return counters[static_cast<std::size_t>(c)];
   }
-  std::uint64_t sample(gauge g) const noexcept {
-    return gauges[static_cast<std::size_t>(g)];
-  }
   /// Groups with SLO bins in this window.
   std::size_t slo_groups() const noexcept {
     return slo_bins.size() / util::histogram::kBins;
@@ -63,18 +60,12 @@ struct timeline_window {
 
 class timeline {
  public:
-  timeline() = default;
-  timeline(std::size_t window_capacity, std::size_t group_count) {
-    reset(window_capacity, group_count);
-  }
-
   /// (Re)allocates `window_capacity` windows, each with `group_count`
   /// SLO histograms, and clears the delta baseline.  Setup-time only; a
   /// capacity of zero disables the timeline (snapshot() becomes a no-op).
   void reset(std::size_t window_capacity, std::size_t group_count);
 
   bool enabled() const noexcept { return !windows_.empty(); }
-  std::size_t capacity() const noexcept { return windows_.size(); }
   std::size_t group_count() const noexcept { return groups_; }
 
   /// Closes the window that ends at `sim_end_ms`: stores the counter and
@@ -83,8 +74,6 @@ class timeline {
   /// Allocation-free after reset(); called at slot boundaries only.
   void snapshot(const registry& reg, std::uint64_t slot, double sim_end_ms);
 
-  /// Windows closed / retained (pushed() - size() were overwritten).
-  std::uint64_t pushed() const noexcept { return pushed_; }
   std::size_t size() const noexcept;
   /// i-th retained window, oldest first.
   const timeline_window& window(std::size_t i) const;

@@ -62,13 +62,11 @@ class span_ring {
     slots_[pushed_ % slots_.size()] = r;
     ++pushed_;
   }
-  std::size_t capacity() const noexcept { return slots_.size(); }
   /// Spans currently held: min(pushed, capacity).
   std::size_t size() const noexcept {
     return pushed_ < slots_.size() ? static_cast<std::size_t>(pushed_)
                                    : slots_.size();
   }
-  std::uint64_t pushed() const noexcept { return pushed_; }
   /// Spans lost to wraparound (the oldest ones).
   std::uint64_t dropped() const noexcept {
     return pushed_ <= slots_.size() ? 0 : pushed_ - slots_.size();
@@ -122,7 +120,6 @@ class tracer {
 
   std::size_t ring_count() const noexcept { return rings_.size(); }
   span_ring& ring(std::size_t i) noexcept { return rings_[i]; }
-  const span_ring& ring(std::size_t i) const noexcept { return rings_[i]; }
 
   /// Wall microseconds since tracer construction (span timestamps).
   double now_us() const noexcept {

@@ -197,7 +197,6 @@ class periodic_process {
   periodic_process& operator=(const periodic_process&) = delete;
 
   void stop() noexcept;
-  std::uint64_t ticks() const noexcept { return tick_; }
 
  private:
   void arm(util::time_ms at);

@@ -30,7 +30,6 @@ class log_store {
  public:
   void append(trace_record record);
   std::size_t size() const noexcept { return records_.size(); }
-  bool empty() const noexcept { return records_.empty(); }
   std::span<const trace_record> records() const noexcept { return records_; }
 
   /// Records with timestamp in [from, to).
@@ -45,8 +44,6 @@ class log_store {
   std::vector<time_slot> build_slots(util::time_ms slot_length,
                                      std::size_t group_count,
                                      util::time_ms origin = 0.0) const;
-
-  void clear() noexcept { records_.clear(); sorted_ = true; }
 
  private:
   void ensure_sorted() const;

@@ -22,7 +22,6 @@ csv_writer::csv_writer(std::ostream& out, std::vector<std::string> columns)
     : out_{out}, columns_{columns.size()} {
   if (columns.empty()) throw std::invalid_argument{"csv_writer: no columns"};
   write_row(columns);
-  rows_ = 0;  // header does not count as a data row
 }
 
 void csv_writer::row(const std::vector<std::string>& fields) {
@@ -30,7 +29,6 @@ void csv_writer::row(const std::vector<std::string>& fields) {
     throw std::invalid_argument{"csv_writer: field count mismatch"};
   }
   write_row(fields);
-  ++rows_;
 }
 
 void csv_writer::write_row(const std::vector<std::string>& fields) {

@@ -30,11 +30,8 @@ class csv_writer {
     row(fields);
   }
 
-  std::size_t rows_written() const noexcept { return rows_; }
-
   static std::string format_field(double v);
   static std::string format_field(int v) { return std::to_string(v); }
-  static std::string format_field(long v) { return std::to_string(v); }
   static std::string format_field(unsigned v) { return std::to_string(v); }
   static std::string format_field(unsigned long v) { return std::to_string(v); }
   static std::string format_field(std::string_view v) { return std::string{v}; }
@@ -45,7 +42,6 @@ class csv_writer {
 
   std::ostream& out_;
   std::size_t columns_;
-  std::size_t rows_ = 0;
 };
 
 /// Quotes a single CSV field if needed.

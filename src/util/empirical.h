@@ -47,7 +47,6 @@ class empirical_distribution {
     return samples_[uniform_index(r.uniform(), samples_.size())];
   }
 
-  std::size_t size() const noexcept { return samples_.size(); }
   /// The samples in ms, in the order given.
   std::span<const std::uint16_t> samples() const noexcept { return samples_; }
 

@@ -11,7 +11,6 @@ namespace mca::util {
 /// Milliseconds of simulated time (point or duration by context).
 using time_ms = double;
 
-constexpr time_ms milliseconds(double n) noexcept { return n; }
 constexpr time_ms seconds(double n) noexcept { return n * 1000.0; }
 constexpr time_ms minutes(double n) noexcept { return n * 60'000.0; }
 constexpr time_ms hours(double n) noexcept { return n * 3'600'000.0; }

@@ -20,7 +20,6 @@ class running_stats {
   void merge(const running_stats& other) noexcept;
 
   std::size_t count() const noexcept { return count_; }
-  bool empty() const noexcept { return count_ == 0; }
   /// Mean of the samples; 0 when empty.
   double mean() const noexcept { return mean_; }
   /// Unbiased sample variance; 0 with fewer than two samples.

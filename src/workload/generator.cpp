@@ -131,8 +131,7 @@ replay_generator::replay_generator(sim::simulation& sim, task_source source,
       source_{std::move(source)},
       sink_{std::move(sink)},
       rng_{rng},
-      events_{std::move(events)},
-      total_{events_.size()} {
+      events_{std::move(events)} {
   if (!source_ || !sink_) {
     throw std::invalid_argument{"replay: missing source/sink"};
   }

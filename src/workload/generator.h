@@ -53,7 +53,6 @@ class concurrent_generator {
   concurrent_generator(sim::simulation& sim, task_source source,
                        request_sink sink, concurrent_config config,
                        util::rng rng);
-  std::uint64_t emitted() const noexcept { return emitted_; }
 
  private:
   void emit_round();
@@ -86,7 +85,6 @@ class interarrival_generator {
   interarrival_generator(sim::simulation& sim, task_source source,
                          request_sink sink, interarrival_fn gaps,
                          interarrival_config config, util::rng rng);
-  std::uint64_t emitted() const noexcept { return emitted_; }
 
  private:
   void on_arrival(std::uint32_t device);
@@ -121,8 +119,6 @@ class replay_generator {
                    request_sink sink, std::vector<replay_event> events,
                    util::rng rng);
   std::uint64_t emitted() const noexcept { return emitted_; }
-  /// Total trace entries (not the number of simulator events).
-  std::size_t scheduled() const noexcept { return total_; }
 
  private:
   void emit_range(std::size_t first, std::size_t last);
@@ -132,7 +128,6 @@ class replay_generator {
   request_sink sink_;
   util::rng rng_;
   std::vector<replay_event> events_;  ///< sorted by (at, original order)
-  std::size_t total_ = 0;
   std::uint64_t emitted_ = 0;
 };
 
@@ -152,7 +147,6 @@ class rate_doubling_generator {
                           request_sink sink, rate_doubling_config config,
                           util::rng rng);
   double current_rate_hz() const noexcept { return rate_hz_; }
-  std::uint64_t emitted() const noexcept { return emitted_; }
 
  private:
   void schedule_arrival();

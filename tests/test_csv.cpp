@@ -24,7 +24,6 @@ TEST(CsvWriter, WritesHeaderAndRows) {
   w.row({"1", "2"});
   w.row({"x,y", "z"});
   EXPECT_EQ(out.str(), "a,b\n1,2\n\"x,y\",z\n");
-  EXPECT_EQ(w.rows_written(), 2u);
 }
 
 TEST(CsvWriter, RowValuesFormatsNumbers) {

@@ -24,7 +24,7 @@ TEST(Empirical, TakesAMovedSampleArrayWithoutCopying) {
   // The caller's former buffer, in the order given: a copy would live
   // elsewhere, and a sort would reorder it.
   EXPECT_EQ(d.samples().data(), storage);
-  ASSERT_EQ(d.size(), 4u);
+  ASSERT_EQ(d.samples().size(), 4u);
   EXPECT_EQ(d.samples()[0], 5u);
   EXPECT_EQ(d.samples()[1], 1u);
   EXPECT_EQ(d.samples()[2], 9u);

@@ -293,7 +293,7 @@ TEST(ShardExternalMode, BoundaryParksDemandUntilQuotaApplied) {
   // By the second boundary the successor predictor can forecast.
   demand_digest second = member.advance_to_slot(1);
   ASSERT_TRUE(second.has_prediction);
-  ASSERT_EQ(second.demand_per_group.size(), member.group_count());
+  ASSERT_EQ(second.demand_per_group.size(), member.system().group_count());
 
   // Apply a quota and check the backend reshaped to it.
   core::allocation_plan quota;
@@ -340,7 +340,7 @@ TEST(ShardDigest, InstancesAreTheNonDrainingDeployment) {
       member->advance_to(boundary - 1.0);
       cloud::backend_pool& backend = member->system().backend();
       cloud::instance* victim = nullptr;
-      for (group_id g = 0; g < member->group_count(); ++g) {
+      for (group_id g = 0; g < member->system().group_count(); ++g) {
         backend.for_each_accepting(g, [&](cloud::instance& server) {
           if (victim == nullptr) victim = &server;
         });
@@ -350,17 +350,17 @@ TEST(ShardDigest, InstancesAreTheNonDrainingDeployment) {
 
       digests.push_back(member->advance_to_slot(slot));
       std::size_t deployed = 0;
-      for (group_id g = 0; g < member->group_count(); ++g) {
+      for (group_id g = 0; g < member->system().group_count(); ++g) {
         deployed += backend.instance_count(g);
       }
       EXPECT_EQ(digests.back().instances, deployed)
-          << "shard " << member->index() << " slot " << slot;
+          << "shard " << digests.back().shard << " slot " << slot;
       // Every member, draining or not, holds an open billing record.
       const std::size_t members_alive = backend.billing().active_instances();
       EXPECT_LE(digests.back().instances, members_alive);
       if (drained) {
         EXPECT_LT(digests.back().instances, members_alive)
-            << "shard " << member->index() << " slot " << slot;
+            << "shard " << digests.back().shard << " slot " << slot;
         ++drained_at_boundary;
       }
     }

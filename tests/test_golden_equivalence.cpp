@@ -214,7 +214,7 @@ TEST(GoldenEquivalence, ReplicationsAndShardsDrawFromOneStudy) {
     gap_fns.push_back(exp::make_system_config(spec, pool, stream).gaps);
   }
   for (std::size_t k = 0; k < 2; ++k) {
-    const fleet::shard member{spec, pool, k, 2};
+    fleet::shard member{spec, pool, k, 2};
     gap_fns.push_back(member.system().config().gaps);
   }
   const auto first_gaps = [](const workload::interarrival_fn& gaps) {

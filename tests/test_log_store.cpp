@@ -19,11 +19,10 @@ trace_record make_record(double ts, user_id user, group_id group) {
 
 TEST(LogStore, AppendAndSize) {
   log_store store;
-  EXPECT_TRUE(store.empty());
+  EXPECT_EQ(store.size(), 0u);
   store.append(make_record(1.0, 1, 0));
   store.append(make_record(2.0, 2, 1));
   EXPECT_EQ(store.size(), 2u);
-  EXPECT_FALSE(store.empty());
 }
 
 TEST(LogStore, OutOfOrderAppendsGetSorted) {
@@ -113,14 +112,6 @@ TEST(LogStore, BuildSlotsValidation) {
   EXPECT_THROW(store.build_slots(0.0, 1), std::invalid_argument);
   EXPECT_THROW(store.build_slots(-5.0, 1), std::invalid_argument);
   EXPECT_THROW(store.build_slots(100.0, 0), std::invalid_argument);
-}
-
-TEST(LogStore, ClearResets) {
-  log_store store;
-  store.append(make_record(10.0, 1, 0));
-  store.clear();
-  EXPECT_TRUE(store.empty());
-  EXPECT_TRUE(store.build_slots(100.0, 1).empty());
 }
 
 TEST(LogStore, RecordFieldsRoundTrip) {

@@ -90,8 +90,10 @@ TEST(ObsRegistry, FingerprintExcludesGauges) {
 }
 
 TEST(ObsRegistry, FingerprintCoversSeriesAndSlo) {
-  registry a{2};
-  registry b{2};
+  registry a;
+  a.resize_groups(2);
+  registry b;
+  b.resize_groups(2);
   EXPECT_EQ(a.fingerprint(), b.fingerprint());
   a.observe(series::ps_event_batch, 4.0);
   EXPECT_NE(a.fingerprint(), b.fingerprint());
@@ -102,7 +104,8 @@ TEST(ObsRegistry, FingerprintCoversSeriesAndSlo) {
 }
 
 TEST(ObsRegistry, SloRowsPerGroupAndFleetTotal) {
-  registry reg{2};
+  registry reg;
+  reg.resize_groups(2);
   for (int i = 0; i < 100; ++i) {
     reg.observe_response(0, 100.0 + i);  // group 0: 100..199 ms
     reg.observe_response(1, 1000.0);     // group 1: constant 1 s
@@ -134,7 +137,7 @@ TEST(ObsSpanRing, WraparoundKeepsNewestSpans) {
     r.arg_a = i;
     ring.push(r);
   }
-  EXPECT_EQ(ring.pushed(), 10u);
+  EXPECT_EQ(ring.size() + ring.dropped(), 10u);  // every push counted
   EXPECT_EQ(ring.size(), 4u);
   EXPECT_EQ(ring.dropped(), 6u);
   // Oldest-first iteration over the surviving window: 6, 7, 8, 9.

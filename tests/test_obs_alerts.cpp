@@ -51,8 +51,10 @@ TEST(ObsAlerts, KindNamesAreStable) {
 }
 
 TEST(ObsAlerts, FiresAndClearsAtGoldenSlots) {
-  registry reg{1};
-  timeline tl{6, 1};
+  registry reg;
+  reg.resize_groups(1);
+  timeline tl;
+  tl.reset(6, 1);
   close_window(reg, tl, 0, 50, 0);   // healthy
   close_window(reg, tl, 1, 0, 50);   // breach begins
   close_window(reg, tl, 2, 0, 50);   // sustained
@@ -83,8 +85,10 @@ TEST(ObsAlerts, FiresAndClearsAtGoldenSlots) {
 TEST(ObsAlerts, LongWindowGuardsAgainstOneBadSlot) {
   // One sparse bad slot after a dense healthy one: the short window
   // breaches but the long window's merged p99 stays low — no page.
-  registry reg{1};
-  timeline tl{3, 1};
+  registry reg;
+  reg.resize_groups(1);
+  timeline tl;
+  tl.reset(3, 1);
   close_window(reg, tl, 0, 1'000, 0);
   close_window(reg, tl, 1, 0, 5);
   close_window(reg, tl, 2, 1'000, 0);
@@ -102,8 +106,10 @@ TEST(ObsAlerts, LongWindowGuardsAgainstOneBadSlot) {
 }
 
 TEST(ObsAlerts, ErrorRateBurnsAgainstScaledBudget) {
-  registry reg{1};
-  timeline tl{3, 1};
+  registry reg;
+  reg.resize_groups(1);
+  timeline tl;
+  tl.reset(3, 1);
   close_window(reg, tl, 0, 80, 0, 20);  // 20% failures
   close_window(reg, tl, 1, 100, 0, 0);  // clean
   close_window(reg, tl, 2, 0, 0, 0);    // idle: burns no budget
@@ -142,8 +148,10 @@ TEST(ObsAlerts, DefaultFleetObjectivesCoverFleetAndEveryGroup) {
 }
 
 TEST(ObsAlerts, SpansCoverFireToClearAndActiveToHorizon) {
-  registry reg{1};
-  timeline tl{4, 1};
+  registry reg;
+  reg.resize_groups(1);
+  timeline tl;
+  tl.reset(4, 1);
   close_window(reg, tl, 0, 50, 0);
   close_window(reg, tl, 1, 0, 50);  // fire (short=long=1)
   close_window(reg, tl, 2, 50, 0);  // clear
@@ -177,8 +185,10 @@ std::string slurp(const std::string& path) {
 }
 
 TEST(ObsAlerts, HealthReportListsWindowsEventsAndObjectives) {
-  registry reg{1};
-  timeline tl{3, 1};
+  registry reg;
+  reg.resize_groups(1);
+  timeline tl;
+  tl.reset(3, 1);
   close_window(reg, tl, 0, 50, 0);
   close_window(reg, tl, 1, 0, 50);
   close_window(reg, tl, 2, 50, 0);

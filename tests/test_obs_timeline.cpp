@@ -34,8 +34,10 @@ std::size_t slo_total(const timeline_window& w, std::size_t group) {
 // timeline windows
 
 TEST(ObsTimeline, SnapshotStoresDeltasNotTotals) {
-  registry reg{2};
-  timeline tl{4, 2};
+  registry reg;
+  reg.resize_groups(2);
+  timeline tl;
+  tl.reset(4, 2);
   ASSERT_TRUE(tl.enabled());
 
   reg.add(counter::sdn_requests, 10);
@@ -62,7 +64,8 @@ TEST(ObsTimeline, SnapshotStoresDeltasNotTotals) {
 
 TEST(ObsTimeline, WindowBinsThrowAt2To32InsteadOfWrapping) {
   // 31 self-merges double one sample into 2^31 in a single bin.
-  registry half{1};
+  registry half;
+  half.resize_groups(1);
   half.observe_response(0, 200.0);
   for (int i = 0; i < 31; ++i) {
     const registry copy = half;
@@ -71,7 +74,8 @@ TEST(ObsTimeline, WindowBinsThrowAt2To32InsteadOfWrapping) {
   constexpr std::size_t kHalf = std::size_t{1} << 31;
   ASSERT_EQ(half.group_slo(0).total(), kHalf);
 
-  timeline fits{1, 1};
+  timeline fits;
+  fits.reset(1, 1);
   fits.snapshot(half, 0, 1'000.0);
   EXPECT_EQ(slo_total(fits.window(0), 0), kHalf);
   // Two windows of 2^31 in one bin merge to 2^32.
@@ -80,29 +84,33 @@ TEST(ObsTimeline, WindowBinsThrowAt2To32InsteadOfWrapping) {
 
   registry full = half;
   full.merge(half);
-  timeline overflows{1, 1};
+  timeline overflows;
+  overflows.reset(1, 1);
   EXPECT_THROW(overflows.snapshot(full, 0, 1'000.0), std::overflow_error);
 }
 
 TEST(ObsTimeline, GaugesArePointSamples) {
   registry reg;
-  timeline tl{2, 0};
+  timeline tl;
+  tl.reset(2, 0);
   reg.set_gauge(gauge::groups, 7);
   tl.snapshot(reg, 0, 1'000.0);
   reg.set_gauge(gauge::groups, 4);
   tl.snapshot(reg, 1, 2'000.0);
-  EXPECT_EQ(tl.window(0).sample(gauge::groups), 7u);
-  EXPECT_EQ(tl.window(1).sample(gauge::groups), 4u);
+  constexpr auto kGroups = static_cast<std::size_t>(gauge::groups);
+  EXPECT_EQ(tl.window(0).gauges[kGroups], 7u);
+  EXPECT_EQ(tl.window(1).gauges[kGroups], 4u);
 }
 
 TEST(ObsTimeline, RingOverwritesOldestWindow) {
   registry reg;
-  timeline tl{2, 0};
+  timeline tl;
+  tl.reset(2, 0);
   for (std::uint64_t slot = 0; slot < 3; ++slot) {
     reg.add(counter::sdn_requests);
     tl.snapshot(reg, slot, 1'000.0 * static_cast<double>(slot + 1));
   }
-  EXPECT_EQ(tl.pushed(), 3u);
+  // Three windows closed; the ring keeps the newest two.
   EXPECT_EQ(tl.size(), 2u);
   EXPECT_EQ(tl.window(0).slot, 1u);
   EXPECT_EQ(tl.window(1).slot, 2u);
@@ -118,8 +126,10 @@ TEST(ObsTimeline, ZeroCapacityDisablesSnapshot) {
 }
 
 TEST(ObsTimeline, MergeAlignsOnSlotIndex) {
-  registry a{1};
-  timeline ta{4, 1};
+  registry a;
+  a.resize_groups(1);
+  timeline ta;
+  ta.reset(4, 1);
   a.add(counter::sdn_requests, 5);
   a.observe_response(0, 100.0);
   ta.snapshot(a, 0, 1'000.0);
@@ -127,8 +137,10 @@ TEST(ObsTimeline, MergeAlignsOnSlotIndex) {
   ta.snapshot(a, 1, 2'000.0);
 
   // The other shard saw slots 1 and 2 only.
-  registry b{1};
-  timeline tb{4, 1};
+  registry b;
+  b.resize_groups(1);
+  timeline tb;
+  tb.reset(4, 1);
   tb.snapshot(b, 1, 2'000.0);
   b.add(counter::sdn_requests, 7);
   b.observe_response(0, 900.0);
@@ -148,8 +160,10 @@ TEST(ObsTimeline, MergeAlignsOnSlotIndex) {
 }
 
 TEST(ObsTimeline, FingerprintExcludesGaugesSchedulingAndTraceCounters) {
-  registry a{1};
-  registry b{1};
+  registry a;
+  a.resize_groups(1);
+  registry b;
+  b.resize_groups(1);
   a.add(counter::sdn_requests, 50);
   b.add(counter::sdn_requests, 50);
   // Gauges, pool telemetry, and trace-dependent counters differ between
@@ -160,16 +174,20 @@ TEST(ObsTimeline, FingerprintExcludesGaugesSchedulingAndTraceCounters) {
   ASSERT_TRUE(counter_is_trace_dependent(counter::sdn_sampled_spans));
   ASSERT_FALSE(counter_is_trace_dependent(counter::sdn_requests));
 
-  timeline ta{2, 1};
-  timeline tb{2, 1};
+  timeline ta;
+  ta.reset(2, 1);
+  timeline tb;
+  tb.reset(2, 1);
   ta.snapshot(a, 0, 1'000.0);
   tb.snapshot(b, 0, 1'000.0);
   EXPECT_EQ(ta.fingerprint(), tb.fingerprint());
 
   // A deterministic counter delta does move it.
-  registry c{1};
+  registry c;
+  c.resize_groups(1);
   c.add(counter::sdn_requests, 51);
-  timeline tc{2, 1};
+  timeline tc;
+  tc.reset(2, 1);
   tc.snapshot(c, 0, 1'000.0);
   EXPECT_NE(ta.fingerprint(), tc.fingerprint());
 }
@@ -187,23 +205,26 @@ exemplar_record make_exemplar(double response_ms, std::uint64_t request) {
 }
 
 TEST(ObsExemplar, ReservoirKeepsTheSlowestK) {
-  exemplar_reservoir res{2, 4};
-  ASSERT_TRUE(res.enabled());
+  exemplar_reservoir res;
+  res.reset(2, 4);
+  std::size_t admitted = 0;
   for (double ms : {120.0, 900.0, 45.0, 610.0, 300.0}) {
-    res.observe(make_exemplar(ms, static_cast<std::uint64_t>(ms)));
+    if (res.observe(make_exemplar(ms, static_cast<std::uint64_t>(ms)))) {
+      ++admitted;
+    }
   }
   res.roll_window(0);
   ASSERT_EQ(res.records().size(), 2u);
   EXPECT_DOUBLE_EQ(res.records()[0].response_ms, 900.0);  // slowest first
   EXPECT_DOUBLE_EQ(res.records()[1].response_ms, 610.0);
-  EXPECT_EQ(res.observed(), 5u);
-  EXPECT_EQ(res.admitted(), 3u);  // 120 and 900 fill, 610 displaces 120
+  EXPECT_EQ(admitted, 3u);  // 120 and 900 fill, 610 displaces 120
 }
 
 TEST(ObsExemplar, EqualLatencyTiesBreakOnLowerRequestId) {
   // All candidates identical except the request id: the reservoir must
   // keep the lowest ids, whatever the arrival order.
-  exemplar_reservoir res{2, 2};
+  exemplar_reservoir res;
+  res.reset(2, 2);
   for (const std::uint64_t id : {41u, 7u, 99u, 12u, 60u}) {
     res.observe(make_exemplar(500.0, id));
   }
@@ -213,7 +234,8 @@ TEST(ObsExemplar, EqualLatencyTiesBreakOnLowerRequestId) {
   EXPECT_EQ(res.records()[1].request, 12u);
 
   // Same set, different order → identical flush.
-  exemplar_reservoir again{2, 2};
+  exemplar_reservoir again;
+  again.reset(2, 2);
   for (const std::uint64_t id : {99u, 12u, 60u, 41u, 7u}) {
     again.observe(make_exemplar(500.0, id));
   }
@@ -224,7 +246,8 @@ TEST(ObsExemplar, EqualLatencyTiesBreakOnLowerRequestId) {
 }
 
 TEST(ObsExemplar, WindowsFlushIndependently) {
-  exemplar_reservoir res{1, 2};
+  exemplar_reservoir res;
+  res.reset(1, 2);
   res.observe(make_exemplar(200.0, 1));
   res.roll_window(0);
   res.observe(make_exemplar(900.0, 2));

@@ -85,10 +85,11 @@ std::optional<std::size_t> two_scan_forecast(
 }
 
 /// Asserts that forecast() returns the very history slot (by address) the
-/// two-scan reference picks, or nullptr exactly when it picks none.
-void expect_same_forecast(const workload_predictor& p,
+/// two-scan reference picks in `mode` (the predictor's), or nullptr
+/// exactly when it picks none.
+void expect_same_forecast(const workload_predictor& p, prediction_mode mode,
                           const trace::time_slot& current) {
-  const auto want = two_scan_forecast(p.history(), p.mode(), current);
+  const auto want = two_scan_forecast(p.history(), mode, current);
   const trace::time_slot* got = p.forecast(current);
   if (!want) {
     EXPECT_EQ(got, nullptr);
@@ -199,10 +200,11 @@ TEST(PredictorDifferential, OneScanPicksTheTwoScanSlot) {
       SCOPED_TRACE(::testing::Message()
                    << to_string(mode) << " trial " << trial << " size "
                    << size);
-      expect_same_forecast(p, random_slot(rng));
-      expect_same_forecast(p, trace::time_slot{3});  // every group empty
+      expect_same_forecast(p, mode, random_slot(rng));
+      expect_same_forecast(p, mode, trace::time_slot{3});  // every group empty
+      // The newest and every earlier slot.
       for (const trace::time_slot& slot : p.history()) {
-        expect_same_forecast(p, slot);  // the newest and every earlier slot
+        expect_same_forecast(p, mode, slot);
       }
       compared += 2 + size;
     }
@@ -230,9 +232,9 @@ TEST(PredictorDifferential, DuplicateSlotsTieTheSameWay) {
       p.set_history(history);
       SCOPED_TRACE(::testing::Message()
                    << to_string(mode) << " size " << history.size());
-      expect_same_forecast(p, dup);
-      expect_same_forecast(p, odd);
-      expect_same_forecast(p, trace::time_slot{3});
+      expect_same_forecast(p, mode, dup);
+      expect_same_forecast(p, mode, odd);
+      expect_same_forecast(p, mode, trace::time_slot{3});
     }
   }
 }
@@ -276,9 +278,9 @@ TEST(PredictorDifferential, ClosedSlotForecastPicksTheFullScanSlot) {
       SCOPED_TRACE(::testing::Message()
                    << to_string(mode) << " trial " << trial << " size "
                    << size);
-      expect_same_forecast(p, p.history().back());
+      expect_same_forecast(p, mode, p.history().back());
       const trace::time_slot copy = p.history().back();
-      expect_same_forecast(p, copy);
+      expect_same_forecast(p, mode, copy);
       compared += 2;
     }
   }

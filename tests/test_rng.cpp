@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <random>
 #include <set>
 #include <vector>
 
 namespace mca::util {
 namespace {
+
+// The standard engines' interface (result_type, min(), max(), operator()),
+// so a std:: distribution or algorithm can draw from an rng stream.
+static_assert(std::uniform_random_bit_generator<rng>);
 
 TEST(Rng, DeterministicForSameSeed) {
   rng a{42};

@@ -175,39 +175,50 @@ TEST_F(SdnTest, NullLogPointerIsSafe) {
   EXPECT_EQ(succeeded(), 1u);
 }
 
-TEST_F(SdnTest, TraceObserverFiresOncePerSuccessWithOrWithoutALog) {
+/// A sink that counts responses and keeps the users its trace point saw.
+class tracing_sink final : public response_sink {
+ public:
+  void on_response(const workload::offload_request& /*request*/,
+                   const request_timing& /*timing*/,
+                   group_id /*group*/) override {
+    ++responses;
+  }
+  void on_trace(util::time_ms logged_at, util::time_ms created_at,
+                user_id user, group_id group) override {
+    EXPECT_GE(logged_at, created_at);
+    EXPECT_EQ(group, 1u);
+    traced_users.push_back(user);
+  }
+
+  std::size_t responses = 0;
+  std::vector<user_id> traced_users;
+};
+
+TEST_F(SdnTest, TracePointFiresOncePerSuccessWithOrWithoutALog) {
   // The trace point feeds the owner's slot windows, so it must fire for
   // every successful request (and no failed one) whether or not a log
   // store is attached; the closed-loop system attaches none.
   backend_.launch(1, exact_type());
-  trace::log_store* const logs[] = {&log_, nullptr};
-  for (trace::log_store* log : logs) {
-    log_.clear();
-    sink_.responses.clear();
-    sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), log, config_,
-                        util::rng{10}};
-    sdn.set_response_sink(&sink_);
+  for (const bool attach_log : {true, false}) {
+    trace::log_store log;
+    sdn_accelerator sdn{sim_, backend_, fixed_link(40.0),
+                        attach_log ? &log : nullptr, config_, util::rng{10}};
+    tracing_sink sink;
+    sdn.set_response_sink(&sink);
     obs::registry counts;
     sdn.set_observability(&counts, nullptr, 0, 1);
-    std::vector<user_id> traced_users;
-    sdn.set_trace_observer([&](util::time_ms logged_at,
-                               util::time_ms created_at, user_id user,
-                               group_id group) {
-      EXPECT_GE(logged_at, created_at);
-      EXPECT_EQ(group, 1u);
-      traced_users.push_back(user);
-    });
     sdn.submit(make_request(1), 1, 1.0);
     sdn.submit(make_request(2), 9, 1.0);  // no such group: fails
     sdn.submit(make_request(3), 1, 1.0);
     sim_.run();
-    ASSERT_EQ(sink_.responses.size(), 3u);
+    ASSERT_EQ(sink.responses, 3u);
     const std::uint64_t successes = counts.get(obs::counter::sdn_successes);
     EXPECT_EQ(successes, 2u);
-    EXPECT_EQ(traced_users.size(), successes);
-    EXPECT_EQ(std::set<user_id>(traced_users.begin(), traced_users.end()),
+    EXPECT_EQ(sink.traced_users.size(), successes);
+    EXPECT_EQ(std::set<user_id>(sink.traced_users.begin(),
+                                sink.traced_users.end()),
               (std::set<user_id>{1, 3}));
-    EXPECT_EQ(log_.size(), log == nullptr ? 0u : 2u);
+    EXPECT_EQ(log.size(), attach_log ? 2u : 0u);
   }
 }
 

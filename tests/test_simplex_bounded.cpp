@@ -155,10 +155,14 @@ TEST_P(FractionalBoundsIlp, MatchesBruteForce) {
       for (std::size_t j = 0; j < n; ++j) {
         terms.push_back({j, rng.uniform(0.3, 2.5)});
       }
-      p.add_constraint(std::move(terms),
-                       rng.uniform(0.0, 1.0) < 0.5 ? relation::greater_equal
-                                                   : relation::less_equal,
-                       rng.uniform(2.0, 12.0));
+      // Right-hand side before relation: the order GCC gave these draws
+      // when they were two unsequenced arguments, so the problems stay
+      // the same.
+      const double rhs = rng.uniform(2.0, 12.0);
+      const relation rel = rng.uniform(0.0, 1.0) < 0.5
+                               ? relation::greater_equal
+                               : relation::less_equal;
+      p.add_constraint(std::move(terms), rel, rhs);
     }
 
     double best = std::numeric_limits<double>::infinity();

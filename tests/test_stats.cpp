@@ -12,7 +12,6 @@ namespace {
 
 TEST(RunningStats, EmptyDefaults) {
   running_stats s;
-  EXPECT_TRUE(s.empty());
   EXPECT_EQ(s.count(), 0u);
   EXPECT_EQ(s.mean(), 0.0);
   EXPECT_EQ(s.variance(), 0.0);

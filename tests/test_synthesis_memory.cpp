@@ -41,7 +41,7 @@ TEST(SynthesisMemory, StudyHoldsOneGapArrayAndASmallWorkingSet) {
     const allocation_window window;
     const auto dist = client::study_interarrival_distribution({}, 9);
     peak = window.peak();
-    size = dist.size();
+    size = dist.samples().size();
   }
   ASSERT_GT(size, 2'000'000u);
   const double array_bytes = static_cast<double>(size * kBytesPerGap);

@@ -162,7 +162,7 @@ std::size_t expect_matches_reference(const usage_study_config& config,
   EXPECT_EQ(first_difference(gaps, want_gaps), want_gaps.size()) << label;
   if (!want_gaps.empty()) {
     const auto dist = study_interarrival_distribution(config, seed);
-    EXPECT_EQ(dist.size(), want_gaps.size()) << label;
+    EXPECT_EQ(dist.samples().size(), want_gaps.size()) << label;
     EXPECT_EQ(first_difference(dist.samples(), want_gaps), want_gaps.size())
         << label;
   }
@@ -246,8 +246,8 @@ TEST(UsageTrace, DeterministicForSeed) {
         << "seed " << seed;
     const auto a = study_interarrival_distribution(config, seed);
     const auto b = study_interarrival_distribution(config, seed);
-    ASSERT_EQ(a.size(), reference.size()) << "seed " << seed;
-    ASSERT_EQ(b.size(), reference.size()) << "seed " << seed;
+    ASSERT_EQ(a.samples().size(), reference.size()) << "seed " << seed;
+    ASSERT_EQ(b.samples().size(), reference.size()) << "seed " << seed;
     EXPECT_EQ(first_difference(a.samples(), reference), reference.size())
         << "seed " << seed;
     EXPECT_EQ(first_difference(b.samples(), reference), reference.size())
@@ -356,7 +356,7 @@ TEST(UsageTrace, MoreParticipantsMoreData) {
   large.participants = 6;
   const auto few = study_interarrival_distribution(small, 3);
   const auto many = study_interarrival_distribution(large, 3);
-  EXPECT_GT(many.size(), few.size());
+  EXPECT_GT(many.samples().size(), few.samples().size());
 }
 
 }  // namespace

@@ -27,7 +27,10 @@
 //    atomics, mutexes and thread starts (thread, jthread, async)
 //    [det-shared-state] are banned too: a simulation shares nothing with
 //    its siblings but the pool's batch index, and only the pool starts
-//    threads.
+//    threads.  Everywhere (tests too), two draws from one util::rng in
+//    one full-expression that nothing sequences — two arguments of one
+//    call, two operands of `+` — are flagged [det-rng-unsequenced]: the
+//    compiler picks their order, so the numbers could change with it.
 //
 //  header hygiene — every header needs #pragma once or an include guard
 //    [hdr-guard] and must not contain using-namespace [hdr-using-namespace].
@@ -108,7 +111,7 @@ const std::set<std::string>& known_rules() {
       "hot-alloc",        "hot-function",      "hot-vector-growth",
       "hot-lock",         "hot-throw",         "hot-io",
       "hot-string-build", "hot-region",        "det-random",
-      "det-wallclock",    "det-shared-state",
+      "det-wallclock",    "det-shared-state",  "det-rng-unsequenced",
       "det-unordered-iter", "hdr-guard",       "hdr-using-namespace",
       "obs-dead-counter", "obs-unknown-counter", "obs-unnamed-counter",
       "obs-dead-span",    "obs-unknown-span",    "obs-unnamed-span",
@@ -423,6 +426,213 @@ void check_shared_state(const source_file& f, std::vector<violation>& out) {
   }
 }
 
+/// Pass A: names declared anywhere as a util::rng (`rng name`, `rng&
+/// name`, `rng* name`), so pass B can tell which calls draw.
+void collect_rng_names(const source_file& f, std::set<std::string>& names) {
+  const std::vector<token>& tk = f.lex.tokens;
+  for (std::size_t i = 0; i + 1 < tk.size(); ++i) {
+    if (!is_ident(tk[i], "rng") || followed_by_scope(tk, i)) continue;
+    std::size_t j = i + 1;
+    while (j < tk.size() && (is_punct(tk[j], '&') || is_punct(tk[j], '*') ||
+                             is_ident(tk[j], "const"))) {
+      ++j;
+    }
+    if (j < tk.size() && tk[j].kind == token_kind::identifier) {
+      names.insert(tk[j].text);
+    }
+  }
+}
+
+/// True when tokens i and i+1 are one two-character operator `c c`.
+bool doubled(const std::vector<token>& tk, std::size_t i, char c) {
+  return i + 1 < tk.size() && is_punct(tk[i], c) && is_punct(tk[i + 1], c) &&
+         tk[i + 1].offset == tk[i].offset + 1;
+}
+
+/// Two draws from one util::rng in one full-expression with nothing that
+/// sequences them: operands of `+`, `*`, `<`, ... and the arguments of one
+/// call are unsequenced, so which draw comes first is the compiler's
+/// choice and the run's numbers can differ between compilers.  `&&`,
+/// `||`, `?:`, the comma operator, `<<`, `>>`, assignment, a braced
+/// initializer list and a postfix chain (`a.f(x).g(y)`) sequence their
+/// operands.  A draw is a call of the object, one of its drawing members,
+/// or the object passed whole to `sample` or `random_request`.
+void check_rng_unsequenced(const source_file& f,
+                           const std::set<std::string>& rng_names,
+                           std::vector<violation>& out) {
+  static const std::set<std::string> kDrawMembers{
+      "uniform",     "uniform_int", "normal", "exponential",
+      "lognormal",   "bernoulli",   "pick",   "fork"};
+  const std::vector<token>& tk = f.lex.tokens;
+  const std::size_t n = tk.size();
+  auto is_open = [&](std::size_t i) {
+    return is_punct(tk[i], '(') || is_punct(tk[i], '[') ||
+           is_punct(tk[i], '{');
+  };
+  auto is_close = [&](std::size_t i) {
+    return is_punct(tk[i], ')') || is_punct(tk[i], ']') ||
+           is_punct(tk[i], '}');
+  };
+  // Bracket depth before each token (a bracket sits at its outer depth),
+  // each bracket's opener, and which braces open a block, not a list.
+  std::vector<int> depth(n, 0);
+  std::vector<std::size_t> opener(n, n);
+  std::vector<bool> block(n, false);
+  std::vector<std::size_t> stack;
+  for (std::size_t i = 0; i < n; ++i) {
+    depth[i] = static_cast<int>(stack.size());
+    if (is_open(i)) {
+      if (is_punct(tk[i], '{')) {
+        block[i] = i == 0 || is_punct(tk[i - 1], ')') ||
+                   is_punct(tk[i - 1], ';') || is_punct(tk[i - 1], '{') ||
+                   is_punct(tk[i - 1], '}') || is_punct(tk[i - 1], ':') ||
+                   is_ident(tk[i - 1], "else") || is_ident(tk[i - 1], "do") ||
+                   is_ident(tk[i - 1], "try") ||
+                   is_ident(tk[i - 1], "const") ||
+                   is_ident(tk[i - 1], "noexcept") ||
+                   is_ident(tk[i - 1], "override") ||
+                   is_ident(tk[i - 1], "mutable");
+      }
+      opener[i] = stack.empty() ? n : stack.back();
+      stack.push_back(i);
+    } else if (is_close(i)) {
+      if (!stack.empty()) {
+        block[i] = block[stack.back()];
+        stack.pop_back();
+      }
+      depth[i] = static_cast<int>(stack.size());
+      opener[i] = stack.empty() ? n : stack.back();
+    } else {
+      opener[i] = stack.empty() ? n : stack.back();
+    }
+  }
+
+  // Draws in token order: (position, object).
+  std::vector<std::pair<std::size_t, std::string>> draws;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (tk[i].kind != token_kind::identifier ||
+        rng_names.count(tk[i].text) == 0) {
+      continue;
+    }
+    const bool member = i > 0 && (is_punct(tk[i - 1], '.') ||
+                                  (is_punct(tk[i - 1], '>') && i > 1 &&
+                                   is_punct(tk[i - 2], '-')));
+    const bool scoped = i > 0 && is_punct(tk[i - 1], ':');
+    // A declaration: `rng name`, `rng& name`, `auto name`, ...
+    std::size_t type = i;
+    while (type > 0 && (is_punct(tk[type - 1], '&') ||
+                        is_punct(tk[type - 1], '*') ||
+                        is_ident(tk[type - 1], "const"))) {
+      --type;
+    }
+    const bool declared =
+        type > 0 && tk[type - 1].kind == token_kind::identifier &&
+        !is_ident(tk[type - 1], "return") &&
+        (type == i || is_ident(tk[type - 1], "rng"));
+    if (scoped || declared) continue;
+    std::string object = tk[i].text;
+    if (member && i >= 2 && tk[i - 2].kind == token_kind::identifier) {
+      object = tk[i - 2].text + "." + object;
+    }
+    const bool called = i + 1 < n && is_punct(tk[i + 1], '(');
+    const bool drawn_member =
+        i + 3 < n && (is_punct(tk[i + 1], '.') ||
+                      (is_punct(tk[i + 1], '-') && is_punct(tk[i + 2], '>'))) &&
+        kDrawMembers.count(
+            tk[is_punct(tk[i + 1], '.') ? i + 2 : i + 3].text) > 0;
+    bool passed = false;
+    if (i >= 2 && i + 1 < n &&
+        (is_punct(tk[i - 1], '(') || is_punct(tk[i - 1], ',')) &&
+        (is_punct(tk[i + 1], ')') || is_punct(tk[i + 1], ','))) {
+      const std::size_t call = opener[i];
+      passed = call < n && call > 0 && is_punct(tk[call], '(') &&
+               (is_ident(tk[call - 1], "sample") ||
+                is_ident(tk[call - 1], "random_request"));
+    }
+    if (called || drawn_member || passed) draws.emplace_back(i, object);
+  }
+
+  std::set<int> reported_lines;
+  for (std::size_t a = 0; a < draws.size(); ++a) {
+    for (std::size_t b = a + 1; b < draws.size(); ++b) {
+      const std::size_t first = draws[a].first;
+      const std::size_t second = draws[b].first;
+      if (draws[a].second != draws[b].second) continue;
+      // One full-expression: no `;` and no block brace between them.
+      int level = depth[first];
+      bool same_statement = true;
+      for (std::size_t k = first; k <= second; ++k) {
+        if (is_punct(tk[k], ';') || block[k]) same_statement = false;
+        level = std::min(level, depth[k]);
+      }
+      if (!same_statement) break;
+      // Sort the operators between the draws at their common level.
+      bool comma = false;
+      bool sequenced = false;
+      bool unsequenced_op = false;
+      std::size_t group = n;
+      for (std::size_t k = first + 1; k < second; ++k) {
+        if (depth[k] != level || is_open(k) || is_close(k)) continue;
+        group = opener[k];
+        const char c = tk[k].kind == token_kind::punct ? tk[k].text[0] : 0;
+        if (c == ',') {
+          comma = true;
+        } else if (doubled(tk, k, '&') || doubled(tk, k, '|') ||
+                   doubled(tk, k, '<') || doubled(tk, k, '>')) {
+          sequenced = true;
+          ++k;
+        } else if (c == ':' && is_punct(tk[k + 1], ':')) {
+          ++k;  // a scope, not a ternary
+        } else if (c == '?' || c == ':') {
+          sequenced = true;
+        } else if (c == '=') {
+          const bool comparison =
+              (k + 1 < n && is_punct(tk[k + 1], '=')) ||
+              (k > 0 && tk[k - 1].offset + 1 == tk[k].offset &&
+               (is_punct(tk[k - 1], '=') || is_punct(tk[k - 1], '!') ||
+                is_punct(tk[k - 1], '<') || is_punct(tk[k - 1], '>')));
+          if (comparison) {
+            unsequenced_op = true;
+            if (k + 1 < n && is_punct(tk[k + 1], '=')) ++k;
+          } else {
+            sequenced = true;
+          }
+        } else if (c == '-' && k + 1 < n && is_punct(tk[k + 1], '>')) {
+          ++k;  // member access
+        } else if (c == '+' || c == '-' || c == '*' || c == '/' ||
+                   c == '%' || c == '&' || c == '|' || c == '^' ||
+                   c == '<' || c == '>') {
+          unsequenced_op = true;
+        }
+      }
+      bool flag = false;
+      if (comma) {
+        // A comma in a call's parentheses separates unsequenced
+        // arguments; in braces it separates sequenced list elements, and
+        // elsewhere it is the comma operator or a declarator list.
+        const bool call_parens =
+            group < n && group > 0 && is_punct(tk[group], '(') &&
+            (is_punct(tk[group - 1], ')') || is_punct(tk[group - 1], '>') ||
+             (tk[group - 1].kind == token_kind::identifier &&
+              !is_ident(tk[group - 1], "return") &&
+              !is_ident(tk[group - 1], "if") &&
+              !is_ident(tk[group - 1], "while") &&
+              !is_ident(tk[group - 1], "for") &&
+              !is_ident(tk[group - 1], "switch")));
+        flag = call_parens;
+      } else {
+        flag = unsequenced_op && !sequenced;
+      }
+      if (flag && reported_lines.insert(tk[second].line).second) {
+        out.push_back({f.display, tk[second].line, "det-rng-unsequenced",
+                       "two unsequenced draws from '" + draws[a].second +
+                           "' in one expression: their order is the "
+                           "compiler's (draw into named locals first)"});
+      }
+    }
+  }
+}
+
 /// Pass A: names declared anywhere in src/ as unordered containers, so
 /// pass B can flag range-for iteration over them.
 void collect_unordered_names(const source_file& f,
@@ -701,6 +911,7 @@ struct lint_options {
 std::vector<violation> run_lint(std::vector<source_file>& files) {
   std::vector<violation> raw;
   std::set<std::string> unordered_names;
+  std::set<std::string> rng_names;
   obs_model model;
   std::map<std::string, std::map<std::string, int>> obs_usage;
   std::map<std::string, std::string> obs_usage_file;
@@ -708,6 +919,7 @@ std::vector<violation> run_lint(std::vector<source_file>& files) {
   for (source_file& f : files) {
     parse_directives(f, raw);
     if (f.in_src) collect_unordered_names(f, unordered_names);
+    collect_rng_names(f, rng_names);
     parse_obs_enums(f, model);
     for (const obs_kind_spec& spec : kObsKinds) {
       if (!spec.named || f.display != spec.name_source) continue;
@@ -725,6 +937,7 @@ std::vector<violation> run_lint(std::vector<source_file>& files) {
       check_shared_state(f, raw);
       check_unordered_iteration(f, unordered_names, raw);
     }
+    check_rng_unsequenced(f, rng_names, raw);
     if (f.is_header) check_header(f, raw);
     std::map<std::string, std::map<std::string, int>> here;
     collect_obs_usage(f, here);
@@ -897,6 +1110,28 @@ int self_test() {
       "  auto r = std::async(std::launch::async, [] { return 1; });\n"
       "  t.join();\n"
       "}\n";
+  const std::string rng_bad =
+      "void f(util::rng& r, util::rng* other, const dist& d) {\n"
+      "  use(r.uniform(), r.uniform());\n"
+      "  const double x = r.normal() + r.normal();\n"
+      "  use(d.sample(r), d.sample(r));\n"
+      "  pair p(r(), r.fork());\n"
+      "  use(other->exponential(1.0) * other->lognormal(0.0, 1.0));\n"
+      "}\n";
+  const std::string rng_ok =
+      "void f(util::rng& r, util::rng& s, const dist& d) {\n"
+      "  const double a = r.uniform();\n"
+      "  const double b = r.uniform();\n"
+      "  const bool both = r.bernoulli(0.5) && r.bernoulli(0.5);\n"
+      "  const bool either = r.bernoulli(0.5) || r.bernoulli(0.5);\n"
+      "  const double c = (r.uniform(), r.uniform());\n"
+      "  const double y = r.bernoulli(0.5) ? r.uniform() : r.normal();\n"
+      "  const pair p{r.uniform(), r.uniform()};\n"
+      "  use(r.uniform(), s.uniform());\n"
+      "  out << d.sample(r) << d.sample(r);\n"
+      "  if (r.bernoulli(0.5)) { use(r.uniform()); }\n"
+      "  use(r.uniform_int(0, 3), 4 + other(7));\n"
+      "}\n";
   const std::string hdr_bad =
       "#include <vector>\n"
       "using namespace std;\n"
@@ -1009,6 +1244,12 @@ int self_test() {
       {"allow-file suppresses with a reason",
        {{"src/demo/clock.h", det_allowed}},
        {{"det-wallclock", 0}, {"bad-suppression", 0}}},
+      {"unsequenced draws from one rng fire, in tests/ too",
+       {{"src/demo/draws.cpp", rng_bad}, {"tests/demo_draws.cpp", rng_bad}},
+       {{"det-rng-unsequenced", 10}}},
+      {"sequenced draws and draws from two rngs pass",
+       {{"src/demo/draws_ok.cpp", rng_ok}},
+       {{"det-rng-unsequenced", 0}}},
       {"header hygiene",
        {{"src/demo/bad.h", hdr_bad}},
        {{"hdr-guard", 1}, {"hdr-using-namespace", 1}}},
