@@ -102,6 +102,12 @@ void backend_pool::sweep() {
 }
 // mca:hot-path-end
 
+void backend_pool::settle() {
+  for (auto& members : groups_) {
+    for (auto& inst : members) inst->settle();
+  }
+}
+
 backend_pool::preempt_result backend_pool::preempt_in(group_id group,
                                                       std::uint64_t ordinal) {
   preempt_result result;

@@ -63,6 +63,13 @@ class backend_pool {
   /// only a counter check.
   void sweep();
 
+  /// Settles every instance, draining or not (instance::settle): replays
+  /// each background-only instance's deferred wakes due before the
+  /// running code, so the registry counts every completion an engine run
+  /// would have counted by now.  The owner calls it before reading the
+  /// registry and after advancing the clock.
+  void settle();
+
   /// Outcome of a spot-preemption strike against a group.
   struct preempt_result {
     bool applied = false;     ///< a live instance was killed

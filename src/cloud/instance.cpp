@@ -38,12 +38,12 @@ instance::instance(sim::simulation& sim, instance_id id,
 }
 
 instance::~instance() {
-  if (pending_completion_.valid()) sim_.cancel(pending_completion_);
+  if (wake_event_.valid()) sim_.cancel(wake_event_);
 }
 
 // The PS event math: advance / wake planning / batched completion drain /
-// submit all run per request (or per completion event), so they form one
-// lint-enforced hot-path region.  The job slab and finish-V heap are
+// deferred-wake replay / submit all run per request (or per wake), so
+// they form one lint-enforced hot-path region.  The job slab and finish-V heap are
 // member vectors whose growth amortizes to zero in steady state — the
 // counting-allocator test holds them to that at runtime, the region
 // rules hold the code to it statically.
@@ -70,8 +70,7 @@ double instance::rate_per_job(std::size_t n) const noexcept {
   return type_.speed_factor * (1.0 - steal(n)) * share;
 }
 
-void instance::advance() {
-  const util::time_ms now = sim_.now();
+void instance::advance(util::time_ms now) {
   const double elapsed = now - last_update_;
   if (elapsed <= 0.0) {
     last_update_ = now;
@@ -119,29 +118,56 @@ double instance::next_wake_delay() const noexcept {
   return eta;
 }
 
-void instance::arm_no_later_than(double delay) {
-  const util::time_ms target = sim_.now() + delay;
-  if (pending_completion_.valid()) {
-    // Never push the armed event later: an early fire merely advances the
+void instance::arm_no_later_than(util::time_ms now, double delay) {
+  const util::time_ms target = now + delay;
+  if (wake_event_.valid() || deferred_at_ != kNoWake) {
+    // Never push the pending wake later: an early fire merely advances the
     // clock and re-arms, but a late one would delay a real completion.
     if (target < armed_at_) {
-      sim_.reschedule(pending_completion_, target);
       armed_at_ = target;
+      if (wake_event_.valid()) {
+        sim_.reschedule(wake_event_, target);
+      } else {
+        deferred_at_ = target;
+      }
     }
     return;
   }
-  pending_completion_ =
-      sim_.schedule_at(target, [this] { on_completion_event(); });
   armed_at_ = target;
+  if (tagged_jobs_ > 0) {
+    wake_event_ = sim_.schedule_at(target, [this] { on_wake_event(); });
+  } else {
+    wake_sequence_ = sim_.reserve_sequence();
+    deferred_at_ = target;
+  }
 }
 
-void instance::on_completion_event() {
-  pending_completion_ = {};
-  advance();
+void instance::on_wake_event() {
+  wake_event_ = {};
+  wake(sim_.now());
+}
+
+void instance::replay_deferred() {
+  const util::time_ms now = sim_.now();
+  const std::uint64_t running = sim_.running_sequence();
+  // Strictly before (now, running): a wake tied with the running code on
+  // time fires first only if it holds the earlier sequence.  Each wake
+  // re-arms under a sequence reserved now, so a wake it arms at `now`
+  // sorts after the running code, as one armed by an engine event would.
+  while (deferred_at_ < now ||
+         (deferred_at_ == now && wake_sequence_ < running)) {
+    const util::time_ms at = deferred_at_;
+    deferred_at_ = kNoWake;
+    wake(at);
+  }
+}
+
+void instance::wake(util::time_ms now) {
+  advance(now);
   // Pop every job whose finish-V the clock has (numerically) reached — a
-  // whole batch of simultaneous finishers drains in this one event.  The
+  // whole batch of simultaneous finishers drains in this one wake.  The
   // sink hears them after internal state is consistent, so it may submit
-  // again immediately.  The scratch list keeps its capacity across events
+  // again immediately.  The scratch list keeps its capacity across wakes
   // and the completed slab entries return to the free list — no
   // steady-state allocation.
   finished_scratch_.clear();
@@ -169,23 +195,23 @@ void instance::on_completion_event() {
     vclock_ = 0.0;
   }
   for (const std::uint32_t idx : finished_scratch_) {
-    release_job(idx, true);
+    release_job(idx, true, now);
   }
   // A stale-early fire (submissions slowed the shared rate after arming)
   // lands here with nothing due; either way, re-arm exactly for the new
   // heap top.  A sink that resubmitted has already armed via submit().
-  if (!heap_.empty()) arm_no_later_than(next_wake_delay());
+  if (!heap_.empty()) arm_no_later_than(now, next_wake_delay());
 }
 
-void instance::release_job(std::uint32_t idx, bool ok) {
+void instance::release_job(std::uint32_t idx, bool ok, util::time_ms now) {
   job& j = jobs_[idx];
-  const util::time_ms service_time = sim_.now() - j.submitted_at;
   const std::uint32_t tag = j.tag;
-  const std::uint32_t epoch = j.epoch;
   j.tag = free_head_;
   free_head_ = idx;
-  if (tag != kUntagged && sink_ != nullptr) {
-    sink_->on_completion(tag, epoch, service_time, ok);
+  if (tag == kUntagged) return;
+  --tagged_jobs_;
+  if (sink_ != nullptr) {
+    sink_->on_completion(tag, j.epoch, now - j.submitted_at, ok);
   }
 }
 
@@ -194,6 +220,7 @@ bool instance::submit(double work_units, std::uint32_t tag,
   // mca-lint: allow(hot-throw) cold caller-bug validation: fires once per
   // programming error, never on the steady-state request path.
   if (work_units < 0.0) throw std::invalid_argument{"submit: negative work"};
+  settle();
   if (draining_ || warming() || heap_.size() >= type_.max_concurrent()) {
     if (obs_ != nullptr) obs_->add(obs::counter::ps_drops);
     return false;
@@ -203,7 +230,8 @@ bool instance::submit(double work_units, std::uint32_t tag,
     obs_->observe(obs::series::ps_queue_depth,
                   static_cast<double>(heap_.size()));
   }
-  advance();
+  const util::time_ms now = sim_.now();
+  advance(now);
   // Multi-tenancy jitter multiplies the compute portion; the dalvikvm spawn
   // cost is paid per request on top.
   const double noisy =
@@ -218,18 +246,18 @@ bool instance::submit(double work_units, std::uint32_t tag,
     jobs_.emplace_back();
   }
   job& j = jobs_[idx];
-  j.submitted_at = sim_.now();
+  j.submitted_at = now;
   j.tag = tag;
   j.epoch = epoch;
   const double new_finish = vclock_ + noisy;
-  // The pending event (if any) was armed for a faster rate and therefore
+  // The pending wake (if any) was armed for a faster rate and therefore
   // fires no later than the true next completion — leave it alone unless
   // this job (or the now-nearer credit exhaustion) needs an earlier wake:
   //  * the new job undercuts the heap front (it is the next completion), or
   //  * the heap was empty (nothing armed at all), or
   //  * credits are burning faster than they accrue, so this extra job pulls
   //    the exhaustion slope-change closer.
-  // Otherwise the armed event already fires early-or-exact, and a spurious
+  // Otherwise the armed wake already fires early-or-exact, and a spurious
   // early fire just advances the clock and re-arms — skipping the wake math
   // here is what keeps bursty submits O(log n) with no event churn.
   bool need_arm = heap_.empty() || new_finish < heap_.front().finish_v;
@@ -240,17 +268,28 @@ bool instance::submit(double work_units, std::uint32_t tag,
         std::min(static_cast<double>(heap_.size()), type_.vcpus);
     need_arm = busy_cores > type_.baseline_fraction * type_.vcpus;
   }
-  if (need_arm) arm_no_later_than(next_wake_delay());
+  if (tag != kUntagged) ++tagged_jobs_;
+  if (need_arm) arm_no_later_than(now, next_wake_delay());
+  if (tag != kUntagged && deferred_at_ != kNoWake) {
+    // A sink now waits on this instance: the engine runs the wake, in the
+    // FIFO place it reserved.
+    wake_event_ = sim_.schedule_reserved(armed_at_, wake_sequence_,
+                                         [this] { on_wake_event(); });
+    deferred_at_ = kNoWake;
+  }
   return true;
 }
 
 std::size_t instance::preempt() {
-  advance();
+  settle();
+  const util::time_ms now = sim_.now();
+  advance(now);
   vclock_ = 0.0;
-  if (pending_completion_.valid()) {
-    sim_.cancel(pending_completion_);
-    pending_completion_ = {};
+  if (wake_event_.valid()) {
+    sim_.cancel(wake_event_);
+    wake_event_ = {};
   }
+  deferred_at_ = kNoWake;
   // Drain before the sink hears the kills: a sink that immediately
   // re-routes must not land back on this instance — which also freezes
   // heap_ (submit() bails on draining_ before touching it), so the kills
@@ -261,15 +300,11 @@ std::size_t instance::preempt() {
   drain();
   const std::size_t killed = heap_.size();
   for (const finish_entry& e : heap_) {
-    release_job(static_cast<std::uint32_t>(e.key & kJobSlotMask), false);
+    release_job(static_cast<std::uint32_t>(e.key & kJobSlotMask), false, now);
   }
   heap_.clear();
   return killed;
 }
 // mca:hot-path-end
-
-bool instance::throttled() const noexcept {
-  return opts_.enable_cpu_credits && credits_ <= 0.0;
-}
 
 }  // namespace mca::cloud

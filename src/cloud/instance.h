@@ -13,11 +13,11 @@
 // `instance_type::max_concurrent()`; beyond it requests are dropped, which
 // produces the success/fail split of Fig. 8c.
 //
-// Implementation: analytic virtual-time accounting, O(1) per event.  A
+// Implementation: analytic virtual-time accounting, O(1) per wake.  A
 // single virtual-work clock V(t) accumulates the per-job progress rate —
 // piecewise linear in wall time, with slope changes only at submissions,
-// completions, and credit exhaustion (each of which is an event, so V
-// advances by `elapsed * rate` per event and never needs sub-interval
+// completions, and credit exhaustion (each of which is a submit or a wake,
+// so V advances by `elapsed * rate` at each and never needs sub-interval
 // integration).  A job submitted when the clock reads V with `w` noisy work
 // units finishes exactly when V reaches V + w; under egalitarian sharing
 // every active job progresses at the same rate, so ordering jobs in a
@@ -25,14 +25,45 @@
 // constant-time clock/credit update instead of an O(n) sweep
 // decrementing per-job remaining work, the next completion is the heap top
 // instead of an O(n) min scan, and all jobs whose finish-V falls within
-// kWorkEpsilon of the clock drain in one event.  The one pending
-// sim-event is kept at a time <= the true next completion (submissions
-// slow the shared rate, pushing completions later, so the armed event may
-// fire early, find nothing due, and re-arm exactly — which replaces the
-// former cancel/re-insert pair per submission with at most one O(1)
-// spurious wake per busy burst); it is moved earlier in place via
-// sim::simulation::reschedule when a short job or a credit-exhaustion
-// boundary needs a sooner wake.
+// kWorkEpsilon of the clock drain in one wake.
+//
+// The wake.  An instance has at most one pending wake, kept at a time <=
+// the true next completion: submissions slow the shared rate, pushing
+// completions later, so the wake may fire early, find nothing due, and
+// re-arm exactly (at most one O(1) spurious wake per busy burst instead
+// of a cancel/re-insert pair per submission); a short job or a
+// credit-exhaustion boundary that needs a sooner wake moves it earlier in
+// place, keeping its FIFO place.  Its FIFO place is a sequence number
+// reserved from the engine's one counter when the wake is armed
+// (sim::simulation::reserve_sequence), so it sorts against every other
+// event exactly as a scheduled event would.
+//
+// Where the wake lives, by one rule: it is an engine event iff a tagged
+// job (one a completion sink hears) is active.  While every active job is
+// untagged (background load, reported to nobody) the wake is only state,
+// its time and reserved sequence, and costs the engine nothing.
+//
+// The reader contract.  Every read of the instance (submit, active_jobs,
+// idle, preempt, credit_balance, throttled, settle) first replays, in
+// order, each deferred wake an engine run would already have fired: the
+// same advance, batch drain, virtual-clock reset, spurious and
+// credit-exhaustion wakes and registry counts, on the same doubles.  Code
+// running as event (T, K) replays the wakes with (at, seq) < (T, K)
+// (sim::simulation::running_sequence), so the FIFO tie rule holds; code
+// outside any event replays every wake due at or before now.  The first
+// tagged submit hands the pending wake to the engine under its reserved
+// sequence.  Two consequences:
+//   * the registry lags until someone reads: the owner settles every
+//     instance (backend_pool::settle) at each slot boundary, before the
+//     telemetry snapshot, and after each advance;
+//   * the engine's run()/run_until() know nothing of a deferred wake: a
+//     caller driving a bare instance reads it once the clock has passed.
+// One order can differ from an engine run's: a wake re-armed during a
+// replay reserves its sequence at the replay, not at the earlier instant
+// an engine run would have scheduled it, so an event scheduled in
+// between, by code that never read this instance, at exactly that wake's
+// time, sorts before it instead of after.  That takes two computed
+// doubles to coincide; the library's workloads schedule no such event.
 //
 // An optional t2 CPU-credit model (off by default, matching the paper's
 // cool-down methodology) throttles the instance to its baseline share when
@@ -56,6 +87,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "cloud/instance_type.h"
@@ -153,7 +185,16 @@ class instance {
     drain_observer_ctx_ = ctx;
   }
   bool draining() const noexcept { return draining_; }
-  bool idle() const noexcept { return heap_.empty(); }
+  bool idle() {
+    settle();
+    return heap_.empty();
+  }
+
+  /// Replays every deferred wake due before the running code (see the
+  /// header comment); one comparison when none is.  Every read calls it.
+  void settle() {
+    if (deferred_at_ <= sim_.now()) replay_deferred();
+  }
 
   /// True while the cold-start delay is still running: the instance is
   /// provisioned (and billed) but not yet accepting work.
@@ -179,13 +220,22 @@ class instance {
 
   instance_id id() const noexcept { return id_; }
   const instance_type& type() const noexcept { return type_; }
-  std::size_t active_jobs() const noexcept { return heap_.size(); }
+  std::size_t active_jobs() {
+    settle();
+    return heap_.size();
+  }
 
   /// Remaining CPU-credit balance in core-ms (meaningful when the credit
   /// model is enabled).
-  double credit_balance() const noexcept { return credits_; }
+  double credit_balance() {
+    settle();
+    return credits_;
+  }
   /// True while the credit model has the instance throttled to baseline.
-  bool throttled() const noexcept;
+  bool throttled() {
+    settle();
+    return opts_.enable_cpu_credits && credits_ <= 0.0;
+  }
 
  private:
   /// Slab entry for one in-flight (or free) job.  Free entries chain
@@ -225,19 +275,25 @@ class instance {
   /// Steal fraction under `n`-way contention.
   double steal(std::size_t n) const noexcept;
   /// Advances the virtual-work clock and accrues credits from
-  /// `last_update_` to now.  O(1): no per-job state is touched.
-  void advance();
+  /// `last_update_` to `now`.  O(1): no per-job state is touched.
+  void advance(util::time_ms now);
   /// Wall delay until the next state change (heap-top completion, or
   /// credit exhaustion if that comes first).  Requires a non-empty heap.
   double next_wake_delay() const noexcept;
-  /// Ensures the single pending event fires no later than `delay` from
-  /// now, moving it earlier in place when necessary (never later: a
-  /// too-early event is harmless, it re-arms exactly).
-  void arm_no_later_than(double delay);
-  void on_completion_event();
+  /// Ensures the pending wake fires no later than `now + delay`, moving it
+  /// earlier in place when necessary (never later: a too-early wake is
+  /// harmless, it re-arms exactly).  A new wake is an engine event iff a
+  /// tagged job is active, else deferred under a reserved sequence.
+  void arm_no_later_than(util::time_ms now, double delay);
+  /// The engine event's handler: the wake at the engine's clock.
+  void on_wake_event();
+  /// One wake at `now`: advance, drain every job due, count, re-arm.
+  void wake(util::time_ms now);
+  /// Fires, in order, every deferred wake before the running code.
+  void replay_deferred();
   /// Returns job `idx` to the free list, then reports it to the sink
-  /// (unless untagged) with its time on the server.
-  void release_job(std::uint32_t idx, bool ok);
+  /// (unless untagged) with its time on the server up to `now`.
+  void release_job(std::uint32_t idx, bool ok, util::time_ms now);
 
   sim::simulation& sim_;
   instance_id id_;
@@ -255,8 +311,17 @@ class instance {
   /// to zero whenever the instance idles so precision never degrades over
   /// a long simulation.
   double vclock_ = 0.0;
-  sim::event_handle pending_completion_{};
-  util::time_ms armed_at_ = 0.0;  ///< wall time pending_completion_ fires
+  /// Active jobs a sink hears, counted down as each is released (so, in
+  /// the middle of a batch, never below the heap's true count).
+  std::uint32_t tagged_jobs_ = 0;
+  static constexpr util::time_ms kNoWake =
+      std::numeric_limits<util::time_ms>::infinity();
+  sim::event_handle wake_event_{};  ///< the pending wake, while an event
+  util::time_ms armed_at_ = 0.0;    ///< when the pending wake fires
+  std::uint64_t wake_sequence_ = 0;  ///< a deferred wake's FIFO place
+  /// armed_at_ while the pending wake is deferred, kNoWake otherwise:
+  /// the one comparison a read makes.
+  util::time_ms deferred_at_ = kNoWake;
   drain_observer_fn drain_observer_ = nullptr;
   void* drain_observer_ctx_ = nullptr;
   completion_sink* sink_ = nullptr;

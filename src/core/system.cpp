@@ -248,8 +248,11 @@ void offloading_system::restore_group(group_id group) {
 void offloading_system::on_slot_boundary(std::size_t slot_index) {
   metrics_.observability.add(obs::counter::slot_boundaries);
   // Close the telemetry window that ends at this boundary before any
-  // boundary work lands in the next one.  The snapshot counter is bumped
-  // first so the closing window accounts for its own close.
+  // boundary work lands in the next one.  Background-only instances first
+  // count the completions they owe the closing window; the snapshot
+  // counter is bumped first so the closing window accounts for its own
+  // close.
+  backend_->settle();
   metrics_.observability.add(obs::counter::timeline_snapshots);
   timeline_.snapshot(metrics_.observability, slot_index, sim_.now());
   exemplars_.roll_window(static_cast<std::uint32_t>(slot_index));
@@ -360,6 +363,7 @@ void offloading_system::begin(util::time_ms duration) {
 void offloading_system::advance_to(util::time_ms t) {
   if (!started_) throw std::logic_error{"advance_to: begin() first"};
   sim_.run_until(t);
+  backend_->settle();
 }
 
 void offloading_system::finish() {
@@ -368,6 +372,7 @@ void offloading_system::finish() {
   if (slot_ticker_) slot_ticker_->stop();
   // Let in-flight requests complete so metrics cover the whole workload.
   sim_.run_until(duration_ + util::minutes(10.0));
+  backend_->settle();
 
   // Close the drain-tail telemetry window (responses that completed after
   // the last boundary); its slot index is one past the last boundary's.

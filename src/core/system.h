@@ -191,7 +191,8 @@ class offloading_system : private response_sink {
   /// The incremental form of run(), for owners that must interleave with
   /// the event loop at provisioning-slot boundaries (fleet::shard):
   /// begin() installs the workload and ticker processes, advance_to() runs
-  /// the loop forward to an absolute simulated time, finish() drains
+  /// the loop forward to an absolute simulated time and settles the
+  /// back-end through it (backend_pool::settle), finish() drains
   /// in-flight requests past the horizon and fills the run totals.
   /// run(d) == begin(d); advance_to(d); finish().
   /// begin() throws std::invalid_argument on a non-positive duration and

@@ -103,7 +103,7 @@ demand_digest shard::advance_to_slot(std::size_t slot_index) {
   cloud::backend_pool& backend = system_->backend();
   for (group_id g = 0; g < group_count_; ++g) {
     digest.instances += backend.instance_count(g);
-    backend.for_each_accepting(g, [&](const cloud::instance& server) {
+    backend.for_each_accepting(g, [&](cloud::instance& server) {
       digest.queue_depth += server.active_jobs();
     });
   }

@@ -11,7 +11,6 @@ constexpr std::uint32_t kChildren = 4;  // 4-ary heap: shallow and cache-dense
 constexpr std::uint32_t kSlotBits = 24;
 constexpr std::uint64_t kSlotMask = (1u << kSlotBits) - 1;
 static_assert(simulation::kMaxArrivalPayload == kSlotMask);
-constexpr std::uint64_t kMaxSequence = (1ull << (64 - kSlotBits)) - 1;
 
 constexpr std::uint64_t pack_key(std::uint64_t sequence,
                                  std::uint32_t slot) noexcept {
@@ -26,13 +25,10 @@ constexpr std::uint64_t pack_key(std::uint64_t sequence,
 
 }  // namespace
 
-std::uint64_t simulation::take_sequence() {
-  if (next_sequence_ > kMaxSequence) {
-    // Sequence wrap would corrupt packed keys (handle validation and the
-    // FIFO tie-break); fail loudly like the 2^24 slot limit does.
-    throw std::length_error{"simulation: sequence number space exhausted"};
-  }
-  return next_sequence_++;
+void simulation::sequence_exhausted() {
+  // Sequence wrap would corrupt packed keys (handle validation and the
+  // FIFO tie-break); fail loudly like the 2^24 slot limit does.
+  throw std::length_error{"simulation: sequence number space exhausted"};
 }
 
 std::uint32_t simulation::acquire_slot() {
@@ -117,9 +113,9 @@ void simulation::heap_remove(heap_vector& heap, std::size_t pos) noexcept {
   }
 }
 
-event_handle simulation::schedule_at(util::time_ms at, callback fn) {
-  if (!fn) throw std::invalid_argument{"schedule_at: empty callback"};
-  const std::uint64_t sequence = take_sequence();
+inline event_handle simulation::push_event(util::time_ms at,
+                                           std::uint64_t sequence,
+                                           callback&& fn) {
   const std::uint32_t index = acquire_slot();
   event_slot& slot = slots_[index];
   slot.fn = std::move(fn);
@@ -128,6 +124,21 @@ event_handle simulation::schedule_at(util::time_ms at, callback fn) {
   const std::uint64_t key = pack_key(sequence, index);
   heap_push<true>(heap_, {at > now_ ? at : now_, key});
   return event_handle{key};
+}
+
+event_handle simulation::schedule_at(util::time_ms at, callback fn) {
+  if (!fn) throw std::invalid_argument{"schedule_at: empty callback"};
+  return push_event(at, take_sequence(), std::move(fn));
+}
+
+event_handle simulation::schedule_reserved(util::time_ms at,
+                                           std::uint64_t sequence,
+                                           callback fn) {
+  if (!fn) throw std::invalid_argument{"schedule_reserved: empty callback"};
+  if (sequence == 0 || sequence >= next_sequence_) {
+    throw std::invalid_argument{"schedule_reserved: sequence not reserved"};
+  }
+  return push_event(at, sequence, std::move(fn));
 }
 
 event_handle simulation::schedule_after(util::time_ms delay, callback fn) {
@@ -186,6 +197,7 @@ bool simulation::step() {
     heap_remove<false>(arrivals_, 0);
     now_ = top.at;
     ++executed_;
+    running_ = top.key >> kSlotBits;
     on_arrival_(static_cast<std::uint32_t>(top.key & kSlotMask));
     return true;
   }
@@ -200,6 +212,7 @@ bool simulation::step() {
   heap_remove<true>(heap_, 0);
   now_ = top.at;
   ++executed_;
+  running_ = top.key >> kSlotBits;
   fn();
   return true;
 }
@@ -211,11 +224,13 @@ void simulation::run_until(util::time_ms deadline) {
     step();
   }
   now_ = std::max(now_, deadline);
+  running_ = kOutsideEvents;
 }
 
 void simulation::run() {
   while (step()) {
   }
+  running_ = kOutsideEvents;
 }
 
 periodic_process::periodic_process(simulation& sim, util::time_ms start,

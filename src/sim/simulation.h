@@ -22,7 +22,12 @@
 // per device), so it holds 16 bytes per device and never reallocates.
 // Both heaps draw from one sequence counter and `step()` runs whichever top
 // is earlier by (time, key), so the merged order is the one a single heap
-// would give.  Capacity limits from the packing: 2^24 concurrently pending
+// would give.  A component may also keep an event of its own outside both
+// heaps (cloud::instance's background-only completion wake): it takes the
+// event's sequence from the same counter with `reserve_sequence()`, orders
+// it against the running event by (now(), running_sequence()), and hands
+// it to `schedule_reserved()` if it ever needs the engine to run it.
+// Capacity limits from the packing: 2^24 concurrently pending
 // events, 2^24 devices (arrival payloads) and 2^40 total schedules per
 // simulation — orders of magnitude beyond the paper's workloads.
 #pragma once
@@ -63,6 +68,31 @@ class simulation {
   /// Schedules `fn` after `delay` milliseconds of simulated time.
   /// Throws std::invalid_argument on negative delay.
   event_handle schedule_after(util::time_ms delay, callback fn);
+
+  /// Takes the next sequence number from the counter every schedule draws
+  /// from, for an event the caller keeps outside the engine.  Whatever is
+  /// scheduled after this call sorts after that event at equal times, as
+  /// if `schedule_at` had run now.  Throws std::length_error when the
+  /// 2^40 sequence space is spent.
+  std::uint64_t reserve_sequence() { return take_sequence(); }
+
+  /// Schedules `fn` at `at` (clamped to now) under a sequence taken
+  /// earlier by `reserve_sequence()`, so it keeps the FIFO place it was
+  /// reserved with.  Each reserved sequence is scheduled at most once.
+  /// Throws std::invalid_argument on an empty callback or on a sequence
+  /// the counter has not handed out.
+  event_handle schedule_reserved(util::time_ms at, std::uint64_t sequence,
+                                 callback fn);
+
+  /// With now(), the running code's place in the engine's order: inside
+  /// a handler, the sequence of the event or arrival it runs; after
+  /// step(), that of the one step() ran (the code sits just past it);
+  /// before the first step and after run_until() or run(), which leave
+  /// nothing due at or before now, kOutsideEvents, above every sequence.
+  /// An event the caller keeps outside the engine at (at, seq) has fired
+  /// before the running code iff (at, seq) < (now(), running_sequence()).
+  std::uint64_t running_sequence() const noexcept { return running_; }
+  static constexpr std::uint64_t kOutsideEvents = ~std::uint64_t{0};
 
   /// Cancels a pending event; cancelling an already-fired or unknown
   /// handle is a harmless no-op.
@@ -138,7 +168,15 @@ class simulation {
     return a.key < b.key;  // sequence occupies the high bits
   }
 
-  std::uint64_t take_sequence();
+  /// Sequences fill the key above its 24 slot (or payload) bits.
+  static constexpr std::uint64_t kMaxSequence = ~std::uint64_t{0} >> 24;
+  [[noreturn]] static void sequence_exhausted();
+  std::uint64_t take_sequence() {
+    if (next_sequence_ > kMaxSequence) [[unlikely]] sequence_exhausted();
+    return next_sequence_++;
+  }
+  event_handle push_event(util::time_ms at, std::uint64_t sequence,
+                          callback&& fn);
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t index) noexcept;
   void record_pos(const heap_entry& entry, std::size_t pos) noexcept;
@@ -172,6 +210,7 @@ class simulation {
   util::time_ms now_ = 0.0;
   std::uint64_t next_sequence_ = 1;  // 0 is reserved so handles are nonzero
   std::size_t executed_ = 0;
+  std::uint64_t running_ = kOutsideEvents;
   std::uint32_t free_head_ = kNoFreeSlot;
   std::vector<event_slot> slots_;
   heap_vector heap_ = heap_vector(kHeapPad);

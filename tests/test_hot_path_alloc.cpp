@@ -16,6 +16,11 @@
 // Background bursts (fixed-period, fixed-size, untagged PS jobs: the path
 // that carries nearly all of a closed-loop run's PS jobs) repeat the same
 // load every period, so they reach their high-water marks in warm-up too.
+// Nobody is promoted, so group 2 serves background bursts alone: its
+// instance never holds a tagged job, keeps its completion wake out of the
+// engine, and replays it whenever it is read (a burst, a sweep, a
+// strike).  Each leg pins the window's engine events exactly, so the
+// replay — not an engine event per wake — is what the window measures.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -80,6 +85,21 @@ namespace {
 /// (every 2 s by default).
 constexpr std::size_t kBackgroundPerBurst = 4;
 
+/// Engine events and PS wake counts inside one measured window.
+struct window_work {
+  std::size_t events = 0;
+  std::uint64_t wakes = 0;  ///< ps_completion_events, replayed or not
+};
+
+window_work work_of(core::offloading_system& system) {
+  return {system.simulation().executed_events(),
+          system.observability().get(obs::counter::ps_completion_events)};
+}
+
+window_work since(const window_work& start, const window_work& end) {
+  return {end.events - start.events, end.wakes - start.wakes};
+}
+
 /// Responses the SDN has delivered so far, success or failure.
 std::uint64_t delivered(const core::offloading_system& system) {
   const obs::registry& counts = system.observability();
@@ -115,9 +135,11 @@ TEST(HotPathAllocation, SteadyStateRequestPathAllocatesNothing) {
   // accumulator, moderator state).
   system.advance_to(util::minutes(21.0));
 
+  const window_work start = work_of(system);
   const std::uint64_t before = allocation_count();
   system.advance_to(util::minutes(29.0));
   const std::uint64_t during_window = allocation_count() - before;
+  const window_work window = since(start, work_of(system));
 
   // ~400 users * 24 requests each flow through the window; the registry
   // keeps counting.
@@ -125,6 +147,10 @@ TEST(HotPathAllocation, SteadyStateRequestPathAllocatesNothing) {
   EXPECT_EQ(during_window, 0u)
       << "steady-state request path performed " << during_window
       << " heap allocations";
+  // 9,393 wakes ran in the window; 2,289 of them were replays that no
+  // engine event carried (24,032 events if every wake were one).
+  EXPECT_EQ(window.wakes, 9'393u);
+  EXPECT_EQ(window.events, 21'743u);
   EXPECT_GT(system.metrics().background_submitted, 0u);
 
   system.finish();
@@ -197,6 +223,7 @@ TEST(HotPathAllocation, FaultSteadyStateRequestPathAllocatesNothing) {
   system.advance_to(util::minutes(21.0));
 
   const obs::registry& r = system.observability();
+  const window_work start = work_of(system);
   const std::uint64_t before = allocation_count();
   system.advance_to(kUntaggedStrike - 1.0);
   const std::uint64_t killed_before =
@@ -206,11 +233,17 @@ TEST(HotPathAllocation, FaultSteadyStateRequestPathAllocatesNothing) {
       r.get(obs::counter::fault_inflight_killed) - killed_before;
   system.advance_to(util::minutes(29.0));
   const std::uint64_t during_window = allocation_count() - before;
+  const window_work window = since(start, work_of(system));
 
   EXPECT_GT(delivered(system), 10'000u);
   EXPECT_EQ(during_window, 0u)
       << "fault-steady-state request path performed " << during_window
       << " heap allocations";
+  // 2,184 wakes ran in the window, 360 of them replays (the strike on
+  // group 2 replays its instance's due wakes before the kill): 27,142
+  // events if every wake were one.
+  EXPECT_EQ(window.wakes, 2'184u);
+  EXPECT_EQ(window.events, 26'782u);
   // All four strikes fired; the machinery they exercise actually ran.
   EXPECT_GE(r.get(obs::counter::fault_preemptions), 4u);
   EXPECT_GT(untagged_killed, 0u);

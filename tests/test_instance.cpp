@@ -277,7 +277,7 @@ TEST(Instance, CreditsRecoverWhenIdle) {
   opts.initial_credits_core_ms = 10.0;
   instance server{sim, 1, type, util::rng{1}, opts};
   server.submit(42.0);
-  sim.run();
+  sim.run_until(1'000.0);  // untagged: the read below replays the work
   const double after_work = server.credit_balance();
   server.submit(0.0);  // forces an advance() much later
   sim.run_until(10'000.0);

@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <functional>
 #include <limits>
@@ -28,9 +29,12 @@
 #include <vector>
 
 #include "callback_sink.h"
+#include "core/system.h"
 #include "obs/registry.h"
 #include "sim/simulation.h"
+#include "tasks/task.h"
 #include "util/rng.h"
+#include "workload/generator.h"
 
 namespace mca::cloud {
 namespace {
@@ -467,6 +471,311 @@ TEST(PsDifferential, CallbackResubmissionChainsAgree) {
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_NEAR(vt_times[i], legacy_times[i], 1e-6);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Deferred-wake replay: an instance whose active jobs are all untagged
+// keeps its completion wake out of the engine and replays it when read.
+// The reference runs the same submissions with every job tagged, which
+// keeps every wake an engine event, so the library gives its own eager
+// schedule; every read and every PS count must come out identical.
+// ---------------------------------------------------------------------------
+
+/// The PS counts a read records.
+constexpr std::array<obs::counter, 5> kReplayCounters = {
+    obs::counter::ps_completions, obs::counter::ps_completion_events,
+    obs::counter::ps_spurious_wakes, obs::counter::ps_vclock_resets,
+    obs::counter::ps_drops};
+using replay_counts = std::array<std::uint64_t, kReplayCounters.size()>;
+
+replay_counts counts_of(const obs::registry& r) {
+  replay_counts out{};
+  for (std::size_t i = 0; i < kReplayCounters.size(); ++i) {
+    out[i] = r.get(kReplayCounters[i]);
+  }
+  return out;
+}
+
+struct replay_job {
+  util::time_ms at = 0.0;
+  double work = 0.0;
+  bool tagged = false;
+};
+
+enum class read_kind { active_jobs, idle, preempt };
+
+/// A read of the instance.  `lead` < 0: scheduled before the run starts,
+/// so it sorts before every wake armed later at an equal time.  `lead` >=
+/// 0: scheduled by a helper event at `at - lead` that reads the instance
+/// first, so a wake armed before the helper sorts before it.
+struct replay_read {
+  util::time_ms at = 0.0;
+  read_kind kind = read_kind::active_jobs;
+  double lead = -1.0;
+  bool tie = false;  ///< `at` is a completion time of the reference run
+};
+
+struct read_record {
+  util::time_ms at = 0.0;
+  std::uint64_t value = 0;
+  replay_counts counts{};
+};
+
+struct replay_result {
+  std::vector<read_record> reads;     ///< in the order they ran
+  std::vector<double> completion_at;  ///< per job: heard completion, or -1
+  std::vector<double> completions;    ///< every heard completion time
+  replay_counts final_counts{};
+  std::size_t engine_events = 0;
+  std::size_t wake_first_ties = 0;    ///< tie reads that found the wake run
+  std::size_t reader_first_ties = 0;
+};
+
+/// Hears tag i as job i.
+class job_sink final : public completion_sink {
+ public:
+  job_sink(const sim::simulation& sim, replay_result& out)
+      : sim_{sim}, out_{out} {}
+  void on_completion(std::uint32_t tag, std::uint32_t, util::time_ms,
+                     bool ok) override {
+    if (!ok) return;
+    out_.completion_at[tag] = sim_.now();
+    out_.completions.push_back(sim_.now());
+  }
+
+ private:
+  const sim::simulation& sim_;
+  replay_result& out_;
+};
+
+replay_result run_replay(const instance_type& type, instance::options opts,
+                         const std::vector<replay_job>& jobs,
+                         const std::vector<replay_read>& reads,
+                         std::vector<util::time_ms> deadlines,
+                         bool all_tagged, std::uint64_t seed) {
+  sim::simulation sim;
+  instance server{sim, 1, type, util::rng{seed}, opts};
+  obs::registry counts;
+  server.set_observability(&counts);
+  replay_result r;
+  r.completion_at.assign(jobs.size(), -1.0);
+  job_sink sink{sim, r};
+  server.set_completion_sink(&sink);
+
+  const auto record = [&](std::uint64_t value) {
+    r.reads.push_back({sim.now(), value, counts_of(counts)});
+  };
+  const auto read = [&](const replay_read& op) {
+    if (op.tie) {
+      const bool fired = std::count(r.completions.begin(),
+                                    r.completions.end(), sim.now()) > 0;
+      ++(fired ? r.wake_first_ties : r.reader_first_ties);
+    }
+    switch (op.kind) {
+      case read_kind::active_jobs: record(server.active_jobs()); break;
+      case read_kind::idle: record(server.idle() ? 1 : 0); break;
+      case read_kind::preempt: record(server.preempt()); break;
+    }
+  };
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    sim.schedule_at(jobs[i].at, [&, i] {
+      const bool tagged = all_tagged || jobs[i].tagged;
+      server.submit(jobs[i].work,
+                    tagged ? static_cast<std::uint32_t>(i)
+                           : instance::kUntagged);
+    });
+  }
+  for (const replay_read& op : reads) {
+    if (op.lead < 0.0) {
+      sim.schedule_at(op.at, [&read, &op] { read(op); });
+      continue;
+    }
+    sim.schedule_at(op.at - op.lead, [&] {
+      record(server.active_jobs());
+      sim.schedule_at(op.at, [&read, &op] { read(op); });
+    });
+  }
+  // Reads outside any event, each right after run_until reaches it.
+  std::sort(deadlines.begin(), deadlines.end());
+  for (const util::time_ms deadline : deadlines) {
+    sim.run_until(deadline);
+    record(server.active_jobs());
+  }
+  sim.run();
+  sim.run_until(sim.now() + util::hours(1.0));
+  server.settle();
+  r.final_counts = counts_of(counts);
+  r.engine_events = sim.executed_events();
+  return r;
+}
+
+/// Tie reads of the reference run, by which side of the tie ran first,
+/// and the engine events a mix with tagged work saved.
+struct replay_stats {
+  std::size_t wake_first = 0;
+  std::size_t reader_first = 0;
+  std::size_t mixed_events_saved = 0;
+};
+
+/// One random trace: mixed against all-tagged, then against the legacy
+/// sweep.
+replay_stats check_replay(std::uint64_t seed) {
+  util::rng gen{seed * 7919 + 5};
+
+  auto type = base_type();
+  type.vcpus = (seed % 3 == 0) ? 1.0 : 4.0;
+  type.jitter_sigma = (seed % 2 == 0) ? 0.3 : 0.0;
+  type.steal_max = (seed % 4 == 1) ? 0.4 : 0.0;
+  if (seed % 5 == 2) type.memory_gb = 0.4;  // small admission cap -> drops
+  instance::options opts;
+  if (seed % 3 == 1) {
+    opts.enable_cpu_credits = true;
+    opts.initial_credits_core_ms = gen.uniform(20.0, 200.0);
+    type.baseline_fraction = 0.2;
+  }
+  // Background only, sparse tagged work, or a busy mix.
+  const double tagged_share = (seed % 4 == 0) ? 0.0 : (seed % 4 == 1) ? 0.1
+                                                                      : 0.35;
+
+  std::vector<replay_job> jobs;
+  double at = 0.0;
+  const int n = 40 + static_cast<int>(gen.uniform_int(0, 40));
+  for (int i = 0; i < n; ++i) {
+    if (i > 0 && gen.uniform() < 0.3) {
+      at = jobs.back().at;  // a burst on one timestamp
+    } else {
+      at += gen.uniform(0.0, 30.0);
+    }
+    double work = gen.uniform(0.5, 50.0);
+    if (gen.uniform() < 0.1) work = gen.uniform(0.0, 1e-3);
+    const bool tagged = gen.uniform() < tagged_share;
+    jobs.push_back({at, work, tagged});
+  }
+  const util::time_ms horizon = at + 100.0;
+
+  std::vector<replay_read> reads;
+  for (int i = 0; i < 24; ++i) {
+    const util::time_ms when = gen.uniform(0.0, horizon);
+    const read_kind kind =
+        gen.uniform() < 0.5 ? read_kind::active_jobs : read_kind::idle;
+    reads.push_back({when, kind, -1.0, false});
+  }
+  std::vector<util::time_ms> deadlines;
+  for (int i = 0; i < 4; ++i) deadlines.push_back(gen.uniform(0.0, horizon));
+
+  // First pass: the reference's completion times are the wake times the
+  // tie reads and tie deadlines land on.
+  const replay_result probe =
+      run_replay(type, opts, jobs, reads, deadlines, true, seed);
+  std::vector<double> wakes = probe.completions;
+  wakes.erase(std::unique(wakes.begin(), wakes.end()), wakes.end());
+  EXPECT_GT(wakes.size(), 4u);
+  util::time_ms preempt_at = -1.0;
+  if (seed % 2 == 1) {
+    // A spot kill late in the trace; on every other such seed, exactly on
+    // a wake, before it.
+    preempt_at = (seed % 4 == 3) ? wakes[wakes.size() * 3 / 4]
+                                 : gen.uniform(0.7, 1.0) * at;
+  }
+  for (std::size_t i = 0; i < wakes.size(); i += 1 + wakes.size() / 16) {
+    if (preempt_at >= 0.0 && wakes[i] >= preempt_at) break;
+    const read_kind kind = (i / 2) % 2 == 0 ? read_kind::active_jobs
+                                            : read_kind::idle;
+    const double lead = (i % 2 == 0) ? -1.0 : (i % 3 == 0 ? 2.0 : 1e-3);
+    reads.push_back({wakes[i], kind, lead, true});
+    if (i % 5 == 0) deadlines.push_back(wakes[i]);
+  }
+  if (preempt_at >= 0.0) {
+    reads.push_back({preempt_at, read_kind::preempt, -1.0, false});
+  }
+
+  const replay_result mixed =
+      run_replay(type, opts, jobs, reads, deadlines, false, seed);
+  const replay_result eager =
+      run_replay(type, opts, jobs, reads, deadlines, true, seed);
+
+  // Every read, in order, saw the same job count and the same PS counts.
+  EXPECT_EQ(mixed.reads.size(), eager.reads.size());
+  for (std::size_t i = 0;
+       i < std::min(mixed.reads.size(), eager.reads.size()); ++i) {
+    EXPECT_EQ(mixed.reads[i].at, eager.reads[i].at) << "read " << i;
+    EXPECT_EQ(mixed.reads[i].value, eager.reads[i].value) << "read " << i;
+    EXPECT_EQ(mixed.reads[i].counts, eager.reads[i].counts) << "read " << i;
+  }
+  EXPECT_EQ(mixed.final_counts, eager.final_counts);
+  // Tagged jobs complete at the same instant, bit for bit.
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    if (!jobs[i].tagged) continue;
+    EXPECT_EQ(mixed.completion_at[i], eager.completion_at[i]) << "job " << i;
+  }
+  // A deferred wake costs the engine nothing; a busy mix may never leave
+  // its instance without tagged work.
+  EXPECT_LE(mixed.engine_events, eager.engine_events);
+  if (tagged_share == 0.0) {
+    EXPECT_EQ(eager.engine_events - mixed.engine_events,
+              eager.final_counts[1]);
+  }
+
+  // Tagged service times still match the legacy sweep (which knows no
+  // preemption: compare the jobs that finished before the kill).
+  std::vector<trace_op> ops;
+  for (const replay_job& j : jobs) ops.push_back({j.at, j.work});
+  const trace_result legacy = run_legacy(type, opts, ops, -1.0, seed);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    if (!jobs[i].tagged || mixed.completion_at[i] < 0.0) continue;
+    EXPECT_NEAR(mixed.completion_at[i], legacy.completion_at[i], 5e-4)
+        << "job " << i;
+  }
+
+  return {eager.wake_first_ties, eager.reader_first_ties,
+          tagged_share > 0.0 ? eager.engine_events - mixed.engine_events
+                             : 0};
+}
+
+TEST(PsReplay, DeferredWakesReplayTheEagerSchedule) {
+  replay_stats total;
+  for (std::uint64_t seed = 0; seed < 32; ++seed) {
+    SCOPED_TRACE(seed);
+    const replay_stats s = check_replay(seed);
+    total.wake_first += s.wake_first;
+    total.reader_first += s.reader_first;
+    total.mixed_events_saved += s.mixed_events_saved;
+  }
+  // Reads landed on wake times on both sides of the FIFO tie, and the
+  // mixes went background-only (deferred, then promoted) along the way.
+  EXPECT_GT(total.wake_first, 20u);
+  EXPECT_GT(total.reader_first, 20u);
+  EXPECT_GT(total.mixed_events_saved, 100u);
+}
+
+TEST(PsReplay, AdvanceToReturnsWithTheBackEndSettled) {
+  // offloading_system::advance_to(t) hands back a system whose registry
+  // already counts every wake due by t: settling again changes nothing,
+  // at a deadline between events and at one on a burst.
+  tasks::task_pool pool;
+  core::system_config config;
+  config.groups = {{1, "t2.large", 2, 200.0}};
+  config.user_count = 50;
+  config.tasks = workload::static_source(pool.static_minimax_request());
+  config.gaps = [](util::rng&) { return util::seconds(40.0); };
+  config.slot_length = util::minutes(10.0);
+  config.background_requests_per_burst = 50;
+  config.record_request_series = false;
+  config.seed = 17;
+  core::offloading_system system{std::move(config), pool};
+  system.begin(util::hours(1.0));
+  const obs::registry& r = system.observability();
+  for (const util::time_ms t :
+       {util::minutes(3.0) + 123.4567, util::minutes(7.0), util::minutes(10.0),
+        util::minutes(12.0) + 1'000.001}) {
+    system.advance_to(t);
+    const replay_counts advanced = counts_of(r);
+    system.backend().settle();
+    EXPECT_EQ(counts_of(r), advanced) << "t = " << t;
+  }
+  // The bursts' wakes were replayed, not run by the engine.
+  EXPECT_LT(system.simulation().executed_events(),
+            r.get(obs::counter::ps_completion_events));
 }
 
 }  // namespace

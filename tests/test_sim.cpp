@@ -134,6 +134,37 @@ TEST(Simulation, EventsCanScheduleMoreEvents) {
 
 // ---- arrival lane ---------------------------------------------------------
 
+TEST(Simulation, ReservedSequenceKeepsItsFifoPlace) {
+  // An event scheduled under a sequence reserved before another event was
+  // scheduled runs first at an equal time, as if scheduled at the
+  // reservation.
+  simulation sim;
+  std::vector<int> order;
+  const std::uint64_t reserved = sim.reserve_sequence();
+  sim.schedule_at(10.0, [&] { order.push_back(2); });
+  sim.schedule_reserved(10.0, reserved, [&] { order.push_back(1); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_THROW(sim.schedule_reserved(20.0, reserved + 5, [] {}),
+               std::invalid_argument);
+  EXPECT_THROW(sim.schedule_reserved(20.0, 0, [] {}), std::invalid_argument);
+}
+
+TEST(Simulation, RunningSequenceNamesTheRunningEvent) {
+  // Inside a handler the running event's sequence orders it against a
+  // reserved one; between steps it reads above every sequence.
+  simulation sim;
+  EXPECT_EQ(sim.running_sequence(), simulation::kOutsideEvents);
+  const std::uint64_t before = sim.reserve_sequence();
+  std::uint64_t seen = 0;
+  sim.schedule_at(5.0, [&] { seen = sim.running_sequence(); });
+  const std::uint64_t after = sim.reserve_sequence();
+  sim.run();
+  EXPECT_GT(seen, before);
+  EXPECT_LT(seen, after);
+  EXPECT_EQ(sim.running_sequence(), simulation::kOutsideEvents);
+}
+
 TEST(ArrivalLane, TiesWithEventsFireInSchedulingOrder) {
   // Arrival first, then an event at the same timestamp ...
   simulation sim;
