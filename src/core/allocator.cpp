@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -86,76 +88,230 @@ double group_capacity(const allocation_request& request,
   return capacity;
 }
 
-/// The ILP model of one request: columns per candidate, per group a
-/// workload row (plus a cardinality cut where it binds), the account-cap
-/// row last.
-///
-/// The cardinality cut — sum of the row's instance counts >= ceil((demand
-/// + margin) / K_max) — is implied by the workload row plus integrality,
-/// so it never changes the optimum; what it changes is the LP bound.  A
-/// group whose demand sits far below one instance's capacity (the margin
-/// instance of an idle group, say) otherwise contributes demand/K of its
-/// cost to the relaxation but a whole instance to any integer solution,
-/// and branch & bound flounders in that gap for thousands of nodes (the
-/// "groups off the capacity quantum" blowup): the cut closes it at the
-/// root.
-ilp::problem build_model(const allocation_request& request,
-                         const column_layout& layout) {
-  ilp::problem model;
-  for (const auto& col : layout.columns) {
-    const auto& cand = request.candidates_per_group[col.group][col.candidate];
-    model.add_integer_variable(
-        cand.cost_per_hour, 0.0,
-        static_cast<double>(request.max_total_instances),
-        cand.type_name + "@g" + std::to_string(col.group));
+/// One undominated candidate of a group, as the exact search sees it.
+struct tier {
+  std::size_t column = 0;
+  double capacity = 0.0;
+  double cost = 0.0;
+};
+
+/// Group `g`'s candidates with the dominated ones dropped, largest
+/// capacity first.  Candidate d dominates c when K_d >= K_c and c_d <= c_c
+/// and d is larger, cheaper or listed first: swapping a c for a d never
+/// costs more, needs no extra instance and ranks no lower under the tie
+/// rule, so no plan the allocator returns uses c.  What survives has
+/// distinct capacities and strictly falling costs.
+std::vector<tier> undominated_tiers(const allocation_request& request,
+                                    const column_layout& layout, group_id g) {
+  std::vector<tier> tiers;
+  const std::vector<std::size_t>& columns = layout.by_group[g];
+  for (std::size_t a = 0; a < columns.size(); ++a) {
+    const allocation_candidate& c = candidate_of(request, layout, columns[a]);
+    bool dominated = false;
+    for (std::size_t b = 0; b < columns.size() && !dominated; ++b) {
+      const allocation_candidate& d =
+          candidate_of(request, layout, columns[b]);
+      dominated = b != a &&
+                  d.capacity_per_instance >= c.capacity_per_instance &&
+                  d.cost_per_hour <= c.cost_per_hour &&
+                  (d.capacity_per_instance > c.capacity_per_instance ||
+                   d.cost_per_hour < c.cost_per_hour || b < a);
+    }
+    if (!dominated) {
+      tiers.push_back(
+          {columns[a], c.capacity_per_instance, c.cost_per_hour});
+    }
+  }
+  std::sort(tiers.begin(), tiers.end(), [](const tier& x, const tier& y) {
+    return x.capacity > y.capacity;
+  });
+  return tiers;
+}
+
+/// Smallest count of `capacity` that covers `remaining`.
+std::size_t covering_count(double remaining, double capacity) {
+  if (remaining <= 0.0) return 0;
+  auto n = static_cast<std::size_t>(std::ceil(remaining / capacity));
+  while (static_cast<double>(n) * capacity < remaining) ++n;
+  return n;
+}
+
+/// One group's cover: instance counts per tier, in tier order.
+struct group_cover {
+  double cost = std::numeric_limits<double>::infinity();
+  std::size_t instances = 0;
+  std::vector<std::size_t> counts;
+};
+
+/// Depth-first search over one group's covers of `demand` that hold no
+/// spare instance (every tier buys at most enough to cover the rest
+/// alone, the last tier exactly that): no plan the tie rule picks holds a
+/// spare, since dropping it costs no more and saves an instance.  Tiers
+/// go in order, each tier's count from high to low, so covers are met in
+/// descending lexicographic order and the first of equal cost and count
+/// is the one the tie rule keeps.
+class cover_search {
+ public:
+  cover_search(const std::vector<tier>& tiers, double demand)
+      : tiers_{tiers}, demand_{demand}, counts_(tiers.size(), 0),
+        rate_(tiers.size()) {
+    // rate_[i]: the least cost per unit of capacity among tiers i...
+    double rate = std::numeric_limits<double>::infinity();
+    for (std::size_t i = tiers.size(); i-- > 0;) {
+      rate = std::min(rate, tiers[i].cost / tiers[i].capacity);
+      rate_[i] = rate;
+    }
   }
 
-  const std::size_t group_count = request.candidates_per_group.size();
-  for (group_id g = 0; g < group_count; ++g) {
-    std::vector<ilp::linear_term> terms;
-    for (const std::size_t i : layout.by_group[g]) {
-      terms.push_back(
-          {i, candidate_of(request, layout, i).capacity_per_instance});
+  /// The cheapest cover, the fewest instances among equal costs.  A
+  /// branch is cut when its cost so far plus the remaining demand at the
+  /// best cost per capacity left exceeds the best cover found (by more
+  /// than rounding, so an equal-cost cover is never cut).
+  group_cover cheapest() {
+    most_ = 0;
+    visit(0, demand_, 0, 0.0);
+    return best_;
+  }
+
+  /// [k]: the cheapest cover with exactly k instances, for k up to
+  /// `most` (infinite cost where none has k).  No cost cut: every cover
+  /// of at most `most` instances is visited.
+  std::vector<group_cover> cheapest_by_count(std::size_t most) {
+    most_ = most;
+    by_count_.assign(most + 1, group_cover{});
+    visit(0, demand_, 0, 0.0);
+    return std::move(by_count_);
+  }
+
+ private:
+  void record(std::size_t used, double cost) {
+    group_cover& best = most_ == 0 ? best_ : by_count_[used];
+    if (cost < best.cost || (cost == best.cost && used < best.instances)) {
+      best.cost = cost;
+      best.instances = used;
+      best.counts = counts_;
     }
-    if (terms.empty()) continue;
-    std::vector<ilp::linear_term> count_terms;
-    count_terms.reserve(terms.size());
-    double max_capacity = 0.0;
-    double best_value_capacity = 0.0;
-    double best_value = -1.0;
-    for (const auto& term : terms) {
-      max_capacity = std::max(max_capacity, term.coeff);
-      count_terms.push_back({term.var, 1.0});
-      const double value = value_density(candidate_of(request, layout, term.var));
-      if (value > best_value) {
-        best_value = value;
-        best_value_capacity = term.coeff;
+  }
+
+  /// Tiers `i` onwards must cover `remaining`; `used` instances are
+  /// placed so far at `cost`.
+  void visit(std::size_t i, double remaining, std::size_t used, double cost) {
+    if (i == tiers_.size()) {
+      if (remaining <= 0.0) record(used, cost);
+      return;
+    }
+    if (most_ == 0 &&
+        cost + std::max(remaining, 0.0) * rate_[i] >
+            best_.cost * (1.0 + 1e-12)) {
+      return;
+    }
+    const tier& t = tiers_[i];
+    const std::size_t most = covering_count(remaining, t.capacity);
+    // Even the largest tier left would take the count past `most_`.
+    if (most_ != 0 && used + most > most_) return;
+    const std::size_t least = i + 1 == tiers_.size() ? most : 0;
+    for (std::size_t n = most + 1; n-- > least;) {
+      counts_[i] = n;
+      visit(i + 1, remaining - static_cast<double>(n) * t.capacity, used + n,
+            cost + static_cast<double>(n) * t.cost);
+    }
+    counts_[i] = 0;
+  }
+
+  const std::vector<tier>& tiers_;
+  double demand_;
+  std::size_t most_ = 0;  ///< 0: cheapest(); else cheapest_by_count()
+  std::vector<std::size_t> counts_;
+  std::vector<double> rate_;
+  group_cover best_;
+  std::vector<group_cover> by_count_;
+};
+
+/// Joins one cover per group into a plan (column order, like every other
+/// strategy's plan).
+allocation_plan plan_from_covers(const allocation_request& request,
+                                 const column_layout& layout,
+                                 const std::vector<std::vector<tier>>& tiers,
+                                 const std::vector<group_cover>& covers) {
+  std::vector<std::size_t> counts(layout.columns.size(), 0);
+  for (std::size_t g = 0; g < covers.size(); ++g) {
+    for (std::size_t i = 0; i < covers[g].counts.size(); ++i) {
+      counts[tiers[g][i].column] = covers[g].counts[i];
+    }
+  }
+  allocation_plan plan = plan_from_counts(request, layout, counts);
+  plan.feasible = true;
+  return plan;
+}
+
+/// The exact solve, or nullopt when no plan within the cap covers every
+/// group.  Each group's own cheapest cover first; a plan the tie rule
+/// picks never gives a group more instances than that cover holds.  Only
+/// when those counts overrun the cap does each group tabulate its best
+/// cover per count, from the fewest that can cover (k_min) up to its own
+/// cover's, and a DP over the instances spent (groups g.. at exactly s)
+/// pick one count per group, the smallest on equal costs so the tie
+/// rule's count order falls out.
+std::optional<allocation_plan> solve_exact(const allocation_request& request,
+                                           const column_layout& layout) {
+  const std::size_t group_count = request.candidates_per_group.size();
+  std::vector<std::vector<tier>> tiers(group_count);
+  std::vector<double> demand(group_count, 0.0);
+  std::vector<std::size_t> k_min(group_count, 0);
+  std::vector<group_cover> own(group_count, group_cover{0.0, 0, {}});
+  std::size_t floor_total = 0;
+  std::size_t own_total = 0;
+  for (group_id g = 0; g < group_count; ++g) {
+    tiers[g] = undominated_tiers(request, layout, g);
+    if (tiers[g].empty()) continue;
+    demand[g] = request.workload_per_group[g] + kCapacityMargin;
+    k_min[g] = covering_count(demand[g], tiers[g].front().capacity);
+    own[g] = cover_search{tiers[g], demand[g]}.cheapest();
+    floor_total += k_min[g];
+    own_total += own[g].instances;
+  }
+  const std::size_t cap = request.max_total_instances;
+  if (floor_total > cap) return std::nullopt;
+  if (own_total <= cap) return plan_from_covers(request, layout, tiers, own);
+
+  std::vector<std::vector<group_cover>> by_count(group_count);
+  for (group_id g = 0; g < group_count; ++g) {
+    by_count[g] = tiers[g].empty()
+                      ? std::vector<group_cover>{own[g]}
+                      : cover_search{tiers[g], demand[g]}.cheapest_by_count(
+                            own[g].instances);
+  }
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<std::vector<double>> rest(group_count + 1);
+  std::vector<std::vector<std::size_t>> pick(group_count);
+  rest[group_count] = {0.0};
+  for (std::size_t g = group_count; g-- > 0;) {
+    const std::vector<double>& after = rest[g + 1];
+    const std::size_t k_max = own[g].instances;
+    const std::size_t top = std::min(cap, after.size() - 1 + k_max);
+    rest[g].assign(top + 1, kInf);
+    pick[g].assign(top + 1, 0);
+    for (std::size_t s = k_min[g]; s <= top; ++s) {
+      for (std::size_t k = k_min[g]; k <= std::min(s, k_max); ++k) {
+        if (s - k >= after.size()) continue;
+        const double cost = by_count[g][k].cost + after[s - k];
+        if (cost < rest[g][s]) {
+          rest[g][s] = cost;
+          pick[g][s] = k;
+        }
       }
     }
-    const double rhs = request.workload_per_group[g] + kCapacityMargin;
-    model.add_constraint(std::move(terms), ilp::relation::greater_equal, rhs,
-                         "workload_g" + std::to_string(g));
-    // The relaxation buys ~rhs / K* instances of the best capacity-per-
-    // dollar candidate (capacity K*), so the cut binds only when that
-    // falls short of the integer minimum; groups whose demand dwarfs a
-    // single instance would get a dead row that only slows every pivot.
-    const double min_count = std::ceil(rhs / max_capacity - 1e-9);
-    if (rhs / best_value_capacity < min_count - 1e-9) {
-      model.add_constraint(std::move(count_terms),
-                           ilp::relation::greater_equal, min_count,
-                           "min_count_g" + std::to_string(g));
-    }
   }
-
-  std::vector<ilp::linear_term> cap_terms;
-  cap_terms.reserve(layout.columns.size());
-  for (std::size_t i = 0; i < layout.columns.size(); ++i) {
-    cap_terms.push_back({i, 1.0});
+  std::size_t spent = 0;
+  for (std::size_t s = 1; s < rest[0].size(); ++s) {
+    if (rest[0][s] < rest[0][spent]) spent = s;
   }
-  model.add_constraint(std::move(cap_terms), ilp::relation::less_equal,
-                       static_cast<double>(request.max_total_instances),
-                       "account_cap");
-  return model;
+  std::vector<group_cover> chosen(group_count);
+  for (group_id g = 0; g < group_count; ++g) {
+    chosen[g] = std::move(by_count[g][pick[g][spent]]);
+    spent -= pick[g][spent];
+  }
+  return plan_from_covers(request, layout, tiers, chosen);
 }
 
 /// True when some group's demand has no candidates to cover it — the
@@ -168,25 +324,6 @@ bool uncoverable_demand(const allocation_request& request) {
     }
   }
   return false;
-}
-
-/// Rounds solver values into instance counts and assembles the plan.  A
-/// tolerance-level negative relaxation value must clamp at zero: fed
-/// straight through llround into the unsigned count it would wrap to a
-/// huge allocation.
-allocation_plan plan_from_values(const allocation_request& request,
-                                 const column_layout& layout,
-                                 const std::vector<double>& values,
-                                 ilp::solve_status status) {
-  std::vector<std::size_t> counts(layout.columns.size(), 0);
-  for (std::size_t i = 0; i < layout.columns.size(); ++i) {
-    counts[i] =
-        static_cast<std::size_t>(std::llround(std::max(0.0, values[i])));
-  }
-  allocation_plan plan = plan_from_counts(request, layout, counts);
-  plan.feasible = true;
-  plan.status = status;
-  return plan;
 }
 
 }  // namespace
@@ -237,7 +374,6 @@ void validate(const allocation_request& request) {
 }
 
 allocation_plan allocate_ilp(const allocation_request& request,
-                             const ilp::ilp_options& opts,
                              obs::registry* registry) {
   validate(request);
   const column_layout layout = flatten(request);
@@ -245,34 +381,13 @@ allocation_plan allocate_ilp(const allocation_request& request,
     throw std::invalid_argument{"allocate_ilp: no candidates at all"};
   }
   if (registry) registry->add(obs::counter::ilp_solves);
-
-  ilp::solve_status status = ilp::solve_status::infeasible;
   if (!uncoverable_demand(request)) {
-    const ilp::solution solved =
-        ilp::solve_ilp(build_model(request, layout), opts);
-    if (registry) {
-      registry->add(obs::counter::ilp_bb_nodes, solved.iterations);
-      registry->observe(obs::series::ilp_nodes_per_solve,
-                        static_cast<double>(solved.iterations));
-      registry->add(obs::counter::ilp_root_pivots, solved.root_pivots);
+    if (std::optional<allocation_plan> plan = solve_exact(request, layout)) {
+      return std::move(*plan);
     }
-    // An exhausted node budget still returns the best incumbent found — a
-    // feasible integral plan, usually better than the greedy fill.  Only a
-    // truly empty result (infeasible, unbounded, or a budget too small to
-    // find any incumbent) falls back to best effort.
-    if (solved.status == ilp::solve_status::optimal ||
-        (solved.status == ilp::solve_status::iteration_limit &&
-         !solved.values.empty())) {
-      return plan_from_values(request, layout, solved.values, solved.status);
-    }
-    status = solved.status;
   }
-  // Demand with no candidates is structurally infeasible; so is a model
-  // the solver found no integral point for.
   if (registry) registry->add(obs::counter::ilp_best_effort);
-  allocation_plan plan = allocate_best_effort(request);
-  plan.status = status;
-  return plan;
+  return allocate_best_effort(request);
 }
 
 std::vector<double> demand_from_prediction(
@@ -319,8 +434,6 @@ allocation_plan allocate_greedy(const allocation_request& request) {
   allocation_plan plan = plan_from_counts(request, layout, counts);
   plan.feasible = feasible;
   plan.best_effort = !feasible;
-  plan.status =
-      feasible ? ilp::solve_status::optimal : ilp::solve_status::infeasible;
   return plan;
 }
 
@@ -386,8 +499,6 @@ allocation_plan allocate_best_effort(const allocation_request& request) {
     }
   }
   plan.best_effort = true;
-  plan.status = plan.feasible ? ilp::solve_status::optimal
-                              : ilp::solve_status::infeasible;
   return plan;
 }
 

@@ -5,23 +5,28 @@
 //     s.t. Σ_{s ∈ group n} x_s · K_s  >  W_{a_n}      ∀ groups n    (2)
 //          Σ x_s ≤ CC                                               (3)
 //
-// solved exactly with the in-repo branch-and-bound ILP solver, one
-// independent solve per provisioning slot (the paper solves each hour
-// with R's lpSolveAPI).  allocate_ilp is the only solve entry point: the
-// monolith's slot boundary and the fleet coordinator both build a fresh
-// request per slot and call it.  Constraint (2) is strict and per group,
-// as the paper writes it once per group: a group's demand is covered by
-// that group's own instances only.  Besides the ILP, three baselines are
-// provided for the ablation bench: a cost-greedy heuristic, static peak
-// provisioning, and best-effort filling for the infeasible case (workload
-// beyond what CC instances can carry).
+// solved exactly, one independent solve per provisioning slot (the paper
+// solves each hour with R's lpSolveAPI).  allocate_ilp is the only solve
+// entry point: the monolith's slot boundary and the fleet coordinator both
+// build a fresh request per slot and call it.  Constraint (2) is strict and
+// per group, as the paper writes it once per group: a group's demand is
+// covered by that group's own instances only, so the model is separable
+// and only the cap (3) couples the groups.  The solver uses that: per group
+// it drops dominated candidates and searches depth first for the group's
+// own cheapest cover.  When those covers fit under CC they are the plan;
+// only otherwise does each group tabulate its cheapest cover per instance
+// count (from the fewest that can cover up to its own cover's) and a DP
+// over the cap pick one count per group.  The work grows with each
+// group's demand in instance quanta, not with CC.  Besides the exact
+// allocator, three baselines are provided for the ablation bench: a
+// cost-greedy heuristic, static peak provisioning, and best-effort filling
+// for the infeasible case (workload beyond what CC instances can carry).
 #pragma once
 
 #include <span>
 #include <string>
 #include <vector>
 
-#include "ilp/branch_bound.h"
 #include "obs/registry.h"
 #include "util/ids.h"
 
@@ -56,7 +61,6 @@ struct allocation_plan {
   bool feasible = false;
   /// True when the plan is a best-effort fill of an infeasible request.
   bool best_effort = false;
-  ilp::solve_status status = ilp::solve_status::infeasible;
 
   std::size_t total_instances() const noexcept;
   std::size_t count_of(group_id group, const std::string& type_name) const;
@@ -75,15 +79,19 @@ void validate(const allocation_request& request);
 std::vector<double> demand_from_prediction(
     std::span<const std::size_t> predicted_counts, std::size_t group_count);
 
-/// Exact ILP allocation.  When the request is infeasible under CC, falls
-/// back to the best-effort fill (flagged in the plan).  If the solver's
-/// node budget runs out with a feasible incumbent in hand, that incumbent
-/// is used (status `iteration_limit` flags the unproven optimality); the
-/// greedy fallback is reserved for truly empty results.  A non-null
-/// `registry` (not owned) records the solve: ilp_solves, ilp_bb_nodes,
-/// ilp_root_pivots, ilp_best_effort and the ilp_nodes_per_solve series.
+/// Exact allocation: the cheapest plan that satisfies (2) and (3).
+/// Ties are broken by one rule, applied in order: the fewest instances in
+/// total; then the fewest in group 0, then in group 1, and so on; then,
+/// within each group, the most instances of its largest-capacity
+/// candidate, then of the next largest, and so on (between two candidates
+/// of equal capacity and cost, the one listed first).  Costs compare
+/// exactly, as the doubles the solver sums (each group's largest capacity
+/// first), so plans whose costs differ only by rounding do not tie.  When
+/// no plan within CC covers every group (or a group with demand has no
+/// candidates), falls back to the best-effort fill (flagged in the plan).
+/// A non-null `registry` (not owned) counts the call in ilp_solves and a
+/// fallback in ilp_best_effort.
 allocation_plan allocate_ilp(const allocation_request& request,
-                             const ilp::ilp_options& opts = {},
                              obs::registry* registry = nullptr);
 
 /// Greedy baseline: per group, pick the candidate with the best

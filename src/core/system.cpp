@@ -95,7 +95,6 @@ offloading_system::offloading_system(system_config config,
       config_.user_count, rng_.fork());
 
   metrics_.observability.resize_groups(group_count_);
-  metrics_.observability.set_gauge(obs::gauge::groups, group_count_);
   backend_->set_observability(&metrics_.observability);
   sdn_->set_observability(&metrics_.observability, config_.trace_sink,
                           config_.trace_ring, config_.trace_sample_every);
@@ -280,7 +279,7 @@ void offloading_system::on_slot_boundary(std::size_t slot_index) {
         forecast->group_counts());
     if (config_.enable_adaptation) {
       allocation_plan plan = allocate_ilp(
-          make_slot_allocation_request(config_, group_count_, predicted), {},
+          make_slot_allocation_request(config_, group_count_, predicted),
           &metrics_.observability);
       apply_plan(plan);
       report.plan = std::move(plan);

@@ -33,7 +33,6 @@ std::vector<std::optional<core::allocation_plan>> split_fleet_plan(
     quotas[k].emplace();
     quotas[k]->feasible = fleet_plan.feasible;
     quotas[k]->best_effort = fleet_plan.best_effort;
-    quotas[k]->status = fleet_plan.status;
   }
   if (predicting.empty()) return quotas;
 
@@ -117,8 +116,8 @@ std::vector<std::optional<core::allocation_plan>> split_fleet_plan(
   return quotas;
 }
 
-coordinator::coordinator(core::allocation_request shape, ilp::ilp_options opts)
-    : shape_{std::move(shape)}, opts_{opts} {
+coordinator::coordinator(core::allocation_request shape, ilp::ilp_options)
+    : shape_{std::move(shape)} {
   shape_.workload_per_group.assign(shape_.candidates_per_group.size(), 0.0);
   core::validate(shape_);
   obs_.resize_groups(group_count());
@@ -158,7 +157,7 @@ std::vector<std::optional<core::allocation_plan>> coordinator::allocate_slot(
     request.workload_per_group = fleet.demand_per_group;
     request.max_total_instances -= record.reserved_instances;
     const double solve_t0 = tracer_ ? tracer_->now_us() : 0.0;
-    last_plan_ = core::allocate_ilp(request, opts_, obs_ptr_);
+    last_plan_ = core::allocate_ilp(request, obs_ptr_);
     record.fleet_instances = last_plan_.total_instances();
     record.cost_per_hour = last_plan_.total_cost_per_hour;
     if (tracer_) {

@@ -27,6 +27,15 @@
 #include "obs/timeline.h"
 #include "obs/tracer.h"
 
+namespace mca::ilp {
+
+/// An empty tag: the exact allocator takes no settings.  It stays only
+/// because mca_bench/traced.cpp:92 builds the coordinator with
+/// `ilp::ilp_options{}`; it goes when the benchmark stops passing it.
+struct ilp_options {};
+
+}  // namespace mca::ilp
+
 namespace mca::fleet {
 
 /// Per-slot telemetry of the coordinator (examples/fleet_demo prints it).
@@ -47,8 +56,9 @@ class coordinator {
   /// `shape` fixes the fleet deployment: candidates per group and the
   /// account-wide instance cap.  Demands arrive per slot via
   /// allocate_slot.  Throws std::invalid_argument on a malformed shape.
+  /// The unused tag parameter is there for mca_bench/traced.cpp:92 only.
   explicit coordinator(core::allocation_request shape,
-                       ilp::ilp_options opts = {});
+                       ilp::ilp_options = {});
 
   /// One provisioning slot: fold the digests, solve the fleet ILP with
   /// the account cap reduced by the non-predicting shards' instances,
@@ -75,8 +85,8 @@ class coordinator {
   std::size_t ilp_solves() const noexcept;
 
   /// Observability: `counters` toggles the coordinator-owned registry
-  /// (ILP solve internals + slot-round counters; on by default), `tracer`
-  /// adds coordinator_solve / quota_split wall spans into
+  /// (ilp_solves / ilp_best_effort + slot-round counters; on by default),
+  /// `tracer` adds coordinator_solve / quota_split wall spans into
   /// `tracer->ring(ring)` (nullptr: no spans; not owned).
   void set_observability(bool counters, obs::tracer* tracer = nullptr,
                          std::size_t ring = 0) noexcept;
@@ -84,8 +94,8 @@ class coordinator {
   /// fleet_runner turns this on exactly when the scenario's fault program
   /// is active, so a disabled-fault replay splits like the baseline.
   void set_resilient_split(bool on) noexcept { resilient_split_ = on; }
-  /// The coordinator's registry: ilp_* counters from allocate_ilp plus
-  /// fleet_slot_rounds / fleet_quota_splits.
+  /// The coordinator's registry: ilp_solves / ilp_best_effort from
+  /// allocate_ilp plus fleet_slot_rounds / fleet_quota_splits.
   const obs::registry& observability() const noexcept { return obs_; }
 
   /// Preallocates a per-slot timeline over the coordinator's registry
@@ -99,7 +109,6 @@ class coordinator {
 
  private:
   core::allocation_request shape_;
-  ilp::ilp_options opts_;
   /// The plan and digests of the last solved slot — what reallocate()
   /// re-splits between boundaries.
   core::allocation_plan last_plan_;

@@ -184,13 +184,6 @@ fleet_result run_fleet(const exp::scenario_spec& spec,
                            pool_after.executed - pool_before.executed);
   result.observability.add(obs::counter::pool_idle_waits,
                            pool_after.idle_waits - pool_before.idle_waits);
-  result.observability.set_gauge(obs::gauge::pool_workers,
-                                 pool.worker_count());
-  result.observability.set_gauge(obs::gauge::fleet_shards, shards);
-  if (tracer != nullptr) {
-    result.observability.set_gauge(obs::gauge::trace_spans_dropped,
-                                   tracer->total_dropped());
-  }
 
   // Time-resolved merge, same fold order as the registries: shard
   // timelines in shard-index order (aligned on slot), the coordinator's
@@ -200,8 +193,6 @@ fleet_result run_fleet(const exp::scenario_spec& spec,
     result.timeline.merge(member->timeline());
   }
   result.timeline.merge(coord.timeline());
-  result.observability.set_gauge(obs::gauge::timeline_windows,
-                                 result.timeline.size());
   if (options.exemplar_top_k > 0) {
     std::vector<obs::exemplar_record> all;
     for (const auto& member : members) {

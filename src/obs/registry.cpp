@@ -32,9 +32,6 @@ void registry::merge(const registry& other) {
   for (std::size_t i = 0; i < kCounterCount; ++i) {
     counters_[i] += other.counters_[i];
   }
-  for (std::size_t i = 0; i < kGaugeCount; ++i) {
-    if (other.gauges_[i] > gauges_[i]) gauges_[i] = other.gauges_[i];
-  }
   for (std::size_t i = 0; i < kSeriesCount; ++i) {
     series_stats& mine = series_[i];
     const series_stats& theirs = other.series_[i];

@@ -1,5 +1,5 @@
-// Deterministic observability registry: preregistered counters, gauges,
-// value series, and per-group SLO latency histograms.
+// Deterministic observability registry: preregistered counters, value
+// series, and per-group SLO latency histograms.
 //
 // Everything a component can record is enumerated here at compile time and
 // stored in plain arrays sized at setup — recording is an array increment
@@ -44,8 +44,13 @@ enum class counter : std::uint32_t {
   ps_vclock_resets,      ///< virtual-clock resets at idle (busy periods)
   // --- ILP allocation (core::allocate_ilp) ---
   ilp_solves,            ///< allocate_ilp calls (fleet or monolith slot)
-  ilp_bb_nodes,          ///< branch & bound nodes explored
-  ilp_root_pivots,       ///< simplex pivots of the root relaxations
+  /// Nothing writes these two (the exact allocator has no branch & bound
+  /// or simplex); they stay only because mca_bench/main.cpp:319-320
+  /// reports them, and go when the benchmark stops reading them.
+  // mca-lint: allow(obs-dead-counter) mca_bench/main.cpp:319 reads it
+  ilp_bb_nodes,
+  // mca-lint: allow(obs-dead-counter) mca_bench/main.cpp:320 reads it
+  ilp_root_pivots,
   ilp_best_effort,       ///< solves that fell back to the best-effort fill
   // --- fleet coordination ---
   fleet_slot_rounds,    ///< bulk-synchronous slot rounds coordinated
@@ -85,28 +90,12 @@ bool counter_is_scheduling_dependent(counter c) noexcept;
 /// same workload produce bit-identical timelines.
 bool counter_is_trace_dependent(counter c) noexcept;
 
-/// Point-in-time values; merge takes the max (gauges describe the run's
-/// configuration/high-water marks, not flows).  Never fingerprinted —
-/// pool_workers legitimately differs across --jobs legs.
-enum class gauge : std::uint32_t {
-  pool_workers,
-  fleet_shards,
-  groups,
-  trace_spans_dropped,  ///< ring-buffer overwrites during tracing
-  timeline_windows,     ///< retained per-slot windows after the merge
-  count
-};
-
-inline constexpr std::size_t kGaugeCount =
-    static_cast<std::size_t>(gauge::count);
-
 /// Distribution-valued observations (queue depths, batch sizes): each
 /// series keeps count/sum/max plus a util::histogram (each integer from 1
 /// to 63 gets a bin of its own), all preallocated.
 enum class series : std::uint32_t {
   ps_queue_depth,      ///< instance queue depth at submit
   ps_event_batch,      ///< completions drained per event
-  ilp_nodes_per_solve, ///< branch & bound nodes per ILP solve
   count
 };
 
@@ -142,13 +131,6 @@ class registry {
     return counters_[static_cast<std::size_t>(c)];
   }
 
-  void set_gauge(gauge g, std::uint64_t v) noexcept {
-    gauges_[static_cast<std::size_t>(g)] = v;
-  }
-  std::uint64_t get_gauge(gauge g) const noexcept {
-    return gauges_[static_cast<std::size_t>(g)];
-  }
-
   void observe(series s, double v) noexcept {
     series_stats& st = series_[static_cast<std::size_t>(s)];
     ++st.samples;
@@ -173,20 +155,19 @@ class registry {
   /// All groups' SLO samples merged (the fleet-wide row).
   util::histogram fleet_slo() const;
 
-  /// Folds `other` in: counters and series add, gauges take the max,
-  /// SLO histograms merge bin-wise (growing the group dimension when
+  /// Folds `other` in: counters and series add, SLO histograms merge
+  /// bin-wise (growing the group dimension when
   /// `other` has more groups).  Deterministic given a deterministic fold
   /// order — callers merge in shard-index order.
   void merge(const registry& other);
 
   /// FNV-1a over every deterministic value (counters minus the
   /// scheduling-dependent ones, series, SLO bins).  Bit-identical across
-  /// thread counts for deterministic workloads; gauges are excluded.
+  /// thread counts for deterministic workloads.
   std::uint64_t fingerprint() const noexcept;
 
  private:
   std::array<std::uint64_t, kCounterCount> counters_{};
-  std::array<std::uint64_t, kGaugeCount> gauges_{};
   std::array<series_stats, kSeriesCount> series_{};
   std::vector<util::histogram> slo_;  ///< per group
 };

@@ -60,9 +60,6 @@ void timeline::snapshot(const registry& reg, std::uint64_t slot,
     w.counters[i] = cur - prev_counters_[i];
     prev_counters_[i] = cur;
   }
-  for (std::size_t i = 0; i < kGaugeCount; ++i) {
-    w.gauges[i] = reg.get_gauge(static_cast<gauge>(i));
-  }
   const std::size_t groups = std::min(groups_, reg.group_count());
   for (std::size_t g = 0; g < groups; ++g) {
     // delta = cumulative - baseline, then baseline += delta == cumulative:
@@ -119,9 +116,6 @@ void timeline::merge(const timeline& other) {
     if (theirs.sim_end_ms > mine.sim_end_ms) mine.sim_end_ms = theirs.sim_end_ms;
     for (std::size_t c = 0; c < kCounterCount; ++c) {
       mine.counters[c] += theirs.counters[c];
-    }
-    for (std::size_t g = 0; g < kGaugeCount; ++g) {
-      if (theirs.gauges[g] > mine.gauges[g]) mine.gauges[g] = theirs.gauges[g];
     }
     if (mine.slo_bins.size() < theirs.slo_bins.size()) {
       mine.slo_bins.resize(theirs.slo_bins.size(), 0);

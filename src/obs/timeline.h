@@ -3,19 +3,18 @@
 //
 // The registry reports end-of-run totals; the timeline adds the time
 // dimension by snapshotting the registry at every slot boundary and
-// storing the *delta* since the previous snapshot — counter increments,
-// gauge point samples, and per-group SLO latency histogram bins that
-// landed inside the window.  A window keeps its SLO bins in 32 bits, half
-// a util::histogram's bytes; a window bin that would reach 2^32 samples
-// throws std::overflow_error instead of wrapping.  Recording follows the
-// registry's discipline: every buffer is sized once at setup (reset()),
-// snapshot() is allocation-free and runs at slot rate, each
-// single-threaded simulation owns its own timeline, and owners fold them
-// with merge() in shard-index order — so the merged timeline, and the
-// fingerprint over it, is bit-identical whatever the pool size.
+// storing the *delta* since the previous snapshot — counter increments and
+// per-group SLO latency histogram bins that landed inside the window.  A
+// window keeps its SLO bins in 32 bits, half a util::histogram's bytes; a
+// window bin that would reach 2^32 samples throws std::overflow_error
+// instead of wrapping.  Recording follows the registry's discipline: every
+// buffer is sized once at setup (reset()), snapshot() is allocation-free
+// and runs at slot rate, each single-threaded simulation owns its own
+// timeline, and owners fold them with merge() in shard-index order — so
+// the merged timeline, and the fingerprint over it, is bit-identical
+// whatever the pool size.
 //
-// The fingerprint excludes gauges (pool_workers legitimately differs
-// across --jobs legs), scheduling-dependent counters (pool telemetry),
+// The fingerprint excludes scheduling-dependent counters (pool telemetry)
 // and trace-dependent counters (sdn_sampled_spans only counts while a
 // tracer is attached) — so it is also bit-identical between traced and
 // untraced legs of the same workload.
@@ -39,7 +38,6 @@ struct timeline_window {
   std::uint64_t slot = 0;
   double sim_end_ms = 0.0;
   std::array<std::uint64_t, kCounterCount> counters{};  ///< in-window deltas
-  std::array<std::uint64_t, kGaugeCount> gauges{};      ///< samples at close
   /// Per-group in-window SLO latency counts in util::histogram's bin
   /// layout, group-major: group g's bin b is slo_bins[g * kBins + b].
   std::vector<std::uint32_t> slo_bins;
@@ -69,9 +67,9 @@ class timeline {
   std::size_t group_count() const noexcept { return groups_; }
 
   /// Closes the window that ends at `sim_end_ms`: stores the counter and
-  /// SLO deltas since the previous snapshot plus point-in-time gauge
-  /// samples.  Oldest windows are overwritten once the ring wraps.
-  /// Allocation-free after reset(); called at slot boundaries only.
+  /// SLO deltas since the previous snapshot.  Oldest windows are
+  /// overwritten once the ring wraps.  Allocation-free after reset();
+  /// called at slot boundaries only.
   void snapshot(const registry& reg, std::uint64_t slot, double sim_end_ms);
 
   std::size_t size() const noexcept;
@@ -80,18 +78,18 @@ class timeline {
 
   /// Folds `other` in, aligning windows on their slot index: counters
   /// and SLO bins add (a bin sum of 2^32 or more throws
-  /// std::overflow_error), gauges take the max, `sim_end_ms` takes the max
-  /// (shards close slot k at the same boundary; the drain window closes
-  /// at the last shard event).  Windows `other` has and this timeline
-  /// lacks are inserted in slot order.  Post-run only — a merged
-  /// timeline holds exactly its windows and must not snapshot() again.
-  /// Deterministic given a deterministic fold order: callers merge in
-  /// shard-index order, coordinator last.
+  /// std::overflow_error), `sim_end_ms` takes the max (shards close slot
+  /// k at the same boundary; the drain window closes at the last shard
+  /// event).  Windows `other` has and this timeline lacks are inserted in
+  /// slot order.  Post-run only — a merged timeline holds exactly its
+  /// windows and must not snapshot() again.  Deterministic given a
+  /// deterministic fold order: callers merge in shard-index order,
+  /// coordinator last.
   void merge(const timeline& other);
 
   /// FNV-1a over every deterministic per-window value: slot ids, close
   /// times, counter deltas minus the scheduling- and trace-dependent
-  /// ones, and SLO bins.  Gauges are excluded.
+  /// ones, and SLO bins.
   std::uint64_t fingerprint() const noexcept;
 
  private:

@@ -82,12 +82,6 @@ tracer::tracer(options opts) : epoch_{std::chrono::steady_clock::now()} {
   }
 }
 
-std::uint64_t tracer::total_dropped() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& ring : rings_) total += ring.dropped();
-  return total;
-}
-
 namespace {
 
 void write_span(std::FILE* out, const span_record& s, std::size_t tid,

@@ -129,8 +129,6 @@ class tracer {
     return std::chrono::duration<double, std::micro>(now - epoch_).count();
   }
 
-  std::uint64_t total_dropped() const noexcept;
-
   /// Writes the trace as Chrome trace-event JSON: ring spans plus extra
   /// lanes (exemplars, alerts), with an optional slot-window filter
   /// (nullptr exports everything).  `ring_names` labels the trace threads

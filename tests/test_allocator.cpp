@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "exp/scenario.h"
+#include "fleet/fleet_runner.h"
 #include "util/rng.h"
 
 namespace mca::core {
@@ -98,50 +101,6 @@ TEST(AllocatorIlp, CapExactlySufficientStaysExact) {
   EXPECT_EQ(plan.count_of(0, "large"), 3u);
 }
 
-TEST(AllocatorIlp, ExhaustedNodeBudgetUsesIncumbentNotGreedy) {
-  // A node budget of 1 stops branch & bound right after the root: the
-  // solver reports iteration_limit but carries the root rounding incumbent
-  // — a valid integral plan.  The allocator must ship that plan (flagged
-  // as unproven via status) instead of discarding it for the greedy fill.
-  allocation_request request;
-  request.workload_per_group = {35.0, 55.0, 95.0};
-  request.candidates_per_group = {
-      {{"small", 10.0, 1.0}, {"large", 40.0, 3.0}},
-      {{"small", 10.0, 1.0}, {"large", 40.0, 3.0}},
-      {{"small", 10.0, 1.0}, {"large", 40.0, 3.0}},
-  };
-  ilp::ilp_options opts;
-  opts.max_nodes = 1;
-  const auto plan = allocate_ilp(request, opts);
-  EXPECT_EQ(plan.status, ilp::solve_status::iteration_limit);
-  EXPECT_TRUE(plan.feasible);
-  EXPECT_FALSE(plan.best_effort);
-  // The incumbent covers every group's demand (strict margin included).
-  for (group_id g = 0; g < 3; ++g) {
-    double capacity = 0.0;
-    for (const auto& entry : plan.entries) {
-      if (entry.group != g) continue;
-      capacity += (entry.type_name == "small" ? 10.0 : 40.0) *
-                  static_cast<double>(entry.count);
-    }
-    EXPECT_GE(capacity, request.workload_per_group[g] + 1.0) << "group " << g;
-  }
-  // And it is no worse than what the discarded-incumbent bug used to ship.
-  const auto greedy = allocate_best_effort(request);
-  EXPECT_LE(plan.total_cost_per_hour, greedy.total_cost_per_hour + 1e-9);
-}
-
-TEST(AllocatorIlp, ZeroNodeBudgetStillFallsBackToBestEffort) {
-  // With no nodes at all there is no incumbent, so the greedy best-effort
-  // fill remains the answer of last resort.
-  ilp::ilp_options opts;
-  opts.max_nodes = 0;
-  const auto plan = allocate_ilp(single_group_request(35.0), opts);
-  EXPECT_EQ(plan.status, ilp::solve_status::iteration_limit);
-  EXPECT_TRUE(plan.best_effort);
-  EXPECT_GT(plan.total_instances(), 0u);
-}
-
 TEST(AllocatorIlp, StrictModeCannotBorrowAcrossGroups) {
   allocation_request request;
   request.workload_per_group = {30.0, 20.0};
@@ -182,7 +141,6 @@ TEST(AllocatorGreedy, BudgetExhaustedStopsBuyingAndMarksInfeasible) {
   const auto plan = allocate_greedy(request);
   EXPECT_FALSE(plan.feasible);
   EXPECT_TRUE(plan.best_effort);
-  EXPECT_EQ(plan.status, ilp::solve_status::infeasible);
   EXPECT_EQ(plan.total_instances(), 4u);
   // Everything went to the best capacity-per-dollar candidate; nothing was
   // bought after the budget ran out.
@@ -340,12 +298,11 @@ TEST(AllocatorIlp, NoCandidatesForDemandedGroupGoesBestEffort) {
   request.candidates_per_group = {{{"small", 10.0, 1.0}}, {}};
   const allocation_plan plan = allocate_ilp(request);
   EXPECT_TRUE(plan.best_effort);
-  EXPECT_EQ(plan.status, ilp::solve_status::infeasible);
   request.workload_per_group = {5.0, 0.0};
   EXPECT_TRUE(allocate_ilp(request).feasible);
 }
 
-TEST(AllocatorIlp, RecordsSolveInternalsIntoRegistry) {
+TEST(AllocatorIlp, RecordsSolvesIntoRegistry) {
   obs::registry registry;
   allocation_request request;
   request.workload_per_group = {25.0, 40.0, 80.0};
@@ -354,24 +311,45 @@ TEST(AllocatorIlp, RecordsSolveInternalsIntoRegistry) {
       {{"small", 12.0, 1.0}, {"wide", 90.0, 6.5}},
       {{"large", 35.0, 3.0}, {"wide", 100.0, 7.0}},
   };
-  const allocation_plan solved = allocate_ilp(request, {}, &registry);
+  const allocation_plan solved = allocate_ilp(request, &registry);
   ASSERT_TRUE(solved.feasible);
   EXPECT_EQ(registry.get(obs::counter::ilp_solves), 1u);
-  EXPECT_GE(registry.get(obs::counter::ilp_bb_nodes), 1u);
-  EXPECT_GT(registry.get(obs::counter::ilp_root_pivots), 0u);
   EXPECT_EQ(registry.get(obs::counter::ilp_best_effort), 0u);
-  EXPECT_EQ(registry.stats(obs::series::ilp_nodes_per_solve).samples, 1u);
 
   request.max_total_instances = 2;  // three groups cannot fit in two
-  EXPECT_TRUE(allocate_ilp(request, {}, &registry).best_effort);
+  EXPECT_TRUE(allocate_ilp(request, &registry).best_effort);
   EXPECT_EQ(registry.get(obs::counter::ilp_solves), 2u);
   EXPECT_EQ(registry.get(obs::counter::ilp_best_effort), 1u);
 }
 
-/// Minimum cost over every count vector of `request` within its cap whose
-/// capacity strictly exceeds each group's demand (constraint (2) as the
-/// paper writes it), or nullopt when no vector covers every group.
-std::optional<double> enumerated_min_cost(const allocation_request& request) {
+/// What allocate_ilp's tie rule ranks a plan by, in its order: cost, then
+/// total instances, then each group's instance count (fewer first, group
+/// 0 first), then each group's counts read from its largest-capacity
+/// candidate down (more first; equal capacities in listing order).
+struct plan_rank {
+  double cost = 0.0;
+  std::size_t instances = 0;
+  std::vector<std::size_t> per_group;
+  std::vector<std::size_t> by_capacity;
+
+  bool better_than(const plan_rank& other) const {
+    if (cost != other.cost) return cost < other.cost;
+    if (instances != other.instances) return instances < other.instances;
+    if (per_group != other.per_group) return per_group < other.per_group;
+    return by_capacity > other.by_capacity;
+  }
+};
+
+/// The plan the tie rule picks among every count vector of `request`
+/// within its cap whose capacity strictly exceeds each group's demand
+/// (constraint (2) as the paper writes it): one count per candidate, in
+/// listing order, groups in order.  Nullopt when no vector covers every
+/// group.  A candidate is tried only up to the count that covers its
+/// group's demand alone (floor(W / K) + 1): with one more, dropping one
+/// instance still covers, costs no more and uses fewer instances, so the
+/// rule never picks such a vector.
+std::optional<std::vector<std::size_t>> enumerated_best(
+    const allocation_request& request) {
   std::vector<const allocation_candidate*> columns;
   std::vector<std::size_t> group_of;
   for (std::size_t g = 0; g < request.candidates_per_group.size(); ++g) {
@@ -380,39 +358,110 @@ std::optional<double> enumerated_min_cost(const allocation_request& request) {
       group_of.push_back(g);
     }
   }
-  std::optional<double> best;
+  std::vector<std::size_t> by_capacity(columns.size());
+  for (std::size_t i = 0; i < by_capacity.size(); ++i) by_capacity[i] = i;
+  std::stable_sort(by_capacity.begin(), by_capacity.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     if (group_of[a] != group_of[b]) {
+                       return group_of[a] < group_of[b];
+                     }
+                     return columns[a]->capacity_per_instance >
+                            columns[b]->capacity_per_instance;
+                   });
+  // A group without candidates (fleet's local group 0) has no row: it
+  // needs no cover unless it has demand, and then nothing covers it.
+  const std::size_t groups = request.workload_per_group.size();
+  for (std::size_t g = 0; g < groups; ++g) {
+    if (request.candidates_per_group[g].empty() &&
+        request.workload_per_group[g] > 0.0) {
+      return std::nullopt;
+    }
+  }
+  std::optional<plan_rank> best_rank;
+  std::optional<std::vector<std::size_t>> best;
   std::vector<std::size_t> counts(columns.size(), 0);
+  std::vector<double> capacity(groups, 0.0);
+  plan_rank rank;
   const auto visit = [&](const auto& self, std::size_t col,
                          std::size_t budget) -> void {
     if (col == columns.size()) {
-      std::vector<double> capacity(request.workload_per_group.size(), 0.0);
-      double cost = 0.0;
+      rank.cost = 0.0;
+      rank.instances = 0;
+      rank.per_group.assign(groups, 0);
+      rank.by_capacity.clear();
       for (std::size_t i = 0; i < columns.size(); ++i) {
-        const auto n = static_cast<double>(counts[i]);
-        capacity[group_of[i]] += n * columns[i]->capacity_per_instance;
-        cost += n * columns[i]->cost_per_hour;
+        rank.cost += static_cast<double>(counts[i]) * columns[i]->cost_per_hour;
+        rank.instances += counts[i];
+        rank.per_group[group_of[i]] += counts[i];
       }
-      for (std::size_t g = 0; g < capacity.size(); ++g) {
-        if (!(capacity[g] > request.workload_per_group[g])) return;
+      for (const std::size_t i : by_capacity) {
+        rank.by_capacity.push_back(counts[i]);
       }
-      if (!best || cost < *best) best = cost;
+      if (!best_rank || rank.better_than(*best_rank)) {
+        best_rank = rank;
+        best = counts;
+      }
       return;
     }
-    for (std::size_t n = 0; n <= budget; ++n) {
+    // A group's cover is checked once its last candidate has a count.
+    const std::size_t g = group_of[col];
+    const bool closes_group =
+        col + 1 == columns.size() || group_of[col + 1] != g;
+    const double before = capacity[g];
+    const std::size_t covering =
+        static_cast<std::size_t>(
+            std::floor(request.workload_per_group[g] /
+                       columns[col]->capacity_per_instance)) +
+        1;
+    for (std::size_t n = 0; n <= std::min(budget, covering); ++n) {
       counts[col] = n;
+      capacity[g] =
+          before + static_cast<double>(n) * columns[col]->capacity_per_instance;
+      if (closes_group && !(capacity[g] > request.workload_per_group[g])) {
+        continue;
+      }
       self(self, col + 1, budget - n);
     }
     counts[col] = 0;
+    capacity[g] = before;
   };
   visit(visit, 0, request.max_total_instances);
   return best;
 }
 
+/// Checks allocate_ilp against the enumerator on one request; returns
+/// whether the request was feasible.
+bool expect_enumerated_plan(const allocation_request& request, int instance) {
+  const std::optional<std::vector<std::size_t>> expected =
+      enumerated_best(request);
+  const allocation_plan plan = allocate_ilp(request);
+  EXPECT_LE(plan.total_instances(), request.max_total_instances)
+      << "instance " << instance;
+  EXPECT_EQ(plan.best_effort, !expected.has_value())
+      << "instance " << instance;
+  if (!expected) return false;
+  EXPECT_TRUE(plan.feasible) << "instance " << instance;
+  double cost = 0.0;
+  std::size_t col = 0;
+  for (std::size_t g = 0; g < request.candidates_per_group.size(); ++g) {
+    for (const auto& cand : request.candidates_per_group[g]) {
+      const std::size_t want = (*expected)[col++];
+      EXPECT_EQ(plan.count_of(g, cand.type_name), want)
+          << "instance " << instance << ", group " << g << ", "
+          << cand.type_name;
+      cost += cand.cost_per_hour * static_cast<double>(want);
+    }
+  }
+  EXPECT_DOUBLE_EQ(plan.total_cost_per_hour, cost) << "instance " << instance;
+  return true;
+}
+
 TEST(AllocatorIlp, MatchesExhaustiveEnumeration) {
-  // Every small request's ILP cost must equal the enumerated minimum, and
-  // best effort must be flagged exactly when no count vector within the
-  // cap covers every group.  Integer capacities, costs and demands keep
-  // the enumeration exact.
+  // Every small request's plan must be the one the tie rule picks among
+  // all count vectors, count for count, and best effort must be flagged
+  // exactly when no count vector within the cap covers every group.
+  // Integer capacities, costs and demands keep the enumeration exact, and
+  // the small integer ranges make cost ties common.
   util::rng rng{20261017};
   int zero_demand = 0;
   int cap_binding = 0;
@@ -438,22 +487,12 @@ TEST(AllocatorIlp, MatchesExhaustiveEnumeration) {
     request.max_total_instances =
         static_cast<std::size_t>(rng.uniform_int(1, 6));
 
-    const std::optional<double> expected = enumerated_min_cost(request);
-    const allocation_plan plan = allocate_ilp(request);
-    EXPECT_LE(plan.total_instances(), request.max_total_instances)
-        << "instance " << instance;
-    ASSERT_EQ(plan.best_effort, !expected.has_value())
-        << "instance " << instance;
-    if (!expected) {
+    if (!expect_enumerated_plan(request, instance)) {
       ++infeasible;
-      continue;
+    } else if (allocate_ilp(request).total_instances() ==
+               request.max_total_instances) {
+      ++cap_binding;
     }
-    EXPECT_TRUE(plan.feasible) << "instance " << instance;
-    EXPECT_EQ(plan.status, ilp::solve_status::optimal)
-        << "instance " << instance;
-    EXPECT_DOUBLE_EQ(plan.total_cost_per_hour, *expected)
-        << "instance " << instance;
-    if (plan.total_instances() == request.max_total_instances) ++cap_binding;
   }
   // The generator must keep reaching every regime the check is for.
   EXPECT_GE(zero_demand, 200);
@@ -461,14 +500,122 @@ TEST(AllocatorIlp, MatchesExhaustiveEnumeration) {
   EXPECT_GE(infeasible, 200);
 }
 
+TEST(AllocatorIlp, TieRulePicksFewestInstancesThenGroupOrderThenCapacity) {
+  // One group whose candidates all cost 0.2 per unit of capacity: at
+  // demand 39 the cheapest covers cost 8 as A+C, B+B, B+2C and 4C.  The
+  // fewest instances leave A+C and B+B; the larger capacity first picks
+  // A+C.
+  allocation_request one;
+  one.workload_per_group = {39.0};
+  one.candidates_per_group = {{{"B", 20.0, 4.0}, {"A", 30.0, 6.0},
+                               {"C", 10.0, 2.0}}};
+  const allocation_plan single = allocate_ilp(one);
+  ASSERT_TRUE(single.feasible);
+  EXPECT_DOUBLE_EQ(single.total_cost_per_hour, 8.0);
+  EXPECT_EQ(single.count_of(0, "A"), 1u);
+  EXPECT_EQ(single.count_of(0, "B"), 0u);
+  EXPECT_EQ(single.count_of(0, "C"), 1u);
+
+  // Fewest instances outranks the larger capacity: at demand 59, one big
+  // plus ten units and two mids both cost 60.
+  allocation_request spare;
+  spare.workload_per_group = {59.0};
+  spare.candidates_per_group = {{{"big", 50.0, 50.0}, {"mid", 30.0, 30.0},
+                                 {"unit", 1.0, 1.0}}};
+  const allocation_plan fewest = allocate_ilp(spare);
+  ASSERT_TRUE(fewest.feasible);
+  EXPECT_DOUBLE_EQ(fewest.total_cost_per_hour, 60.0);
+  EXPECT_EQ(fewest.count_of(0, "mid"), 2u);
+  EXPECT_EQ(fewest.total_instances(), 2u);
+
+  // Two equal groups, each cheapest as 2 x C (4) and next as 1 x A (6):
+  // under a cap of 3 one group must take A, and (1, 2) and (2, 1)
+  // instances tie at cost 10 and 3 instances; group 0 takes the fewer.
+  allocation_request two;
+  two.workload_per_group = {19.0, 19.0};
+  two.candidates_per_group = {{{"A", 20.0, 6.0}, {"C", 10.0, 2.0}},
+                              {{"A", 20.0, 6.0}, {"C", 10.0, 2.0}}};
+  two.max_total_instances = 3;
+  const allocation_plan coupled = allocate_ilp(two);
+  ASSERT_TRUE(coupled.feasible);
+  EXPECT_DOUBLE_EQ(coupled.total_cost_per_hour, 10.0);
+  EXPECT_EQ(coupled.count_of(0, "A"), 1u);
+  EXPECT_EQ(coupled.count_of(0, "C"), 0u);
+  EXPECT_EQ(coupled.count_of(1, "A"), 0u);
+  EXPECT_EQ(coupled.count_of(1, "C"), 2u);
+}
+
+/// The slot-boundary request shape of builtin scenario `name`, with each
+/// price in units of $0.0001 (every EC2 price here has four decimals), so
+/// that sums are exact and equal costs are exact ties.
+allocation_request builtin_shape(const std::string& name) {
+  for (const exp::scenario_spec& spec : exp::builtin_scenarios()) {
+    if (spec.name != name) continue;
+    allocation_request shape = fleet::fleet_allocation_shape(spec);
+    for (auto& group : shape.candidates_per_group) {
+      for (auto& cand : group) {
+        cand.cost_per_hour = std::round(cand.cost_per_hour * 1e4);
+      }
+    }
+    return shape;
+  }
+  ADD_FAILURE() << name << " scenario missing";
+  return {};
+}
+
+TEST(AllocatorIlp, MatchesEnumerationOnProductionShapes) {
+  // 10^4 seeded demand vectors on each of two production shapes: the
+  // builtin fleet scenario's four groups of one or two EC2 tiers (local
+  // group 0 has none), under caps low enough to cut plans below the
+  // groups' own cheapest covers, and fig9's three one-tier groups at its
+  // cap of 20, where a binding cap leaves no feasible plan.
+  struct shape_case {
+    std::string scenario;
+    std::vector<int> max_demand;  ///< per group
+    int min_cap = 0;
+    int max_cap = 0;
+    int min_cap_binding = 0;  ///< feasible requests the cap cut
+    int min_infeasible = 0;
+  };
+  const shape_case cases[] = {
+      {"fleet", {0, 40, 40, 120, 150}, 3, 12, 1'000, 1'000},
+      {"fig9_closed_loop", {0, 60, 200, 500}, 20, 20, 0, 1'000},
+  };
+  util::rng rng{20261020};
+  for (const shape_case& c : cases) {
+    SCOPED_TRACE(c.scenario);
+    allocation_request request = builtin_shape(c.scenario);
+    ASSERT_EQ(request.workload_per_group.size(), c.max_demand.size());
+    int cap_binding = 0;
+    int infeasible = 0;
+    for (int instance = 0; instance < 10'000; ++instance) {
+      for (std::size_t g = 0; g < c.max_demand.size(); ++g) {
+        request.workload_per_group[g] =
+            static_cast<double>(rng.uniform_int(0, c.max_demand[g]));
+      }
+      request.max_total_instances =
+          static_cast<std::size_t>(rng.uniform_int(c.min_cap, c.max_cap));
+      if (!expect_enumerated_plan(request, instance)) {
+        ++infeasible;
+        continue;
+      }
+      allocation_request uncapped = request;
+      uncapped.max_total_instances = 1'000;
+      if (allocate_ilp(uncapped).total_instances() >
+          request.max_total_instances) {
+        ++cap_binding;
+      }
+    }
+    EXPECT_GE(cap_binding, c.min_cap_binding);
+    EXPECT_GE(infeasible, c.min_infeasible);
+  }
+}
+
 /// Fleet-scale allocation: 64 groups x 8 candidate tiers under one
-/// account cap — 512 integer columns against a 65-row tableau (the
-/// explicit-row formulation would need 577 rows).  Capacity tiers are 13
-/// apart with tier 1 the best capacity-per-dollar everywhere; most groups'
-/// demands sit on that tier's quantum (integral LP vertices, the common
-/// case for a provisioned fleet) and every 16th group lands off-quantum,
-/// so the solve still branches through warm-started dual re-optimizations
-/// rather than finishing at the root.
+/// account cap, far past any production request (at most 4 groups x 3
+/// candidates).  Capacity tiers are 13 apart with tier 1 the best
+/// capacity-per-dollar everywhere; most groups' demands sit on that
+/// tier's quantum and every 16th group lands off it.
 allocation_request make_64x8_request() {
   allocation_request request;
   constexpr int kGroups = 64;
@@ -491,13 +638,11 @@ allocation_request make_64x8_request() {
   return request;
 }
 
-TEST(AllocatorIlp, FleetScale64x8SolvesToOptimality) {
-  // Larger than any production request (at most 4 groups x 3
-  // candidates): the default node budget must still reach optimality, and
-  // the plan must cost no more than greedy's.
+TEST(AllocatorIlp, FleetScale64x8CostsNoMoreThanGreedy) {
   const allocation_request request = make_64x8_request();
   const allocation_plan plan = allocate_ilp(request);
-  EXPECT_EQ(plan.status, ilp::solve_status::optimal);
+  EXPECT_FALSE(plan.best_effort);
+  EXPECT_LE(plan.total_instances(), request.max_total_instances);
   EXPECT_LE(plan.total_cost_per_hour,
             allocate_greedy(request).total_cost_per_hour + 1e-6);
 }

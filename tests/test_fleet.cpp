@@ -75,7 +75,6 @@ TEST(DemandDigest, CombineRejectsOverWideDigests) {
 TEST(SplitFleetPlan, ProportionalWithDeterministicRemainders) {
   core::allocation_plan fleet_plan;
   fleet_plan.feasible = true;
-  fleet_plan.status = ilp::solve_status::optimal;
   fleet_plan.entries = {{1, "large", 7}};
   core::allocation_request shape;
   shape.workload_per_group = {0.0, 0.0};
@@ -298,7 +297,6 @@ TEST(ShardExternalMode, BoundaryParksDemandUntilQuotaApplied) {
   // Apply a quota and check the backend reshaped to it.
   core::allocation_plan quota;
   quota.feasible = true;
-  quota.status = ilp::solve_status::optimal;
   quota.entries = {{1, "t2.nano", 3}, {2, "t2.large", 2}};
   member.apply_quota(quota);
   auto& backend = member.system().backend();

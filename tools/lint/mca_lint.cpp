@@ -41,7 +41,7 @@
 //    the rest of the tree: every enum value must be recorded or read
 //    somewhere outside its defining files [obs-dead-counter], and every
 //    use must name a registered value [obs-unknown-counter].  The
-//    counter/gauge/series enums in obs/registry.h, fault_kind in
+//    counter/series enums in obs/registry.h, fault_kind in
 //    fault/fault_program.h and alert_kind in obs/alerts.h share those
 //    rules; alert_kind, which the health report prints by name, also
 //    needs every value in its name table in alerts.cpp
@@ -743,7 +743,6 @@ struct obs_kind_spec {
 constexpr obs_kind_spec kObsKinds[] = {
     {"counter", "src/obs/registry.h", "src/obs/registry.cpp", false,
      "counter"},
-    {"gauge", "src/obs/registry.h", "src/obs/registry.cpp", false, "counter"},
     {"series", "src/obs/registry.h", "src/obs/registry.cpp", false,
      "counter"},
     {"alert_kind", "src/obs/alerts.h", "src/obs/alerts.cpp", true, "counter"},
