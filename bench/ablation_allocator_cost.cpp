@@ -33,19 +33,20 @@ int main() {
   using namespace mca;
   bench::check_list checks;
 
-  // Candidates per group: the Fig. 9a deployment with measured Ks values.
+  // Candidates per group: the Fig. 9a deployment with measured Ks values
+  // (prices in $0.0001 per hour).
   core::allocation_request base;
   base.workload_per_group = {0.0, 0.0, 0.0};
   base.candidates_per_group = {
-      {{"t2.nano", 10.0, 0.0063}, {"t2.small", 10.0, 0.025}},
-      {{"t2.medium", 40.0, 0.05}, {"t2.large", 40.0, 0.101}},
-      {{"m4.4xlarge", 100.0, 0.888}, {"m4.10xlarge", 100.0, 2.22}},
+      {{"t2.nano", 10.0, 63}, {"t2.small", 10.0, 250}},
+      {{"t2.medium", 40.0, 500}, {"t2.large", 40.0, 1'010}},
+      {{"m4.4xlarge", 100.0, 8'880}, {"m4.10xlarge", 100.0, 22'200}},
   };
 
-  double cost_ilp = 0.0;
-  double cost_greedy = 0.0;
-  double cost_static = 0.0;
-  double cost_capped = 0.0;
+  util::money cost_ilp = 0;
+  util::money cost_greedy = 0;
+  util::money cost_static = 0;
+  util::money cost_capped = 0;
   std::size_t capped_uncovered_hours = 0;
   double peak_total = 0.0;
   std::vector<std::vector<double>> hourly(24);
@@ -61,10 +62,10 @@ int main() {
   // Each hour is an independent four-policy solve; fan the day out over
   // the pool and fold the bills back in hour order.
   struct hour_costs {
-    double ilp = 0.0;
-    double greedy = 0.0;
-    double fixed = 0.0;
-    double capped = 0.0;
+    util::money ilp = 0;
+    util::money greedy = 0;
+    util::money fixed = 0;
+    util::money capped = 0;
     bool capped_uncovered = false;
   };
   exp::thread_pool workers;
@@ -99,27 +100,33 @@ int main() {
     if (costs.capped_uncovered) ++capped_uncovered_hours;
 
     csv.row_values(hour, hourly[hour][0], hourly[hour][1], hourly[hour][2],
-                   costs.ilp, costs.greedy, costs.fixed, costs.capped);
+                   util::to_usd(costs.ilp), util::to_usd(costs.greedy),
+                   util::to_usd(costs.fixed), util::to_usd(costs.capped));
   }
 
   bench::section("daily bill");
-  std::printf("ilp          $%7.3f\n", cost_ilp);
-  std::printf("greedy       $%7.3f\n", cost_greedy);
-  std::printf("static-peak  $%7.3f\n", cost_static);
+  std::printf("ilp          $%7.3f\n", util::to_usd(cost_ilp));
+  std::printf("greedy       $%7.3f\n", util::to_usd(cost_greedy));
+  std::printf("static-peak  $%7.3f\n", util::to_usd(cost_static));
   std::printf("capped CC=6  $%7.3f  (%zu/24 hours left demand uncovered)\n",
-              cost_capped, capped_uncovered_hours);
+              util::to_usd(cost_capped), capped_uncovered_hours);
 
-  checks.expect(cost_ilp <= cost_greedy + 1e-9,
+  // `name`'s ratio of `cost` to the ILP's bill.
+  const auto over_ilp = [cost_ilp](const char* name, util::money cost) {
+    return bench::ratio_detail(
+        name, static_cast<double>(cost) / static_cast<double>(cost_ilp));
+  };
+  checks.expect(cost_ilp <= cost_greedy,
                 "ILP never pays more than the greedy heuristic",
-                bench::ratio_detail("greedy/ilp", cost_greedy / cost_ilp));
-  checks.expect(cost_ilp < cost_static * 0.8,
+                over_ilp("greedy/ilp", cost_greedy));
+  checks.expect(cost_ilp * 10 < cost_static * 8,
                 "the adaptive model beats static peak provisioning by >20%",
-                bench::ratio_detail("static/ilp", cost_static / cost_ilp));
+                over_ilp("static/ilp", cost_static));
   checks.expect(capped_uncovered_hours > 0,
                 "a too-tight account cap forces best-effort hours",
                 std::to_string(capped_uncovered_hours) + " hours");
-  checks.expect(cost_capped <= cost_ilp + 1e-9,
+  checks.expect(cost_capped <= cost_ilp,
                 "the capped plan cannot exceed the uncapped optimum's bill",
-                bench::ratio_detail("capped/ilp", cost_capped / cost_ilp));
+                over_ilp("capped/ilp", cost_capped));
   return checks.finish("ablation_allocator_cost");
 }

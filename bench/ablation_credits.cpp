@@ -53,7 +53,7 @@ run_result run(bool enable_credits) {
   cloud::instance::options opts;
   opts.enable_cpu_credits = enable_credits;
   opts.initial_credits_core_ms = 30.0 * 60'000.0;  // 30 credit-minutes
-  cloud::instance server{sim, 1, cloud::type_by_name("t2.small"), rng.fork(),
+  cloud::instance server{sim, cloud::type_by_name("t2.small"), rng.fork(),
                          opts};
 
   constexpr double kWindow = 600'000.0;  // 10 minutes

@@ -66,10 +66,10 @@ int main() {
   bench::section("anomaly summary (users >= 40)");
   std::printf("t2.nano : mean %7.0f ms, SD %7.0f ms, $%.4f/h\n",
               nano_loaded_mean, nano_loaded_sd,
-              cloud::type_by_name("t2.nano").cost_per_hour);
+              util::to_usd(cloud::type_by_name("t2.nano").cost_per_hour));
   std::printf("t2.micro: mean %7.0f ms, SD %7.0f ms, $%.4f/h\n",
               micro_loaded_mean, micro_loaded_sd,
-              cloud::type_by_name("t2.micro").cost_per_hour);
+              util::to_usd(cloud::type_by_name("t2.micro").cost_per_hour));
 
   checks.expect(micro_loaded_mean > nano_loaded_mean * 1.1,
                 "micro is slower than nano under load despite higher price",

@@ -119,8 +119,7 @@ std::map<int, phase_stats> run_saturation_part(const tasks::task_pool& pool) {
   {
     sim::simulation sim;
     util::rng rng{89};
-    cloud::instance server{sim, 1, cloud::type_by_name("t2.large"),
-                           rng.fork()};
+    cloud::instance server{sim, cloud::type_by_name("t2.large"), rng.fork()};
     phase_sink sink{phases};
     server.set_completion_sink(&sink);
     workload::rate_doubling_config schedule;

@@ -66,7 +66,7 @@ int main() {
     if (slot.plan) {
       std::snprintf(fleet, sizeof fleet, "%zu inst $%.3f/h",
                     slot.plan->total_instances(),
-                    slot.plan->total_cost_per_hour);
+                    util::to_usd(slot.plan->total_cost_per_hour));
     }
     std::printf("%-6zu %-22s %-22s %-9s %-10s\n", slot.slot_index + 1, actual,
                 predicted, accuracy, fleet);

@@ -26,7 +26,7 @@ int main() {
   for (const auto& type : cloud::ec2_catalog()) {
     const auto profile = core::characterize_type(type, pool, config);
     std::printf("%-14s %8.4f %10.1f %9zu usr %11.0f\n", type.name.c_str(),
-                type.cost_per_hour, profile.solo_mean_ms,
+                util::to_usd(type.cost_per_hour), profile.solo_mean_ms,
                 profile.capacity_users, profile.capacity_requests_per_min);
   }
 
@@ -58,14 +58,15 @@ int main() {
   const auto ilp = core::allocate_ilp(request);
   const auto greedy = core::allocate_greedy(request);
   std::printf("\nILP plan ($%.4f/hour, %zu instances):\n",
-              ilp.total_cost_per_hour, ilp.total_instances());
+              util::to_usd(ilp.total_cost_per_hour), ilp.total_instances());
   for (const auto& entry : ilp.entries) {
     std::printf("  level %u: %zu x %s\n", entry.group + 1, entry.count,
                 entry.type_name.c_str());
   }
   std::printf("greedy baseline: $%.4f/hour  (ILP saves %.1f%%)\n",
-              greedy.total_cost_per_hour,
-              100.0 * (1.0 - ilp.total_cost_per_hour /
-                                 greedy.total_cost_per_hour));
+              util::to_usd(greedy.total_cost_per_hour),
+              100.0 * (1.0 - static_cast<double>(ilp.total_cost_per_hour) /
+                                 static_cast<double>(
+                                     greedy.total_cost_per_hour)));
   return 0;
 }

@@ -48,8 +48,8 @@ int main() {
     std::printf(
         "  slot %zu: fleet demand %.0f users, %zu instances, $%.2f/h, "
         "queue depth %.0f\n",
-        slot.slot, slot.fleet_demand, slot.fleet_instances, slot.cost_per_hour,
-        slot.queue_depth);
+        slot.slot, slot.fleet_demand, slot.fleet_instances,
+        util::to_usd(slot.cost_per_hour), slot.queue_depth);
   }
 
   const auto& merged = result.aggregate;

@@ -74,7 +74,7 @@ int main() {
   }
 
   std::printf("\nlogged %zu trace records; total cloud cost so far: $%.4f\n",
-              log.size(), backend.billing().total_cost(sim.now()));
+              log.size(), util::to_usd(backend.total_cost(sim.now())));
   std::printf("quickstart done.\n");
   return 0;
 }

@@ -1,19 +1,31 @@
 #include "cloud/backend_pool.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 namespace mca::cloud {
+namespace {
+
+/// `server`'s bill from its launch to `end`: its price per started hour,
+/// at least one hour.
+util::money bill(const instance& server, util::time_ms end) {
+  const double hours =
+      util::to_hours(std::max(end - server.launched_at(), 0.0));
+  return server.type().cost_per_hour *
+         static_cast<util::money>(std::max(std::ceil(hours), 1.0));
+}
+
+}  // namespace
 
 backend_pool::backend_pool(sim::simulation& sim, util::rng rng,
                            instance::options instance_opts)
     : sim_{sim}, rng_{rng}, instance_opts_{instance_opts} {}
 
-instance_id backend_pool::launch(group_id group, const instance_type& type) {
+void backend_pool::launch(group_id group, const instance_type& type) {
   sweep();
   if (group >= groups_.size()) groups_.resize(group + 1);
-  const instance_id id = next_id_++;
-  auto inst = std::make_unique<instance>(sim_, id, type, rng_.fork(),
+  auto inst = std::make_unique<instance>(sim_, type, rng_.fork(),
                                          instance_opts_);
   // Keep the sweep fast path's accounting exact no matter who calls
   // drain() — retire() here or a caller holding the instance through
@@ -29,8 +41,6 @@ instance_id backend_pool::launch(group_id group, const instance_type& type) {
     obs_->add(obs::counter::fault_cold_starts);
   }
   groups_[group].push_back(std::move(inst));
-  billing_.on_launch(id, type, sim_.now());
-  return id;
 }
 
 std::size_t backend_pool::retire(group_id group, const instance_type& type,
@@ -91,7 +101,7 @@ void backend_pool::sweep() {
     auto reap = std::remove_if(
         members.begin(), members.end(), [this](std::unique_ptr<instance>& p) {
           if (p->draining() && p->idle()) {
-            billing_.on_terminate(p->id(), sim_.now());
+            reaped_cost_ += bill(*p, sim_.now());
             if (draining_count_ > 0) --draining_count_;
             return true;
           }
@@ -101,6 +111,20 @@ void backend_pool::sweep() {
   }
 }
 // mca:hot-path-end
+
+util::money backend_pool::total_cost(util::time_ms now) const {
+  util::money cost = reaped_cost_;
+  for (const auto& members : groups_) {
+    for (const auto& inst : members) cost += bill(*inst, now);
+  }
+  return cost;
+}
+
+std::size_t backend_pool::member_count() const noexcept {
+  std::size_t n = 0;
+  for (const auto& members : groups_) n += members.size();
+  return n;
+}
 
 void backend_pool::settle() {
   for (auto& members : groups_) {

@@ -4,19 +4,22 @@
 // offers the two operations the SDN-accelerator needs: route a request to
 // the least-loaded member of a group, and reshape the fleet (launch /
 // retire) when the allocator produces a new plan.  Retired instances drain
-// — they stop accepting work, finish what they have, and are reaped (and
-// their billing record closed) once idle.
+// — they stop accepting work, finish what they have, and are reaped once
+// idle.  The pool is also the bill (§IV-C: instances are "billed by
+// hour"): every member is billed from its launch, and a reaped one up to
+// its reap, in started hours at its type's price.
 #pragma once
 
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "cloud/billing.h"
 #include "cloud/instance.h"
 #include "sim/simulation.h"
 #include "util/ids.h"
+#include "util/money.h"
 #include "util/rng.h"
+#include "util/sim_time.h"
 
 namespace mca::cloud {
 
@@ -33,8 +36,8 @@ class backend_pool {
   backend_pool(sim::simulation& sim, util::rng rng,
                instance::options instance_opts = {});
 
-  /// Launches one instance of `type` into `group`; returns its id.
-  instance_id launch(group_id group, const instance_type& type);
+  /// Launches one instance of `type` into `group`.
+  void launch(group_id group, const instance_type& type);
 
   /// Drains up to `count` instances of `type` in `group` (idle ones are
   /// reaped immediately).  Returns how many were marked.
@@ -121,13 +124,20 @@ class backend_pool {
     }
   }
 
-  const billing_meter& billing() const noexcept { return billing_; }
+  /// The bill up to `now`: each reaped instance's started hours (at
+  /// least one) up to its reap plus each member's, draining or not, up
+  /// to `now`, at its type's price.  Exact, so the order of launches and
+  /// reaps cannot move it.
+  util::money total_cost(util::time_ms now) const;
+
+  /// Instances the pool holds, draining ones included: the ones still
+  /// billed.
+  std::size_t member_count() const noexcept;
 
  private:
   sim::simulation& sim_;
   util::rng rng_;
   instance::options instance_opts_;
-  instance_id next_id_ = 1;
   /// Indexed directly by group id (ids are small and dense); empty slots
   /// are groups never launched into.  Replaces the former std::map so the
   /// per-request route() is a bounds check plus one vector scan.
@@ -140,7 +150,9 @@ class backend_pool {
   std::vector<std::uint8_t> unavailable_;
   completion_sink* sink_ = nullptr;
   obs::registry* obs_ = nullptr;
-  billing_meter billing_;
+  /// The reaped instances' bill: folded in at each reap, so the pool
+  /// keeps nothing of an instance once it is gone.
+  util::money reaped_cost_ = 0;
 };
 
 }  // namespace mca::cloud

@@ -22,13 +22,13 @@ constexpr std::uint64_t kJobSlotMask = (1u << kJobSlotBits) - 1;
 constexpr double kColdStartSigma = 0.4;
 }  // namespace
 
-instance::instance(sim::simulation& sim, instance_id id,
-                   const instance_type& type, util::rng rng, options opts)
+instance::instance(sim::simulation& sim, const instance_type& type,
+                   util::rng rng, options opts)
     : sim_{sim},
-      id_{id},
       type_{type},
       rng_{rng},
       opts_{opts},
+      launched_at_{sim.now()},
       last_update_{sim.now()},
       credits_{opts.initial_credits_core_ms} {
   if (opts_.cold_start_mean_ms > 0.0) {

@@ -93,7 +93,6 @@
 #include "cloud/instance_type.h"
 #include "obs/registry.h"
 #include "sim/simulation.h"
-#include "util/ids.h"
 #include "util/rng.h"
 #include "util/sim_time.h"
 
@@ -146,11 +145,10 @@ class instance {
   /// The tag of a job whose completion nobody hears (background load).
   static constexpr std::uint32_t kUntagged = 0xffffffffu;
 
-  instance(sim::simulation& sim, instance_id id, const instance_type& type,
-           util::rng rng, options opts);
-  instance(sim::simulation& sim, instance_id id, const instance_type& type,
-           util::rng rng)
-      : instance{sim, id, type, rng, options{}} {}
+  instance(sim::simulation& sim, const instance_type& type, util::rng rng,
+           options opts);
+  instance(sim::simulation& sim, const instance_type& type, util::rng rng)
+      : instance{sim, type, rng, options{}} {}
 
   instance(const instance&) = delete;
   instance& operator=(const instance&) = delete;
@@ -218,8 +216,9 @@ class instance {
     obs_ = registry;
   }
 
-  instance_id id() const noexcept { return id_; }
   const instance_type& type() const noexcept { return type_; }
+  /// When the instance was launched: its bill starts here.
+  util::time_ms launched_at() const noexcept { return launched_at_; }
   std::size_t active_jobs() {
     settle();
     return heap_.size();
@@ -296,7 +295,6 @@ class instance {
   void release_job(std::uint32_t idx, bool ok, util::time_ms now);
 
   sim::simulation& sim_;
-  instance_id id_;
   instance_type type_;
   util::rng rng_;
   options opts_;
@@ -326,6 +324,7 @@ class instance {
   void* drain_observer_ctx_ = nullptr;
   completion_sink* sink_ = nullptr;
   obs::registry* obs_ = nullptr;
+  util::time_ms launched_at_ = 0.0;
   util::time_ms last_update_ = 0.0;
   util::time_ms ready_at_ = 0.0;  ///< first-accept time (cold start)
   double credits_ = 0.0;

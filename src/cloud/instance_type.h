@@ -4,6 +4,8 @@
 // the published vCPU/memory/price numbers (Amazon EC2 Ireland, 2016-era, as
 // used by the paper) plus the behavioural parameters of our service model:
 //
+//  * `cost_per_hour` — the on-demand price as `util::money`: every listed
+//    price is a whole number of $0.0001, so prices and bills sum exactly.
 //  * `speed_factor` — work units per millisecond per core, relative to the
 //    reference t2 core (1.0).  Chosen so the acceleration-level ratios the
 //    paper measures (L2/L1 ≈ 1.25, L3/L1 ≈ 1.73, L4 above L3) fall out of
@@ -23,6 +25,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/money.h"
+
 namespace mca::cloud {
 
 /// Static description of a purchasable server type.
@@ -30,7 +34,7 @@ struct instance_type {
   std::string name;
   double vcpus = 1.0;
   double memory_gb = 1.0;
-  double cost_per_hour = 0.0;      ///< USD, on-demand, billed per started hour
+  util::money cost_per_hour = 0;   ///< on-demand, $0.0001 per started hour
   double speed_factor = 1.0;       ///< wu/ms per core (reference core = 1.0)
   double jitter_sigma = 0.08;      ///< lognormal sigma of service noise
   double steal_max = 0.0;          ///< asymptotic stolen CPU fraction

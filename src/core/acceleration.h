@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "util/ids.h"
+#include "util/money.h"
 
 namespace mca::core {
 
@@ -28,7 +29,7 @@ struct load_point {
 /// Benchmark profile of one instance type.
 struct type_characterization {
   std::string type_name;
-  double cost_per_hour = 0.0;
+  util::money cost_per_hour = 0;  ///< the type's price, $0.0001 per hour
   std::vector<load_point> curve;
   /// Largest tested concurrent-user level whose mean response time stayed
   /// under the administrator's bound ("a small instance handles a maximum

@@ -57,9 +57,10 @@ const allocation_candidate& candidate_of(const allocation_request& request,
 /// Capacity-per-dollar figure of merit (free capacity counts as
 /// infinitely good).
 double value_density(const allocation_candidate& cand) {
-  return cand.cost_per_hour <= 0.0
+  return cand.cost_per_hour <= 0
              ? 1e18
-             : cand.capacity_per_instance / cand.cost_per_hour;
+             : cand.capacity_per_instance /
+                   static_cast<double>(cand.cost_per_hour);
 }
 
 allocation_plan plan_from_counts(const allocation_request& request,
@@ -71,7 +72,7 @@ allocation_plan plan_from_counts(const allocation_request& request,
     const auto& cand = candidate_of(request, layout, i);
     plan.entries.push_back({layout.columns[i].group, cand.type_name, counts[i]});
     plan.total_cost_per_hour +=
-        cand.cost_per_hour * static_cast<double>(counts[i]);
+        cand.cost_per_hour * static_cast<util::money>(counts[i]);
   }
   return plan;
 }
@@ -92,7 +93,7 @@ double group_capacity(const allocation_request& request,
 struct tier {
   std::size_t column = 0;
   double capacity = 0.0;
-  double cost = 0.0;
+  util::money cost = 0;
 };
 
 /// Group `g`'s candidates with the dominated ones dropped, largest
@@ -136,9 +137,12 @@ std::size_t covering_count(double remaining, double capacity) {
   return n;
 }
 
+/// The cost of no cover at all.
+constexpr util::money kNoCover = std::numeric_limits<util::money>::max();
+
 /// One group's cover: instance counts per tier, in tier order.
 struct group_cover {
-  double cost = std::numeric_limits<double>::infinity();
+  util::money cost = kNoCover;
   std::size_t instances = 0;
   std::vector<std::size_t> counts;
 };
@@ -158,18 +162,20 @@ class cover_search {
     // rate_[i]: the least cost per unit of capacity among tiers i...
     double rate = std::numeric_limits<double>::infinity();
     for (std::size_t i = tiers.size(); i-- > 0;) {
-      rate = std::min(rate, tiers[i].cost / tiers[i].capacity);
+      rate = std::min(
+          rate, static_cast<double>(tiers[i].cost) / tiers[i].capacity);
       rate_[i] = rate;
     }
   }
 
   /// The cheapest cover, the fewest instances among equal costs.  A
   /// branch is cut when its cost so far plus the remaining demand at the
-  /// best cost per capacity left exceeds the best cover found (by more
-  /// than rounding, so an equal-cost cover is never cut).
+  /// best cost per capacity left exceeds the best cover found by more
+  /// than half a unit: covers cost whole units, so only costlier ones
+  /// are cut, however that bound rounds.
   group_cover cheapest() {
     most_ = 0;
-    visit(0, demand_, 0, 0.0);
+    visit(0, demand_, 0, 0);
     return best_;
   }
 
@@ -179,12 +185,12 @@ class cover_search {
   std::vector<group_cover> cheapest_by_count(std::size_t most) {
     most_ = most;
     by_count_.assign(most + 1, group_cover{});
-    visit(0, demand_, 0, 0.0);
+    visit(0, demand_, 0, 0);
     return std::move(by_count_);
   }
 
  private:
-  void record(std::size_t used, double cost) {
+  void record(std::size_t used, util::money cost) {
     group_cover& best = most_ == 0 ? best_ : by_count_[used];
     if (cost < best.cost || (cost == best.cost && used < best.instances)) {
       best.cost = cost;
@@ -195,14 +201,15 @@ class cover_search {
 
   /// Tiers `i` onwards must cover `remaining`; `used` instances are
   /// placed so far at `cost`.
-  void visit(std::size_t i, double remaining, std::size_t used, double cost) {
+  void visit(std::size_t i, double remaining, std::size_t used,
+             util::money cost) {
     if (i == tiers_.size()) {
       if (remaining <= 0.0) record(used, cost);
       return;
     }
-    if (most_ == 0 &&
-        cost + std::max(remaining, 0.0) * rate_[i] >
-            best_.cost * (1.0 + 1e-12)) {
+    if (most_ == 0 && static_cast<double>(cost) +
+                              std::max(remaining, 0.0) * rate_[i] >
+                          static_cast<double>(best_.cost) + 0.5) {
       return;
     }
     const tier& t = tiers_[i];
@@ -213,7 +220,7 @@ class cover_search {
     for (std::size_t n = most + 1; n-- > least;) {
       counts_[i] = n;
       visit(i + 1, remaining - static_cast<double>(n) * t.capacity, used + n,
-            cost + static_cast<double>(n) * t.cost);
+            cost + static_cast<util::money>(n) * t.cost);
     }
     counts_[i] = 0;
   }
@@ -258,7 +265,7 @@ std::optional<allocation_plan> solve_exact(const allocation_request& request,
   std::vector<std::vector<tier>> tiers(group_count);
   std::vector<double> demand(group_count, 0.0);
   std::vector<std::size_t> k_min(group_count, 0);
-  std::vector<group_cover> own(group_count, group_cover{0.0, 0, {}});
+  std::vector<group_cover> own(group_count, group_cover{0, 0, {}});
   std::size_t floor_total = 0;
   std::size_t own_total = 0;
   for (group_id g = 0; g < group_count; ++g) {
@@ -281,20 +288,22 @@ std::optional<allocation_plan> solve_exact(const allocation_request& request,
                       : cover_search{tiers[g], demand[g]}.cheapest_by_count(
                             own[g].instances);
   }
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<std::vector<double>> rest(group_count + 1);
+  std::vector<std::vector<util::money>> rest(group_count + 1);
   std::vector<std::vector<std::size_t>> pick(group_count);
-  rest[group_count] = {0.0};
+  rest[group_count] = {0};
   for (std::size_t g = group_count; g-- > 0;) {
-    const std::vector<double>& after = rest[g + 1];
+    const std::vector<util::money>& after = rest[g + 1];
     const std::size_t k_max = own[g].instances;
     const std::size_t top = std::min(cap, after.size() - 1 + k_max);
-    rest[g].assign(top + 1, kInf);
+    rest[g].assign(top + 1, kNoCover);
     pick[g].assign(top + 1, 0);
     for (std::size_t s = k_min[g]; s <= top; ++s) {
       for (std::size_t k = k_min[g]; k <= std::min(s, k_max); ++k) {
-        if (s - k >= after.size()) continue;
-        const double cost = by_count[g][k].cost + after[s - k];
+        if (s - k >= after.size() || by_count[g][k].cost == kNoCover ||
+            after[s - k] == kNoCover) {
+          continue;
+        }
+        const util::money cost = by_count[g][k].cost + after[s - k];
         if (cost < rest[g][s]) {
           rest[g][s] = cost;
           pick[g][s] = k;
@@ -360,7 +369,7 @@ void validate(const allocation_request& request) {
         throw std::invalid_argument{
             "allocation_request: non-positive candidate capacity"};
       }
-      if (cand.cost_per_hour < 0.0) {
+      if (cand.cost_per_hour < 0) {
         throw std::invalid_argument{
             "allocation_request: negative candidate cost"};
       }

@@ -29,6 +29,7 @@
 
 #include "obs/registry.h"
 #include "util/ids.h"
+#include "util/money.h"
 
 namespace mca::core {
 
@@ -36,7 +37,7 @@ namespace mca::core {
 struct allocation_candidate {
   std::string type_name;
   double capacity_per_instance = 0.0;  ///< Ks: users/requests-per-min
-  double cost_per_hour = 0.0;          ///< cs
+  util::money cost_per_hour = 0;       ///< cs, in $0.0001 per hour
 };
 
 /// The allocator's input for one provisioning period.
@@ -57,7 +58,7 @@ struct allocation_plan {
     std::size_t count = 0;
   };
   std::vector<entry> entries;
-  double total_cost_per_hour = 0.0;
+  util::money total_cost_per_hour = 0;  ///< $0.0001 per hour
   bool feasible = false;
   /// True when the plan is a best-effort fill of an infeasible request.
   bool best_effort = false;
@@ -84,9 +85,9 @@ std::vector<double> demand_from_prediction(
 /// total; then the fewest in group 0, then in group 1, and so on; then,
 /// within each group, the most instances of its largest-capacity
 /// candidate, then of the next largest, and so on (between two candidates
-/// of equal capacity and cost, the one listed first).  Costs compare
-/// exactly, as the doubles the solver sums (each group's largest capacity
-/// first), so plans whose costs differ only by rounding do not tie.  When
+/// of equal capacity and cost, the one listed first).  Costs are whole
+/// $0.0001 and compare as integers, so plans of equal cost tie exactly,
+/// whatever order their prices were summed in.  When
 /// no plan within CC covers every group (or a group with demand has no
 /// candidates), falls back to the best-effort fill (flagged in the plan).
 /// A non-null `registry` (not owned) counts the call in ilp_solves and a

@@ -42,7 +42,8 @@ std::vector<caas_plan> build_price_sheet(
     for (const auto& name : group.type_names) {
       const auto& type = find_type(types, name);
       const double sellable = group.capacity_users * config.utilization_target;
-      const double cost_per_user_hour = type.cost_per_hour / sellable;
+      const double cost_per_user_hour =
+          util::to_usd(type.cost_per_hour) / sellable;
       if (cost_per_user_hour < best_cost_per_user_hour) {
         best_cost_per_user_hour = cost_per_user_hour;
         plan.backing_type = name;

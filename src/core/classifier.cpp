@@ -41,7 +41,7 @@ type_characterization characterize_type(const cloud::instance_type& type,
     // Fresh simulation and server per level: the paper's cool-down isolates
     // levels; a fresh instance isolates them exactly.
     sim::simulation sim;
-    cloud::instance server{sim, 1, type, seed_stream.fork(),
+    cloud::instance server{sim, type, seed_stream.fork(),
                            config.instance_options};
     cloud::service_time_recorder responses;
     server.set_completion_sink(&responses);

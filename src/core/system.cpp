@@ -381,7 +381,7 @@ void offloading_system::finish() {
   exemplars_.roll_window(static_cast<std::uint32_t>(metrics_.slots.size()));
 
   metrics_.promotions = moderator_->promotions();
-  metrics_.total_cost_usd = backend_->billing().total_cost(sim_.now());
+  metrics_.total_cost_usd = util::to_usd(backend_->total_cost(sim_.now()));
 }
 
 void offloading_system::run(util::time_ms duration) {

@@ -19,7 +19,7 @@ std::vector<load_curve_point> response_vs_users(
     // experiment.
     util::rng stream = util::rng::split(config.seed, users);
     sim::simulation sim;
-    cloud::instance server{sim, 1, type, stream.fork()};
+    cloud::instance server{sim, type, stream.fork()};
     cloud::service_time_recorder responses;
     server.set_completion_sink(&responses);
     workload::concurrent_config load;

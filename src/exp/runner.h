@@ -5,8 +5,8 @@
 // (seed, index) pair — it draws randomness only from the rng stream the
 // context hands it (util::rng::split), never from wall clock, thread id,
 // or shared mutable state.  The pool's next unclaimed index is the only
-// state replications share; everything a simulation numbers (request ids,
-// instance ids) it numbers itself.  Results and failures land in slot
+// state replications share; everything a simulation numbers (request
+// ids) it numbers itself.  Results and failures land in slot
 // arrays indexed by replication, and any merge runs *after* the pool
 // drains, walking those arrays in index order — so the merged output is
 // bit-identical whatever the thread count or completion order.

@@ -9,13 +9,13 @@ namespace {
 
 /// Price of one instance of `type_name` in `group` under the shape (the
 /// same candidate list the fleet ILP priced the plan with).
-double candidate_cost(const core::allocation_request& shape, group_id group,
-                      const std::string& type_name) {
-  if (group >= shape.candidates_per_group.size()) return 0.0;
+util::money candidate_cost(const core::allocation_request& shape,
+                           group_id group, const std::string& type_name) {
+  if (group >= shape.candidates_per_group.size()) return 0;
   for (const auto& cand : shape.candidates_per_group[group]) {
     if (cand.type_name == type_name) return cand.cost_per_hour;
   }
-  return 0.0;
+  return 0;
 }
 
 }  // namespace
@@ -72,12 +72,13 @@ std::vector<std::optional<core::allocation_plan>> split_fleet_plan(
       ++base[order[i % order.size()]];
       ++assigned;
     }
-    const double cost = candidate_cost(shape, entry.group, entry.type_name);
+    const util::money cost =
+        candidate_cost(shape, entry.group, entry.type_name);
     for (std::size_t i = 0; i < predicting.size(); ++i) {
       if (base[i] == 0) continue;
       auto& quota = *quotas[predicting[i]];
       quota.entries.push_back({entry.group, entry.type_name, base[i]});
-      quota.total_cost_per_hour += cost * static_cast<double>(base[i]);
+      quota.total_cost_per_hour += cost * static_cast<util::money>(base[i]);
     }
   }
   if (min_footprint) {

@@ -26,6 +26,7 @@
 #include "obs/registry.h"
 #include "obs/timeline.h"
 #include "obs/tracer.h"
+#include "util/money.h"
 
 namespace mca::ilp {
 
@@ -47,7 +48,7 @@ struct coordination_record {
   /// Instances held by non-predicting shards, subtracted from the account
   /// cap before the solve so the fleet total never exceeds it.
   std::size_t reserved_instances = 0;
-  double cost_per_hour = 0.0;      ///< fleet plan cost
+  util::money cost_per_hour = 0;   ///< fleet plan cost, $0.0001 per hour
   double queue_depth = 0.0;        ///< summed in-flight requests at gather
 };
 

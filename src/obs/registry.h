@@ -47,9 +47,7 @@ enum class counter : std::uint32_t {
   /// Nothing writes these two (the exact allocator has no branch & bound
   /// or simplex); they stay only because mca_bench/main.cpp:319-320
   /// reports them, and go when the benchmark stops reading them.
-  // mca-lint: allow(obs-dead-counter) mca_bench/main.cpp:319 reads it
   ilp_bb_nodes,
-  // mca-lint: allow(obs-dead-counter) mca_bench/main.cpp:320 reads it
   ilp_root_pivots,
   ilp_best_effort,       ///< solves that fell back to the best-effort fill
   // --- fleet coordination ---

@@ -15,9 +15,6 @@ using user_id = std::uint32_t;
 /// One offloading request.
 using request_id = std::uint64_t;
 
-/// A provisioned cloud instance.
-using instance_id = std::uint32_t;
-
 /// Acceleration group index (0 = demoted anomaly group, 1 = slowest
 /// regular level; matches the paper's numbering).
 using group_id = std::uint32_t;

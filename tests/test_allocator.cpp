@@ -15,37 +15,37 @@
 namespace mca::core {
 namespace {
 
-/// One group backed by nano-like (cap 10, $1) and large-like (cap 40, $3).
+/// One group backed by nano-like (cap 10, cost 1) and large-like (cap 40,
+/// cost 3).  Synthetic costs are plain money units.
 allocation_request single_group_request(double workload) {
   allocation_request request;
   request.workload_per_group = {workload};
-  request.candidates_per_group = {
-      {{"small", 10.0, 1.0}, {"large", 40.0, 3.0}}};
+  request.candidates_per_group = {{{"small", 10.0, 1}, {"large", 40.0, 3}}};
   return request;
 }
 
 TEST(AllocatorIlp, PicksCheapestCover) {
-  // W=35: 4 smalls = $4 vs 1 large = $3 -> large wins.
+  // W=35: 4 smalls = 4 vs 1 large = 3 -> large wins.
   const auto plan = allocate_ilp(single_group_request(35.0));
   ASSERT_TRUE(plan.feasible);
   EXPECT_EQ(plan.count_of(0, "large"), 1u);
   EXPECT_EQ(plan.count_of(0, "small"), 0u);
-  EXPECT_DOUBLE_EQ(plan.total_cost_per_hour, 3.0);
+  EXPECT_EQ(plan.total_cost_per_hour, 3);
 }
 
 TEST(AllocatorIlp, SmallWorkloadUsesSmallInstance) {
   const auto plan = allocate_ilp(single_group_request(8.0));
   ASSERT_TRUE(plan.feasible);
   EXPECT_EQ(plan.count_of(0, "small"), 1u);
-  EXPECT_DOUBLE_EQ(plan.total_cost_per_hour, 1.0);
+  EXPECT_EQ(plan.total_cost_per_hour, 1);
 }
 
 TEST(AllocatorIlp, MixesTypesWhenOptimal) {
-  // W=50: large(40) + small(10) = $4 beats 2 large ($6) and 5 small ($5)...
-  // actually 5 small = $5 > $4, 2 large = $6. Mixed is optimal.
+  // W=50: large(40) + small(10) = 4 beats 2 large (6) and 5 small (5)...
+  // actually 5 small = 5 > 4, 2 large = 6. Mixed is optimal.
   const auto plan = allocate_ilp(single_group_request(50.0 - 1.0));
   ASSERT_TRUE(plan.feasible);
-  EXPECT_DOUBLE_EQ(plan.total_cost_per_hour, 4.0);
+  EXPECT_EQ(plan.total_cost_per_hour, 4);
   EXPECT_EQ(plan.total_instances(), 2u);
 }
 
@@ -61,22 +61,22 @@ TEST(AllocatorIlp, ExactCapacityBoundaryNeedsMore) {
   // W=40 with strict inequality: one large (cap 40) is NOT enough.
   const auto plan = allocate_ilp(single_group_request(40.0));
   ASSERT_TRUE(plan.feasible);
-  EXPECT_GT(plan.total_cost_per_hour, 3.0);
+  EXPECT_GT(plan.total_cost_per_hour, 3);
 }
 
 TEST(AllocatorIlp, MultiGroupAllocation) {
   allocation_request request;
   request.workload_per_group = {0.0, 25.0, 70.0};
   request.candidates_per_group = {
-      {{"micro", 5.0, 0.5}},
-      {{"nano", 10.0, 1.0}},
-      {{"m4", 90.0, 9.0}, {"large", 40.0, 3.0}},
+      {{"micro", 5.0, 5}},
+      {{"nano", 10.0, 10}},
+      {{"m4", 90.0, 90}, {"large", 40.0, 30}},
   };
   const auto plan = allocate_ilp(request);
   ASSERT_TRUE(plan.feasible);
   EXPECT_EQ(plan.count_of(0, "micro"), 1u);   // W=0 -> one instance
   EXPECT_EQ(plan.count_of(1, "nano"), 3u);    // 25 -> 3x10
-  // Group 2: 2 large = 80 cap at $6 beats 1 m4 at $9.
+  // Group 2: 2 large = 80 cap at 60 beats 1 m4 at 90.
   EXPECT_EQ(plan.count_of(2, "large"), 2u);
   EXPECT_EQ(plan.count_of(2, "m4"), 0u);
 }
@@ -105,8 +105,8 @@ TEST(AllocatorIlp, StrictModeCannotBorrowAcrossGroups) {
   allocation_request request;
   request.workload_per_group = {30.0, 20.0};
   request.candidates_per_group = {
-      {{"slow", 10.0, 10.0}},
-      {{"fast", 100.0, 2.0}},
+      {{"slow", 10.0, 10}},
+      {{"fast", 100.0, 2}},
   };
   const auto plan = allocate_ilp(request);
   ASSERT_TRUE(plan.feasible);
@@ -135,8 +135,8 @@ TEST(AllocatorGreedy, BudgetExhaustedStopsBuyingAndMarksInfeasible) {
   allocation_request request;
   request.workload_per_group = {100.0, 50.0};
   request.candidates_per_group = {
-      {{"dense", 10.0, 1.0}, {"sparse", 5.0, 1.0}, {"junk", 1.0, 10.0}},
-      {{"other", 10.0, 1.0}}};
+      {{"dense", 10.0, 1}, {"sparse", 5.0, 1}, {"junk", 1.0, 10}},
+      {{"other", 10.0, 1}}};
   request.max_total_instances = 4;  // 4 * 10 = 40 < 101 demanded
   const auto plan = allocate_greedy(request);
   EXPECT_FALSE(plan.feasible);
@@ -148,7 +148,7 @@ TEST(AllocatorGreedy, BudgetExhaustedStopsBuyingAndMarksInfeasible) {
   EXPECT_EQ(plan.count_of(0, "sparse"), 0u);
   EXPECT_EQ(plan.count_of(0, "junk"), 0u);
   EXPECT_EQ(plan.count_of(1, "other"), 0u);
-  EXPECT_DOUBLE_EQ(plan.total_cost_per_hour, 4.0);
+  EXPECT_EQ(plan.total_cost_per_hour, 4);
 }
 
 TEST(AllocatorGreedy, BudgetExhaustedMidGroupLeavesLaterGroupsEmpty) {
@@ -157,8 +157,8 @@ TEST(AllocatorGreedy, BudgetExhaustedMidGroupLeavesLaterGroupsEmpty) {
   allocation_request request;
   request.workload_per_group = {45.0, 20.0};
   request.candidates_per_group = {
-      {{"best", 10.0, 1.0}, {"spill", 10.0, 2.0}},
-      {{"later", 10.0, 1.0}}};
+      {{"best", 10.0, 1}, {"spill", 10.0, 2}},
+      {{"later", 10.0, 1}}};
   request.max_total_instances = 3;
   // Greedy buys 3x "best" (covered 30 < 46), budget gone before "spill".
   const auto plan = allocate_greedy(request);
@@ -173,8 +173,8 @@ TEST(AllocatorStaticPeak, ProvisionsEveryGroupForPeak) {
   allocation_request request;
   request.workload_per_group = {1.0, 2.0};
   request.candidates_per_group = {
-      {{"a", 10.0, 1.0}},
-      {{"b", 10.0, 1.0}},
+      {{"a", 10.0, 1}},
+      {{"b", 10.0, 1}},
   };
   const auto plan = allocate_static_peak(request, 35.0);
   ASSERT_TRUE(plan.feasible);
@@ -187,8 +187,8 @@ TEST(AllocatorBestEffort, SpreadsCapAcrossNeediestGroups) {
   allocation_request request;
   request.workload_per_group = {100.0, 100.0};
   request.candidates_per_group = {
-      {{"a", 10.0, 1.0}},
-      {{"b", 10.0, 1.0}},
+      {{"a", 10.0, 1}},
+      {{"b", 10.0, 1}},
   };
   request.max_total_instances = 10;
   const auto plan = allocate_best_effort(request);
@@ -216,7 +216,7 @@ TEST(AllocatorValidation, RejectsMalformedRequests) {
   EXPECT_THROW(validate(bad_capacity), std::invalid_argument);
 
   auto negative_cost = single_group_request(1.0);
-  negative_cost.candidates_per_group[0][0].cost_per_hour = -1.0;
+  negative_cost.candidates_per_group[0][0].cost_per_hour = -1;
   EXPECT_THROW(validate(negative_cost), std::invalid_argument);
 
   auto negative_workload = single_group_request(-5.0);
@@ -245,8 +245,10 @@ TEST_P(IlpDominatesGreedy, OnRandomRequests) {
     std::vector<allocation_candidate> candidates;
     const auto types = static_cast<std::size_t>(rng.uniform_int(1, 3));
     for (std::size_t t = 0; t < types; ++t) {
+      // $0.5-$5 per hour, in money units.
       candidates.push_back({"type" + std::to_string(g) + std::to_string(t),
-                            rng.uniform(5.0, 60.0), rng.uniform(0.5, 5.0)});
+                            rng.uniform(5.0, 60.0),
+                            rng.uniform_int(5'000, 50'000)});
     }
     request.candidates_per_group.push_back(std::move(candidates));
   }
@@ -256,7 +258,7 @@ TEST_P(IlpDominatesGreedy, OnRandomRequests) {
   const auto greedy = allocate_greedy(request);
   EXPECT_LE(ilp.total_instances(), request.max_total_instances);
   if (ilp.feasible && greedy.feasible) {
-    EXPECT_LE(ilp.total_cost_per_hour, greedy.total_cost_per_hour + 1e-9);
+    EXPECT_LE(ilp.total_cost_per_hour, greedy.total_cost_per_hour);
   }
   if (ilp.feasible) {
     // Verify demand coverage per group.
@@ -295,7 +297,7 @@ TEST(DemandFromPrediction, WidensAndZeroPads) {
 TEST(AllocatorIlp, NoCandidatesForDemandedGroupGoesBestEffort) {
   allocation_request request;
   request.workload_per_group = {5.0, 3.0};  // group 1 demand, no candidates
-  request.candidates_per_group = {{{"small", 10.0, 1.0}}, {}};
+  request.candidates_per_group = {{{"small", 10.0, 1}}, {}};
   const allocation_plan plan = allocate_ilp(request);
   EXPECT_TRUE(plan.best_effort);
   request.workload_per_group = {5.0, 0.0};
@@ -307,9 +309,9 @@ TEST(AllocatorIlp, RecordsSolvesIntoRegistry) {
   allocation_request request;
   request.workload_per_group = {25.0, 40.0, 80.0};
   request.candidates_per_group = {
-      {{"small", 10.0, 1.0}, {"large", 40.0, 3.0}},
-      {{"small", 12.0, 1.0}, {"wide", 90.0, 6.5}},
-      {{"large", 35.0, 3.0}, {"wide", 100.0, 7.0}},
+      {{"small", 10.0, 10}, {"large", 40.0, 30}},
+      {{"small", 12.0, 10}, {"wide", 90.0, 65}},
+      {{"large", 35.0, 30}, {"wide", 100.0, 70}},
   };
   const allocation_plan solved = allocate_ilp(request, &registry);
   ASSERT_TRUE(solved.feasible);
@@ -327,7 +329,7 @@ TEST(AllocatorIlp, RecordsSolvesIntoRegistry) {
 /// 0 first), then each group's counts read from its largest-capacity
 /// candidate down (more first; equal capacities in listing order).
 struct plan_rank {
-  double cost = 0.0;
+  util::money cost = 0;
   std::size_t instances = 0;
   std::vector<std::size_t> per_group;
   std::vector<std::size_t> by_capacity;
@@ -385,12 +387,13 @@ std::optional<std::vector<std::size_t>> enumerated_best(
   const auto visit = [&](const auto& self, std::size_t col,
                          std::size_t budget) -> void {
     if (col == columns.size()) {
-      rank.cost = 0.0;
+      rank.cost = 0;
       rank.instances = 0;
       rank.per_group.assign(groups, 0);
       rank.by_capacity.clear();
       for (std::size_t i = 0; i < columns.size(); ++i) {
-        rank.cost += static_cast<double>(counts[i]) * columns[i]->cost_per_hour;
+        rank.cost +=
+            static_cast<util::money>(counts[i]) * columns[i]->cost_per_hour;
         rank.instances += counts[i];
         rank.per_group[group_of[i]] += counts[i];
       }
@@ -441,7 +444,7 @@ bool expect_enumerated_plan(const allocation_request& request, int instance) {
       << "instance " << instance;
   if (!expected) return false;
   EXPECT_TRUE(plan.feasible) << "instance " << instance;
-  double cost = 0.0;
+  util::money cost = 0;
   std::size_t col = 0;
   for (std::size_t g = 0; g < request.candidates_per_group.size(); ++g) {
     for (const auto& cand : request.candidates_per_group[g]) {
@@ -449,10 +452,10 @@ bool expect_enumerated_plan(const allocation_request& request, int instance) {
       EXPECT_EQ(plan.count_of(g, cand.type_name), want)
           << "instance " << instance << ", group " << g << ", "
           << cand.type_name;
-      cost += cand.cost_per_hour * static_cast<double>(want);
+      cost += cand.cost_per_hour * static_cast<util::money>(want);
     }
   }
-  EXPECT_DOUBLE_EQ(plan.total_cost_per_hour, cost) << "instance " << instance;
+  EXPECT_EQ(plan.total_cost_per_hour, cost) << "instance " << instance;
   return true;
 }
 
@@ -480,7 +483,7 @@ TEST(AllocatorIlp, MatchesExhaustiveEnumeration) {
         candidates.push_back(
             {std::string(1, static_cast<char>('a' + t)),
              static_cast<double>(rng.uniform_int(1, 9)),
-             static_cast<double>(rng.uniform_int(0, 6))});
+             rng.uniform_int(0, 6)});
       }
       request.candidates_per_group.push_back(std::move(candidates));
     }
@@ -507,11 +510,11 @@ TEST(AllocatorIlp, TieRulePicksFewestInstancesThenGroupOrderThenCapacity) {
   // A+C.
   allocation_request one;
   one.workload_per_group = {39.0};
-  one.candidates_per_group = {{{"B", 20.0, 4.0}, {"A", 30.0, 6.0},
-                               {"C", 10.0, 2.0}}};
+  one.candidates_per_group = {{{"B", 20.0, 4}, {"A", 30.0, 6},
+                               {"C", 10.0, 2}}};
   const allocation_plan single = allocate_ilp(one);
   ASSERT_TRUE(single.feasible);
-  EXPECT_DOUBLE_EQ(single.total_cost_per_hour, 8.0);
+  EXPECT_EQ(single.total_cost_per_hour, 8);
   EXPECT_EQ(single.count_of(0, "A"), 1u);
   EXPECT_EQ(single.count_of(0, "B"), 0u);
   EXPECT_EQ(single.count_of(0, "C"), 1u);
@@ -520,11 +523,11 @@ TEST(AllocatorIlp, TieRulePicksFewestInstancesThenGroupOrderThenCapacity) {
   // plus ten units and two mids both cost 60.
   allocation_request spare;
   spare.workload_per_group = {59.0};
-  spare.candidates_per_group = {{{"big", 50.0, 50.0}, {"mid", 30.0, 30.0},
-                                 {"unit", 1.0, 1.0}}};
+  spare.candidates_per_group = {{{"big", 50.0, 50}, {"mid", 30.0, 30},
+                                 {"unit", 1.0, 1}}};
   const allocation_plan fewest = allocate_ilp(spare);
   ASSERT_TRUE(fewest.feasible);
-  EXPECT_DOUBLE_EQ(fewest.total_cost_per_hour, 60.0);
+  EXPECT_EQ(fewest.total_cost_per_hour, 60);
   EXPECT_EQ(fewest.count_of(0, "mid"), 2u);
   EXPECT_EQ(fewest.total_instances(), 2u);
 
@@ -533,31 +536,23 @@ TEST(AllocatorIlp, TieRulePicksFewestInstancesThenGroupOrderThenCapacity) {
   // instances tie at cost 10 and 3 instances; group 0 takes the fewer.
   allocation_request two;
   two.workload_per_group = {19.0, 19.0};
-  two.candidates_per_group = {{{"A", 20.0, 6.0}, {"C", 10.0, 2.0}},
-                              {{"A", 20.0, 6.0}, {"C", 10.0, 2.0}}};
+  two.candidates_per_group = {{{"A", 20.0, 6}, {"C", 10.0, 2}},
+                              {{"A", 20.0, 6}, {"C", 10.0, 2}}};
   two.max_total_instances = 3;
   const allocation_plan coupled = allocate_ilp(two);
   ASSERT_TRUE(coupled.feasible);
-  EXPECT_DOUBLE_EQ(coupled.total_cost_per_hour, 10.0);
+  EXPECT_EQ(coupled.total_cost_per_hour, 10);
   EXPECT_EQ(coupled.count_of(0, "A"), 1u);
   EXPECT_EQ(coupled.count_of(0, "C"), 0u);
   EXPECT_EQ(coupled.count_of(1, "A"), 0u);
   EXPECT_EQ(coupled.count_of(1, "C"), 2u);
 }
 
-/// The slot-boundary request shape of builtin scenario `name`, with each
-/// price in units of $0.0001 (every EC2 price here has four decimals), so
-/// that sums are exact and equal costs are exact ties.
+/// The slot-boundary request shape of builtin scenario `name`, at the
+/// catalog's prices (whole $0.0001, so equal costs are exact ties).
 allocation_request builtin_shape(const std::string& name) {
   for (const exp::scenario_spec& spec : exp::builtin_scenarios()) {
-    if (spec.name != name) continue;
-    allocation_request shape = fleet::fleet_allocation_shape(spec);
-    for (auto& group : shape.candidates_per_group) {
-      for (auto& cand : group) {
-        cand.cost_per_hour = std::round(cand.cost_per_hour * 1e4);
-      }
-    }
-    return shape;
+    if (spec.name == name) return fleet::fleet_allocation_shape(spec);
   }
   ADD_FAILURE() << name << " scenario missing";
   return {};
@@ -630,7 +625,8 @@ allocation_request make_64x8_request() {
       allocation_candidate cand;
       cand.type_name = "tier" + std::to_string(c);
       cand.capacity_per_instance = 8.0 + 13.0 * c;
-      cand.cost_per_hour = (0.02 + 0.03 * c * c) * (1.0 + 0.02 * (g % 5));
+      // $(0.02 + 0.03 c^2) x (1 + 0.02 (g mod 5)) per hour, in units.
+      cand.cost_per_hour = 2 * (2 + 3 * c * c) * (50 + g % 5);
       candidates.push_back(cand);
     }
     request.candidates_per_group.push_back(std::move(candidates));
@@ -644,7 +640,7 @@ TEST(AllocatorIlp, FleetScale64x8CostsNoMoreThanGreedy) {
   EXPECT_FALSE(plan.best_effort);
   EXPECT_LE(plan.total_instances(), request.max_total_instances);
   EXPECT_LE(plan.total_cost_per_hour,
-            allocate_greedy(request).total_cost_per_hour + 1e-6);
+            allocate_greedy(request).total_cost_per_hour);
 }
 
 }  // namespace

@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "callback_sink.h"
 #include "obs/registry.h"
 #include "sim/simulation.h"
+#include "util/money.h"
+#include "util/sim_time.h"
 
 namespace mca::cloud {
 namespace {
@@ -17,7 +21,7 @@ instance_type plain_type(const char* name = "test.plain", double vcpus = 1.0) {
   t.name = name;
   t.vcpus = vcpus;
   t.memory_gb = 64.0;
-  t.cost_per_hour = 1.0;
+  t.cost_per_hour = util::k_money_per_usd;  // $1 per hour
   t.speed_factor = 1.0;
   t.jitter_sigma = 0.0;
   return t;
@@ -51,13 +55,6 @@ class BackendPoolTest : public ::testing::Test {
   backend_pool pool_{sim_, util::rng{42}};
 };
 
-TEST_F(BackendPoolTest, LaunchAssignsUniqueIds) {
-  const auto a = pool_.launch(1, plain_type());
-  const auto b = pool_.launch(1, plain_type());
-  EXPECT_NE(a, b);
-  EXPECT_EQ(pool_.instance_count(1), 2u);
-}
-
 TEST_F(BackendPoolTest, RouteToEmptyGroupFails) {
   EXPECT_EQ(pool_.route(3, 1.0), route_status::no_instances);
 }
@@ -88,22 +85,27 @@ TEST_F(BackendPoolTest, RetireDrainsIdleImmediately) {
   pool_.launch(1, plain_type());
   EXPECT_EQ(pool_.retire(1, plain_type(), 1), 1u);
   EXPECT_EQ(pool_.instance_count(1), 1u);
-  // The idle retired instance is reaped (billing record closed).
-  EXPECT_EQ(pool_.billing().active_instances(), 1u);
+  // The idle retired instance is reaped: billed its one started hour,
+  // while the member accrues.
+  EXPECT_EQ(pool_.member_count(), 1u);
+  EXPECT_EQ(pool_.total_cost(util::hours(5)), 6 * util::k_money_per_usd);
 }
 
 TEST_F(BackendPoolTest, RetireBusyInstanceWaitsForDrain) {
   pool_.launch(1, plain_type());
   ASSERT_EQ(pool_.route(1, 100.0), route_status::ok);
   EXPECT_EQ(pool_.retire(1, plain_type(), 1), 1u);
-  // Still draining: counted out of accepting capacity but not reaped.
+  // Still draining: counted out of accepting capacity but not reaped,
+  // so still billed.
   EXPECT_EQ(pool_.instance_count(1), 0u);
-  EXPECT_EQ(pool_.billing().active_instances(), 1u);
+  EXPECT_EQ(pool_.member_count(), 1u);
+  EXPECT_EQ(pool_.total_cost(util::hours(3)), 3 * util::k_money_per_usd);
   // The job is untagged, so its completion is no engine event: the clock
   // passes it and the sweep's read replays it.
   sim_.run_until(util::minutes(1.0));
   pool_.sweep();
-  EXPECT_EQ(pool_.billing().active_instances(), 0u);
+  EXPECT_EQ(pool_.member_count(), 0u);
+  EXPECT_EQ(pool_.total_cost(util::hours(3)), util::k_money_per_usd);
 }
 
 TEST_F(BackendPoolTest, RetireMoreThanExistingMarksAll) {
@@ -187,10 +189,81 @@ TEST_F(BackendPoolTest, RetiredInstanceStatsSurvive) {
   EXPECT_EQ(ps_completed(), 1u);
 }
 
+/// The bill after one `price`-per-hour instance launched at `launch` is
+/// retired, idle, at `retire`, read at `read`.
+util::money bill_of_one(util::money price, util::time_ms launch,
+                        util::time_ms retire, util::time_ms read) {
+  sim::simulation sim;
+  backend_pool pool{sim, util::rng{42}};
+  sim.run_until(launch);
+  instance_type type = plain_type();
+  type.cost_per_hour = price;
+  pool.launch(1, type);
+  sim.run_until(retire);
+  EXPECT_EQ(pool.retire(1, type, 1), 1u);
+  EXPECT_EQ(pool.member_count(), 0u);
+  return pool.total_cost(read);
+}
+
+TEST(BackendPoolBilling, StartedHourIsBilledInFull) {
+  EXPECT_EQ(bill_of_one(100, 0.0, util::minutes(10), util::hours(5)), 100);
+}
+
+TEST(BackendPoolBilling, CeilOfPartialHours) {
+  EXPECT_EQ(bill_of_one(100, 0.0, util::hours(2.5), util::hours(5)), 300);
+}
+
+TEST(BackendPoolBilling, ExactHoursNotOverbilled) {
+  EXPECT_EQ(bill_of_one(100, util::hours(1), util::hours(3), util::hours(5)),
+            200);
+}
+
 TEST_F(BackendPoolTest, BillingAccruesWhileRunning) {
+  sim_.run_until(util::hours(1.0));
   pool_.launch(1, plain_type());
-  sim_.run_until(util::hours(2.5));
-  EXPECT_DOUBLE_EQ(pool_.billing().total_cost(sim_.now()), 3.0);
+  EXPECT_EQ(pool_.total_cost(util::hours(1.5)), util::k_money_per_usd);
+  sim_.run_until(util::hours(3.2));
+  EXPECT_EQ(pool_.total_cost(sim_.now()), 3 * util::k_money_per_usd);
+}
+
+TEST_F(BackendPoolTest, MixedTypesSummed) {
+  instance_type cheap = plain_type("cheap");
+  cheap.cost_per_hour = 5'000;
+  instance_type pricey = plain_type("pricey");
+  pricey.cost_per_hour = 20'000;
+  pool_.launch(1, cheap);
+  pool_.launch(2, pricey);
+  sim_.run_until(util::hours(1.0));
+  pool_.retire(1, cheap, 1);
+  sim_.run_until(util::hours(2.0));
+  pool_.retire(2, pricey, 1);
+  EXPECT_EQ(pool_.total_cost(util::hours(3)), 5'000 + 2 * 20'000);
+}
+
+TEST(BackendPoolBilling, OrderOfLaunchesAndReapsCannotMoveTheBill) {
+  // Summed as dollar doubles, the order moves these bills: an hour of
+  // $0.0063, $0.025 and $1.811 read 1.8422999999999998 launched in this
+  // order and 1.8423 in reverse, and three hours 5.5268999999999995
+  // reaped in this order against 5.5269000000000004.
+  const std::vector<std::string> names = {"t2.nano", "t2.small",
+                                          "c4.8xlarge"};
+  const auto bills = [&](bool reversed) {
+    std::vector<std::string> order = names;
+    if (reversed) std::reverse(order.begin(), order.end());
+    sim::simulation sim;
+    backend_pool pool{sim, util::rng{42}};
+    for (const std::string& name : order) pool.launch(1, type_by_name(name));
+    const util::money running = pool.total_cost(util::hours(1));
+    sim.run_until(util::hours(2.5));
+    for (const std::string& name : order) {
+      EXPECT_EQ(pool.retire(1, type_by_name(name), 1), 1u);
+    }
+    return std::pair{running, pool.total_cost(util::hours(3))};
+  };
+  const auto forward = bills(false);
+  EXPECT_EQ(forward, bills(true));
+  EXPECT_EQ(util::to_usd(forward.first), 1.8423);
+  EXPECT_EQ(util::to_usd(forward.second), 5.5269);
 }
 
 TEST_F(BackendPoolTest, MutableAccessSkipsDraining) {
@@ -205,8 +278,8 @@ TEST_F(BackendPoolTest, MutableAccessSkipsDraining) {
 TEST_F(BackendPoolTest, RetireWhileRoutingChurn) {
   // Interleave routing with partial drains over several simulated rounds:
   // drained instances must never accept another request, live ones must
-  // absorb the full load, and every billing record must close exactly
-  // once no matter how often the reaper runs.
+  // absorb the full load, and every instance must be billed once, up to
+  // its reap, no matter how often the reaper runs.
   const auto type = plain_type();
   for (int i = 0; i < 4; ++i) pool_.launch(1, type);
 
@@ -264,8 +337,8 @@ TEST_F(BackendPoolTest, RetireWhileRoutingChurn) {
     for (instance* server : drained) {
       EXPECT_FALSE(server->submit(1.0));
     }
-    // Let some work finish, reap repeatedly (idempotent: a double
-    // on_terminate would throw logic_error out of sweep()).
+    // Let some work finish, reap repeatedly (idempotent: a reaped
+    // instance leaves the pool, so no later sweep bills it again).
     sim_.run_until(sim_.now() + util::minutes(2.0));
     ASSERT_NO_THROW(pool_.sweep());
     ASSERT_NO_THROW(pool_.sweep());
@@ -274,24 +347,25 @@ TEST_F(BackendPoolTest, RetireWhileRoutingChurn) {
   EXPECT_EQ(pool_.instance_count(1), 2u);
 
   // Drain the simulation: all in-flight work completes, the two retired
-  // instances are reaped, and exactly the two live records stay open.
+  // instances are reaped, and exactly the two live members stay billed.
   sim_.run();
   ASSERT_NO_THROW(pool_.sweep());
   ASSERT_NO_THROW(pool_.sweep());
   EXPECT_EQ(completions, routed);
   EXPECT_EQ(ps_completed(), routed);
-  EXPECT_EQ(pool_.billing().active_instances(), 2u);
+  EXPECT_EQ(pool_.member_count(), 2u);
   // The only refusals are this test's own direct probes of the draining
   // instances; the router itself never hit a drop.
   EXPECT_EQ(ps_dropped(), drained_total);
-  // Billing keeps charging the live instances only: cost equals two
-  // still-open records plus the two closed ones, each >= one started
-  // hour — and stays put when sweep() runs again on an already-reaped
-  // pool.
-  const double cost = pool_.billing().total_cost(sim_.now());
-  EXPECT_GE(cost, 4.0);  // four records, minimum one hour each at $1/h
+  // Billing keeps charging the live instances only: each started hour
+  // from here adds the two members' $1, and a sweep on an already-reaped
+  // pool moves nothing.  All four were billed an hour at least.
+  const util::money cost = pool_.total_cost(sim_.now());
+  EXPECT_GE(cost, 4 * util::k_money_per_usd);
+  EXPECT_EQ(pool_.total_cost(sim_.now() + util::hours(1)),
+            cost + 2 * util::k_money_per_usd);
   pool_.sweep();
-  EXPECT_DOUBLE_EQ(pool_.billing().total_cost(sim_.now()), cost);
+  EXPECT_EQ(pool_.total_cost(sim_.now()), cost);
 
   // Preemption phase: spot-kill both survivors while loaded.  Every job
   // in flight on a victim must be failure-notified exactly once — the
@@ -322,8 +396,10 @@ TEST_F(BackendPoolTest, RetireWhileRoutingChurn) {
   EXPECT_EQ(strike.killed + second.killed, failures);
   EXPECT_EQ(completions + failures, routed + preempt_routed);
   EXPECT_EQ(ps_completed(), completions);
-  // Both victims' billing records closed on the kill.
-  EXPECT_EQ(pool_.billing().active_instances(), 0u);
+  // Both victims were reaped on the kill: nothing accrues any more.
+  EXPECT_EQ(pool_.member_count(), 0u);
+  EXPECT_EQ(pool_.total_cost(sim_.now() + util::hours(1)),
+            pool_.total_cost(sim_.now()));
 }
 
 }  // namespace

@@ -286,7 +286,7 @@ cloud::instance_type exact_type() {
   t.name = "test.exact";
   t.vcpus = 1.0;
   t.memory_gb = 64.0;
-  t.cost_per_hour = 0.1;
+  t.cost_per_hour = 1'000;  // $0.1 per hour
   t.speed_factor = 1.0;
   t.jitter_sigma = 0.0;
   return t;

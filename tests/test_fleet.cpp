@@ -7,10 +7,12 @@
 #include <stdexcept>
 #include <vector>
 
+#include "exp/scenario.h"
 #include "fleet/coordinator.h"
 #include "fleet/demand_digest.h"
 #include "fleet/shard.h"
 #include "tasks/task.h"
+#include "util/money.h"
 
 namespace mca::fleet {
 namespace {
@@ -78,7 +80,7 @@ TEST(SplitFleetPlan, ProportionalWithDeterministicRemainders) {
   fleet_plan.entries = {{1, "large", 7}};
   core::allocation_request shape;
   shape.workload_per_group = {0.0, 0.0};
-  shape.candidates_per_group = {{}, {{"large", 30.0, 3.0}}};
+  shape.candidates_per_group = {{}, {{"large", 30.0, 3}}};
 
   // Demands 4:2:1 over three predicting shards -> exact shares 4, 2, 1.
   const demand_digest digests[3] = {
@@ -93,11 +95,37 @@ TEST(SplitFleetPlan, ProportionalWithDeterministicRemainders) {
   EXPECT_EQ(quotas[1]->count_of(1, "large"), 2u);
   EXPECT_EQ(quotas[2]->count_of(1, "large"), 1u);
   // Quota costs come from the shape's candidate prices.
-  EXPECT_DOUBLE_EQ(quotas[0]->total_cost_per_hour, 12.0);
+  EXPECT_EQ(quotas[0]->total_cost_per_hour, 12);
 
   std::size_t total = 0;
   for (const auto& quota : quotas) total += quota->total_instances();
   EXPECT_EQ(total, fleet_plan.total_instances());
+}
+
+TEST(SplitFleetPlan, QuotaCostsSumExactlyToTheFleetPlanCost) {
+  // Without the floor the split only deals the plan's instances out to
+  // the shards, so the quotas' costs add up to the plan's to the unit.
+  // In dollar doubles this plan cost 3.1625999999999999 and its quotas
+  // summed to 3.1626000000000003.
+  core::allocation_request shape;
+  for (const exp::scenario_spec& spec : exp::builtin_scenarios()) {
+    if (spec.name == "fleet") shape = fleet_allocation_shape(spec);
+  }
+  const demand_digest digests[3] = {
+      make_digest(0, {0.0, 32.0, 25.0, 4.0, 40.0}),
+      make_digest(1, {0.0, 31.0, 30.0, 36.0, 40.0}),
+      make_digest(2, {0.0, 16.0, 29.0, 3.0, 3.0}),
+  };
+  core::allocation_request request = shape;
+  request.workload_per_group = combine(digests, 5).demand_per_group;
+  const core::allocation_plan plan = core::allocate_ilp(request);
+  ASSERT_TRUE(plan.feasible);
+  EXPECT_EQ(plan.total_cost_per_hour, 31'626);
+
+  const auto quotas = split_fleet_plan(plan, digests, shape);
+  util::money quota_costs = 0;
+  for (const auto& quota : quotas) quota_costs += quota->total_cost_per_hour;
+  EXPECT_EQ(quota_costs, plan.total_cost_per_hour);
 }
 
 TEST(SplitFleetPlan, NonPredictingShardKeepsItsFleet) {
@@ -105,7 +133,7 @@ TEST(SplitFleetPlan, NonPredictingShardKeepsItsFleet) {
   fleet_plan.entries = {{1, "large", 4}};
   core::allocation_request shape;
   shape.workload_per_group = {0.0, 0.0};
-  shape.candidates_per_group = {{}, {{"large", 30.0, 3.0}}};
+  shape.candidates_per_group = {{}, {{"large", 30.0, 3}}};
   const demand_digest digests[2] = {
       make_digest(0, {0.0, 9.0}),
       make_digest(1, {}, /*predicted=*/false),
@@ -123,7 +151,7 @@ TEST(SplitFleetPlan, ZeroDemandGroupSplitsEquallyWithLowIndexTies) {
   fleet_plan.entries = {{0, "small", 3}};
   core::allocation_request shape;
   shape.workload_per_group = {0.0};
-  shape.candidates_per_group = {{{"small", 10.0, 1.0}}};
+  shape.candidates_per_group = {{{"small", 10.0, 1}}};
   const demand_digest digests[2] = {
       make_digest(0, {0.0}),
       make_digest(1, {0.0}),
@@ -141,7 +169,7 @@ TEST(SplitFleetPlan, MinFootprintCoversDemandingShards) {
   fleet_plan.entries = {{1, "large", 1}};
   core::allocation_request shape;
   shape.workload_per_group = {0.0, 0.0};
-  shape.candidates_per_group = {{}, {{"large", 30.0, 3.0}, {"small", 9.0, 1.0}}};
+  shape.candidates_per_group = {{}, {{"large", 30.0, 3}, {"small", 9.0, 1}}};
   const demand_digest digests[3] = {
       make_digest(0, {0.0, 4.0}),
       make_digest(1, {0.0, 3.0}),
@@ -159,7 +187,7 @@ TEST(SplitFleetPlan, MinFootprintCoversDemandingShards) {
   EXPECT_EQ(quotas[0]->count_of(1, "large"), 1u);
   EXPECT_EQ(quotas[0]->count_of(1, "small"), 0u);  // already covered
   EXPECT_EQ(quotas[1]->count_of(1, "small"), 1u);  // cheapest type top-up
-  EXPECT_DOUBLE_EQ(quotas[1]->total_cost_per_hour, 1.0);
+  EXPECT_EQ(quotas[1]->total_cost_per_hour, 1);
   EXPECT_EQ(quotas[2]->total_instances(), 0u);  // no demand, no floor
 }
 
@@ -240,8 +268,7 @@ TEST(Coordinator, ReallocateResplitsLastPlanWithoutSolving) {
       EXPECT_EQ(again[k]->count_of(entry.group, entry.type_name), entry.count)
           << "shard " << k << " " << entry.type_name;
     }
-    EXPECT_DOUBLE_EQ(again[k]->total_cost_per_hour,
-                     quotas[k]->total_cost_per_hour);
+    EXPECT_EQ(again[k]->total_cost_per_hour, quotas[k]->total_cost_per_hour);
   }
   EXPECT_EQ(coord.observability().get(obs::counter::ilp_solves), solves);
   EXPECT_EQ(coord.ilp_solves(), 1u);
@@ -264,8 +291,7 @@ TEST(Coordinator, ReservedSlotEqualsAllocateIlpUnderReducedCap) {
   const core::allocation_plan expected = core::allocate_ilp(request);
   // One predicting shard: its quota is the whole fleet plan.
   EXPECT_EQ(quotas[0]->total_instances(), expected.total_instances());
-  EXPECT_DOUBLE_EQ(quotas[0]->total_cost_per_hour,
-                   expected.total_cost_per_hour);
+  EXPECT_EQ(quotas[0]->total_cost_per_hour, expected.total_cost_per_hour);
   for (const auto& entry : expected.entries) {
     EXPECT_EQ(quotas[0]->count_of(entry.group, entry.type_name), entry.count)
         << entry.type_name;
@@ -353,8 +379,8 @@ TEST(ShardDigest, InstancesAreTheNonDrainingDeployment) {
       }
       EXPECT_EQ(digests.back().instances, deployed)
           << "shard " << digests.back().shard << " slot " << slot;
-      // Every member, draining or not, holds an open billing record.
-      const std::size_t members_alive = backend.billing().active_instances();
+      // Every member, draining or not, is still in the pool (and billed).
+      const std::size_t members_alive = backend.member_count();
       EXPECT_LE(digests.back().instances, members_alive);
       if (drained) {
         EXPECT_LT(digests.back().instances, members_alive)

@@ -90,7 +90,8 @@ TEST(GoldenEquivalence, MonolithicRunMatchesPreRefactorGoldens) {
   EXPECT_EQ(digest.successes, 36182u);
   EXPECT_EQ(digest.promotions, 752u);
   EXPECT_EQ(digest.background_submitted, 64210u);
-  EXPECT_NEAR(digest.total_cost_usd, 4.3754, 1e-9);
+  // Whole $0.0001 summed as integers: the bill is exactly its decimal.
+  EXPECT_EQ(digest.total_cost_usd, 4.3754);
   EXPECT_EQ(digest.response.count(), 36182u);
   EXPECT_NEAR(digest.response.mean(), 221.7416876918, 1e-6);
   EXPECT_EQ(digest.latency.total(), 36182u);
@@ -102,7 +103,7 @@ TEST(GoldenEquivalence, MonolithicRunMatchesPreRefactorGoldens) {
 
   const std::array<exp::replication_metrics, 1> replications{digest};
   EXPECT_EQ(exp::merge_replications(replications).fingerprint(),
-            0x5515aefa4bee79ccULL);
+            0xd33116d99177ec5aULL);
 }
 
 TEST(GoldenEquivalence, ShardedFleetMatchesPreRefactorGoldens) {
@@ -123,7 +124,7 @@ TEST(GoldenEquivalence, ShardedFleetMatchesPreRefactorGoldens) {
   EXPECT_EQ(result.ilp_solves, 4u);
   EXPECT_EQ(result.slot_count, 5u);
 
-  EXPECT_EQ(result.fingerprint(), 0x5be0dc3e640804b2ULL);
+  EXPECT_EQ(result.fingerprint(), 0xfe528d5c3031686dULL);
   EXPECT_EQ(result.observability.fingerprint(), 0xa8f007c8c404d16fULL);
   EXPECT_EQ(result.timeline.fingerprint(), 0x7bda54dd8e62ee36ULL);
 }

@@ -20,7 +20,7 @@ instance_type exact_type(double vcpus = 1.0, double speed = 1.0) {
   t.name = "test.exact";
   t.vcpus = vcpus;
   t.memory_gb = 64.0;  // large admission cap
-  t.cost_per_hour = 0.1;
+  t.cost_per_hour = 1'000;  // $0.1 per hour
   t.speed_factor = speed;
   t.jitter_sigma = 0.0;
   t.steal_max = 0.0;
@@ -49,7 +49,7 @@ TEST(Instance, SinkHearsTaggedJobsWithTheirTagAndEpoch) {
   // ok = false, each with the tag and epoch it was submitted with; an
   // untagged job is never reported.
   sim::simulation sim;
-  instance server{sim, 1, exact_type(), util::rng{1}};
+  instance server{sim, exact_type(), util::rng{1}};
   tag_recorder sink;
   server.set_completion_sink(&sink);
   ASSERT_TRUE(server.submit(1.0, 7, 3));
@@ -64,7 +64,7 @@ TEST(Instance, SinkHearsTaggedJobsWithTheirTagAndEpoch) {
 
 TEST(Instance, SingleJobServiceTimeIsWorkPlusSpawn) {
   sim::simulation sim;
-  instance server{sim, 1, exact_type(), util::rng{1}};
+  instance server{sim, exact_type(), util::rng{1}};
   callback_sink sink;
   server.set_completion_sink(&sink);
   obs::registry counts;
@@ -80,7 +80,7 @@ TEST(Instance, SingleJobServiceTimeIsWorkPlusSpawn) {
 
 TEST(Instance, SpeedFactorDividesServiceTime) {
   sim::simulation sim;
-  instance server{sim, 1, exact_type(1.0, 2.0), util::rng{1}};
+  instance server{sim, exact_type(1.0, 2.0), util::rng{1}};
   callback_sink sink;
   server.set_completion_sink(&sink);
   double service = -1.0;
@@ -91,7 +91,7 @@ TEST(Instance, SpeedFactorDividesServiceTime) {
 
 TEST(Instance, ProcessorSharingDoublesWithTwoJobs) {
   sim::simulation sim;
-  instance server{sim, 1, exact_type(), util::rng{1}};
+  instance server{sim, exact_type(), util::rng{1}};
   callback_sink sink;
   server.set_completion_sink(&sink);
   std::vector<double> services;
@@ -106,7 +106,7 @@ TEST(Instance, ProcessorSharingDoublesWithTwoJobs) {
 
 TEST(Instance, MultipleCoresAvoidSharingPenalty) {
   sim::simulation sim;
-  instance server{sim, 1, exact_type(2.0), util::rng{1}};
+  instance server{sim, exact_type(2.0), util::rng{1}};
   callback_sink sink;
   server.set_completion_sink(&sink);
   std::vector<double> services;
@@ -120,7 +120,7 @@ TEST(Instance, MultipleCoresAvoidSharingPenalty) {
 
 TEST(Instance, LateArrivalSharesRemainingWork) {
   sim::simulation sim;
-  instance server{sim, 1, exact_type(), util::rng{1}};
+  instance server{sim, exact_type(), util::rng{1}};
   callback_sink sink;
   server.set_completion_sink(&sink);
   std::vector<std::pair<double, double>> completions;  // (finish, service)
@@ -149,7 +149,7 @@ TEST(Instance, AdmissionCapDropsExcess) {
   sim::simulation sim;
   auto type = exact_type();
   type.memory_gb = 0.1;  // floor cap applies
-  instance server{sim, 1, type, util::rng{1}};
+  instance server{sim, type, util::rng{1}};
   obs::registry counts;
   server.set_observability(&counts);
   const auto cap = type.max_concurrent();
@@ -164,7 +164,7 @@ TEST(Instance, AdmissionCapDropsExcess) {
 
 TEST(Instance, DrainRejectsNewWorkButFinishesRunning) {
   sim::simulation sim;
-  instance server{sim, 1, exact_type(), util::rng{1}};
+  instance server{sim, exact_type(), util::rng{1}};
   callback_sink sink;
   server.set_completion_sink(&sink);
   bool finished = false;
@@ -179,13 +179,13 @@ TEST(Instance, DrainRejectsNewWorkButFinishesRunning) {
 
 TEST(Instance, NegativeWorkThrows) {
   sim::simulation sim;
-  instance server{sim, 1, exact_type(), util::rng{1}};
+  instance server{sim, exact_type(), util::rng{1}};
   EXPECT_THROW(server.submit(-1.0), std::invalid_argument);
 }
 
 TEST(Instance, ServiceStatsTrackCompletions) {
   sim::simulation sim;
-  instance server{sim, 1, exact_type(), util::rng{1}};
+  instance server{sim, exact_type(), util::rng{1}};
   callback_sink sink;
   server.set_completion_sink(&sink);
   util::running_stats stats;
@@ -202,8 +202,8 @@ TEST(Instance, StealSlowsServiceUnderContention) {
   sim::simulation sim;
   auto micro = exact_type();
   micro.steal_max = 0.5;
-  instance stealing{sim, 1, micro, util::rng{1}};
-  instance clean{sim, 2, exact_type(), util::rng{1}};
+  instance stealing{sim, micro, util::rng{1}};
+  instance clean{sim, exact_type(), util::rng{1}};
   callback_sink sink;
   stealing.set_completion_sink(&sink);
   clean.set_completion_sink(&sink);
@@ -227,7 +227,7 @@ TEST(Instance, JitterPerturbsServiceTimes) {
   sim::simulation sim;
   auto noisy = exact_type();
   noisy.jitter_sigma = 0.3;
-  instance server{sim, 1, noisy, util::rng{7}};
+  instance server{sim, noisy, util::rng{7}};
   callback_sink sink;
   server.set_completion_sink(&sink);
   std::vector<double> services;
@@ -255,7 +255,7 @@ TEST(Instance, CreditExhaustionThrottlesToBaseline) {
   instance::options opts;
   opts.enable_cpu_credits = true;
   opts.initial_credits_core_ms = 50.0;
-  instance server{sim, 1, type, util::rng{1}, opts};
+  instance server{sim, type, util::rng{1}, opts};
   callback_sink sink;
   server.set_completion_sink(&sink);
   double service = -1.0;
@@ -275,7 +275,7 @@ TEST(Instance, CreditsRecoverWhenIdle) {
   instance::options opts;
   opts.enable_cpu_credits = true;
   opts.initial_credits_core_ms = 10.0;
-  instance server{sim, 1, type, util::rng{1}, opts};
+  instance server{sim, type, util::rng{1}, opts};
   server.submit(42.0);
   sim.run_until(1'000.0);  // untagged: the read below replays the work
   const double after_work = server.credit_balance();
@@ -290,7 +290,7 @@ TEST(Instance, CreditsDisabledMeansNeverThrottled) {
   sim::simulation sim;
   auto type = exact_type();
   type.baseline_fraction = 0.05;
-  instance server{sim, 1, type, util::rng{1}};
+  instance server{sim, type, util::rng{1}};
   callback_sink sink;
   server.set_completion_sink(&sink);
   double service = -1.0;
@@ -308,7 +308,7 @@ class WorkConservation : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(WorkConservation, BusyTimeEqualsTotalWork) {
   sim::simulation sim;
-  instance server{sim, 1, exact_type(), util::rng{1}};
+  instance server{sim, exact_type(), util::rng{1}};
   callback_sink sink;
   server.set_completion_sink(&sink);
   obs::registry counts;
@@ -346,7 +346,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, WorkConservation,
 
 TEST(Instance, CompletionCallbackMayResubmit) {
   sim::simulation sim;
-  instance server{sim, 1, exact_type(), util::rng{1}};
+  instance server{sim, exact_type(), util::rng{1}};
   callback_sink sink;
   server.set_completion_sink(&sink);
   int completions = 0;

@@ -148,17 +148,17 @@ TEST_F(IntegrationTest, AdaptiveBeatsStaticPeakOnCost) {
   const std::vector<double> hourly_workload = {5, 8, 20, 45, 30, 12};
   allocation_request base;
   base.workload_per_group = {0.0};
-  base.candidates_per_group = {{{"t2.nano", 10.0, 1.0}}};
+  base.candidates_per_group = {{{"t2.nano", 10.0, 1}}};
 
-  double adaptive_cost = 0.0;
-  double static_cost = 0.0;
+  util::money adaptive_cost = 0;
+  util::money static_cost = 0;
   for (const double w : hourly_workload) {
     auto request = base;
     request.workload_per_group[0] = w;
     adaptive_cost += allocate_ilp(request).total_cost_per_hour;
     static_cost += allocate_static_peak(base, 45.0).total_cost_per_hour;
   }
-  EXPECT_LT(adaptive_cost, static_cost * 0.75);
+  EXPECT_LT(adaptive_cost * 4, static_cost * 3);  // under 75%
 }
 
 TEST_F(IntegrationTest, RunningSystemForecastsTheSlotItJustClosed) {

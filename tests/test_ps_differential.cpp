@@ -206,10 +206,9 @@ class legacy_ps_oracle {
 // callback runs from a callback_sink under a tag of its own.
 class callback_instance : public instance {
  public:
-  callback_instance(sim::simulation& sim, instance_id id,
-                    const instance_type& type, util::rng rng,
-                    instance::options opts)
-      : instance{sim, id, type, rng, opts} {
+  callback_instance(sim::simulation& sim, const instance_type& type,
+                    util::rng rng, instance::options opts)
+      : instance{sim, type, rng, opts} {
     set_completion_sink(&sink_);
   }
 
@@ -240,13 +239,12 @@ struct trace_result {
   bool throttled = false;
 };
 
-template <typename Server, typename... Extra>
+template <typename Server>
 trace_result run_trace(const instance_type& type, instance::options opts,
                        const std::vector<trace_op>& ops, double drain_at,
-                       std::uint64_t seed, Extra&&... extra) {
+                       std::uint64_t seed) {
   sim::simulation sim;
-  Server server{sim, std::forward<Extra>(extra)..., type, util::rng{seed},
-                opts};
+  Server server{sim, type, util::rng{seed}, opts};
   // The instance counts completions and drops in its registry; the
   // oracle keeps its own tallies.
   constexpr bool kInstance = std::is_same_v<Server, callback_instance>;
@@ -286,8 +284,7 @@ trace_result run_trace(const instance_type& type, instance::options opts,
 trace_result run_new(const instance_type& type, instance::options opts,
                      const std::vector<trace_op>& ops, double drain_at,
                      std::uint64_t seed) {
-  return run_trace<callback_instance>(type, opts, ops, drain_at, seed,
-                                      static_cast<instance_id>(1));
+  return run_trace<callback_instance>(type, opts, ops, drain_at, seed);
 }
 
 trace_result run_legacy(const instance_type& type, instance::options opts,
@@ -316,7 +313,7 @@ instance_type base_type() {
   t.name = "diff.test";
   t.vcpus = 2.0;
   t.memory_gb = 64.0;
-  t.cost_per_hour = 0.1;
+  t.cost_per_hour = 1'000;  // $0.1 per hour
   t.speed_factor = 1.0;
   t.jitter_sigma = 0.0;
   t.steal_max = 0.0;
@@ -460,7 +457,7 @@ TEST(PsDifferential, CallbackResubmissionChainsAgree) {
   };
   const auto vt_times = run_chain([](sim::simulation& sim) {
     return std::make_unique<callback_instance>(
-        sim, 1, base_type(), util::rng{9}, instance::options{});
+        sim, base_type(), util::rng{9}, instance::options{});
   });
   const auto legacy_times = run_chain([](sim::simulation& sim) {
     return std::make_unique<legacy_ps_oracle>(sim, base_type(), util::rng{9},
@@ -554,7 +551,7 @@ replay_result run_replay(const instance_type& type, instance::options opts,
                          std::vector<util::time_ms> deadlines,
                          bool all_tagged, std::uint64_t seed) {
   sim::simulation sim;
-  instance server{sim, 1, type, util::rng{seed}, opts};
+  instance server{sim, type, util::rng{seed}, opts};
   obs::registry counts;
   server.set_observability(&counts);
   replay_result r;

@@ -182,7 +182,7 @@ TEST(WorkCounts, SmokeFleetIsPinned) {
   for (auto& member : members) per_shard.push_back(member->finish());
   // The fleet mca_bench --smoke runs, bit for bit.
   ASSERT_EQ(exp::merge_replications(per_shard).fingerprint(),
-            0x65d5d1b13929187eULL);
+            0xdb8cb3c02b5eba73ULL);
 
   work_counts got;
   obs::registry registry;

@@ -2,9 +2,10 @@
 //
 // The repo's correctness story is mostly runtime gates (golden
 // fingerprints, the counting-allocator hot-path test, sanitizer legs).
-// This tool is their static twin: it walks src/, bench/, tests/ and
-// tools/ and enforces the invariants those gates rely on *everywhere*,
-// not just on the code paths a fixed-seed run happens to execute.
+// This tool is their static twin: it walks src/, bench/, tests/, tools/,
+// mca_bench/ and examples/ and enforces the invariants those gates rely
+// on *everywhere*, not just on the code paths a fixed-seed run happens to
+// execute.
 //
 // Rule families (rule ids in brackets):
 //
@@ -984,7 +985,8 @@ int scan_tree(const lint_options& opts) {
   namespace fs = std::filesystem;
   const fs::path root{opts.root};
   std::vector<std::string> relative_paths;
-  for (const char* dir : {"src", "bench", "tests", "tools"}) {
+  for (const char* dir :
+       {"src", "bench", "tests", "tools", "mca_bench", "examples"}) {
     const fs::path base = root / dir;
     if (!fs::exists(base)) continue;
     for (const auto& entry : fs::recursive_directory_iterator(base)) {
@@ -1336,8 +1338,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "usage: mca_lint [--root <dir>] [--report <file>] [--self-test]\n"
-          "walks <dir>/{src,bench,tests,tools} and enforces project "
-          "invariants;\nexits nonzero on violations.\n");
+          "walks <dir>/{src,bench,tests,tools,mca_bench,examples} and "
+          "enforces project invariants;\nexits nonzero on violations.\n");
       return 0;
     } else {
       std::fprintf(stderr, "mca_lint: unknown argument '%s'\n", arg.c_str());
