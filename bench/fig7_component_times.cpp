@@ -68,10 +68,9 @@ int main() {
     for (const auto& [group, type] : kLevels) {
       backend.launch(group, cloud::type_by_name(type));
     }
-    trace::log_store log;
     core::sdn_config config;
-    core::sdn_accelerator sdn{sim,  backend, net::default_lte_model(),
-                              &log, config,  rng.fork()};
+    core::sdn_accelerator sdn{sim, backend, net::default_lte_model(), config,
+                              rng.fork()};
     sdn.set_response_sink(&sink);
 
     // 30 concurrent users fire the static minimax at each level, several
@@ -89,7 +88,7 @@ int main() {
             request.user = static_cast<user_id>(u);
             request.work = minimax;
             request.created_at = sim.now();
-            sdn.submit(request, group, 1.0);
+            sdn.submit(request, group);
           });
         }
       }

@@ -83,10 +83,9 @@ std::map<group_id, std::vector<double>> run_routing_part(
     for (const auto& [group, type] : levels) {
       backend.launch(group, cloud::type_by_name(type));
     }
-    trace::log_store log;
     routing_sink sink;
-    core::sdn_accelerator sdn{sim,  backend, net::default_lte_model(),
-                              &log, core::sdn_config{}, rng.fork()};
+    core::sdn_accelerator sdn{sim, backend, net::default_lte_model(),
+                              core::sdn_config{}, rng.fork()};
     sdn.set_response_sink(&sink);
     request_id next_id = 0;
     for (const auto& [group, type] : levels) {
@@ -98,7 +97,7 @@ std::map<group_id, std::vector<double>> run_routing_part(
                           request.user = 1;
                           request.work = pool.random_request(rng);
                           request.created_at = sim.now();
-                          sdn.submit(request, group, 1.0);
+                          sdn.submit(request, group);
                         });
       }
     }

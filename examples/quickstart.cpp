@@ -11,12 +11,13 @@
 #include "net/operators.h"
 #include "sim/simulation.h"
 #include "tasks/task.h"
-#include "trace/log_store.h"
 #include "workload/request.h"
 
 namespace {
 
-/// Prints each response's timing decomposition as it reaches the device.
+/// Prints each response's timing decomposition as it reaches the device,
+/// and counts the responses the cloud served (the Code Offloader's trace
+/// records).
 class print_sink final : public mca::core::response_sink {
  public:
   void on_response(const mca::workload::offload_request&,
@@ -24,7 +25,10 @@ class print_sink final : public mca::core::response_sink {
                    mca::group_id group) override {
     std::printf("%-8u %9.0f ms %5.0f ms %5.0f ms %7.0f ms\n", group,
                 t.total(), t.t1(), t.t2(), t.cloud);
+    if (t.success && !t.local) ++logged;
   }
+
+  std::size_t logged = 0;
 };
 
 }  // namespace
@@ -51,10 +55,9 @@ int main() {
   backend.launch(2, cloud::type_by_name("t2.large"));
   backend.launch(3, cloud::type_by_name("m4.4xlarge"));
 
-  trace::log_store log;
   core::sdn_config config;
-  core::sdn_accelerator sdn{sim,  backend, net::default_lte_model(),
-                            &log, config,  rng.fork()};
+  core::sdn_accelerator sdn{sim, backend, net::default_lte_model(), config,
+                            rng.fork()};
   print_sink sink;
   sdn.set_response_sink(&sink);
 
@@ -69,12 +72,12 @@ int main() {
     request.user = 7;
     request.work = minimax;
     request.created_at = sim.now();
-    sdn.submit(request, group, /*battery=*/0.8);
+    sdn.submit(request, group);
     sim.run();
   }
 
   std::printf("\nlogged %zu trace records; total cloud cost so far: $%.4f\n",
-              log.size(), util::to_usd(backend.total_cost(sim.now())));
+              sink.logged, util::to_usd(backend.total_cost(sim.now())));
   std::printf("quickstart done.\n");
   return 0;
 }

@@ -13,9 +13,32 @@
 #include "net/operators.h"
 #include "sim/simulation.h"
 #include "tasks/task.h"
+#include "trace/log_store.h"
 #include "trace/trace_io.h"
 #include "util/stats.h"
 #include "workload/generator.h"
+
+namespace {
+
+/// Keeps the Code Offloader's request log (§IV-A): one record per
+/// response the cloud served, built from the response sink.  The
+/// simulated devices report no charge, so every record logs 0.9.
+class log_sink final : public mca::core::response_sink {
+ public:
+  explicit log_sink(mca::trace::log_store& log) : log_{log} {}
+  void on_response(const mca::workload::offload_request& r,
+                   const mca::core::request_timing& t,
+                   mca::group_id group) override {
+    if (t.success && !t.local) {
+      log_.append({r.created_at, r.user, group, 0.9, t.total()});
+    }
+  }
+
+ private:
+  mca::trace::log_store& log_;
+};
+
+}  // namespace
 
 int main() {
   using namespace mca;
@@ -28,8 +51,10 @@ int main() {
     util::rng rng{55};
     cloud::backend_pool backend{sim, rng.fork()};
     backend.launch(1, cloud::type_by_name("t2.medium"));
-    core::sdn_accelerator sdn{sim,       backend, net::default_lte_model(),
-                              &recorded, {},      rng.fork()};
+    core::sdn_accelerator sdn{sim, backend, net::default_lte_model(), {},
+                              rng.fork()};
+    log_sink sink{recorded};
+    sdn.set_response_sink(&sink);
     workload::interarrival_config load;
     load.devices = 40;
     load.active_duration = util::minutes(10);
@@ -37,7 +62,7 @@ int main() {
     // so the recorded trace carries real queueing delay.
     workload::interarrival_generator gen{
         sim, workload::random_pool_source(pool),
-        [&](const workload::offload_request& r) { sdn.submit(r, 1, 0.9); },
+        [&](const workload::offload_request& r) { sdn.submit(r, 1); },
         workload::exponential_interarrival(2.0), load, rng.fork()};
     sim.run();
   }
@@ -60,11 +85,13 @@ int main() {
   cloud::backend_pool backend{sim, rng.fork()};
   backend.launch(1, cloud::type_by_name("m4.4xlarge"));
   trace::log_store replay_log;
-  core::sdn_accelerator sdn{sim,         backend, net::default_lte_model(),
-                            &replay_log, {},      rng.fork()};
+  core::sdn_accelerator sdn{sim, backend, net::default_lte_model(), {},
+                            rng.fork()};
+  log_sink sink{replay_log};
+  sdn.set_response_sink(&sink);
   workload::replay_generator replay{
       sim, workload::random_pool_source(pool),
-      [&](const workload::offload_request& r) { sdn.submit(r, 1, 0.9); },
+      [&](const workload::offload_request& r) { sdn.submit(r, 1); },
       std::move(events), rng.fork()};
   sim.run();
 

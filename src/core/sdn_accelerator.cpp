@@ -11,13 +11,11 @@ namespace mca::core {
 sdn_accelerator::sdn_accelerator(sim::simulation& sim,
                                  cloud::backend_pool& backend,
                                  net::rtt_model mobile_link,
-                                 trace::log_store* log, sdn_config config,
-                                 util::rng rng,
+                                 sdn_config config, util::rng rng,
                                  const fault::fault_program& faults)
     : sim_{sim},
       backend_{backend},
       mobile_link_{std::move(mobile_link)},
-      log_{log},
       config_{config},
       faults_{faults},
       rng_{rng} {
@@ -96,7 +94,7 @@ void sdn_accelerator::release_slot(std::uint32_t slot) noexcept {
 }
 
 void sdn_accelerator::submit(const workload::offload_request& request,
-                             group_id group, double battery) {
+                             group_id group) {
   ++received_;
   if (obs_ != nullptr) obs_->add(obs::counter::sdn_requests);
   // The channel stays open for the whole operation, so both external legs
@@ -119,7 +117,6 @@ void sdn_accelerator::submit(const workload::offload_request& request,
   s.external_one_way = external_one_way;
   s.routing = overhead;
   s.cloud = 0.0;
-  s.battery = battery;
   s.seq = received_;
   s.timeout = {};
   s.group = group;
@@ -168,15 +165,11 @@ void sdn_accelerator::stage_return(std::uint32_t slot,
   s.success = true;
   // The trace point: the request is logged when its result reaches the
   // front-end, one internal hop from now.  That time is known here, so
-  // the sink's trace point and the (optionally retained) log record fire
-  // now and carry it; the owner decides slot membership by logged_at.
+  // the sink's trace point fires now and carries it; the owner decides
+  // slot membership by logged_at.
   const util::time_ms logged_at = sim_.now() + config_.backend_one_way_ms;
   if (sink_ != nullptr) {
     sink_->on_trace(logged_at, s.created_at, s.user, s.group);
-  }
-  if (log_ != nullptr && config_.retain_trace_records) {
-    log_->append({s.created_at, s.user, s.group, s.battery,
-                  timing(s).total()});
   }
   sim_.schedule_at(logged_at + s.external_one_way,
                    [this, slot] { deliver(slot); });
@@ -188,21 +181,6 @@ void sdn_accelerator::deliver(std::uint32_t slot) {
   if (obs_ != nullptr) {
     obs_->add(t.success ? obs::counter::sdn_successes
                         : obs::counter::sdn_failures);
-  }
-  if (exemplars_ != nullptr) {
-    // Tail sampling at the sink: offer every response with its final
-    // latency; the reservoir keeps the window's top-K over preallocated
-    // storage (a compare and at most one O(log K) sift).
-    obs::exemplar_record exemplar;
-    exemplar.response_ms = t.total();
-    exemplar.issued_at_ms = s.created_at;
-    exemplar.request = s.id;
-    exemplar.user = s.user;
-    exemplar.group = s.group;
-    exemplar.success = t.success;
-    if (exemplars_->observe(exemplar) && obs_ != nullptr) {
-      obs_->add(obs::counter::exemplar_admitted);
-    }
   }
   if (s.sampled) {
     // Wall extent: host time this shard spent simulating the request's

@@ -6,12 +6,13 @@
 // (≈150 ms, Fig. 8a), the internal hop to the chosen back-end instance
 // (T_f→b), cloud execution under processor sharing (T_cloud), and the two
 // return hops (T_b→f, T_f→m).  The paper assumes the channel stays open
-// both ways, so T_m→f = T_f→m and T_f→b = T_b→f.  Every successful
-// request passes the trace point, which hands it to the owner's sink; the
-// running system feeds it to trace::slot_accumulator, the predictor's
-// evidence, and keeps no log.
+// both ways, so T_m→f = T_f→m and T_f→b = T_b→f.  The front-end routes
+// and times requests; its one output is the owner's response_sink (the
+// trace point per success, then every response), and the owner keeps the
+// records: the running system feeds trace::slot_accumulator, the
+// predictor's evidence, and its exemplar reservoir, and keeps no log.
 //
-// Hot-path layout: each accepted request occupies one 96-byte slot in a
+// Hot-path layout: each accepted request occupies one 88-byte slot in a
 // pooled slab of in-flight states (free-listed, reused).  A request gets a
 // sim event only where something is decided: dispatch (admission at the
 // back-end), the back-end completion, and delivery.  The front-end's
@@ -31,11 +32,9 @@
 #include "cloud/backend_pool.h"
 #include "fault/fault_program.h"
 #include "net/rtt_model.h"
-#include "obs/exemplar.h"
 #include "obs/registry.h"
 #include "obs/tracer.h"
 #include "sim/simulation.h"
-#include "trace/log_store.h"
 #include "util/rng.h"
 #include "workload/request.h"
 
@@ -49,9 +48,8 @@ struct sdn_config {
   double routing_overhead_sd_ms = 20.0;
   /// Front-end <-> back-end one-way latency (same private network).
   double backend_one_way_ms = 3.0;
-  /// Keep the raw trace records in the attached log store.  Off (or with
-  /// no log attached, as in core::offloading_system), the trace point
-  /// still fires (prediction works) but nothing accumulates in memory.
+  /// Read by nothing: kept only because `mca_bench/workloads.cpp:153`
+  /// sets it; it goes when that line does.
   bool retain_trace_records = true;
 };
 
@@ -108,17 +106,15 @@ class sdn_accelerator : private cloud::completion_sink {
  public:
   /// Installs itself as `backend`'s completion sink until destroyed;
   /// throws std::invalid_argument when the pool already reports to
-  /// another (one front-end per pool at a time).  `log` may be nullptr to
-  /// disable persistence regardless of config; the sink's trace point
-  /// fires either way.  The SDN reads its retry,
+  /// another (one front-end per pool at a time).  The SDN reads its retry,
   /// timeout, backoff and local-fallback knobs from `faults` only while
   /// the program is active(), checked by fault::validate's rules (throws
   /// std::invalid_argument).  An inactive program is bit-inert: no extra
   /// rng draw, no timer, no retry and no fallback, so a rejected request
   /// fails at once.
   sdn_accelerator(sim::simulation& sim, cloud::backend_pool& backend,
-                  net::rtt_model mobile_link, trace::log_store* log,
-                  sdn_config config, util::rng rng,
+                  net::rtt_model mobile_link, sdn_config config,
+                  util::rng rng,
                   const fault::fault_program& faults = {});
   ~sdn_accelerator() override;
 
@@ -126,11 +122,8 @@ class sdn_accelerator : private cloud::completion_sink {
   sdn_accelerator& operator=(const sdn_accelerator&) = delete;
 
   /// Accepts one offloading request destined for acceleration `group`.
-  /// `battery` is the device's charge level, logged with the trace record
-  /// when a log is attached.  The response goes to the installed sink
-  /// (see set_response_sink).
-  void submit(const workload::offload_request& request, group_id group,
-              double battery);
+  /// The response goes to the installed sink (see set_response_sink).
+  void submit(const workload::offload_request& request, group_id group);
 
   /// Installs the response sink (nullptr = responses are dropped).
   void set_response_sink(response_sink* sink) noexcept { sink_ = sink; }
@@ -151,13 +144,6 @@ class sdn_accelerator : private cloud::completion_sink {
     trace_ring_ = ring;
     trace_sample_every_ = sample_every == 0 ? 1 : sample_every;
   }
-  /// Attaches a tail-exemplar reservoir (nullptr = off): every delivered
-  /// response is offered at the sink, where its latency is known — the
-  /// sampling decision 1-in-N head sampling cannot make.  Fixed after
-  /// setup.
-  void set_exemplar_sink(obs::exemplar_reservoir* exemplars) noexcept {
-    exemplars_ = exemplars;
-  }
 
  private:
   /// In-flight request state, pooled and reused across requests.  The
@@ -173,7 +159,6 @@ class sdn_accelerator : private cloud::completion_sink {
     util::time_ms external_one_way = 0.0;
     util::time_ms routing = 0.0;
     util::time_ms cloud = 0.0;
-    double battery = 1.0;
     /// Arrival sequence (received_ at submit), the backoff-jitter stream
     /// key.  Not request.id: the generator numbers requests in emission
     /// order, which is not always the order they reach submit.
@@ -202,7 +187,7 @@ class sdn_accelerator : private cloud::completion_sink {
       return {id, user, work(), created_at};
     }
   };
-  static_assert(sizeof(inflight) <= 96, "an in-flight slot fits 96 bytes");
+  static_assert(sizeof(inflight) <= 88, "an in-flight slot fits 88 bytes");
   /// Where a sampled request's span starts, by slot.
   struct span_start {
     double wall_us = 0.0;
@@ -235,7 +220,6 @@ class sdn_accelerator : private cloud::completion_sink {
   sim::simulation& sim_;
   cloud::backend_pool& backend_;
   net::rtt_model mobile_link_;
-  trace::log_store* log_;
   sdn_config config_;
   fault::fault_program faults_;
   util::rng rng_;
@@ -245,7 +229,6 @@ class sdn_accelerator : private cloud::completion_sink {
   std::uint64_t retry_seed_ = 0;
   response_sink* sink_ = nullptr;
   obs::registry* obs_ = nullptr;
-  obs::exemplar_reservoir* exemplars_ = nullptr;
   obs::tracer* tracer_ = nullptr;
   std::size_t trace_ring_ = 0;
   std::size_t trace_sample_every_ = 1024;

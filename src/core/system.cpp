@@ -87,7 +87,7 @@ offloading_system::offloading_system(system_config config,
   sdn_ = std::make_unique<sdn_accelerator>(
       sim_, *backend_,
       config_.mobile_link ? *config_.mobile_link : net::default_lte_model(),
-      /*log=*/nullptr, config_.sdn, rng_.fork(), config_.faults);
+      config_.sdn, rng_.fork(), config_.faults);
   sdn_->set_response_sink(this);
 
   moderator_ = std::make_unique<client::moderator>(
@@ -118,8 +118,7 @@ offloading_system::offloading_system(system_config config,
 // mca:hot-path-begin(response-digest)
 void offloading_system::handle_request(
     const workload::offload_request& request) {
-  // No log is attached, so the battery level goes nowhere: a full one.
-  sdn_->submit(request, moderator_->group_of(request.user), 1.0);
+  sdn_->submit(request, moderator_->group_of(request.user));
 }
 
 void offloading_system::on_response(const workload::offload_request& request,
@@ -129,6 +128,22 @@ void offloading_system::on_response(const workload::offload_request& request,
     moderator_->record_response(request.user);
   }
   const double response_ms = timing.total();
+
+  if (config_.exemplar_top_k > 0) {
+    // Tail sampling at the sink: offer every response with its final
+    // latency; the reservoir keeps the window's top-K over preallocated
+    // storage (a compare and at most one O(log K) sift).
+    obs::exemplar_record exemplar;
+    exemplar.response_ms = response_ms;
+    exemplar.issued_at_ms = request.created_at;
+    exemplar.request = request.id;
+    exemplar.user = request.user;
+    exemplar.group = group;
+    exemplar.success = timing.success;
+    if (exemplars_.observe(exemplar)) {
+      metrics_.observability.add(obs::counter::exemplar_admitted);
+    }
+  }
 
   // Streaming digest, fed in completion order — the same order (and hence
   // the same floating-point accumulation) as the raw-series scan it
@@ -355,7 +370,6 @@ void offloading_system::begin(util::time_ms duration) {
   timeline_.reset(total_slots + 1, group_count_);
   if (config_.exemplar_top_k > 0) {
     exemplars_.reset(config_.exemplar_top_k, total_slots + 1);
-    sdn_->set_exemplar_sink(&exemplars_);
   }
 }
 

@@ -3,7 +3,10 @@
 // The Code Offloader logs every processed request as
 // <timestamp, user-id, acceleration-group, battery-level, round-trip-time>;
 // the predictor's knowledge base is built by sorting these traces
-// chronologically and cutting them into fixed-length time slots.
+// chronologically and cutting them into fixed-length time slots.  The
+// SDN-accelerator keeps no log: whoever owns its response sink builds one
+// from the responses it wants (example_trace_replay does), and the
+// running system cuts its slots at the sink's trace point instead.
 #pragma once
 
 #include <cstddef>

@@ -1,6 +1,7 @@
 #include "trace/trace_io.h"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -25,6 +26,11 @@ std::vector<std::string> split_fields(const std::string& line) {
   }
 }
 
+[[noreturn]] void reject(std::size_t line_number, const std::string& what) {
+  throw std::invalid_argument{"trace csv line " +
+                              std::to_string(line_number) + ": " + what};
+}
+
 double parse_double(const std::string& field, std::size_t line_number) {
   try {
     std::size_t consumed = 0;
@@ -32,9 +38,7 @@ double parse_double(const std::string& field, std::size_t line_number) {
     if (consumed != field.size()) throw std::invalid_argument{"trailing"};
     return value;
   } catch (const std::exception&) {
-    throw std::invalid_argument{"trace csv line " +
-                                std::to_string(line_number) +
-                                ": bad number '" + field + "'"};
+    reject(line_number, "bad number '" + field + "'");
   }
 }
 
@@ -44,9 +48,7 @@ std::uint32_t parse_u32(const std::string& field, std::size_t line_number) {
   const auto* last = field.data() + field.size();
   const auto [ptr, ec] = std::from_chars(first, last, value);
   if (ec != std::errc{} || ptr != last) {
-    throw std::invalid_argument{"trace csv line " +
-                                std::to_string(line_number) +
-                                ": bad integer '" + field + "'"};
+    reject(line_number, "bad integer '" + field + "'");
   }
   return value;
 }
@@ -78,10 +80,8 @@ log_store read_csv(std::istream& in) {
     if (line.empty()) continue;
     const auto fields = split_fields(line);
     if (fields.size() != 5) {
-      throw std::invalid_argument{"trace csv line " +
-                                  std::to_string(line_number) +
-                                  ": expected 5 fields, got " +
-                                  std::to_string(fields.size())};
+      reject(line_number,
+             "expected 5 fields, got " + std::to_string(fields.size()));
     }
     trace_record record;
     record.timestamp = parse_double(fields[0], line_number);
@@ -89,6 +89,18 @@ log_store read_csv(std::istream& in) {
     record.group = parse_u32(fields[2], line_number);
     record.battery_level = parse_double(fields[3], line_number);
     record.rtt_ms = parse_double(fields[4], line_number);
+    // std::stod reads "nan" and "inf": a NaN timestamp would break the
+    // store's chronological sort and fall out of every range.
+    if (!std::isfinite(record.timestamp)) {
+      reject(line_number, "non-finite timestamp '" + fields[0] + "'");
+    }
+    if (!std::isfinite(record.rtt_ms) || record.rtt_ms < 0.0) {
+      reject(line_number, "RTT '" + fields[4] + "' is not a finite, "
+                          "non-negative number");
+    }
+    if (!(record.battery_level >= 0.0 && record.battery_level <= 1.0)) {
+      reject(line_number, "battery '" + fields[3] + "' outside [0, 1]");
+    }
     store.append(record);
   }
   return store;

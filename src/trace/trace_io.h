@@ -22,7 +22,8 @@ std::size_t write_csv(const log_store& store, std::ostream& out);
 
 /// Parses CSV produced by `write_csv` (header required) into a new store.
 /// Throws std::invalid_argument on a malformed header, field count
-/// mismatch, or unparsable number (the error message carries the line
+/// mismatch, unparsable number, non-finite timestamp or RTT, negative RTT,
+/// or battery level outside [0, 1] (the error message carries the line
 /// number).
 log_store read_csv(std::istream& in);
 

@@ -326,7 +326,6 @@ class SdnResilienceTest : public ::testing::Test {
   sim::simulation sim_;
   tasks::task_pool pool_;
   cloud::backend_pool backend_{sim_, util::rng{1}};
-  trace::log_store log_;
   core::sdn_config config_;
   fault::fault_program faults_;
   test_support::recording_sink sink_;
@@ -344,11 +343,11 @@ TEST_F(SdnResilienceTest, TimeoutRetriesThenFallsBackLocally) {
   faults_.retry_backoff_cap_ms = 20.0;
   faults_.local_fallback = true;
   faults_.local_exec_wu_per_ms = 1.0;
-  core::sdn_accelerator sdn{sim_,    backend_,     fixed_link(40.0), &log_,
+  core::sdn_accelerator sdn{sim_,    backend_,     fixed_link(40.0),
                             config_, util::rng{2}, faults_};
   count(sdn);
   sdn.set_response_sink(&sink_);
-  sdn.submit(make_request(1), 1, 0.9);
+  sdn.submit(make_request(1), 1);
   sim_.run();
   ASSERT_EQ(sink_.responses.size(), 1u);
   const core::request_timing& observed = sink_.responses[0].timing;
@@ -371,11 +370,11 @@ TEST_F(SdnResilienceTest, RetryBudgetExhaustionDeliversFailureNotice) {
   faults_.max_retries = 1;
   faults_.retry_backoff_base_ms = 10.0;
   faults_.retry_backoff_cap_ms = 20.0;
-  core::sdn_accelerator sdn{sim_,    backend_,     fixed_link(40.0), &log_,
+  core::sdn_accelerator sdn{sim_,    backend_,     fixed_link(40.0),
                             config_, util::rng{2}, faults_};
   count(sdn);
   sdn.set_response_sink(&sink_);
-  sdn.submit(make_request(1), 1, 0.9);
+  sdn.submit(make_request(1), 1);
   sim_.run();
   ASSERT_EQ(sink_.responses.size(), 1u);
   const core::request_timing& observed = sink_.responses[0].timing;
@@ -391,11 +390,11 @@ TEST_F(SdnResilienceTest, PreemptedInFlightRetriesOnSurvivingInstance) {
   faults_.max_retries = 2;
   faults_.retry_backoff_base_ms = 10.0;
   faults_.retry_backoff_cap_ms = 20.0;
-  core::sdn_accelerator sdn{sim_,    backend_,     fixed_link(40.0), &log_,
+  core::sdn_accelerator sdn{sim_,    backend_,     fixed_link(40.0),
                             config_, util::rng{2}, faults_};
   count(sdn);
   sdn.set_response_sink(&sink_);
-  sdn.submit(make_request(1), 1, 0.9);
+  sdn.submit(make_request(1), 1);
   // Dispatch lands at ~173 ms (20 uplink + 150 routing + 3 internal); at
   // 250 ms the job is mid-service.  A second instance comes up, then the
   // loaded one is spot-killed: the failure must re-dispatch to the
@@ -424,7 +423,7 @@ TEST_F(SdnResilienceTest, BackoffJitterIsDeterministicPerRequest) {
   for (int run = 0; run < 2; ++run) {
     sim::simulation sim;
     cloud::backend_pool backend{sim, util::rng{1}};  // empty group: retries
-    core::sdn_accelerator sdn{sim,     backend,      fixed_link(40.0), &log_,
+    core::sdn_accelerator sdn{sim,     backend,      fixed_link(40.0),
                               config_, util::rng{2}, faults_};
     test_support::recording_sink sink;
     sdn.set_response_sink(&sink);
@@ -432,7 +431,7 @@ TEST_F(SdnResilienceTest, BackoffJitterIsDeterministicPerRequest) {
     r.id = 77;
     r.user = 1;
     r.work = pool_.static_minimax_request();
-    sdn.submit(r, 1, 0.9);
+    sdn.submit(r, 1);
     sim.run();
     ASSERT_EQ(sink.responses.size(), 1u);
     routing[run] = sink.responses[0].timing.routing;

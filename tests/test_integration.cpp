@@ -9,6 +9,7 @@
 #include "exp/scenario.h"
 #include "net/operators.h"
 #include "recording_sink.h"
+#include "trace/log_store.h"
 #include "workload/generator.h"
 
 namespace mca::core {
@@ -58,10 +59,9 @@ TEST_F(IntegrationTest, AccelerationRatiosSurviveTheFullStack) {
   backend.launch(1, cloud::type_by_name("t2.nano"));
   backend.launch(2, cloud::type_by_name("t2.large"));
   backend.launch(3, cloud::type_by_name("m4.4xlarge"));
-  trace::log_store log;
   sdn_config config;
   config.routing_overhead_sd_ms = 0.0;
-  sdn_accelerator sdn{sim, backend, net::default_lte_model(), &log, config,
+  sdn_accelerator sdn{sim, backend, net::default_lte_model(), config,
                       util::rng{6}};
   test_support::recording_sink sink;
   sdn.set_response_sink(&sink);
@@ -76,7 +76,7 @@ TEST_F(IntegrationTest, AccelerationRatiosSurviveTheFullStack) {
         r.user = 1;
         r.work = minimax;
         r.created_at = sim.now();
-        sdn.submit(r, g, 1.0);
+        sdn.submit(r, g);
       });
       ++next;
     }

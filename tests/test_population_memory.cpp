@@ -96,7 +96,7 @@ double peak_bytes_per_user(const exp::scenario_spec& spec) {
 //    timeline's 5 windows at 4 B a bin (76.9 kB), the registry's, the
 //    timeline's baseline and its scratch at 8 B a bin (67.7 kB): 14.5 B;
 //  * state sized by the traffic, not the population: per request in
-//    flight a 96-byte SDN slot and a 16-byte PS job, pending events,
+//    flight an 88-byte SDN slot and a 16-byte PS job, pending events,
 //    instances, digests and the merge.  The previous layout allotted it
 //    32.7 B, ~3 requests in flight per 10 users; a PS job was 48 B then,
 //    so the same allotment is now 32.7 - 0.3 * 32 = 23.1 B.

@@ -65,7 +65,6 @@ class SdnTest : public ::testing::Test {
   sim::simulation sim_;
   tasks::task_pool pool_;
   cloud::backend_pool backend_{sim_, util::rng{1}};
-  trace::log_store log_;
   sdn_config config_;
   test_support::recording_sink sink_;
   obs::registry obs_;
@@ -74,10 +73,10 @@ class SdnTest : public ::testing::Test {
 
 TEST_F(SdnTest, TimingDecompositionIsExact) {
   backend_.launch(1, exact_type());
-  sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), &log_, config_,
+  sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), config_,
                       util::rng{2}};
   sdn.set_response_sink(&sink_);
-  sdn.submit(make_request(1), 1, 0.9);
+  sdn.submit(make_request(1), 1);
   sim_.run();
   ASSERT_EQ(sink_.responses.size(), 1u);
   EXPECT_EQ(sink_.responses[0].group, 1u);
@@ -102,12 +101,12 @@ TEST_F(SdnTest, RoutingOverheadIsAboutOneFiftyMs) {
   constexpr std::size_t n = 20'000;
   backend_.launch(1, exact_type());
   config_.routing_overhead_sd_ms = 20.0;
-  sdn_accelerator sdn{sim_, backend_, net::default_lte_model(), &log_,
-                      config_, util::rng{3}};
+  sdn_accelerator sdn{sim_, backend_, net::default_lte_model(), config_,
+                      util::rng{3}};
   sdn.set_response_sink(&sink_);
   for (std::size_t i = 0; i < n; ++i) {
     sim_.schedule_at(static_cast<double>(i) * 2'000.0, [&, i] {
-      sdn.submit(make_request(static_cast<user_id>(i)), 1, 1.0);
+      sdn.submit(make_request(static_cast<user_id>(i)), 1);
     });
   }
   sim_.run();
@@ -151,30 +150,6 @@ TEST_F(SdnTest, RoutingOverheadIsAboutOneFiftyMs) {
   EXPECT_LE(std::abs(correlation), 4.0 / root_n);
 }
 
-TEST_F(SdnTest, LogsTraceRecordPerSuccess) {
-  backend_.launch(2, exact_type());
-  sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), &log_, config_,
-                      util::rng{4}};
-  sdn.submit(make_request(7), 2, 0.65);
-  sim_.run();
-  ASSERT_EQ(log_.size(), 1u);
-  const auto& record = log_.records()[0];
-  EXPECT_EQ(record.user, 7u);
-  EXPECT_EQ(record.group, 2u);
-  EXPECT_DOUBLE_EQ(record.battery_level, 0.65);
-  EXPECT_GT(record.rtt_ms, 400.0);  // T1 + T2 + Tcloud
-}
-
-TEST_F(SdnTest, NullLogPointerIsSafe) {
-  backend_.launch(1, exact_type());
-  sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), nullptr, config_,
-                      util::rng{6}};
-  count(sdn);
-  sdn.submit(make_request(1), 1, 1.0);
-  sim_.run();
-  EXPECT_EQ(succeeded(), 1u);
-}
-
 /// A sink that counts responses and keeps the users its trace point saw.
 class tracing_sink final : public response_sink {
  public:
@@ -194,40 +169,33 @@ class tracing_sink final : public response_sink {
   std::vector<user_id> traced_users;
 };
 
-TEST_F(SdnTest, TracePointFiresOncePerSuccessWithOrWithoutALog) {
+TEST_F(SdnTest, TracePointFiresOncePerSuccess) {
   // The trace point feeds the owner's slot windows, so it must fire for
-  // every successful request (and no failed one) whether or not a log
-  // store is attached; the closed-loop system attaches none.
+  // every successful request and no failed one.
   backend_.launch(1, exact_type());
-  for (const bool attach_log : {true, false}) {
-    trace::log_store log;
-    sdn_accelerator sdn{sim_, backend_, fixed_link(40.0),
-                        attach_log ? &log : nullptr, config_, util::rng{10}};
-    tracing_sink sink;
-    sdn.set_response_sink(&sink);
-    obs::registry counts;
-    sdn.set_observability(&counts, nullptr, 0, 1);
-    sdn.submit(make_request(1), 1, 1.0);
-    sdn.submit(make_request(2), 9, 1.0);  // no such group: fails
-    sdn.submit(make_request(3), 1, 1.0);
-    sim_.run();
-    ASSERT_EQ(sink.responses, 3u);
-    const std::uint64_t successes = counts.get(obs::counter::sdn_successes);
-    EXPECT_EQ(successes, 2u);
-    EXPECT_EQ(sink.traced_users.size(), successes);
-    EXPECT_EQ(std::set<user_id>(sink.traced_users.begin(),
-                                sink.traced_users.end()),
-              (std::set<user_id>{1, 3}));
-    EXPECT_EQ(log.size(), attach_log ? 2u : 0u);
-  }
+  sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), config_,
+                      util::rng{10}};
+  tracing_sink sink;
+  sdn.set_response_sink(&sink);
+  count(sdn);
+  sdn.submit(make_request(1), 1);
+  sdn.submit(make_request(2), 9);  // no such group: fails
+  sdn.submit(make_request(3), 1);
+  sim_.run();
+  ASSERT_EQ(sink.responses, 3u);
+  EXPECT_EQ(succeeded(), 2u);
+  EXPECT_EQ(sink.traced_users.size(), succeeded());
+  EXPECT_EQ(std::set<user_id>(sink.traced_users.begin(),
+                              sink.traced_users.end()),
+            (std::set<user_id>{1, 3}));
 }
 
 TEST_F(SdnTest, MissingGroupFailsTheRequest) {
-  sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), &log_, config_,
+  sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), config_,
                       util::rng{7}};
   count(sdn);
   sdn.set_response_sink(&sink_);
-  sdn.submit(make_request(1), 9, 1.0);
+  sdn.submit(make_request(1), 9);
   sim_.run();
   ASSERT_EQ(sink_.responses.size(), 1u);
   const request_timing& observed = sink_.responses[0].timing;
@@ -235,7 +203,6 @@ TEST_F(SdnTest, MissingGroupFailsTheRequest) {
   EXPECT_EQ(observed.cloud, 0.0);
   EXPECT_EQ(failed(), 1u);
   EXPECT_EQ(succeeded(), 0u);
-  EXPECT_EQ(log_.size(), 0u);  // failures are not logged as processed
 }
 
 TEST_F(SdnTest, SaturatedBackendDropsAreReported) {
@@ -243,12 +210,12 @@ TEST_F(SdnTest, SaturatedBackendDropsAreReported) {
   tiny.memory_gb = 0.1;  // floor admission cap applies
   const auto burst = tiny.max_concurrent() + 12;
   backend_.launch(1, tiny);
-  sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), &log_, config_,
+  sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), config_,
                       util::rng{8}};
   count(sdn);
   sdn.set_response_sink(&sink_);
   for (std::size_t i = 0; i < burst; ++i) {
-    sdn.submit(make_request(static_cast<user_id>(i)), 1, 1.0);
+    sdn.submit(make_request(static_cast<user_id>(i)), 1);
   }
   sim_.run();
   int failures = 0;
@@ -263,12 +230,12 @@ TEST_F(SdnTest, SaturatedBackendDropsAreReported) {
 TEST_F(SdnTest, CountsMultipleGroupsSeparately) {
   backend_.launch(1, exact_type());
   backend_.launch(2, exact_type());
-  sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), &log_, config_,
+  sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), config_,
                       util::rng{9}};
   sdn.set_response_sink(&sink_);
-  sdn.submit(make_request(1), 1, 1.0);
-  sdn.submit(make_request(2), 2, 1.0);
-  sdn.submit(make_request(3), 2, 1.0);
+  sdn.submit(make_request(1), 1);
+  sdn.submit(make_request(2), 2);
+  sdn.submit(make_request(3), 2);
   sim_.run();
   std::map<group_id, std::size_t> per_group;
   for (const auto& response : sink_.responses) {
@@ -283,16 +250,16 @@ TEST_F(SdnTest, ThreeGLinkInflatesT1Only) {
   backend_.launch(1, exact_type());
   cloud::backend_pool threeg_backend{sim_, util::rng{1}};
   threeg_backend.launch(1, exact_type());
-  sdn_accelerator lte{sim_, backend_, fixed_link(40.0), nullptr, config_,
+  sdn_accelerator lte{sim_, backend_, fixed_link(40.0), config_,
                       util::rng{10}};
-  sdn_accelerator threeg{sim_, threeg_backend, fixed_link(130.0), nullptr,
-                         config_, util::rng{10}};
+  sdn_accelerator threeg{sim_, threeg_backend, fixed_link(130.0), config_,
+                         util::rng{10}};
   test_support::recording_sink threeg_sink;
   lte.set_response_sink(&sink_);
   threeg.set_response_sink(&threeg_sink);
-  lte.submit(make_request(1), 1, 1.0);
+  lte.submit(make_request(1), 1);
   sim_.run();
-  threeg.submit(make_request(2), 1, 1.0);
+  threeg.submit(make_request(2), 1);
   sim_.run();
   ASSERT_EQ(sink_.responses.size(), 1u);
   ASSERT_EQ(threeg_sink.responses.size(), 1u);
@@ -305,11 +272,11 @@ TEST_F(SdnTest, ThreeGLinkInflatesT1Only) {
 
 TEST_F(SdnTest, ConcurrentSubmissionsShareTheBackend) {
   backend_.launch(1, exact_type());
-  sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), &log_, config_,
+  sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), config_,
                       util::rng{11}};
   sdn.set_response_sink(&sink_);
   for (int i = 0; i < 4; ++i) {
-    sdn.submit(make_request(static_cast<user_id>(i)), 1, 1.0);
+    sdn.submit(make_request(static_cast<user_id>(i)), 1);
   }
   sim_.run();
   ASSERT_EQ(sink_.responses.size(), 4u);
@@ -326,20 +293,20 @@ TEST_F(SdnTest, ConcurrentSubmissionsShareTheBackend) {
 // event's time, so each terminal path has an exact event count.
 TEST_F(SdnTest, SuccessCostsThreeEvents) {
   backend_.launch(1, exact_type());
-  sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), &log_, config_,
+  sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), config_,
                       util::rng{12}};
   count(sdn);
-  sdn.submit(make_request(1), 1, 1.0);
+  sdn.submit(make_request(1), 1);
   sim_.run();
   EXPECT_EQ(succeeded(), 1u);
   EXPECT_EQ(sim_.executed_events(), 3u);
 }
 
 TEST_F(SdnTest, RejectionWithNoInstanceCostsTwoEvents) {
-  sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), &log_, config_,
+  sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), config_,
                       util::rng{13}};
   count(sdn);
-  sdn.submit(make_request(1), 1, 1.0);
+  sdn.submit(make_request(1), 1);
   sim_.run();
   EXPECT_EQ(failed(), 1u);
   EXPECT_EQ(sim_.executed_events(), 2u);
@@ -351,11 +318,11 @@ TEST_F(SdnTest, LocalFallbackWithNoInstanceCostsTwoEvents) {
   faults.max_retries = 0;
   faults.request_timeout_ms = 0.0;
   faults.local_exec_wu_per_ms = 1.0;
-  sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), &log_, config_,
+  sdn_accelerator sdn{sim_, backend_, fixed_link(40.0), config_,
                       util::rng{14}, faults};
   count(sdn);
   sdn.set_response_sink(&sink_);
-  sdn.submit(make_request(1), 1, 1.0);
+  sdn.submit(make_request(1), 1);
   sim_.run();
   ASSERT_EQ(sink_.responses.size(), 1u);
   EXPECT_TRUE(sink_.responses[0].timing.local);
@@ -366,7 +333,7 @@ TEST_F(SdnTest, LocalFallbackWithNoInstanceCostsTwoEvents) {
 TEST_F(SdnTest, ConfigValidation) {
   sdn_config bad;
   bad.routing_overhead_mean_ms = -1.0;
-  EXPECT_THROW(sdn_accelerator(sim_, backend_, fixed_link(40.0), &log_, bad,
+  EXPECT_THROW(sdn_accelerator(sim_, backend_, fixed_link(40.0), bad,
                                util::rng{1}),
                std::invalid_argument);
 }
@@ -375,16 +342,16 @@ TEST_F(SdnTest, OneFrontEndPerPoolAtATime) {
   // A pool hands completions to one sink, so a second live front-end on
   // the same pool is refused; once the first is gone, the pool is free.
   {
-    sdn_accelerator first{sim_, backend_, fixed_link(40.0), nullptr, config_,
+    sdn_accelerator first{sim_, backend_, fixed_link(40.0), config_,
                           util::rng{1}};
     EXPECT_TRUE(backend_.has_completion_sink());
-    EXPECT_THROW(sdn_accelerator(sim_, backend_, fixed_link(40.0), nullptr,
-                                 config_, util::rng{2}),
+    EXPECT_THROW(sdn_accelerator(sim_, backend_, fixed_link(40.0), config_,
+                                 util::rng{2}),
                  std::invalid_argument);
   }
   EXPECT_FALSE(backend_.has_completion_sink());
-  EXPECT_NO_THROW(sdn_accelerator(sim_, backend_, fixed_link(40.0), nullptr,
-                                  config_, util::rng{3}));
+  EXPECT_NO_THROW(
+      sdn_accelerator(sim_, backend_, fixed_link(40.0), config_, util::rng{3}));
 }
 
 // The SDN reads the fault program's resilience knobs only while it is
@@ -407,14 +374,14 @@ TEST_F(SdnTest, InactiveFaultProgramIsInert) {
     sim::simulation sim;
     cloud::backend_pool backend{sim, util::rng{1}};
     backend.launch(1, exact_type());  // group 2 has no instance: rejected
-    sdn_accelerator sdn{sim, backend, fixed_link(40.0), nullptr, config_,
+    sdn_accelerator sdn{sim, backend, fixed_link(40.0), config_,
                         util::rng{15}, faults};
     test_support::recording_sink sink;
     sdn.set_response_sink(&sink);
     for (user_id u = 0; u < 4; ++u) {
       // 2 s apart, so no two requests share the instance.
       sim.schedule_at(u * 2'000.0, [&, u, r = make_request(u)] {
-        sdn.submit(r, u % 2 == 0 ? 1 : 2, 1.0);
+        sdn.submit(r, u % 2 == 0 ? 1 : 2);
       });
     }
     sim.run();
@@ -467,8 +434,8 @@ TEST_F(SdnTest, ActiveFaultProgramIsValidated) {
   stalled_fallback.local_exec_wu_per_ms = 0.0;
   for (const fault::fault_program* bad :
        {&negative_timeout, &cap_below_base, &stalled_fallback}) {
-    EXPECT_THROW(sdn_accelerator(sim_, backend_, fixed_link(40.0), &log_,
-                                 config_, util::rng{1}, *bad),
+    EXPECT_THROW(sdn_accelerator(sim_, backend_, fixed_link(40.0), config_,
+                                 util::rng{1}, *bad),
                  std::invalid_argument);
   }
 }

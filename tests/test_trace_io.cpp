@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 namespace mca::trace {
 namespace {
@@ -74,6 +75,52 @@ TEST(TraceIo, BadNumberReportsField) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string{e.what()}.find("xyz"), std::string::npos);
   }
+}
+
+/// Reads `rows` under the header and returns the rejection message, or
+/// "" when the rows parse.
+std::string rejection(const std::string& rows) {
+  std::istringstream in{"timestamp_ms,user,group,battery,rtt_ms\n" + rows};
+  try {
+    read_csv(in);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(TraceIo, NonFiniteTimestampIsRejected) {
+  // std::stod reads these; a NaN key would break the store's sort.
+  for (const char* bad : {"nan", "inf", "-inf"}) {
+    const std::string error =
+        rejection("1.0,1,1,0.5,100\n" + std::string{bad} + ",1,1,0.5,100\n");
+    EXPECT_NE(error.find("line 3"), std::string::npos) << bad;
+    EXPECT_NE(error.find("timestamp"), std::string::npos) << bad;
+  }
+}
+
+TEST(TraceIo, NonFiniteRttIsRejected) {
+  for (const char* bad : {"nan", "inf", "-inf"}) {
+    const std::string error = rejection("1.0,1,1,0.5," + std::string{bad});
+    EXPECT_NE(error.find("line 2"), std::string::npos) << bad;
+    EXPECT_NE(error.find("RTT"), std::string::npos) << bad;
+  }
+}
+
+TEST(TraceIo, NegativeRttIsRejected) {
+  const std::string error = rejection("1.0,1,1,0.5,0\n2.0,1,1,0.5,-0.5\n");
+  EXPECT_NE(error.find("line 3"), std::string::npos);
+  EXPECT_NE(error.find("RTT"), std::string::npos);
+}
+
+TEST(TraceIo, BatteryOutsideUnitIntervalIsRejected) {
+  for (const char* bad : {"7.5", "-0.1", "1.0001", "nan"}) {
+    const std::string error = rejection("1.0,1,1," + std::string{bad} + ",100");
+    EXPECT_NE(error.find("line 2"), std::string::npos) << bad;
+    EXPECT_NE(error.find("battery"), std::string::npos) << bad;
+  }
+  // Both ends of the range are valid charge levels.
+  EXPECT_EQ(rejection("1.0,1,1,0,100\n2.0,1,1,1,100\n"), "");
 }
 
 TEST(TraceIo, BlankLinesSkipped) {

@@ -20,9 +20,12 @@
 #include "core/system.h"
 #include "exp/runner.h"
 #include "exp/scenario.h"
+#include "exp/thread_pool.h"
 #include "fleet/coordinator.h"
 #include "fleet/fleet_runner.h"
 #include "fleet/shard.h"
+#include "obs/exemplar.h"
+#include "obs/fnv.h"
 #include "obs/registry.h"
 #include "obs/timeline.h"
 #include "tasks/task.h"
@@ -100,6 +103,38 @@ exp::scenario_spec smoke_fleet_spec() {
   spec.fleet_max_total_instances = 4096;
   spec.fleet_shards = 4;
   return spec;
+}
+
+/// The same fleet under mca_bench's fleet_faults program (fleet_scale
+/// --smoke --faults runs it too).
+exp::scenario_spec smoke_faulted_fleet_spec() {
+  exp::scenario_spec spec = smoke_fleet_spec();
+  spec.name = "fleet_scale_faults";
+  spec.faults.enabled = true;
+  spec.faults.preempt_hazard_per_hour = {0.0, 6.0, 0.0, 6.0, 6.0};
+  spec.faults.outages = {{2, spec.slot_length * 1.05, spec.slot_length * 1.9}};
+  spec.faults.cold_start_mean_ms = 2'000.0;
+  spec.faults.max_retries = 2;
+  spec.faults.request_timeout_ms = 30'000.0;
+  spec.faults.retry_backoff_base_ms = 100.0;
+  spec.faults.retry_backoff_cap_ms = 1'000.0;
+  spec.faults.local_fallback = true;
+  return spec;
+}
+
+/// FNV-1a over every field of every exemplar, in order.
+std::uint64_t exemplar_hash(const std::vector<obs::exemplar_record>& records) {
+  obs::fnv_state h;
+  for (const obs::exemplar_record& r : records) {
+    h.real(r.response_ms);
+    h.real(r.issued_at_ms);
+    h.word(r.request);
+    h.word(r.user);
+    h.word(r.group);
+    h.word(r.slot);
+    h.word(r.success ? 1 : 0);
+  }
+  return h.hash;
 }
 
 void expect_counts(const work_counts& got, const work_counts& want) {
@@ -204,6 +239,34 @@ TEST(WorkCounts, SmokeFleetIsPinned) {
                   {17'907, 17'907, 0, 17'898},
                   {11, 11, 0, 11}};
   expect_counts(got, want);
+}
+
+TEST(WorkCounts, SmokeFleetExemplarsArePinned) {
+  // Which requests the fleet's tail reservoirs keep, fault-free and under
+  // the fault program, from run_fleet with its default options (top 4 per
+  // window, 5 windows).
+  struct pin {
+    exp::scenario_spec spec;
+    std::uint64_t fingerprint;
+    std::uint64_t admitted;
+    std::uint64_t hash;
+  };
+  const pin pins[] = {
+      {smoke_fleet_spec(), 0xdb8cb3c02b5eba73ULL, 546, 0x6cc5deb03373eb00ULL},
+      {smoke_faulted_fleet_spec(), 0xb7cbc1b55dbd3feaULL, 564, 0xceb17fe47e80bf68ULL},
+  };
+  tasks::task_pool tasks;
+  exp::thread_pool pool{1};
+  for (const pin& want : pins) {
+    SCOPED_TRACE(want.spec.name);
+    const fleet::fleet_result result =
+        fleet::run_fleet(want.spec, fleet::fleet_options{}, tasks, pool);
+    ASSERT_EQ(result.fingerprint(), want.fingerprint);
+    EXPECT_EQ(result.exemplars.size(), 20u);
+    EXPECT_EQ(result.observability.get(obs::counter::exemplar_admitted),
+              want.admitted);
+    EXPECT_EQ(exemplar_hash(result.exemplars), want.hash);
+  }
 }
 
 }  // namespace
